@@ -40,10 +40,6 @@ type canaryRun struct {
 
 	span obs.Span // open canary-window span; ended with the verdict
 
-	// failsafe reverts the window if the monitor goroutine dies without
-	// resolving it; stopped by the first resolution.
-	failsafe *time.Timer
-
 	resolved bool // guarded by Engine.mu
 }
 
@@ -241,19 +237,6 @@ func (e *Engine) openCanary(old, newInst *program.Instance, rep *UpdateReport) b
 		}
 	}
 	newInst.Resume()
-	// Failsafe: if the monitor goroutine dies without resolving (a crash,
-	// or the injected canary-monitor fault), the window must not stay
-	// open forever refusing further updates with an unjudged new version
-	// serving. Past the deadline plus a few intervals of slack the window
-	// resolves as a breach of the synthetic "monitor" metric — losing the
-	// judge is itself a reason not to trust the new version.
-	slack := 4 * interval
-	if slack < 20*time.Millisecond {
-		slack = 20 * time.Millisecond
-	}
-	run.failsafe = time.AfterFunc(window+slack, func() {
-		e.resolveCanary(run, &canary.Breach{Metric: "monitor"})
-	})
 	go e.canaryLoop(run, window, interval)
 	return true
 }
@@ -261,6 +244,15 @@ func (e *Engine) openCanary(old, newInst *program.Instance, rep *UpdateReport) b
 // canaryLoop drives one window: periodic SLO ticks until a breach, the
 // deadline, or an early accept.
 func (e *Engine) canaryLoop(run *canaryRun, window, interval time.Duration) {
+	// Failsafe: if this goroutine exits without resolving the window (a
+	// crash, or the injected canary-monitor fault), the window must not
+	// stay open forever refusing further updates with an unjudged new
+	// version serving. It resolves as a breach of the synthetic "monitor"
+	// metric — losing the judge is itself a reason not to trust the new
+	// version. The test is liveness, not time: a monitor that is merely
+	// starved of CPU is late, not dead. After any verdict below this is a
+	// no-op (the first resolution wins).
+	defer e.resolveCanary(run, &canary.Breach{Metric: "monitor"})
 	deadline := time.NewTimer(window)
 	defer deadline.Stop()
 	tick := time.NewTicker(interval)
@@ -279,8 +271,8 @@ func (e *Engine) canaryLoop(run *canaryRun, window, interval time.Duration) {
 			return
 		case <-tick.C:
 			// Injected monitor death: the goroutine exits without
-			// resolving the window, leaving the verdict to the failsafe
-			// (cause canary:monitor).
+			// resolving the window, leaving the verdict to the deferred
+			// failsafe (cause canary:monitor).
 			if err := e.opts.Faults.Check(faultinject.PointCanaryMonitor); err != nil {
 				e.opts.Recorder.InstantNote(obs.TrackCanary, obs.PhaseCanaryJudge, "monitor-died")
 				return
@@ -333,12 +325,9 @@ func (e *Engine) resolveCanary(run *canaryRun, br *canary.Breach) {
 		return
 	}
 	run.resolved = true
-	if run.failsafe != nil {
-		run.failsafe.Stop()
-	}
 	// Wake the monitor loop: a resolution arriving from outside it (an
-	// operator breach call, the failsafe) must not leave it ticking for
-	// the rest of the window.
+	// operator breach call) must not leave it ticking for the rest of the
+	// window.
 	run.close()
 	e.canaryFinal = run.mon.Status()
 	e.canaryRun = nil

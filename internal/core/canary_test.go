@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -463,5 +464,55 @@ func TestCanaryControllerStatus(t *testing.T) {
 	got = c.dispatch("canary status")
 	if !strings.Contains(got, "outcome=reverted") || !strings.Contains(got, `cause="p99`) {
 		t.Fatalf("post-revert status = %q", got)
+	}
+}
+
+// TestCanaryStarvedMonitorIsNotDead runs a healthy update whose monitor is
+// held up — inside its sample source, standing in for a goroutine starved
+// of CPU — until well past the window plus the slack the old wall-clock
+// failsafe allowed (window + max(4 intervals, 20ms)). A late judge is not
+// a dead judge: the window must finalize, not revert with canary:monitor.
+func TestCanaryStarvedMonitorIsNotDead(t *testing.T) {
+	e, k := launchEchod(t, Options{Transfer: TransferOptions{VerifyTransfer: true}})
+	defer e.Shutdown()
+	c1, err := k.Connect(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendRecv(t, c1, "a")
+	old := e.Current()
+
+	const window, interval = 20 * time.Millisecond, 2 * time.Millisecond
+	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
+	var calls atomic.Int32
+	src := func() canary.Sample {
+		// Calls 1 and 2 are Update's throughput baseline and the monitor's
+		// seed at window open; the third is the monitor loop's first.
+		if calls.Add(1) == 3 {
+			time.Sleep(window + 20*time.Millisecond + 40*time.Millisecond)
+			feed.add(100, 0, 200*time.Microsecond, 80*time.Millisecond)
+		}
+		return feed.src()
+	}
+	e.SetCanaryPacing(window, interval, -1)
+	if err := e.ArmCanary(canary.SLO{MaxP99: time.Second}, src); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
+	if err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if !e.CanaryWait(10 * time.Second) {
+		t.Fatal("window never resolved")
+	}
+	if rep.CanaryOutcome != "finalized" || rep.RolledBack {
+		t.Fatalf("outcome=%q cause=%q, want a late monitor to finalize the healthy version",
+			rep.CanaryOutcome, rep.RollbackCause)
+	}
+	if e.Current() == old {
+		t.Fatal("healthy version was reverted")
+	}
+	if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v2:after:") {
+		t.Fatalf("post-window reply = %q", got)
 	}
 }

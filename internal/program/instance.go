@@ -187,8 +187,11 @@ func (inst *Instance) Fail(err error) { inst.recordError(err) }
 
 func (inst *Instance) recordError(err error) {
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
 	inst.errs = append(inst.errs, err)
+	inst.mu.Unlock()
+	// WaitStartup sleeps on the barrier and reads errs from under the
+	// barrier's lock: wake it only after letting go of ours.
+	inst.barrier.Wake()
 }
 
 // Errors returns all errors recorded by threads (startup failures, replay
@@ -235,23 +238,27 @@ func (inst *Instance) Start() error {
 // (every thread parked at a quiescent point) or fails. On success the
 // instance is left quiescent; the caller decides when to Resume.
 func (inst *Instance) WaitStartup(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if err := inst.ConflictError(); err != nil {
-			return err
-		}
-		if errs := inst.Errors(); len(errs) > 0 {
-			return errs[0]
-		}
-		if inst.barrier.Quiesced() {
-			inst.startupTook = time.Since(inst.startupBegan)
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("program: %s: %w", inst.version, quiesce.ErrQuiesceTimeout)
-		}
-		time.Sleep(200 * time.Microsecond)
+	_, err := inst.barrier.WaitQuiescedOr(timeout, inst.startupError)
+	if errors.Is(err, quiesce.ErrQuiesceTimeout) {
+		return fmt.Errorf("program: %s: %w", inst.version, err)
 	}
+	if err != nil {
+		return err // a recorded error, verbatim
+	}
+	inst.startupTook = time.Since(inst.startupBegan)
+	return nil
+}
+
+// startupError returns the error that fails startup: the first recorded
+// reinitialization conflict, else the first recorded error of any kind.
+func (inst *Instance) startupError() error {
+	if err := inst.ConflictError(); err != nil {
+		return err
+	}
+	if errs := inst.Errors(); len(errs) > 0 {
+		return errs[0]
+	}
+	return nil
 }
 
 // CompleteStartup transitions every process out of the startup phase:

@@ -61,7 +61,15 @@ type Proc struct {
 	// waiters wake immediately instead of sleeping out their slice.
 	notifyMu sync.Mutex
 	notifyCh chan struct{}
+
+	runtimeMu sync.Mutex // see RuntimeLock
 }
+
+// RuntimeLock returns the process-wide mutex server code serializes its
+// shared simulated-memory structures with (the pthread_mutex analog that
+// pairs with Notify). It is pure runtime state: never transferred, fresh
+// in a forked child, and it lives and dies with the Proc.
+func (p *Proc) RuntimeLock() *sync.Mutex { return &p.runtimeMu }
 
 // Notify wakes every CondQP waiter of this process (call after writing
 // work into shared simulated memory, e.g. enqueueing a connection).

@@ -535,6 +535,49 @@ func TestInterceptorConflictAbortsStartup(t *testing.T) {
 	inst.Terminate()
 }
 
+// TestWaitStartupWokenByRecordedError: startup that cannot converge (main
+// is stuck short of its first quiescent point) ends the moment an error is
+// recorded against the instance — WaitStartup sleeps on the barrier and
+// recordError wakes it; nothing polls, and the timeout is a minute away.
+func TestWaitStartupWokenByRecordedError(t *testing.T) {
+	v := listing1Version(0)
+	v.Types.Define(&types.Type{Name: "ptr", Kind: types.KindPtr,
+		Size: types.WordSize, Align: types.WordSize})
+	release := make(chan struct{})
+	v.Main = func(t *Thread) error {
+		t.Enter("main")
+		defer t.Exit()
+		<-release
+		return nil
+	}
+	inst, err := NewInstance(v, kernel.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Start(); err != nil {
+		t.Fatal(err)
+	}
+	res := make(chan error, 1)
+	go func() { res <- inst.WaitStartup(time.Minute) }()
+	select {
+	case err := <-res:
+		t.Fatalf("WaitStartup returned with main still stuck: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	boom := errors.New("reinit handler failed")
+	inst.Fail(boom)
+	select {
+	case err := <-res:
+		if !errors.Is(err, boom) {
+			t.Fatalf("WaitStartup err = %v, want the recorded error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a recorded error did not wake WaitStartup")
+	}
+	close(release)
+	inst.Terminate()
+}
+
 func TestStackVars(t *testing.T) {
 	inst, _ := startSample(t, Options{})
 	defer inst.Terminate()

@@ -120,23 +120,45 @@ func (b *Barrier) Park(id int64, site string) Directive {
 // WaitQuiesced blocks until every registered thread is parked, or the
 // timeout expires. It returns the time convergence took.
 func (b *Barrier) WaitQuiesced(timeout time.Duration) (time.Duration, error) {
+	return b.WaitQuiescedOr(timeout, nil)
+}
+
+// WaitQuiescedOr is WaitQuiesced with a way out: abort (when non-nil) is
+// consulted before every check, and a non-nil result ends the wait with
+// that error. It runs with the barrier's lock held, so it must not call
+// back into the barrier; whoever changes what it reads calls Wake
+// afterwards, holding none of the locks abort takes. The waiter sleeps on
+// the barrier's condition variable throughout — every thread that parks,
+// registers or exits signals it — and a single timer bounds the wait.
+func (b *Barrier) WaitQuiescedOr(timeout time.Duration, abort func() error) (time.Duration, error) {
 	start := time.Now()
 	deadline := start.Add(timeout)
+	waker := time.AfterFunc(timeout, b.Wake)
+	defer waker.Stop()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
+		if abort != nil {
+			if err := abort(); err != nil {
+				return 0, err
+			}
+		}
 		if b.armed && len(b.parked) == len(b.registered) && len(b.registered) > 0 {
 			return time.Since(start), nil
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return 0, fmt.Errorf("%w: %d/%d threads parked",
 				ErrQuiesceTimeout, len(b.parked), len(b.registered))
 		}
-		// cond.Wait has no timeout; poke the condition periodically.
-		waker := time.AfterFunc(time.Millisecond, func() { b.cond.Broadcast() })
 		b.cond.Wait()
-		waker.Stop()
 	}
+}
+
+// Wake makes every WaitQuiescedOr waiter re-evaluate its abort predicate.
+func (b *Barrier) Wake() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.cond.Broadcast()
 }
 
 // Quiesced reports whether all registered threads are currently parked.

@@ -95,6 +95,43 @@ func TestBarrierTimeoutWhenThreadStuck(t *testing.T) {
 	b.Release(Resume)
 }
 
+// TestWaitQuiescedOrAbortsOnWake: a waiter that cannot converge (its one
+// thread never parks) leaves the moment its abort predicate turns true and
+// Wake is called — no polling interval, and long before the timeout.
+func TestWaitQuiescedOrAbortsOnWake(t *testing.T) {
+	b := NewBarrier()
+	b.Register(1, "stuck")
+	b.Arm()
+	var failure atomic.Pointer[error]
+	abort := func() error {
+		if e := failure.Load(); e != nil {
+			return *e
+		}
+		return nil
+	}
+	res := make(chan error, 1)
+	go func() {
+		_, err := b.WaitQuiescedOr(time.Minute, abort)
+		res <- err
+	}()
+	select {
+	case err := <-res:
+		t.Fatalf("returned before the abort condition held: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	boom := errors.New("startup failed")
+	failure.Store(&boom)
+	b.Wake()
+	select {
+	case err := <-res:
+		if err != boom {
+			t.Fatalf("err = %v, want the abort predicate's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wake did not end the wait")
+	}
+}
+
 func TestBarrierDeregisterUnblocksConvergence(t *testing.T) {
 	// A short-lived thread that exits (deregisters) instead of parking
 	// must not block convergence.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -142,15 +141,6 @@ func httpdTypes(i int) *types.Registry {
 	reg.Define(&types.Type{Name: "voidptr", Kind: types.KindPtr,
 		Size: types.WordSize, Align: types.WordSize})
 	return reg
-}
-
-// httpdProcLocks serializes queue access per process (the pthread mutex
-// of the worker MPM; pure runtime state, never transferred).
-var httpdProcLocks sync.Map // *program.Proc -> *sync.Mutex
-
-func httpdLock(p *program.Proc) *sync.Mutex {
-	mu, _ := httpdProcLocks.LoadOrStore(p, &sync.Mutex{})
-	return mu.(*sync.Mutex)
 }
 
 // HttpdVersion builds release i of the httpd model.
@@ -398,9 +388,9 @@ func httpdMaintMain(t *program.Thread) error {
 // simulated memory: a queued-but-unserved connection survives an update).
 func httpdEnqueue(t *program.Thread, cfd int) error {
 	p := t.Proc()
-	mu := httpdLock(p)
-	mu.Lock()
-	defer mu.Unlock()
+	// The worker MPM's queue mutex.
+	p.RuntimeLock().Lock()
+	defer p.RuntimeLock().Unlock()
 	q := p.MustGlobal("conn_queue")
 	head, _ := p.ReadField(q, "head")
 	tail, _ := p.ReadField(q, "tail")
@@ -421,9 +411,9 @@ func httpdEnqueue(t *program.Thread, cfd int) error {
 
 // httpdDequeue pops an fd, or returns -1.
 func httpdDequeue(p *program.Proc) (int, error) {
-	mu := httpdLock(p)
-	mu.Lock()
-	defer mu.Unlock()
+	// The worker MPM's queue mutex.
+	p.RuntimeLock().Lock()
+	defer p.RuntimeLock().Unlock()
 	q := p.MustGlobal("conn_queue")
 	head, _ := p.ReadField(q, "head")
 	tail, _ := p.ReadField(q, "tail")

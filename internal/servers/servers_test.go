@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/quiesce"
 	"repro/internal/workload"
 )
@@ -518,5 +520,56 @@ func TestHttpdTidPinningUnderParallelism(t *testing.T) {
 		}
 		ka.Close()
 		e.Shutdown()
+	}
+}
+
+// TestHttpdCyclesRetainNoProcess: launch / serve / update / terminate
+// cycles must leave nothing behind that pins a process's memory — the
+// queue mutex used to live in a package-level map keyed by *program.Proc,
+// which kept every httpd process (and its whole address space) alive for
+// good. A finalizer on each address space — acyclic, unlike the Proc,
+// which points at its Instance and back — proves the collector can
+// reclaim all of them once the engine is shut down.
+func TestHttpdCyclesRetainNoProcess(t *testing.T) {
+	old := SetHttpdPoolThreads(4)
+	defer SetHttpdPoolThreads(old)
+	var tracked, reclaimed atomic.Int32
+	track := func(e *core.Engine) {
+		for _, p := range e.Current().Procs() {
+			tracked.Add(1)
+			runtime.SetFinalizer(p.Space(), func(*mem.AddressSpace) { reclaimed.Add(1) })
+		}
+	}
+	for cycle := 0; cycle < 3; cycle++ {
+		func() {
+			e, k := launch(t, HttpdSpec(), core.Options{})
+			defer e.Shutdown()
+			ka, err := workload.OpenKeepalive(k, HttpdPort, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ka.Close()
+			// A served request goes through the connection queue, and so
+			// through the per-process mutex.
+			if _, err := workload.KeepaliveRequest(ka, "GET /pre"); err != nil {
+				t.Fatal(err)
+			}
+			track(e)
+			if rep, err := e.Update(HttpdVersion(1)); err != nil || rep.RolledBack {
+				t.Fatalf("update: %v (rolled back: %v)", err, rep != nil && rep.RolledBack)
+			}
+			if _, err := workload.KeepaliveRequest(ka, "GET /post"); err != nil {
+				t.Fatal(err)
+			}
+			track(e)
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for reclaimed.Load() < tracked.Load() && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
+	}
+	if got, want := reclaimed.Load(), tracked.Load(); got != want {
+		t.Fatalf("%d of %d httpd address spaces are still reachable after shutdown", want-got, want)
 	}
 }

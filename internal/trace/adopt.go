@@ -33,7 +33,7 @@ type shadowInvalidator interface {
 //   - every new-version object overlapping the page is exactly the pair
 //     target of one of those old objects (nothing new-only to clobber);
 //   - an object moves only if all of its pages move, and a page moves
-//     only if all of its objects move (computed as a shrinking fixpoint).
+//     only if all of its objects move (settleAdoptable).
 //
 // Bytes on a donated page outside any object (in-band chunk headers,
 // alignment gaps, free-chunk words) travel with the frame; the simulation
@@ -112,23 +112,17 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 	// Candidate pages: enumerated from eligible objects, kept only when
 	// fully mapped on both sides, fully covered old-side by eligible
 	// objects, and covered new-side by exactly their pair targets.
-	pagesOf := func(o *mem.Object) []mem.Addr {
-		var out []mem.Addr
-		for pb := o.Addr &^ mem.Addr(mem.PageSize-1); pb < o.End(); pb += mem.PageSize {
-			out = append(out, pb)
-		}
-		return out
-	}
 	oldIx, newIx := pt.oldProc.Index(), pt.newProc.Index()
+	oldOn := func(pb mem.Addr) []*mem.Object { return oldIx.OnPages([]mem.Addr{pb}) }
 	cand := make(map[mem.Addr]bool)
 	for _, e := range elig {
-		for _, pb := range pagesOf(e.oldObj) {
+		for pb := pageOf(e.oldObj.Addr); pb < e.oldObj.End(); pb += mem.PageSize {
 			if _, seen := cand[pb]; seen {
 				continue
 			}
 			ok := oldAS.Mapped(pb, mem.PageSize) && newAS.Mapped(pb, mem.PageSize)
 			if ok {
-				for _, po := range oldIx.OnPages([]mem.Addr{pb}) {
+				for _, po := range oldOn(pb) {
 					// Scratch overlay metadata is never transferred and
 					// never read back: its bytes ride along like
 					// allocator gap bytes on either side.
@@ -156,35 +150,7 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 			cand[pb] = ok
 		}
 	}
-
-	// Fixpoint: an object moves only if all its pages are candidates; a
-	// page stays a candidate only if all its objects move. Demoting a page
-	// demotes its objects, which can demote their other pages.
-	for changed := true; changed; {
-		changed = false
-		for pb, ok := range cand {
-			if !ok {
-				continue
-			}
-			for _, po := range oldIx.OnPages([]mem.Addr{pb}) {
-				if po.Scratch {
-					continue
-				}
-				whole := true
-				for _, opb := range pagesOf(po) {
-					if !cand[opb] {
-						whole = false
-						break
-					}
-				}
-				if !whole {
-					cand[pb] = false
-					changed = true
-					break
-				}
-			}
-		}
-	}
+	settleAdoptable(cand, oldOn)
 
 	var pages []mem.Addr
 	for pb, ok := range cand {
@@ -202,11 +168,8 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 	for _, e := range elig {
 		o := e.oldObj
 		whole := true
-		for _, pb := range pagesOf(o) {
-			if !cand[pb] {
-				whole = false
-				break
-			}
+		for pb := pageOf(o.Addr); pb < o.End() && whole; pb += mem.PageSize {
+			whole = cand[pb]
 		}
 		if !whole {
 			continue
@@ -240,4 +203,41 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		pt.stats.PagesAdopted++
 	}
 	return nil
+}
+
+func pageOf(a mem.Addr) mem.Addr { return a &^ mem.Addr(mem.PageSize-1) }
+
+// settleAdoptable shrinks the candidate set to the pages that can move
+// together: an object moves only if all of its pages are candidates, and a
+// page stays a candidate only if all of its objects move. cand holds every
+// page of every eligible object with the verdict of the per-page checks;
+// onPage lists the old objects overlapping a page (scratch overlays ride
+// along and are ignored). Demoting a page demotes its objects, which
+// demotes their other pages: a worklist in which each page is expanded and
+// each object demoted at most once, so the work is linear in the pages
+// however far one demotion propagates.
+func settleAdoptable(cand map[mem.Addr]bool, onPage func(pb mem.Addr) []*mem.Object) {
+	var work []mem.Addr
+	for pb, ok := range cand {
+		if !ok {
+			work = append(work, pb)
+		}
+	}
+	demoted := make(map[*mem.Object]bool)
+	for len(work) > 0 {
+		pb := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, o := range onPage(pb) {
+			if o.Scratch || demoted[o] {
+				continue
+			}
+			demoted[o] = true
+			for q := pageOf(o.Addr); q < o.End(); q += mem.PageSize {
+				if cand[q] {
+					cand[q] = false
+					work = append(work, q)
+				}
+			}
+		}
+	}
 }

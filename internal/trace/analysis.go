@@ -89,29 +89,6 @@ func (a *Analysis) IsImmutable(addr mem.Addr) bool {
 	return ok
 }
 
-// likelyPointer validates one conservatively-scanned word: it must point
-// into a live object, and if the target carries a data type tag the
-// pointed offset must be plausibly aligned ("our pointer analysis uses the
-// data type tag associated to the pointed object to reject illegal
-// (unaligned) likely pointers").
-func likelyPointer(ix *mem.ObjectIndex, word uint64) (*mem.Object, bool) {
-	if word == 0 {
-		return nil, false
-	}
-	target, ok := ix.Containing(mem.Addr(word))
-	if !ok {
-		return nil, false
-	}
-	if target.Type != nil {
-		off := uint64(mem.Addr(word) - target.Addr)
-		align := target.Type.Align
-		if align > 1 && off%4 != 0 {
-			return nil, false
-		}
-	}
-	return target, true
-}
-
 // opaqueRangesOf returns the byte ranges of o that must be scanned
 // conservatively under the policy, and the precise pointer slots.
 func opaqueRangesOf(o *mem.Object, pol types.Policy) ([]types.OpaqueRange, []types.PtrSlot) {
@@ -128,56 +105,39 @@ func opaqueRangesOf(o *mem.Object, pol types.Policy) ([]types.OpaqueRange, []typ
 // are scanned for likely pointers; immutability and nonupdatability
 // invariants are derived. Library objects are scanned only if listed in
 // transferLibs (§6: "MCR does not conservatively analyze nor transfer
-// shared library state by default").
+// shared library state by default"). The process may be serving: reads go
+// through the address space's read lock, and the caller validates the
+// result against the Mutations/Gen counters it captured beforehand.
 func AnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool) (*Analysis, error) {
 	an := &Analysis{
 		Immutable:    make(map[mem.Addr]*mem.Object),
 		Nonupdatable: make(map[mem.Addr]bool),
 	}
-	ix := p.Index()
 	as := p.Space()
-	for _, o := range ix.All() {
+	r := newResolver(p.Index().All())
+	// pinned[i] records that r.objs[i] is already in the result maps: a
+	// hot target is pointed at thousands of times and entered once.
+	pinned := make([]bool, len(r.objs))
+	var src *mem.Object
+	var hasLikely bool
+	precise := func(ti int) { an.Stats.Precise.add(src.Kind, r.objs[ti].Kind) }
+	likely := func(ti int) {
+		target := r.objs[ti]
+		hasLikely = true
+		an.Stats.Likely.add(src.Kind, target.Kind)
+		if !pinned[ti] {
+			pinned[ti] = true
+			an.Immutable[target.Addr] = target
+			an.Nonupdatable[target.Addr] = true
+		}
+	}
+	for _, o := range r.objs {
 		if o.Kind == mem.ObjLib && !transferLibs[o.Name] {
 			continue
 		}
-		opaques, ptrs := opaqueRangesOf(o, pol)
-		// Census precise pointers.
-		for _, slot := range ptrs {
-			if slot.Offset+8 > o.Size {
-				continue
-			}
-			word, err := as.ReadWord(o.Addr + mem.Addr(slot.Offset))
-			if err != nil {
-				return nil, fmt.Errorf("trace: read %s+%d: %w", o, slot.Offset, err)
-			}
-			if word == 0 || slot.Func {
-				continue
-			}
-			if target, ok := ix.Containing(mem.Addr(word)); ok {
-				an.Stats.Precise.add(o.Kind, target.Kind)
-			}
-		}
-		// Conservatively scan opaque ranges.
-		hasLikely := false
-		for _, r := range opaques {
-			end := r.Offset + r.Size
-			if end > o.Size {
-				end = o.Size
-			}
-			for off := (r.Offset + 7) &^ 7; off+8 <= end; off += 8 {
-				word, err := as.ReadWord(o.Addr + mem.Addr(off))
-				if err != nil {
-					return nil, fmt.Errorf("trace: scan %s+%d: %w", o, off, err)
-				}
-				target, ok := likelyPointer(ix, word)
-				if !ok {
-					continue
-				}
-				hasLikely = true
-				an.Stats.Likely.add(o.Kind, target.Kind)
-				an.Immutable[target.Addr] = target
-				an.Nonupdatable[target.Addr] = true
-			}
+		src, hasLikely = o, false
+		if err := r.scan(as, o, pol, precise, likely); err != nil {
+			return nil, fmt.Errorf("trace: scan %s: %w", o, err)
 		}
 		if hasLikely {
 			an.Nonupdatable[o.Addr] = true

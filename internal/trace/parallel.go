@@ -144,7 +144,7 @@ func (pt *procTransfer) discoverParallel(roots []*mem.Object, workers int) ([]*m
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			var scratch []byte
+			r := newResolver(pt.oldObjs)
 			for {
 				o := q.pop()
 				if o == nil {
@@ -155,7 +155,7 @@ func (pt *procTransfer) discoverParallel(roots []*mem.Object, workers int) ([]*m
 					q.taskDone()
 					continue
 				}
-				err := pt.scanObject(o, &scratch, func(t *mem.Object) {
+				err := pt.scanObject(o, r, func(t *mem.Object) {
 					if visited.claim(t.Addr) {
 						locals[k] = append(locals[k], t)
 						q.push(t)

@@ -1,0 +1,797 @@
+package trace
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/kernel"
+	"repro/internal/mem"
+	"repro/internal/program"
+	"repro/internal/types"
+)
+
+// ---- The reference oracle ------------------------------------------------
+//
+// referenceScan is the word-at-a-time scan AnalyzeProc and scanObject ran
+// before resolver.scan replaced both: one locked ReadWord per precise slot
+// and per opaque word, one locked ObjectIndex.Containing per candidate. It
+// is kept verbatim as the oracle the page-granular scan is compared to.
+
+func referenceLikelyPointer(ix *mem.ObjectIndex, word uint64) (*mem.Object, bool) {
+	if word == 0 {
+		return nil, false
+	}
+	target, ok := ix.Containing(mem.Addr(word))
+	if !ok {
+		return nil, false
+	}
+	if target.Type != nil {
+		off := uint64(mem.Addr(word) - target.Addr)
+		align := target.Type.Align
+		if align > 1 && off%4 != 0 {
+			return nil, false
+		}
+	}
+	return target, true
+}
+
+func referenceScan(p *program.Proc, o *mem.Object, pol types.Policy, precise, likely func(*mem.Object)) error {
+	ix, as := p.Index(), p.Space()
+	opaques, ptrs := opaqueRangesOf(o, pol)
+	for _, slot := range ptrs {
+		if slot.Offset+8 > o.Size {
+			continue
+		}
+		word, err := as.ReadWord(o.Addr + mem.Addr(slot.Offset))
+		if err != nil {
+			return fmt.Errorf("trace: read %s+%d: %w", o, slot.Offset, err)
+		}
+		if word == 0 || slot.Func {
+			continue
+		}
+		if target, ok := ix.Containing(mem.Addr(word)); ok {
+			precise(target)
+		}
+	}
+	for _, r := range opaques {
+		end := r.Offset + r.Size
+		if end > o.Size {
+			end = o.Size
+		}
+		for off := (r.Offset + 7) &^ 7; off+8 <= end; off += 8 {
+			word, err := as.ReadWord(o.Addr + mem.Addr(off))
+			if err != nil {
+				return fmt.Errorf("trace: scan %s+%d: %w", o, off, err)
+			}
+			if target, ok := referenceLikelyPointer(ix, word); ok {
+				likely(target)
+			}
+		}
+	}
+	return nil
+}
+
+func referenceAnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool) (*Analysis, error) {
+	an := &Analysis{
+		Immutable:    make(map[mem.Addr]*mem.Object),
+		Nonupdatable: make(map[mem.Addr]bool),
+	}
+	for _, o := range p.Index().All() {
+		if o.Kind == mem.ObjLib && !transferLibs[o.Name] {
+			continue
+		}
+		hasLikely := false
+		err := referenceScan(p, o, pol,
+			func(target *mem.Object) { an.Stats.Precise.add(o.Kind, target.Kind) },
+			func(target *mem.Object) {
+				hasLikely = true
+				an.Stats.Likely.add(o.Kind, target.Kind)
+				an.Immutable[target.Addr] = target
+				an.Nonupdatable[target.Addr] = true
+			})
+		if err != nil {
+			return nil, err
+		}
+		if hasLikely {
+			an.Nonupdatable[o.Addr] = true
+		}
+	}
+	return an, nil
+}
+
+// ---- Fixtures ------------------------------------------------------------
+
+// scanFixtureBase is a mapping of the fixture's own, clear of every region
+// a program.Proc lays out, where tests plant objects at arbitrary —
+// unaligned, page-straddling — addresses the allocator would never produce.
+const (
+	scanFixtureBase mem.Addr = 0x5000_0000
+	scanFixtureSize          = 4 << 20
+)
+
+// startScanFixture runs an idle single-process program (with two library
+// images, so lib objects exist in and out of transferLibs) and maps the
+// fixture region into its root process.
+func startScanFixture(tb testing.TB) *program.Proc {
+	tb.Helper()
+	v := synthVersion(0, &synthShape{nodes: 4, blobSizes: []int{64, 64}, links: [][3]int{{0, 1, 8}}}, false)
+	v.Libs = []program.LibSpec{{Name: "libA", StateSize: 256}, {Name: "libB", StateSize: 256}}
+	inst, err := program.NewInstance(v, kernel.New(), program.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := inst.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := inst.WaitStartup(10 * time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	inst.CompleteStartup()
+	tb.Cleanup(inst.Terminate)
+	p := inst.Root()
+	if err := p.Space().Map(scanFixtureBase, scanFixtureSize, mem.RegionMmap, "scanfix"); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// scanFixtureTypes is the typed-object catalogue of the random heaps:
+// precise slots, opaque sub-ranges of every policy class, a function
+// pointer, a slot at an offset that is not a multiple of 8, and an array
+// long enough to put precise slots on several pages.
+func scanFixtureTypes() []*types.Type {
+	node := &types.Type{Name: "fx_node", Kind: types.KindStruct}
+	node.Fields = []types.Field{
+		{Name: "value", Offset: 0, Type: types.Scalar(types.KindInt64)},
+		{Name: "next", Offset: 8, Type: types.PointerTo(node)},
+		{Name: "any", Offset: 16, Type: types.PointerTo(nil)},
+	}
+	node.Size, node.Align = 24, 8
+	mixed := types.StructOf("fx_mixed",
+		types.Field{Name: "tag", Type: types.Scalar(types.KindInt32)},
+		types.Field{Name: "buf", Type: types.ArrayOf(40, types.Scalar(types.KindUint8))},
+		types.Field{Name: "p", Type: types.PointerTo(node)},
+		types.Field{Name: "u", Type: types.Scalar(types.KindUintPtr)},
+		types.Field{Name: "fn", Type: types.Scalar(types.KindFuncPtr)},
+		types.Field{Name: "un", Type: types.UnionOf("fx_un",
+			types.Field{Name: "p", Type: types.PointerTo(node)},
+			types.Field{Name: "raw", Type: types.ArrayOf(24, types.Scalar(types.KindUint8))})},
+		types.Field{Name: "blob", Type: types.Opaque(72)},
+	)
+	packed := &types.Type{Name: "fx_packed", Kind: types.KindStruct, Size: 20, Align: 1}
+	packed.Fields = []types.Field{
+		{Name: "c", Offset: 0, Type: types.Scalar(types.KindUint8)},
+		{Name: "p", Offset: 4, Type: types.PointerTo(nil)},
+		{Name: "q", Offset: 12, Type: types.PointerTo(nil)},
+	}
+	table := types.ArrayOf(400, node) // 9600 bytes: slots on three pages
+	table.Name = "fx_table"
+	return []*types.Type{node, mixed, packed, table}
+}
+
+// plantRandomHeap fills the fixture region with a seeded random heap:
+// typed and untyped objects of every kind, starts that are not 8-aligned,
+// objects straddling pages, library objects, and pages deliberately never
+// touched (demand-zero) in the middle of large objects. Contents mix nil,
+// small integers, text, and pointers — exact, interior, misaligned, into
+// gaps, and into the program's own objects.
+func plantRandomHeap(tb testing.TB, p *program.Proc, seed int64) []*mem.Object {
+	tb.Helper()
+	rnd := rand.New(rand.NewSource(seed))
+	as, ix := p.Space(), p.Index()
+	catalogue := scanFixtureTypes()
+	kinds := []mem.ObjKind{mem.ObjHeap, mem.ObjHeap, mem.ObjStatic, mem.ObjMmap, mem.ObjLib}
+
+	var planted []*mem.Object
+	cursor := scanFixtureBase + mem.Addr(rnd.Intn(64))
+	for len(planted) < 160 {
+		o := &mem.Object{Kind: kinds[rnd.Intn(len(kinds))], Site: uint64(1 + len(planted))}
+		switch rnd.Intn(10) {
+		case 0, 1, 2:
+			o.Type = catalogue[rnd.Intn(len(catalogue))]
+			o.Size = o.Type.Size
+		case 3:
+			o.Size = uint64(3*mem.PageSize + rnd.Intn(9*mem.PageSize)) // large, untyped
+		case 4:
+			o.Size = uint64(1 + rnd.Intn(15)) // too small to hold a word, or barely
+		default:
+			o.Size = uint64(8 + rnd.Intn(600))
+		}
+		if o.Kind == mem.ObjLib {
+			o.Name = []string{"libA.extra", "libB.extra", "libC.extra"}[rnd.Intn(3)]
+		}
+		if rnd.Intn(3) > 0 {
+			cursor = (cursor + 7) &^ 7 // most objects are aligned; a third are not
+		}
+		o.Addr = cursor
+		if o.End() > scanFixtureBase+scanFixtureSize {
+			break
+		}
+		if err := ix.Insert(o); err != nil {
+			tb.Fatal(err)
+		}
+		planted = append(planted, o)
+		cursor = o.End() + mem.Addr(rnd.Intn(48))
+	}
+
+	// Pages that stay demand-zero: whatever overlaps them reads as nil.
+	dark := make(map[mem.Addr]bool)
+	for pb := scanFixtureBase; pb < cursor; pb += mem.PageSize {
+		if rnd.Intn(4) == 0 {
+			dark[pb] = true
+		}
+	}
+	all := ix.All()
+	pointer := func() uint64 {
+		t := all[rnd.Intn(len(all))]
+		switch rnd.Intn(6) {
+		case 0:
+			return uint64(t.Addr)
+		case 1:
+			return uint64(t.Addr) + uint64(rnd.Int63n(int64(t.Size)))&^7
+		case 2:
+			return uint64(t.Addr) + uint64(rnd.Int63n(int64(t.Size))) // maybe misaligned
+		case 3:
+			return uint64(t.End()) + uint64(rnd.Intn(16)) // a gap, or the next object
+		case 4:
+			return uint64(t.Addr) - uint64(1+rnd.Intn(16))
+		default:
+			return uint64(scanFixtureBase) + uint64(rnd.Int63n(scanFixtureSize))
+		}
+	}
+	var word [8]byte
+	for _, o := range planted {
+		// Words at every offset class: the scan's own grid (multiples of 8
+		// from the object start) and, now and then, off it.
+		for off := uint64(0); off+8 <= o.Size; off += 8 {
+			var v uint64
+			switch rnd.Intn(8) {
+			case 0, 1:
+				continue
+			case 2:
+				v = uint64(rnd.Intn(4096))
+			case 3:
+				v = 0x2065687420646e61 // "and the "
+			default:
+				v = pointer()
+			}
+			at := o.Addr + mem.Addr(off)
+			if rnd.Intn(16) == 0 && off+12 <= o.Size {
+				at += 4
+			}
+			if dark[pageOf(at)] || dark[pageOf(at+7)] {
+				continue
+			}
+			binary.LittleEndian.PutUint64(word[:], v)
+			if err := as.WriteAt(at, word[:]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return planted
+}
+
+// analysisDiff reports how two analyses differ, or "" when they agree in
+// Immutable keys (and objects), Nonupdatable keys and every counter.
+func analysisDiff(got, want *Analysis) string {
+	if got.Stats != want.Stats {
+		return fmt.Sprintf("stats: got %+v, want %+v", got.Stats, want.Stats)
+	}
+	if len(got.Immutable) != len(want.Immutable) {
+		return fmt.Sprintf("immutable: got %d objects, want %d", len(got.Immutable), len(want.Immutable))
+	}
+	for a, o := range want.Immutable {
+		if got.Immutable[a] != o {
+			return fmt.Sprintf("immutable: %s missing", o)
+		}
+	}
+	if !reflect.DeepEqual(got.Nonupdatable, want.Nonupdatable) {
+		return fmt.Sprintf("nonupdatable: got %d keys, want %d", len(got.Nonupdatable), len(want.Nonupdatable))
+	}
+	return ""
+}
+
+var scanPolicies = []struct {
+	name string
+	pol  types.Policy
+}{
+	{"default", types.DefaultPolicy()},
+	{"precise", types.FullyPrecisePolicy()},
+}
+
+var scanLibSets = []map[string]bool{
+	nil,
+	{"libA.state": true, "libB.extra": true},
+}
+
+// ---- Differential tests --------------------------------------------------
+
+// TestScanMatchesReferenceOnRandomHeaps: over seeded random heaps, both
+// policies and both library sets, the page-granular AnalyzeProc equals the
+// word-at-a-time reference in Immutable, Nonupdatable and every
+// PointerStats counter, and scanObject visits exactly the reference's
+// targets (as a multiset) for every object.
+func TestScanMatchesReferenceOnRandomHeaps(t *testing.T) {
+	for _, seed := range []int64{5, 7, 41, 42, 43, 44} {
+		p := startScanFixture(t)
+		planted := plantRandomHeap(t, p, seed)
+		unaligned, straddling := 0, 0
+		for _, o := range planted {
+			if o.Addr&7 != 0 {
+				unaligned++
+				if pageOf(o.Addr) != pageOf(o.End()-1) {
+					straddling++
+				}
+			}
+		}
+		if unaligned == 0 || straddling == 0 {
+			t.Fatalf("seed %d: fixture has %d unaligned / %d unaligned page-straddling objects", seed, unaligned, straddling)
+		}
+		for _, pc := range scanPolicies {
+			for li, libs := range scanLibSets {
+				name := fmt.Sprintf("seed=%d/%s/libs=%d", seed, pc.name, li)
+				want, err := referenceAnalyzeProc(p, pc.pol, libs)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", name, err)
+				}
+				got, err := AnalyzeProc(p, pc.pol, libs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if d := analysisDiff(got, want); d != "" {
+					t.Errorf("%s: AnalyzeProc differs from the reference: %s", name, d)
+				}
+				if want.Stats.Likely.Ptr == 0 || want.Stats.Precise.Ptr == 0 {
+					t.Fatalf("%s: fixture has no pointers to find: %+v", name, want.Stats)
+				}
+
+				pt := &procTransfer{oldProc: p, opts: Options{Policy: pc.pol, TransferLibs: libs}}
+				pt.oldObjs = p.Index().All()
+				r := newResolver(pt.oldObjs)
+				for _, o := range pt.oldObjs {
+					var gotV, wantV []mem.Addr
+					if err := pt.scanObject(o, r, func(t *mem.Object) { gotV = append(gotV, t.Addr) }); err != nil {
+						t.Fatalf("%s: scanObject %s: %v", name, o, err)
+					}
+					visit := func(t *mem.Object) {
+						if t.Kind != mem.ObjLib || libs[t.Name] {
+							wantV = append(wantV, t.Addr)
+						}
+					}
+					if err := referenceScan(p, o, pc.pol, visit, visit); err != nil {
+						t.Fatalf("%s: reference scan %s: %v", name, o, err)
+					}
+					sort.Slice(gotV, func(i, j int) bool { return gotV[i] < gotV[j] })
+					sort.Slice(wantV, func(i, j int) bool { return wantV[i] < wantV[j] })
+					if !reflect.DeepEqual(gotV, wantV) {
+						t.Errorf("%s: scanObject %s visits %d targets, reference %d", name, o, len(gotV), len(wantV))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScanWordsAcrossPageBoundaries pins the one case the fragments cannot
+// see: a scanned word cut by a page boundary, with both pages resident,
+// only the low one, or only the high one (the absent half reads as zero
+// and the word can still be a pointer). Untyped objects at addresses ≡ 4
+// (mod 8) put a grid word on each boundary; a packed struct puts a precise
+// slot there.
+func TestScanWordsAcrossPageBoundaries(t *testing.T) {
+	p := startScanFixture(t)
+	as, ix := p.Space(), p.Index()
+	libA, ok := ix.At(program.LibBase)
+	if !ok || libA.Kind != mem.ObjLib {
+		t.Fatalf("expected libA.state at LibBase, found %v", libA)
+	}
+	target := &mem.Object{Addr: scanFixtureBase + 0x100, Size: 64, Kind: mem.ObjHeap, Site: 1}
+	packed := scanFixtureTypes()[2]
+	insert := func(o *mem.Object) *mem.Object {
+		t.Helper()
+		if err := ix.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	insert(target)
+	put := func(at mem.Addr, b []byte) {
+		t.Helper()
+		if err := as.WriteAt(at, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	page := func(n int) mem.Addr { return scanFixtureBase + mem.Addr(n)*mem.PageSize }
+
+	// Both halves resident: the word at page(3)-4 points at the target.
+	both := insert(&mem.Object{Addr: page(2) + 0x804, Size: mem.PageSize, Kind: mem.ObjHeap, Site: 2})
+	put(page(3)-4, le(uint64(target.Addr)+8))
+	// Only the low half resident: the fixture lies below 4 GiB, so the four
+	// low bytes are the whole pointer and the absent high half is zero.
+	low := insert(&mem.Object{Addr: page(5) + 0x804, Size: mem.PageSize, Kind: mem.ObjMmap, Site: 3})
+	put(page(6)-4, le(uint64(target.Addr))[:4])
+	// Only the high half resident: LibBase has zero low bytes.
+	high := insert(&mem.Object{Addr: page(8) + 0x804, Size: mem.PageSize, Kind: mem.ObjStatic, Site: 4})
+	put(page(9), le(uint64(program.LibBase))[4:])
+	// A precise slot (offset 4 of a packed struct) cut by a boundary.
+	slot := insert(&mem.Object{Addr: page(12) - 8, Size: packed.Size, Type: packed, Kind: mem.ObjHeap, Site: 5})
+	put(slot.Addr+4, le(uint64(target.Addr)))
+
+	for _, pb := range []mem.Addr{page(6), page(8)} {
+		resident := false
+		if err := as.WalkResident(pb, mem.PageSize, func(mem.Addr, []byte) { resident = true }); err != nil {
+			t.Fatal(err)
+		}
+		if resident {
+			t.Fatalf("page %#x was meant to stay demand-zero", pb)
+		}
+	}
+
+	pol := types.DefaultPolicy()
+	want, err := referenceAnalyzeProc(p, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AnalyzeProc(p, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := analysisDiff(got, want); d != "" {
+		t.Fatalf("AnalyzeProc differs from the reference: %s", d)
+	}
+	if !got.IsImmutable(target.Addr) || !got.IsImmutable(libA.Addr) {
+		t.Errorf("boundary words not followed: target pinned=%v, libA pinned=%v",
+			got.IsImmutable(target.Addr), got.IsImmutable(libA.Addr))
+	}
+	for _, o := range []*mem.Object{both, low, high} {
+		if !got.Nonupdatable[o.Addr] {
+			t.Errorf("%s holds a likely pointer across a page boundary but is not nonupdatable", o)
+		}
+	}
+	if got.Stats.Precise.Ptr == 0 {
+		t.Error("precise slot across a page boundary was not censused")
+	}
+}
+
+// TestSpeculationFailsValidationOnMidScanStore races a writer against a
+// speculative analysis of the same process (run under -race: the in-place
+// scan and the stores meet only through the address-space lock). Stores
+// landing while the scan runs must advance Mutations past the capture, so
+// Resolve throws the entry away and re-analyzes — and what it returns is
+// the analysis of the final state.
+func TestSpeculationFailsValidationOnMidScanStore(t *testing.T) {
+	p := startScanFixture(t)
+	planted := plantRandomHeap(t, p, 99)
+	inst := p.Instance()
+	victim := planted[len(planted)/2]
+
+	// The writer stores from before the capture is taken until after the
+	// scan has finished: it reads scanDone before each store, so its last
+	// store is strictly later than the end of the scan.
+	var scanDone atomic.Bool
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); ; i++ {
+			last := scanDone.Load()
+			// Alternate a pointer and nil in the victim's first word.
+			v := uint64(planted[0].Addr) * (i & 1)
+			if err := p.Space().WriteWord((victim.Addr+7)&^7, v); err != nil {
+				t.Error(err)
+				return
+			}
+			if i == 0 {
+				close(started)
+			}
+			if last {
+				return
+			}
+		}
+	}()
+	<-started
+	spec := Speculate(inst, types.DefaultPolicy(), nil)
+	<-spec.Done()
+	scanDone.Store(true)
+	wg.Wait()
+
+	analyses, reused, err := spec.Resolve(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != 0 {
+		t.Fatalf("reused = %d: a store during/after the scan passed validation", reused)
+	}
+	want, err := referenceAnalyzeProc(p, types.DefaultPolicy(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := analysisDiff(analyses[p.Key()], want); d != "" {
+		t.Errorf("resolved analysis differs from the reference over the final state: %s", d)
+	}
+}
+
+// ---- adoptPages' page/object settlement ----------------------------------
+
+// referenceSettle is the fixpoint settleAdoptable replaced, kept verbatim
+// as its oracle: rescan every candidate page until nothing changes.
+func referenceSettle(cand map[mem.Addr]bool, onPage func(mem.Addr) []*mem.Object) {
+	pagesOf := func(o *mem.Object) []mem.Addr {
+		var out []mem.Addr
+		for pb := o.Addr &^ mem.Addr(mem.PageSize-1); pb < o.End(); pb += mem.PageSize {
+			out = append(out, pb)
+		}
+		return out
+	}
+	for changed := true; changed; {
+		changed = false
+		for pb, ok := range cand {
+			if !ok {
+				continue
+			}
+			for _, po := range onPage(pb) {
+				if po.Scratch {
+					continue
+				}
+				whole := true
+				for _, opb := range pagesOf(po) {
+					if !cand[opb] {
+						whole = false
+						break
+					}
+				}
+				if !whole {
+					cand[pb] = false
+					changed = true
+					break
+				}
+			}
+		}
+	}
+}
+
+// randomAdoptLayout builds what adoptPages hands the settlement: objects
+// laid over pages (some sharing a page, some spanning many, a few scratch
+// overlays, a few ineligible), and the candidate map — every page of every
+// eligible object, false where the per-page checks failed or an ineligible
+// object intrudes.
+func randomAdoptLayout(rnd *rand.Rand, pages int) (map[mem.Addr]bool, map[mem.Addr][]*mem.Object) {
+	const base = mem.Addr(0x10_0000)
+	byPage := make(map[mem.Addr][]*mem.Object)
+	cand := make(map[mem.Addr]bool)
+	var inelig []*mem.Object
+	end := base + mem.Addr(pages)*mem.PageSize
+	for cursor := base; cursor < end; {
+		size := uint64(16 + rnd.Intn(3000))
+		if rnd.Intn(5) == 0 {
+			size = uint64((1 + rnd.Intn(6)) * mem.PageSize)
+		}
+		o := &mem.Object{Addr: cursor, Size: size, Scratch: rnd.Intn(25) == 0}
+		if o.End() > end {
+			break
+		}
+		eligible := o.Scratch || rnd.Intn(30) > 0
+		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+			byPage[pb] = append(byPage[pb], o)
+			if eligible && !o.Scratch {
+				if _, seen := cand[pb]; !seen {
+					cand[pb] = rnd.Intn(40) > 0
+				}
+			}
+		}
+		if !eligible {
+			inelig = append(inelig, o)
+		}
+		cursor = o.End() + mem.Addr(rnd.Intn(512))
+	}
+	for _, o := range inelig {
+		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+			if _, shared := cand[pb]; shared {
+				cand[pb] = false
+			}
+		}
+	}
+	return cand, byPage
+}
+
+// TestSettleAdoptableMatchesFixpoint: on random layouts the worklist ends
+// in exactly the old fixpoint's candidate set, and gets there expanding
+// each page at most once however far a demotion propagates.
+func TestSettleAdoptableMatchesFixpoint(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		cand, byPage := randomAdoptLayout(rnd, 50+rnd.Intn(400))
+		want := make(map[mem.Addr]bool, len(cand))
+		for pb, ok := range cand {
+			want[pb] = ok
+		}
+		referenceSettle(want, func(pb mem.Addr) []*mem.Object { return byPage[pb] })
+
+		calls := 0
+		settleAdoptable(cand, func(pb mem.Addr) []*mem.Object { calls++; return byPage[pb] })
+		if !reflect.DeepEqual(cand, want) {
+			t.Fatalf("seed %d: worklist and fixpoint disagree on %d pages", seed, len(cand))
+		}
+		if calls > len(cand) {
+			t.Fatalf("seed %d: %d page expansions for %d candidate pages", seed, calls, len(cand))
+		}
+	}
+	// The old fixpoint's worst case: one long chain of two-page objects,
+	// each sharing a page with the next, and a single failed page at one
+	// end. Every page falls; each is expanded once.
+	const n = 2000
+	byPage := make(map[mem.Addr][]*mem.Object)
+	cand := make(map[mem.Addr]bool)
+	for i := 0; i < n; i++ {
+		o := &mem.Object{Addr: mem.Addr(i)*mem.PageSize + 2048, Size: mem.PageSize}
+		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+			byPage[pb] = append(byPage[pb], o)
+			cand[pb] = pb != 0
+		}
+	}
+	calls := 0
+	settleAdoptable(cand, func(pb mem.Addr) []*mem.Object { calls++; return byPage[pb] })
+	for pb, ok := range cand {
+		if ok {
+			t.Fatalf("chain: page %#x survived", pb)
+		}
+	}
+	if calls > len(cand) {
+		t.Fatalf("chain: %d page expansions for %d pages", calls, len(cand))
+	}
+
+	cand, onPage := bigObjectLayout(n)
+	calls = 0
+	settleAdoptable(cand, func(pb mem.Addr) []*mem.Object { calls++; return onPage(pb) })
+	for pb, ok := range cand {
+		if ok {
+			t.Fatalf("big object: page %#x survived", pb)
+		}
+	}
+	if calls > len(cand) {
+		t.Fatalf("big object: %d page expansions for %d pages", calls, len(cand))
+	}
+}
+
+// ---- Cost ----------------------------------------------------------------
+
+// Cost fixtures: the fixture region holds scanTargets small objects and,
+// after them, one untyped object of the size under test.
+const (
+	scanTargets    = 1024
+	scanTargetSize = 64
+	scanBigBase    = scanFixtureBase + scanTargets*scanTargetSize
+	scanBigMax     = scanFixtureSize - scanTargets*scanTargetSize
+)
+
+// oneBigObject builds that process, the big object filled by fill one
+// page at a time.
+func oneBigObject(tb testing.TB, size int, fill func(page []byte, at mem.Addr)) *program.Proc {
+	tb.Helper()
+	p := startScanFixture(tb)
+	for i := 0; i < scanTargets; i++ {
+		o := &mem.Object{Addr: scanFixtureBase + mem.Addr(i*scanTargetSize), Size: scanTargetSize, Kind: mem.ObjHeap, Site: 2}
+		if err := p.Index().Insert(o); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	o := &mem.Object{Addr: scanBigBase, Size: uint64(size), Kind: mem.ObjHeap, Site: 1}
+	if err := p.Index().Insert(o); err != nil {
+		tb.Fatal(err)
+	}
+	page := make([]byte, mem.PageSize)
+	for off := 0; off < size; off += mem.PageSize {
+		at := scanBigBase + mem.Addr(off)
+		fill(page, at)
+		if err := p.Space().WriteAt(at, page); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
+}
+
+var scanFills = []struct {
+	name string
+	fill func(page []byte, at mem.Addr)
+}{
+	{"zero", func(page []byte, _ mem.Addr) {
+		for i := range page {
+			page[i] = 0
+		}
+	}},
+	{"text", func(page []byte, _ mem.Addr) {
+		const s = "GET /index.html HTTP/1.1\r\nHost: example.org\r\n"
+		for i := range page {
+			page[i] = s[i%len(s)]
+		}
+	}},
+	{"pointers", func(page []byte, at mem.Addr) {
+		// Every word is an interior pointer into one of the targets,
+		// hopping between them: all candidates, all hits, the last-hit
+		// cache no help.
+		for i := 0; i < len(page); i += 8 {
+			n := (uint64(at) + uint64(i)) / 8 * 2654435761 % scanTargets
+			binary.LittleEndian.PutUint64(page[i:], uint64(scanFixtureBase)+n*scanTargetSize+8)
+		}
+	}},
+}
+
+// TestAnalyzeProcAllocsIndependentOfHeapBytes: the analysis allocates per
+// object (snapshot, layouts, result maps), never per byte scanned — a 64×
+// larger heap of the same shape costs the same number of allocations.
+func TestAnalyzeProcAllocsIndependentOfHeapBytes(t *testing.T) {
+	allocs := func(size int) float64 {
+		p := oneBigObject(t, size, scanFills[2].fill)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := AnalyzeProc(p, types.DefaultPolicy(), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64<<10), allocs(scanBigMax)
+	if large > small {
+		t.Errorf("AnalyzeProc allocations grew with heap bytes: %.0f at 64 KiB, %.0f at %d KiB", small, large, scanBigMax>>10)
+	}
+}
+
+// BenchmarkAnalyzeProc is the conservative analysis of one process whose
+// state is one opaque object (plus its 1024 possible targets), by size and
+// by content: resident zeroes, text (every word fails the range
+// pre-filter) and pointers (every word is resolved by binary search and
+// censused). MB/s is the scan rate.
+func BenchmarkAnalyzeProc(b *testing.B) {
+	for _, size := range []int{256 << 10, scanBigMax} {
+		for _, f := range scanFills {
+			b.Run(fmt.Sprintf("bytes=%dK/%s", size>>10, f.name), func(b *testing.B) {
+				p := oneBigObject(b, size, f.fill)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := AnalyzeProc(p, types.DefaultPolicy(), nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// bigObjectLayout is nginx's shape gone wrong: one object spanning n pages
+// with a small neighbour on each, and the per-page checks failed on the
+// last page only. The old fixpoint rebuilt the object's page list once per
+// candidate page per round; every page must fall, each expanded once.
+func bigObjectLayout(n int) (map[mem.Addr]bool, func(mem.Addr) []*mem.Object) {
+	big := &mem.Object{Addr: 0x10_0000, Size: uint64(n) * mem.PageSize}
+	cand := make(map[mem.Addr]bool, n)
+	for pb := big.Addr; pb < big.End(); pb += mem.PageSize {
+		cand[pb] = pb+mem.PageSize < big.End()
+	}
+	one := []*mem.Object{big}
+	return cand, func(mem.Addr) []*mem.Object { return one }
+}
+
+// BenchmarkAdoptPages is the page/object settlement of adoptPages on that
+// layout, by page count: ns/page must stay flat across the decades.
+func BenchmarkAdoptPages(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("pages=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cand, onPage := bigObjectLayout(n)
+				b.StartTimer()
+				settleAdoptable(cand, onPage)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/page")
+		})
+	}
+}

@@ -224,7 +224,7 @@ func (pt *procTransfer) shadowFor(o *mem.Object) ([]byte, bool) {
 	if !ok || uint64(len(buf)) < o.Size {
 		return nil, false
 	}
-	for pb := o.Addr &^ mem.Addr(mem.PageSize-1); pb < o.End(); pb += mem.PageSize {
+	for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
 		if pt.curDirty[pb] {
 			return nil, false
 		}
@@ -283,6 +283,11 @@ type procTransfer struct {
 	an      *Analysis
 	opts    Options
 	ann     *program.Annotations
+
+	// oldObjs is the old process's object snapshot, address-sorted, taken
+	// once by discover: the roots come from it and every scan resolves
+	// pointer targets against it.
+	oldObjs []*mem.Object
 
 	pairs     map[mem.Addr]*pairEntry     // keyed by old object start address
 	dirty     map[mem.Addr]bool           // old objects overlapping soft-dirty pages
@@ -403,7 +408,8 @@ func TransferProc(oldProc, newProc *program.Proc, an *Analysis, opts Options) (S
 // addresses must not depend on Parallelism.
 func (pt *procTransfer) discover() ([]*mem.Object, error) {
 	var roots []*mem.Object
-	for _, o := range pt.oldProc.Index().All() {
+	pt.oldObjs = pt.oldProc.Index().All()
+	for _, o := range pt.oldObjs {
 		switch o.Kind {
 		case mem.ObjStatic, mem.ObjStack:
 			roots = append(roots, o)
@@ -431,61 +437,19 @@ func (pt *procTransfer) discover() ([]*mem.Object, error) {
 	return out, nil
 }
 
-// scanObject reads every traced pointer of o (precise slots, then the
-// conservative scan of its opaque ranges) and calls visit for each live
-// target, filtering non-transferred library objects. The object is read
-// with one locked ReadAt into the caller's scratch buffer (reused across
-// objects, grown on demand) and scanned locally, so concurrent workers
-// contend on the address-space lock once per object, not once per word,
-// and discovery does not allocate per object. It is read-only on pt and
-// safe for concurrent use with a scratch buffer per worker.
-func (pt *procTransfer) scanObject(o *mem.Object, scratch *[]byte, visit func(*mem.Object)) error {
-	opaques, ptrs := opaqueRangesOf(o, pt.opts.Policy)
-	if len(opaques) == 0 && len(ptrs) == 0 {
-		// Pointer-free layout (scalars only): nothing to trace, skip the
-		// read entirely.
-		return nil
-	}
-	ix := pt.oldProc.Index()
-	if uint64(cap(*scratch)) < o.Size {
-		*scratch = make([]byte, o.Size)
-	}
-	buf := (*scratch)[:o.Size]
-	if sb, ok := pt.shadowFor(o); ok {
-		// Current shadow: identical bytes without the locked live read.
-		copy(buf, sb[:o.Size])
-	} else if err := pt.oldProc.Space().ReadAt(o.Addr, buf); err != nil {
-		return err
-	}
-	for _, slot := range ptrs {
-		if slot.Func || slot.Offset+8 > o.Size {
-			continue
-		}
-		word := binary.LittleEndian.Uint64(buf[slot.Offset:])
-		if word == 0 {
-			continue
-		}
-		if target, ok := ix.Containing(mem.Addr(word)); ok {
-			if target.Kind != mem.ObjLib || pt.opts.TransferLibs[target.Name] {
-				visit(target)
-			}
+// scanObject reads every traced pointer of o in place (resolver.scan, the
+// pass the conservative analysis runs too) and calls visit for each live
+// target, filtering non-transferred library objects. A provably-current
+// pre-copy shadow holds the same bytes as live memory, so there is nothing
+// to gain from scanning it instead. Read-only on pt and safe for
+// concurrent use with a resolver per worker.
+func (pt *procTransfer) scanObject(o *mem.Object, r *resolver, visit func(*mem.Object)) error {
+	each := func(ti int) {
+		if t := r.objs[ti]; t.Kind != mem.ObjLib || pt.opts.TransferLibs[t.Name] {
+			visit(t)
 		}
 	}
-	for _, r := range opaques {
-		end := r.Offset + r.Size
-		if end > o.Size {
-			end = o.Size
-		}
-		for off := (r.Offset + 7) &^ 7; off+8 <= end; off += 8 {
-			word := binary.LittleEndian.Uint64(buf[off:])
-			if target, ok := likelyPointer(ix, word); ok {
-				if target.Kind != mem.ObjLib || pt.opts.TransferLibs[target.Name] {
-					visit(target)
-				}
-			}
-		}
-	}
-	return nil
+	return r.scan(pt.oldProc.Space(), o, pt.opts.Policy, each, each)
 }
 
 // canceled reports whether Options.Cancel has fired.
@@ -518,7 +482,7 @@ func (pt *procTransfer) discoverSeq(roots []*mem.Object) ([]*mem.Object, error) 
 		push(o)
 	}
 	var out []*mem.Object
-	var scratch []byte
+	r := newResolver(pt.oldObjs)
 	var fail scanFailure
 	for len(queue) > 0 {
 		if pt.canceled() {
@@ -527,7 +491,7 @@ func (pt *procTransfer) discoverSeq(roots []*mem.Object) ([]*mem.Object, error) 
 		o := queue[0]
 		queue = queue[1:]
 		out = append(out, o)
-		if err := pt.scanObject(o, &scratch, push); err != nil {
+		if err := pt.scanObject(o, r, push); err != nil {
 			fail = mergeFailure(fail, o.Addr, err)
 		}
 	}
