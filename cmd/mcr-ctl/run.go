@@ -32,18 +32,14 @@ var errRolledBack = errors.New("update rolled back")
 // parseDeadlines parses the -deadline flag: comma-separated
 // phase=duration pairs against the watchdog's phase names.
 func parseDeadlines(s string) (map[string]time.Duration, error) {
-	valid := map[string]bool{
-		core.WDPrecopy: true, core.WDSpeculate: true, core.WDQuiesce: true,
-		core.WDAnalysis: true, core.WDRestart: true, core.WDTransfer: true,
-		core.WDCommit: true,
-	}
+	valid := core.DefaultPhaseDeadlines()
 	out := map[string]time.Duration{}
 	for _, pair := range strings.Split(s, ",") {
 		phase, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok {
 			return nil, fmt.Errorf("want phase=duration, got %q", pair)
 		}
-		if !valid[phase] {
+		if _, ok := valid[phase]; !ok {
 			return nil, fmt.Errorf("unknown phase %q", phase)
 		}
 		d, err := time.ParseDuration(val)

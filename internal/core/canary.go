@@ -68,7 +68,6 @@ func (e *Engine) ArmCanary(slo canary.SLO, src func() canary.Sample) error {
 	e.canaryOn = true
 	e.canarySLO = slo
 	e.canarySrc = src
-	e.opts.Canary.Enabled = true
 	return nil
 }
 

@@ -84,7 +84,7 @@ type WarmOptions struct {
 	// current against the soft-dirty bits (low-rate pre-copy epochs with
 	// duty-cycle backpressure) and a warm conservative analysis
 	// incrementally revalidated against the memory delta counters. Update
-	// then skips the in-call pre-copy/speculation phases entirely — the
+	// then skips the pre-copy and speculate phases entirely — the
 	// request starts at quiescence — and runs only the handoff epoch and
 	// per-process validation inside the window. While warm, Precopy is
 	// subsumed (the daemon's epochs replace the in-call loop). Transfer
@@ -99,12 +99,10 @@ type WarmOptions struct {
 	DutyCycle float64
 }
 
-// CanaryOptions groups the post-commit canary window knobs.
+// CanaryOptions groups the post-commit canary window pacing. The canary
+// itself is armed at run time (ArmCanary supplies the SLO and the sample
+// source); these fields only shape the window it opens.
 type CanaryOptions struct {
-	// Enabled declares that this engine will arm a canary (ArmCanary
-	// supplies the SLO and sample source at run time and sets it
-	// implicitly). Validate rejects pacing fields without it.
-	Enabled bool
 	// Window is how long a committed update stays revertible when a
 	// canary is armed (default 250ms): the old instance is held quiesced
 	// and adoptable while the live workload drives the new version, and
@@ -169,11 +167,12 @@ type Options struct {
 	// RegionInstrumented enables custom-allocator instrumentation
 	// (nginxreg).
 	RegionInstrumented bool
-	// Sequential disables the pipelined engine and runs every update
-	// phase strictly in order (pre-copy, quiesce, analysis, restart,
-	// transfer) — the downtime-ablation baseline. The default (pipelined)
-	// engine overlaps the independent phases and produces bit-identical
-	// results.
+	// Sequential selects the strictly-ordered schedule of the update
+	// lifecycle: every phase completes before the next begins (pre-copy,
+	// quiesce, analysis, restart, discovery, transfer) — the
+	// downtime-ablation baseline and the bit-identity oracle. The default
+	// (pipelined) schedule takes the analysis and the old-side discovery
+	// off the downtime window and produces bit-identical results.
 	Sequential bool
 	// BeforeQuiesce, when set, is invoked after the pre-copy epochs (if
 	// any) and immediately before quiescence begins — the last moment the
@@ -240,9 +239,6 @@ func (o *Options) Validate() error {
 	if o.Warm.DutyCycle < 0 || o.Warm.DutyCycle > 1 {
 		return fmt.Errorf("core: Warm.DutyCycle must be in [0,1], got %g", o.Warm.DutyCycle)
 	}
-	if !o.Canary.Enabled && (o.Canary.Window != 0 || o.Canary.Interval != 0 || o.Canary.Grace != 0) {
-		return errors.New("core: Canary.Window/Interval/Grace set without Canary.Enabled")
-	}
 	if o.Watchdog.Disable && len(o.Watchdog.PhaseDeadlines) > 0 {
 		return errors.New("core: Watchdog.Disable set alongside Watchdog.PhaseDeadlines")
 	}
@@ -288,28 +284,34 @@ func (o *Options) fill() {
 
 // UpdateReport is the timing and outcome breakdown of one live update —
 // the three update-time components §8 evaluates, plus transfer statistics
-// and the pipelined engine's phase-overlap accounting.
+// and the pipelined schedule's phase-overlap accounting.
 type UpdateReport struct {
+	// Phases records every lifecycle phase the update ran, in the order
+	// of the phase table. The InWindow records are the downtime ledger:
+	// they partition Downtime (on a rollback, up to where the abort began).
+	// The named durations below are derived from these records.
+	Phases []PhaseRecord
+
 	PrecopyTime          time.Duration // pre-copy epochs (old version still serving)
 	QuiesceTime          time.Duration // checkpoint: barrier convergence
-	AnalysisTime         time.Duration // in-window analysis (validation + re-analysis when pipelined)
+	AnalysisTime         time.Duration // in-window analysis: log marking, validation + re-analysis
 	ControlMigrationTime time.Duration // restart: v2 startup under replay
 	DiscoveryTime        time.Duration // old-side discovery (+ handoff epoch when pipelined); overlapped with restart when pipelined, in-window when sequential
-	StateTransferTime    time.Duration // remap: pair + copy (both engines; discovery is split out above)
+	StateTransferTime    time.Duration // remap: pair + copy (both schedules; discovery is split out above)
 	// Downtime is the service-unavailable window: from the moment
 	// quiescence is initiated to the moment the new version resumes. The
-	// pipelined engine exists to shrink exactly this number.
+	// pipelined schedule exists to shrink exactly this number.
 	Downtime  time.Duration
 	TotalTime time.Duration
 
-	// Pipelined reports which engine ran; AnalysesReused / ProcsReanalyzed
-	// split the speculative-analysis validation outcome per process.
+	// Pipelined reports which schedule ran; AnalysesReused / ProcsReanalyzed
+	// split the analysis validation outcome per process.
 	Pipelined       bool
 	AnalysesReused  int
 	ProcsReanalyzed int
 
 	// Warm reports that the update started from the warm-standby daemon's
-	// state: the in-call pre-copy and speculation phases were skipped and
+	// state: the pre-copy and speculate phases were skipped and
 	// the request effectively began at quiescence. WarmDaemon is the
 	// daemon's accumulated warm work at disarm; WarmReanalyses is the
 	// per-process analysis-recomputation tally across the serving window
@@ -369,10 +371,10 @@ type UpdateReport struct {
 }
 
 // TransferWork returns the total mutable-tracing wall clock: discovery
-// plus pair/copy. Both engines split discovery into DiscoveryTime (the
-// pipelined engine overlaps it with RESTART; the sequential engine pays
-// it in-window) — paper-comparison columns ("state transfer time") must
-// use this sum to stay comparable across engines and PRs.
+// plus pair/copy. Both schedules split discovery into DiscoveryTime (the
+// pipelined one overlaps it with RESTART; the sequential one pays it
+// in-window) — paper-comparison columns ("state transfer time") must use
+// this sum to stay comparable across schedules and PRs.
 func (r *UpdateReport) TransferWork() time.Duration {
 	return r.DiscoveryTime + r.StateTransferTime
 }
@@ -472,17 +474,6 @@ func (e *Engine) Launch(v *program.Version) (*program.Instance, error) {
 	return inst, nil
 }
 
-// warmHandoff is the daemon state one update attempt adopts: the
-// long-lived snapshotter (shadows + consumed-bit accounting), the warm
-// analysis, and the daemon's work tally at disarm.
-type warmHandoff struct {
-	snap         *checkpoint.Snapshotter
-	an           *trace.WarmAnalysis
-	stats        checkpoint.DaemonStats
-	lagAtRequest int
-	dutyCycle    float64
-}
-
 // newDaemonLocked starts a readiness daemon over the current instance
 // with a fresh warm analysis; the caller must hold e.mu.
 func (e *Engine) newDaemonLocked() *checkpoint.Daemon {
@@ -565,11 +556,13 @@ func (e *Engine) DisarmWarm() {
 	stopAndDiscard(d)
 }
 
-// detachWarm stops the daemon and hands its state to the calling update
-// attempt. Warm mode stays enabled — the update re-arms a fresh daemon on
-// whatever instance survives (the new version after commit, the old one
-// after rollback).
-func (e *Engine) detachWarm() *warmHandoff {
+// detachWarm stops the daemon and hands it to the calling update attempt,
+// which adopts its long-lived snapshotter (shadows + consumed-bit
+// accounting) and its warm analysis; the daemon's work tally at disarm is
+// recorded in rep. nil means no daemon was armed. Warm mode
+// stays enabled — the update re-arms a fresh daemon on whatever instance
+// survives (the new version after commit, the old one after rollback).
+func (e *Engine) detachWarm(rep *UpdateReport) *checkpoint.Daemon {
 	e.mu.Lock()
 	d := e.daemon
 	e.daemon = nil
@@ -580,12 +573,12 @@ func (e *Engine) detachWarm() *warmHandoff {
 	// Staleness at request time is sampled before the Stop join: it
 	// answers "how far behind were the shadows when the update arrived",
 	// not "after the daemon's final pass".
-	lag := d.ShadowLag()
+	rep.WarmLagAtRequest = d.ShadowLag()
 	d.Stop()
-	return &warmHandoff{
-		snap: d.Snapshot(), an: d.Warm(), stats: d.Stats(),
-		lagAtRequest: lag, dutyCycle: d.DutyCycle(),
-	}
+	rep.Warm = true
+	rep.WarmDaemon = d.Stats()
+	rep.WarmDutyCycle = d.DutyCycle()
+	return d
 }
 
 // rearmWarm starts a fresh daemon over the current instance when warm
@@ -663,16 +656,7 @@ func (e *Engine) WarmWait(timeout time.Duration) bool {
 // the old version is terminated and the new one is serving; on any
 // conflict or failure the new version is discarded and the old version
 // resumes from its checkpoint — clients never observe a failed attempt.
-//
-// By default the update runs on the pipelined engine, which overlaps the
-// independent phases so the downtime window (quiesce -> commit) does not
-// pay for work that can run while something else is in flight: the
-// conservative analysis runs speculatively during the pre-copy epochs and
-// is validated against the memory deltas at quiescence; the checkpoint's
-// handoff epoch and the old-side object discovery run concurrently with
-// the new version's RESTART; and REMAP begins pairing the moment startup
-// completes. Options.Sequential selects the strictly-ordered engine; both
-// produce bit-identical results.
+// The phases, and the two schedules they run on, are Engine.lifecycle's.
 func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	e.mu.Lock()
 	if e.canaryRun != nil {
@@ -714,7 +698,7 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	// analysis: the Stop join is part of the request's true latency, so it
 	// runs inside the timed window. Warm mode re-arms a fresh daemon on
 	// whatever instance survives the attempt.
-	warm := e.detachWarm()
+	warm := e.detachWarm(rep)
 	defer func() {
 		rep.TotalTime = time.Since(start)
 		e.mu.Lock()
@@ -723,56 +707,21 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 		e.mu.Unlock()
 		e.rearmWarm()
 	}()
-	if warm != nil {
-		rep.Warm = true
-		rep.WarmDaemon = warm.stats
-		rep.WarmLagAtRequest = warm.lagAtRequest
-		rep.WarmDutyCycle = warm.dutyCycle
-	}
 	// The watchdog monitors this attempt's phase budgets and owns the
 	// pipeline cancel channel; the stop join runs before the bookkeeping
 	// defer so no monitor goroutine outlives its update.
 	wd := newWatchdog(e.opts.Watchdog.PhaseDeadlines, e.opts.Faults, e.opts.Recorder)
 	defer wd.stop()
-	if e.opts.Sequential {
-		return e.updateSequential(old, v2, rep, warm, wd)
-	}
-	return e.updatePipelined(old, v2, rep, warm, wd)
+	return rep, e.lifecycle(old, v2, rep, warm, wd)
 }
 
-// precopy arms and runs the incremental pre-copy checkpoint engine while
-// the old version is still serving: each epoch consumes the soft-dirty
-// bits and shadows the objects on the dirty pages, so the downtime copy
-// only reads the residual dirty working set from live memory. Epochs are
-// speculative; the caller defers Discard so the consumed bits are handed
-// back on any outcome (rollback needs them for the next attempt; after
-// commit the old instance is gone and re-marking is harmless).
-func (e *Engine) precopy(old *program.Instance, rep *UpdateReport) *checkpoint.Snapshotter {
-	if !e.opts.Precopy.Enabled {
-		return nil
-	}
-	pcStart := time.Now()
-	sp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhasePrecopy)
-	snap := checkpoint.New(old, checkpoint.Options{
-		MaxEpochs: e.opts.Precopy.Epochs,
-		Interval:  e.opts.Precopy.Interval,
-		Recorder:  e.opts.Recorder,
-		Faults:    e.opts.Faults,
-	})
-	rep.Precopy = snap.Run()
-	sp.EndArg("epochs", int64(rep.Precopy.Epochs))
-	rep.PrecopyTime = time.Since(pcStart)
-	return snap
-}
-
-// restart runs the RESTART phase: the new version starts from scratch
-// under mutable reinitialization, replaying the old version's startup log
-// for immutable operations. Shared by both engines; the returned instance
-// is non-nil exactly when every step succeeded.
+// restart is the body of the RESTART phase: the new version starts from
+// scratch under mutable reinitialization — inheriting the placement the
+// analyses pin, replaying the old version's startup log for immutable
+// operations. The returned instance is non-nil from the moment it exists,
+// so a failed restart can still be torn down.
 func (e *Engine) restart(old *program.Instance, v2 *program.Version,
-	mgr *reinit.Manager, plan map[mem.PlanKey]mem.Addr, reserve []*mem.Object,
-	pinnedStatics map[string]uint64, wd *watchdog) (*program.Instance, error) {
-	defer e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseRestart).End()
+	analyses map[program.ProcKey]*trace.Analysis, rep *UpdateReport, wd *watchdog) (*program.Instance, error) {
 	// Injected hang: RESTART parks here until the watchdog's restart
 	// budget trips (closing wd.cancel and releasing plane stalls) — the
 	// acceptance case proving a wedged RESTART is recovered solely by the
@@ -780,6 +729,8 @@ func (e *Engine) restart(old *program.Instance, v2 *program.Version,
 	if err := e.opts.Faults.Stall(faultinject.PointRestartHang, wd.cancel); err != nil {
 		return nil, err
 	}
+	mgr := reinit.NewManager(old, e.opts.ReplayStrategy)
+	plan, reserve, pinnedStatics := trace.CombinedPlacement(analyses)
 	newInst, err := program.NewInstance(v2, e.kern, program.Options{
 		Instr:              e.opts.Instr,
 		Profiler:           e.opts.Profiler,
@@ -801,11 +752,9 @@ func (e *Engine) restart(old *program.Instance, v2 *program.Version,
 	// A deadline trip must be able to break a startup that genuinely
 	// hangs: WaitStartup polls instance errors, so failing the instance
 	// from the trip hook unblocks it promptly. The hook is harmless after
-	// a successful startup — any trip ends in rollback, which terminates
-	// the new instance anyway.
-	wd.onTrip(func() {
-		newInst.Fail(&DeadlineError{Phase: WDRestart, Budget: e.opts.Watchdog.PhaseDeadlines[WDRestart]})
-	})
+	// a successful startup: recorded errors are only read by startup, and
+	// a trip before the commit point ends in rollback anyway.
+	wd.onTrip(func() { newInst.Fail(wd.wrap(nil)) })
 	if err := newInst.Start(); err != nil {
 		return newInst, err
 	}
@@ -850,29 +799,25 @@ func (e *Engine) restart(old *program.Instance, v2 *program.Version,
 		return newInst, err
 	}
 	newInst.CompleteStartup()
+	rep.Replayed, rep.LiveExecuted, rep.Conflicted = mgr.ReplayStats()
 	return newInst, nil
 }
 
-// commit concludes a successful update: collect inherited-but-unused fds,
-// leave reserved mode, then either finalize immediately (terminate the
-// old version, release its pid reservations, resume the new one) or —
+// commit is the body of the commit phase: collect inherited-but-unused
+// fds, leave reserved mode, then either finalize immediately (terminate
+// the old version, release its pid reservations, resume the new one) or —
 // when a canary is armed — open the adoptable window: the old instance
 // stays quiesced and re-adoptable, RESTART resources (the old namespace's
 // pid reservations in the new instance) are held, and finalization is
-// deferred to the window's verdict. An error (only the injected
-// commit-time crash today) is returned before any side effect, the last
-// moment a pre-commit rollback is still possible.
-func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) error {
-	sp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseCommit)
-	defer sp.End()
-	if err := e.opts.Faults.Check(faultinject.PointCommitCrash); err != nil {
-		return err
-	}
+// deferred to the window's verdict. It cannot fail, and nothing after it
+// may roll the update back: the lifecycle consults the commit-time crash
+// seam and the watchdog before calling it.
+func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 	e.opts.Recorder.Metrics().Counter("core.commits").Add(1)
 	rep.FDsCollected = reinit.CollectUnused(old, newInst)
 	reinit.ReservedModeOff(newInst)
 	if e.openCanary(old, newInst, rep) {
-		return nil
+		return
 	}
 	// Immediate finalization: the old instance will never be re-adopted,
 	// so the adopted frames' provenance records can be dropped.
@@ -888,14 +833,13 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) error
 	e.mu.Lock()
 	e.current = newInst
 	e.mu.Unlock()
-	return nil
 }
 
-// transferOptions builds the trace options both engines share. cancel is
-// the update's watchdog-owned pipeline cancel, so a deadline trip drains
-// both engines' transfer work identically. rep carries the update's
-// adoption ledger (nil unless Transfer.Adopt), which records every donated
-// page frame so rollback and the canary window can make the old side whole.
+// transferOptions builds the REMAP options. cancel is the update's
+// watchdog-owned pipeline cancel, so a deadline trip and an explicit abort
+// drain the transfer work identically. rep carries the update's adoption
+// ledger (nil unless Transfer.Adopt), which records every donated page
+// frame so rollback and the canary window can make the old side whole.
 func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}, rep *UpdateReport) trace.Options {
 	topts := trace.Options{
 		Policy:             e.opts.Policy,
@@ -927,375 +871,317 @@ func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
 	rep.RollbackIdentical = err == nil && d == rep.preDigest
 }
 
-// captureDigest records the old instance's quiesce-time state digest for
-// the rollback audit; both engines call it right after quiescence, while
-// nothing else is reading or writing the old side.
-func (e *Engine) captureDigest(old *program.Instance, rep *UpdateReport) {
-	if !e.opts.Watchdog.VerifyRollback {
-		return
+// lifecycle is the update protocol, stated once: CHECKPOINT (shadows and
+// analysis prepared while the old version serves, then quiesce), RESTART
+// (the new version under mutable reinitialization), REMAP (mutable tracing
+// state transfer), commit — with abort, from any point, resuming the old
+// version from its checkpoint. Every phase runs through runPhase, so the
+// phase table's row is all that names its span and budget; fault seams sit
+// inside the phase bodies, at the point each failure would strike.
+//
+// The protocol has two schedules with bit-identical results. The
+// sequential one (Options.Sequential) completes each phase before the next
+// begins. The pipelined one — the default — takes two pieces of work off
+// the quiesce→commit window:
+//
+//  1. The conservative analysis is brought current off-window, while the
+//     old version is still serving: by the warm daemon between updates,
+//     or else by one speculate phase run after the pre-copy epochs and
+//     before quiescence. In-window it is only validated per process
+//     against the soft-dirty/allocation deltas; what they invalidated is
+//     re-analyzed.
+//  2. The old-side job — the checkpoint's handoff epoch, then object
+//     discovery — runs concurrently with the new version's RESTART, so
+//     the transfer phase joins it and pairs at once. The residual live
+//     copy shrinks to nothing while v2 boots, because a quiesced instance
+//     cannot re-dirty what the handoff epoch shadows. (The sequential
+//     schedule runs discovery inside the transfer phase and skips the
+//     handoff epoch, which only pays for itself when overlapped.)
+//
+// With a warm handoff the pre-quiesce phases disappear: the daemon already
+// ran the pre-copy epochs and kept the analysis current, so the request
+// starts at quiescence.
+func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *checkpoint.Daemon, wd *watchdog) error {
+	pipelined := !e.opts.Sequential
+	rep.Pipelined = pipelined
+	rep.Phases = make([]PhaseRecord, 0, len(phaseTable))
+	var (
+		snap      *checkpoint.Snapshotter
+		converged time.Duration // barrier convergence, as the barrier measured it
+		// The old-side job: the old-instance half of REMAP — the
+		// checkpoint's handoff epoch, then object discovery — and when it
+		// ran. It needs only the quiesced old instance, which is what lets
+		// the pipelined schedule run it beside RESTART.
+		job struct {
+			disc       *trace.InstanceDiscovery
+			err        error
+			start, end time.Time
+		}
+		jobDone chan struct{} // closed when the pipelined old-side job returns
+		// The window opens when quiescence is initiated and closes when
+		// service is back: the commit phase's end, or an abort's resume.
+		// Inside it the phases abut — each starts at mark, the instant the
+		// one before it ended, so the glue between two phases is owed to the
+		// later one and the in-window records partition the window exactly.
+		opened, mark, closed time.Time
+		// The running phase's span end attribute, set by its body.
+		attr  string
+		attrN int
+	)
+	// runPhase runs fn as lifecycle phase ph: under the phase's recorder
+	// span and watchdog budget, appending its PhaseRecord. The returned
+	// error is classified by the watchdog — a budget breached during the
+	// phase is the cause even when fn itself returned success, because the
+	// breach fired the pipeline cancel and whatever fn produced cannot be
+	// trusted.
+	runPhase := func(ph phaseSpec, fn func() error) error {
+		start := mark
+		if opened.IsZero() {
+			start = time.Now()
+		}
+		sp := e.opts.Recorder.Span(obs.TrackEngine, ph.span)
+		wd.setPhase(ph.name)
+		err := fn()
+		wd.setPhase("")
+		sp.EndArg(attr, int64(attrN))
+		attr, attrN = "", 0
+		mark = time.Now()
+		rep.Phases = append(rep.Phases, PhaseRecord{ph.name, start, mark.Sub(start), !opened.IsZero()})
+		return wd.wrap(err)
 	}
-	if d, err := trace.StateDigest(old); err == nil {
-		rep.preDigest = d
+	// abort is the one way out of a failed update: cancel and join the
+	// old-side job (the watchdog owns the cancel channel, so an explicit
+	// abort and a deadline trip drain it through the same close), then
+	// roll back. The old instance resumes with no reader racing it.
+	abort := func(newInst *program.Instance, cause error) error {
+		wd.cancelPipeline()
+		if jobDone != nil {
+			<-jobDone
+		}
+		err := e.rollback(old, newInst, rep, cause)
+		closed = time.Now()
+		return err
 	}
-}
+	// The report's named durations are derived from the phase records, on
+	// every outcome — the one place they are assigned.
+	defer func() {
+		if snap != nil {
+			rep.Precopy = snap.Stats() // includes the handoff epoch
+		}
+		rep.QuiesceTime = converged
+		for _, p := range rep.Phases {
+			switch p.Phase {
+			case WDPrecopy:
+				rep.PrecopyTime = p.Dur
+			case WDAnalysis:
+				rep.AnalysisTime = p.Dur
+			case WDRestart:
+				rep.ControlMigrationTime = p.Dur
+			case WDTransfer:
+				// Pair + copy begin when the old-side job is done: inside the
+				// phase when sequential, usually before it when pipelined (or
+				// the phase first waits out the rest of the join).
+				from := job.end
+				if from.Before(p.Start) {
+					from = p.Start
+				}
+				rep.DiscoveryTime = job.end.Sub(job.start)
+				rep.StateTransferTime = p.Start.Add(p.Dur).Sub(from)
+			}
+		}
+		// A rollback pauses service too: its window runs to the old
+		// version's resume.
+		if !opened.IsZero() {
+			rep.Downtime = closed.Sub(opened)
+		}
+	}()
 
-// updateSequential is the strictly-ordered engine: every phase completes
-// before the next begins. It is the downtime-ablation baseline the
-// pipelined engine is measured against. With a warm handoff, the in-call
-// pre-copy is skipped (the daemon's shadows stand in) and the warm
-// analysis is validated per process instead of recomputed wholesale.
-func (e *Engine) updateSequential(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *warmHandoff, wd *watchdog) (*UpdateReport, error) {
-	// --- CHECKPOINT: pre-copy epochs, then quiesce ---------------------
-	var snap *checkpoint.Snapshotter
+	// --- CHECKPOINT, off-window: shadows and analysis ------------------
+	// The analysis source is one warm analysis: the daemon's when handed
+	// off, otherwise a fresh, empty one. Pre-copy epochs are speculative:
+	// Discard hands the consumed soft-dirty bits back on every outcome
+	// (rollback needs them for the next attempt; after commit the old
+	// instance is gone and re-marking is harmless).
+	var an *trace.WarmAnalysis
 	if warm != nil {
-		snap = warm.snap
-		rep.Precopy = snap.Stats()
+		snap, an = warm.Snapshot(), warm.Warm()
 	} else {
-		wd.enter(WDPrecopy)
-		snap = e.precopy(old, rep)
-		wd.exit()
+		an = trace.NewWarmAnalysis(e.opts.Policy, e.opts.TransferLibs)
+		if e.opts.Precopy.Enabled {
+			snap = checkpoint.New(old, checkpoint.Options{
+				MaxEpochs: e.opts.Precopy.Epochs,
+				Interval:  e.opts.Precopy.Interval,
+				Recorder:  e.opts.Recorder,
+				Faults:    e.opts.Faults,
+			})
+		}
 	}
 	if snap != nil {
 		defer snap.Discard()
-		// An adopted snapshotter that failed an epoch (or had a daemon
-		// pass shot out from under it) cannot vouch for its shadows.
-		if ferr := snap.Err(); ferr != nil {
-			return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("checkpoint: %w", ferr)))
+		if warm == nil {
+			if err := runPhase(phaseTable[phPrecopy], func() error {
+				attr, attrN = "epochs", snap.Run().Epochs
+				return nil
+			}); err != nil {
+				return abort(nil, err)
+			}
+		}
+		// A snapshotter that failed an epoch (or had a daemon pass shot
+		// out from under it) cannot vouch for its shadows.
+		if err := snap.Err(); err != nil {
+			return abort(nil, wd.wrap(fmt.Errorf("checkpoint: %w", err)))
 		}
 	}
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, nil, rep, berr)
+	// An empty analysis (a cold update, or a daemon detached before its
+	// first pass) gets one refresh here, where the old version is still
+	// serving; Resolve over it in-window would move every per-process
+	// analysis into the downtime. Only an *empty* one: under traffic a
+	// warm analysis is always somewhat stale, and refreshing it here would
+	// put a full pass on every warm request. The select lets a deadline
+	// trip abandon a wedged refresh instead of joining it.
+	if pipelined && an.Entries() == 0 {
+		if err := runPhase(phaseTable[phSpeculate], func() error {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				an.Refresh(old)
+			}()
+			select {
+			case <-done:
+			case <-wd.cancel:
+			}
+			return nil
+		}); err != nil {
+			return abort(nil, err)
+		}
 	}
 	if h := e.opts.BeforeQuiesce; h != nil {
 		h(old)
 	}
 
-	dtStart := time.Now()
-	// A rollback pauses service too: every failure path below returns
-	// right after the old version resumed, so account the window then.
-	defer func() {
-		if rep.RolledBack && rep.Downtime == 0 {
-			rep.Downtime = time.Since(dtStart)
+	// --- CHECKPOINT, the window opens: quiesce -------------------------
+	opened = time.Now()
+	mark = opened
+	if err := runPhase(phaseTable[phQuiesce], func() (err error) {
+		if converged, err = old.Quiesce(e.opts.QuiesceTimeout); err != nil {
+			return fmt.Errorf("quiescence: %w", err)
 		}
-	}()
-	qsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseQuiesce)
-	wd.enter(WDQuiesce)
-	qd, err := old.Quiesce(e.opts.QuiesceTimeout)
-	wd.exit()
-	qsp.End()
-	if err != nil {
-		return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("quiescence: %w", err)))
+		// The rollback audit's reference digest, while nothing else is
+		// reading or writing the old side (0, no audit, if it fails).
+		if e.opts.Watchdog.VerifyRollback {
+			rep.preDigest, _ = trace.StateDigest(old)
+		}
+		return nil
+	}); err != nil {
+		return abort(nil, err)
 	}
-	rep.QuiesceTime = qd
-	e.captureDigest(old, rep)
+	topts := e.transferOptions(snap, wd.cancel, rep)
+	runOldSide := func() {
+		job.start = time.Now()
+		if pipelined && snap != nil {
+			snap.FinalEpoch()
+		}
+		job.disc, job.err = trace.DiscoverInstance(old, topts)
+		if job.err == nil && snap != nil {
+			// A handoff epoch that failed poisons the snapshotter rather
+			// than erroring the discovery that ran beside it.
+			job.err = snap.Err()
+		}
+		job.end = time.Now()
+	}
+	if pipelined {
+		jobDone = make(chan struct{})
+		go func() {
+			defer close(jobDone)
+			runOldSide()
+		}()
+	}
 
-	// Update-time analysis of the old version: immutable-object marking
-	// for the startup logs, then the conservative tracing analysis —
-	// validated from the warm analysis when one was handed off, recomputed
-	// wholesale otherwise.
-	reinit.MarkLogs(old)
-	anStart := time.Now()
-	wd.enter(WDAnalysis)
+	// --- analysis of the old version: immutable-object marking for the
+	// startup logs, then the conservative analysis validated against the
+	// deltas (what they invalidated — everything, over an empty analysis
+	// — is re-analyzed here) -------------------------------------------
 	var analyses map[program.ProcKey]*trace.Analysis
-	if warm != nil {
-		asp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseValidate)
+	// With nothing to validate the phase is a plain analysis: it runs
+	// under the analyze span, counts processes, and has no speculation
+	// for the speculation seam to invalidate.
+	prior := an.Entries() > 0
+	analysis := phaseTable[phAnalysis]
+	if !prior {
+		analysis.span = obs.PhaseAnalyze
+	}
+	if err := runPhase(analysis, func() (err error) {
+		reinit.MarkLogs(old)
 		var reused int
-		analyses, reused, err = warm.an.Resolve(old)
-		if err == nil {
+		analyses, reused, err = an.Resolve(old)
+		attr, attrN = "reused", reused
+		if !prior {
+			attr, attrN = "procs", len(analyses)
+		}
+		if err == nil && prior {
 			err = e.opts.Faults.Check(faultinject.PointSpeculation)
 		}
 		if err == nil {
-			rep.AnalysesReused = reused
-			rep.ProcsReanalyzed = len(analyses) - reused
-			rep.WarmReanalyses = warm.an.ReanalysisCounts()
+			err = e.opts.Faults.Check(faultinject.PointAnalysis)
 		}
-		asp.EndArg("reused", int64(reused))
-	} else {
-		asp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseAnalyze)
-		analyses, err = trace.AnalyzeInstance(old, e.opts.Policy, e.opts.TransferLibs)
-		rep.ProcsReanalyzed = len(analyses)
-		asp.EndArg("procs", int64(len(analyses)))
+		if err != nil {
+			return fmt.Errorf("analysis: %w", err)
+		}
+		rep.AnalysesReused, rep.ProcsReanalyzed = reused, len(analyses)-reused
+		if warm != nil {
+			rep.WarmReanalyses = an.ReanalysisCounts()
+		}
+		return nil
+	}); err != nil {
+		return abort(nil, err)
 	}
-	if err == nil {
-		err = e.opts.Faults.Check(faultinject.PointAnalysis)
-	}
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("analysis: %w", err)))
-	}
-	rep.AnalysisTime = time.Since(anStart)
-	plan, reserve, pinnedStatics := trace.CombinedPlacement(analyses)
 
 	// --- RESTART: new version under mutable reinitialization -----------
-	cmStart := time.Now()
-	mgr := reinit.NewManager(old, e.opts.ReplayStrategy)
-	wd.enter(WDRestart)
-	newInst, err := e.restart(old, v2, mgr, plan, reserve, pinnedStatics, wd)
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
+	var newInst *program.Instance
+	if err := runPhase(phaseTable[phRestart], func() (err error) {
+		newInst, err = e.restart(old, v2, analyses, rep, wd)
+		return err
+	}); err != nil {
+		return abort(newInst, err)
 	}
-	rep.ControlMigrationTime = time.Since(cmStart)
-	rep.Replayed, rep.LiveExecuted, rep.Conflicted = mgr.ReplayStats()
 
-	// --- REMAP: mutable tracing state transfer. Discovery and pair/copy
-	// are timed apart (both in-window here) so the downtime-ablation rows
-	// compare phase-for-phase with the pipelined engine, which overlaps
-	// discovery with RESTART. ----------------------------------------
-	wd.enter(WDTransfer)
-	dscStart := time.Now()
-	disc, err := trace.DiscoverInstance(old, e.transferOptions(snap, wd.cancel, rep))
-	if err != nil {
-		wd.exit()
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
+	// --- REMAP: the old-side job (joined, or run here), then pair + copy
+	if err := runPhase(phaseTable[phTransfer], func() (err error) {
+		if pipelined {
+			<-jobDone
+		} else {
+			runOldSide()
+		}
+		if job.err != nil {
+			return job.err
+		}
+		rep.Transfer, err = job.disc.Complete(newInst, analyses)
+		attr, attrN = "objects", rep.Transfer.ObjectsTransferred
+		return err
+	}); err != nil {
+		return abort(newInst, err)
 	}
-	rep.DiscoveryTime = time.Since(dscStart)
-	stStart := time.Now()
-	rsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseRemap)
-	stats, err := disc.Complete(newInst, analyses)
-	rep.Transfer = stats
-	rsp.EndArg("objects", int64(stats.ObjectsTransferred))
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.StateTransferTime = time.Since(stStart)
 
 	// --- COMMIT ---------------------------------------------------------
-	// A breach anywhere above that still let its phase return success
-	// fired the pipeline cancel; committing on top of it would trust
-	// half-drained state, so the breach wins over a clean-looking run.
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, newInst, rep, berr)
-	}
-	wd.enter(WDCommit)
-	err = e.commit(old, newInst, rep)
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.Downtime = time.Since(dtStart)
-	return rep, nil
-}
-
-// updatePipelined is the phase-overlapping engine. Three overlaps take
-// work off the downtime-critical path, with results bit-identical to the
-// sequential engine:
-//
-//  1. The conservative analysis runs speculatively while the old version
-//     is still serving (concurrently with the pre-copy epochs) and is
-//     validated per process against the soft-dirty/allocation deltas at
-//     quiescence; only invalidated processes are re-analyzed in-window.
-//  2. The checkpoint's handoff epoch and the old-side object discovery
-//     run concurrently with the new version's RESTART phase: the residual
-//     live copy shrinks to nothing while v2 boots, because a quiesced
-//     instance cannot re-dirty what the handoff epoch shadows.
-//  3. REMAP begins pairing the moment startup completes — the discovery
-//     it needs already happened under RESTART.
-//
-// Any RESTART failure cancels the in-flight old-side work and joins it
-// before rolling back, so the old instance resumes with no reader racing
-// it and the deferred checkpoint Discard restores every consumed bit.
-//
-// With a warm handoff the in-call pre-quiesce phases disappear entirely:
-// the daemon already ran the pre-copy epochs and kept the analysis warm,
-// so the update initiates quiescence immediately — request-to-commit
-// latency collapses toward the quiesce-to-commit window.
-func (e *Engine) updatePipelined(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *warmHandoff, wd *watchdog) (*UpdateReport, error) {
-	rep.Pipelined = true
-	// --- CHECKPOINT: speculative analysis overlapped with the pre-copy
-	// epochs (skipped on the warm fast path), then quiesce -------------
-	//
-	// A warm handoff whose analysis is empty (the daemon was re-armed
-	// after the last update and detached before completing a pass) has
-	// nothing to validate: fall back to in-call speculation so the
-	// analysis still runs off-window — Resolve over an empty warm
-	// analysis would move every per-process analysis into the downtime
-	// window, regressing below the cold engine. The daemon's snapshotter
-	// is still adopted for shadow continuity either way.
-	var (
-		spec *trace.Speculation
-		snap *checkpoint.Snapshotter
-	)
-	warmAn := warm != nil && warm.an.Entries() > 0
-	if warm != nil {
-		snap = warm.snap
-	} else {
-		wd.enter(WDPrecopy)
-		snap = e.precopy(old, rep)
-		wd.exit()
-	}
-	if !warmAn {
-		spec = trace.Speculate(old, e.opts.Policy, e.opts.TransferLibs)
-	}
-	if snap != nil {
-		defer snap.Discard()
-		// An adopted snapshotter that failed an epoch (or had a daemon
-		// pass shot out from under it) cannot vouch for its shadows.
-		if ferr := snap.Err(); ferr != nil {
-			return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("checkpoint: %w", ferr)))
+	// Entry to the commit phase is the last moment a rollback is possible:
+	// the injected commit-time crash strikes there, before any of commit's
+	// side effects. Once they have run the update stands — the old version
+	// is gone — so a commit budget breached *during* them is recorded by
+	// the watchdog but no longer changes the outcome.
+	committed := false
+	err := runPhase(phaseTable[phCommit], func() error {
+		err := e.opts.Faults.Check(faultinject.PointCommitCrash)
+		if err == nil && wd.wrap(nil) == nil {
+			e.commit(old, newInst, rep)
+			committed = true
 		}
+		return err
+	})
+	if !committed {
+		return abort(newInst, err)
 	}
-	if spec != nil {
-		// Join the speculation before initiating quiescence: the old
-		// version is still serving here, so the wait is off the downtime
-		// window by construction — Resolve below must never block
-		// in-window. (The warm path has nothing to join: the daemon was
-		// stopped before the timed window even opened.) The select lets a
-		// speculate-deadline trip abandon a wedged analysis goroutine.
-		ssp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseSpeculate)
-		wd.enter(WDSpeculate)
-		select {
-		case <-spec.Done():
-		case <-wd.cancel:
-		}
-		wd.exit()
-		ssp.End()
-	}
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, nil, rep, berr)
-	}
-	if h := e.opts.BeforeQuiesce; h != nil {
-		h(old)
-	}
-
-	dtStart := time.Now()
-	// A rollback pauses service too: every failure path below returns
-	// right after the old version resumed, so account the window then.
-	defer func() {
-		if rep.RolledBack && rep.Downtime == 0 {
-			rep.Downtime = time.Since(dtStart)
-		}
-	}()
-	qsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseQuiesce)
-	wd.enter(WDQuiesce)
-	qd, err := old.Quiesce(e.opts.QuiesceTimeout)
-	wd.exit()
-	qsp.End()
-	if err != nil {
-		return rep, e.rollback(old, nil, rep, wd.wrap(fmt.Errorf("quiescence: %w", err)))
-	}
-	rep.QuiesceTime = qd
-	e.captureDigest(old, rep)
-
-	// --- old-side pipeline: handoff epoch, then discovery — overlapped
-	// with analysis resolution and RESTART below ----------------------
-	topts := e.transferOptions(snap, wd.cancel, rep)
-	var (
-		disc     *trace.InstanceDiscovery
-		derr     error
-		discTook time.Duration
-	)
-	pipeDone := make(chan struct{})
-	go func() {
-		defer close(pipeDone)
-		t0 := time.Now()
-		if snap != nil {
-			snap.FinalEpoch()
-		}
-		disc, derr = trace.DiscoverInstance(old, topts)
-		discTook = time.Since(t0)
-	}()
-	// abort cancels and joins the old-side pipeline, then rolls back. The
-	// watchdog owns the cancel channel, so an explicit abort and a
-	// deadline trip drain the pipeline through the same close.
-	abort := func(newInst *program.Instance, cause error) error {
-		wd.cancelPipeline()
-		<-pipeDone
-		return e.rollback(old, newInst, rep, wd.wrap(cause))
-	}
-
-	// Update-time analysis: immutable-object marking for the startup
-	// logs, then validate the speculative (or warm) analysis against the
-	// deltas, re-analyzing only what they invalidated.
-	reinit.MarkLogs(old)
-	anStart := time.Now()
-	var (
-		analyses map[program.ProcKey]*trace.Analysis
-		reused   int
-	)
-	asp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseValidate)
-	wd.enter(WDAnalysis)
-	if warmAn {
-		analyses, reused, err = warm.an.Resolve(old)
-	} else {
-		analyses, reused, err = spec.Resolve(old)
-	}
-	if err == nil {
-		// Injected speculation invalidation / analysis failure, at the
-		// exact point the off-window analysis is resolved in-window.
-		err = e.opts.Faults.Check(faultinject.PointSpeculation)
-	}
-	if err == nil {
-		err = e.opts.Faults.Check(faultinject.PointAnalysis)
-	}
-	wd.exit()
-	asp.EndArg("reused", int64(reused))
-	if err != nil {
-		return rep, abort(nil, fmt.Errorf("analysis: %w", err))
-	}
-	rep.AnalysesReused = reused
-	rep.ProcsReanalyzed = len(analyses) - reused
-	if warmAn {
-		rep.WarmReanalyses = warm.an.ReanalysisCounts()
-	}
-	rep.AnalysisTime = time.Since(anStart)
-	plan, reserve, pinnedStatics := trace.CombinedPlacement(analyses)
-
-	// --- RESTART: new version under mutable reinitialization, concurrent
-	// with the old-side pipeline --------------------------------------
-	cmStart := time.Now()
-	mgr := reinit.NewManager(old, e.opts.ReplayStrategy)
-	wd.enter(WDRestart)
-	newInst, err := e.restart(old, v2, mgr, plan, reserve, pinnedStatics, wd)
-	wd.exit()
-	if err != nil {
-		return rep, abort(newInst, err)
-	}
-	rep.ControlMigrationTime = time.Since(cmStart)
-	rep.Replayed, rep.LiveExecuted, rep.Conflicted = mgr.ReplayStats()
-
-	// --- join the old-side pipeline; REMAP pairs immediately ----------
-	wd.enter(WDTransfer)
-	<-pipeDone
-	if snap != nil {
-		rep.Precopy = snap.Stats() // now includes the handoff epoch
-		if derr == nil {
-			// A handoff epoch that failed poisons the snapshotter rather
-			// than erroring the discovery that ran beside it.
-			derr = snap.Err()
-		}
-	}
-	if derr != nil {
-		wd.exit()
-		return rep, e.rollback(old, newInst, rep, wd.wrap(derr))
-	}
-	rep.DiscoveryTime = discTook
-	stStart := time.Now()
-	rsp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseRemap)
-	stats, err := disc.Complete(newInst, analyses)
-	rep.Transfer = stats
-	rsp.EndArg("objects", int64(stats.ObjectsTransferred))
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.StateTransferTime = time.Since(stStart)
-
-	// --- COMMIT ---------------------------------------------------------
-	// A breach that raced a phase's success still fired the pipeline
-	// cancel: the breach wins, the update rolls back.
-	if berr := wd.breachErr(); berr != nil {
-		return rep, e.rollback(old, newInst, rep, berr)
-	}
-	wd.enter(WDCommit)
-	err = e.commit(old, newInst, rep)
-	wd.exit()
-	if err != nil {
-		return rep, e.rollback(old, newInst, rep, wd.wrap(err))
-	}
-	rep.Downtime = time.Since(dtStart)
-	return rep, nil
+	closed = mark
+	return nil
 }
 
 // rollback discards the (partially started) new instance and resumes the

@@ -21,7 +21,7 @@ func TestOptionsValidate(t *testing.T) {
 			Transfer: TransferOptions{Parallelism: 4, Adopt: true, VerifyTransfer: true},
 			Precopy:  PrecopyOptions{Enabled: true, Epochs: 3, Interval: time.Millisecond},
 			Warm:     WarmOptions{Enabled: true, Interval: 200 * time.Microsecond, DutyCycle: 0.25},
-			Canary:   CanaryOptions{Enabled: true, Window: 100 * time.Millisecond},
+			Canary:   CanaryOptions{Window: 100 * time.Millisecond},
 			Watchdog: WatchdogOptions{PhaseDeadlines: DefaultPhaseDeadlines(), VerifyRollback: true},
 		}, ""},
 		{"negative parallelism", Options{
@@ -36,8 +36,6 @@ func TestOptionsValidate(t *testing.T) {
 			Warm: WarmOptions{Interval: time.Millisecond}}, "without Warm.Enabled"},
 		{"duty cycle out of range", Options{
 			Warm: WarmOptions{Enabled: true, DutyCycle: 1.5}}, "DutyCycle"},
-		{"canary pacing without enable", Options{
-			Canary: CanaryOptions{Window: time.Second}}, "without Canary.Enabled"},
 		{"disable with deadlines", Options{
 			Watchdog: WatchdogOptions{Disable: true,
 				PhaseDeadlines: map[string]time.Duration{WDRestart: time.Second}}},

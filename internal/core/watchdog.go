@@ -21,37 +21,6 @@ import (
 // so the engine unwinds through its normal rollback with
 // RollbackCause "deadline:<phase>" instead of wedging.
 
-// Watchdog phase names — the keys of Options.PhaseDeadlines. They are
-// coarser than the obs phase names: one budget covers a phase and the
-// joins it implies (WDTransfer spans the pipeline join, remap pairing
-// and copy; WDAnalysis covers validation and re-analysis).
-const (
-	WDPrecopy   = "precopy"
-	WDSpeculate = "speculate"
-	WDQuiesce   = "quiesce"
-	WDAnalysis  = "analysis"
-	WDRestart   = "restart"
-	WDTransfer  = "transfer"
-	WDCommit    = "commit"
-)
-
-// DefaultPhaseDeadlines is the default watchdog profile: generous
-// multiples of the configured phase timeouts, meant to catch a *wedged*
-// phase, never to race a slow-but-progressing one. RESTART and transfer
-// get the largest budgets (startup replay and the copy fan-out dominate
-// real update time); commit is bookkeeping and gets the smallest.
-func DefaultPhaseDeadlines() map[string]time.Duration {
-	return map[string]time.Duration{
-		WDPrecopy:   30 * time.Second,
-		WDSpeculate: 30 * time.Second,
-		WDQuiesce:   30 * time.Second,
-		WDAnalysis:  30 * time.Second,
-		WDRestart:   60 * time.Second,
-		WDTransfer:  60 * time.Second,
-		WDCommit:    15 * time.Second,
-	}
-}
-
 // DeadlineError reports a watchdog-aborted phase. Rollback-cause
 // classification keys on it: a rollback whose cause chain carries a
 // *DeadlineError reports "deadline:<phase>".
@@ -83,15 +52,13 @@ type watchdog struct {
 	cancel     chan struct{} // the update's pipeline cancel; see Options.Cancel
 	cancelOnce sync.Once
 
-	phaseC  chan string // nil when no monitor goroutine runs
-	quit    chan struct{}
-	done    chan struct{}
-	stopped sync.Once
+	phaseC chan string // nil when no monitor goroutine runs
+	quit   chan struct{}
+	done   chan struct{}
 
 	mu       sync.Mutex
-	breached string        // phase that tripped ("" = none)
-	budget   time.Duration // its budget
-	hooks    []func()      // run once on trip (late registration runs now)
+	breached string   // phase that tripped ("" = none)
+	hooks    []func() // run once on trip (late registration runs now)
 }
 
 func newWatchdog(deadlines map[string]time.Duration, plane *faultinject.Plane, rec *obs.Recorder) *watchdog {
@@ -140,7 +107,7 @@ func (w *watchdog) run() {
 			}
 		case <-timer.C:
 			armed = false
-			w.trip(phase, w.deadlines[phase])
+			w.trip(phase)
 			return
 		case <-w.quit:
 			disarm()
@@ -149,10 +116,7 @@ func (w *watchdog) run() {
 	}
 }
 
-// enter starts phase ph's budget; exit stops the clock between phases.
-func (w *watchdog) enter(ph string) { w.setPhase(ph) }
-func (w *watchdog) exit()           { w.setPhase("") }
-
+// setPhase starts phase ph's budget; "" stops the clock between phases.
 func (w *watchdog) setPhase(ph string) {
 	if w.phaseC == nil {
 		return
@@ -166,10 +130,9 @@ func (w *watchdog) setPhase(ph string) {
 // trip is the expiry action: record the breach, cancel the pipeline,
 // release injected stalls so a parked phase unwinds through its error
 // path, and run the registered hooks (e.g. failing a hung RESTART).
-func (w *watchdog) trip(phase string, budget time.Duration) {
+func (w *watchdog) trip(phase string) {
 	w.mu.Lock()
 	w.breached = phase
-	w.budget = budget
 	hooks := w.hooks
 	w.hooks = nil
 	w.mu.Unlock()
@@ -183,14 +146,15 @@ func (w *watchdog) trip(phase string, budget time.Duration) {
 }
 
 // cancelPipeline closes the update's cancel channel; shared by the trip
-// path and the engines' explicit abort (close exactly once either way).
+// path and the lifecycle's explicit abort (close exactly once either way).
 func (w *watchdog) cancelPipeline() {
 	w.cancelOnce.Do(func() { close(w.cancel) })
 }
 
-// stop ends the monitor goroutine; the deferred call in Update.
+// stop ends the monitor goroutine; the deferred call in Update, once per
+// watchdog.
 func (w *watchdog) stop() {
-	w.stopped.Do(func() { close(w.quit) })
+	close(w.quit)
 	<-w.done
 }
 
@@ -209,28 +173,18 @@ func (w *watchdog) onTrip(fn func()) {
 	}
 }
 
-// breachErr returns the trip as a *DeadlineError, or nil. Once tripped,
-// the pipeline cancel has fired and downstream state cannot be trusted,
-// so the engines check this between phases and roll back even when the
-// interrupted phase itself managed to return success.
-func (w *watchdog) breachErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.breached == "" {
-		return nil
-	}
-	return &DeadlineError{Phase: w.breached, Budget: w.budget}
-}
-
 // wrap substitutes the deadline as the primary cause of err when the
 // watchdog tripped: the phase's own error (a canceled transfer, a
 // released stall, a failed startup) is the *mechanism* of the abort, the
-// breached budget is the *reason*, and RollbackCause reports reasons.
+// breached budget is the *reason*, and RollbackCause reports reasons. A
+// nil err still comes back as the breach: once tripped, the pipeline
+// cancel has fired and downstream state cannot be trusted, so the update
+// rolls back even when the interrupted phase managed to return success.
 func (w *watchdog) wrap(err error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.breached == "" {
 		return err
 	}
-	return &DeadlineError{Phase: w.breached, Budget: w.budget, Cause: err}
+	return &DeadlineError{Phase: w.breached, Budget: w.deadlines[w.breached], Cause: err}
 }

@@ -49,8 +49,8 @@ const (
 	PhasePrecopy   = "precopy"
 	PhaseSpeculate = "speculate"
 	PhaseQuiesce   = "quiesce"
-	PhaseAnalyze   = "analyze"  // cold wholesale analysis (sequential engine)
-	PhaseValidate  = "validate" // speculative/warm analysis validation
+	PhaseAnalyze   = "analyze"  // in-window analysis with nothing to validate (sequential schedule, cold)
+	PhaseValidate  = "validate" // in-window validation of the off-window (refreshed or warm) analysis
 	PhaseRestart   = "restart"
 	PhaseRemap     = "remap"
 	PhaseCommit    = "commit"

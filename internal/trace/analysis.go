@@ -146,17 +146,11 @@ func AnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool
 	return an, nil
 }
 
-// AnalyzeInstance analyzes every process of the instance.
+// AnalyzeInstance analyzes every process of the instance: Resolve over an
+// analysis with nothing in it to reuse.
 func AnalyzeInstance(inst *program.Instance, pol types.Policy, transferLibs map[string]bool) (map[program.ProcKey]*Analysis, error) {
-	out := make(map[program.ProcKey]*Analysis)
-	for _, p := range inst.Procs() {
-		an, err := AnalyzeProc(p, pol, transferLibs)
-		if err != nil {
-			return nil, fmt.Errorf("trace: analyze %s: %w", p.Key(), err)
-		}
-		out[p.Key()] = an
-	}
-	return out, nil
+	out, _, err := NewWarmAnalysis(pol, transferLibs).Resolve(inst)
+	return out, err
 }
 
 // AggregateStats sums the per-process pointer statistics (Table 2 reports

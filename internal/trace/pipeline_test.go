@@ -74,55 +74,6 @@ func TestDiscoveryCancel(t *testing.T) {
 	}
 }
 
-// TestSpeculateResolve pins the speculative-analysis validation: with no
-// writes between capture and resolve every process's analysis is reused
-// and equals a fresh post-quiesce run; a write to one process invalidates
-// exactly that process.
-func TestSpeculateResolve(t *testing.T) {
-	shape := randShape(91, 3)
-	v1 := startSynthV1(t, shape)
-	defer v1.Terminate()
-
-	spec := Speculate(v1, types.DefaultPolicy(), nil)
-	analyses, reused, err := spec.Resolve(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(v1.Procs()); reused != want {
-		t.Errorf("reused = %d, want %d (idle instance)", reused, want)
-	}
-	fresh, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(analyses, fresh) {
-		t.Error("speculative analyses differ from a fresh run over unchanged state")
-	}
-
-	// Invalidate only the root: write one (semantically idempotent) word.
-	spec2 := Speculate(v1, types.DefaultPolicy(), nil)
-	spec2.Wait()
-	root := v1.Root()
-	anchor := root.MustGlobal("anchor")
-	w, err := root.Space().ReadWord(anchor.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := root.Space().WriteWord(anchor.Addr, w); err != nil {
-		t.Fatal(err)
-	}
-	analyses2, reused2, err := spec2.Resolve(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(v1.Procs()) - 1; reused2 != want {
-		t.Errorf("reused after root write = %d, want %d (only root invalidated)", reused2, want)
-	}
-	if !reflect.DeepEqual(analyses2, fresh) {
-		t.Error("re-resolved analyses differ from the fresh run")
-	}
-}
-
 // TestTypeCacheHits pins the pair() transformation memo: a heap full of
 // objects of one changed named type derives the Diff once and serves the
 // rest from the cache.

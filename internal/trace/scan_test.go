@@ -461,13 +461,13 @@ func TestScanWordsAcrossPageBoundaries(t *testing.T) {
 	}
 }
 
-// TestSpeculationFailsValidationOnMidScanStore races a writer against a
-// speculative analysis of the same process (run under -race: the in-place
-// scan and the stores meet only through the address-space lock). Stores
-// landing while the scan runs must advance Mutations past the capture, so
-// Resolve throws the entry away and re-analyzes — and what it returns is
-// the analysis of the final state.
-func TestSpeculationFailsValidationOnMidScanStore(t *testing.T) {
+// TestWarmRefreshFailsValidationOnMidScanStore races a writer against an
+// off-window analysis refresh of the same process (run under -race: the
+// in-place scan and the stores meet only through the address-space lock).
+// Stores landing while the scan runs must advance Mutations past the
+// capture, so Resolve throws the entry away and re-analyzes — and what it
+// returns is the analysis of the final state.
+func TestWarmRefreshFailsValidationOnMidScanStore(t *testing.T) {
 	p := startScanFixture(t)
 	planted := plantRandomHeap(t, p, 99)
 	inst := p.Instance()
@@ -499,12 +499,12 @@ func TestSpeculationFailsValidationOnMidScanStore(t *testing.T) {
 		}
 	}()
 	<-started
-	spec := Speculate(inst, types.DefaultPolicy(), nil)
-	<-spec.Done()
+	w := NewWarmAnalysis(types.DefaultPolicy(), nil)
+	w.Refresh(inst)
 	scanDone.Store(true)
 	wg.Wait()
 
-	analyses, reused, err := spec.Resolve(inst)
+	analyses, reused, err := w.Resolve(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
-// Warm speculative analysis: the between-updates counterpart of
-// speculate.go. Speculate runs the conservative analysis once, inside one
-// update attempt; WarmAnalysis keeps an analysis continuously current
-// while the old version serves, so an update can begin at quiescence with
-// the analysis already in hand. Each refresh pass revalidates every
-// process against the memory substrate's delta counters
-// (mem.AddressSpace.Mutations, mem.ObjectIndex.Gen) and re-analyzes only
-// the processes those counters invalidated — a fork-heavy server whose
-// traffic writes to a few processes re-analyzes exactly those few.
+// Warm analysis: the conservative pointer analysis of a still-serving
+// instance, kept valid by delta counters instead of recomputed at
+// quiescence. Each process's entry remembers the memory substrate's
+// counters (mem.AddressSpace.Mutations, mem.ObjectIndex.Gen) captured just
+// before it was analyzed; a process that was not written to — and did not
+// allocate or free — since then has an analysis identical to what a
+// post-quiesce run would produce. The warm-standby daemon refreshes one
+// continuously between updates, so a fork-heavy server whose traffic
+// writes to a few processes re-analyzes exactly those few; a cold update
+// refreshes a fresh one once before it quiesces. Either way only the
+// invalidated processes are re-analyzed inside the downtime window.
 package trace
 
 import (
@@ -64,46 +66,62 @@ func NewWarmAnalysis(pol types.Policy, libs map[string]bool) *WarmAnalysis {
 	}
 }
 
+// current returns p's entry if the delta counters still match its
+// capture — the process was not written to and did not allocate or free
+// since, so a fresh analysis would be identical — and nil otherwise.
+func (w *WarmAnalysis) current(p *program.Proc) *warmEntry {
+	w.mu.Lock()
+	e := w.entries[p.Key()]
+	w.mu.Unlock()
+	if e != nil && e.mutations == p.Space().Mutations() && e.indexGen == p.Index().Gen() {
+		return e
+	}
+	return nil
+}
+
+// reanalyze recomputes p's entry. The counters are captured before
+// reading anything, so a write landing mid-analysis advances them past
+// the capture and the entry fails its next validation. An analysis error
+// (a region unmapped mid-walk) drops the entry.
+func (w *WarmAnalysis) reanalyze(p *program.Proc) (*warmEntry, error) {
+	e := &warmEntry{
+		mutations: p.Space().Mutations(),
+		indexGen:  p.Index().Gen(),
+	}
+	var err error
+	e.an, err = AnalyzeProc(p, w.pol, w.libs)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
+		delete(w.entries, p.Key())
+		return nil, err
+	}
+	w.entries[p.Key()] = e
+	w.gen++
+	w.reanalyses[p.Key()]++
+	return e, nil
+}
+
 // Refresh brings the analysis up to date with the (still serving)
 // instance: every live process whose delta counters moved past its
 // entry's capture — or that has no entry yet — is re-analyzed; untouched
 // processes are revalidated for free. Entries of exited processes are
-// dropped. Reads synchronize through each address space's lock, and the
-// counters are captured before reading anything, so a write landing
-// mid-analysis advances them past the capture and the next pass (or
-// Resolve) re-analyzes. An analysis error (a region unmapped mid-walk)
-// invalidates the entry and is counted, not returned: the daemon keeps
-// running and the entry heals on a later pass or at quiescence.
+// dropped. Reads synchronize through each address space's lock. An
+// analysis error is counted, not returned: the caller (the daemon, or the
+// update engine's off-window refresh) keeps going and the entry heals on
+// a later pass or at quiescence.
 func (w *WarmAnalysis) Refresh(inst *program.Instance) WarmRefresh {
 	var rs WarmRefresh
 	live := make(map[program.ProcKey]bool)
 	for _, p := range inst.Procs() {
-		key := p.Key()
-		live[key] = true
-		w.mu.Lock()
-		e, ok := w.entries[key]
-		w.mu.Unlock()
-		if ok && e.mutations == p.Space().Mutations() && e.indexGen == p.Index().Gen() {
+		live[p.Key()] = true
+		if w.current(p) != nil {
 			rs.Revalidated++
-			continue
-		}
-		ne := &warmEntry{
-			mutations: p.Space().Mutations(),
-			indexGen:  p.Index().Gen(),
-		}
-		an, err := AnalyzeProc(p, w.pol, w.libs)
-		w.mu.Lock()
-		if err != nil {
-			delete(w.entries, key)
+		} else if _, err := w.reanalyze(p); err != nil {
 			rs.Errors++
 		} else {
-			ne.an = an
-			w.entries[key] = ne
-			w.gen++
-			w.reanalyses[key]++
 			rs.Reanalyzed++
 		}
-		w.mu.Unlock()
 	}
 	w.mu.Lock()
 	for key := range w.entries {
@@ -116,35 +134,26 @@ func (w *WarmAnalysis) Refresh(inst *program.Instance) WarmRefresh {
 	return rs
 }
 
-// Resolve validates every process's warm entry against the current delta
-// counters and re-analyzes whatever they invalidated — the same contract
-// as Speculation.Resolve, but against an analysis kept warm across the
-// serving window instead of captured once per update. The instance must
-// be quiesced. It returns the per-process analyses and how many were
-// reused as captured. In-window re-analyses are counted in the
-// per-process reanalysis tally like warm refreshes are.
+// Resolve validates every process's entry against the current delta
+// counters and re-analyzes whatever they invalidated: every process, over
+// an analysis that was never refreshed. The instance must be quiesced. It
+// returns the per-process analyses and how many were reused as captured.
+// In-window re-analyses are counted in the per-process reanalysis tally
+// like refreshes are.
 func (w *WarmAnalysis) Resolve(inst *program.Instance) (map[program.ProcKey]*Analysis, int, error) {
 	out := make(map[program.ProcKey]*Analysis)
 	reused := 0
 	for _, p := range inst.Procs() {
-		key := p.Key()
-		w.mu.Lock()
-		e, ok := w.entries[key]
-		w.mu.Unlock()
-		if ok && e.mutations == p.Space().Mutations() && e.indexGen == p.Index().Gen() {
-			out[key] = e.an
+		e := w.current(p)
+		if e != nil {
 			reused++
-			continue
+		} else {
+			var err error
+			if e, err = w.reanalyze(p); err != nil {
+				return nil, reused, fmt.Errorf("trace: analyze %s: %w", p.Key(), err)
+			}
 		}
-		an, err := AnalyzeProc(p, w.pol, w.libs)
-		if err != nil {
-			return nil, reused, fmt.Errorf("trace: analyze %s: %w", key, err)
-		}
-		out[key] = an
-		w.mu.Lock()
-		w.gen++
-		w.reanalyses[key]++
-		w.mu.Unlock()
+		out[p.Key()] = e.an
 	}
 	return out, reused, nil
 }
@@ -155,10 +164,7 @@ func (w *WarmAnalysis) Resolve(inst *program.Instance) (map[program.ProcKey]*Ana
 // Resolve run right now would reuse every entry.
 func (w *WarmAnalysis) Stale(inst *program.Instance) bool {
 	for _, p := range inst.Procs() {
-		w.mu.Lock()
-		e, ok := w.entries[p.Key()]
-		w.mu.Unlock()
-		if !ok || e.mutations != p.Space().Mutations() || e.indexGen != p.Index().Gen() {
+		if w.current(p) == nil {
 			return true
 		}
 	}

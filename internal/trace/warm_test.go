@@ -68,47 +68,63 @@ func TestWarmRefreshIncremental(t *testing.T) {
 }
 
 // TestWarmResolveMatchesFresh asserts the consumed warm analysis is
-// identical to a fresh post-quiesce AnalyzeInstance run — warm or stale.
+// identical to a fresh post-quiesce AnalyzeInstance run — warm or stale:
+// with no writes between refresh and resolve every process's analysis is
+// reused, and a write to one process invalidates exactly that process.
+// The second shape is the update engine's one-refresh-per-update use (a
+// cold update's off-window speculate phase).
 func TestWarmResolveMatchesFresh(t *testing.T) {
-	shape := randShape(13, 2)
-	v1 := startSynthV1(t, shape)
-	defer v1.Terminate()
-	procs := len(v1.Procs())
+	for _, in := range []struct {
+		name  string
+		seed  int64
+		procs int
+	}{
+		{"daemon", 13, 2},
+		{"speculate", 91, 3},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			shape := randShape(in.seed, in.procs)
+			v1 := startSynthV1(t, shape)
+			defer v1.Terminate()
+			procs := len(v1.Procs())
 
-	w := NewWarmAnalysis(types.DefaultPolicy(), nil)
-	w.Refresh(v1)
+			w := NewWarmAnalysis(types.DefaultPolicy(), nil)
+			w.Refresh(v1)
 
-	fresh, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyses, reused, err := w.Resolve(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused != procs {
-		t.Errorf("reused = %d, want %d (idle instance)", reused, procs)
-	}
-	if !reflect.DeepEqual(analyses, fresh) {
-		t.Error("warm analyses differ from a fresh run over unchanged state")
-	}
+			fresh, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analyses, reused, err := w.Resolve(v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused != procs {
+				t.Errorf("reused = %d, want %d (idle instance)", reused, procs)
+			}
+			if !reflect.DeepEqual(analyses, fresh) {
+				t.Error("warm analyses differ from a fresh run over unchanged state")
+			}
 
-	// Invalidate the root after the last refresh: Resolve re-analyzes it
-	// in-window and the result still matches a fresh run.
-	touchProc(t, v1.Root())
-	analyses2, reused2, err := w.Resolve(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused2 != procs-1 {
-		t.Errorf("reused after root write = %d, want %d", reused2, procs-1)
-	}
-	fresh2, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(analyses2, fresh2) {
-		t.Error("resolved analyses differ from the fresh run")
+			// Invalidate the root after the last refresh: Resolve
+			// re-analyzes it in-window and the result still matches a
+			// fresh run.
+			touchProc(t, v1.Root())
+			analyses2, reused2, err := w.Resolve(v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused2 != procs-1 {
+				t.Errorf("reused after root write = %d, want %d (only root invalidated)", reused2, procs-1)
+			}
+			fresh2, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(analyses2, fresh2) {
+				t.Error("resolved analyses differ from the fresh run")
+			}
+		})
 	}
 }
 
