@@ -24,14 +24,20 @@ func (as *AddressSpace) Clone() *AddressSpace {
 }
 
 // Clone returns a deep copy of the object index. Object structs are
-// copied, not shared: parent and child metadata diverge after fork.
+// copied, not shared: parent and child metadata diverge after fork. The
+// copy runs over the parent's sorted snapshot, so the child starts with
+// its own snapshot ready — a forked process's first All costs nothing.
 func (ix *ObjectIndex) Clone() *ObjectIndex {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := NewObjectIndex()
-	out.gen = ix.gen
-	for _, o := range ix.byStart {
+	objs, gen := ix.snapshot()
+	out := &ObjectIndex{
+		byStart: make(map[Addr]*Object, len(objs)),
+		byPage:  make(map[Addr][]*Object),
+		gen:     gen,
+		snap:    make([]*Object, len(objs)),
+	}
+	for i, o := range objs {
 		oc := *o
+		out.snap[i] = &oc
 		out.byStart[oc.Addr] = &oc
 		for pb := pageBase(oc.Addr); pb < oc.End(); pb += PageSize {
 			out.byPage[pb] = append(out.byPage[pb], &oc)

@@ -1,8 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/types"
@@ -67,11 +68,21 @@ func (o *Object) String() string {
 	return fmt.Sprintf("%s %s @%#x+%d", o.Kind, name, o.Addr, o.Size)
 }
 
-// ObjectIndex tracks live objects and answers the two queries tracing
-// needs: exact lookup by start address (precise tracing) and
-// containing-object lookup for arbitrary interior addresses (conservative
-// likely-pointer validation). The page-bucket index keeps interior lookup
-// O(objects-on-page).
+// ObjectIndex tracks live objects and answers the queries tracing needs:
+// exact lookup by start address (precise tracing), containing-object lookup
+// for arbitrary interior addresses (conservative likely-pointer validation;
+// the page-bucket index keeps it O(objects-on-page)), and the ordered view
+// — All, OnPages, Clone — every whole-process pass walks.
+//
+// The ordered view is one immutable, address-sorted snapshot shared
+// read-only by all readers (callers must not write to the slice All
+// returns), plus the addresses Insert/Remove touched since it was taken.
+// All on an unchanged index returns the snapshot as is; after k mutations
+// it merges the k touched addresses into a new slice, O(n + k log k), and
+// earlier snapshots stay as they were. The write side only appends an
+// address; once the pending list outgrows half the snapshot with no reader
+// in between, list and snapshot are dropped and the next All rebuilds from
+// scratch, so a long unobserved run costs nothing and holds nothing.
 type ObjectIndex struct {
 	mu      sync.RWMutex
 	byStart map[Addr]*Object
@@ -80,6 +91,11 @@ type ObjectIndex struct {
 	// the speculative-analysis validation (AddressSpace.Mutations is the
 	// data half).
 	gen uint64
+	// snap is the sorted snapshot (nil: none, rebuild from byStart);
+	// touched lists the start addresses inserted or removed since, in any
+	// order and with repeats. byStart says what lives at each now.
+	snap    []*Object
+	touched []Addr
 }
 
 // NewObjectIndex returns an empty index.
@@ -88,6 +104,23 @@ func NewObjectIndex() *ObjectIndex {
 		byStart: make(map[Addr]*Object),
 		byPage:  make(map[Addr][]*Object),
 	}
+}
+
+// minPending keeps a small index from dropping its snapshot on every other
+// mutation.
+const minPending = 64
+
+// touch records a mutation at addr for the next snapshot. Caller holds mu.
+func (ix *ObjectIndex) touch(addr Addr) {
+	ix.gen++
+	if ix.snap == nil {
+		return
+	}
+	if len(ix.touched) >= len(ix.snap)/2+minPending {
+		ix.snap, ix.touched = nil, nil
+		return
+	}
+	ix.touched = append(ix.touched, addr)
 }
 
 // Insert adds an object. Inserting an object whose range overlaps a live
@@ -110,7 +143,7 @@ func (ix *ObjectIndex) Insert(o *Object) error {
 	for pb := pageBase(o.Addr); pb < o.End(); pb += PageSize {
 		ix.byPage[pb] = append(ix.byPage[pb], o)
 	}
-	ix.gen++
+	ix.touch(o.Addr)
 	return nil
 }
 
@@ -125,17 +158,15 @@ func (ix *ObjectIndex) Remove(addr Addr) (*Object, bool) {
 	delete(ix.byStart, addr)
 	for pb := pageBase(o.Addr); pb < o.End(); pb += PageSize {
 		bucket := ix.byPage[pb]
-		for i, other := range bucket {
-			if other == o {
-				ix.byPage[pb] = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(ix.byPage[pb]) == 0 {
+		i := slices.Index(bucket, o)
+		// Delete zeroes the vacated tail slot: no stale pointer stays behind.
+		if bucket = slices.Delete(bucket, i, i+1); len(bucket) == 0 {
 			delete(ix.byPage, pb)
+		} else {
+			ix.byPage[pb] = bucket
 		}
 	}
-	ix.gen++
+	ix.touch(addr)
 	return o, true
 }
 
@@ -190,33 +221,82 @@ func (ix *ObjectIndex) Len() int {
 	return len(ix.byStart)
 }
 
-// All returns all live objects sorted by address.
+// All returns all live objects sorted by address: the shared snapshot,
+// which the caller must treat as read-only. It stays valid, and unchanged,
+// whatever happens to the index afterwards.
 func (ix *ObjectIndex) All() []*Object {
+	snap, _ := ix.snapshot()
+	return snap
+}
+
+// snapshot returns the current sorted snapshot and the generation it
+// describes, bringing it up to date first if the index changed.
+func (ix *ObjectIndex) snapshot() ([]*Object, uint64) {
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]*Object, 0, len(ix.byStart))
-	for _, o := range ix.byStart {
-		out = append(out, o)
+	snap, gen, fresh := ix.snap, ix.gen, ix.snap != nil && len(ix.touched) == 0
+	ix.mu.RUnlock()
+	if fresh {
+		return snap, gen
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	switch {
+	case ix.snap == nil:
+		ix.snap = make([]*Object, 0, len(ix.byStart))
+		for _, o := range ix.byStart {
+			ix.snap = append(ix.snap, o)
+		}
+		slices.SortFunc(ix.snap, func(a, b *Object) int { return cmp.Compare(a.Addr, b.Addr) })
+	case len(ix.touched) > 0:
+		ix.snap = ix.merged()
+		ix.touched = ix.touched[:0]
+	}
+	return ix.snap, ix.gen
+}
+
+// merged builds the next snapshot from the current one and the touched
+// addresses: an untouched address keeps its object, a touched one holds
+// whatever byStart says lives there now (nothing, the same object removed
+// and re-inserted, or a new one reusing the address). Caller holds mu.
+func (ix *ObjectIndex) merged() []*Object {
+	slices.Sort(ix.touched)
+	out := make([]*Object, 0, len(ix.byStart))
+	old := ix.snap
+	var prev Addr
+	for i, addr := range ix.touched {
+		if i > 0 && addr == prev {
+			continue
+		}
+		prev = addr
+		n, _ := slices.BinarySearchFunc(old, addr, func(o *Object, a Addr) int { return cmp.Compare(o.Addr, a) })
+		out = append(out, old[:n]...)
+		if old = old[n:]; len(old) > 0 && old[0].Addr == addr {
+			old = old[1:]
+		}
+		if o, live := ix.byStart[addr]; live {
+			out = append(out, o)
+		}
+	}
+	return append(out, old...)
 }
 
 // OnPages returns the distinct live objects overlapping any of the given
-// pages (used to turn soft-dirty pages into the dirty object set).
+// pages, sorted by address (used to turn soft-dirty pages into the dirty
+// object set). The pages may come in any order, with repeats.
 func (ix *ObjectIndex) OnPages(pages []Addr) []*Object {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	seen := make(map[*Object]bool)
+	objs := ix.All()
+	if !slices.IsSorted(pages) {
+		pages = slices.Clone(pages)
+		slices.Sort(pages)
+	}
 	var out []*Object
+	next := 0 // objs[:next] are emitted or end before the current page
 	for _, pb := range pages {
-		for _, o := range ix.byPage[pb] {
-			if !seen[o] {
-				seen[o] = true
-				out = append(out, o)
-			}
+		// Disjoint and sorted by start, objs is sorted by end too.
+		n, _ := slices.BinarySearchFunc(objs[next:], pb+1, func(o *Object, a Addr) int { return cmp.Compare(o.End(), a) })
+		for next += n; next < len(objs) && objs[next].Addr < pb+PageSize; next++ {
+			out = append(out, objs[next])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }

@@ -93,7 +93,7 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		if _, hasHandler := pt.ann.ObjHandler(o.Name); hasHandler {
 			continue
 		}
-		needsCopy := pt.dirty[o.Addr] || !o.Startup || pt.opts.DisableDirtyFilter
+		needsCopy := pt.isDirty(o) || !o.Startup || pt.opts.DisableDirtyFilter
 		if o.Kind == mem.ObjHeap && o.Startup && pt.bySiteSeq[mem.PlanKey{Site: o.Site, Seq: o.Seq}] == nil {
 			needsCopy = true
 		}

@@ -114,7 +114,7 @@ func AnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool
 		Nonupdatable: make(map[mem.Addr]bool),
 	}
 	as := p.Space()
-	r := newResolver(p.Index().All())
+	r := newResolver(p.Index().All(), pol)
 	// pinned[i] records that r.objs[i] is already in the result maps: a
 	// hot target is pointed at thousands of times and entered once.
 	pinned := make([]bool, len(r.objs))
@@ -136,7 +136,7 @@ func AnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool
 			continue
 		}
 		src, hasLikely = o, false
-		if err := r.scan(as, o, pol, precise, likely); err != nil {
+		if err := r.scan(as, o, precise, likely); err != nil {
 			return nil, fmt.Errorf("trace: scan %s: %w", o, err)
 		}
 		if hasLikely {

@@ -144,7 +144,7 @@ func (pt *procTransfer) discoverParallel(roots []*mem.Object, workers int) ([]*m
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			r := newResolver(pt.oldObjs)
+			r := newResolver(pt.oldObjs, pt.opts.Policy)
 			for {
 				o := q.pop()
 				if o == nil {

@@ -99,9 +99,10 @@ func TestTypeCacheHits(t *testing.T) {
 // taken while nothing was dirty, so every shadow is trivially current.
 type fakeShadow struct {
 	bufs map[*mem.Object][]byte
+	ever []mem.Addr // pages an epoch consumed; none unless a test says so
 }
 
-func (f *fakeShadow) EverDirtyPages() []mem.Addr { return nil }
+func (f *fakeShadow) EverDirtyPages() []mem.Addr { return f.ever }
 func (f *fakeShadow) Shadow(o *mem.Object) ([]byte, bool) {
 	b, ok := f.bufs[o]
 	return b, ok
@@ -168,4 +169,115 @@ func TestTransformedObjectsServeFromShadow(t *testing.T) {
 		t.Errorf("byte accounting diverged: shadow %+v vs live %+v", shadowed, live)
 	}
 	compareInstances(t, liveInst, shadowInst)
+}
+
+// TestLazyDirtyVerdictMatchesEagerSet: discovery no longer materialises
+// the dirty-object set of the whole process; it answers per object from
+// the two dirty-page lists. On a pre-copy + shadow run — one round of
+// writes consumed by an epoch, a second round still soft-dirty at
+// quiescence — every reachable object must get the verdict the eager set
+// (every object overlapping a page of the union) gave it.
+func TestLazyDirtyVerdictMatchesEagerSet(t *testing.T) {
+	// A heap of a dozen pages: 1500 list nodes and a chain of 3 KB blobs
+	// (which straddle pages), forked once.
+	mk := func() *synthShape {
+		s := &synthShape{nodes: 1500}
+		for i := 0; i < 8; i++ {
+			s.blobSizes = append(s.blobSizes, 3000)
+			if i > 0 {
+				s.links = append(s.links, [3]int{i - 1, i, 8 * i})
+			}
+		}
+		return s
+	}
+	shape := mk()
+	shape.children = []*synthShape{mk()}
+	v1 := startSynthV1(t, shape)
+	defer v1.Terminate()
+	for _, p := range v1.Procs() {
+		as, objs := p.Space(), p.Index().All()
+		// Pages fall in three classes by number: round 0 stores into the
+		// first, round 1 into the second, nothing touches the third.
+		rewrite := func(round mem.Addr) {
+			for _, o := range objs {
+				for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+					if o.Kind == mem.ObjLib || pb/mem.PageSize%3 != round {
+						continue
+					}
+					b := make([]byte, 1)
+					at := max(o.Addr, pb)
+					if err := as.ReadAt(at, b); err != nil {
+						t.Fatal(err)
+					}
+					if err := as.WriteAt(at, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		rewrite(0)
+		as.ReadAndClearSoftDirty() // the epoch: these pages are now "ever dirty" only
+		rewrite(1)
+		cur, ever := as.SoftDirtyPages(), as.ConsumedDirtyPages()
+		if len(cur) == 0 || len(ever) == 0 {
+			t.Fatalf("proc %s: %d current, %d consumed dirty pages", p.Key(), len(cur), len(ever))
+		}
+		onDirtyPage := make(map[mem.Addr]bool)
+		for _, pb := range append(append([]mem.Addr(nil), cur...), ever...) {
+			onDirtyPage[pb] = true
+		}
+		eager := make(map[mem.Addr]bool) // the old pt.dirty: OnPages over the union
+		for _, o := range objs {
+			for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+				if onDirtyPage[pb] {
+					eager[o.Addr] = true
+				}
+			}
+		}
+		d, err := DiscoverProc(p, Options{
+			Policy:      types.DefaultPolicy(),
+			Parallelism: 1,
+			Shadows:     func(program.ProcKey) ShadowReader { return &fakeShadow{ever: ever} },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts := map[bool]int{}
+		everOnly := 0
+		for _, o := range d.reachable {
+			got := d.pt.isDirty(o)
+			if got != eager[o.Addr] {
+				t.Errorf("proc %s: %s dirty = %v, eager set says %v", p.Key(), o, got, eager[o.Addr])
+			}
+			verdicts[got]++
+			if got && !anyPageOf(cur, o) {
+				everOnly++
+			}
+		}
+		if verdicts[true] == 0 || verdicts[false] == 0 || everOnly == 0 {
+			t.Errorf("proc %s: degenerate scenario: %d dirty (%d through consumed pages only), %d clean",
+				p.Key(), verdicts[true], everOnly, verdicts[false])
+		}
+	}
+}
+
+// TestAnyPageOfBoundaries pins the page-overlap test at its edges: an
+// object ending exactly where a dirty page begins is clean.
+func TestAnyPageOfBoundaries(t *testing.T) {
+	pages := []mem.Addr{0x2000, 0x5000}
+	for _, tc := range []struct {
+		addr mem.Addr
+		size uint64
+		want bool
+	}{
+		{0x1ff8, 8, false}, {0x1ff8, 9, true}, {0x2fff, 1, true}, {0x3000, 0x2000, false},
+		{0x3000, 0x2001, true}, {0x5ff0, 0x20, true}, {0x6000, 8, false}, {0, 0x10000, true},
+	} {
+		if got := anyPageOf(pages, &mem.Object{Addr: tc.addr, Size: tc.size}); got != tc.want {
+			t.Errorf("anyPageOf(%#x+%#x) = %v, want %v", tc.addr, tc.size, got, tc.want)
+		}
+	}
+	if anyPageOf(nil, &mem.Object{Addr: 0x2000, Size: 8}) {
+		t.Error("anyPageOf over no pages")
+	}
 }

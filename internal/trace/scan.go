@@ -15,16 +15,19 @@ import (
 // pairwise disjoint, so sorted by start is also sorted by end.
 //
 // A resolver is a private cursor over a shared, read-only snapshot: give
-// each goroutine its own.
+// each goroutine its own. Its policy is fixed, so it flattens each type it
+// meets once, not once per object.
 type resolver struct {
-	objs []*mem.Object
-	lo   uint64 // start of the first object
-	span uint64 // end of the last object - lo
-	last int    // index of the most recent hit
+	objs    []*mem.Object
+	lo      uint64 // start of the first object
+	span    uint64 // end of the last object - lo
+	last    int    // index of the most recent hit
+	pol     types.Policy
+	layouts map[*types.Type]types.Layout
 }
 
-func newResolver(objs []*mem.Object) *resolver {
-	r := &resolver{objs: objs}
+func newResolver(objs []*mem.Object, pol types.Policy) *resolver {
+	r := &resolver{objs: objs, pol: pol, layouts: make(map[*types.Type]types.Layout)}
 	if n := len(objs); n > 0 {
 		r.lo = uint64(objs[0].Addr)
 		r.span = uint64(objs[n-1].End()) - r.lo
@@ -77,6 +80,19 @@ func (r *resolver) likelyTarget(w uint64) int {
 	return ti
 }
 
+// opaqueRangesOf is opaqueRangesOf under r's policy, memoized per type.
+func (r *resolver) opaqueRangesOf(o *mem.Object) ([]types.OpaqueRange, []types.PtrSlot) {
+	if o.Type == nil {
+		return opaqueRangesOf(o, r.pol)
+	}
+	l, ok := r.layouts[o.Type]
+	if !ok {
+		l = types.LayoutOf(o.Type, r.pol)
+		r.layouts[o.Type] = l
+	}
+	return l.Opaques, l.Ptrs
+}
+
 // opaqueWords returns the object offsets [start, end) the conservative scan
 // of one opaque range covers: 8-byte words at offsets that are multiples
 // of 8, clipped to the object.
@@ -102,8 +118,8 @@ func opaqueWords(rg types.OpaqueRange, objSize uint64) (start, end uint64) {
 // (only in objects or slots that are not 8-byte aligned) lie in no single
 // fragment and are read individually afterwards. Callbacks run with the
 // read lock held: they must not touch the address space.
-func (r *resolver) scan(as *mem.AddressSpace, o *mem.Object, pol types.Policy, precise, likely func(ti int)) error {
-	opaques, ptrs := opaqueRangesOf(o, pol)
+func (r *resolver) scan(as *mem.AddressSpace, o *mem.Object, precise, likely func(ti int)) error {
+	opaques, ptrs := r.opaqueRangesOf(o)
 	if len(opaques) == 0 && len(ptrs) == 0 {
 		// Pointer-free layout (scalars only): nothing to trace.
 		return nil

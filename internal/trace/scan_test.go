@@ -354,7 +354,7 @@ func TestScanMatchesReferenceOnRandomHeaps(t *testing.T) {
 
 				pt := &procTransfer{oldProc: p, opts: Options{Policy: pc.pol, TransferLibs: libs}}
 				pt.oldObjs = p.Index().All()
-				r := newResolver(pt.oldObjs)
+				r := newResolver(pt.oldObjs, pt.opts.Policy)
 				for _, o := range pt.oldObjs {
 					var gotV, wantV []mem.Addr
 					if err := pt.scanObject(o, r, func(t *mem.Object) { gotV = append(gotV, t.Addr) }); err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -224,12 +225,23 @@ func (pt *procTransfer) shadowFor(o *mem.Object) ([]byte, bool) {
 	if !ok || uint64(len(buf)) < o.Size {
 		return nil, false
 	}
-	for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
-		if pt.curDirty[pb] {
-			return nil, false
-		}
+	if anyPageOf(pt.curDirty, o) {
+		return nil, false
 	}
 	return buf, true
+}
+
+// anyPageOf reports whether any page of the ascending list overlaps o.
+func anyPageOf(pages []mem.Addr, o *mem.Object) bool {
+	i, _ := slices.BinarySearch(pages, pageOf(o.Addr))
+	return i < len(pages) && pages[i] < o.End()
+}
+
+// isDirty reports whether o overlaps a page written since startup. Asked
+// per reachable object, against the page lists: the dirty-object set of
+// the whole process is never built.
+func (pt *procTransfer) isDirty(o *mem.Object) bool {
+	return anyPageOf(pt.curDirty, o) || anyPageOf(pt.everDirty, o)
 }
 
 type pairEntry struct {
@@ -290,7 +302,6 @@ type procTransfer struct {
 	oldObjs []*mem.Object
 
 	pairs     map[mem.Addr]*pairEntry     // keyed by old object start address
-	dirty     map[mem.Addr]bool           // old objects overlapping soft-dirty pages
 	bySiteSeq map[mem.PlanKey]*mem.Object // new-version heap objects
 
 	// typeCache memoizes the per-(oldType, newType) layout comparison and
@@ -299,11 +310,16 @@ type procTransfer struct {
 	// touches it, so no lock.
 	typeCache map[typePair]*typeDelta
 
-	// Pre-copy checkpoint state (nil / empty without one): the shadow
-	// reader, and the pages still soft-dirty at quiescence — a shadow is
-	// current iff none of its object's pages appear here.
-	shadow   ShadowReader
-	curDirty map[mem.Addr]bool
+	// The dirty-since-startup page set, as two ascending lists: pages
+	// still soft-dirty at quiescence, and pages whose bit a pre-copy epoch
+	// read-and-cleared (empty without a checkpoint). Bits are only ever
+	// set by writes and only cleared by epochs, so an object overlapping
+	// neither list is exactly as startup left it — the same verdict a
+	// checkpoint-free run reaches — and a shadow is current iff none of
+	// its object's pages is in curDirty.
+	curDirty  []mem.Addr
+	everDirty []mem.Addr
+	shadow    ShadowReader // the pre-copy checkpoint's view, or nil
 
 	// adopted marks old objects whose pages moved by zero-copy frame
 	// adoption; transferOne skips them. Written only by adoptPages
@@ -324,36 +340,21 @@ type ProcDiscovery struct {
 }
 
 // DiscoverProc runs the old-side half of a transfer: it snapshots the
-// dirty-object set (unioning any pre-copy checkpoint's consumed pages)
-// and walks the reachable object graph. The new version does not need to
-// exist yet.
+// dirty page set (the pages still soft-dirty plus any pre-copy
+// checkpoint's consumed pages) and walks the reachable object graph. The
+// new version does not need to exist yet.
 func DiscoverProc(oldProc *program.Proc, opts Options) (*ProcDiscovery, error) {
 	pt := &procTransfer{
 		oldProc:   oldProc,
 		opts:      opts,
 		pairs:     make(map[mem.Addr]*pairEntry),
-		dirty:     make(map[mem.Addr]bool),
 		typeCache: make(map[typePair]*typeDelta),
+		curDirty:  oldProc.Space().SoftDirtyPages(),
 	}
 	if opts.Shadows != nil {
-		pt.shadow = opts.Shadows(oldProc.Key())
-	}
-	// The dirty-object set must be identical to a checkpoint-free run:
-	// pages still soft-dirty at quiescence, plus every page whose bit a
-	// pre-copy epoch read-and-cleared. Bits are only ever set by writes
-	// and only cleared by epochs, so the union is exactly the
-	// dirty-since-startup set.
-	cur := oldProc.Space().SoftDirtyPages()
-	dirtyPages := cur
-	if pt.shadow != nil {
-		pt.curDirty = make(map[mem.Addr]bool, len(cur))
-		for _, pb := range cur {
-			pt.curDirty[pb] = true
+		if pt.shadow = opts.Shadows(oldProc.Key()); pt.shadow != nil {
+			pt.everDirty = pt.shadow.EverDirtyPages()
 		}
-		dirtyPages = append(append([]mem.Addr(nil), cur...), pt.shadow.EverDirtyPages()...)
-	}
-	for _, o := range oldProc.Index().OnPages(dirtyPages) {
-		pt.dirty[o.Addr] = true
 	}
 	reachable, err := pt.discover()
 	if err != nil {
@@ -449,7 +450,7 @@ func (pt *procTransfer) scanObject(o *mem.Object, r *resolver, visit func(*mem.O
 			visit(t)
 		}
 	}
-	return r.scan(pt.oldProc.Space(), o, pt.opts.Policy, each, each)
+	return r.scan(pt.oldProc.Space(), o, each, each)
 }
 
 // canceled reports whether Options.Cancel has fired.
@@ -482,7 +483,7 @@ func (pt *procTransfer) discoverSeq(roots []*mem.Object) ([]*mem.Object, error) 
 		push(o)
 	}
 	var out []*mem.Object
-	r := newResolver(pt.oldObjs)
+	r := newResolver(pt.oldObjs, pt.opts.Policy)
 	var fail scanFailure
 	for len(queue) > 0 {
 		if pt.canceled() {
@@ -707,7 +708,7 @@ func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) e
 		// Moved wholesale by page adoption; accounted there.
 		return nil
 	}
-	needsCopy := pt.dirty[o.Addr] || !o.Startup || pt.opts.DisableDirtyFilter
+	needsCopy := pt.isDirty(o) || !o.Startup || pt.opts.DisableDirtyFilter
 	if o.Kind == mem.ObjHeap && o.Startup && pt.bySiteSeq[mem.PlanKey{Site: o.Site, Seq: o.Seq}] == nil {
 		// Startup object the new version did not recreate: must copy.
 		needsCopy = true
