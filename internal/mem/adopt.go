@@ -2,12 +2,21 @@
 // The real MCR implementation commits the common in-place-update case by
 // remapping whole VMAs from the old process image into the new one rather
 // than copying object by object. Here the same handoff is a page-frame
-// move between two AddressSpaces: DonatePage detaches a frame from the old
-// space, AdoptPage installs it into the new one at the same virtual
-// address, and RestorePage puts a frame back with its original soft-dirty
-// bookkeeping when an update rolls back. An AdoptLedger records every move
-// so rollback (return the frames) and the canary window (copy contents
-// back while keeping the frames) are both exact.
+// move between two AddressSpaces, and a frame is a thing that moves, not a
+// value that is copied: the 4 KiB array changes hands by pointer, so a
+// present page costs no copy and no allocation on its way out, in, or back.
+//
+// Frame ownership is exclusive. A frame is resident in at most one address
+// space at any time: DonatePage unlinks it before handing it out, AdoptPage
+// and RestorePage refuse a frame that is still (or again) resident, and the
+// AdoptLedger keeps only where a frame went and the bookkeeping bits it
+// carried — never the frame. The only deep copies are ExportPage and the
+// ledger's CopyBack, where the frame has to stay with the new side.
+//
+// MoveFrames is the bulk path the transfer uses; DonatePage, AdoptPage and
+// RestorePage are the same relinking one page at a time. An AdoptLedger
+// records every bulk move so rollback (return the frames) and the canary
+// window (copy contents back while keeping the frames) are both exact.
 
 package mem
 
@@ -16,16 +25,64 @@ import (
 	"sync"
 )
 
-// PageFrame is a detached page: its 4 KiB of data plus the soft-dirty
-// bookkeeping it carried when it was donated. Present is false when the
-// donated page had never been touched (demand-zero): the data is all
-// zeroes and restoring it re-establishes the page's absence rather than
-// materializing a zero frame.
+// PageFrame is a detached page: the frame itself, by reference, plus the
+// soft-dirty bookkeeping it carried when it was donated. A frame that is
+// not Present stands for a page that had never been touched (demand-zero):
+// restoring it re-establishes the page's absence rather than materializing
+// a zero frame. Installing a frame hands it to the address space; the
+// PageFrame value must not be installed again afterwards (AdoptPage and
+// RestorePage refuse it).
 type PageFrame struct {
-	Data      [PageSize]byte
+	frame     *page
 	SoftDirty bool
 	Consumed  bool
-	Present   bool
+}
+
+// Present reports whether the donated page was resident.
+func (f PageFrame) Present() bool { return f.frame != nil }
+
+// checkPageLocked validates a single-page operation at pb.
+func (as *AddressSpace) checkPageLocked(op string, pb Addr) error {
+	if pb&Addr(pageMask) != 0 {
+		return fmt.Errorf("mem: %s %#x: not page-aligned", op, pb)
+	}
+	if err := as.checkRangeLocked(pb, PageSize); err != nil {
+		return fmt.Errorf("mem: %s: %w", op, err)
+	}
+	return nil
+}
+
+// detachLocked unlinks the frame at pb and returns it with the bits it
+// carried. Caller holds the write lock and has checked the range.
+func (as *AddressSpace) detachLocked(pb Addr) PageFrame {
+	p := as.pages[pb]
+	if p == nil {
+		return PageFrame{} // demand-zero page: nothing resident to move
+	}
+	delete(as.pages, pb)
+	p.detached = true
+	return PageFrame{frame: p, SoftDirty: p.softDirty, Consumed: p.consumed}
+}
+
+// installLocked links p at pb with the given bits, replacing whatever was
+// resident there. Caller holds the write lock and has checked the range.
+func (as *AddressSpace) installLocked(pb Addr, p *page, softDirty, consumed bool) {
+	p.softDirty, p.consumed, p.detached = softDirty, consumed, false
+	as.pages[pb] = p
+}
+
+// adoptLocked installs p — a fresh zero page when the donated page was
+// absent — the way WriteAt would have left it: soft-dirty, not consumed.
+func (as *AddressSpace) adoptLocked(pb Addr, p *page) {
+	if p == nil {
+		p = &page{}
+	}
+	as.installLocked(pb, p, true, false)
+}
+
+// errResident is the refusal to install a frame some address space holds.
+func errResident(op string, pb Addr) error {
+	return fmt.Errorf("mem: %s %#x: frame is resident in an address space", op, pb)
 }
 
 // DonatePage detaches the frame at page base pb from the address space and
@@ -33,22 +90,13 @@ type PageFrame struct {
 // After donation the page reads as demand-zero again (the frame is gone,
 // exactly like an munmap+mmap of that page). Counts as a mutation.
 func (as *AddressSpace) DonatePage(pb Addr) (PageFrame, error) {
-	if pb&Addr(pageMask) != 0 {
-		return PageFrame{}, fmt.Errorf("mem: DonatePage %#x: not page-aligned", pb)
-	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if err := as.checkRangeLocked(pb, PageSize); err != nil {
-		return PageFrame{}, fmt.Errorf("mem: DonatePage: %w", err)
+	if err := as.checkPageLocked("DonatePage", pb); err != nil {
+		return PageFrame{}, err
 	}
 	as.mutations++
-	p := as.pages[pb]
-	if p == nil {
-		return PageFrame{}, nil // demand-zero page: nothing resident to move
-	}
-	f := PageFrame{Data: p.data, SoftDirty: p.softDirty, Consumed: p.consumed, Present: true}
-	delete(as.pages, pb)
-	return f, nil
+	return as.detachLocked(pb), nil
 }
 
 // AdoptPage installs a donated frame at page base pb, replacing whatever
@@ -56,70 +104,144 @@ func (as *AddressSpace) DonatePage(pb Addr) (PageFrame, error) {
 // addresses). The installed page is marked soft-dirty and not consumed —
 // exactly the bit state an object-by-object copy of the same bytes would
 // have left via WriteAt — so the next update's dirty tracking is identical
-// across the adoption and copy paths. Counts as a mutation.
+// across the adoption and copy paths. A frame that is not Present installs
+// a fresh dirty zero page. Counts as a mutation.
 func (as *AddressSpace) AdoptPage(pb Addr, f PageFrame) error {
-	if pb&Addr(pageMask) != 0 {
-		return fmt.Errorf("mem: AdoptPage %#x: not page-aligned", pb)
-	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if err := as.checkRangeLocked(pb, PageSize); err != nil {
-		return fmt.Errorf("mem: AdoptPage: %w", err)
+	if err := as.checkPageLocked("AdoptPage", pb); err != nil {
+		return err
+	}
+	if f.frame != nil && !f.frame.detached {
+		return errResident("AdoptPage", pb)
 	}
 	as.mutations++
-	as.pages[pb] = &page{data: f.Data, softDirty: true}
+	as.adoptLocked(pb, f.frame)
 	return nil
 }
 
-// RestorePage reinstalls a frame with its original recorded bookkeeping
-// bits — the rollback inverse of DonatePage. A frame that was not present
-// at donation time restores the page's absence. Counts as a mutation.
+// RestorePage reinstalls a frame with its recorded bookkeeping bits — the
+// rollback inverse of DonatePage. A frame that was not present at donation
+// time restores the page's absence. Counts as a mutation.
 func (as *AddressSpace) RestorePage(pb Addr, f PageFrame) error {
-	if pb&Addr(pageMask) != 0 {
-		return fmt.Errorf("mem: RestorePage %#x: not page-aligned", pb)
-	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if err := as.checkRangeLocked(pb, PageSize); err != nil {
-		return fmt.Errorf("mem: RestorePage: %w", err)
+	if err := as.checkPageLocked("RestorePage", pb); err != nil {
+		return err
+	}
+	if f.frame != nil && !f.frame.detached {
+		return errResident("RestorePage", pb)
 	}
 	as.mutations++
-	if !f.Present {
+	if f.frame == nil {
 		delete(as.pages, pb)
 		return nil
 	}
-	as.pages[pb] = &page{data: f.Data, softDirty: f.SoftDirty, consumed: f.Consumed}
+	as.installLocked(pb, f.frame, f.SoftDirty, f.Consumed)
 	return nil
 }
 
-// ExportPage snapshots the current frame at pb without detaching it or
-// changing any bookkeeping (a read-only view used by the canary window's
-// copy-back).
+// ExportPage returns a deep copy of the current frame at pb without
+// detaching it or changing any bookkeeping (the canary window's copy-back
+// reads through it). The copy is a detached frame of its own.
 func (as *AddressSpace) ExportPage(pb Addr) (PageFrame, error) {
-	if pb&Addr(pageMask) != 0 {
-		return PageFrame{}, fmt.Errorf("mem: ExportPage %#x: not page-aligned", pb)
-	}
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	if err := as.checkRangeLocked(pb, PageSize); err != nil {
-		return PageFrame{}, fmt.Errorf("mem: ExportPage: %w", err)
+	if err := as.checkPageLocked("ExportPage", pb); err != nil {
+		return PageFrame{}, err
 	}
 	p := as.pages[pb]
 	if p == nil {
 		return PageFrame{}, nil
 	}
-	return PageFrame{Data: p.data, SoftDirty: p.softDirty, Consumed: p.consumed, Present: true}, nil
+	return PageFrame{frame: &page{data: p.data, detached: true}, SoftDirty: p.softDirty, Consumed: p.consumed}, nil
 }
 
-// adoptRecord is one donated frame: where it came from, where it went, and
-// the bookkeeping bits it carried at donation time.
+// MoveFrames moves the frames of the given pages — page-aligned, strictly
+// ascending — out of from and into to at the same addresses: DonatePage +
+// AdoptPage for every page, 0 bytes copied and nothing allocated for a
+// present frame. Consecutive pages move as one run (at most walkChunkPages
+// long, so neither lock is held across a whole heap): both spaces are
+// write-locked once per run, always from before to, and each side's range
+// is checked once per run. A run that fails its check moves nothing;
+// earlier runs stay moved, and recorded. l, when non-nil, records every
+// moved page so the move can be undone (ReturnAll) or mirrored (CopyBack).
+func MoveFrames(from, to *AddressSpace, pages []Addr, l *AdoptLedger) error {
+	if from == to {
+		return fmt.Errorf("mem: MoveFrames within one address space")
+	}
+	for i, pb := range pages {
+		if pb&Addr(pageMask) != 0 || (i > 0 && pb <= pages[i-1]) {
+			return fmt.Errorf("mem: MoveFrames: page list not aligned and ascending at %#x", pb)
+		}
+	}
+	var recs [walkChunkPages]adoptRecord
+	for len(pages) > 0 {
+		n := 1
+		for n < len(pages) && n < walkChunkPages && pages[n] == pages[n-1]+PageSize {
+			n++
+		}
+		if err := moveRun(from, to, pages[0], recs[:n]); err != nil {
+			return err
+		}
+		if l != nil {
+			l.record(recs[:n])
+		}
+		pages = pages[n:]
+	}
+	return nil
+}
+
+// moveRun moves the len(recs) consecutive pages starting at pb and fills
+// recs with what each one carried.
+func moveRun(from, to *AddressSpace, pb Addr, recs []adoptRecord) error {
+	from.mu.Lock()
+	defer from.mu.Unlock()
+	to.mu.Lock()
+	defer to.mu.Unlock()
+	span := uint64(len(recs)) * PageSize
+	if err := from.checkRangeLocked(pb, span); err != nil {
+		return fmt.Errorf("mem: MoveFrames: donor: %w", err)
+	}
+	if err := to.checkRangeLocked(pb, span); err != nil {
+		return fmt.Errorf("mem: MoveFrames: adopter: %w", err)
+	}
+	from.mutations++
+	to.mutations++
+	for i := range recs {
+		f := from.detachLocked(pb)
+		recs[i] = adoptRecord{from: from, to: to, pb: pb, present: f.Present(), softDirty: f.SoftDirty, consumed: f.Consumed}
+		to.adoptLocked(pb, f.frame)
+		pb += PageSize
+	}
+	return nil
+}
+
+// adoptRecord is one moved page: where its frame came from, where it went,
+// and the bookkeeping it carried when it left. It holds no reference to
+// the frame, which belongs to the adopting space alone.
 type adoptRecord struct {
-	from, to *AddressSpace
-	pb       Addr
-	orig     PageFrame
+	from, to                     *AddressSpace
+	pb                           Addr
+	present, softDirty, consumed bool
 }
 
-// AdoptLedger records every page frame an update donated from the old
+// restore puts p back at the record's page on the donor side with the
+// recorded bits. A page that was absent when donated becomes absent again,
+// whatever p is; a page that was present but whose frame did not come back
+// (p nil: the adopter's page has gone absent, so it reads as zeroes)
+// restores as a zero frame — the one case that allocates.
+func (r adoptRecord) restore(p *page) error {
+	switch {
+	case !r.present:
+		p = nil
+	case p == nil:
+		p = &page{detached: true}
+	}
+	return r.from.RestorePage(r.pb, PageFrame{frame: p, SoftDirty: r.softDirty, Consumed: r.consumed})
+}
+
+// AdoptLedger records every page frame an update moved from the old
 // instance to the new one. It is safe for concurrent use (per-process
 // transfers record in parallel). Exactly one of three things consumes the
 // ledger: ReturnAll (rollback — frames move back with their original
@@ -132,12 +254,10 @@ type AdoptLedger struct {
 	recs []adoptRecord
 }
 
-// Record notes one donated frame. orig must be the frame exactly as
-// DonatePage returned it.
-func (l *AdoptLedger) Record(from, to *AddressSpace, pb Addr, orig PageFrame) {
+func (l *AdoptLedger) record(recs []adoptRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.recs = append(l.recs, adoptRecord{from: from, to: to, pb: pb, orig: orig})
+	l.recs = append(l.recs, recs...)
 }
 
 // Count returns the number of donated frames still held by the ledger.
@@ -148,31 +268,13 @@ func (l *AdoptLedger) Count() int {
 }
 
 // ReturnAll moves every donated frame back into its original address space
-// with its original soft-dirty/consumed bits, emptying the ledger. Frames
-// whose contents were not modified in the new space (the transfer never
-// writes into adopted pages before commit) come back bit-identical. The
-// first error is returned but the sweep continues: rollback must return
-// as many frames as it can.
+// with its original soft-dirty/consumed bits, emptying the ledger. It is
+// the same frame that goes back, so contents the new space did not modify
+// (the transfer never writes into adopted pages before commit) come back
+// bit-identical without a copy. The first error is returned but the sweep
+// continues: rollback must return as many frames as it can.
 func (l *AdoptLedger) ReturnAll() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var first error
-	for _, r := range l.recs {
-		f, err := r.to.DonatePage(r.pb)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		restored := r.orig
-		restored.Data = f.Data
-		if err := r.from.RestorePage(r.pb, restored); err != nil && first == nil {
-			first = err
-		}
-	}
-	l.recs = nil
-	return first
+	return l.drain(func(r adoptRecord) (PageFrame, error) { return r.to.DonatePage(r.pb) })
 }
 
 // CopyBack copies every donated frame's current contents back into the
@@ -182,20 +284,21 @@ func (l *AdoptLedger) ReturnAll() error {
 // must hold a complete bit-identical image so a breach revert adopts it
 // back without any frame motion.
 func (l *AdoptLedger) CopyBack() error {
+	return l.drain(func(r adoptRecord) (PageFrame, error) { return r.to.ExportPage(r.pb) })
+}
+
+// drain restores every recorded page from the frame take yields for it and
+// empties the ledger, reporting the first error.
+func (l *AdoptLedger) drain(take func(adoptRecord) (PageFrame, error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var first error
 	for _, r := range l.recs {
-		f, err := r.to.ExportPage(r.pb)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
+		f, err := take(r)
+		if err == nil {
+			err = r.restore(f.frame)
 		}
-		restored := r.orig
-		restored.Data = f.Data
-		if err := r.from.RestorePage(r.pb, restored); err != nil && first == nil {
+		if err != nil && first == nil {
 			first = err
 		}
 	}

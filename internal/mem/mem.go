@@ -80,6 +80,10 @@ type page struct {
 	// child forked mid-pre-copy stays exactly accountable; RestoreSoftDirty
 	// turns it back into softDirty when a checkpoint is discarded.
 	consumed bool
+	// detached marks a frame no address space holds: DonatePage and
+	// ExportPage hand one out, installing it clears the mark, and only a
+	// detached frame can be installed — one frame is never resident twice.
+	detached bool
 }
 
 // AddressSpace is one process's simulated virtual memory. The zero value is

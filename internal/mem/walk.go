@@ -64,3 +64,53 @@ func (as *AddressSpace) walkChunk(addr, stop Addr, fn func(base Addr, data []byt
 	}
 	return nil
 }
+
+// UpdateResident is the write-side twin of WalkResident: the same walk —
+// ascending, resident fragments only, in place, one lock hold and one range
+// check per chunk of walkChunkPages pages — under the write lock, with fn
+// allowed to store through data. fn reports whether it did; a fragment it
+// stored into leaves its page soft-dirty and advances Mutations, as a
+// WriteAt of those bytes would have. Absent pages are skipped, never
+// materialized: an update of bytes that read as zeroes has nothing to
+// rewrite. The rest of WalkResident's contract holds unchanged: fn must not
+// retain data or call back into this AddressSpace, and a range that leaves
+// the mapping stops the walk with ErrUnmapped.
+func (as *AddressSpace) UpdateResident(addr Addr, size uint64, fn func(base Addr, data []byte) (stored bool)) error {
+	end := addr + Addr(size)
+	for addr < end {
+		stop := pageBase(addr) + walkChunkPages*PageSize
+		if stop > end {
+			stop = end
+		}
+		if err := as.updateChunk(addr, stop, fn); err != nil {
+			return err
+		}
+		addr = stop
+	}
+	return nil
+}
+
+func (as *AddressSpace) updateChunk(addr, stop Addr, fn func(base Addr, data []byte) bool) error {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	if err := as.checkRangeLocked(addr, uint64(stop-addr)); err != nil {
+		return err
+	}
+	stored := false
+	for addr < stop {
+		pb := pageBase(addr)
+		next := pb + PageSize
+		if next > stop {
+			next = stop
+		}
+		if p := as.pages[pb]; p != nil && fn(addr, p.data[addr-pb:next-pb]) {
+			p.softDirty = true
+			stored = true
+		}
+		addr = next
+	}
+	if stored {
+		as.mutations++
+	}
+	return nil
+}

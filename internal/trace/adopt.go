@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"sort"
-
 	"repro/internal/mem"
 	"repro/internal/types"
 )
@@ -62,8 +60,7 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		if o.Type == nil {
 			return true
 		}
-		l := types.LayoutOf(o.Type, pt.opts.Policy)
-		for _, slot := range l.Ptrs {
+		for _, slot := range pt.layoutOf(o.Type).Ptrs {
 			if slot.Func {
 				continue
 			}
@@ -71,10 +68,7 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 			if err != nil {
 				return false
 			}
-			if word == 0 {
-				continue
-			}
-			if nv, ok := pt.RemapPtr(word); ok && nv != word {
+			if _, moved := pt.remapped(word); moved {
 				return false
 			}
 		}
@@ -109,64 +103,74 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		return nil
 	}
 
-	// Candidate pages: enumerated from eligible objects, kept only when
-	// fully mapped on both sides, fully covered old-side by eligible
-	// objects, and covered new-side by exactly their pair targets.
-	oldIx, newIx := pt.oldProc.Index(), pt.newProc.Index()
-	oldOn := func(pb mem.Addr) []*mem.Object { return oldIx.OnPages([]mem.Addr{pb}) }
+	// Candidate pages: every page of every eligible object, ascending
+	// (reachable is address-sorted). A page stays a candidate only when it
+	// is mapped on both sides — asked once per object, over its whole page
+	// range: an object off the mapping cannot move, so all of its pages
+	// fall with it — when every old object on it is eligible, and when the
+	// new objects on it are exactly their pair targets. The two index
+	// checks take one OnPages call each, over the whole candidate list,
+	// and strike the pages of every object that does not belong.
 	cand := make(map[mem.Addr]bool)
-	for _, e := range elig {
-		for pb := pageOf(e.oldObj.Addr); pb < e.oldObj.End(); pb += mem.PageSize {
-			if _, seen := cand[pb]; seen {
-				continue
+	var candPages []mem.Addr
+	for _, o := range reachable {
+		if elig[o.Addr] == nil {
+			continue
+		}
+		first, end := pageOf(o.Addr), pageOf(o.End()+mem.PageSize-1)
+		mapped := oldAS.Mapped(first, uint64(end-first)) && newAS.Mapped(first, uint64(end-first))
+		for pb := first; pb < end; pb += mem.PageSize {
+			if _, seen := cand[pb]; !seen {
+				candPages = append(candPages, pb)
+				cand[pb] = mapped
+			} else if !mapped {
+				cand[pb] = false
 			}
-			ok := oldAS.Mapped(pb, mem.PageSize) && newAS.Mapped(pb, mem.PageSize)
-			if ok {
-				for _, po := range oldOn(pb) {
-					// Scratch overlay metadata is never transferred and
-					// never read back: its bytes ride along like
-					// allocator gap bytes on either side.
-					if po.Scratch {
-						continue
-					}
-					if elig[po.Addr] == nil {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				for _, pn := range newIx.OnPages([]mem.Addr{pb}) {
-					if pn.Scratch {
-						continue
-					}
-					en := elig[pn.Addr]
-					if en == nil || en.newObj != pn {
-						ok = false
-						break
-					}
-				}
-			}
-			cand[pb] = ok
 		}
 	}
-	settleAdoptable(cand, oldOn)
+	strike := func(o *mem.Object) {
+		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+			if cand[pb] {
+				cand[pb] = false
+			}
+		}
+	}
+	oldIx, newIx := pt.oldProc.Index(), pt.newProc.Index()
+	for _, po := range oldIx.OnPages(candPages) {
+		// Scratch overlay metadata is never transferred and never read
+		// back: its bytes ride along like allocator gap bytes on either
+		// side.
+		if !po.Scratch && elig[po.Addr] == nil {
+			strike(po)
+		}
+	}
+	for _, pn := range newIx.OnPages(candPages) {
+		if en := elig[pn.Addr]; !pn.Scratch && (en == nil || en.newObj != pn) {
+			strike(pn)
+		}
+	}
+	var one [1]mem.Addr
+	settleAdoptable(cand, func(pb mem.Addr) []*mem.Object {
+		one[0] = pb
+		return oldIx.OnPages(one[:])
+	})
 
-	var pages []mem.Addr
-	for pb, ok := range cand {
-		if ok {
+	pages := candPages[:0]
+	for _, pb := range candPages {
+		if cand[pb] {
 			pages = append(pages, pb)
 		}
 	}
 	if len(pages) == 0 {
 		return nil
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 
 	pt.adopted = make(map[mem.Addr]bool)
 	inv, _ := pt.shadow.(shadowInvalidator)
-	for _, e := range elig {
-		o := e.oldObj
+	for _, o := range reachable {
+		if elig[o.Addr] == nil {
+			continue
+		}
 		whole := true
 		for pb := pageOf(o.Addr); pb < o.End() && whole; pb += mem.PageSize {
 			whole = cand[pb]
@@ -189,19 +193,12 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		pt.stats.BytesTransferred += o.Size
 		pt.stats.BytesAdopted += o.Size
 	}
-	for _, pb := range pages {
-		f, err := oldAS.DonatePage(pb)
-		if err != nil {
-			return err
-		}
-		if err := newAS.AdoptPage(pb, f); err != nil {
-			return err
-		}
-		if pt.opts.Ledger != nil {
-			pt.opts.Ledger.Record(oldAS, newAS, pb, f)
-		}
-		pt.stats.PagesAdopted++
+	// The frames themselves: whole runs of pages re-linked from the old
+	// address space into the new one, recorded in the engine's ledger.
+	if err := mem.MoveFrames(oldAS, newAS, pages, pt.opts.Ledger); err != nil {
+		return err
 	}
+	pt.stats.PagesAdopted += len(pages)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"repro/internal/mem"
 	"repro/internal/program"
 )
 
@@ -15,6 +16,7 @@ import (
 // this twice: the old instance's digest must not drift while it sits
 // adoptable behind an open window (its warm shadows stay valid), and a
 // reverted update must hand back exactly the state it checkpointed.
+// Contents are hashed in place (foldBytes): nothing is staged per object.
 func StateDigest(inst *program.Instance) (uint64, error) {
 	h := fnv.New64a()
 	for _, p := range inst.Procs() {
@@ -26,12 +28,44 @@ func StateDigest(inst *program.Instance) (uint64, error) {
 				continue
 			}
 			fmt.Fprintf(h, "%x:%x:%d:%s;", o.Addr, o.Size, o.Kind, o.Name)
-			buf := make([]byte, o.Size)
-			if err := p.Space().ReadAt(o.Addr, buf); err != nil {
+			err := foldBytes(p.Space(), o.Addr, o.Size, func(_ uint64, data []byte) { h.Write(data) })
+			if err != nil {
 				return 0, fmt.Errorf("trace: digest %s at %#x: %w", p.Key(), o.Addr, err)
 			}
-			h.Write(buf)
 		}
 	}
 	return h.Sum64(), nil
+}
+
+// zeroPage stands in for the pages foldBytes finds absent. Read-only.
+var zeroPage [mem.PageSize]byte
+
+// foldBytes hands fn the n bytes at addr — what ReadAt would return — in
+// ascending pieces of at most a page, off being a piece's offset from
+// addr: resident fragments in place (mem.WalkResident), the demand-zero
+// gaps between them as slices of one static zero page. fn runs under
+// WalkResident's contract (read lock held: no retaining, no writing, no
+// calls into as). On error fn has seen a prefix of the range.
+func foldBytes(as *mem.AddressSpace, addr mem.Addr, n uint64, fn func(off uint64, data []byte)) error {
+	next := addr
+	zeroesTo := func(stop mem.Addr) {
+		for next < stop {
+			k := stop - next
+			if k > mem.PageSize {
+				k = mem.PageSize
+			}
+			fn(uint64(next-addr), zeroPage[:k])
+			next += k
+		}
+	}
+	err := as.WalkResident(addr, n, func(base mem.Addr, data []byte) {
+		zeroesTo(base)
+		fn(uint64(base-addr), data)
+		next = base + mem.Addr(len(data))
+	})
+	if err != nil {
+		return err
+	}
+	zeroesTo(addr + mem.Addr(n))
+	return nil
 }

@@ -1,8 +1,18 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/mem"
+	"repro/internal/program"
+	"repro/internal/types"
 )
 
 // TestStateDigest pins the digest's two contractual properties: it is
@@ -63,5 +73,200 @@ func TestStateDigest(t *testing.T) {
 	}
 	if d4 == d1 {
 		t.Fatal("one-byte mutation left the digest unchanged")
+	}
+}
+
+// referenceStateDigest is StateDigest as it was before it hashed in place:
+// every object staged in a buffer of its own through ReadAt.
+func referenceStateDigest(inst *program.Instance) (uint64, error) {
+	h := fnv.New64a()
+	for _, p := range inst.Procs() {
+		for _, o := range p.Index().All() {
+			if o.Scratch {
+				continue
+			}
+			fmt.Fprintf(h, "%x:%x:%d:%s;", o.Addr, o.Size, o.Kind, o.Name)
+			buf := make([]byte, o.Size)
+			if err := p.Space().ReadAt(o.Addr, buf); err != nil {
+				return 0, err
+			}
+			h.Write(buf)
+		}
+	}
+	return h.Sum64(), nil
+}
+
+// referenceVerifySource is verifySource as it was: the source staged
+// through ReadAt, compared with the shadow whole, hashed whole.
+func referenceVerifySource(pt *procTransfer, o *mem.Object, n uint64, shadow []byte, st *Stats) error {
+	src := make([]byte, n)
+	if err := pt.oldProc.Space().ReadAt(o.Addr, src); err != nil {
+		return err
+	}
+	if shadow != nil && !bytes.Equal(src, shadow[:n]) {
+		return conflictf("shadow for %s diverges from quiesced memory", o)
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v:%x:%x:%d:%s;", pt.oldProc.Key(), o.Addr, o.Size, o.Kind, o.Name)
+	h.Write(src)
+	st.Checksum ^= h.Sum64()
+	return nil
+}
+
+// TestDigestsInPlaceMatchStaged: on the random heaps of the scan tests —
+// unaligned objects, objects straddling pages, demand-zero pages in the
+// middle of large ones — the digests folded in place (resident fragments,
+// a static zero page for the gaps) are bit-identical to the staged
+// definitions: the state digest of the instance, and per object the source
+// digest, the acceptance of an exact shadow, and the "shadow diverges"
+// conflict for a shadow that differs in one byte anywhere, a byte of an
+// absent page included.
+func TestDigestsInPlaceMatchStaged(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		p := startScanFixture(t)
+		planted := plantRandomHeap(t, p, seed)
+		rnd := rand.New(rand.NewSource(seed))
+
+		got, err := StateDigest(p.Instance())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceStateDigest(p.Instance())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got == 0 {
+			t.Fatalf("seed %d: StateDigest %#x, staged reference %#x", seed, got, want)
+		}
+
+		pt := &procTransfer{oldProc: p}
+		var gotSt, wantSt Stats
+		conflicts := 0
+		for _, o := range planted {
+			n := o.Size
+			if rnd.Intn(4) == 0 {
+				n = uint64(rnd.Int63n(int64(o.Size) + 1)) // a shrunk counterpart: a prefix
+			}
+			exact := make([]byte, o.Size)
+			if err := p.Space().ReadAt(o.Addr, exact); err != nil {
+				t.Fatal(err)
+			}
+			bent := bytes.Clone(exact)
+			at := rnd.Intn(len(bent))
+			bent[at] ^= 0x40
+			for name, shadow := range map[string][]byte{"live": nil, "exact": exact, "bent": bent} {
+				gotErr := pt.verifySource(o, n, shadow, &gotSt)
+				wantErr := referenceVerifySource(pt, o, n, shadow, &wantSt)
+				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && !errors.Is(gotErr, ErrTransferConflict)) {
+					t.Fatalf("seed %d: %s, %s shadow (byte %d of %d bent): err = %v, staged reference: %v", seed, o, name, at, n, gotErr, wantErr)
+				}
+				if gotErr != nil {
+					conflicts++
+				}
+				if gotSt.Checksum != wantSt.Checksum {
+					t.Fatalf("seed %d: %s, %s shadow: checksum %#x, staged reference %#x", seed, o, name, gotSt.Checksum, wantSt.Checksum)
+				}
+			}
+		}
+		if conflicts == 0 {
+			t.Fatalf("seed %d: no bent shadow was caught", seed)
+		}
+	}
+}
+
+// referenceRemapInBuf is the staged remap the copy path used: the precise
+// pointer slots of layout ptrs rewritten inside a private copy of the
+// object.
+func referenceRemapInBuf(pt *procTransfer, buf []byte, ptrs []types.PtrSlot) {
+	for _, slot := range ptrs {
+		if slot.Func || slot.Offset+8 > uint64(len(buf)) {
+			continue
+		}
+		v := binary.LittleEndian.Uint64(buf[slot.Offset:])
+		if v == 0 {
+			continue
+		}
+		if nv, ok := pt.RemapPtr(v); ok && nv != v {
+			binary.LittleEndian.PutUint64(buf[slot.Offset:], nv)
+		}
+	}
+}
+
+// TestRemapSlotsMatchesStagedRemap: rewriting the pointer slots where they
+// lie (mem.UpdateResident) leaves the bytes the staged remap produced, for
+// every typed object of the random heaps — slots at offsets off the word
+// grid, objects at unaligned addresses whose slots cross page boundaries,
+// tables with slots on several pages, pages never touched — materializes
+// nothing, and dirties exactly the pages holding a slot it rewrote.
+func TestRemapSlotsMatchesStagedRemap(t *testing.T) {
+	const shift = 0x1000_0000 // every pair target sits this far up
+	for seed := int64(1); seed <= 4; seed++ {
+		p := startScanFixture(t)
+		planted := plantRandomHeap(t, p, seed)
+		as := p.Space()
+		pol := types.DefaultPolicy()
+		pt := &procTransfer{oldProc: p, newProc: p, opts: Options{Policy: pol},
+			pairs: make(map[mem.Addr]*pairEntry), layouts: newLayoutMemo(pol)}
+		for i, o := range planted {
+			if i%5 != 0 { // a fifth of the targets have no counterpart
+				pt.pairs[o.Addr] = &pairEntry{oldObj: o, newObj: &mem.Object{Addr: o.Addr + shift, Size: o.Size}}
+			}
+		}
+		rewritten := 0
+		for _, o := range planted {
+			if o.Type == nil {
+				continue
+			}
+			ptrs := pt.layoutOf(o.Type).Ptrs
+			size := o.Size
+			if seed%2 == 0 {
+				size -= size / 3 // a shrunk counterpart: trailing slots stay
+			}
+			want := make([]byte, o.Size)
+			if err := as.ReadAt(o.Addr, want); err != nil {
+				t.Fatal(err)
+			}
+			before := bytes.Clone(want)
+			referenceRemapInBuf(pt, want[:size], ptrs)
+			wantDirty := map[mem.Addr]bool{}
+			for i := range want {
+				if want[i] != before[i] {
+					wantDirty[pageOf(o.Addr+mem.Addr(i))] = true
+					rewritten++
+				}
+			}
+
+			as.ClearSoftDirty()
+			rss := as.RSSBytes()
+			if err := pt.remapSlots(o.Addr, size, ptrs); err != nil {
+				t.Fatalf("seed %d: remapSlots(%s): %v", seed, o, err)
+			}
+			got := make([]byte, o.Size)
+			if err := as.ReadAt(o.Addr, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: %s: in-place remap differs from the staged remap", seed, o)
+			}
+			if as.RSSBytes() != rss {
+				t.Fatalf("seed %d: %s: remap materialized pages", seed, o)
+			}
+			dirty := as.SoftDirtyPages()
+			if len(dirty) != len(wantDirty) {
+				t.Fatalf("seed %d: %s: %d pages dirtied, %d hold a rewritten slot", seed, o, len(dirty), len(wantDirty))
+			}
+			for _, pb := range dirty {
+				if !wantDirty[pb] {
+					t.Fatalf("seed %d: %s: page %#x dirtied without a rewritten slot", seed, o, pb)
+				}
+			}
+			// Put the object back: later objects' slots point into it.
+			if err := as.WriteAt(o.Addr, before); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rewritten == 0 {
+			t.Fatalf("seed %d: nothing was remapped", seed)
+		}
 	}
 }

@@ -205,13 +205,12 @@ func (pt *procTransfer) copyContentsParallel(reachable []*mem.Object, workers in
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			var scratch []byte
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(reachable) {
 					return
 				}
-				errs[i] = pt.transferOne(reachable[i], &shards[k], &scratch)
+				errs[i] = pt.transferOne(reachable[i], &shards[k])
 			}
 		}(k)
 	}

@@ -22,12 +22,32 @@ type resolver struct {
 	lo      uint64 // start of the first object
 	span    uint64 // end of the last object - lo
 	last    int    // index of the most recent hit
-	pol     types.Policy
-	layouts map[*types.Type]types.Layout
+	layouts layoutMemo
+}
+
+// layoutMemo memoizes types.LayoutOf under one policy, per type identity
+// (each version's registry interns one *Type per named type). Not safe for
+// concurrent use.
+type layoutMemo struct {
+	pol types.Policy
+	m   map[*types.Type]types.Layout
+}
+
+func newLayoutMemo(pol types.Policy) layoutMemo {
+	return layoutMemo{pol: pol, m: make(map[*types.Type]types.Layout)}
+}
+
+func (lm *layoutMemo) of(t *types.Type) types.Layout {
+	l, ok := lm.m[t]
+	if !ok {
+		l = types.LayoutOf(t, lm.pol)
+		lm.m[t] = l
+	}
+	return l
 }
 
 func newResolver(objs []*mem.Object, pol types.Policy) *resolver {
-	r := &resolver{objs: objs, pol: pol, layouts: make(map[*types.Type]types.Layout)}
+	r := &resolver{objs: objs, layouts: newLayoutMemo(pol)}
 	if n := len(objs); n > 0 {
 		r.lo = uint64(objs[0].Addr)
 		r.span = uint64(objs[n-1].End()) - r.lo
@@ -83,13 +103,9 @@ func (r *resolver) likelyTarget(w uint64) int {
 // opaqueRangesOf is opaqueRangesOf under r's policy, memoized per type.
 func (r *resolver) opaqueRangesOf(o *mem.Object) ([]types.OpaqueRange, []types.PtrSlot) {
 	if o.Type == nil {
-		return opaqueRangesOf(o, r.pol)
+		return opaqueRangesOf(o, r.layouts.pol)
 	}
-	l, ok := r.layouts[o.Type]
-	if !ok {
-		l = types.LayoutOf(o.Type, r.pol)
-		r.layouts[o.Type] = l
-	}
+	l := r.layouts.of(o.Type)
 	return l.Opaques, l.Ptrs
 }
 

@@ -310,6 +310,12 @@ type procTransfer struct {
 	// touches it, so no lock.
 	typeCache map[typePair]*typeDelta
 
+	// layouts memoizes types.LayoutOf for the transfer (layoutOf): the
+	// adoption test and both copy legs flatten each type once, not once
+	// per object. The copy workers share it under layoutMu.
+	layoutMu sync.Mutex
+	layouts  layoutMemo
+
 	// The dirty-since-startup page set, as two ascending lists: pages
 	// still soft-dirty at quiescence, and pages whose bit a pre-copy epoch
 	// read-and-cleared (empty without a checkpoint). Bits are only ever
@@ -349,6 +355,7 @@ func DiscoverProc(oldProc *program.Proc, opts Options) (*ProcDiscovery, error) {
 		opts:      opts,
 		pairs:     make(map[mem.Addr]*pairEntry),
 		typeCache: make(map[typePair]*typeDelta),
+		layouts:   newLayoutMemo(opts.Policy),
 		curDirty:  oldProc.Space().SoftDirtyPages(),
 	}
 	if opts.Shadows != nil {
@@ -667,9 +674,8 @@ func (pt *procTransfer) DefaultTransfer(oldObj, newObj *mem.Object) error {
 	if e == nil {
 		e = &pairEntry{oldObj: oldObj, newObj: newObj}
 	}
-	var scratch []byte
 	var st Stats // handler-path bytes are accounted by the caller
-	return pt.transferObject(e, &scratch, &st)
+	return pt.transferObject(e, &st)
 }
 
 var _ program.TransferContext = (*procTransfer)(nil)
@@ -686,9 +692,8 @@ func (pt *procTransfer) copyContents(reachable []*mem.Object) error {
 	if w := pt.opts.workers(); w > 1 && len(reachable) > 1 {
 		return pt.copyContentsParallel(reachable, w)
 	}
-	var scratch []byte
 	for _, o := range reachable {
-		if err := pt.transferOne(o, &pt.stats, &scratch); err != nil {
+		if err := pt.transferOne(o, &pt.stats); err != nil {
 			return err
 		}
 	}
@@ -696,10 +701,9 @@ func (pt *procTransfer) copyContents(reachable []*mem.Object) error {
 }
 
 // transferOne copies one reachable object into its new-version pair,
-// accumulating into st and staging copies in the caller's reused scratch
-// buffer. It writes only within the paired new object's range, so
-// distinct objects can transfer concurrently (one scratch per worker).
-func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) error {
+// accumulating into st. It writes only within the paired new object's
+// range, so distinct objects can transfer concurrently.
+func (pt *procTransfer) transferOne(o *mem.Object, st *Stats) error {
 	e := pt.pairs[o.Addr]
 	if e == nil || e.newObj == nil {
 		return nil
@@ -745,7 +749,7 @@ func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) e
 		st.BytesLive += o.Size
 		return nil
 	}
-	if err := pt.transferObject(e, scratch, st); err != nil {
+	if err := pt.transferObject(e, st); err != nil {
 		return err
 	}
 	st.ObjectsTransferred++
@@ -754,236 +758,219 @@ func (pt *procTransfer) transferOne(o *mem.Object, st *Stats, scratch *[]byte) e
 }
 
 // transferObject applies the automatic transformation for one object pair:
-// verbatim copy (plus precise pointer remap) for layout-identical pairs,
-// field-mapped transformation otherwise. For the layout-identical case the
-// copy is staged in the caller's reused scratch buffer and the pointers
-// are remapped there, so the new address space is written with a single
-// locked WriteAt per object — the short serial section concurrent copy
-// workers contend on — and the hot path does not allocate per object.
-// When a current pre-copy shadow covers the object, the stage is filled
-// from the shadow instead of the locked live read; st records the
-// shadow-vs-live byte split either way.
-func (pt *procTransfer) transferObject(e *pairEntry, scratch *[]byte, st *Stats) error {
-	oldAS, newAS := pt.oldProc.Space(), pt.newProc.Space()
+// verbatim copy for layout-identical pairs, field-mapped transformation
+// otherwise, and in both cases a remap of the precise pointer slots that
+// arrived. Nothing is staged: live bytes move page to page
+// (mem.CopyRange), a provably-current pre-copy shadow is written straight
+// into the new address space in their place, and the pointer slots are
+// rewritten where they landed (remapSlots). st records the shadow-vs-live
+// byte split either way, at object granularity like BytesTransferred, so
+// the split sums to the transferred total even when a field map covers
+// only part of the object.
+func (pt *procTransfer) transferObject(e *pairEntry, st *Stats) error {
 	o, n := e.oldObj, e.newObj
-	if e.transform == nil || e.transform.Identical {
-		size := o.Size
-		if n.Size < size {
-			size = n.Size
-		}
-		if uint64(cap(*scratch)) < size {
-			*scratch = make([]byte, size)
-		}
-		buf := (*scratch)[:size]
-		var shadowSrc []byte
-		if sb, ok := pt.shadowFor(o); ok {
-			// Injected silent corruption: one byte of the shadow itself
-			// flips, so the staged copy and the shadow agree with each
-			// other — only the VerifyShadows cross-check against quiesced
-			// live memory can catch the divergence.
-			pt.opts.Faults.Corrupt(faultinject.PointTransferCorrupt, sb[:size])
-			copy(buf, sb[:size])
-			st.BytesFromShadow += size
-			shadowSrc = sb
-		} else {
-			if err := oldAS.ReadAt(o.Addr, buf); err != nil {
-				return err
-			}
-			st.BytesLive += size
-		}
-		if pt.opts.VerifyShadows {
-			if err := pt.verifySource(o, size, shadowSrc, st); err != nil {
-				return err
-			}
-		}
-		pt.remapInBuf(buf, n.Type)
-		return newAS.WriteAt(n.Addr, buf)
+	identical := e.transform == nil || e.transform.Identical
+	size := o.Size
+	if identical && n.Size < size {
+		size = n.Size
 	}
-	// Layout changed: apply the field map. When a provably-current
-	// pre-copy shadow covers the object, the scattered field reads are
-	// served from it instead of the locked live address space — the bytes
-	// are identical either way (shadow currency implies no write since
-	// capture).
 	shadow, fromShadow := pt.shadowFor(o)
 	if fromShadow {
-		pt.opts.Faults.Corrupt(faultinject.PointTransferCorrupt, shadow[:o.Size])
+		// Injected silent corruption: one byte of the shadow itself flips,
+		// so what is copied and the shadow agree with each other — only
+		// the VerifyShadows cross-check against quiesced live memory can
+		// catch the divergence.
+		pt.opts.Faults.Corrupt(faultinject.PointTransferCorrupt, shadow[:size])
+		st.BytesFromShadow += size
+	} else {
+		st.BytesLive += size
 	}
 	if pt.opts.VerifyShadows {
-		if err := pt.verifySource(o, o.Size, shadow, st); err != nil {
+		if err := pt.verifySource(o, size, shadow, st); err != nil {
 			return err
 		}
 	}
-	tr := e.transform
-	for _, c := range tr.Copies {
+	if identical {
+		if err := pt.copyBytes(n.Addr, o, 0, size, shadow); err != nil {
+			return err
+		}
+		// Slots past the copied size (a shrunk counterpart) are left to
+		// the new version's own state.
+		return pt.remapSlots(n.Addr, size, pt.layoutOf(n.Type).Ptrs)
+	}
+	for _, c := range e.transform.Copies {
 		if err := pt.copyField(o, n, c, shadow); err != nil {
 			return err
 		}
 	}
-	// Attributed at object granularity, like BytesTransferred, so the
-	// shadow/live split always sums to the transferred total even when
-	// the field map covers only part of the object.
-	if fromShadow {
-		st.BytesFromShadow += o.Size
-	} else {
-		st.BytesLive += o.Size
-	}
 	return nil
 }
 
-// verifySource is the VerifyShadows audit for one object: read the first
-// n quiesced live bytes, cross-check the shadow served in their place
-// (nil when the copy read live memory directly), and fold the source
-// digest into st. The digest definition lives here and in sourceDigest
-// only — the cross-engine bit-identity test depends on every copy path
-// agreeing on it.
+// copyBytes moves size source bytes of o, from offset off, to dst in the
+// new address space: out of shadow (o's current pre-copy capture, starting
+// at the object base) when it covers them, else page to page out of the
+// quiesced old address space — the bytes are identical either way (shadow
+// currency implies no write since capture).
+func (pt *procTransfer) copyBytes(dst mem.Addr, o *mem.Object, off, size uint64, shadow []byte) error {
+	if shadow != nil && off+size <= uint64(len(shadow)) {
+		return pt.newProc.Space().WriteAt(dst, shadow[off:off+size])
+	}
+	return mem.CopyRange(pt.newProc.Space(), dst, pt.oldProc.Space(), o.Addr+mem.Addr(off), size)
+}
+
+// verifySource is the VerifyShadows audit for one object: fold the first
+// n quiesced live bytes, in place, into the source digest, cross-checking
+// on the way the shadow served in their place (nil when the copy read live
+// memory directly), and add the digest to st. The digest definition lives
+// here only — the cross-engine bit-identity test depends on every copy
+// path agreeing on it: per transferred object an FNV-64a hash over identity
+// and pre-remap source bytes, XOR-combined into Stats.Checksum, which makes
+// the stream digest order-independent. The process key is part of the
+// identity: forked processes hold identical objects at identical
+// addresses, and two equal digests would XOR to zero — cancelling exactly
+// the fork-heavy copies the audit exists to cover.
 func (pt *procTransfer) verifySource(o *mem.Object, n uint64, shadow []byte, st *Stats) error {
-	src := make([]byte, n)
-	if err := pt.oldProc.Space().ReadAt(o.Addr, src); err != nil {
-		return err
-	}
-	if shadow != nil && !bytes.Equal(src, shadow[:n]) {
-		return conflictf("shadow for %s diverges from quiesced memory", o)
-	}
-	st.Checksum ^= pt.sourceDigest(o, src)
-	return nil
-}
-
-// sourceDigest hashes one transferred object's identity and pre-remap
-// source bytes (FNV-64a). Per-object digests are XOR-combined into
-// Stats.Checksum, making the stream digest order-independent. The
-// process key is part of the identity: forked processes hold identical
-// objects at identical addresses, and two equal digests would XOR to
-// zero — cancelling exactly the fork-heavy copies the audit exists to
-// cover.
-func (pt *procTransfer) sourceDigest(o *mem.Object, data []byte) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v:%x:%x:%d:%s;", pt.oldProc.Key(), o.Addr, o.Size, o.Kind, o.Name)
-	h.Write(data)
-	return h.Sum64()
-}
-
-// remapInBuf rewrites every precise pointer slot of type t inside the
-// staged copy buf, translating old-version values. Slots past the staged
-// size (a shrunk counterpart) are left to the new version's own state.
-func (pt *procTransfer) remapInBuf(buf []byte, t *types.Type) {
-	if t == nil {
-		return
+	diverged := false
+	err := foldBytes(pt.oldProc.Space(), o.Addr, n, func(off uint64, data []byte) {
+		if shadow != nil && !bytes.Equal(data, shadow[off:off+uint64(len(data))]) {
+			diverged = true
+		}
+		h.Write(data)
+	})
+	if err != nil {
+		return err
 	}
-	l := types.LayoutOf(t, pt.opts.Policy)
-	for _, slot := range l.Ptrs {
-		if slot.Func || slot.Offset+8 > uint64(len(buf)) {
-			continue
-		}
-		v := binary.LittleEndian.Uint64(buf[slot.Offset:])
-		if v == 0 {
-			continue
-		}
-		if nv, ok := pt.RemapPtr(v); ok && nv != v {
-			binary.LittleEndian.PutUint64(buf[slot.Offset:], nv)
-		}
+	if diverged {
+		return conflictf("shadow for %s diverges from quiesced memory", o)
 	}
+	st.Checksum ^= h.Sum64()
+	return nil
 }
 
 // copyField applies one FieldCopy, handling integer resizing, pointer
 // remapping and nested aggregates. When shadow (the object's current
 // pre-copy capture, starting at the object base) is non-nil, source bytes
-// come from it instead of a locked live read.
+// come from it instead of the live address space.
 func (pt *procTransfer) copyField(o, n *mem.Object, c types.FieldCopy, shadow []byte) error {
-	newAS := pt.newProc.Space()
 	dstAddr := n.Addr + mem.Addr(c.DstOffset)
-	readSrc := func() ([]byte, error) {
-		if shadow != nil && c.SrcOffset+c.SrcSize <= uint64(len(shadow)) {
-			return shadow[c.SrcOffset : c.SrcOffset+c.SrcSize], nil
-		}
-		buf := make([]byte, c.SrcSize)
-		if err := pt.oldProc.Space().ReadAt(o.Addr+mem.Addr(c.SrcOffset), buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	switch {
-	case c.SrcSize == c.DstSize:
-		buf, err := readSrc()
-		if err != nil {
+	if c.SrcSize == c.DstSize {
+		if err := pt.copyBytes(dstAddr, o, c.SrcOffset, c.SrcSize, shadow); err != nil {
 			return err
 		}
-		if err := newAS.WriteAt(dstAddr, buf); err != nil {
-			return err
-		}
-		if c.Ptr {
-			return pt.remapWord(dstAddr)
-		}
-		if c.Elem != nil {
-			return pt.remapSlots(n, c.Elem, c.DstOffset, c.SrcOffset-c.DstOffset, o)
+		switch {
+		case c.Ptr:
+			return pt.remapSlots(dstAddr, 8, onePtrSlot)
+		case c.Elem != nil:
+			return pt.remapSlots(dstAddr, uint64(n.End()-dstAddr), pt.layoutOf(c.Elem).Ptrs)
 		}
 		return nil
-	default:
-		// Integer resize with optional sign extension.
-		buf, err := readSrc()
-		if err != nil {
+	}
+	// Integer resize with optional sign extension.
+	var buf []byte
+	if shadow != nil && c.SrcOffset+c.SrcSize <= uint64(len(shadow)) {
+		buf = shadow[c.SrcOffset : c.SrcOffset+c.SrcSize]
+	} else {
+		buf = make([]byte, c.SrcSize)
+		if err := pt.oldProc.Space().ReadAt(o.Addr+mem.Addr(c.SrcOffset), buf); err != nil {
 			return err
 		}
-		var v uint64
-		for i := len(buf) - 1; i >= 0; i-- {
-			v = v<<8 | uint64(buf[i])
+	}
+	var v uint64
+	for i := len(buf) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(buf[i])
+	}
+	if c.Signed && len(buf) > 0 && buf[len(buf)-1]&0x80 != 0 {
+		for i := c.SrcSize; i < 8; i++ {
+			v |= 0xff << (8 * i)
 		}
-		if c.Signed && len(buf) > 0 && buf[len(buf)-1]&0x80 != 0 {
-			for i := c.SrcSize; i < 8; i++ {
-				v |= 0xff << (8 * i)
+	}
+	out := make([]byte, c.DstSize)
+	for i := range out {
+		out[i] = byte(v >> (8 * uint(i)))
+	}
+	return pt.newProc.Space().WriteAt(dstAddr, out)
+}
+
+// onePtrSlot is the slot list of a lone pointer field.
+var onePtrSlot = []types.PtrSlot{{}}
+
+// layoutOf is types.LayoutOf under the transfer's policy, flattened once
+// per type per transfer. Copy workers share the memo.
+func (pt *procTransfer) layoutOf(t *types.Type) types.Layout {
+	if t == nil {
+		return types.Layout{}
+	}
+	pt.layoutMu.Lock()
+	defer pt.layoutMu.Unlock()
+	return pt.layouts.of(t)
+}
+
+// remapSlots rewrites, where they lie in the new address space, the
+// precise pointer slots ptrs (ascending offsets from base) that fit inside
+// [base, base+size), translating old-version values; values that do not
+// resolve to transferred objects stay as they are. It is the one remap
+// routine of both copy legs. The slots are read and rewritten in place,
+// one resident page fragment at a time, under the new address space's
+// per-chunk write lock (mem.UpdateResident) — RemapPtr consults only the
+// old side's index and the pairing, never the new address space. A slot
+// that crosses a page boundary (only at bases that are not 8-byte aligned)
+// lies in no single fragment and is rewritten individually afterwards.
+func (pt *procTransfer) remapSlots(base mem.Addr, size uint64, ptrs []types.PtrSlot) error {
+	if len(ptrs) == 0 {
+		return nil
+	}
+	newAS := pt.newProc.Space()
+	pi := 0
+	err := newAS.UpdateResident(base, size, func(at mem.Addr, data []byte) (stored bool) {
+		lo := uint64(at - base) // the fragment as offsets [lo, hi)
+		hi := lo + uint64(len(data))
+		for pi < len(ptrs) && ptrs[pi].Offset < lo {
+			pi++ // on an absent page (nil), or crossing into this one
+		}
+		for ; pi < len(ptrs) && ptrs[pi].Offset+8 <= hi; pi++ {
+			if ptrs[pi].Func {
+				continue
+			}
+			cell := data[ptrs[pi].Offset-lo:]
+			if nv, moved := pt.remapped(binary.LittleEndian.Uint64(cell)); moved {
+				binary.LittleEndian.PutUint64(cell, nv)
+				stored = true
 			}
 		}
-		out := make([]byte, c.DstSize)
-		for i := range out {
-			out[i] = byte(v >> (8 * uint(i)))
-		}
-		return newAS.WriteAt(dstAddr, out)
-	}
-}
-
-// remapSlots rewrites every precise pointer slot of type t (placed at
-// dstBase inside the new object) by translating the old-version values.
-// srcBias converts a new-object offset back to the old-object offset the
-// value was copied from.
-func (pt *procTransfer) remapSlots(n *mem.Object, t *types.Type, dstBase, srcBias uint64, _ *mem.Object) error {
-	if t == nil {
-		return nil
-	}
-	l := types.LayoutOf(t, pt.opts.Policy)
-	for _, slot := range l.Ptrs {
-		if slot.Func {
-			continue
-		}
-		addr := n.Addr + mem.Addr(dstBase+slot.Offset)
-		if uint64(addr)+8 > uint64(n.End()) {
-			continue
-		}
-		if err := pt.remapWord(addr); err != nil {
-			return err
-		}
-	}
-	_ = srcBias
-	return nil
-}
-
-// remapWord rewrites one pointer cell in the new address space, leaving
-// values that do not resolve to transferred objects untouched.
-func (pt *procTransfer) remapWord(addr mem.Addr) error {
-	newAS := pt.newProc.Space()
-	v, err := newAS.ReadWord(addr)
+		return stored
+	})
 	if err != nil {
 		return err
 	}
+	for _, slot := range ptrs {
+		at := base + mem.Addr(slot.Offset)
+		if slot.Func || slot.Offset+8 > size || uint64(at)&(mem.PageSize-1) <= mem.PageSize-8 {
+			continue
+		}
+		v, err := newAS.ReadWord(at)
+		if err != nil {
+			return err
+		}
+		if nv, moved := pt.remapped(v); moved {
+			if err := newAS.WriteWord(at, nv); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// remapped translates one pointer-slot value and reports whether the copy
+// path has to rewrite it: nil, values that resolve to no transferred
+// object, and values whose target kept its address all stay as they are.
+func (pt *procTransfer) remapped(v uint64) (uint64, bool) {
 	if v == 0 {
-		return nil
+		return 0, false
 	}
 	nv, ok := pt.RemapPtr(v)
-	if !ok {
-		return nil
-	}
-	if nv == v {
-		return nil
-	}
-	return newAS.WriteWord(addr, nv)
+	return nv, ok && nv != v
 }
 
 // resolveParallelism fixes the per-process worker budget: an explicit
