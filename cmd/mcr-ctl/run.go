@@ -293,9 +293,10 @@ func run(cfg config, out io.Writer) error {
 			if rep.Warm {
 				engineName = "warm " + engineName
 			}
-			fmt.Fprintf(out, "  downtime: %s (%s engine; %d/%d analyses reused)\n",
+			fmt.Fprintf(out, "  downtime: %s (%s engine; %d/%d analyses reused; %d pages rescanned, %d reused)\n",
 				rep.Downtime.Round(10*time.Microsecond), engineName,
-				rep.AnalysesReused, rep.AnalysesReused+rep.ProcsReanalyzed)
+				rep.AnalysesReused, rep.AnalysesReused+rep.ProcsReanalyzed,
+				rep.PagesRescanned, rep.PagesReused)
 			if cfg.Adopt {
 				fmt.Fprintf(out, "  adopted pages: %d (%d B, %.0f%% of transferred bytes moved zero-copy)\n",
 					rep.Transfer.PagesAdopted, rep.Transfer.BytesAdopted,

@@ -140,7 +140,10 @@ func TestRunWarmDeploysUpdateAndShowsReadiness(t *testing.T) {
 		"duty=0.25",  // the daemon's duty-cycle setting (default bound)
 		"passes=",    // pass counter behind the overhead curve
 		"yields=",    // backpressure-stretched pauses
+		"rescanned=", // the analysis work per page, beside reanalyzed=
+		"lastpass=",
 		"warm pipelined engine",
+		"pages rescanned",  // the update's own in-window analysis, per page
 		"OK warm disarmed", // operator disarm at the end
 		"warm=disarmed",
 		"done: all updates deployed live",

@@ -60,10 +60,16 @@ type DaemonStats struct {
 	Revalidated int // processes revalidated for free against the deltas
 	Dropped     int // entries dropped for exited processes
 	Errors      int // analysis failures (entry invalidated, daemon continues)
+	// What the recomputations took, per page: pages scanned, and page
+	// summaries that stood (the last pass's, for "why was this pass slow").
+	PagesRescanned     int
+	PagesReused        int
+	LastPagesRescanned int
 
 	// Duty-cycle accounting, the raw material of the overhead curve:
 	// WorkTime is wall clock spent inside passes, PauseTime wall clock
-	// yielded back to the serving workload between them, and Yields
+	// yielded back to the serving workload between them (a pause in
+	// progress counts up to the moment Stats is read), and Yields
 	// counts the pauses the backpressure stretched beyond the base
 	// interval (a heavy pass forcing extra uncontended time). The
 	// measured duty fraction is WorkTime/(WorkTime+PauseTime), bounded
@@ -107,6 +113,10 @@ type Daemon struct {
 
 	mu    sync.Mutex
 	stats DaemonStats
+	// pausing is when the pause in progress began (zero between pauses):
+	// Stats credits it, so a reading taken mid-pause — the usual place, a
+	// pause being three times a pass — does not report all work, no rest.
+	pausing time.Time
 }
 
 // StartDaemon builds a snapshotter over the running instance and starts
@@ -159,8 +169,8 @@ func (d *Daemon) loop() {
 			d.stats.Yields++
 			d.cYields.Add(1)
 		}
+		d.pausing = time.Now()
 		d.mu.Unlock()
-		pauseStart := time.Now()
 		ysp := d.rec.Span(obs.TrackDaemon, obs.PhaseYield)
 		stopped := false
 		select {
@@ -170,7 +180,8 @@ func (d *Daemon) loop() {
 		}
 		ysp.End()
 		d.mu.Lock()
-		d.stats.PauseTime += time.Since(pauseStart)
+		d.stats.PauseTime += time.Since(d.pausing)
+		d.pausing = time.Time{}
 		d.mu.Unlock()
 		if stopped {
 			return
@@ -217,6 +228,9 @@ func (d *Daemon) pass() {
 	d.stats.Revalidated += rs.Revalidated
 	d.stats.Dropped += rs.Dropped
 	d.stats.Errors += rs.Errors
+	d.stats.PagesRescanned += rs.PagesRescanned
+	d.stats.PagesReused += rs.PagesReused
+	d.stats.LastPagesRescanned = rs.PagesRescanned
 	d.mu.Unlock()
 }
 
@@ -242,11 +256,16 @@ func (d *Daemon) Warm() *trace.WarmAnalysis { return d.warm }
 // DutyCycle returns the configured duty-cycle bound.
 func (d *Daemon) DutyCycle() float64 { return d.opts.DutyCycle }
 
-// Stats returns a snapshot of the daemon's accumulated statistics.
+// Stats returns a snapshot of the daemon's accumulated statistics, the
+// pause in progress included.
 func (d *Daemon) Stats() DaemonStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.stats
+	st := d.stats
+	if !d.pausing.IsZero() {
+		st.PauseTime += time.Since(d.pausing)
+	}
+	return st
 }
 
 // Current reports instantaneous readiness: the shadow lag is below the

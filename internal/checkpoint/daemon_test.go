@@ -272,3 +272,37 @@ func TestDaemonDutyAccounting(t *testing.T) {
 		t.Errorf("measured duty %.2f far above the 0.10 bound: %+v", f, st)
 	}
 }
+
+// TestDaemonDutyCountsPauseInProgress: Stats is usually read while the
+// daemon rests — a pause is (1-duty)/duty times the pass before it — and
+// the rest must count while it lasts, not when it ends. With one pass
+// behind it and an hour-long pause ahead, the daemon crediting pauses only
+// on completion reports a duty of 1.0 for the whole hour.
+func TestDaemonDutyCountsPauseInProgress(t *testing.T) {
+	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
+	defer v1.Terminate()
+	d := StartDaemon(v1, trace.NewWarmAnalysis(types.DefaultPolicy(), nil),
+		DaemonOptions{Interval: time.Hour})
+	defer d.Stop()
+	var st DaemonStats
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st = d.Stats(); st.Passes == 1 && st.PauseTime > 4*st.WorkTime {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled in its first pause, the daemon reports %+v (duty %.2f)", st, st.DutyFraction())
+		}
+	}
+	if f := st.DutyFraction(); f > 0.25 {
+		t.Errorf("duty %.2f with the pause already four times the pass: %+v", f, st)
+	}
+	later := d.Stats()
+	if later.PauseTime <= st.PauseTime || later.WorkTime != st.WorkTime {
+		t.Errorf("the pause in progress does not keep counting: %v then %v (work %v then %v)",
+			st.PauseTime, later.PauseTime, st.WorkTime, later.WorkTime)
+	}
+	d.Stop()
+	if final := d.Stats(); final.PauseTime < later.PauseTime || final.PauseTime > later.PauseTime+5*time.Second {
+		t.Errorf("pause counted twice or dropped at stop: %v mid-pause, %v after", later.PauseTime, final.PauseTime)
+	}
+}

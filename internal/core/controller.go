@@ -182,11 +182,13 @@ func (c *Controller) dispatch(req string) string {
 
 // warmLine renders the warm-standby readiness for status responses:
 // shadow currency (unshadowed dirty pages) and the analysis generation,
-// plus the work tally behind them.
+// plus the work tally behind them — per process (reanalyzed/revalidated)
+// and per page (rescanned/reused, and what the last pass alone scanned).
 func warmLine(ws WarmStatus) string {
-	return fmt.Sprintf("warm=armed current=%v lag=%dpages shadowed=%dpages agen=%d duty=%.2f passes=%d epochs=%d yields=%d reanalyzed=%d revalidated=%d",
+	return fmt.Sprintf("warm=armed current=%v lag=%dpages shadowed=%dpages agen=%d duty=%.2f passes=%d epochs=%d yields=%d reanalyzed=%d revalidated=%d rescanned=%dpages reused=%dpages lastpass=%dpages",
 		ws.Current, ws.ShadowLag, ws.ShadowedPages, ws.AnalysisGen, ws.DutyCycle,
-		ws.Passes, ws.Epochs, ws.Yields, ws.Reanalyzed, ws.Revalidated)
+		ws.Passes, ws.Epochs, ws.Yields, ws.Reanalyzed, ws.Revalidated,
+		ws.PagesRescanned, ws.PagesReused, ws.LastPagesRescanned)
 }
 
 // canaryLine renders the canary state for status responses: the armed

@@ -305,10 +305,14 @@ type UpdateReport struct {
 	TotalTime time.Duration
 
 	// Pipelined reports which schedule ran; AnalysesReused / ProcsReanalyzed
-	// split the analysis validation outcome per process.
+	// split the in-window analysis validation outcome per process (one
+	// with any page re-scanned counts as re-analyzed), PagesRescanned /
+	// PagesReused per page: how much of those processes it took.
 	Pipelined       bool
 	AnalysesReused  int
 	ProcsReanalyzed int
+	PagesRescanned  int
+	PagesReused     int
 
 	// Warm reports that the update started from the warm-standby daemon's
 	// state: the pre-copy and speculate phases were skipped and
@@ -603,6 +607,11 @@ type WarmStatus struct {
 	PagesCopied   int
 	Reanalyzed    int
 	Revalidated   int
+	// The analysis work per page: pages the passes scanned, page summaries
+	// that stood, and the last pass's scan count alone.
+	PagesRescanned     int
+	PagesReused        int
+	LastPagesRescanned int
 	// Duty-cycle surface: the configured bound, the pass/yield counters
 	// and the measured work/pause split behind the overhead curve.
 	DutyCycle float64
@@ -632,11 +641,16 @@ func (e *Engine) WarmStatus() WarmStatus {
 		PagesCopied:   st.PagesCopied,
 		Reanalyzed:    st.Reanalyzed,
 		Revalidated:   st.Revalidated,
-		DutyCycle:     d.DutyCycle(),
-		Passes:        st.Passes,
-		Yields:        st.Yields,
-		WorkTime:      st.WorkTime,
-		PauseTime:     st.PauseTime,
+
+		PagesRescanned:     st.PagesRescanned,
+		PagesReused:        st.PagesReused,
+		LastPagesRescanned: st.LastPagesRescanned,
+
+		DutyCycle: d.DutyCycle(),
+		Passes:    st.Passes,
+		Yields:    st.Yields,
+		WorkTime:  st.WorkTime,
+		PauseTime: st.PauseTime,
 	}
 }
 
@@ -924,9 +938,10 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 		// one before it ended, so the glue between two phases is owed to the
 		// later one and the in-window records partition the window exactly.
 		opened, mark, closed time.Time
-		// The running phase's span end attribute, set by its body.
+		// The running phase's span end attribute and note, set by its body.
 		attr  string
 		attrN int
+		note  string
 	)
 	// runPhase runs fn as lifecycle phase ph: under the phase's recorder
 	// span and watchdog budget, appending its PhaseRecord. The returned
@@ -943,8 +958,8 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 		wd.setPhase(ph.name)
 		err := fn()
 		wd.setPhase("")
-		sp.EndArg(attr, int64(attrN))
-		attr, attrN = "", 0
+		sp.EndArgNote(attr, int64(attrN), note)
+		attr, attrN, note = "", 0, ""
 		mark = time.Now()
 		rep.Phases = append(rep.Phases, PhaseRecord{ph.name, start, mark.Sub(start), !opened.IsZero()})
 		return wd.wrap(err)
@@ -1112,12 +1127,13 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 	}
 	if err := runPhase(analysis, func() (err error) {
 		reinit.MarkLogs(old)
-		var reused int
-		analyses, reused, err = an.Resolve(old)
-		attr, attrN = "reused", reused
+		var rs trace.WarmRefresh
+		analyses, rs, err = an.Resolve(old)
+		attr, attrN = "reused", rs.Revalidated
 		if !prior {
 			attr, attrN = "procs", len(analyses)
 		}
+		note = fmt.Sprintf("pages rescanned=%d reused=%d", rs.PagesRescanned, rs.PagesReused)
 		if err == nil && prior {
 			err = e.opts.Faults.Check(faultinject.PointSpeculation)
 		}
@@ -1127,7 +1143,8 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 		if err != nil {
 			return fmt.Errorf("analysis: %w", err)
 		}
-		rep.AnalysesReused, rep.ProcsReanalyzed = reused, len(analyses)-reused
+		rep.AnalysesReused, rep.ProcsReanalyzed = rs.Revalidated, len(analyses)-rs.Revalidated
+		rep.PagesRescanned, rep.PagesReused = rs.PagesRescanned, rs.PagesReused
 		if warm != nil {
 			rep.WarmReanalyses = an.ReanalysisCounts()
 		}

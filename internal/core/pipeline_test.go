@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/program"
 )
 
@@ -242,5 +244,44 @@ func TestPipelinedRollbackWithoutPrecopy(t *testing.T) {
 	}
 	if got := sendRecv(t, cc, "c"); got != "v2:c:3" {
 		t.Errorf("post-update reply = %q", got)
+	}
+}
+
+// TestUpdateReportsPagesRescanned: a store between the off-window analysis
+// refresh and quiescence invalidates the page it wrote, not the process.
+// The report and the analysis span say so: one process re-analyzed by
+// scanning one page, every other page summary reused.
+func TestUpdateReportsPagesRescanned(t *testing.T) {
+	rec := obs.New(1 << 14)
+	opts := Options{Recorder: rec}
+	opts.BeforeQuiesce = func(old *program.Instance) {
+		root := old.Root()
+		g := root.MustGlobal("conf")
+		if err := root.WriteField(g, "", 7); err != nil {
+			t.Error(err)
+		}
+	}
+	e, k := launchEchod(t, opts)
+	defer e.Shutdown()
+	// Two sessions: the list's second link is a pointer on a heap page, so
+	// the globals' page is not the only one with a summary.
+	for i := 0; i < 2; i++ {
+		cc, _ := k.Connect(7000)
+		sendRecv(t, cc, "a")
+	}
+	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AnalysesReused != 0 || rep.ProcsReanalyzed != 1 {
+		t.Errorf("reused=%d reanalyzed=%d, want 0/1 (the one process was written to)", rep.AnalysesReused, rep.ProcsReanalyzed)
+	}
+	if rep.PagesRescanned != 1 || rep.PagesReused == 0 {
+		t.Errorf("pages rescanned=%d reused=%d, want 1 rescanned and the rest reused", rep.PagesRescanned, rep.PagesReused)
+	}
+	sp, ok := findSpan(obs.Pair(rec.Events()), obs.TrackEngine, obs.PhaseValidate)
+	want := fmt.Sprintf("pages rescanned=%d reused=%d", rep.PagesRescanned, rep.PagesReused)
+	if !ok || sp.Note != want || sp.ArgName != "reused" {
+		t.Errorf("analysis span = %+v, want note %q beside the reused count", sp, want)
 	}
 }

@@ -53,21 +53,26 @@ func (as *AddressSpace) checkPageLocked(op string, pb Addr) error {
 }
 
 // detachLocked unlinks the frame at pb and returns it with the bits it
-// carried. Caller holds the write lock and has checked the range.
+// carried. Caller holds the write lock, has checked the range and has
+// counted the mutation: a frame that leaves takes its stamp with it, so the
+// space is marked reshaped.
 func (as *AddressSpace) detachLocked(pb Addr) PageFrame {
 	p := as.pages[pb]
 	if p == nil {
 		return PageFrame{} // demand-zero page: nothing resident to move
 	}
 	delete(as.pages, pb)
+	as.reshaped = as.mutations
 	p.detached = true
 	return PageFrame{frame: p, SoftDirty: p.softDirty, Consumed: p.consumed}
 }
 
 // installLocked links p at pb with the given bits, replacing whatever was
-// resident there. Caller holds the write lock and has checked the range.
+// resident there, and stamps it as stored now. Caller holds the write lock,
+// has checked the range and has counted the mutation.
 func (as *AddressSpace) installLocked(pb Addr, p *page, softDirty, consumed bool) {
 	p.softDirty, p.consumed, p.detached = softDirty, consumed, false
+	p.stamp = as.mutations
 	as.pages[pb] = p
 }
 
@@ -134,7 +139,10 @@ func (as *AddressSpace) RestorePage(pb Addr, f PageFrame) error {
 	}
 	as.mutations++
 	if f.frame == nil {
-		delete(as.pages, pb)
+		if as.pages[pb] != nil {
+			delete(as.pages, pb)
+			as.reshaped = as.mutations
+		}
 		return nil
 	}
 	as.installLocked(pb, f.frame, f.SoftDirty, f.Consumed)

@@ -14,9 +14,9 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	out := NewAddressSpace()
 	out.regions = make([]Region, len(as.regions))
 	copy(out.regions, as.regions)
-	out.mutations = as.mutations
+	out.mutations, out.reshaped = as.mutations, as.reshaped
 	for pb, p := range as.pages {
-		np := &page{softDirty: p.softDirty, consumed: p.consumed}
+		np := &page{softDirty: p.softDirty, consumed: p.consumed, stamp: p.stamp}
 		np.data = p.data
 		out.pages[pb] = np
 	}

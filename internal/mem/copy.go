@@ -60,6 +60,7 @@ func copyChunk(dst *AddressSpace, da Addr, src *AddressSpace, sa Addr, n, check 
 			dst.pages[dpb] = dp
 		}
 		dp.softDirty = true
+		dp.stamp = dst.mutations
 		// This destination fragment draws on at most two source pages.
 		for da < stop {
 			spb := pageBase(sa)

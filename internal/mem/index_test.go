@@ -112,7 +112,7 @@ func TestObjectIndexDifferential(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		ix, ref := NewObjectIndex(), newRefIndex()
 		cloned := false // after a clone the two sides hold distinct structs
-		var removed []*Object
+		var removed, scratch []*Object
 		var live []Addr
 		pick := func() Addr { return testBase + Addr(rnd.Intn(span))&^7 }
 		mirror := func(o *Object) *Object { // what the reference stores for o
@@ -179,15 +179,27 @@ func TestObjectIndexDifferential(t *testing.T) {
 			if rnd.Intn(3) == 0 {
 				continue // mutations pile up between reads
 			}
+			// Half the time the two queries that leave the snapshot alone go
+			// first, and meet it as far behind as the mutations left it.
+			pages := make([]Addr, rnd.Intn(12))
+			for i := range pages {
+				pages[i] = pageBase(pick()) // any order, repeats likely
+			}
+			if rnd.Intn(2) == 0 {
+				if err := sameObjects(ix.OnPages(pages), ref.onPages(pages), !cloned); err != nil {
+					t.Fatalf("seed %d step %d: OnPages(%#x) behind the snapshot: %v", seed, step, pages, err)
+				}
+				own, gen := ix.AppendAll(scratch[:0])
+				if err := sameObjects(own, ref.all(), !cloned); err != nil || gen != ref.gen {
+					t.Fatalf("seed %d step %d: AppendAll: %v (gen %d, want %d)", seed, step, err, gen, ref.gen)
+				}
+				scratch = own
+			}
 			if err := sameObjects(ix.All(), ref.all(), !cloned); err != nil {
 				t.Fatalf("seed %d step %d: All: %v", seed, step, err)
 			}
 			if ix.Len() != len(ref.byStart) || ix.Gen() != ref.gen {
 				t.Fatalf("seed %d step %d: Len/Gen = %d/%d, want %d/%d", seed, step, ix.Len(), ix.Gen(), len(ref.byStart), ref.gen)
-			}
-			pages := make([]Addr, rnd.Intn(12))
-			for i := range pages {
-				pages[i] = pageBase(pick()) // any order, repeats likely
 			}
 			if err := sameObjects(ix.OnPages(pages), ref.onPages(pages), !cloned); err != nil {
 				t.Fatalf("seed %d step %d: OnPages(%#x): %v", seed, step, pages, err)
@@ -262,6 +274,65 @@ func TestAllIsFreeOnUnchangedIndex(t *testing.T) {
 	child := ix.Clone()
 	if n := testing.AllocsPerRun(100, func() { child.All() }); n != 0 {
 		t.Errorf("first All on a fresh clone allocates %v times", n)
+	}
+}
+
+// TestRepeatedReaderLeavesSnapshotAlone: the two queries the warm-standby
+// daemon makes every pass — all objects into its own buffer, the objects on
+// a few dirty pages — neither build a snapshot nor, in steady state,
+// allocate one's worth: on a large index each new snapshot is a large
+// allocation, and a pass every few milliseconds would make them the heap's
+// main churn. Past an eighth of the index the pending list is folded, so
+// neither query's merge, nor the next All's, grows with the run.
+func TestRepeatedReaderLeavesSnapshotAlone(t *testing.T) {
+	const n = 8000
+	ix := NewObjectIndex()
+	objs := fillIndex(ix, n)
+	snap := ix.All()
+	churn := func(k int) {
+		for i := 0; i < k; i++ {
+			o := objs[(i*7919)%n]
+			ix.Remove(o.Addr)
+			ix.Insert(o)
+		}
+	}
+	churn(20)
+	buf, _ := ix.AppendAll(nil)
+	pages := []Addr{pageBase(objs[n/2].Addr), pageBase(objs[10].Addr)}
+	var onPages []*Object
+	perCall := testing.AllocsPerRun(50, func() {
+		churn(2)
+		buf, _ = ix.AppendAll(buf[:0])
+		onPages = ix.OnPages(pages)
+	})
+	if perCall > 2 { // OnPages' result, and its growth
+		t.Errorf("AppendAll + OnPages behind the snapshot allocate %.0f times a call", perCall)
+	}
+	if cur := ix.snap; &cur[0] != &snap[0] || len(ix.touched) == 0 {
+		t.Errorf("the snapshot was advanced (%d pending)", len(ix.touched))
+	}
+	if err := sameObjects(buf, objs, true); err != nil {
+		t.Errorf("AppendAll: %v", err)
+	}
+	if want := 2 * PageSize / 128; len(onPages) != want || onPages[0] != objs[0] {
+		t.Errorf("OnPages found %d objects from %v, want %d from %v", len(onPages), onPages[0], want, objs[0])
+	}
+	churn(n / 8)
+	buf, gen := ix.AppendAll(buf[:0])
+	if len(ix.touched) != 0 || &ix.snap[0] == &snap[0] || gen != ix.Gen() {
+		t.Errorf("after %d more mutations the pending list still holds %d", n/4, len(ix.touched))
+	}
+	if err := sameObjects(buf, ix.All(), true); err != nil {
+		t.Errorf("AppendAll after the fold: %v", err)
+	}
+	// Most of the index asked for: the snapshot is the cheaper way.
+	churn(2)
+	var all []Addr
+	for pb := pageBase(testBase); pb < objs[n-1].End(); pb += PageSize {
+		all = append(all, pb)
+	}
+	if got := ix.OnPages(all); len(got) != n || len(ix.touched) != 0 {
+		t.Errorf("OnPages of every page: %d objects, %d still pending", len(got), len(ix.touched))
 	}
 }
 

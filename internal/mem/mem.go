@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -84,6 +85,13 @@ type page struct {
 	// ExportPage hand one out, installing it clears the mark, and only a
 	// detached frame can be installed — one frame is never resident twice.
 	detached bool
+	// stamp is the owning space's mutations value at the last store into
+	// the frame, or at its installation: what StoredSince compares. Unlike
+	// the soft-dirty bits nobody clears it, so any number of readers can
+	// each ask "what changed since I last looked" without disturbing the
+	// checkpoint's dirty tracking. (The struct stays in the allocator's
+	// 4864-byte size class: the stamp costs no memory.)
+	stamp uint64
 }
 
 // AddressSpace is one process's simulated virtual memory. The zero value is
@@ -98,6 +106,11 @@ type AddressSpace struct {
 	// not contents — so a pre-copy epoch's read-and-clear pass does not
 	// invalidate a concurrently captured speculative analysis.
 	mutations uint64
+	// reshaped is the mutations value at the last change to the *shape* of
+	// the space: a region mapped, unmapped or grown, or a resident frame
+	// taken away (donated, or restored to absence). Such a change leaves no
+	// page behind to carry a stamp, so StoredSince reports it separately.
+	reshaped uint64
 }
 
 // NewAddressSpace returns an empty address space with no mappings.
@@ -123,7 +136,7 @@ func (as *AddressSpace) Map(start Addr, size uint64, kind RegionKind, name strin
 	}
 	as.regions = append(as.regions, Region{Start: start, Size: size, Kind: kind, Name: name})
 	sort.Slice(as.regions, func(i, j int) bool { return as.regions[i].Start < as.regions[j].Start })
-	as.mutations++
+	as.reshapeLocked()
 	return nil
 }
 
@@ -139,7 +152,7 @@ func (as *AddressSpace) Unmap(start Addr) error {
 		for pb := pageBase(r.Start); pb < r.End(); pb += PageSize {
 			delete(as.pages, pb)
 		}
-		as.mutations++
+		as.reshapeLocked()
 		return nil
 	}
 	return fmt.Errorf("mem: Unmap %#x: %w", start, ErrNoRegion)
@@ -162,7 +175,7 @@ func (as *AddressSpace) GrowRegion(name string, delta uint64) error {
 			}
 		}
 		r.Size += delta
-		as.mutations++
+		as.reshapeLocked()
 		return nil
 	}
 	return fmt.Errorf("mem: GrowRegion %q: %w", name, ErrNoRegion)
@@ -206,6 +219,13 @@ func (as *AddressSpace) Mapped(addr Addr, size uint64) bool {
 	return true
 }
 
+// reshapeLocked counts a mapping change: a mutation that also moves the
+// reshaped mark. Caller holds the write lock.
+func (as *AddressSpace) reshapeLocked() {
+	as.mutations++
+	as.reshaped = as.mutations
+}
+
 func pageBase(a Addr) Addr { return a &^ Addr(pageMask) }
 
 // WriteAt stores buf at addr, demand-allocating pages and setting their
@@ -228,6 +248,7 @@ func (as *AddressSpace) WriteAt(addr Addr, buf []byte) error {
 			as.pages[pb] = p
 		}
 		p.softDirty = true
+		p.stamp = as.mutations
 		po := int(addr+Addr(off)) & pageMask
 		n := copy(p.data[po:], buf[off:])
 		off += n
@@ -417,6 +438,29 @@ func (as *AddressSpace) Mutations() uint64 {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	return as.mutations
+}
+
+// StoredSince is the delta query behind Mutations: it returns, ascending,
+// the resident pages stored into or installed after the write generation
+// epoch (an earlier Mutations reading; 0 lists every resident page), the
+// generation now that the listing describes — the epoch to pass next time —
+// and whether the space was reshaped since epoch: a region mapped, unmapped
+// or grown, or a resident frame taken away, which no surviving page can
+// report. A store racing the call lands on one side of it: either its page
+// is listed, or its stamp is past now and the next call lists it. Unlike
+// ReadAndClearSoftDirty this clears nothing, so it does not interfere with
+// the checkpoint's dirty tracking or with other callers.
+func (as *AddressSpace) StoredSince(epoch uint64) (now uint64, pages []Addr, reshaped bool) {
+	as.mu.RLock()
+	for pb, p := range as.pages {
+		if p.stamp > epoch {
+			pages = append(pages, pb)
+		}
+	}
+	now, reshaped = as.mutations, as.reshaped > epoch
+	as.mu.RUnlock()
+	slices.Sort(pages) // a whole heap's worth on the first call: not under the lock
+	return now, pages, reshaped
 }
 
 // SoftDirtyPages returns the base addresses of all soft-dirty pages in

@@ -83,6 +83,13 @@ func (o *Object) String() string {
 // address; once the pending list outgrows half the snapshot with no reader
 // in between, list and snapshot are dropped and the next All rebuilds from
 // scratch, so a long unobserved run costs nothing and holds nothing.
+//
+// A new snapshot is a new slice as long as the index — on a large heap an
+// allocation the size of a hundred pages. A reader that comes back many
+// times a second while the program allocates (the warm-standby daemon)
+// would make that the dominant garbage of its pass, so the two queries it
+// makes do not advance the snapshot: AppendAll merges into a buffer the
+// caller owns, and OnPages of a few pages gathers from the page buckets.
 type ObjectIndex struct {
 	mu      sync.RWMutex
 	byStart map[Addr]*Object
@@ -240,6 +247,12 @@ func (ix *ObjectIndex) snapshot() ([]*Object, uint64) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.advance()
+	return ix.snap, ix.gen
+}
+
+// advance brings the snapshot up to date. Caller holds mu.
+func (ix *ObjectIndex) advance() {
 	switch {
 	case ix.snap == nil:
 		ix.snap = make([]*Object, 0, len(ix.byStart))
@@ -248,19 +261,34 @@ func (ix *ObjectIndex) snapshot() ([]*Object, uint64) {
 		}
 		slices.SortFunc(ix.snap, func(a, b *Object) int { return cmp.Compare(a.Addr, b.Addr) })
 	case len(ix.touched) > 0:
-		ix.snap = ix.merged()
+		ix.snap = ix.mergeInto(make([]*Object, 0, len(ix.byStart)))
 		ix.touched = ix.touched[:0]
 	}
-	return ix.snap, ix.gen
 }
 
-// merged builds the next snapshot from the current one and the touched
-// addresses: an untouched address keeps its object, a touched one holds
-// whatever byStart says lives there now (nothing, the same object removed
-// and re-inserted, or a new one reusing the address). Caller holds mu.
-func (ix *ObjectIndex) merged() []*Object {
+// AppendAll appends all live objects, sorted by address, to dst and returns
+// the extended slice with the generation it describes: All for a caller that
+// asks again and again and brings its own buffer. The result is the caller's
+// alone and the index's snapshot stays where it was, so a call allocates
+// nothing once dst has the capacity — except that a pending list grown past
+// an eighth of the snapshot is folded into a new one first, which keeps the
+// merge here, and the one the next All will do, short.
+func (ix *ObjectIndex) AppendAll(dst []*Object) ([]*Object, uint64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.snap == nil || len(ix.touched) > len(ix.snap)/8+minPending {
+		ix.advance()
+	}
+	return ix.mergeInto(dst), ix.gen
+}
+
+// mergeInto appends the ordered view as of now to out: the snapshot with
+// the touched addresses merged in. An untouched address keeps its object, a
+// touched one holds whatever byStart says lives there now (nothing, the same
+// object removed and re-inserted, or a new one reusing the address). Caller
+// holds mu for writing: the touched list is sorted in place.
+func (ix *ObjectIndex) mergeInto(out []*Object) []*Object {
 	slices.Sort(ix.touched)
-	out := make([]*Object, 0, len(ix.byStart))
 	old := ix.snap
 	var prev Addr
 	for i, addr := range ix.touched {
@@ -282,8 +310,14 @@ func (ix *ObjectIndex) merged() []*Object {
 
 // OnPages returns the distinct live objects overlapping any of the given
 // pages, sorted by address (used to turn soft-dirty pages into the dirty
-// object set). The pages may come in any order, with repeats.
+// object set). The pages may come in any order, with repeats. It walks the
+// snapshot, unless that is behind and the pages hold under a quarter of the
+// objects: then their buckets are gathered and sorted, and the snapshot is
+// left for a reader that needs all of it.
 func (ix *ObjectIndex) OnPages(pages []Addr) []*Object {
+	if out, ok := ix.fromBuckets(pages); ok {
+		return out
+	}
 	objs := ix.All()
 	if !slices.IsSorted(pages) {
 		pages = slices.Clone(pages)
@@ -299,4 +333,27 @@ func (ix *ObjectIndex) OnPages(pages []Addr) []*Object {
 		}
 	}
 	return out
+}
+
+// fromBuckets answers OnPages from the page buckets, when that is the
+// cheaper way (see OnPages).
+func (ix *ObjectIndex) fromBuckets(pages []Addr) ([]*Object, bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if ix.snap != nil && len(ix.touched) == 0 {
+		return nil, false
+	}
+	n := 0
+	for _, pb := range pages {
+		n += len(ix.byPage[pb])
+	}
+	if n > len(ix.byStart)/4 {
+		return nil, false
+	}
+	out := make([]*Object, 0, n)
+	for _, pb := range pages {
+		out = append(out, ix.byPage[pb]...)
+	}
+	slices.SortFunc(out, func(a, b *Object) int { return cmp.Compare(a.Addr, b.Addr) })
+	return slices.Compact(out), true
 }

@@ -104,13 +104,14 @@ func (as *AddressSpace) updateChunk(addr, stop Addr, fn func(base Addr, data []b
 			next = stop
 		}
 		if p := as.pages[pb]; p != nil && fn(addr, p.data[addr-pb:next-pb]) {
+			if !stored {
+				as.mutations++
+				stored = true
+			}
 			p.softDirty = true
-			stored = true
+			p.stamp = as.mutations
 		}
 		addr = next
-	}
-	if stored {
-		as.mutations++
 	}
 	return nil
 }

@@ -305,6 +305,9 @@ func (s Span) End() { s.end("", "", 0) }
 // event (merged into the paired span by Pair).
 func (s Span) EndArg(argName string, arg int64) { s.end("", argName, arg) }
 
+// EndArgNote ends the span with both: either may be empty.
+func (s Span) EndArgNote(argName string, arg int64, note string) { s.end(note, argName, arg) }
+
 // EndNote ends the span with a free-form note (outcome, cause).
 func (s Span) EndNote(note string) { s.end(note, "", 0) }
 

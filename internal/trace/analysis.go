@@ -7,7 +7,6 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/mem"
@@ -25,26 +24,6 @@ type RegionBreakdown struct {
 	TargStatic  int
 	TargDynamic int
 	TargLib     int
-}
-
-func (b *RegionBreakdown) add(src, targ mem.ObjKind) {
-	b.Ptr++
-	switch src {
-	case mem.ObjStatic, mem.ObjStack:
-		b.SrcStatic++
-	case mem.ObjHeap, mem.ObjMmap:
-		b.SrcDynamic++
-	case mem.ObjLib:
-		b.SrcLib++
-	}
-	switch targ {
-	case mem.ObjStatic, mem.ObjStack:
-		b.TargStatic++
-	case mem.ObjHeap, mem.ObjMmap:
-		b.TargDynamic++
-	case mem.ObjLib:
-		b.TargLib++
-	}
 }
 
 // PointerStats aggregates the precise and likely pointer populations of
@@ -89,61 +68,20 @@ func (a *Analysis) IsImmutable(addr mem.Addr) bool {
 	return ok
 }
 
-// opaqueRangesOf returns the byte ranges of o that must be scanned
-// conservatively under the policy, and the precise pointer slots.
-func opaqueRangesOf(o *mem.Object, pol types.Policy) ([]types.OpaqueRange, []types.PtrSlot) {
-	if o.Type == nil {
-		// Uninstrumented object: fully opaque.
-		return []types.OpaqueRange{{Offset: 0, Size: o.Size}}, nil
-	}
-	l := types.LayoutOf(o.Type, pol)
-	return l.Opaques, l.Ptrs
-}
-
 // AnalyzeProc runs the conservative analysis over every live object of the
 // process: precise pointer slots are censused and validated; opaque areas
 // are scanned for likely pointers; immutability and nonupdatability
 // invariants are derived. Library objects are scanned only if listed in
 // transferLibs (§6: "MCR does not conservatively analyze nor transfer
 // shared library state by default"). The process may be serving: reads go
-// through the address space's read lock, and the caller validates the
-// result against the Mutations/Gen counters it captured beforehand.
+// through the address space's read lock. It is the incremental analysis's
+// step from nothing — every resident page to scan (incremental.go).
 func AnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool) (*Analysis, error) {
-	an := &Analysis{
-		Immutable:    make(map[mem.Addr]*mem.Object),
-		Nonupdatable: make(map[mem.Addr]bool),
+	var st procAnalysis
+	if _, _, err := st.step(p, pol, transferLibs); err != nil {
+		return nil, err
 	}
-	as := p.Space()
-	r := newResolver(p.Index().All(), pol)
-	// pinned[i] records that r.objs[i] is already in the result maps: a
-	// hot target is pointed at thousands of times and entered once.
-	pinned := make([]bool, len(r.objs))
-	var src *mem.Object
-	var hasLikely bool
-	precise := func(ti int) { an.Stats.Precise.add(src.Kind, r.objs[ti].Kind) }
-	likely := func(ti int) {
-		target := r.objs[ti]
-		hasLikely = true
-		an.Stats.Likely.add(src.Kind, target.Kind)
-		if !pinned[ti] {
-			pinned[ti] = true
-			an.Immutable[target.Addr] = target
-			an.Nonupdatable[target.Addr] = true
-		}
-	}
-	for _, o := range r.objs {
-		if o.Kind == mem.ObjLib && !transferLibs[o.Name] {
-			continue
-		}
-		src, hasLikely = o, false
-		if err := r.scan(as, o, precise, likely); err != nil {
-			return nil, fmt.Errorf("trace: scan %s: %w", o, err)
-		}
-		if hasLikely {
-			an.Nonupdatable[o.Addr] = true
-		}
-	}
-	return an, nil
+	return st.an, nil
 }
 
 // AnalyzeInstance analyzes every process of the instance: Resolve over an

@@ -1,0 +1,528 @@
+package trace
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sort"
+
+	"repro/internal/mem"
+	"repro/internal/program"
+	"repro/internal/types"
+)
+
+// The conservative analysis of one process is the fold of per-page scan
+// summaries, and bringing it up to date re-scans pages, not the process:
+//
+//   - a page stored into since the last step (mem.StoredSince: page stamps
+//     against the epoch captured by that step), because its words changed;
+//   - every page an inserted or removed object overlaps, because the
+//     object's layout decides which of its words are traced;
+//   - every page holding a traced word that points into such an object's
+//     pages, because a word's resolution can only change when an object on
+//     the page it points into changed — so each summary keeps the targets
+//     its words found and the pages its other in-span words point into;
+//   - the page before any of these when a traced word straddles the
+//     boundary between the two: a word belongs to the page it starts on.
+//
+// Every other summary stands as it is. The cold analysis is the same step
+// with every resident page to scan. A change to the shape of the address
+// space (a mapping change, or a frame taken away) moves what "in span"
+// means, or removes pages without a trace, and falls back to that.
+
+// regionClass maps an object kind to the memory class Table 2 reports:
+// static (globals and stack variables), dynamic, lib.
+var regionClass = [...]uint8{mem.ObjStatic: 0, mem.ObjStack: 0, mem.ObjHeap: 1, mem.ObjMmap: 1, mem.ObjLib: 2}
+
+// census counts one page's pointers of one sort by [source][target] class:
+// a RegionBreakdown in a sixth of the bytes (a page holds at most 513 traced
+// words), and exactly subtractable.
+type census [3][3]uint16
+
+// fold adds (sign +1) or subtracts (sign -1) a page's census.
+func (b *RegionBreakdown) fold(c *census, sign int) {
+	src := [3]*int{&b.SrcStatic, &b.SrcDynamic, &b.SrcLib}
+	targ := [3]*int{&b.TargStatic, &b.TargDynamic, &b.TargLib}
+	for s := range c {
+		for t, n := range c[s] {
+			d := sign * int(n)
+			b.Ptr += d
+			*src[s] += d
+			*targ[t] += d
+		}
+	}
+}
+
+// pageSummary is what the scan of one page found, in the form the process
+// analysis folds and unfolds: the two census contributions and three
+// address lists. It names objects by start address, never by pointer, so it
+// outlives the object list it was resolved against and pins no freed
+// object.
+type pageSummary struct {
+	precise, likely census
+	// refs is three ascending, duplicate-free lists back to back in one
+	// allocation: the objects that hold a likely pointer on this page, the
+	// objects a likely pointer on this page points into, and the pages the
+	// page's other in-span traced words point into — precise pointers
+	// (the page their target starts on) and words that found no target
+	// (the page they name). The second and third together are the page's
+	// side of "who must be re-scanned when this object comes or goes".
+	refs        []mem.Addr
+	nHold, nPin uint16
+}
+
+func (s *pageSummary) holders() []mem.Addr     { return s.refs[:s.nHold] }
+func (s *pageSummary) pinned() []mem.Addr      { return s.refs[s.nHold:][:s.nPin] }
+func (s *pageSummary) targetPages() []mem.Addr { return s.refs[s.nHold:][s.nPin:] }
+
+// touches reports whether the resolution of any word on the page may have
+// changed with the insertion or removal of the delta objects (ascending by
+// address).
+func (s *pageSummary) touches(delta []*mem.Object) bool {
+	pins, i := s.pinned(), 0
+	for _, x := range delta {
+		for i < len(pins) && pins[i] < x.Addr {
+			i++
+		}
+		if i < len(pins) && pins[i] == x.Addr {
+			return true
+		}
+	}
+	tps, i := s.targetPages(), 0
+	for _, x := range delta {
+		for lo := pageOf(x.Addr); i < len(tps) && tps[i] < lo; {
+			i++
+		}
+		if i < len(tps) && tps[i] < x.End() {
+			return true
+		}
+	}
+	return false
+}
+
+// procAnalysis is the incremental analysis of one process: the summaries,
+// their fold, and what the fold was computed against. Not safe for
+// concurrent use.
+type procAnalysis struct {
+	objs    []*mem.Object // the live objects the summaries resolve against, by address
+	gen     uint64        // Index().Gen() as of objs
+	regions []mem.Region  // the mapped span dangling words are kept within
+	epoch   uint64        // Mutations as of the last step's page listing
+	pages   map[mem.Addr]*pageSummary
+	// bufs are objs and its predecessor, by turns: a step that finds the
+	// index moved has the new list merged into the one objs is not in
+	// (mem.ObjectIndex.AppendAll), so stepping a process that keeps
+	// allocating allocates nothing itself.
+	bufs [2][]*mem.Object
+	cur  int // objs is bufs[cur]
+	// holds and pins count, per object, the pages on which it holds a
+	// likely pointer and the pages holding one into it: an object is
+	// immutable while pins has it, nonupdatable while either does.
+	holds, pins map[mem.Addr]int32
+	stats       PointerStats
+	// changed: the key sets of holds/pins, or an object behind a key of
+	// pins, moved since an was built.
+	changed bool
+	// an is the published fold. It is never written after publication: a
+	// step that changes the result builds a new one (sharing the maps when
+	// only the census moved), so a caller may keep what it was handed.
+	an *Analysis
+}
+
+// step brings the analysis up to date with p and returns how many pages it
+// scanned and how many summaries stood as they were. After an error the
+// state is partial and must be discarded.
+func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]bool) (scanned, kept int, err error) {
+	as, ix := p.Space(), p.Index()
+	// Every capture is of one instant or precedes what it vouches for — the
+	// object list comes with its generation, the page listing is the epoch —
+	// so whatever races this step is seen, again, by the next one, never
+	// missed.
+	objs, gen, cur := st.objs, st.gen, st.cur
+	full := st.pages == nil
+	moved := full || ix.Gen() != gen
+	if moved {
+		cur ^= 1
+		st.bufs[cur], gen = ix.AppendAll(st.bufs[cur][:0])
+		objs = st.bufs[cur]
+	}
+	var (
+		now   uint64
+		todo  []mem.Addr
+		delta []*mem.Object
+	)
+	if !full {
+		now, todo, full = as.StoredSince(st.epoch)
+		if moved && !full {
+			delta, full = st.indexDelta(objs)
+		}
+	}
+	if full {
+		*st = procAnalysis{
+			bufs:  st.bufs,
+			pages: make(map[mem.Addr]*pageSummary),
+			holds: make(map[mem.Addr]int32),
+			pins:  make(map[mem.Addr]int32),
+		}
+		now, todo, _ = as.StoredSince(0)
+		st.regions = as.Regions() // after the listing: a later mapping change shows as reshaped
+		delta = nil
+	}
+	if len(delta) > 0 {
+		for _, x := range delta {
+			for pb := pageOf(x.Addr); pb < x.End(); pb += mem.PageSize {
+				todo = append(todo, pb)
+			}
+		}
+		for pb, s := range st.pages {
+			if s.touches(delta) {
+				todo = append(todo, pb)
+			}
+		}
+		slices.Sort(todo)
+		todo = slices.Compact(todo)
+	}
+	sc := newPageScanner(as, objs, pol, libs, st.regions)
+	todo = sc.withStraddled(todo)
+	kept = len(st.pages)
+	for i := 0; i < len(todo); {
+		j := i + 1
+		for j < len(todo) && todo[j] == todo[j-1]+mem.PageSize {
+			j++
+		}
+		sums, err := sc.scanRun(todo[i], j-i)
+		if err != nil {
+			return 0, 0, err
+		}
+		for k, s := range sums {
+			// New before old, so an object both sides name never passes
+			// through zero and the key sets read as unchanged.
+			pb := todo[i+k]
+			old := st.pages[pb]
+			st.fold(s, +1)
+			st.fold(old, -1)
+			if old != nil {
+				kept--
+			}
+			if s != nil {
+				st.pages[pb] = s
+			} else if old != nil {
+				delete(st.pages, pb)
+			}
+		}
+		i = j
+	}
+	for _, x := range delta {
+		if _, pinned := st.pins[x.Addr]; pinned {
+			st.changed = true // the key stayed; the object behind it may not have
+		}
+	}
+	st.objs, st.cur, st.gen, st.epoch = objs, cur, gen, now
+	st.publish()
+	return len(todo), kept, nil
+}
+
+// indexDelta merge-walks the object list the summaries were resolved against
+// and the current one — both sorted — and returns the objects removed and
+// inserted between them, ascending. An object outside the mapped span the
+// summaries filtered dangling words by cannot be handled incrementally:
+// full is set.
+func (st *procAnalysis) indexDelta(cur []*mem.Object) (delta []*mem.Object, full bool) {
+	old := st.objs
+	for i, j := 0, 0; i < len(old) || j < len(cur); {
+		switch {
+		case j == len(cur) || (i < len(old) && old[i].Addr < cur[j].Addr):
+			delta = append(delta, old[i])
+			i++
+		case i == len(old) || cur[j].Addr < old[i].Addr:
+			delta = append(delta, cur[j])
+			j++
+		default:
+			if old[i] != cur[j] { // the address reused by another object
+				delta = append(delta, old[i], cur[j])
+			}
+			i++
+			j++
+		}
+	}
+	for _, x := range delta {
+		if x.Size > 0 && !(mapped(st.regions, x.Addr) && mapped(st.regions, x.End()-1)) {
+			return nil, true
+		}
+	}
+	return delta, false
+}
+
+// mapped reports whether a lies in one of the regions (sorted by start).
+func mapped(regions []mem.Region, a mem.Addr) bool {
+	i := sort.Search(len(regions), func(i int) bool { return regions[i].End() > a })
+	return i < len(regions) && regions[i].Start <= a
+}
+
+// fold adds (sign +1) or subtracts (sign -1) one page's summary.
+func (st *procAnalysis) fold(s *pageSummary, sign int32) {
+	if s == nil {
+		return
+	}
+	st.stats.Precise.fold(&s.precise, int(sign))
+	st.stats.Likely.fold(&s.likely, int(sign))
+	count := func(m map[mem.Addr]int32, keys []mem.Addr) {
+		for _, a := range keys {
+			n := m[a] + sign
+			if n == 0 {
+				delete(m, a)
+			} else {
+				m[a] = n
+			}
+			if n == 0 || n == sign {
+				st.changed = true // a key left, or arrived
+			}
+		}
+	}
+	count(st.holds, s.holders())
+	count(st.pins, s.pinned())
+}
+
+// publish makes st.an the fold of the current summaries.
+func (st *procAnalysis) publish() {
+	switch {
+	case st.an == nil || st.changed:
+		an := &Analysis{
+			Immutable:    make(map[mem.Addr]*mem.Object, len(st.pins)),
+			Nonupdatable: make(map[mem.Addr]bool, len(st.pins)+len(st.holds)),
+			Stats:        st.stats,
+		}
+		for a := range st.pins {
+			i, _ := slices.BinarySearchFunc(st.objs, a, func(o *mem.Object, a mem.Addr) int { return cmp.Compare(o.Addr, a) })
+			an.Immutable[a] = st.objs[i]
+			an.Nonupdatable[a] = true
+		}
+		for a := range st.holds {
+			an.Nonupdatable[a] = true
+		}
+		st.an, st.changed = an, false
+	case st.an.Stats != st.stats:
+		st.an = &Analysis{Immutable: st.an.Immutable, Nonupdatable: st.an.Nonupdatable, Stats: st.stats}
+	}
+}
+
+// pageScanner scans pages of one process against one object list, a run of
+// consecutive pages at a time. Runs must be scanned in ascending order.
+type pageScanner struct {
+	r       *resolver
+	as      *mem.AddressSpace
+	libs    map[string]bool
+	regions []mem.Region
+	next    int // r.objs[:next] end at or before the start of the last run scanned
+
+	// The run in progress: where it starts, and its pages' summaries so far.
+	lo  mem.Addr
+	out []*pageSummary
+
+	// The page in progress, and the callbacks that fill it (bound once).
+	page                mem.Addr
+	src                 *mem.Object // the object being scanned
+	srcClass            uint8
+	srcLikely           bool // it holds a likely pointer on this page
+	precise, likely     census
+	holds, pins, tpages []mem.Addr
+	onPrecise, onLikely func(ti int)
+	onMiss              func(w uint64)
+	// recent remembers, by low bits, targets already in pins: most of a
+	// page's likely pointers repeat a few targets, and the sort that makes
+	// pins a set should see each about once. A collision only costs a
+	// duplicate.
+	recent [64]int32
+	// region caches the last mapped region a miss fell into, gap the last
+	// hole between regions one fell into.
+	region        mem.Region
+	gapLo, gapLen mem.Addr
+}
+
+func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, pol types.Policy, libs map[string]bool, regions []mem.Region) *pageScanner {
+	sc := &pageScanner{r: newResolver(objs, pol), as: as, libs: libs, regions: regions}
+	if n := len(regions); n > 0 {
+		// A word that points nowhere today is remembered if an object
+		// could ever be allocated under it: pre-filter by the mapped
+		// span, not by the span of today's objects.
+		sc.r.cover(regions[0].Start, regions[n-1].End())
+	}
+	for i := range sc.recent {
+		sc.recent[i] = -1
+	}
+	// A fragment belongs to the page it lies on: the scan of an object that
+	// spans several moves from page to page as its fragments arrive.
+	sc.r.onFragment = func(base mem.Addr, data []byte) {
+		sc.enter(pageOf(base))
+		sc.r.fragment(base, data)
+	}
+	sc.onPrecise = func(ti int) {
+		t := sc.r.objs[ti]
+		sc.precise[sc.srcClass][regionClass[t.Kind]]++
+		sc.notePage(pageOf(t.Addr))
+	}
+	sc.onLikely = func(ti int) {
+		t := sc.r.objs[ti]
+		sc.likely[sc.srcClass][regionClass[t.Kind]]++
+		sc.srcLikely = true
+		if slot := &sc.recent[ti&63]; *slot != int32(ti) {
+			*slot = int32(ti)
+			sc.pins = append(sc.pins, t.Addr)
+		}
+	}
+	sc.onMiss = func(w uint64) {
+		a := mem.Addr(w)
+		if a-sc.gapLo < sc.gapLen {
+			return // integers that look like addresses cluster: the same hole again
+		}
+		if !sc.region.Contains(a) {
+			i := sort.Search(len(sc.regions), func(i int) bool { return sc.regions[i].End() > a })
+			if i == len(sc.regions) {
+				return
+			}
+			if next := sc.regions[i].Start; next > a {
+				sc.gapLo = 0
+				if i > 0 {
+					sc.gapLo = sc.regions[i-1].End()
+				}
+				sc.gapLen = next - sc.gapLo
+				return
+			}
+			sc.region = sc.regions[i]
+		}
+		sc.notePage(pageOf(a))
+	}
+	return sc
+}
+
+func (sc *pageScanner) notePage(pb mem.Addr) {
+	if n := len(sc.tpages); n == 0 || sc.tpages[n-1] != pb {
+		sc.tpages = append(sc.tpages, pb)
+	}
+}
+
+// scanned reports whether o's words are traced at all: library objects are
+// only when listed (§6: "MCR does not conservatively analyze nor transfer
+// shared library state by default").
+func (sc *pageScanner) scanned(o *mem.Object) bool {
+	return o.Kind != mem.ObjLib || sc.libs[o.Name]
+}
+
+// withStraddled adds, to an ascending page list, the page before each
+// listed one wherever a traced word may start on the former and end on the
+// latter: that word is the earlier page's, and its value just changed. The
+// earlier page need not be resident — its absent half of the word reads as
+// zero.
+func (sc *pageScanner) withStraddled(pages []mem.Addr) []mem.Addr {
+	var out []mem.Addr // built only once a page has to be added
+	for i, pb := range pages {
+		if i > 0 && pages[i-1] == pb-mem.PageSize {
+			// already listed
+		} else if ti := sc.r.containing(uint64(pb)); ti >= 0 {
+			if o := sc.r.objs[ti]; o.Addr < pb && sc.scanned(o) && sc.r.mayCross(o) {
+				if out == nil {
+					out = append(make([]mem.Addr, 0, len(pages)+1), pages[:i]...)
+				}
+				out = append(out, pb-mem.PageSize)
+			}
+		}
+		if out != nil {
+			out = append(out, pb)
+		}
+	}
+	if out == nil {
+		return pages
+	}
+	return out
+}
+
+// scanRun scans every traced word that starts on one of the n consecutive
+// pages from lo and returns the pages' summaries in order: nil for a page
+// that holds nothing to remember. The slice is valid until the next call.
+//
+// The run is read object by object, each in one walk (mem.WalkResident: one
+// hold of the read lock per 64 pages), not page by page: a scan of the whole
+// heap takes the lock about once per object, as seldom as a scan that keeps
+// no per-page account would, and the serving program's stores wait no more
+// often for one than for the other.
+func (sc *pageScanner) scanRun(lo mem.Addr, n int) ([]*pageSummary, error) {
+	objs, hi := sc.r.objs, lo+mem.Addr(n)*mem.PageSize
+	sc.lo, sc.page = lo, lo
+	sc.out = append(sc.out[:0], make([]*pageSummary, n)...)
+	// Disjoint and sorted by start, objs is sorted by end too.
+	k, _ := slices.BinarySearchFunc(objs[sc.next:], lo+1, func(o *mem.Object, a mem.Addr) int { return cmp.Compare(o.End(), a) })
+	sc.next += k
+	for i := sc.next; i < len(objs) && objs[i].Addr < hi; i++ {
+		o := objs[i]
+		if !sc.scanned(o) {
+			continue
+		}
+		sc.src, sc.srcClass = o, regionClass[o.Kind]
+		from, to := max(o.Addr, lo), min(o.End(), hi)
+		if !sc.r.mayCross(o) {
+			if err := sc.scanSource(from, to); err != nil {
+				return nil, err
+			}
+		} else {
+			// A word cut by a page boundary is read after the walk that
+			// passed it (scanRange): walk such an object a page at a time,
+			// so that the word still finds the page it starts on open —
+			// resident or not.
+			for pb := pageOf(from); pb < to; pb += mem.PageSize {
+				sc.enter(pb)
+				if err := sc.scanSource(max(from, pb), min(to, pb+mem.PageSize)); err != nil {
+					return nil, err
+				}
+			}
+		}
+		sc.noteHolder()
+	}
+	sc.closePage()
+	return sc.out, nil
+}
+
+func (sc *pageScanner) scanSource(from, to mem.Addr) error {
+	if err := sc.r.scanRange(sc.as, sc.src, from, to, sc.onPrecise, sc.onLikely, sc.onMiss); err != nil {
+		return fmt.Errorf("trace: scan %s: %w", sc.src, err)
+	}
+	return nil
+}
+
+// enter makes pb the page in progress, closing the one before it.
+func (sc *pageScanner) enter(pb mem.Addr) {
+	if pb != sc.page {
+		sc.closePage()
+		sc.page = pb
+	}
+}
+
+// noteHolder records the object being scanned as holding a likely pointer
+// on the page in progress, if it was seen to.
+func (sc *pageScanner) noteHolder() {
+	if sc.srcLikely {
+		sc.holds = append(sc.holds, sc.src.Addr)
+		sc.srcLikely = false
+	}
+}
+
+// closePage files the summary of the page in progress and clears the slate
+// for the next.
+func (sc *pageScanner) closePage() {
+	sc.noteHolder()
+	if len(sc.pins)+len(sc.tpages) == 0 {
+		return // no pointer found, and no word a later allocation could turn into one: nothing was noted
+	}
+	slices.Sort(sc.pins)
+	sc.pins = slices.Compact(sc.pins)
+	slices.Sort(sc.tpages)
+	sc.tpages = slices.Compact(sc.tpages)
+	s := &pageSummary{precise: sc.precise, likely: sc.likely, nHold: uint16(len(sc.holds)), nPin: uint16(len(sc.pins))}
+	s.refs = make([]mem.Addr, 0, len(sc.holds)+len(sc.pins)+len(sc.tpages))
+	s.refs = append(append(append(s.refs, sc.holds...), sc.pins...), sc.tpages...)
+	sc.out[(sc.page-sc.lo)/mem.PageSize] = s
+	sc.precise, sc.likely = census{}, census{}
+	sc.holds, sc.pins, sc.tpages = sc.holds[:0], sc.pins[:0], sc.tpages[:0]
+	for i := range sc.recent {
+		sc.recent[i] = -1
+	}
+}

@@ -24,6 +24,39 @@ import (
 // and per opaque word, one locked ObjectIndex.Containing per candidate. It
 // is kept verbatim as the oracle the page-granular scan is compared to.
 
+// add is the oracle's census: one pointer at a time, classified by a switch
+// of its own rather than by the scan's regionClass table.
+func (b *RegionBreakdown) add(src, targ mem.ObjKind) {
+	b.Ptr++
+	switch src {
+	case mem.ObjStatic, mem.ObjStack:
+		b.SrcStatic++
+	case mem.ObjHeap, mem.ObjMmap:
+		b.SrcDynamic++
+	case mem.ObjLib:
+		b.SrcLib++
+	}
+	switch targ {
+	case mem.ObjStatic, mem.ObjStack:
+		b.TargStatic++
+	case mem.ObjHeap, mem.ObjMmap:
+		b.TargDynamic++
+	case mem.ObjLib:
+		b.TargLib++
+	}
+}
+
+// opaqueRangesOf returns the byte ranges of o that must be scanned
+// conservatively under the policy, and the precise pointer slots.
+func opaqueRangesOf(o *mem.Object, pol types.Policy) ([]types.OpaqueRange, []types.PtrSlot) {
+	if o.Type == nil {
+		// Uninstrumented object: fully opaque.
+		return []types.OpaqueRange{{Offset: 0, Size: o.Size}}, nil
+	}
+	l := types.LayoutOf(o.Type, pol)
+	return l.Opaques, l.Ptrs
+}
+
 func referenceLikelyPointer(ix *mem.ObjectIndex, word uint64) (*mem.Object, bool) {
 	if word == 0 {
 		return nil, false
@@ -464,9 +497,10 @@ func TestScanWordsAcrossPageBoundaries(t *testing.T) {
 // TestWarmRefreshFailsValidationOnMidScanStore races a writer against an
 // off-window analysis refresh of the same process (run under -race: the
 // in-place scan and the stores meet only through the address-space lock).
-// Stores landing while the scan runs must advance Mutations past the
-// capture, so Resolve throws the entry away and re-analyzes — and what it
-// returns is the analysis of the final state.
+// Stores landing while the sweep runs stamp their page past the epoch the
+// sweep captured before it read anything, so the entry fails validation,
+// Resolve scans that page again — the process counts as re-analyzed, not
+// reused — and what it returns is the analysis of the final state.
 func TestWarmRefreshFailsValidationOnMidScanStore(t *testing.T) {
 	p := startScanFixture(t)
 	planted := plantRandomHeap(t, p, 99)
@@ -504,12 +538,16 @@ func TestWarmRefreshFailsValidationOnMidScanStore(t *testing.T) {
 	scanDone.Store(true)
 	wg.Wait()
 
-	analyses, reused, err := w.Resolve(inst)
+	analyses, rs, err := w.Resolve(inst)
+	reused := rs.Revalidated
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused != 0 {
-		t.Fatalf("reused = %d: a store during/after the scan passed validation", reused)
+	if reused != 0 || rs.PagesRescanned == 0 {
+		t.Fatalf("reused = %d, %d pages rescanned: a store during/after the scan passed validation", reused, rs.PagesRescanned)
+	}
+	if rs.PagesReused == 0 {
+		t.Errorf("one word changed and no page summary was reused: %+v", rs)
 	}
 	want, err := referenceAnalyzeProc(p, types.DefaultPolicy(), nil)
 	if err != nil {
@@ -726,8 +764,11 @@ var scanFills = []struct {
 }
 
 // TestAnalyzeProcAllocsIndependentOfHeapBytes: the analysis allocates per
-// object (snapshot, layouts, result maps), never per byte scanned — a 64×
-// larger heap of the same shape costs the same number of allocations.
+// object (snapshot, layouts, result maps) and per resident page (its
+// summary), never per byte scanned — on a heap where every word is a
+// pointer, 63 times the pages cost a few allocations each, not 512. And
+// bringing a current analysis up to date — no page stored into, no
+// allocation or free since — allocates nothing at all.
 func TestAnalyzeProcAllocsIndependentOfHeapBytes(t *testing.T) {
 	allocs := func(size int) float64 {
 		p := oneBigObject(t, size, scanFills[2].fill)
@@ -738,8 +779,22 @@ func TestAnalyzeProcAllocsIndependentOfHeapBytes(t *testing.T) {
 		})
 	}
 	small, large := allocs(64<<10), allocs(scanBigMax)
-	if large > small {
-		t.Errorf("AnalyzeProc allocations grew with heap bytes: %.0f at 64 KiB, %.0f at %d KiB", small, large, scanBigMax>>10)
+	if perPage := (large - small) / float64((scanBigMax-64<<10)/mem.PageSize); perPage > 4 {
+		t.Errorf("AnalyzeProc allocations grew with heap bytes: %.0f at 64 KiB, %.0f at %d KiB: %.1f per page",
+			small, large, scanBigMax>>10, perPage)
+	}
+
+	p := oneBigObject(t, 64<<10, scanFills[2].fill)
+	w := NewWarmAnalysis(types.DefaultPolicy(), nil)
+	w.Refresh(p.Instance())
+	var rs WarmRefresh
+	idle := testing.AllocsPerRun(20, func() {
+		if _, err := w.bring(p, &rs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if idle != 0 || rs.Reanalyzed != 0 || rs.PagesRescanned != 0 {
+		t.Errorf("a step with nothing dirty allocated %.0f times (tally %+v), want 0", idle, rs)
 	}
 }
 

@@ -1,14 +1,17 @@
 // Warm analysis: the conservative pointer analysis of a still-serving
-// instance, kept valid by delta counters instead of recomputed at
-// quiescence. Each process's entry remembers the memory substrate's
-// counters (mem.AddressSpace.Mutations, mem.ObjectIndex.Gen) captured just
-// before it was analyzed; a process that was not written to — and did not
-// allocate or free — since then has an analysis identical to what a
-// post-quiesce run would produce. The warm-standby daemon refreshes one
-// continuously between updates, so a fork-heavy server whose traffic
-// writes to a few processes re-analyzes exactly those few; a cold update
-// refreshes a fresh one once before it quiesces. Either way only the
-// invalidated processes are re-analyzed inside the downtime window.
+// instance, kept current page by page. Each process's entry holds its
+// incremental analysis (incremental.go: per-page scan summaries and their
+// fold) and the memory substrate's counters the fold describes
+// (mem.AddressSpace.Mutations, mem.ObjectIndex.Gen). A process whose
+// counters did not move is validated by comparing them — no sweep, no
+// allocation. One whose counters moved is stepped: only the pages stored
+// into since, and the pages an allocation or free can affect, are
+// re-scanned, so the work is proportional to what changed, not to the heap.
+// The warm-standby daemon steps every process each pass (Refresh); a cold
+// update does so once before it quiesces; the update engine steps again
+// inside the window (Resolve), where a process that served requests since
+// the last pass costs the few pages those requests wrote. A process never
+// seen before is the same step with every resident page to scan.
 package trace
 
 import (
@@ -19,30 +22,43 @@ import (
 	"repro/internal/types"
 )
 
-// warmEntry is one process's current analysis plus the delta-counter
-// capture taken immediately before it was (re)computed.
+// warmEntry is one process's published analysis with the counters it
+// describes. Entries are immutable: a step publishes a new one.
 type warmEntry struct {
 	an        *Analysis
-	mutations uint64 // AddressSpace.Mutations at capture
-	indexGen  uint64 // ObjectIndex.Gen at capture
+	mutations uint64 // AddressSpace.Mutations the analysis is current to
+	indexGen  uint64 // ObjectIndex.Gen likewise
+	// st is the incremental state an was folded from; only the holder of
+	// WarmAnalysis.stepping touches it.
+	st *procAnalysis
 }
 
-// WarmRefresh summarizes one Refresh pass.
+// WarmRefresh summarizes one Refresh or Resolve pass. A process counts as
+// re-analyzed when at least one of its pages was re-scanned, or it had no
+// entry; the page counts say how much of it was.
 type WarmRefresh struct {
-	Revalidated int // processes whose counters still matched (no work)
-	Reanalyzed  int // processes re-analyzed because their deltas advanced
+	Revalidated int // processes whose analysis stood as it was
+	Reanalyzed  int // processes brought up to date by scanning pages
 	Dropped     int // entries dropped for processes that exited
 	Errors      int // analyses that failed mid-refresh (entry invalidated)
+
+	PagesRescanned int // pages scanned across the re-analyzed processes
+	PagesReused    int // page summaries that stood, across all processes
 }
 
 // WarmAnalysis is a per-process conservative analysis kept incrementally
 // current against a running instance. The warm-standby daemon calls
 // Refresh between updates; the update engine calls Resolve at quiescence
-// and consumes the result. All methods are safe for concurrent use,
-// though Refresh passes are expected to be serialized by the caller.
+// and consumes the result. All methods are safe for concurrent use;
+// Refresh and Resolve passes run one at a time.
 type WarmAnalysis struct {
 	pol  types.Policy
 	libs map[string]bool
+
+	// stepping serializes the passes: a process's incremental state has
+	// one writer. The probes below (Stale, Generation, ...) never wait on
+	// it.
+	stepping sync.Mutex
 
 	mu      sync.Mutex
 	entries map[program.ProcKey]*warmEntry
@@ -66,62 +82,75 @@ func NewWarmAnalysis(pol types.Policy, libs map[string]bool) *WarmAnalysis {
 	}
 }
 
-// current returns p's entry if the delta counters still match its
-// capture — the process was not written to and did not allocate or free
-// since, so a fresh analysis would be identical — and nil otherwise.
-func (w *WarmAnalysis) current(p *program.Proc) *warmEntry {
+func (w *WarmAnalysis) entry(key program.ProcKey) *warmEntry {
 	w.mu.Lock()
-	e := w.entries[p.Key()]
-	w.mu.Unlock()
-	if e != nil && e.mutations == p.Space().Mutations() && e.indexGen == p.Index().Gen() {
-		return e
-	}
-	return nil
+	defer w.mu.Unlock()
+	return w.entries[key]
 }
 
-// reanalyze recomputes p's entry. The counters are captured before
-// reading anything, so a write landing mid-analysis advances them past
-// the capture and the entry fails its next validation. An analysis error
-// (a region unmapped mid-walk) drops the entry.
-func (w *WarmAnalysis) reanalyze(p *program.Proc) (*warmEntry, error) {
-	e := &warmEntry{
-		mutations: p.Space().Mutations(),
-		indexGen:  p.Index().Gen(),
+// current reports whether the delta counters still match e's capture: the
+// process was not written to and did not allocate or free since, so a
+// fresh analysis would be identical.
+func (e *warmEntry) current(p *program.Proc) bool {
+	return e != nil && e.mutations == p.Space().Mutations() && e.indexGen == p.Index().Gen()
+}
+
+// bring returns p's entry, brought up to date, and tallies what that took
+// in rs. The caller holds w.stepping. The step captures its counters
+// before reading anything, so a store landing mid-step is past the capture
+// and its page is scanned again by the next one. An analysis error (a
+// region unmapped mid-walk) drops the entry.
+func (w *WarmAnalysis) bring(p *program.Proc, rs *WarmRefresh) (*warmEntry, error) {
+	e := w.entry(p.Key())
+	if e.current(p) {
+		rs.Revalidated++
+		rs.PagesReused += len(e.st.pages)
+		return e, nil
 	}
-	var err error
-	e.an, err = AnalyzeProc(p, w.pol, w.libs)
+	var st *procAnalysis
+	if e != nil {
+		st = e.st
+	} else {
+		st = new(procAnalysis)
+	}
+	scanned, kept, err := st.step(p, w.pol, w.libs)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err != nil {
 		delete(w.entries, p.Key())
+		rs.Errors++
 		return nil, err
 	}
-	w.entries[p.Key()] = e
+	ne := &warmEntry{an: st.an, mutations: st.epoch, indexGen: st.gen, st: st}
+	w.entries[p.Key()] = ne
+	rs.PagesRescanned += scanned
+	rs.PagesReused += kept
+	if scanned == 0 && e != nil {
+		rs.Revalidated++ // the counters moved over nothing the analysis reads
+		return ne, nil
+	}
+	rs.Reanalyzed++
 	w.gen++
 	w.reanalyses[p.Key()]++
-	return e, nil
+	return ne, nil
 }
 
 // Refresh brings the analysis up to date with the (still serving)
 // instance: every live process whose delta counters moved past its
-// entry's capture — or that has no entry yet — is re-analyzed; untouched
+// entry's capture — or that has no entry yet — is stepped; untouched
 // processes are revalidated for free. Entries of exited processes are
 // dropped. Reads synchronize through each address space's lock. An
 // analysis error is counted, not returned: the caller (the daemon, or the
 // update engine's off-window refresh) keeps going and the entry heals on
 // a later pass or at quiescence.
 func (w *WarmAnalysis) Refresh(inst *program.Instance) WarmRefresh {
+	w.stepping.Lock()
+	defer w.stepping.Unlock()
 	var rs WarmRefresh
 	live := make(map[program.ProcKey]bool)
 	for _, p := range inst.Procs() {
 		live[p.Key()] = true
-		if w.current(p) != nil {
-			rs.Revalidated++
-		} else if _, err := w.reanalyze(p); err != nil {
-			rs.Errors++
-		} else {
-			rs.Reanalyzed++
-		}
+		_, _ = w.bring(p, &rs) // counted in rs.Errors
 	}
 	w.mu.Lock()
 	for key := range w.entries {
@@ -135,27 +164,26 @@ func (w *WarmAnalysis) Refresh(inst *program.Instance) WarmRefresh {
 }
 
 // Resolve validates every process's entry against the current delta
-// counters and re-analyzes whatever they invalidated: every process, over
-// an analysis that was never refreshed. The instance must be quiesced. It
-// returns the per-process analyses and how many were reused as captured.
-// In-window re-analyses are counted in the per-process reanalysis tally
-// like refreshes are.
-func (w *WarmAnalysis) Resolve(inst *program.Instance) (map[program.ProcKey]*Analysis, int, error) {
+// counters and steps whatever they invalidated: every process from
+// nothing, over an analysis that was never refreshed. The instance must be
+// quiesced. It returns the per-process analyses and the pass's tally
+// (Revalidated is how many were reused as captured). The analyses are the
+// caller's to keep: a later pass publishes new ones instead of changing
+// these. In-window re-analyses are counted in the per-process reanalysis
+// tally like refreshes are.
+func (w *WarmAnalysis) Resolve(inst *program.Instance) (map[program.ProcKey]*Analysis, WarmRefresh, error) {
+	w.stepping.Lock()
+	defer w.stepping.Unlock()
+	var rs WarmRefresh
 	out := make(map[program.ProcKey]*Analysis)
-	reused := 0
 	for _, p := range inst.Procs() {
-		e := w.current(p)
-		if e != nil {
-			reused++
-		} else {
-			var err error
-			if e, err = w.reanalyze(p); err != nil {
-				return nil, reused, fmt.Errorf("trace: analyze %s: %w", p.Key(), err)
-			}
+		e, err := w.bring(p, &rs)
+		if err != nil {
+			return nil, rs, fmt.Errorf("trace: analyze %s: %w", p.Key(), err)
 		}
 		out[p.Key()] = e.an
 	}
-	return out, reused, nil
+	return out, rs, nil
 }
 
 // Stale reports whether any live process lacks a currently valid entry:
@@ -164,7 +192,7 @@ func (w *WarmAnalysis) Resolve(inst *program.Instance) (map[program.ProcKey]*Ana
 // Resolve run right now would reuse every entry.
 func (w *WarmAnalysis) Stale(inst *program.Instance) bool {
 	for _, p := range inst.Procs() {
-		if w.current(p) == nil {
+		if !w.entry(p.Key()).current(p) {
 			return true
 		}
 	}

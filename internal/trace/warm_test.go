@@ -95,7 +95,8 @@ func TestWarmResolveMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			analyses, reused, err := w.Resolve(v1)
+			analyses, rs, err := w.Resolve(v1)
+			reused := rs.Revalidated
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +111,8 @@ func TestWarmResolveMatchesFresh(t *testing.T) {
 			// re-analyzes it in-window and the result still matches a
 			// fresh run.
 			touchProc(t, v1.Root())
-			analyses2, reused2, err := w.Resolve(v1)
+			analyses2, rs2, err := w.Resolve(v1)
+			reused2 := rs2.Revalidated
 			if err != nil {
 				t.Fatal(err)
 			}
