@@ -467,8 +467,7 @@ func synthTransferVersion(seq, nodes, blobs int) *program.Version {
 // BenchmarkTransferParallelism compares sequential (workers=1) and
 // parallel intra-process mutable tracing over a large synthetic heap —
 // the hot path of update downtime. Transfer results are bit-identical at
-// every worker count; only wall-clock should change. Baselines live in
-// BENCH_transfer.json.
+// every worker count; only wall-clock should change.
 func BenchmarkTransferParallelism(b *testing.B) {
 	const nodes, blobs = 4000, 256
 	start := func(seq int) *program.Instance {
@@ -519,7 +518,7 @@ func BenchmarkTransferParallelism(b *testing.B) {
 // BenchmarkMemoryFootprint reports instrumented-vs-baseline RSS (the
 // memory-usage experiment M1) as custom metrics.
 func BenchmarkMemoryFootprint(b *testing.B) {
-	res, err := experiments.RunMemory(experiments.Config{})
+	res, err := experiments.RunMemory(experiments.Quick)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -531,224 +530,6 @@ func BenchmarkMemoryFootprint(b *testing.B) {
 			}
 			b.ReportMetric(row.Overhead(), "rss-ratio")
 			b.ReportMetric(float64(row.MetadataBytes), "metadata-bytes")
-		})
-	}
-}
-
-// BenchmarkDowntime reports the pipelining ablation: the quiesce->commit
-// wall clock (and its phase breakdown) of one live update over the
-// scan-heavy synthetic heap, on the sequential engine vs the pipelined
-// default. Transferred state is bit-identical across engines (RunDowntime
-// enforces the checksum and fails otherwise). The acceptance bar: the
-// pipelined downtime is >= 25% below sequential at default settings.
-// Baselines live in BENCH_downtime.json.
-func BenchmarkDowntime(b *testing.B) {
-	res, err := experiments.RunDowntime(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		row := row
-		b.Run(row.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The measurement was taken once above; report it per run.
-			}
-			b.ReportMetric(float64(row.Downtime.Microseconds()), "downtime-µs")
-			b.ReportMetric(float64(row.Analysis.Microseconds()), "analysis-µs")
-			b.ReportMetric(float64(row.ControlMigration.Microseconds()), "restart-µs")
-			b.ReportMetric(float64(row.StateTransfer.Microseconds()), "copy-µs")
-			if row.Name == "pipelined" {
-				b.ReportMetric(res.Reduction()*100, "reduction-pct")
-			}
-			if row.Adopt {
-				b.ReportMetric(row.AdoptionFraction*100, "adopted-pct")
-				b.ReportMetric(float64(row.AdoptedPages), "adopted-pages")
-			}
-		})
-	}
-}
-
-// BenchmarkWarm reports the warm-standby ablation: request->commit wall
-// clock of one live update over the scan-heavy synthetic heap, on the
-// sequential engine (cold), the pipelined engine (cold) and the pipelined
-// engine with the warm daemon armed. Transferred state is bit-identical
-// across all three (RunWarm enforces the FNV checksum and fails
-// otherwise). The acceptance bar: warm request->commit is >= 50% below
-// cold pipelined, with downtime no worse. Baselines live in
-// BENCH_warm.json.
-func BenchmarkWarm(b *testing.B) {
-	res, err := experiments.RunWarm(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		row := row
-		b.Run(row.Mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The measurement was taken once above; report it per run.
-			}
-			b.ReportMetric(float64(row.RequestToCommit.Microseconds()), "req-to-commit-µs")
-			b.ReportMetric(float64(row.PreQuiesce.Microseconds()), "pre-quiesce-µs")
-			b.ReportMetric(float64(row.Downtime.Microseconds()), "downtime-µs")
-			if row.Mode == "warm" {
-				b.ReportMetric(res.LatencyReduction()*100, "reduction-pct")
-			}
-		})
-	}
-	forks, err := experiments.RunWarmForks(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("forkheavy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(float64(forks.HotReanalyses), "hot-reanalyses")
-		b.ReportMetric(float64(forks.IdleReanalyses), "idle-reanalyses")
-		b.ReportMetric(forks.LatencyReduction()*100, "reduction-pct")
-	})
-}
-
-// BenchmarkCheckpointPrecopy reports the downtime-vs-dirty-ratio shape of
-// the incremental pre-copy checkpoint engine: bytes the downtime copy
-// reads from live memory with pre-copy vs the full-copy baseline, per
-// inter-epoch dirty ratio. The byte counts are deterministic (independent
-// of CPU count); baselines live in BENCH_checkpoint.json. The acceptance
-// bar: >= 60% reduction at <= 20% dirty.
-func BenchmarkCheckpointPrecopy(b *testing.B) {
-	res, err := experiments.RunCheckpoint(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		row := row
-		b.Run(fmt.Sprintf("dirty=%d%%", int(row.DirtyRatio*100)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The measurement was taken once above; report it per run.
-			}
-			b.ReportMetric(float64(row.BaselineBytes), "baseline-bytes")
-			b.ReportMetric(float64(row.LiveBytes), "live-bytes")
-			b.ReportMetric(float64(row.ShadowBytes), "shadow-bytes")
-			b.ReportMetric(row.Reduction()*100, "reduction-pct")
-		})
-	}
-}
-
-// BenchmarkOverhead reports the live-traffic overhead curve: the warm
-// daemon's serving-throughput cost per duty-cycle setting under the real
-// servers' sustained workloads, plus the mid-traffic warm update audit
-// (traffic through quiesce/commit/rollback, responses validated, transfer
-// shadow-verified and FNV-checksummed — RunOverhead fails otherwise).
-// Baselines live in BENCH_overhead.json.
-func BenchmarkOverhead(b *testing.B) {
-	res, err := experiments.RunOverhead(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range res.Points {
-		b.Run(fmt.Sprintf("%s/duty=%d%%", p.Server, int(p.DutyCycle*100)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The measurement was taken once above; report it per run.
-			}
-			b.ReportMetric(p.BaselineRPS, "baseline-rps")
-			b.ReportMetric(p.WarmRPS, "warm-rps")
-			b.ReportMetric(p.OverheadPct()*100, "overhead-pct")
-			b.ReportMetric(float64(p.Passes), "passes")
-			b.ReportMetric(p.MeasuredDuty*100, "measured-duty-pct")
-		})
-	}
-	for _, u := range res.Updates {
-		name := fmt.Sprintf("%s/update", u.Server)
-		if u.Rollback {
-			name = fmt.Sprintf("%s/rollback", u.Server)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-			}
-			b.ReportMetric(float64(u.RequestToCommit.Microseconds()), "req-to-commit-µs")
-			b.ReportMetric(float64(u.Downtime.Microseconds()), "downtime-µs")
-			b.ReportMetric(float64(u.ShadowLagAtRequest), "lag-at-request-pages")
-			b.ReportMetric(float64(u.RequestsDuring), "requests-during")
-		})
-	}
-}
-
-// BenchmarkCanary reports the post-commit canary evaluation: a plain
-// warm commit (overhead reference), a healthy update finalized through
-// the SLO window, and a forced serving regression caught and
-// auto-reverted under live traffic — RunCanary fails on a missed
-// regression, a wrong response, or a failed response through the revert.
-// Baselines live in BENCH_canary.json.
-func BenchmarkCanary(b *testing.B) {
-	res, err := experiments.RunCanary(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		b.Run(fmt.Sprintf("%s/%s", row.Server, row.Scenario), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The measurement was taken once above; report it per run.
-			}
-			b.ReportMetric(row.BaselineRPS, "baseline-rps")
-			b.ReportMetric(row.WindowRPS, "window-rps")
-			b.ReportMetric(float64(row.WindowP99.Microseconds()), "window-p99-µs")
-			b.ReportMetric(float64(row.Intervals), "monitor-ticks")
-			b.ReportMetric(float64(row.Errors+row.BadResponses), "failed-responses")
-		})
-	}
-	b.Run("httpd/canary-overhead", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(res.CanaryOverheadPct()*100, "overhead-pct")
-	})
-}
-
-// BenchmarkFaults runs the update-time fault-injection campaign: every
-// fault kind at every eligible phase under live traffic, each cell
-// asserting guaranteed rollback (cause classification, bit-identical old
-// state, restored soft-dirty accounting, zero failed responses, no
-// leaks). RunFaults fails internally on any violated clause, so every
-// reported cell already survived.
-func BenchmarkFaults(b *testing.B) {
-	res, err := experiments.RunFaults(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		b.Run(fmt.Sprintf("%s/%s", row.Phase, row.Cell), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The campaign ran once above; report its cells per run.
-			}
-			b.ReportMetric(float64(row.RecoveryTime.Microseconds()), "recovery-µs")
-			b.ReportMetric(float64(row.RequestsAfter), "requests-after")
-			b.ReportMetric(float64(row.Errors+row.BadResponses), "failed-responses")
-		})
-	}
-	b.Run("campaign/kinds", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(float64(res.FaultKinds()), "fault-kinds")
-	})
-}
-
-// BenchmarkRollout reports the fleet-rollout campaign: a healthy
-// canary-gated rolling update across a 3-member fleet (aggregate
-// throughput sustained through every wave) and two fault-injected
-// rollouts that abort with the failing member's cause bubbled up
-// verbatim, zero failed responses everywhere.
-func BenchmarkRollout(b *testing.B) {
-	res, err := experiments.RunRollout(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		b.Run(row.Scenario, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The campaign ran once above; report its rows per run.
-			}
-			b.ReportMetric(row.AggregateRPS, "aggregate-rps")
-			b.ReportMetric(row.MinWaveRPS, "min-wave-rps")
-			b.ReportMetric(float64(row.Waves), "waves-started")
-			b.ReportMetric(float64(row.Errors+row.BadResponses), "failed-responses")
 		})
 	}
 }

@@ -14,53 +14,29 @@ var errNothingSelected = errors.New("no experiment selected")
 
 // config is the parsed command line.
 type config struct {
-	Table       int
-	Figure3     bool
-	Memory      bool
-	Spec        bool
-	UpdateTime  bool
-	Dirty       bool
-	Checkpoint  bool
-	Downtime    bool
-	Warm        bool
-	Overhead    bool
-	Canary      bool
-	Faults      bool
-	Rollout     bool
-	All         bool
-	Full        bool
-	Reps        int
-	Parallelism int  // state-transfer workers (0 = GOMAXPROCS, 1 = sequential)
-	Sequential  bool // strictly-ordered update engine (pipelining ablation)
-	LiveTraffic bool // drive concurrent traffic through Figure 3 updates
-	Precopy     bool // arm the pre-copy checkpoint engine on every update
-	Adopt       bool // arm the zero-copy page-adoption fast path on every update
+	Table      int
+	Figure3    bool
+	Memory     bool
+	Spec       bool
+	UpdateTime bool
+	Dirty      bool
+	All        bool
+	Full       bool
+	Reps       int
 }
 
 // run executes every selected experiment, writing rendered results to out.
-// Factored out of main so tests can drive it; all configuration travels
-// through the experiments.Config value (no package-global state), so
-// concurrent run calls with different settings are safe.
+// Factored out of main so tests can drive it.
 func run(cfg config, out io.Writer) error {
-	if cfg.Parallelism < 0 {
-		return fmt.Errorf("-parallelism must be >= 0, got %d", cfg.Parallelism)
-	}
-	ecfg := experiments.Config{
-		Scale:       experiments.Quick,
-		Parallelism: cfg.Parallelism,
-		Sequential:  cfg.Sequential,
-		LiveTraffic: cfg.LiveTraffic,
-		Precopy:     cfg.Precopy,
-		Adopt:       cfg.Adopt,
-	}
+	scale := experiments.Quick
 	if cfg.Full {
-		ecfg.Scale = experiments.Full
+		scale = experiments.Full
 	}
 	ran := false
 
 	if cfg.All || cfg.Table == 1 {
 		ran = true
-		res, err := experiments.RunTable1(ecfg)
+		res, err := experiments.RunTable1(scale)
 		if err != nil {
 			return fmt.Errorf("table 1: %w", err)
 		}
@@ -68,7 +44,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.All || cfg.Table == 2 {
 		ran = true
-		res, err := experiments.RunTable2(ecfg)
+		res, err := experiments.RunTable2(scale)
 		if err != nil {
 			return fmt.Errorf("table 2: %w", err)
 		}
@@ -76,7 +52,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.All || cfg.Table == 3 {
 		ran = true
-		res, err := experiments.RunTable3(ecfg, cfg.Reps)
+		res, err := experiments.RunTable3(scale, cfg.Reps)
 		if err != nil {
 			return fmt.Errorf("table 3: %w", err)
 		}
@@ -84,7 +60,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.All || cfg.Figure3 {
 		ran = true
-		res, err := experiments.RunFigure3(ecfg)
+		res, err := experiments.RunFigure3(scale)
 		if err != nil {
 			return fmt.Errorf("figure 3: %w", err)
 		}
@@ -92,7 +68,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.All || cfg.Dirty {
 		ran = true
-		stats, err := experiments.RunDirtyStats(ecfg)
+		stats, err := experiments.RunDirtyStats(scale)
 		if err != nil {
 			return fmt.Errorf("dirty stats: %w", err)
 		}
@@ -103,70 +79,9 @@ func run(cfg config, out io.Writer) error {
 		}
 		fmt.Fprintln(out)
 	}
-	if cfg.All || cfg.Checkpoint {
-		ran = true
-		res, err := experiments.RunCheckpoint(ecfg)
-		if err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		fmt.Fprintln(out, res.Render())
-	}
-	if cfg.All || cfg.Downtime {
-		ran = true
-		res, err := experiments.RunDowntime(ecfg)
-		if err != nil {
-			return fmt.Errorf("downtime: %w", err)
-		}
-		fmt.Fprintln(out, res.Render())
-	}
-	if cfg.All || cfg.Warm {
-		ran = true
-		res, err := experiments.RunWarm(ecfg)
-		if err != nil {
-			return fmt.Errorf("warm: %w", err)
-		}
-		fmt.Fprintln(out, res.Render())
-		forks, err := experiments.RunWarmForks(ecfg)
-		if err != nil {
-			return fmt.Errorf("warm forks: %w", err)
-		}
-		fmt.Fprintln(out, forks.Render())
-	}
-	if cfg.All || cfg.Overhead {
-		ran = true
-		res, err := experiments.RunOverhead(ecfg)
-		if err != nil {
-			return fmt.Errorf("overhead: %w", err)
-		}
-		fmt.Fprintln(out, res.Render())
-	}
-	if cfg.All || cfg.Canary {
-		ran = true
-		res, err := experiments.RunCanary(ecfg)
-		if err != nil {
-			return fmt.Errorf("canary: %w", err)
-		}
-		fmt.Fprintln(out, res.Render())
-	}
-	if cfg.All || cfg.Faults {
-		ran = true
-		res, err := experiments.RunFaults(ecfg)
-		if err != nil {
-			return fmt.Errorf("faults: %w", err)
-		}
-		fmt.Fprintln(out, res.Render())
-	}
-	if cfg.All || cfg.Rollout {
-		ran = true
-		res, err := experiments.RunRollout(ecfg)
-		if err != nil {
-			return fmt.Errorf("rollout: %w", err)
-		}
-		fmt.Fprintln(out, res.Render())
-	}
 	if cfg.All || cfg.Memory {
 		ran = true
-		res, err := experiments.RunMemory(ecfg)
+		res, err := experiments.RunMemory(scale)
 		if err != nil {
 			return fmt.Errorf("memory: %w", err)
 		}
@@ -174,7 +89,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.All || cfg.Spec {
 		ran = true
-		res, err := experiments.RunSpec(ecfg)
+		res, err := experiments.RunSpec(scale)
 		if err != nil {
 			return fmt.Errorf("spec: %w", err)
 		}
@@ -182,7 +97,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.All || cfg.UpdateTime {
 		ran = true
-		res, err := experiments.RunUpdateTime(ecfg)
+		res, err := experiments.RunUpdateTime(scale)
 		if err != nil {
 			return fmt.Errorf("update time: %w", err)
 		}

@@ -26,103 +26,12 @@ func TestRunSpecExperiment(t *testing.T) {
 	}
 }
 
-func TestRunDirtyStatsWithParallelism(t *testing.T) {
+func TestRunDirtyStats(t *testing.T) {
 	var out strings.Builder
-	if err := run(config{Dirty: true, Reps: 1, Parallelism: 2}, &out); err != nil {
+	if err := run(config{Dirty: true, Reps: 1}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(out.String(), "Dirty-object tracking") {
 		t.Errorf("missing dirty-stats header:\n%s", out.String())
-	}
-}
-
-func TestRunDowntimeExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Downtime: true, Reps: 1}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	got := out.String()
-	for _, want := range []string{"Pipelined update engine", "downtime reduction", "bit-identical"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in downtime output:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunWarmExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Warm: true, Reps: 1}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"Warm-standby readiness daemon",
-		"latency reduction",
-		"fork-heavy",
-		"per-process reanalyses",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in warm output:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunOverheadExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Overhead: true, Reps: 1}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"Live-traffic overhead",
-		"duty-cycle cost curve",
-		"mid-traffic warm updates",
-		"rollback",
-		"transfer-sum",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in overhead output:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunFaultsExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Faults: true, Reps: 1}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"fault-injection campaign",
-		"deadline:restart",
-		"deadline:transfer",
-		"fault:restart-crash",
-		"canary:monitor",
-		"fault:rollback-restore",
-		"15/15 cells survived",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in faults output:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunCanaryExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Canary: true, Reps: 1}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"Post-commit canary window",
-		"SLO-gated auto-rollback",
-		"reverted",
-		"canary:p99",
-		"finalized",
-		"canary overhead",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in canary output:\n%s", want, got)
-		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/program"
 	"repro/internal/quiesce"
 	"repro/internal/servers"
 	"repro/internal/workload"
@@ -77,60 +76,8 @@ func (s Scale) connPoints() []int {
 	return []int{0, 5, 10}
 }
 
-// Config parameterizes one experiment run. It is passed through the
-// Run* API surface instead of living in package-global state, so
-// concurrent runs with different settings cannot interfere and
-// cmd/mcr-bench's run() is reentrant. The zero value is the quick-scale
-// default configuration.
-type Config struct {
-	// Scale selects experiment sizing (Quick or Full).
-	Scale Scale
-	// Parallelism is the state-transfer worker count applied to every
-	// engine the experiments launch (0 = trace-layer default).
-	Parallelism int
-	// Adopt arms the zero-copy page-adoption fast path on every launched
-	// engine (see core.TransferOptions.Adopt).
-	Adopt bool
-	// Precopy arms the incremental pre-copy checkpoint engine on every
-	// launched engine (see core.Options.Precopy).
-	Precopy bool
-	// PrecopyEpochs bounds pre-copy epochs (0 = checkpoint default).
-	PrecopyEpochs int
-	// Sequential selects the strictly-ordered update engine instead of
-	// the pipelined default (the downtime-ablation baseline; see
-	// core.Options.Sequential).
-	Sequential bool
-	// LiveTraffic drives concurrent client traffic through every Figure 3
-	// update instead of leaving the open connections idle, so the
-	// pre-copy epochs race a real working set.
-	LiveTraffic bool
-	// FaultCells narrows the fault-injection campaign to the named cells
-	// (empty = the full matrix); the CI smoke runs a representative
-	// subset this way.
-	FaultCells []string
-	// RolloutScenarios narrows the fleet-rollout campaign the same way.
-	RolloutScenarios []string
-}
-
-// options merges the run configuration into engine options.
-func (c Config) options(opts core.Options) core.Options {
-	if opts.Transfer.Parallelism == 0 {
-		opts.Transfer.Parallelism = c.Parallelism
-	}
-	if c.Adopt {
-		opts.Transfer.Adopt = true
-	}
-	if c.Precopy {
-		opts.Precopy.Enabled = true
-		opts.Precopy.Epochs = c.PrecopyEpochs
-	}
-	opts.Sequential = c.Sequential
-	return opts
-}
-
 // launchServer starts one server on a fresh kernel.
-func launchServer(spec *servers.Spec, cfg Config, opts core.Options) (*core.Engine, *kernel.Kernel, error) {
-	opts = cfg.options(opts)
+func launchServer(spec *servers.Spec, opts core.Options) (*core.Engine, *kernel.Kernel, error) {
 	k := kernel.New()
 	servers.SeedFiles(k)
 	e, err := core.NewEngine(k, opts)
@@ -161,14 +108,14 @@ func runBenchWorkload(spec *servers.Spec, k *kernel.Kernel, scale Scale) (worklo
 
 // profileServer runs the quiescence profiler under the profiling workload
 // and returns the report.
-func profileServer(spec *servers.Spec, cfg Config) (quiesce.Report, error) {
+func profileServer(spec *servers.Spec, scale Scale) (quiesce.Report, error) {
 	if spec.Name == "httpd" {
-		old := servers.SetHttpdPoolThreads(cfg.Scale.poolThreads())
+		old := servers.SetHttpdPoolThreads(scale.poolThreads())
 		defer servers.SetHttpdPoolThreads(old)
 	}
 	prof := quiesce.NewProfiler()
 	prof.Start()
-	e, k, err := launchServer(spec, cfg, core.Options{Profiler: prof})
+	e, k, err := launchServer(spec, core.Options{Profiler: prof})
 	if err != nil {
 		return quiesce.Report{}, err
 	}
@@ -180,12 +127,4 @@ func profileServer(spec *servers.Spec, cfg Config) (quiesce.Report, error) {
 	defer workload.CloseSessions(sessions)
 	time.Sleep(30 * time.Millisecond)
 	return prof.Report(), nil
-}
-
-// instrOptions builds engine options for one Table 3 configuration.
-func instrOptions(level program.Instr, regionInstr bool) core.Options {
-	return core.Options{
-		Instr:              level,
-		RegionInstrumented: regionInstr,
-	}
 }

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
 
 func TestTable1MatchesPaperCensus(t *testing.T) {
-	res, err := RunTable1(Config{})
+	res, err := RunTable1(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func TestTable1MatchesPaperCensus(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	res, err := RunTable2(Config{})
+	res, err := RunTable2(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestTable3Shapes(t *testing.T) {
-	res, err := RunTable3(Config{}, 1)
+	res, err := RunTable3(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestTable3Shapes(t *testing.T) {
 }
 
 func TestFigure3GrowsWithConnections(t *testing.T) {
-	res, err := RunFigure3(Config{})
+	res, err := RunFigure3(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestFigure3GrowsWithConnections(t *testing.T) {
 }
 
 func TestDirtyStatsReduction(t *testing.T) {
-	stats, err := RunDirtyStats(Config{})
+	stats, err := RunDirtyStats(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,7 @@ func TestDirtyStatsReduction(t *testing.T) {
 }
 
 func TestMemoryOverhead(t *testing.T) {
-	res, err := RunMemory(Config{})
+	res, err := RunMemory(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestMemoryOverhead(t *testing.T) {
 }
 
 func TestSpecAllocatorOverhead(t *testing.T) {
-	res, err := RunSpec(Config{})
+	res, err := RunSpec(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestSpecAllocatorOverhead(t *testing.T) {
 }
 
 func TestUpdateTimeComponents(t *testing.T) {
-	res, err := RunUpdateTime(Config{})
+	res, err := RunUpdateTime(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,183 +201,6 @@ func TestUpdateTimeComponents(t *testing.T) {
 		if row.Total > 2*1e9 {
 			t.Errorf("%s: total update %v too slow", row.Name, row.Total)
 		}
-	}
-	_ = res.Render()
-}
-
-func TestCheckpointDowntimeReduction(t *testing.T) {
-	res, err := RunCheckpoint(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range res.Rows {
-		if row.Epochs == 0 {
-			t.Errorf("ratio %.2f: no epochs ran", row.DirtyRatio)
-		}
-		if row.LiveBytes+row.ShadowBytes != row.BaselineBytes {
-			t.Errorf("ratio %.2f: live+shadow (%d+%d) != baseline %d",
-				row.DirtyRatio, row.LiveBytes, row.ShadowBytes, row.BaselineBytes)
-		}
-		// The acceptance bar: at <= 20% dirty the downtime copy must
-		// shrink by >= 60%; the reduction decays as the ratio grows.
-		if row.DirtyRatio <= 0.20 && row.Reduction() < 0.60 {
-			t.Errorf("ratio %.2f: reduction %.0f%% below the 60%% bar",
-				row.DirtyRatio, row.Reduction()*100)
-		}
-	}
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i].LiveBytes < res.Rows[i-1].LiveBytes {
-			t.Errorf("live bytes not monotone in dirty ratio: %+v", res.Rows)
-		}
-	}
-	_ = res.Render()
-}
-
-func TestDowntimePipelineBitIdentical(t *testing.T) {
-	res, err := RunDowntime(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	seq, pipe := res.Row("sequential"), res.Row("pipelined")
-	if seq == nil || pipe == nil || !seq.Sequential || pipe.Sequential {
-		t.Fatalf("row order wrong: %+v", res.Rows)
-	}
-	// Bit-identical transfer is the hard invariant (RunDowntime itself
-	// also enforces the checksum, including the adoption rows); the 25%
-	// downtime bar is recorded in BENCH_downtime.json, not asserted here
-	// where CI timing noise rules.
-	if seq.StateSum != pipe.StateSum {
-		t.Errorf("state sums differ: %#x vs %#x", seq.StateSum, pipe.StateSum)
-	}
-	if seq.BytesTransferred != pipe.BytesTransferred || seq.ObjectsTransferred != pipe.ObjectsTransferred {
-		t.Errorf("transfer scope diverged: seq %+v pipe %+v", seq, pipe)
-	}
-	if seq.Downtime <= 0 || pipe.Downtime <= 0 {
-		t.Errorf("downtime not measured: seq %v pipe %v", seq.Downtime, pipe.Downtime)
-	}
-	adopt := res.Row("pipelined+adopt")
-	if adopt == nil || adopt.AdoptionFraction < 0.9 {
-		t.Fatalf("adoption row missing or low: %+v", adopt)
-	}
-	if adopt.StateSum != pipe.StateSum || adopt.Checksum != pipe.Checksum {
-		t.Errorf("adoption changed the state: %+v vs %+v", adopt, pipe)
-	}
-	if typed := res.Row("typechange+adopt"); typed == nil || typed.AdoptedPages != 0 || typed.AdoptedBytes != 0 {
-		t.Errorf("type-changing control adopted pages: %+v", typed)
-	}
-	if live := res.Row("live+adopt"); live == nil || live.FailedResponses != 0 || live.LiveRequests == 0 {
-		t.Errorf("live-traffic adoption row bad: %+v", live)
-	}
-	// No writes happen during the update, so the whole analysis must be
-	// validated out of the downtime window.
-	if pipe.AnalysesReused != 1 || pipe.ProcsReanalyzed != 0 {
-		t.Errorf("speculation not reused: %+v", pipe)
-	}
-	// Pre-copy plus the handoff epoch leave nothing for the live path.
-	if pipe.ShadowFraction != 1.0 {
-		t.Errorf("pipelined shadow fraction = %.2f, want 1.0", pipe.ShadowFraction)
-	}
-	_ = res.Render()
-}
-
-func TestFigure3LiveTrafficPrecopy(t *testing.T) {
-	res, err := RunFigure3(Config{Precopy: true, LiveTraffic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Series {
-		for _, pt := range s.Points {
-			if pt.PrecopyEpochs == 0 {
-				t.Errorf("%s@%d conns: no pre-copy epochs ran", s.Name, pt.Connections)
-			}
-			if pt.Connections > 0 && pt.TrafficReqs == 0 {
-				t.Errorf("%s@%d conns: no live traffic completed during the update", s.Name, pt.Connections)
-			}
-			if pt.Downtime <= 0 {
-				t.Errorf("%s@%d conns: downtime not measured", s.Name, pt.Connections)
-			}
-		}
-	}
-	_ = res.Render()
-}
-
-func TestWarmStandbyBitIdenticalAndFastPath(t *testing.T) {
-	res, err := RunWarm(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	seq, cold, warm := res.Rows[0], res.Rows[1], res.Rows[2]
-	if seq.Mode != "sequential" || cold.Mode != "cold" || warm.Mode != "warm" {
-		t.Fatalf("row order wrong: %+v", res.Rows)
-	}
-	// Bit-identical transfer is the hard invariant (RunWarm itself also
-	// enforces the checksum); the 50% latency bar is recorded in
-	// BENCH_warm.json, not asserted here where CI timing noise rules.
-	if warm.StateSum != cold.StateSum || warm.StateSum != seq.StateSum {
-		t.Errorf("state sums differ: %#x / %#x / %#x", seq.StateSum, cold.StateSum, warm.StateSum)
-	}
-	// Warm fast path: the analysis was kept current across the serving
-	// window and fully reused, no in-call epochs ran before quiesce, and
-	// the daemon did the shadow work.
-	if warm.AnalysesReused != 1 || warm.ProcsReanalyzed != 0 {
-		t.Errorf("warm analysis not reused: %+v", warm)
-	}
-	if warm.WarmEpochs == 0 {
-		t.Errorf("no warm epochs absorbed before the request: %+v", warm)
-	}
-	if warm.ShadowFraction != 1.0 {
-		t.Errorf("warm shadow fraction = %.2f, want 1.0", warm.ShadowFraction)
-	}
-	if warm.RequestToCommit <= 0 || warm.Downtime <= 0 {
-		t.Errorf("latency not measured: %+v", warm)
-	}
-	_ = res.Render()
-}
-
-func TestWarmForksSkewedRevalidation(t *testing.T) {
-	res, err := RunWarmForks(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 || res.Rows[0].Mode != "cold" || res.Rows[1].Mode != "warm" {
-		t.Fatalf("rows wrong: %+v", res.Rows)
-	}
-	if res.Rows[0].StateSum != res.Rows[1].StateSum {
-		t.Errorf("state sums differ: %#x vs %#x", res.Rows[0].StateSum, res.Rows[1].StateSum)
-	}
-	warm := res.Rows[1]
-	// Every process validated at quiesce: the skewed writes were absorbed
-	// by the daemon between rounds.
-	if warm.AnalysesReused != res.Procs || warm.ProcsReanalyzed != 0 {
-		t.Errorf("warm run reused %d/%d analyses: %+v", warm.AnalysesReused, res.Procs, warm)
-	}
-	// The skew: every idle process is analyzed exactly once (the initial
-	// pass); every hot process re-analyzes at least once per write round.
-	if len(res.PerProcReanalyses) != res.Procs {
-		t.Fatalf("per-proc tally covers %d procs, want %d: %v",
-			len(res.PerProcReanalyses), res.Procs, res.PerProcReanalyses)
-	}
-	for i := 0; i < res.Procs; i++ {
-		n := res.PerProcReanalyses[fmt.Sprintf("proc%d", i)]
-		if i < res.Writers {
-			if n < 1+res.Rounds {
-				t.Errorf("hot proc%d reanalyses = %d, want >= %d", i, n, 1+res.Rounds)
-			}
-		} else if n != 1 {
-			t.Errorf("idle proc%d reanalyses = %d, want 1", i, n)
-		}
-	}
-	if res.IdleReanalyses >= res.HotReanalyses {
-		t.Errorf("no skew: hot=%d idle=%d", res.HotReanalyses, res.IdleReanalyses)
 	}
 	_ = res.Render()
 }

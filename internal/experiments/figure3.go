@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/servers"
 	"repro/internal/workload"
 )
@@ -22,13 +21,6 @@ type Figure3Point struct {
 	Total                time.Duration
 	BytesTransferred     uint64
 	DirtyReductionNoConn float64 // dirty-filter savings at this point
-	// Pre-copy under live traffic (Config.Precopy / Config.LiveTraffic):
-	// how many epochs raced the workload, the fraction of the downtime
-	// copy they kept off the critical path, and how many concurrent
-	// requests completed while the update ran.
-	PrecopyEpochs  int
-	ShadowFraction float64
-	TrafficReqs    int
 }
 
 // Figure3Series is one server's curve.
@@ -45,16 +37,16 @@ type Figure3Result struct {
 // RunFigure3 regenerates Figure 3: for every server and connection count,
 // open that many live sessions, perform one live update, and record the
 // state-transfer time (plus the other update-time components of §8).
-func RunFigure3(cfg Config) (*Figure3Result, error) {
+func RunFigure3(scale Scale) (*Figure3Result, error) {
 	res := &Figure3Result{}
 	for _, spec := range servers.Catalog() {
 		if spec.Name == "httpd" {
-			old := servers.SetHttpdPoolThreads(cfg.Scale.poolThreads())
+			old := servers.SetHttpdPoolThreads(scale.poolThreads())
 			defer servers.SetHttpdPoolThreads(old)
 		}
 		series := Figure3Series{Name: spec.Name}
-		for _, n := range cfg.Scale.connPoints() {
-			pt, err := figure3Point(spec, cfg, n)
+		for _, n := range scale.connPoints() {
+			pt, err := figure3Point(spec, n)
 			if err != nil {
 				return nil, fmt.Errorf("figure3 %s@%d conns: %w", spec.Name, n, err)
 			}
@@ -65,32 +57,11 @@ func RunFigure3(cfg Config) (*Figure3Result, error) {
 	return res, nil
 }
 
-// driveOne issues one protocol-appropriate request on the session.
-func driveOne(spec *servers.Spec, s *workload.Session, i int) error {
-	var err error
-	switch spec.Name {
-	case "httpd", "nginx":
-		_, err = workload.KeepaliveRequest(s, fmt.Sprintf("GET /live-%d", i))
-	case "vsftpd":
-		_, err = workload.FTPCommand(s, "STAT")
-	case "sshd":
-		_, err = workload.SSHExec(s, "true")
-	}
-	return err
-}
-
-func figure3Point(spec *servers.Spec, cfg Config, conns int) (Figure3Point, error) {
-	opts := core.Options{
+func figure3Point(spec *servers.Spec, conns int) (Figure3Point, error) {
+	e, k, err := launchServer(spec, core.Options{
 		QuiesceTimeout: 30 * time.Second,
 		StartupTimeout: 30 * time.Second,
-	}
-	if cfg.LiveTraffic && cfg.Precopy {
-		// Space the epochs out so the concurrent workload can re-dirty
-		// its working set between them — the regime pre-copy exists for.
-		opts.Precopy.Enabled = true
-		opts.Precopy.Interval = 2 * time.Millisecond
-	}
-	e, k, err := launchServer(spec, cfg, opts)
+	})
 	if err != nil {
 		return Figure3Point{}, err
 	}
@@ -100,36 +71,9 @@ func figure3Point(spec *servers.Spec, cfg Config, conns int) (Figure3Point, erro
 		return Figure3Point{}, err
 	}
 	defer workload.CloseSessions(sessions)
-
-	// Under LiveTraffic, one session keeps issuing requests throughout
-	// the update: pre-copy epochs race real writes, requests in flight at
-	// quiescence are answered by the new version after commit.
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	reqs := 0
-	if cfg.LiveTraffic && conns > 0 {
-		go func() {
-			defer close(done)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := driveOne(spec, sessions[0], i); err != nil {
-					return
-				}
-				reqs++
-			}
-		}()
-	} else {
-		close(done)
-	}
-	rep, uerr := e.Update(spec.Version(1))
-	close(stop)
-	<-done
-	if uerr != nil {
-		return Figure3Point{}, uerr
+	rep, err := e.Update(spec.Version(1))
+	if err != nil {
+		return Figure3Point{}, err
 	}
 	return Figure3Point{
 		Connections:          conns,
@@ -140,9 +84,6 @@ func figure3Point(spec *servers.Spec, cfg Config, conns int) (Figure3Point, erro
 		Total:                rep.TotalTime,
 		BytesTransferred:     rep.Transfer.BytesTransferred,
 		DirtyReductionNoConn: rep.Transfer.DirtyReduction(),
-		PrecopyEpochs:        rep.Precopy.Epochs,
-		ShadowFraction:       rep.Transfer.ShadowFraction(),
-		TrafficReqs:          reqs,
 	}, nil
 }
 
@@ -164,26 +105,6 @@ func (r *Figure3Result) Render() string {
 			fmt.Fprintf(&b, "%12s", pt.StateTransfer.Round(10*time.Microsecond))
 		}
 		b.WriteString("\n")
-	}
-	precopied := false
-	for _, s := range r.Series {
-		for _, pt := range s.Points {
-			if pt.PrecopyEpochs > 0 {
-				precopied = true
-			}
-		}
-	}
-	if precopied {
-		b.WriteString("pre-copy under traffic: epochs raced the live workload; shadow% of the\n")
-		b.WriteString("downtime copy was captured before quiescence\n")
-		for _, s := range r.Series {
-			fmt.Fprintf(&b, "%-8s", s.Name)
-			for _, pt := range s.Points {
-				fmt.Fprintf(&b, "  e=%d s=%3.0f%% r=%-3d",
-					pt.PrecopyEpochs, pt.ShadowFraction*100, pt.TrafficReqs)
-			}
-			b.WriteString("\n")
-		}
 	}
 	b.WriteString("paper: 28-187 ms at 0 conns, average +371 ms at 100 conns;\n")
 	b.WriteString("       steeper growth for process-per-connection servers (vsftpd, sshd)\n")
@@ -208,17 +129,17 @@ func (d DirtyStats) Reduction() float64 {
 }
 
 // RunDirtyStats measures the dirty-filter reduction per server.
-func RunDirtyStats(cfg Config) ([]DirtyStats, error) {
-	conns := cfg.Scale.connPoints()[len(cfg.Scale.connPoints())-1]
+func RunDirtyStats(scale Scale) ([]DirtyStats, error) {
+	conns := scale.connPoints()[len(scale.connPoints())-1]
 	var out []DirtyStats
 	for _, spec := range servers.Catalog() {
 		if spec.Name == "httpd" {
-			old := servers.SetHttpdPoolThreads(cfg.Scale.poolThreads())
+			old := servers.SetHttpdPoolThreads(scale.poolThreads())
 			defer servers.SetHttpdPoolThreads(old)
 		}
 		d := DirtyStats{Name: spec.Name, Connections: conns}
 		for _, disable := range []bool{false, true} {
-			e, k, err := launchServer(spec, cfg, core.Options{
+			e, k, err := launchServer(spec, core.Options{
 				Transfer:       core.TransferOptions{DisableDirtyFilter: disable},
 				QuiesceTimeout: 30 * time.Second,
 				StartupTimeout: 30 * time.Second,
@@ -247,12 +168,6 @@ func RunDirtyStats(cfg Config) ([]DirtyStats, error) {
 		out = append(out, d)
 	}
 	return out, nil
-}
-
-// openTableSessions opens a handful of stateful sessions for the pointer
-// census (Table 2 is measured with live connections).
-func openTableSessions(spec *servers.Spec, k *kernel.Kernel, n int) ([]*workload.Session, error) {
-	return workload.OpenSessions(k, spec.Name, spec.Port, n)
 }
 
 // driveTableSessions issues sustained traffic on the live sessions so the
@@ -287,5 +202,3 @@ func driveTableSessions(spec *servers.Spec, sessions []*workload.Session, scale 
 	}
 	return nil
 }
-
-func closeSessions(ss []*workload.Session) { workload.CloseSessions(ss) }

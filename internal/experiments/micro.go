@@ -39,16 +39,16 @@ type MemoryResult struct {
 // RunMemory measures resident set size per server at baseline and full
 // instrumentation (the paper reports 110%-483.6% RSS overhead, 288.5% on
 // average, dominated by tags, logs and metadata).
-func RunMemory(cfg Config) (*MemoryResult, error) {
+func RunMemory(scale Scale) (*MemoryResult, error) {
 	res := &MemoryResult{}
 	for _, spec := range servers.Catalog() {
 		if spec.Name == "httpd" {
-			old := servers.SetHttpdPoolThreads(cfg.Scale.poolThreads())
+			old := servers.SetHttpdPoolThreads(scale.poolThreads())
 			defer servers.SetHttpdPoolThreads(old)
 		}
 		row := MemoryRow{Name: spec.Name}
 		for _, level := range []program.Instr{program.InstrBaseline, program.InstrQDet} {
-			e, k, err := launchServer(spec, cfg, instrOptions(level, false))
+			e, k, err := launchServer(spec, core.Options{Instr: level})
 			if err != nil {
 				return nil, err
 			}
@@ -57,7 +57,7 @@ func RunMemory(cfg Config) (*MemoryResult, error) {
 				e.Shutdown()
 				return nil, err
 			}
-			if _, err := runBenchWorkload(spec, k, cfg.Scale); err != nil {
+			if _, err := runBenchWorkload(spec, k, scale); err != nil {
 				e.Shutdown()
 				return nil, fmt.Errorf("memory %s: %w", spec.Name, err)
 			}
@@ -134,9 +134,9 @@ var specWorkloads = []struct {
 
 // RunSpec measures the allocator-instrumentation overhead: each workload
 // runs against an allocator with tag writes off and on.
-func RunSpec(cfg Config) (*SpecResult, error) {
+func RunSpec(scale Scale) (*SpecResult, error) {
 	mult := 1
-	if cfg.Scale == Full {
+	if scale == Full {
 		mult = 10
 	}
 	res := &SpecResult{}
@@ -233,14 +233,14 @@ type UpdateTimeResult struct {
 // RunUpdateTime measures the three update-time components per server:
 // quiescence (idle and under load), control migration (record-replay
 // startup) and state transfer.
-func RunUpdateTime(cfg Config) (*UpdateTimeResult, error) {
+func RunUpdateTime(scale Scale) (*UpdateTimeResult, error) {
 	res := &UpdateTimeResult{}
 	for _, spec := range servers.Catalog() {
 		if spec.Name == "httpd" {
-			old := servers.SetHttpdPoolThreads(cfg.Scale.poolThreads())
+			old := servers.SetHttpdPoolThreads(scale.poolThreads())
 			defer servers.SetHttpdPoolThreads(old)
 		}
-		e, k, err := launchServer(spec, cfg, core.Options{
+		e, k, err := launchServer(spec, core.Options{
 			QuiesceTimeout: 30 * time.Second,
 			StartupTimeout: 30 * time.Second,
 		})
@@ -260,7 +260,7 @@ func RunUpdateTime(cfg Config) (*UpdateTimeResult, error) {
 		inst.Resume()
 
 		// Loaded quiescence + full update.
-		sessions, err := workload.OpenSessions(k, spec.Name, spec.Port, cfg.Scale.connPoints()[1])
+		sessions, err := workload.OpenSessions(k, spec.Name, spec.Port, scale.connPoints()[1])
 		if err != nil {
 			e.Shutdown()
 			return nil, err

@@ -10,6 +10,7 @@ import (
 	"repro/internal/servers"
 	"repro/internal/trace"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // --- Table 1 -----------------------------------------------------------------
@@ -38,10 +39,10 @@ type Table1Result struct {
 // RunTable1 regenerates Table 1: per server, profile the quiescent points
 // under the test workload, walk the update stream counting type changes,
 // and account the annotation effort.
-func RunTable1(cfg Config) (*Table1Result, error) {
+func RunTable1(scale Scale) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, spec := range servers.Catalog() {
-		rep, err := profileServer(spec, cfg)
+		rep, err := profileServer(spec, scale)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", spec.Name, err)
 		}
@@ -86,6 +87,24 @@ func (r *Table1Result) Render() string {
 	return b.String()
 }
 
+// tableConfig is one row of Tables 2 and 3: nginxreg repeats nginx with
+// instrumented region allocators.
+type tableConfig struct {
+	name       string
+	spec       *servers.Spec
+	regionInst bool
+}
+
+func tableConfigs() []tableConfig {
+	return []tableConfig{
+		{"httpd", servers.HttpdSpec(), false},
+		{"nginx", servers.NginxSpec(), false},
+		{"nginxreg", servers.NginxSpec(), true},
+		{"vsftpd", servers.VsftpdSpec(), false},
+		{"sshd", servers.SshdSpec(), false},
+	}
+}
+
 // --- Table 2 -----------------------------------------------------------------
 
 // Table2Row is one measured row of Table 2 (pointer statistics after the
@@ -103,25 +122,14 @@ type Table2Result struct {
 // RunTable2 regenerates Table 2: run each server's benchmark, quiesce,
 // and aggregate the precise/likely pointer census across processes. The
 // nginxreg row repeats nginx with instrumented region allocators.
-func RunTable2(cfg Config) (*Table2Result, error) {
+func RunTable2(scale Scale) (*Table2Result, error) {
 	res := &Table2Result{}
-	configs := []struct {
-		name       string
-		spec       *servers.Spec
-		regionInst bool
-	}{
-		{"httpd", servers.HttpdSpec(), false},
-		{"nginx", servers.NginxSpec(), false},
-		{"nginxreg", servers.NginxSpec(), true},
-		{"vsftpd", servers.VsftpdSpec(), false},
-		{"sshd", servers.SshdSpec(), false},
-	}
-	for _, tc := range configs {
+	for _, tc := range tableConfigs() {
 		if tc.spec.Name == "httpd" {
-			old := servers.SetHttpdPoolThreads(cfg.Scale.poolThreads())
+			old := servers.SetHttpdPoolThreads(scale.poolThreads())
 			defer servers.SetHttpdPoolThreads(old)
 		}
-		e, k, err := launchServer(tc.spec, cfg, core.Options{RegionInstrumented: tc.regionInst})
+		e, k, err := launchServer(tc.spec, core.Options{RegionInstrumented: tc.regionInst})
 		if err != nil {
 			return nil, err
 		}
@@ -130,16 +138,16 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 		// image: request state of closed connections was already released
 		// by the servers (pool/region destruction), so the open sessions
 		// carry sustained traffic of their own.
-		sessions, err := openTableSessions(tc.spec, k, 6)
+		sessions, err := workload.OpenSessions(k, tc.spec.Name, tc.spec.Port, 6)
 		if err != nil {
 			e.Shutdown()
 			return nil, fmt.Errorf("table2 %s: %w", tc.name, err)
 		}
-		if _, err := runBenchWorkload(tc.spec, k, cfg.Scale); err != nil {
+		if _, err := runBenchWorkload(tc.spec, k, scale); err != nil {
 			e.Shutdown()
 			return nil, fmt.Errorf("table2 %s bench: %w", tc.name, err)
 		}
-		if err := driveTableSessions(tc.spec, sessions, cfg.Scale); err != nil {
+		if err := driveTableSessions(tc.spec, sessions, scale); err != nil {
 			e.Shutdown()
 			return nil, fmt.Errorf("table2 %s sessions: %w", tc.name, err)
 		}
@@ -156,7 +164,7 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 		inst.Resume()
 		row := Table2Row{Name: tc.name, Stats: trace.AggregateStats(analyses)}
 		res.Rows = append(res.Rows, row)
-		closeSessions(sessions)
+		workload.CloseSessions(sessions)
 		e.Shutdown()
 	}
 	return res, nil
@@ -206,27 +214,16 @@ var table3Paper = map[string][4]float64{
 
 // RunTable3 regenerates Table 3: per server, run the benchmark at every
 // instrumentation level and normalize against the uninstrumented baseline.
-func RunTable3(cfg Config, reps int) (*Table3Result, error) {
+func RunTable3(scale Scale, reps int) (*Table3Result, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	res := &Table3Result{}
-	configs := []struct {
-		name       string
-		spec       *servers.Spec
-		regionInst bool
-	}{
-		{"httpd", servers.HttpdSpec(), false},
-		{"nginx", servers.NginxSpec(), false},
-		{"nginxreg", servers.NginxSpec(), true},
-		{"vsftpd", servers.VsftpdSpec(), false},
-		{"sshd", servers.SshdSpec(), false},
-	}
 	levels := []program.Instr{program.InstrBaseline, program.InstrUnblock,
 		program.InstrStatic, program.InstrDynamic, program.InstrQDet}
-	for _, tc := range configs {
+	for _, tc := range tableConfigs() {
 		if tc.spec.Name == "httpd" {
-			old := servers.SetHttpdPoolThreads(cfg.Scale.poolThreads())
+			old := servers.SetHttpdPoolThreads(scale.poolThreads())
 			defer servers.SetHttpdPoolThreads(old)
 		}
 		row := Table3Row{Name: tc.name, PaperRow: table3Paper[tc.name]}
@@ -234,11 +231,11 @@ func RunTable3(cfg Config, reps int) (*Table3Result, error) {
 		for li, level := range levels {
 			var best time.Duration
 			for rep := 0; rep < reps; rep++ {
-				e, k, err := launchServer(tc.spec, cfg, instrOptions(level, tc.regionInst))
+				e, k, err := launchServer(tc.spec, core.Options{Instr: level, RegionInstrumented: tc.regionInst})
 				if err != nil {
 					return nil, err
 				}
-				bench, err := runBenchWorkload(tc.spec, k, cfg.Scale)
+				bench, err := runBenchWorkload(tc.spec, k, scale)
 				e.Shutdown()
 				if err != nil {
 					return nil, fmt.Errorf("table3 %s@%v: %w", tc.name, level, err)
