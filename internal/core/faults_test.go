@@ -8,11 +8,7 @@ import (
 
 	"repro/internal/canary"
 	"repro/internal/faultinject"
-	"repro/internal/kernel"
 	"repro/internal/leakcheck"
-	"repro/internal/obs"
-	"repro/internal/servers"
-	"repro/internal/workload"
 )
 
 // faultOpts builds the standard fault-test engine configuration: verified
@@ -321,7 +317,14 @@ func TestDaemonStallPoisonsAdoptedCheckpoint(t *testing.T) {
 	// Arm after the daemon is current so the stalled pass is a later one;
 	// the stall parks until Update's detach stops the daemon.
 	plane.Arm(faultinject.PointDaemonStall)
-	time.Sleep(5 * time.Millisecond) // let a pass hit the armed point and park
+	// Wait until a pass has hit the armed point and parked: a loaded
+	// machine can hold the next pass back well past any fixed sleep.
+	for deadline := time.Now().Add(5 * time.Second); !plane.Fired(faultinject.PointDaemonStall); {
+		if time.Now().After(deadline) {
+			t.Fatal("no daemon pass reached the armed stall")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
 	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
 	if !errors.Is(err, ErrUpdateFailed) {
 		t.Fatalf("Update err = %v, want ErrUpdateFailed", err)
@@ -495,148 +498,5 @@ func TestWatchdogDisabledByEmptyMap(t *testing.T) {
 	}
 	if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v2:after:") {
 		t.Fatalf("post-update reply = %q", got)
-	}
-}
-
-// TestFaultsUnderLiveTraffic fires faults through a real server under
-// sustained, validated traffic: httpd with four pool threads, four
-// closed-loop clients, one cell per recovery path — a loud crash, both
-// watchdog deadlines, a killed canary monitor and a double fault. Every
-// cell asserts the survival contract: the classified cause (and
-// secondary), the point fired, recovery within budget, a verified and
-// identical rollback digest, the old instance serving after the
-// rollback, zero failed or wrong responses, every consumed soft-dirty
-// bit handed back, and no leaked goroutine or pid reservation.
-func TestFaultsUnderLiveTraffic(t *testing.T) {
-	const window = 60 * time.Millisecond
-	cases := []struct {
-		name          string
-		point         faultinject.Point
-		secondary     faultinject.Point
-		deadlinePhase string
-		canary        bool
-		wantCause     string
-		wantSecondary string
-		budget        time.Duration
-	}{
-		{name: "restart-crash", point: faultinject.PointRestartCrash,
-			wantCause: "fault:restart-crash", budget: 15 * time.Second},
-		{name: "restart-hang", point: faultinject.PointRestartHang, deadlinePhase: WDRestart,
-			wantCause: "deadline:restart", budget: 5 * time.Second},
-		{name: "transfer-stall", point: faultinject.PointTransferStall, deadlinePhase: WDTransfer,
-			wantCause: "deadline:transfer", budget: 5 * time.Second},
-		{name: "canary-monitor", point: faultinject.PointCanaryMonitor, canary: true,
-			wantCause: "canary:monitor", budget: 30 * time.Second},
-		{name: "double-fault", point: faultinject.PointRestartCrash, secondary: faultinject.PointRollbackRestore,
-			wantCause: "fault:restart-crash", wantSecondary: "fault:rollback-restore", budget: 15 * time.Second},
-	}
-	old := servers.SetHttpdPoolThreads(4)
-	defer servers.SetHttpdPoolThreads(old)
-	spec := servers.HttpdSpec()
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plane := faultinject.New(1)
-			rec := obs.New(1 << 14)
-			plane.AttachRecorder(rec)
-			opts := faultOpts(plane)
-			opts.QuiesceTimeout = 30 * time.Second
-			opts.StartupTimeout = 30 * time.Second
-			opts.Recorder = rec
-			if tc.deadlinePhase != "" {
-				opts.Watchdog.PhaseDeadlines = map[string]time.Duration{tc.deadlinePhase: 250 * time.Millisecond}
-			}
-			if tc.point == faultinject.PointRestartHang {
-				// Only the watchdog may recover the hang.
-				opts.StartupTimeout = 5 * time.Minute
-			}
-			k := kernel.New()
-			servers.SeedFiles(k)
-			e, err := NewEngine(k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Shutdown()
-			if _, err := e.Launch(spec.Version(0)); err != nil {
-				t.Fatal(err)
-			}
-			drv, err := workload.StartSustained(k, workload.SustainedOptions{
-				Server: spec.Name, Port: spec.Port, Clients: 4,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer drv.Stop()
-			measure := func() workload.SustainedStats {
-				before := drv.Snapshot()
-				time.Sleep(window)
-				return drv.Snapshot().Delta(before)
-			}
-			time.Sleep(window / 4) // session setup
-			base := measure()
-			if base.Requests == 0 {
-				t.Fatalf("baseline served nothing (last err %v)", drv.LastError())
-			}
-			if tc.canary {
-				slo := canary.SLO{MaxP99: 100*base.P99() + time.Second, MaxErrorRate: 0.25}
-				e.SetCanaryPacing(window, window/8, -1)
-				if err := e.ArmCanary(slo, workload.CanarySource(drv)); err != nil {
-					t.Fatal(err)
-				}
-				defer e.DisarmCanary()
-			}
-			plane.Arm(tc.point)
-			if tc.secondary != "" {
-				plane.Arm(tc.secondary)
-			}
-
-			g0 := leakcheck.Goroutines()
-			t0 := time.Now()
-			rep, err := e.Update(spec.Version(1))
-			if tc.canary {
-				// The faulty monitor commits, then dies; the failsafe must
-				// settle the window within the budget.
-				if err != nil {
-					t.Fatalf("Update failed before the window opened: %v", err)
-				}
-				if !e.CanaryWait(tc.budget) {
-					t.Fatal("canary window never resolved")
-				}
-			} else if !errors.Is(err, ErrUpdateFailed) {
-				t.Fatalf("Update err = %v, want ErrUpdateFailed", err)
-			}
-			if d := time.Since(t0); d > tc.budget {
-				t.Fatalf("recovery took %v, budget %v", d, tc.budget)
-			}
-			if !rep.RolledBack || rep.RollbackCause != tc.wantCause || rep.RollbackSecondary != tc.wantSecondary {
-				t.Fatalf("RolledBack=%v cause=%q secondary=%q, want true/%q/%q (reason %v)",
-					rep.RolledBack, rep.RollbackCause, rep.RollbackSecondary, tc.wantCause, tc.wantSecondary, rep.Reason)
-			}
-			if !plane.Fired(tc.point) {
-				t.Fatalf("armed point %s never fired", tc.point)
-			}
-			if !rep.RollbackVerified || !rep.RollbackIdentical {
-				t.Fatalf("rollback audit: verified=%v identical=%v", rep.RollbackVerified, rep.RollbackIdentical)
-			}
-
-			after := measure()
-			if after.Requests == 0 {
-				t.Fatalf("old instance served nothing after the rollback (last err %v)", drv.LastError())
-			}
-			if errs, bad := base.Errors+after.Errors, base.BadResponses+after.BadResponses; errs > 0 || bad > 0 {
-				t.Fatalf("%d failed / %d wrong responses through the fault", errs, bad)
-			}
-
-			e.DisarmCanary()
-			cur := e.Current()
-			if n := consumedPages(cur); n != 0 {
-				t.Fatalf("%d consumed soft-dirty pages not restored", n)
-			}
-			if err := leakcheck.CheckGoroutines(g0, 5*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if err := leakcheck.CheckReservedPids(cur); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }

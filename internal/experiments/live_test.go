@@ -1,0 +1,611 @@
+package experiments
+
+// End-to-end verdicts under live, validated traffic on the model servers:
+// pre-copy while clients keep writing, the warm daemon at several duty
+// cycles, the post-commit canary window, injected faults, and fleet
+// rollouts. Every response the closed-loop clients receive is checked;
+// each test asserts a contract and reports no numbers.
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/canary"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/faultinject"
+	"repro/internal/kernel"
+	"repro/internal/leakcheck"
+	"repro/internal/obs"
+	"repro/internal/program"
+	"repro/internal/servers"
+	"repro/internal/workload"
+)
+
+// liveWindow is the length of one measurement window.
+const liveWindow = 60 * time.Millisecond
+
+// window serves for d and returns the driver's delta over it.
+func window(drv *workload.Sustained, d time.Duration) workload.SustainedStats {
+	before := drv.Snapshot()
+	time.Sleep(d)
+	return drv.Snapshot().Delta(before)
+}
+
+// serveLive launches spec with opts and starts four validating
+// closed-loop clients against it; both are torn down when the test ends.
+// httpd runs four pool threads.
+func serveLive(t *testing.T, spec *servers.Spec, opts core.Options) (*core.Engine, *workload.Sustained) {
+	t.Helper()
+	if spec.Name == "httpd" {
+		old := servers.SetHttpdPoolThreads(4)
+		t.Cleanup(func() { servers.SetHttpdPoolThreads(old) })
+	}
+	opts.QuiesceTimeout = 30 * time.Second
+	if opts.StartupTimeout == 0 {
+		opts.StartupTimeout = 30 * time.Second
+	}
+	e, k, err := launchServer(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Shutdown)
+	drv, err := workload.StartSustained(k, workload.SustainedOptions{Server: spec.Name, Port: spec.Port, Clients: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { drv.Stop() })
+	time.Sleep(liveWindow / 4) // session setup
+	return e, drv
+}
+
+// nextVersion returns the next release in e's history, clamped to the
+// last one spec has.
+func nextVersion(e *core.Engine, spec *servers.Spec) *program.Version {
+	next := len(e.History()) + 1
+	if next >= spec.NumVersions {
+		next = spec.NumVersions - 1
+	}
+	return spec.Version(next)
+}
+
+// consumedPages counts the soft-dirty pages inst's processes have handed
+// to a reader and not yet had restored.
+func consumedPages(inst *program.Instance) int {
+	n := 0
+	for _, p := range inst.Procs() {
+		n += p.Space().ConsumedCount()
+	}
+	return n
+}
+
+// TestFigure3LiveTrafficPrecopy runs Figure 3's update with pre-copy
+// armed while one of the open sessions keeps issuing requests: epochs
+// race real writes, and requests in flight at quiescence are answered by
+// the new version after commit. Every point must run epochs, measure its
+// downtime, and complete traffic during the update.
+func TestFigure3LiveTrafficPrecopy(t *testing.T) {
+	for _, spec := range servers.Catalog() {
+		for _, conns := range Quick.connPoints() {
+			t.Run(fmt.Sprintf("%s/%d", spec.Name, conns), func(t *testing.T) {
+				if spec.Name == "httpd" {
+					old := servers.SetHttpdPoolThreads(Quick.poolThreads())
+					defer servers.SetHttpdPoolThreads(old)
+				}
+				// Epochs spaced out so the workload re-dirties its working
+				// set between them.
+				e, k, err := launchServer(spec, core.Options{
+					QuiesceTimeout: 30 * time.Second,
+					StartupTimeout: 30 * time.Second,
+					Precopy:        core.PrecopyOptions{Enabled: true, Interval: 2 * time.Millisecond},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Shutdown()
+				sessions, err := workload.OpenSessions(k, spec.Name, spec.Port, conns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer workload.CloseSessions(sessions)
+
+				stop, done := make(chan struct{}), make(chan struct{})
+				reqs := 0
+				if conns == 0 {
+					close(done)
+				} else {
+					go func() {
+						defer close(done)
+						for i := 0; ; i++ {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if err := driveOne(spec.Name, sessions[0], i); err != nil {
+								return
+							}
+							reqs++
+						}
+					}()
+				}
+				rep, err := e.Update(spec.Version(1))
+				close(stop)
+				<-done
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Precopy.Epochs == 0 {
+					t.Error("no pre-copy epochs ran")
+				}
+				if conns > 0 && reqs == 0 {
+					t.Error("no live traffic completed during the update")
+				}
+				if rep.Downtime <= 0 {
+					t.Error("downtime not measured")
+				}
+			})
+		}
+	}
+}
+
+// driveOne issues one protocol-appropriate request on the session.
+func driveOne(server string, s *workload.Session, i int) error {
+	var err error
+	switch server {
+	case "httpd", "nginx":
+		_, err = workload.KeepaliveRequest(s, fmt.Sprintf("GET /live-%d", i))
+	case "vsftpd":
+		_, err = workload.FTPCommand(s, "STAT")
+	case "sshd":
+		_, err = workload.SSHExec(s, "true")
+	}
+	return err
+}
+
+// TestRunOverheadLiveTraffic drives the threaded, process-per-connection
+// and exec-helper servers with the warm daemon armed at four duty cycles:
+// every window must serve, with no wrong response. A mid-traffic warm
+// update must then commit on the warm path with a checksummed,
+// shadow-verified transfer and keep serving the surviving sessions; on
+// httpd, an update whose new version aborts at startup must roll back
+// with the old version still serving every client correctly.
+func TestRunOverheadLiveTraffic(t *testing.T) {
+	for _, name := range []string{"httpd", "vsftpd", "sshd"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := servers.SpecByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, drv := serveLive(t, spec, core.Options{Transfer: core.TransferOptions{VerifyTransfer: true}})
+			if base := window(drv, liveWindow); base.Requests == 0 {
+				t.Fatalf("baseline served nothing (last err %v)", drv.LastError())
+			}
+			for _, duty := range []float64{0.05, 0.15, 0.30, 0.60} {
+				e.SetWarmPacing(200*time.Microsecond, duty)
+				if err := e.ArmWarm(); err != nil {
+					t.Fatalf("arm at duty %.2f: %v", duty, err)
+				}
+				e.WarmWait(liveWindow)
+				w := window(drv, liveWindow)
+				e.DisarmWarm()
+				if w.Requests == 0 || w.BadResponses > 0 {
+					t.Fatalf("duty %.2f: %d requests, %d wrong responses", duty, w.Requests, w.BadResponses)
+				}
+			}
+
+			update := func(expectRollback bool) {
+				e.SetWarmPacing(200*time.Microsecond, 0.25)
+				if err := e.ArmWarm(); err != nil {
+					t.Fatal(err)
+				}
+				defer e.DisarmWarm()
+				e.WarmWait(liveWindow)
+				before := drv.Snapshot()
+				rep, err := e.Update(nextVersion(e, spec))
+				during := drv.Snapshot().Delta(before)
+				if expectRollback {
+					if err == nil || rep == nil || !rep.RolledBack {
+						t.Fatalf("expected a rollback, got err=%v", err)
+					}
+				} else {
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.Warm || rep.Transfer.Checksum == 0 {
+						t.Fatalf("warm path %v, transfer checksum %#x", rep.Warm, rep.Transfer.Checksum)
+					}
+				}
+				after := window(drv, liveWindow)
+				if after.Requests == 0 {
+					t.Fatalf("no responses after the update (last err %v)", drv.LastError())
+				}
+				if during.BadResponses > 0 || after.BadResponses > 0 {
+					t.Fatalf("wrong responses through the update: %d during, %d after",
+						during.BadResponses, after.BadResponses)
+				}
+			}
+			update(false)
+			if name == "httpd" {
+				// The violating-assumptions toggle (§7) makes the new
+				// version abort at startup.
+				prev := servers.SetHttpdHonorMCRAnnotation(false)
+				update(true)
+				servers.SetHttpdHonorMCRAnnotation(prev)
+			}
+			if bad := drv.Stop().BadResponses; bad > 0 {
+				t.Fatalf("%d wrong responses across the run", bad)
+			}
+		})
+	}
+}
+
+// TestRunCanary runs the post-commit canary window under live traffic,
+// each scenario on a fresh engine. On httpd a plain warm commit commits,
+// a healthy update rides through its SLO window to finalization, and a
+// forced regression — state transferred perfectly, every request served
+// slower than the gate allows — is caught and auto-reverted with cause
+// canary:p99, no failed response, and the old version serving after. On
+// sshd a healthy update finalizes. No scenario may see a wrong response,
+// and every committed transfer carries a checksum.
+func TestRunCanary(t *testing.T) {
+	cases := []struct{ server, scenario, outcome string }{
+		{"httpd", "plain", "committed"},
+		{"httpd", "healthy", "finalized"},
+		{"httpd", "regression", "reverted"},
+		{"sshd", "healthy", "finalized"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.server+"/"+tc.scenario, func(t *testing.T) {
+			spec, err := servers.SpecByName(tc.server)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, drv := serveLive(t, spec, core.Options{Transfer: core.TransferOptions{VerifyTransfer: true}})
+			base := window(drv, liveWindow)
+			if base.Requests == 0 {
+				t.Fatalf("baseline served nothing (last err %v)", drv.LastError())
+			}
+			e.SetWarmPacing(200*time.Microsecond, 0.25)
+			if err := e.ArmWarm(); err != nil {
+				t.Fatal(err)
+			}
+			e.WarmWait(liveWindow)
+			v := nextVersion(e, spec)
+			switch tc.scenario {
+			case "healthy":
+				// Gates a healthy update cannot plausibly trip, even with
+				// one scheduler stall in an interval's tail.
+				e.SetCanaryPacing(liveWindow, liveWindow/8, 2)
+				if err := e.ArmCanary(canary.SLO{MaxP99: 100*base.P99() + time.Second, MaxErrorRate: 0.25},
+					workload.CanarySource(drv)); err != nil {
+					t.Fatal(err)
+				}
+			case "regression":
+				maxP99 := 2*base.P99() + 5*time.Millisecond
+				delay := 4 * maxP99
+				if delay < 20*time.Millisecond {
+					delay = 20 * time.Millisecond
+				}
+				e.SetCanaryPacing(8*delay, delay/2, 1)
+				if err := e.ArmCanary(canary.SLO{MaxP99: maxP99}, workload.CanarySource(drv)); err != nil {
+					t.Fatal(err)
+				}
+				defer servers.SetHttpdDegrade(delay, v.Seq)()
+			}
+			defer e.DisarmCanary()
+			defer e.DisarmWarm()
+
+			before := drv.Snapshot()
+			rep, err := e.Update(v)
+			during := drv.Snapshot().Delta(before)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Canary != (tc.scenario != "plain") {
+				t.Fatalf("canary window open = %v", rep.Canary)
+			}
+			if rep.Transfer.Checksum == 0 {
+				t.Error("no transfer checksum")
+			}
+			win := window(drv, liveWindow)
+			if !e.CanaryWait(30 * time.Second) {
+				t.Fatal("canary window never resolved")
+			}
+			outcome := "committed"
+			if rep.Canary {
+				outcome = rep.CanaryOutcome
+			}
+			if outcome != tc.outcome {
+				t.Fatalf("outcome %q, want %q (reason %v)", outcome, tc.outcome, rep.Reason)
+			}
+			if tc.scenario == "regression" {
+				if !rep.RolledBack || !strings.HasPrefix(rep.RollbackCause, "canary:p99") {
+					t.Errorf("rolled back %v, cause %q, want canary:p99", rep.RolledBack, rep.RollbackCause)
+				}
+				// win straddled the revert: the old version must still
+				// be serving in a fresh window.
+				win = window(drv, liveWindow)
+				if win.Requests == 0 {
+					t.Errorf("old version served nothing after the revert (last err %v)", drv.LastError())
+				}
+				if errs := base.Errors + during.Errors + win.Errors; errs > 0 {
+					t.Errorf("%d failed responses through breach and revert", errs)
+				}
+			}
+			if bad := base.BadResponses + during.BadResponses + win.BadResponses; bad > 0 {
+				t.Errorf("%d wrong responses", bad)
+			}
+		})
+	}
+}
+
+// TestFaultCampaignSmoke fires faults through a real server under
+// sustained, validated traffic: httpd with four pool threads, four
+// closed-loop clients, one cell per recovery path — a loud crash, both
+// watchdog deadlines, a killed canary monitor and a double fault. Every
+// cell asserts the survival contract: the classified cause (and
+// secondary), the point fired, recovery within budget, a verified and
+// identical rollback digest, the old instance serving after the
+// rollback, zero failed or wrong responses, every consumed soft-dirty
+// bit handed back, and no leaked goroutine or pid reservation.
+func TestFaultCampaignSmoke(t *testing.T) {
+	cases := []struct {
+		name          string
+		point         faultinject.Point
+		secondary     faultinject.Point
+		deadlinePhase string
+		canary        bool
+		wantCause     string
+		wantSecondary string
+		budget        time.Duration
+	}{
+		{name: "restart-crash", point: faultinject.PointRestartCrash,
+			wantCause: "fault:restart-crash", budget: 15 * time.Second},
+		{name: "restart-hang", point: faultinject.PointRestartHang, deadlinePhase: core.WDRestart,
+			wantCause: "deadline:restart", budget: 5 * time.Second},
+		{name: "transfer-stall", point: faultinject.PointTransferStall, deadlinePhase: core.WDTransfer,
+			wantCause: "deadline:transfer", budget: 5 * time.Second},
+		{name: "canary-monitor", point: faultinject.PointCanaryMonitor, canary: true,
+			wantCause: "canary:monitor", budget: 30 * time.Second},
+		{name: "double-fault", point: faultinject.PointRestartCrash, secondary: faultinject.PointRollbackRestore,
+			wantCause: "fault:restart-crash", wantSecondary: "fault:rollback-restore", budget: 15 * time.Second},
+	}
+	old := servers.SetHttpdPoolThreads(4)
+	defer servers.SetHttpdPoolThreads(old)
+	spec := servers.HttpdSpec()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plane := faultinject.New(1)
+			rec := obs.New(1 << 14)
+			plane.AttachRecorder(rec)
+			opts := core.Options{
+				Transfer:       core.TransferOptions{VerifyTransfer: true},
+				Watchdog:       core.WatchdogOptions{VerifyRollback: true},
+				Faults:         plane,
+				QuiesceTimeout: 30 * time.Second,
+				StartupTimeout: 30 * time.Second,
+				Recorder:       rec,
+			}
+			if tc.deadlinePhase != "" {
+				opts.Watchdog.PhaseDeadlines = map[string]time.Duration{tc.deadlinePhase: 250 * time.Millisecond}
+			}
+			if tc.point == faultinject.PointRestartHang {
+				// Only the watchdog may recover the hang.
+				opts.StartupTimeout = 5 * time.Minute
+			}
+			k := kernel.New()
+			servers.SeedFiles(k)
+			e, err := core.NewEngine(k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Shutdown()
+			if _, err := e.Launch(spec.Version(0)); err != nil {
+				t.Fatal(err)
+			}
+			drv, err := workload.StartSustained(k, workload.SustainedOptions{
+				Server: spec.Name, Port: spec.Port, Clients: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer drv.Stop()
+			time.Sleep(liveWindow / 4) // session setup
+			base := window(drv, liveWindow)
+			if base.Requests == 0 {
+				t.Fatalf("baseline served nothing (last err %v)", drv.LastError())
+			}
+			if tc.canary {
+				slo := canary.SLO{MaxP99: 100*base.P99() + time.Second, MaxErrorRate: 0.25}
+				e.SetCanaryPacing(liveWindow, liveWindow/8, -1)
+				if err := e.ArmCanary(slo, workload.CanarySource(drv)); err != nil {
+					t.Fatal(err)
+				}
+				defer e.DisarmCanary()
+			}
+			plane.Arm(tc.point)
+			if tc.secondary != "" {
+				plane.Arm(tc.secondary)
+			}
+
+			g0 := leakcheck.Goroutines()
+			t0 := time.Now()
+			rep, err := e.Update(spec.Version(1))
+			if tc.canary {
+				// The faulty monitor commits, then dies; the failsafe must
+				// settle the window within the budget.
+				if err != nil {
+					t.Fatalf("Update failed before the window opened: %v", err)
+				}
+				if !e.CanaryWait(tc.budget) {
+					t.Fatal("canary window never resolved")
+				}
+			} else if !errors.Is(err, core.ErrUpdateFailed) {
+				t.Fatalf("Update err = %v, want ErrUpdateFailed", err)
+			}
+			if d := time.Since(t0); d > tc.budget {
+				t.Fatalf("recovery took %v, budget %v", d, tc.budget)
+			}
+			if !rep.RolledBack || rep.RollbackCause != tc.wantCause || rep.RollbackSecondary != tc.wantSecondary {
+				t.Fatalf("RolledBack=%v cause=%q secondary=%q, want true/%q/%q (reason %v)",
+					rep.RolledBack, rep.RollbackCause, rep.RollbackSecondary, tc.wantCause, tc.wantSecondary, rep.Reason)
+			}
+			if !plane.Fired(tc.point) {
+				t.Fatalf("armed point %s never fired", tc.point)
+			}
+			if !rep.RollbackVerified || !rep.RollbackIdentical {
+				t.Fatalf("rollback audit: verified=%v identical=%v", rep.RollbackVerified, rep.RollbackIdentical)
+			}
+
+			after := window(drv, liveWindow)
+			if after.Requests == 0 {
+				t.Fatalf("old instance served nothing after the rollback (last err %v)", drv.LastError())
+			}
+			if errs, bad := base.Errors+after.Errors, base.BadResponses+after.BadResponses; errs > 0 || bad > 0 {
+				t.Fatalf("%d failed / %d wrong responses through the fault", errs, bad)
+			}
+
+			e.DisarmCanary()
+			cur := e.Current()
+			if n := consumedPages(cur); n != 0 {
+				t.Fatalf("%d consumed soft-dirty pages not restored", n)
+			}
+			if err := leakcheck.CheckGoroutines(g0, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := leakcheck.CheckReservedPids(cur); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// rolloutCell is one fleet rollout of three httpd members under
+// closed-loop traffic. A fault, when set, is armed on member 1's engine
+// and the rollout must abort with wantCause verbatim.
+type rolloutCell struct {
+	waveSize    int
+	waveBudget  time.Duration
+	canary      string
+	abortPolicy string
+	fault       faultinject.Point
+	wantCause   string
+}
+
+// run applies the plan and asserts the fleet contract: a healthy rollout
+// moves every member to the target with throughput in every wave; an
+// aborted one names the failing member and its cause, audits every
+// rolled-back or reverted member as bit-identical, and leaves skipped
+// members untouched. Either way no response fails or comes back wrong,
+// no member keeps consumed soft-dirty pages or stale pid reservations,
+// and the fleet tears down to the goroutines it started with.
+func (rc rolloutCell) run(t *testing.T) {
+	t.Helper()
+	const members, faultMember = 3, 1
+	g0 := leakcheck.Goroutines()
+	var plane *faultinject.Plane
+	if rc.fault != "" {
+		plane = faultinject.New(1)
+		plane.Arm(rc.fault)
+	}
+	c, err := cluster.New(cluster.Options{
+		Server: "httpd", Members: members, Clients: 2, Faults: plane, FaultMember: faultMember,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := c.Shutdown
+	defer func() { shutdown() }()
+	p, err := cluster.PlanRollout("httpd", members, 0, cluster.PlanOptions{
+		Target: 1, WaveSize: rc.waveSize, WaveBudget: rc.waveBudget,
+		Canary: rc.canary, CanaryHold: 40 * time.Millisecond, AbortPolicy: rc.abortPolicy,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := cluster.Apply(c, p, cluster.ApplyOptions{})
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	if rc.wantCause == "" {
+		time.Sleep(30 * time.Millisecond) // the fleet keeps serving on the target
+		if rep.Aborted {
+			t.Fatalf("rollout aborted: %s\n%s", rep.AbortCause, strings.Join(rep.Events, "\n"))
+		}
+		for i, m := range c.Members() {
+			if v := m.Version(); v != p.Target {
+				t.Errorf("member %d on v%d, want v%d", i, v, p.Target)
+			}
+		}
+		for i, w := range rep.Waves {
+			if w.AggregateRPS <= 0 {
+				t.Errorf("wave %d recorded no aggregate throughput", i)
+			}
+		}
+	} else {
+		if !rep.Aborted || rep.AbortCause != rc.wantCause || rep.AbortMember != faultMember {
+			t.Fatalf("aborted %v by member %d with %q, want member %d with %q verbatim",
+				rep.Aborted, rep.AbortMember, rep.AbortCause, faultMember, rc.wantCause)
+		}
+		if !plane.Fired(rc.fault) {
+			t.Fatal("armed fault never fired")
+		}
+		audited := 0
+		for _, mr := range rep.Members {
+			switch mr.Outcome {
+			case cluster.OutcomeRolledBack, cluster.OutcomeReverted:
+				audited++
+				if !mr.RollbackVerified || !mr.RollbackIdentical {
+					t.Errorf("member %d rollback audit: verified=%v identical=%v",
+						mr.Member, mr.RollbackVerified, mr.RollbackIdentical)
+				}
+			case cluster.OutcomeSkipped:
+				if v := c.Member(mr.Member).Version(); v != 0 {
+					t.Errorf("skipped member %d moved to v%d", mr.Member, v)
+				}
+			}
+		}
+		if audited == 0 {
+			t.Error("no member rolled back in an aborted rollout")
+		}
+	}
+	if tot := c.Totals(); tot.Errors > 0 || tot.BadResponses > 0 {
+		t.Fatalf("%d failed / %d wrong responses fleet-wide", tot.Errors, tot.BadResponses)
+	}
+	for i, m := range c.Members() {
+		// An armed warm daemon legitimately holds consumed bits.
+		m.Engine().DisarmWarm()
+		if n := consumedPages(m.Engine().Current()); n != 0 {
+			t.Errorf("member %d holds %d consumed soft-dirty pages", i, n)
+		}
+		if err := leakcheck.CheckReservedPids(m.Engine().Current()); err != nil {
+			t.Errorf("member %d: %v", i, err)
+		}
+	}
+	shutdown()
+	shutdown = func() {}
+	if err := leakcheck.CheckGoroutines(g0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRolloutCampaignSmoke runs a healthy canary-gated rollout and one
+// aborted by a restart crash on its second member.
+func TestRolloutCampaignSmoke(t *testing.T) {
+	t.Run("healthy", rolloutCell{waveSize: 2, waveBudget: 20 * time.Second,
+		canary: "err=0.9", abortPolicy: cluster.AbortRevert}.run)
+	t.Run("fault-crash", rolloutCell{waveSize: 1, waveBudget: 20 * time.Second,
+		canary: "err=0.9", abortPolicy: cluster.AbortKeep,
+		fault: faultinject.PointRestartCrash, wantCause: "fault:restart-crash"}.run)
+}
+
+// TestRolloutDeadlineScenario wedges the second member's restart: the
+// wave budget recovers it, and its deadline cause bubbles up verbatim.
+func TestRolloutDeadlineScenario(t *testing.T) {
+	rolloutCell{waveSize: 1, waveBudget: 250 * time.Millisecond,
+		fault: faultinject.PointRestartHang, wantCause: "deadline:restart"}.run(t)
+}
