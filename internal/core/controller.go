@@ -69,14 +69,9 @@ func (c *Controller) serve(ctl *kernel.Proc, lfd int) {
 	defer close(c.done)
 	defer ctl.Exit()
 	for {
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
-		cfd, _, err := ctl.Accept(lfd, 20*time.Millisecond)
+		cfd, _, err := ctl.Accept(lfd, c.stop)
 		if err != nil {
-			continue
+			return // stopped
 		}
 		c.handle(ctl, cfd)
 		_ = ctl.Close(cfd)
@@ -84,7 +79,10 @@ func (c *Controller) serve(ctl *kernel.Proc, lfd int) {
 }
 
 func (c *Controller) handle(ctl *kernel.Proc, cfd int) {
-	req, err := ctl.Read(cfd, time.Second)
+	expired := make(chan struct{})
+	timer := time.AfterFunc(time.Second, func() { close(expired) })
+	req, err := ctl.Read(cfd, expired)
+	timer.Stop()
 	if err != nil {
 		return
 	}

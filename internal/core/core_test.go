@@ -122,7 +122,7 @@ func echodIterate(t *program.Thread, banner string) error {
 		return err
 	}
 	if ready == int(lfd) {
-		cfd, _, err := t.Proc().KProc().Accept(int(lfd), 0)
+		cfd, _, err := t.Proc().KProc().Accept(int(lfd), kernel.NoWait)
 		if err != nil {
 			return nil // raced away; poll again
 		}
@@ -148,7 +148,7 @@ func echodIterate(t *program.Thread, banner string) error {
 		if int(fd) != ready {
 			continue
 		}
-		msg, err := t.Proc().KProc().Read(ready, 0)
+		msg, err := t.Proc().KProc().Read(ready, kernel.NoWait)
 		if err != nil {
 			if errors.Is(err, kernel.ErrClosed) {
 				// Drop the session: deregister and mark fd -1.

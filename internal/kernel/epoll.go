@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Epoll support. The interest set lives in the kernel object, not in
@@ -70,16 +69,16 @@ func (p *Proc) EpollWatched(epfd int) ([]int, error) {
 	return out, nil
 }
 
-// EpollWait waits up to timeout for any watched fd to become readable and
-// returns its number. Closed connections report readable so the server
-// can observe the close.
-func (p *Proc) EpollWait(epfd int, timeout time.Duration) (int, error) {
+// EpollWait waits for any watched fd to become readable and returns its
+// number, or fails with ErrTimeout once cancel closes; a ready fd always
+// wins over a closed cancel. Closed connections report readable so the
+// server can observe the close.
+func (p *Proc) EpollWait(epfd int, cancel <-chan struct{}) (int, error) {
 	ep, err := p.epoll(epfd)
 	if err != nil {
 		return 0, err
 	}
-	deadline := time.Now().Add(timeout)
-	for {
+	for blocked := false; ; blocked = true {
 		ch := p.k.activityChan()
 		ep.mu.Lock()
 		ready := -1
@@ -96,17 +95,14 @@ func (p *Proc) EpollWait(epfd int, timeout time.Duration) (int, error) {
 		}
 		ep.mu.Unlock()
 		if ready >= 0 {
+			if blocked {
+				yieldAfterWake()
+			}
 			return ready, nil
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return 0, ErrTimeout
-		}
-		t := time.NewTimer(remain)
 		select {
 		case <-ch:
-			t.Stop()
-		case <-t.C:
+		case <-cancel:
 			return 0, ErrTimeout
 		}
 	}

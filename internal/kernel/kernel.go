@@ -25,13 +25,12 @@ var (
 	ErrBadFD        = errors.New("kernel: bad file descriptor")
 	ErrAddrInUse    = errors.New("kernel: address already in use")
 	ErrPidInUse     = errors.New("kernel: pid already in use")
-	ErrTimeout      = errors.New("kernel: timed out")
+	ErrTimeout      = errors.New("kernel: timed out") // a deadline passed or a cancel closed
 	ErrClosed       = errors.New("kernel: endpoint closed")
 	ErrNoProc       = errors.New("kernel: no such process")
 	ErrNotListening = errors.New("kernel: socket not listening")
 	ErrNotConn      = errors.New("kernel: not a connection")
 	ErrNoFile       = errors.New("kernel: no such file")
-	ErrInterrupted  = errors.New("kernel: interrupted (quiescence requested)")
 )
 
 // ReservedFDBase is the start of the reserved, non-reusable fd range used

@@ -6,6 +6,14 @@ import (
 	"time"
 )
 
+// within returns a cancel channel that closes after d: the deadline of a
+// test call that must not block longer.
+func within(d time.Duration) <-chan struct{} {
+	ch := make(chan struct{})
+	time.AfterFunc(d, func() { close(ch) })
+	return ch
+}
+
 func TestSocketBindListenAcceptRoundtrip(t *testing.T) {
 	k := New()
 	p := k.NewProc()
@@ -21,7 +29,7 @@ func TestSocketBindListenAcceptRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	cfd, conn, err := p.Accept(fd, time.Second)
+	cfd, conn, err := p.Accept(fd, within(time.Second))
 	if err != nil {
 		t.Fatalf("Accept: %v", err)
 	}
@@ -32,7 +40,7 @@ func TestSocketBindListenAcceptRoundtrip(t *testing.T) {
 	if err := cc.Send([]byte("GET /")); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := p.Read(cfd, time.Second)
+	msg, err := p.Read(cfd, within(time.Second))
 	if err != nil || string(msg) != "GET /" {
 		t.Fatalf("Read = %q, %v", msg, err)
 	}
@@ -70,12 +78,12 @@ func TestAcceptTimeout(t *testing.T) {
 	fd := p.Socket()
 	p.Bind(fd, 80)
 	p.Listen(fd, 16)
-	if _, _, err := p.Accept(fd, 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, _, err := p.Accept(fd, within(5*time.Millisecond)); !errors.Is(err, ErrTimeout) {
 		t.Errorf("Accept err = %v, want ErrTimeout", err)
 	}
 	// Non-blocking poll form.
-	if _, _, err := p.Accept(fd, 0); !errors.Is(err, ErrTimeout) {
-		t.Errorf("Accept(0) err = %v, want ErrTimeout", err)
+	if _, _, err := p.Accept(fd, NoWait); !errors.Is(err, ErrTimeout) {
+		t.Errorf("Accept(NoWait) err = %v, want ErrTimeout", err)
 	}
 }
 
@@ -83,10 +91,10 @@ func TestAcceptOnNonListenerFails(t *testing.T) {
 	k := New()
 	p := k.NewProc()
 	fd := p.Socket()
-	if _, _, err := p.Accept(fd, time.Millisecond); !errors.Is(err, ErrNotListening) {
+	if _, _, err := p.Accept(fd, within(time.Millisecond)); !errors.Is(err, ErrNotListening) {
 		t.Errorf("err = %v, want ErrNotListening", err)
 	}
-	if _, _, err := p.Accept(99, time.Millisecond); !errors.Is(err, ErrBadFD) {
+	if _, _, err := p.Accept(99, within(time.Millisecond)); !errors.Is(err, ErrBadFD) {
 		t.Errorf("err = %v, want ErrBadFD", err)
 	}
 }
@@ -116,7 +124,7 @@ func TestForkInheritsFDs(t *testing.T) {
 	}
 	// Child can accept connections on the inherited listener.
 	k.Connect(80)
-	if _, _, err := child.Accept(fd, time.Second); err != nil {
+	if _, _, err := child.Accept(fd, within(time.Second)); err != nil {
 		t.Errorf("child Accept: %v", err)
 	}
 }
@@ -203,7 +211,7 @@ func TestListenerSurvivesOldVersionExit(t *testing.T) {
 	}
 	v1.Exit()
 	// v2 accepts the connection queued before v1 died.
-	cfd, conn, err := v2.Accept(fd, time.Second)
+	cfd, conn, err := v2.Accept(fd, within(time.Second))
 	if err != nil {
 		t.Fatalf("v2 Accept after v1 exit: %v", err)
 	}
@@ -312,15 +320,15 @@ func TestConnCloseSemantics(t *testing.T) {
 	p.Bind(fd, 80)
 	p.Listen(fd, 1)
 	cc, _ := k.Connect(80)
-	cfd, _, _ := p.Accept(fd, time.Second)
+	cfd, _, _ := p.Accept(fd, within(time.Second))
 
 	cc.Send([]byte("last words"))
 	cc.Close()
 	// Buffered data is still readable after close.
-	if msg, err := p.Read(cfd, time.Second); err != nil || string(msg) != "last words" {
+	if msg, err := p.Read(cfd, within(time.Second)); err != nil || string(msg) != "last words" {
 		t.Fatalf("Read after close = %q, %v", msg, err)
 	}
-	if _, err := p.Read(cfd, 10*time.Millisecond); !errors.Is(err, ErrClosed) {
+	if _, err := p.Read(cfd, within(10*time.Millisecond)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Read on drained closed conn err = %v, want ErrClosed", err)
 	}
 	if err := p.Write(cfd, []byte("x")); !errors.Is(err, ErrClosed) {
@@ -336,7 +344,7 @@ func TestPoll(t *testing.T) {
 	p.Listen(lfd, 16)
 
 	// Timeout with nothing ready.
-	if _, err := p.Poll([]int{lfd}, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := p.Poll([]int{lfd}, within(10*time.Millisecond)); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Poll err = %v, want ErrTimeout", err)
 	}
 
@@ -344,7 +352,7 @@ func TestPoll(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		fd, err := p.Poll([]int{lfd}, 2*time.Second)
+		fd, err := p.Poll([]int{lfd}, within(2*time.Second))
 		if err != nil || fd != lfd {
 			t.Errorf("Poll = %d, %v; want %d", fd, err, lfd)
 		}
@@ -355,21 +363,21 @@ func TestPoll(t *testing.T) {
 	}
 	<-done
 	// Drain the connection queued by the wake test.
-	if _, _, err := p.Accept(lfd, time.Second); err != nil {
+	if _, _, err := p.Accept(lfd, within(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Wakes on data on an accepted connection.
 	cc, _ := k.Connect(80)
 	_ = cc
-	cfd, _, _ := p.Accept(lfd, time.Second)
+	cfd, _, _ := p.Accept(lfd, within(time.Second))
 	cc2, _ := k.Connect(80)
-	cfd2, _, _ := p.Accept(lfd, time.Second)
+	cfd2, _, _ := p.Accept(lfd, within(time.Second))
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cc2.Send([]byte("ping"))
 	}()
-	fd, err := p.Poll([]int{cfd, cfd2}, 2*time.Second)
+	fd, err := p.Poll([]int{cfd, cfd2}, within(2*time.Second))
 	if err != nil || fd != cfd2 {
 		t.Errorf("Poll = %d, %v; want %d", fd, err, cfd2)
 	}
@@ -420,11 +428,11 @@ func TestUnixSockets(t *testing.T) {
 		t.Fatalf("ConnectUnix: %v", err)
 	}
 	cc.Send([]byte("update"))
-	cfd, _, err := p.Accept(fd, time.Second)
+	cfd, _, err := p.Accept(fd, within(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := p.Read(cfd, time.Second)
+	msg, err := p.Read(cfd, within(time.Second))
 	if err != nil || string(msg) != "update" {
 		t.Errorf("Read = %q, %v", msg, err)
 	}

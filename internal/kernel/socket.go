@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -145,11 +146,13 @@ func (k *Kernel) newConn() *Conn {
 	}
 }
 
-// notify wakes all Poll waiters (edge-triggered broadcast).
+// notify wakes all EpollWait and Poll waiters (edge-triggered
+// broadcast). A waiter takes the channel before it checks readiness, so a
+// notify with no waiter has nothing to close.
 func (k *Kernel) notify() {
 	k.mu.Lock()
 	ch := k.activity
-	k.activity = make(chan struct{})
+	k.activity = nil
 	k.mu.Unlock()
 	if ch != nil {
 		close(ch)
@@ -243,10 +246,30 @@ func (k *Kernel) unbind(o *Object) {
 	}
 }
 
-// Accept waits up to timeout for a queued connection and installs its
-// server endpoint as a new fd. timeout<=0 polls without blocking. This is
-// the timeout-slice primitive unblockification builds on.
-func (p *Proc) Accept(fd int, timeout time.Duration) (int, *Conn, error) {
+// NoWait is a closed channel: passed as the cancel argument of a blocking
+// primitive (Accept, Read, EpollWait, Poll), it makes the call poll once
+// without blocking.
+var NoWait <-chan struct{} = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// yieldAfterWake is called by a blocking primitive whose wait ended with
+// its event. The Go scheduler runs a goroutine woken by a channel send
+// next, on the rest of its waker's time slice, so a client and the server
+// thread answering it would pass one processor back and forth for a whole
+// slice (10 ms) while everything queued behind them — an update in
+// progress, the warm daemon, another server — waits. Yielding once queues
+// the woken thread like any other, as an OS scheduler would.
+func yieldAfterWake() { runtime.Gosched() }
+
+// Accept waits for a queued connection and installs its server endpoint
+// as a new fd. It blocks until a connection is queued or cancel closes,
+// then fails with ErrTimeout; a queued connection always wins over a
+// closed cancel, so NoWait polls. A caller that wants a deadline passes a
+// channel a timer closes.
+func (p *Proc) Accept(fd int, cancel <-chan struct{}) (int, *Conn, error) {
 	obj, err := p.FD(fd)
 	if err != nil {
 		return 0, nil, err
@@ -258,18 +281,13 @@ func (p *Proc) Accept(fd int, timeout time.Duration) (int, *Conn, error) {
 		return 0, nil, fmt.Errorf("kernel: accept on fd %d: %w", fd, ErrNotListening)
 	}
 	var c *Conn
-	if timeout <= 0 {
+	select {
+	case c = <-q:
+	default:
 		select {
 		case c = <-q:
-		default:
-			return 0, nil, ErrTimeout
-		}
-	} else {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case c = <-q:
-		case <-t.C:
+			yieldAfterWake()
+		case <-cancel:
 			return 0, nil, ErrTimeout
 		}
 	}
@@ -280,10 +298,11 @@ func (p *Proc) Accept(fd int, timeout time.Duration) (int, *Conn, error) {
 	return n, c, nil
 }
 
-// Read receives the next message from the connection's client side,
-// waiting up to timeout. Returns ErrClosed after the peer closes and the
-// buffer drains.
-func (p *Proc) Read(fd int, timeout time.Duration) ([]byte, error) {
+// Read receives the next message from the connection's client side. It
+// blocks until a message arrives, the peer closes (ErrClosed once the
+// buffer drains) or cancel closes (ErrTimeout); data and close always win
+// over a closed cancel.
+func (p *Proc) Read(fd int, cancel <-chan struct{}) ([]byte, error) {
 	obj, err := p.FD(fd)
 	if err != nil {
 		return nil, err
@@ -292,32 +311,32 @@ func (p *Proc) Read(fd int, timeout time.Duration) ([]byte, error) {
 		return nil, fmt.Errorf("kernel: read fd %d: %w", fd, ErrNotConn)
 	}
 	c := obj.conn
-	if timeout <= 0 {
-		select {
-		case b := <-c.toServer:
-			return b, nil
-		default:
-			if c.Closed() {
-				return nil, ErrClosed
-			}
-			return nil, ErrTimeout
-		}
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
 	select {
 	case b := <-c.toServer:
 		return b, nil
 	case <-c.closed:
-		// Drain anything buffered before reporting close.
-		select {
-		case b := <-c.toServer:
-			return b, nil
-		default:
-			return nil, ErrClosed
-		}
-	case <-t.C:
+		return c.drain()
+	default:
+	}
+	select {
+	case b := <-c.toServer:
+		yieldAfterWake()
+		return b, nil
+	case <-c.closed:
+		return c.drain()
+	case <-cancel:
 		return nil, ErrTimeout
+	}
+}
+
+// drain returns a message still buffered on a closed connection, else
+// ErrClosed.
+func (c *Conn) drain() ([]byte, error) {
+	select {
+	case b := <-c.toServer:
+		return b, nil
+	default:
+		return nil, ErrClosed
 	}
 }
 
@@ -336,9 +355,10 @@ func (p *Proc) Write(fd int, data []byte) error {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
+	// No notify: toClient is read by the client alone, never by a
+	// server-side EpollWait or Poll.
 	select {
 	case c.toClient <- cp:
-		p.k.notify()
 		return nil
 	default:
 		return fmt.Errorf("kernel: write fd %d: buffer full", fd)
@@ -361,27 +381,23 @@ func (p *Proc) Readable(fd int) bool {
 	return false
 }
 
-// Poll waits up to timeout for any of the fds to become readable and
-// returns the ready fd. This is the event-wait primitive of event-driven
-// servers (nginx's epoll loop).
-func (p *Proc) Poll(fds []int, timeout time.Duration) (int, error) {
-	deadline := time.Now().Add(timeout)
-	for {
+// Poll waits for any of the fds to become readable and returns the ready
+// fd, or fails with ErrTimeout once cancel closes; a ready fd always wins
+// over a closed cancel. This is the select-style event wait.
+func (p *Proc) Poll(fds []int, cancel <-chan struct{}) (int, error) {
+	for blocked := false; ; blocked = true {
 		ch := p.k.activityChan()
 		for _, fd := range fds {
 			if p.Readable(fd) {
+				if blocked {
+					yieldAfterWake()
+				}
 				return fd, nil
 			}
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return 0, ErrTimeout
-		}
-		t := time.NewTimer(remain)
 		select {
 		case <-ch:
-			t.Stop()
-		case <-t.C:
+		case <-cancel:
 			return 0, ErrTimeout
 		}
 	}

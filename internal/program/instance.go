@@ -20,7 +20,8 @@ type Instr uint8
 const (
 	// InstrBaseline: direct blocking calls, no metadata. Not live-updatable.
 	InstrBaseline Instr = iota + 1
-	// InstrUnblock: unblockified wrappers (timeout-sliced blocking calls).
+	// InstrUnblock: unblockified wrappers (blocking calls that wait on
+	// their event or the barrier).
 	InstrUnblock
 	// InstrStatic: + in-band allocator tags and type metadata.
 	InstrStatic
@@ -70,10 +71,6 @@ type Options struct {
 	// RegionInstrumented enables tag instrumentation inside custom
 	// (region/slab) allocators — the paper's nginxreg configuration.
 	RegionInstrumented bool
-	// SliceBaseline/SliceUnblocked override unblockification timeout
-	// slices (tests and overhead benches).
-	SliceBaseline  time.Duration
-	SliceUnblocked time.Duration
 }
 
 // Instance is a running program version.
@@ -93,6 +90,7 @@ type Instance struct {
 	threads      map[int64]*Thread // live threads, guarded by mu
 	wg           sync.WaitGroup
 	stopping     atomic.Bool
+	stop         chan struct{} // closed by Terminate
 	startupEnded atomic.Bool
 	started      atomic.Bool
 
@@ -110,17 +108,12 @@ func NewInstance(v *Version, k *kernel.Kernel, opts Options) (*Instance, error) 
 	if opts.Instr == 0 {
 		opts.Instr = InstrQDet
 	}
-	if opts.SliceBaseline == 0 {
-		opts.SliceBaseline = 50 * time.Millisecond
-	}
-	if opts.SliceUnblocked == 0 {
-		opts.SliceUnblocked = 500 * time.Microsecond
-	}
 	inst := &Instance{
 		version: v,
 		kern:    k,
 		opts:    opts,
 		barrier: quiesce.NewBarrier(),
+		stop:    make(chan struct{}),
 		procs:   make(map[ProcKey]*Proc),
 		threads: make(map[int64]*Thread),
 	}
@@ -288,11 +281,15 @@ func (inst *Instance) Quiesce(timeout time.Duration) (time.Duration, error) {
 	return inst.barrier.WaitQuiesced(timeout)
 }
 
-// Terminate shuts the instance down: parked threads receive Abort, running
-// threads observe the stopping flag at their next quiescent point, and all
-// processes exit. Safe to call on a quiesced or running instance.
+// Terminate shuts the instance down: parked threads receive Abort, threads
+// blocked at a quiescent point wake and unwind, running threads observe
+// the stopping flag at their next quiescent point, and all processes
+// exit. Safe to call on a quiesced or running instance, and more than
+// once.
 func (inst *Instance) Terminate() {
-	inst.stopping.Store(true)
+	if !inst.stopping.Swap(true) {
+		close(inst.stop)
+	}
 	inst.barrier.Release(quiesce.Abort)
 	inst.wg.Wait()
 	for _, p := range inst.Procs() {

@@ -56,9 +56,11 @@ type Proc struct {
 	mu      sync.Mutex
 	forkSeq map[uint64]uint64 // fork-site call-stack ID -> ordinal
 
+	threads int // live threads, guarded by inst.mu
+
 	// Edge-triggered in-process wakeup (the pthread_cond_signal analog):
 	// producers Notify after publishing work in simulated memory; CondQP
-	// waiters wake immediately instead of sleeping out their slice.
+	// and IdleQP waiters wake on it.
 	notifyMu sync.Mutex
 	notifyCh chan struct{}
 
@@ -71,8 +73,9 @@ type Proc struct {
 // in a forked child, and it lives and dies with the Proc.
 func (p *Proc) RuntimeLock() *sync.Mutex { return &p.runtimeMu }
 
-// Notify wakes every CondQP waiter of this process (call after writing
-// work into shared simulated memory, e.g. enqueueing a connection).
+// Notify wakes every CondQP and IdleQP waiter of this process (call after
+// writing work or a state change into shared simulated memory, e.g.
+// enqueueing a connection or setting a session's quit flag).
 func (p *Proc) Notify() {
 	p.notifyMu.Lock()
 	ch := p.notifyCh

@@ -609,7 +609,7 @@ func TestInstrumentationLevels(t *testing.T) {
 	for _, instr := range []Instr{InstrBaseline, InstrUnblock, InstrStatic, InstrDynamic, InstrQDet} {
 		instr := instr
 		t.Run(instr.String(), func(t *testing.T) {
-			inst, k := startSample(t, Options{Instr: instr, SliceBaseline: 2 * time.Millisecond})
+			inst, k := startSample(t, Options{Instr: instr})
 			defer inst.Terminate()
 			inst.CompleteStartup()
 			inst.Resume()

@@ -3,7 +3,6 @@ package program
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -87,6 +86,7 @@ func (inst *Instance) newThread(p *Proc, class string, seedStack []string) (*Thr
 func (inst *Instance) startThread(th *Thread, fn func(*Thread) error) {
 	inst.mu.Lock()
 	inst.threads[th.id] = th
+	th.proc.threads++
 	inst.mu.Unlock()
 	inst.barrier.Register(th.id, th.class)
 	if inst.opts.Profiler != nil {
@@ -109,10 +109,15 @@ func (inst *Instance) startThread(th *Thread, fn func(*Thread) error) {
 	}()
 }
 
+// cleanup unregisters an exiting thread. A forked process whose last
+// thread exits exits with it (a closed session's handler process); the
+// root lives until Terminate.
 func (th *Thread) cleanup() {
 	inst := th.proc.inst
 	inst.mu.Lock()
 	delete(inst.threads, th.id)
+	th.proc.threads--
+	last := th.proc.threads == 0 && th.proc != inst.root
 	inst.mu.Unlock()
 	inst.barrier.Deregister(th.id)
 	if inst.opts.Profiler != nil {
@@ -125,6 +130,9 @@ func (th *Thread) cleanup() {
 	if th.metaNode != nil {
 		_ = th.proc.heap.Free(th.metaNode.Addr)
 		th.metaNode = nil
+	}
+	if last {
+		th.proc.kproc.Exit()
 	}
 }
 
@@ -399,42 +407,59 @@ func (th *Thread) Exec(helper string, fn func(*Thread) error) error {
 
 // --- quiescent points -----------------------------------------------------
 
-func (th *Thread) slice() time.Duration {
-	if th.proc.inst.opts.Instr >= InstrUnblock {
-		return th.proc.inst.opts.SliceUnblocked
+// cancelChan returns the channel that ends this thread's wait at a
+// quiescent point: the barrier's armed channel wherever the barrier is
+// honoured, else the instance's stop channel. Below InstrQDet there is no
+// run-time quiescence detection, but the barrier is still honoured during
+// the startup phase, where the pre-armed controller defines the startup
+// boundary for every configuration; after it, an armed barrier the thread
+// will not honour must not wake it.
+func (th *Thread) cancelChan() <-chan struct{} {
+	inst := th.proc.inst
+	if inst.opts.Instr >= InstrQDet || inst.InStartupPhase() {
+		return inst.barrier.ArmedChan()
 	}
-	return th.proc.inst.opts.SliceBaseline
+	return inst.stop
 }
 
-// pollAtQP is the unblockification core: run one timeout-sliced attempt of
-// a blocking call at a quiescent point, parking when the barrier is armed.
-// poll must return (done, result error); kernel.ErrTimeout means the slice
-// elapsed without an event.
-func (th *Thread) pollAtQP(site string, poll func(timeout time.Duration) error) error {
+// pollAtQP is the unblockification core: a blocking call at the quiescent
+// point site that waits on its event or the barrier and nothing else.
+// Each pass parks the thread if cancel is already closed, else blocks in
+// poll until its event or until cancel closes; poll then returns
+// kernel.ErrTimeout and the next pass parks. The wait is edge-triggered:
+// arming the barrier wakes every blocked thread at once, a thread with no
+// event never wakes, and no timer runs. With idle, pollAtQP returns after
+// a park instead of waiting again (IdleQP's contract).
+func (th *Thread) pollAtQP(site string, idle bool, poll func(cancel <-chan struct{}) error) error {
 	inst := th.proc.inst
 	prof := inst.opts.Profiler
-	for {
-		// Below InstrQDet there is no run-time quiescence detection; the
-		// barrier is still honored during the startup phase, where the
-		// pre-armed controller defines the startup boundary for every
-		// configuration.
-		if (inst.opts.Instr >= InstrQDet || inst.InStartupPhase()) && inst.barrier.Armed() {
-			if inst.barrier.Park(th.id, site) == quiesce.Abort {
-				return ErrStopped
-			}
-		}
+	for parked := false; ; {
 		if inst.stopping.Load() {
 			return ErrStopped
 		}
-		start := time.Now()
-		err := poll(th.slice())
-		if prof != nil {
-			prof.RecordBlock(th.class, site, time.Since(start))
+		if parked && idle {
+			return nil
 		}
-		if errors.Is(err, kernel.ErrTimeout) {
+		cancel := th.cancelChan()
+		select {
+		case <-cancel:
+			if inst.barrier.Park(th.id, site) == quiesce.Abort {
+				return ErrStopped
+			}
+			parked = true
 			continue
+		default:
 		}
-		return err
+		if prof != nil {
+			prof.BlockBegin(th.id, th.class, site)
+		}
+		err := poll(cancel)
+		if prof != nil {
+			prof.BlockEnd(th.id)
+		}
+		if !errors.Is(err, kernel.ErrTimeout) {
+			return err
+		}
 	}
 }
 
@@ -442,9 +467,9 @@ func (th *Thread) pollAtQP(site string, poll func(timeout time.Duration) error) 
 func (th *Thread) AcceptQP(site string, fd int) (int, *kernel.Conn, error) {
 	var cfd int
 	var conn *kernel.Conn
-	err := th.pollAtQP(site, func(timeout time.Duration) error {
+	err := th.pollAtQP(site, false, func(cancel <-chan struct{}) error {
 		var err error
-		cfd, conn, err = th.proc.kproc.Accept(fd, timeout)
+		cfd, conn, err = th.proc.kproc.Accept(fd, cancel)
 		return err
 	})
 	return cfd, conn, err
@@ -453,9 +478,9 @@ func (th *Thread) AcceptQP(site string, fd int) (int, *kernel.Conn, error) {
 // ReadQP is an unblockified connection read at the quiescent point site.
 func (th *Thread) ReadQP(site string, fd int) ([]byte, error) {
 	var data []byte
-	err := th.pollAtQP(site, func(timeout time.Duration) error {
+	err := th.pollAtQP(site, false, func(cancel <-chan struct{}) error {
 		var err error
-		data, err = th.proc.kproc.Read(fd, timeout)
+		data, err = th.proc.kproc.Read(fd, cancel)
 		return err
 	})
 	return data, err
@@ -500,9 +525,9 @@ func (th *Thread) EpollDel(epfd, fd int) error {
 // resumes waiting on every pre-update session without re-registration.
 func (th *Thread) EpollWaitQP(site string, epfd int) (int, error) {
 	var ready int
-	err := th.pollAtQP(site, func(timeout time.Duration) error {
+	err := th.pollAtQP(site, false, func(cancel <-chan struct{}) error {
 		var err error
-		ready, err = th.proc.kproc.EpollWait(epfd, timeout)
+		ready, err = th.proc.kproc.EpollWait(epfd, cancel)
 		return err
 	})
 	return ready, err
@@ -514,9 +539,9 @@ func (th *Thread) EpollWaitQP(site string, epfd int) (int, error) {
 // not by the wrapper.
 func (th *Thread) PollQP(site string, fds []int) (int, error) {
 	var ready int
-	err := th.pollAtQP(site, func(timeout time.Duration) error {
+	err := th.pollAtQP(site, false, func(cancel <-chan struct{}) error {
 		var err error
-		ready, err = th.proc.kproc.Poll(fds, timeout)
+		ready, err = th.proc.kproc.Poll(fds, cancel)
 		return err
 	})
 	return ready, err
@@ -525,27 +550,34 @@ func (th *Thread) PollQP(site string, fds []int) (int, error) {
 // WaitQP is an unblockified indefinite wait (e.g. sigwait in a master
 // process that only supervises children). It returns only on stop/abort.
 func (th *Thread) WaitQP(site string) error {
-	return th.pollAtQP(site, func(timeout time.Duration) error {
-		time.Sleep(timeout)
+	return th.pollAtQP(site, false, func(cancel <-chan struct{}) error {
+		<-cancel
 		return kernel.ErrTimeout
 	})
 }
 
-// IdleQP blocks for one timeout slice at a quiescent point and returns,
-// letting the caller re-check its own conditions (e.g. an in-memory quit
-// flag) between slices.
+// IdleQP waits at a quiescent point for the next park/resume or
+// Proc.Notify and returns, letting the caller re-check its own state. A
+// thread that must not act before the barrier releases it (a
+// reinitialization handler's reconstructed thread, started under the
+// pre-armed barrier) calls it first: it parks at once and returns on
+// resume.
 func (th *Thread) IdleQP(site string) error {
-	return th.pollAtQP(site, func(timeout time.Duration) error {
-		time.Sleep(timeout)
-		return nil
+	return th.pollAtQP(site, true, func(cancel <-chan struct{}) error {
+		select {
+		case <-th.proc.notifyChan():
+			return nil
+		case <-cancel:
+			return kernel.ErrTimeout
+		}
 	})
 }
 
 // CondQP is an unblockified condition wait (pthread_cond_wait analog, the
 // worker-pool quiescent point of threaded servers): it blocks at site
-// until pred reports true, waking immediately on Proc.Notify.
+// until pred reports true, re-evaluating it on every Proc.Notify.
 func (th *Thread) CondQP(site string, pred func() (bool, error)) error {
-	return th.pollAtQP(site, func(timeout time.Duration) error {
+	return th.pollAtQP(site, false, func(cancel <-chan struct{}) error {
 		ch := th.proc.notifyChan()
 		ok, err := pred()
 		if err != nil {
@@ -554,11 +586,9 @@ func (th *Thread) CondQP(site string, pred func() (bool, error)) error {
 		if ok {
 			return nil
 		}
-		t := time.NewTimer(timeout)
 		select {
 		case <-ch:
-			t.Stop()
-		case <-t.C:
+		case <-cancel:
 		}
 		return kernel.ErrTimeout
 	})

@@ -1,15 +1,21 @@
 // Package quiesce implements MCR's quiescence machinery: the barrier
 // synchronization protocol that blocks every program thread at a profiled
 // quiescent point (§4), and the quiescence profiler that discovers those
-// points from a test workload. Blocking-call wrappers in the program layer
-// ("unblockification") poll the barrier between timeout slices, so no
-// thread ever blocks in the kernel beyond one slice while an update is
-// pending.
+// points from a test workload.
+//
+// The paper's unblockification turns each blocking call into
+// timeout-sliced retries so the barrier can stop a thread between slices.
+// Here the wait is edge-triggered instead: a blocking-call wrapper in the
+// program layer waits on its event *or* the barrier's armed channel
+// (ArmedChan) and on nothing else. Arm closes that channel, so arming
+// wakes every blocked thread at once and it parks; a thread with no event
+// and no armed barrier never wakes, and no blocking call runs on a timer.
 package quiesce
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 )
@@ -44,17 +50,25 @@ type Barrier struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	armed      bool
-	directive  Directive
-	generation uint64
-	registered map[int64]string // thread id -> class name
-	parked     map[int64]string // thread id -> quiescent point site
+	armedCh    chan struct{} // closed while armed, and for good once aborted
+	aborted    bool
+	registered map[int64]string   // thread id -> class name
+	parked     map[int64]*parking // thread id -> its park
+}
+
+// parking is one parked thread: where it parked, and how Release wakes it.
+type parking struct {
+	site      string
+	resume    chan struct{} // closed by Release
+	directive Directive     // set before resume closes
 }
 
 // NewBarrier returns an unarmed barrier.
 func NewBarrier() *Barrier {
 	b := &Barrier{
+		armedCh:    make(chan struct{}),
 		registered: make(map[int64]string),
-		parked:     make(map[int64]string),
+		parked:     make(map[int64]*parking),
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
@@ -79,42 +93,49 @@ func (b *Barrier) Deregister(id int64) {
 	b.cond.Broadcast()
 }
 
-// Arm requests quiescence: from now on, every thread that reaches (or
-// polls at) a quiescent point parks.
+// Arm requests quiescence: from now on, every thread that reaches a
+// quiescent point parks, and closing the armed channel wakes every thread
+// blocked at one.
 func (b *Barrier) Arm() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if !b.armed && !b.aborted {
+		close(b.armedCh)
+	}
 	b.armed = true
 	b.cond.Broadcast()
 }
 
-// Armed reports whether quiescence is currently requested. Unblockified
-// wrappers check this between timeout slices.
-func (b *Barrier) Armed() bool {
+// ArmedChan returns a channel that is closed while the barrier is armed
+// (and for good after Release(Abort)). A thread takes it before it
+// blocks and waits on it beside its event: if the channel is closed, the
+// thread parks; if it closes during the wait, the thread wakes and parks.
+func (b *Barrier) ArmedChan() <-chan struct{} {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.armed
+	return b.armedCh
 }
 
 // Park blocks the calling thread at the quiescent point named site until
 // the barrier is released, and returns the release directive. If the
-// barrier is not armed, Park returns Resume immediately.
+// barrier is not armed, Park returns at once: Abort once the barrier has
+// been released with Abort, else Resume.
 func (b *Barrier) Park(id int64, site string) Directive {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if !b.armed {
-		return Resume
+		d := Resume
+		if b.aborted {
+			d = Abort
+		}
+		b.mu.Unlock()
+		return d
 	}
-	b.parked[id] = site
-	gen := b.generation
+	p := &parking{site: site, resume: make(chan struct{})}
+	b.parked[id] = p
 	b.cond.Broadcast()
-	for b.armed && b.generation == gen {
-		b.cond.Wait()
-	}
-	// Release cleared the parked map atomically with the generation bump,
-	// so a back-to-back re-Arm can never observe this thread as still
-	// parked while it is in fact resuming.
-	return b.directive
+	b.mu.Unlock()
+	<-p.resume
+	return p.directive
 }
 
 // WaitQuiesced blocks until every registered thread is parked, or the
@@ -174,22 +195,44 @@ func (b *Barrier) ParkedSites() map[int64]string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make(map[int64]string, len(b.parked))
-	for id, s := range b.parked {
-		out[id] = s
+	for id, p := range b.parked {
+		out[id] = p.site
 	}
 	return out
 }
 
 // Release disarms the barrier and wakes every parked thread with the
-// directive.
+// directive. Resume hands out a fresh armed channel for the next Arm;
+// Abort leaves it closed for good, so every thread that blocks later
+// wakes at once and unwinds.
 func (b *Barrier) Release(d Directive) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	switch {
+	case b.aborted:
+	case d == Abort:
+		if !b.armed {
+			close(b.armedCh)
+		}
+		b.aborted = true
+	case b.armed:
+		b.armedCh = make(chan struct{})
+	}
 	b.armed = false
-	b.directive = d
-	b.generation++
-	b.parked = make(map[int64]string)
-	b.cond.Broadcast()
+	// Wake the parked threads in random order: threads that share a wait
+	// (listeners on one accept queue) re-enter it in that order, and a
+	// fixed order would hand every connection after an update to the same
+	// one.
+	ps := make([]*parking, 0, len(b.parked))
+	for _, p := range b.parked {
+		ps = append(ps, p)
+	}
+	rand.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+	for _, p := range ps {
+		p.directive = d
+		close(p.resume)
+	}
+	b.parked = make(map[int64]*parking)
 }
 
 // RegisteredCount returns the number of registered threads.

@@ -17,6 +17,16 @@ type Profiler struct {
 	mu      sync.Mutex
 	classes map[string]*classProfile
 	active  bool
+	since   time.Time // start of the current active window
+	open    map[int64]openBlock
+	ended   uint64 // blocks ended while active
+	now     func() time.Time
+}
+
+// openBlock is one thread's blocking call in progress.
+type openBlock struct {
+	class, site string
+	began       time.Time
 }
 
 type classProfile struct {
@@ -37,20 +47,34 @@ type loopProfile struct {
 
 // NewProfiler returns an inactive profiler; Start begins sample collection.
 func NewProfiler() *Profiler {
-	return &Profiler{classes: make(map[string]*classProfile)}
+	return &Profiler{
+		classes: make(map[string]*classProfile),
+		open:    make(map[int64]openBlock),
+		now:     time.Now,
+	}
 }
 
 // Start enables sample collection.
 func (p *Profiler) Start() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.active = true
+	if !p.active {
+		p.active, p.since = true, p.now()
+	}
 }
 
-// Stop disables sample collection.
+// Stop disables sample collection. Blocks still open are credited with
+// their residency up to now.
 func (p *Profiler) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if !p.active {
+		return
+	}
+	now := p.now()
+	for _, b := range p.open {
+		p.credit(b, now)
+	}
 	p.active = false
 }
 
@@ -88,15 +112,57 @@ func (p *Profiler) ThreadEnded(class string) {
 	c.everExited = true
 }
 
-// RecordBlock attributes blocking-call residency to a callsite, the
-// statistical library-call profiling of §4.
-func (p *Profiler) RecordBlock(class, site string, d time.Duration) {
+// BlockBegin notes that thread id of the given class is blocking at the
+// callsite. Residency is attributed when the block ends, or by Report
+// while it is still open: an edge-triggered wait that never sees its
+// event never ends, and the statistical library-call profiling of §4 must
+// still see where the thread sits.
+func (p *Profiler) BlockBegin(id int64, class, site string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.active {
+	p.open[id] = openBlock{class: class, site: site, began: p.now()}
+}
+
+// BlockEnd attributes thread id's open block's residency to its callsite.
+func (p *Profiler) BlockEnd(id int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b, ok := p.open[id]
+	if !ok {
 		return
 	}
-	p.class(class).blockSites[site] += d
+	delete(p.open, id)
+	if p.active {
+		p.credit(b, p.now())
+		p.ended++
+	}
+}
+
+// BlocksEnded returns how many blocks ended while the profiler was
+// active: with edge-triggered waits, one per event a thread woke for.
+func (p *Profiler) BlocksEnded() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ended
+}
+
+// credit adds the active part of b's residency up to now to its site.
+func (p *Profiler) credit(b openBlock, now time.Time) {
+	if d := p.activeSpan(b, now); d > 0 {
+		p.class(b.class).blockSites[b.site] += d
+	}
+}
+
+// activeSpan is the part of b's residency up to now that fell while the
+// profiler was active.
+func (p *Profiler) activeSpan(b openBlock, now time.Time) time.Duration {
+	if !p.active {
+		return 0
+	}
+	if b.began.Before(p.since) {
+		b.began = p.since
+	}
+	return now.Sub(b.began)
 }
 
 // RecordLoopIter attributes one iteration to a loop at the given nesting
@@ -194,10 +260,20 @@ func (r Report) Class(name string) (ThreadClass, bool) {
 // Report produces the profiling report. A class is long-lived if at least
 // one thread of the class is still alive at report time; its loop is the
 // deepest loop that iterated but never exited; its quiescent point is the
-// highest-residency blocking site.
+// highest-residency blocking site, counting blocks still open at report
+// time up to now.
 func (p *Profiler) Report() Report {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// Blocks still open count up to now.
+	now := p.now()
+	open := make(map[string]map[string]time.Duration)
+	for _, b := range p.open {
+		if open[b.class] == nil {
+			open[b.class] = make(map[string]time.Duration)
+		}
+		open[b.class][b.site] += p.activeSpan(b, now)
+	}
 	var rep Report
 	names := make([]string, 0, len(p.classes))
 	for n := range p.classes {
@@ -218,14 +294,21 @@ func (p *Profiler) Report() Report {
 				}
 			}
 			// Highest-residency blocking site.
+			residency := make(map[string]time.Duration, len(c.blockSites))
+			for s, d := range c.blockSites {
+				residency[s] = d
+			}
+			for s, d := range open[n] {
+				residency[s] += d
+			}
 			var max time.Duration
-			sites := make([]string, 0, len(c.blockSites))
-			for s := range c.blockSites {
+			sites := make([]string, 0, len(residency))
+			for s := range residency {
 				sites = append(sites, s)
 			}
 			sort.Strings(sites) // deterministic tie-break
 			for _, s := range sites {
-				if d := c.blockSites[s]; d > max {
+				if d := residency[s]; d > max {
 					max = d
 					tc.QuiescentPoint = s
 				}

@@ -8,34 +8,34 @@ import (
 	"time"
 )
 
-// simThread models an unblockified server thread: it loops, polls the
-// barrier between timeout slices, and parks when armed. The caller must
-// have Registered id already (as the program layer does before starting a
-// thread), so that arming cannot race with registration.
-func simThread(b *Barrier, id int64, site string, stopped *atomic.Bool, wg *sync.WaitGroup) {
+// simThread models an unblockified server thread blocked at its quiescent
+// point with no event: it waits on the barrier's armed channel alone,
+// parks when it closes, and exits on Abort or once stop closes. The caller
+// must have Registered id already (as the program layer does before
+// starting a thread), so that arming cannot race with registration.
+func simThread(b *Barrier, id int64, site string, stop <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer b.Deregister(id)
 	for {
-		if b.Armed() {
+		select {
+		case <-b.ArmedChan():
 			if b.Park(id, site) == Abort {
 				return
 			}
-		}
-		if stopped.Load() {
+		case <-stop:
 			return
 		}
-		time.Sleep(100 * time.Microsecond) // simulated timeout slice
 	}
 }
 
 func TestBarrierConvergesAndResumes(t *testing.T) {
 	b := NewBarrier()
-	var stopped atomic.Bool
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := int64(1); i <= 8; i++ {
 		b.Register(i, "worker")
 		wg.Add(1)
-		go simThread(b, i, "accept@loop", &stopped, &wg)
+		go simThread(b, i, "accept@loop", stop, &wg)
 	}
 	b.Arm()
 	d, err := b.WaitQuiesced(2 * time.Second)
@@ -57,24 +57,24 @@ func TestBarrierConvergesAndResumes(t *testing.T) {
 			t.Errorf("thread %d parked at %q", id, s)
 		}
 	}
-	stopped.Store(true)
+	close(stop)
 	b.Release(Resume)
 	wg.Wait()
 }
 
 func TestBarrierAbortDirective(t *testing.T) {
 	b := NewBarrier()
-	var stopped atomic.Bool
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	b.Register(1, "worker")
 	wg.Add(1)
-	go simThread(b, 1, "qp", &stopped, &wg)
+	go simThread(b, 1, "qp", stop, &wg)
 	b.Arm()
 	if _, err := b.WaitQuiesced(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	b.Release(Abort)
-	// Thread must exit on Abort without stopped being set.
+	// Thread must exit on Abort without stop being closed.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -136,11 +136,11 @@ func TestBarrierDeregisterUnblocksConvergence(t *testing.T) {
 	// A short-lived thread that exits (deregisters) instead of parking
 	// must not block convergence.
 	b := NewBarrier()
-	var stopped atomic.Bool
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	b.Register(1, "worker")
 	wg.Add(1)
-	go simThread(b, 1, "qp", &stopped, &wg)
+	go simThread(b, 1, "qp", stop, &wg)
 	b.Register(2, "short-lived")
 	b.Arm()
 	go func() {
@@ -150,7 +150,7 @@ func TestBarrierDeregisterUnblocksConvergence(t *testing.T) {
 	if _, err := b.WaitQuiesced(2 * time.Second); err != nil {
 		t.Fatalf("WaitQuiesced: %v", err)
 	}
-	stopped.Store(true)
+	close(stop)
 	b.Release(Resume)
 	wg.Wait()
 }
@@ -175,26 +175,26 @@ func TestPreArmedBarrierParksAtFirstQP(t *testing.T) {
 	// park at their first quiescent point and never consume events.
 	b := NewBarrier()
 	b.Arm()
-	var stopped atomic.Bool
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	b.Register(1, "worker")
 	wg.Add(1)
-	go simThread(b, 1, "first-qp", &stopped, &wg)
+	go simThread(b, 1, "first-qp", stop, &wg)
 	if _, err := b.WaitQuiesced(2 * time.Second); err != nil {
 		t.Fatalf("pre-armed convergence: %v", err)
 	}
-	stopped.Store(true)
+	close(stop)
 	b.Release(Resume)
 	wg.Wait()
 }
 
 func TestBarrierReuseAcrossGenerations(t *testing.T) {
 	b := NewBarrier()
-	var stopped atomic.Bool
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	b.Register(1, "worker")
 	wg.Add(1)
-	go simThread(b, 1, "qp", &stopped, &wg)
+	go simThread(b, 1, "qp", stop, &wg)
 	for round := 0; round < 3; round++ {
 		b.Arm()
 		if _, err := b.WaitQuiesced(2 * time.Second); err != nil {
@@ -202,17 +202,87 @@ func TestBarrierReuseAcrossGenerations(t *testing.T) {
 		}
 		b.Release(Resume)
 	}
-	stopped.Store(true)
+	close(stop)
 	wg.Wait()
 }
 
-func TestProfilerQuiescentPointSelection(t *testing.T) {
+// TestReleaseOrderIsRandom: Release wakes parked threads in random order.
+// Threads that share a wait re-enter it in the order they resume, so a
+// fixed order would let one of two listeners on a shared accept queue win
+// every connection after every update. Two threads race to be first back
+// after each of 200 releases; each must win a fair share.
+func TestReleaseOrderIsRandom(t *testing.T) {
+	const rounds = 200
+	b := NewBarrier()
+	var round atomic.Int64
+	var winner [rounds]atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for id := int64(1); id <= 2; id++ {
+		b.Register(id, "listener")
+		wg.Add(1)
+		go func(id int64) {
+			defer wg.Done()
+			defer b.Deregister(id)
+			for {
+				select {
+				case <-b.ArmedChan():
+					b.Park(id, "accept")
+					// The next round cannot release before this thread
+					// parks again, so round still names this release.
+					winner[round.Load()].CompareAndSwap(0, id)
+				case <-stop:
+					return
+				}
+			}
+		}(id)
+	}
+	for r := 0; r < rounds; r++ {
+		b.Arm()
+		if _, err := b.WaitQuiesced(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		round.Store(int64(r))
+		b.Release(Resume)
+	}
+	close(stop)
+	wg.Wait()
+	wins := map[int64]int{}
+	for r := range winner {
+		wins[winner[r].Load()]++
+	}
+	if wins[1] < rounds/5 || wins[2] < rounds/5 {
+		t.Errorf("first back after a release: thread 1 %d, thread 2 %d of %d times", wins[1], wins[2], rounds)
+	}
+}
+
+// fakeClock drives a profiler's time by hand.
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+
+func newTestProfiler() (*Profiler, *fakeClock) {
+	c := &fakeClock{t: time.Unix(1, 0)}
 	p := NewProfiler()
+	p.now = c.now
+	return p, c
+}
+
+// block records one blocking call of thread id lasting d.
+func block(p *Profiler, c *fakeClock, id int64, class, site string, d time.Duration) {
+	p.BlockBegin(id, class, site)
+	c.advance(d)
+	p.BlockEnd(id)
+}
+
+func TestProfilerQuiescentPointSelection(t *testing.T) {
+	p, c := newTestProfiler()
 	p.Start()
 	p.ThreadStarted("worker", true)
 	// The thread spends most blocking time in accept, some in a mutex.
-	p.RecordBlock("worker", "accept@main_loop", 100*time.Millisecond)
-	p.RecordBlock("worker", "lock@handler", 5*time.Millisecond)
+	block(p, c, 1, "worker", "accept@main_loop", 100*time.Millisecond)
+	block(p, c, 1, "worker", "lock@handler", 5*time.Millisecond)
 	p.RecordLoopIter("worker", "main_loop", 1)
 	p.RecordLoopIter("worker", "retry_loop", 2)
 	p.RecordLoopExit("worker", "retry_loop")
@@ -249,13 +319,13 @@ func TestProfilerShortLivedClass(t *testing.T) {
 }
 
 func TestProfilerVolatileQP(t *testing.T) {
-	p := NewProfiler()
+	p, c := newTestProfiler()
 	p.Start()
 	p.ThreadStarted("master", true)
-	p.RecordBlock("master", "accept@master", time.Second)
+	block(p, c, 1, "master", "accept@master", time.Second)
 	// Per-connection handler spawned after startup: volatile.
 	p.ThreadStarted("session", false)
-	p.RecordBlock("session", "read@session_loop", time.Second)
+	block(p, c, 2, "session", "read@session_loop", time.Second)
 	rep := p.Report()
 	if rep.QuiescentPoints() != 2 {
 		t.Fatalf("QP = %d, want 2", rep.QuiescentPoints())
@@ -266,25 +336,70 @@ func TestProfilerVolatileQP(t *testing.T) {
 }
 
 func TestProfilerInactiveDropsSamples(t *testing.T) {
-	p := NewProfiler()
+	p, c := newTestProfiler()
 	p.ThreadStarted("w", true)
-	p.RecordBlock("w", "site", time.Second) // not started: dropped
+	block(p, c, 1, "w", "site", time.Second) // not started: dropped
 	p.Start()
 	p.Stop()
-	p.RecordBlock("w", "site2", time.Second) // stopped: dropped
+	block(p, c, 1, "w", "site2", time.Second) // stopped: dropped
 	rep := p.Report()
 	tc, _ := rep.Class("w")
 	if tc.QuiescentPoint != "" {
 		t.Errorf("QP = %q, want none (samples outside active window)", tc.QuiescentPoint)
 	}
+	if n := p.BlocksEnded(); n != 0 {
+		t.Errorf("BlocksEnded = %d, want 0 outside the active window", n)
+	}
+}
+
+// TestProfilerCountsOpenBlocks: an edge-triggered wait that never sees its
+// event never ends, yet it is where its thread sits. Report credits it up
+// to report time, only inside the active window, and ends nothing.
+func TestProfilerCountsOpenBlocks(t *testing.T) {
+	p, c := newTestProfiler()
+	p.Start()
+	p.ThreadStarted("w", true)
+	block(p, c, 1, "w", "lock@handler", 10*time.Millisecond)
+	p.BlockBegin(2, "w", "read@loop")
+	c.advance(5 * time.Millisecond)
+	if tc, _ := p.Report().Class("w"); tc.QuiescentPoint != "lock@handler" {
+		t.Fatalf("QP = %q, want lock@handler (10ms ended vs 5ms open)", tc.QuiescentPoint)
+	}
+	c.advance(10 * time.Millisecond)
+	if tc, _ := p.Report().Class("w"); tc.QuiescentPoint != "read@loop" {
+		t.Fatalf("QP = %q, want read@loop (15ms open vs 10ms ended)", tc.QuiescentPoint)
+	}
+	if n := p.BlocksEnded(); n != 1 {
+		t.Errorf("BlocksEnded = %d, want 1 (Report ends nothing)", n)
+	}
+	// Stop credits the open block up to now; time after it is not counted.
+	p.Stop()
+	p.BlockBegin(3, "w", "lock@handler")
+	c.advance(time.Hour)
+	if tc, _ := p.Report().Class("w"); tc.QuiescentPoint != "read@loop" {
+		t.Errorf("QP = %q after Stop, want read@loop", tc.QuiescentPoint)
+	}
+
+	// A block begun before Start counts from Start.
+	p, c = newTestProfiler()
+	p.ThreadStarted("w", true)
+	p.BlockBegin(1, "w", "early")
+	c.advance(time.Hour)
+	p.Start()
+	c.advance(time.Millisecond)
+	p.BlockEnd(1)
+	block(p, c, 2, "w", "late", 2*time.Millisecond)
+	if tc, _ := p.Report().Class("w"); tc.QuiescentPoint != "late" {
+		t.Errorf("QP = %q, want late (the early block's hour before Start is not counted)", tc.QuiescentPoint)
+	}
 }
 
 func TestProfilerDeterministicTieBreak(t *testing.T) {
-	p := NewProfiler()
+	p, c := newTestProfiler()
 	p.Start()
 	p.ThreadStarted("w", true)
-	p.RecordBlock("w", "zeta", 10*time.Millisecond)
-	p.RecordBlock("w", "alpha", 10*time.Millisecond)
+	block(p, c, 1, "w", "zeta", 10*time.Millisecond)
+	block(p, c, 1, "w", "alpha", 10*time.Millisecond)
 	rep1 := p.Report()
 	rep2 := p.Report()
 	c1, _ := rep1.Class("w")

@@ -36,6 +36,9 @@ const (
 	httpdWorkers    = 2
 	httpdPidfile    = "/var/run/httpd.pid"
 	httpdQueueSlots = 16
+	// httpdRequestTimeout bounds a pool thread's wait for the request on a
+	// connection it has just dequeued (Apache's request read timeout).
+	httpdRequestTimeout = 50 * time.Millisecond
 )
 
 // httpdPoolThreads is a variable so tests can shrink the pool (the paper
@@ -464,7 +467,10 @@ func httpdPoolMain(banner string, root *mem.RegionAllocator) func(*program.Threa
 // threads for the long-lived request kinds.
 func httpdServe(t *program.Thread, banner string, root *mem.RegionAllocator, cfd int) error {
 	p := t.Proc()
-	msg, err := p.KProc().Read(cfd, t.Proc().Instance().Options().SliceUnblocked*100)
+	expired := make(chan struct{})
+	timer := time.AfterFunc(httpdRequestTimeout, func() { close(expired) })
+	msg, err := p.KProc().Read(cfd, expired)
+	timer.Stop()
 	if err != nil {
 		_ = p.KProc().Close(cfd)
 		return nil

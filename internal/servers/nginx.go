@@ -310,7 +310,7 @@ func nginxWorkerIterate(t *program.Thread, banner string, lfd, epfd int,
 	}
 	as := p.Space()
 	if ready == lfd {
-		cfd, _, err := p.KProc().Accept(lfd, 0)
+		cfd, _, err := p.KProc().Accept(lfd, kernel.NoWait)
 		if err != nil {
 			return nil
 		}
@@ -365,7 +365,7 @@ func nginxWorkerIterate(t *program.Thread, banner string, lfd, epfd int,
 			enc = next
 			continue
 		}
-		msg, err := p.KProc().Read(ready, 0)
+		msg, err := p.KProc().Read(ready, kernel.NoWait)
 		if err != nil {
 			if errors.Is(err, kernel.ErrClosed) {
 				_ = t.EpollDel(epfd, ready)

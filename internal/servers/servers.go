@@ -113,6 +113,14 @@ func fieldwiseCopyHandler(tc program.TransferContext, oldObj, newObj *mem.Object
 	return nil
 }
 
+// setQuit marks a vsftpd or sshd session over (its session struct's quit
+// field) and wakes the session's threads that wait for it in CondQP.
+func setQuit(p *program.Proc, sess *mem.Object) error {
+	err := p.WriteField(sess, "quit", 1)
+	p.Notify()
+	return err
+}
+
 // release builds a dotted release string for version i of a stream
 // starting at base (e.g. base "0.8.54" i=3 -> "0.8.57" in spirit; we use
 // a simple suffix scheme).

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/types"
 )
@@ -231,7 +232,7 @@ func sshdSessionMain(banner string, cfd int, fresh bool) func(*program.Thread) e
 					return program.ErrLoopExit
 				}
 				if errors.Is(err, kernel.ErrClosed) {
-					_ = p.WriteField(sess, "quit", 1)
+					_ = setQuit(p, sess)
 					return program.ErrLoopExit
 				}
 				return err
@@ -251,19 +252,24 @@ func sshdSessionMain(banner string, cfd int, fresh bool) func(*program.Thread) e
 				return err
 			}
 		}
-		return t.Loop("sshd_rekey_loop", func() error {
-			if q, _ := p.ReadField(sess, "quit"); q != 0 {
-				return program.ErrLoopExit
-			}
-			if err := t.IdleQP("rekey@sshd_monitor"); err != nil {
-				if errors.Is(err, program.ErrStopped) {
-					return program.ErrLoopExit
-				}
-				return err
-			}
-			return nil
-		})
+		return sshdMonitor(t, sess)
 	}
+}
+
+// sshdMonitor is the post-auth rekey monitor: it waits until the session
+// sets quit.
+func sshdMonitor(t *program.Thread, sess *mem.Object) error {
+	p := t.Proc()
+	return t.Loop("sshd_rekey_loop", func() error {
+		err := t.CondQP("rekey@sshd_monitor", func() (bool, error) {
+			q, _ := p.ReadField(sess, "quit")
+			return q != 0, nil
+		})
+		if err != nil && !errors.Is(err, program.ErrStopped) {
+			return err
+		}
+		return program.ErrLoopExit // the session quit, or the instance stops
+	})
 }
 
 func sshdHandleAuth(t *program.Thread, cfd int, msg string) error {
@@ -344,7 +350,7 @@ func sshdChannelMain(banner string, cfd int, reconstructed bool) func(*program.T
 					return program.ErrLoopExit
 				}
 				if errors.Is(err, kernel.ErrClosed) {
-					_ = p.WriteField(sess, "quit", 1)
+					_ = setQuit(p, sess)
 					return program.ErrLoopExit
 				}
 				return err
@@ -365,7 +371,7 @@ func sshdChannelMain(banner string, cfd int, reconstructed bool) func(*program.T
 				}
 				return nil
 			case cmd == "EXIT":
-				if err := p.WriteField(sess, "quit", 1); err != nil {
+				if err := setQuit(p, sess); err != nil {
 					return err
 				}
 				_ = t.Write(cfd, []byte("bye"))
@@ -463,7 +469,7 @@ func sshdReconstructedSession(banner string, cfd int, old []program.ThreadInfo) 
 					return program.ErrLoopExit
 				}
 				if errors.Is(err, kernel.ErrClosed) {
-					_ = p.WriteField(sess, "quit", 1)
+					_ = setQuit(p, sess)
 					return program.ErrLoopExit
 				}
 				return err
@@ -473,17 +479,6 @@ func sshdReconstructedSession(banner string, cfd int, old []program.ThreadInfo) 
 		if err != nil {
 			return err
 		}
-		return t.Loop("sshd_rekey_loop", func() error {
-			if q, _ := p.ReadField(sess, "quit"); q != 0 {
-				return program.ErrLoopExit
-			}
-			if err := t.IdleQP("rekey@sshd_monitor"); err != nil {
-				if errors.Is(err, program.ErrStopped) {
-					return program.ErrLoopExit
-				}
-				return err
-			}
-			return nil
-		})
+		return sshdMonitor(t, sess)
 	}
 }

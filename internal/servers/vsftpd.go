@@ -213,16 +213,14 @@ func vsftpdPrivMain(t *program.Thread) error {
 	p := t.Proc()
 	sess := p.MustGlobal("vsf_session")
 	return t.Loop("vsf_priv_loop", func() error {
-		if q, _ := p.ReadField(sess, "quit"); q != 0 {
-			return program.ErrLoopExit
-		}
-		if err := t.IdleQP("privwait@vsf_priv"); err != nil {
-			if errors.Is(err, program.ErrStopped) {
-				return program.ErrLoopExit
-			}
+		err := t.CondQP("privwait@vsf_priv", func() (bool, error) {
+			q, _ := p.ReadField(sess, "quit")
+			return q != 0, nil
+		})
+		if err != nil && !errors.Is(err, program.ErrStopped) {
 			return err
 		}
-		return nil
+		return program.ErrLoopExit // the session quit, or the instance stops
 	})
 }
 
@@ -238,7 +236,7 @@ func vsftpdHandleCommand(t *program.Thread, banner string, cfd int) error {
 			return program.ErrLoopExit
 		}
 		if errors.Is(err, kernel.ErrClosed) {
-			_ = p.WriteField(sess, "quit", 1)
+			_ = setQuit(p, sess)
 			return program.ErrLoopExit
 		}
 		return err
@@ -335,7 +333,7 @@ func vsftpdHandleCommand(t *program.Thread, banner string, cfd int) error {
 		if err := reply("221 Goodbye."); err != nil {
 			return err
 		}
-		if err := p.WriteField(sess, "quit", 1); err != nil {
+		if err := setQuit(p, sess); err != nil {
 			return err
 		}
 		_ = t.CloseFD(cfd)
