@@ -12,7 +12,6 @@
 package mcr
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -375,142 +374,6 @@ func BenchmarkDirtyFilter(b *testing.B) {
 				e.Shutdown()
 				b.StartTimer()
 			}
-		})
-	}
-}
-
-// synthTransferVersion builds a version whose startup allocates a large
-// synthetic heap: a precisely traced linked list of `nodes` typed objects
-// plus a chain of `blobs` opaque 512-byte buffers linked by hidden
-// pointers (conservatively scanned). Versions are layout-identical across
-// seq so a transfer into the same new instance is repeatable, which lets
-// the benchmark below measure transfer alone, not instance startup.
-func synthTransferVersion(seq, nodes, blobs int) *program.Version {
-	reg := types.NewRegistry()
-	node := &types.Type{Name: "bn_t", Kind: types.KindStruct}
-	node.Fields = []types.Field{
-		{Name: "value", Offset: 0, Type: types.Scalar(types.KindInt64)},
-		{Name: "next", Offset: 8, Type: types.PointerTo(node)},
-		{Name: "buddy", Offset: 16, Type: types.PointerTo(node)},
-	}
-	node.Size, node.Align = 24, 8
-	reg.Define(node)
-	return &program.Version{
-		Program: "benchheap",
-		Release: fmt.Sprintf("v%d", seq+1),
-		Seq:     seq,
-		Types:   reg,
-		Globals: []program.GlobalSpec{
-			{Name: "list", Type: "bn_t"},
-			{Name: "anchor", Size: 64},
-		},
-		Annotations: program.NewAnnotations(),
-		Main: func(t *program.Thread) error {
-			t.Enter("main")
-			defer t.Exit()
-			if err := t.Call("bench_init", func() error {
-				p := t.Proc()
-				head := p.MustGlobal("list")
-				prev := head
-				for i := 0; i < nodes; i++ {
-					n, err := t.Malloc("bn_t")
-					if err != nil {
-						return err
-					}
-					if err := p.WriteField(n, "value", uint64(i)*3+1); err != nil {
-						return err
-					}
-					if err := p.WriteField(prev, "next", uint64(n.Addr)); err != nil {
-						return err
-					}
-					prev = n
-				}
-				fill := make([]byte, 512)
-				for i := range fill {
-					fill[i] = 0xA5 // never aliases a mapped address
-				}
-				var first, last *mem.Object
-				for i := 0; i < blobs; i++ {
-					bo, err := t.MallocBytes(512)
-					if err != nil {
-						return err
-					}
-					if err := p.WriteBytes(bo, 0, fill); err != nil {
-						return err
-					}
-					if last != nil {
-						if err := p.WriteWordAt(last, 0, uint64(bo.Addr)); err != nil {
-							return err
-						}
-					} else {
-						first = bo
-					}
-					last = bo
-				}
-				return p.WriteWordAt(p.MustGlobal("anchor"), 0, uint64(first.Addr))
-			}); err != nil {
-				return err
-			}
-			return t.Loop("bench_loop", func() error {
-				if err := t.IdleQP("idle@bench_loop"); err != nil {
-					if errors.Is(err, program.ErrStopped) {
-						return program.ErrLoopExit
-					}
-					return err
-				}
-				return nil
-			})
-		},
-	}
-}
-
-// BenchmarkTransferParallelism compares sequential (workers=1) and
-// parallel intra-process mutable tracing over a large synthetic heap —
-// the hot path of update downtime. Transfer results are bit-identical at
-// every worker count; only wall-clock should change.
-func BenchmarkTransferParallelism(b *testing.B) {
-	const nodes, blobs = 4000, 256
-	start := func(seq int) *program.Instance {
-		inst, err := program.NewInstance(synthTransferVersion(seq, nodes, blobs), kernel.New(), program.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := inst.Start(); err != nil {
-			b.Fatal(err)
-		}
-		if err := inst.WaitStartup(30 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-		inst.CompleteStartup()
-		return inst
-	}
-	v1 := start(0)
-	defer v1.Terminate()
-	an, err := trace.AnalyzeProc(v1.Root(), types.DefaultPolicy(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v2 := start(1)
-	defer v2.Terminate()
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := trace.Options{
-				Policy:             types.DefaultPolicy(),
-				DisableDirtyFilter: true, // force a full copy of the heap
-				Parallelism:        workers,
-			}
-			var last trace.Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := trace.TransferProc(v1.Root(), v2.Root(), an, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = s
-			}
-			b.ReportMetric(float64(last.ObjectsTransferred), "objects/op")
-			b.ReportMetric(float64(last.BytesTransferred), "bytes/op")
 		})
 	}
 }

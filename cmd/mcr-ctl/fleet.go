@@ -81,7 +81,6 @@ func runFleet(cfg config, out io.Writer) error {
 	c, err := cluster.New(cluster.Options{
 		Server:      p.Server,
 		Members:     p.Members,
-		Parallelism: cfg.Parallelism,
 		Faults:      plane,
 		FaultMember: cfg.FaultMember,
 	})

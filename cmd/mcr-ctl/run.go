@@ -79,18 +79,17 @@ func parseFaults(spec string) (*faultinject.Plane, error) {
 
 // config is the parsed command line.
 type config struct {
-	Server      string
-	Updates     int
-	Parallelism int    // state-transfer workers (0 = GOMAXPROCS, 1 = sequential)
-	Adopt       bool   // arm the zero-copy page-adoption fast path
-	Precopy     bool   // arm the incremental pre-copy checkpoint engine
-	Epochs      int    // pre-copy epoch bound (0 = checkpoint default)
-	Sequential  bool   // strictly-ordered update engine (pipelining off)
-	Warm        bool   // arm the warm-standby readiness daemon
-	Canary      string // SLO spec; non-empty arms the post-commit canary window
-	TraceOut    string // write a Chrome-trace-event JSON file of the whole run
-	Fault       string // fault-injection point(s), comma-separated
-	Deadlines   string // per-phase watchdog budgets, phase=dur[,phase=dur...]
+	Server     string
+	Updates    int
+	Adopt      bool   // arm the zero-copy page-adoption fast path
+	Precopy    bool   // arm the incremental pre-copy checkpoint engine
+	Epochs     int    // pre-copy epoch bound (0 = checkpoint default)
+	Sequential bool   // strictly-ordered update engine (pipelining off)
+	Warm       bool   // arm the warm-standby readiness daemon
+	Canary     string // SLO spec; non-empty arms the post-commit canary window
+	TraceOut   string // write a Chrome-trace-event JSON file of the whole run
+	Fault      string // fault-injection point(s), comma-separated
+	Deadlines  string // per-phase watchdog budgets, phase=dur[,phase=dur...]
 
 	// Fleet mode (see fleet.go): -cluster N runs a rolling update across
 	// an N-member fleet instead of the single-instance scenario.
@@ -109,9 +108,6 @@ type config struct {
 func run(cfg config, out io.Writer) error {
 	if cfg.Cluster > 0 || cfg.Apply != "" {
 		return runFleet(cfg, out)
-	}
-	if cfg.Parallelism < 0 {
-		return fmt.Errorf("%w: -parallelism must be >= 0, got %d", errUsage, cfg.Parallelism)
 	}
 	if cfg.Epochs < 0 {
 		return fmt.Errorf("%w: -epochs must be >= 0, got %d", errUsage, cfg.Epochs)
@@ -160,7 +156,7 @@ func run(cfg config, out io.Writer) error {
 	servers.SeedFiles(k)
 	plane.AttachRecorder(rec)
 	eopts := core.Options{
-		Transfer:   core.TransferOptions{Parallelism: cfg.Parallelism, Adopt: cfg.Adopt},
+		Transfer:   core.TransferOptions{Adopt: cfg.Adopt},
 		Sequential: cfg.Sequential,
 		Warm:       core.WarmOptions{Enabled: cfg.Warm},
 		Recorder:   rec,

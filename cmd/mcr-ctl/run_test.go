@@ -20,17 +20,9 @@ func TestRunUnknownServerIsUsageError(t *testing.T) {
 	}
 }
 
-func TestRunNegativeParallelismIsUsageError(t *testing.T) {
-	var out strings.Builder
-	err := run(config{Server: "nginx", Updates: 1, Parallelism: -1}, &out)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want errUsage", err)
-	}
-}
-
 func TestRunDeploysUpdateAndKeepsSession(t *testing.T) {
 	var out strings.Builder
-	if err := run(config{Server: "nginx", Updates: 1, Parallelism: 2}, &out); err != nil {
+	if err := run(config{Server: "nginx", Updates: 1}, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	got := out.String()
@@ -81,7 +73,7 @@ func TestRunClampsUpdatesToAvailableVersions(t *testing.T) {
 	var out strings.Builder
 	// Far more updates than staged versions exist: run must clamp, deploy
 	// what is available, and still finish cleanly.
-	if err := run(config{Server: "nginx", Updates: 99, Parallelism: 1}, &out); err != nil {
+	if err := run(config{Server: "nginx", Updates: 99}, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "done: all updates deployed live") {

@@ -193,7 +193,7 @@ func dirtyHeap(t *testing.T, inst *program.Instance, every, step int) {
 
 // transferInto analyzes v1 and transfers it into a freshly started new
 // version, optionally consulting the snapshotter's shadows.
-func transferInto(t *testing.T, v1 *program.Instance, withChild bool, par int,
+func transferInto(t *testing.T, v1 *program.Instance, withChild bool,
 	snap *Snapshotter) (trace.Stats, *program.Instance) {
 	t.Helper()
 	analyses, err := trace.AnalyzeInstance(v1, types.DefaultPolicy(), nil)
@@ -203,17 +203,14 @@ func transferInto(t *testing.T, v1 *program.Instance, withChild bool, par int,
 	plan, reserve, pinned := trace.CombinedPlacement(analyses)
 	v2 := startInst(t, synthVersion(1, withChild),
 		program.Options{PinnedStatics: pinned}, plan, reserve)
-	opts := trace.Options{
-		Policy:      types.DefaultPolicy(),
-		Parallelism: par,
-	}
+	opts := trace.Options{Policy: types.DefaultPolicy()}
 	if snap != nil {
 		opts.Shadows = snap.Shadows()
 	}
 	stats, err := trace.TransferInstance(v1, v2, analyses, opts)
 	if err != nil {
 		v2.Terminate()
-		t.Fatalf("transfer (parallelism=%d, precopy=%v): %v", par, snap != nil, err)
+		t.Fatalf("transfer (precopy=%v): %v", snap != nil, err)
 	}
 	return stats, v2
 }
@@ -260,8 +257,8 @@ func compareInstances(t *testing.T, label string, a, b *program.Instance) {
 // TestPrecopyBitIdentical is the tentpole acceptance test: after pre-copy
 // epochs interleaved with further dirtying, a shadow-consulting transfer
 // must produce the same transferred-object set and bit-identical new
-// instances as a checkpoint-free transfer — at Parallelism 1 and N — while
-// serving a substantial share of the copied bytes from shadows.
+// instances as a checkpoint-free transfer, while serving a substantial
+// share of the copied bytes from shadows.
 func TestPrecopyBitIdentical(t *testing.T) {
 	for _, withChild := range []bool{false, true} {
 		withChild := withChild
@@ -280,53 +277,30 @@ func TestPrecopyBitIdentical(t *testing.T) {
 			snap.Epoch()
 			dirtyHeap(t, v1, 8, 2) // residual writes after the last epoch
 
-			type result struct {
-				stats trace.Stats
-				inst  *program.Instance
+			s, shadowInst := transferInto(t, v1, withChild, snap)
+			defer shadowInst.Terminate()
+			if s.BytesFromShadow == 0 {
+				t.Fatalf("no bytes served from shadows: %+v", s)
 			}
-			pars := []int{1, 4}
-			shadowed := make(map[int]result)
-			for _, par := range pars {
-				stats, inst := transferInto(t, v1, withChild, par, snap)
-				defer inst.Terminate()
-				if stats.BytesFromShadow == 0 {
-					t.Fatalf("par=%d: no bytes served from shadows: %+v", par, stats)
-				}
-				if stats.BytesFromShadow+stats.BytesLive != stats.BytesTransferred {
-					t.Fatalf("par=%d: shadow+live != transferred: %+v", par, stats)
-				}
-				shadowed[par] = result{stats, inst}
+			if s.BytesFromShadow+s.BytesLive != s.BytesTransferred {
+				t.Fatalf("shadow+live != transferred: %+v", s)
 			}
-			if !reflect.DeepEqual(shadowed[1].stats, shadowed[4].stats) {
-				t.Fatalf("shadowed stats diverged across parallelism:\npar1 %+v\npar4 %+v",
-					shadowed[1].stats, shadowed[4].stats)
-			}
-			compareInstances(t, "shadow par1 vs par4", shadowed[1].inst, shadowed[4].inst)
 
 			// Discard hands the consumed bits back; a checkpoint-free
 			// transfer must now see the identical dirty set.
 			snap.Discard()
-			baseline := make(map[int]result)
-			for _, par := range pars {
-				stats, inst := transferInto(t, v1, withChild, par, nil)
-				defer inst.Terminate()
-				if stats.BytesFromShadow != 0 {
-					t.Fatalf("baseline par=%d: unexpected shadow bytes: %+v", par, stats)
-				}
-				baseline[par] = result{stats, inst}
+			b, baseInst := transferInto(t, v1, withChild, nil)
+			defer baseInst.Terminate()
+			if b.BytesFromShadow != 0 {
+				t.Fatalf("baseline: unexpected shadow bytes: %+v", b)
 			}
-			if !reflect.DeepEqual(baseline[1].stats, baseline[4].stats) {
-				t.Fatalf("baseline stats diverged across parallelism:\npar1 %+v\npar4 %+v",
-					baseline[1].stats, baseline[4].stats)
-			}
-			s, b := shadowed[1].stats, baseline[1].stats
 			if s.ObjectsDiscovered != b.ObjectsDiscovered ||
 				s.ObjectsTransferred != b.ObjectsTransferred ||
 				s.ObjectsSkippedClean != b.ObjectsSkippedClean ||
 				s.BytesTransferred != b.BytesTransferred {
 				t.Fatalf("transfer scope diverged with pre-copy:\nshadowed %+v\nbaseline %+v", s, b)
 			}
-			compareInstances(t, "shadow vs baseline", shadowed[1].inst, baseline[1].inst)
+			compareInstances(t, "shadow vs baseline", shadowInst, baseInst)
 
 			if s.ObjectsSkippedClean == 0 || s.ObjectsTransferred == 0 {
 				t.Fatalf("degenerate scenario, nothing exercised: %+v", s)
@@ -600,7 +574,7 @@ func TestFinalEpochShadowsResidual(t *testing.T) {
 
 	// Quiesced + drained: nothing can be re-dirtied, so every copied byte
 	// comes from a shadow.
-	pre, v2pre := transferInto(t, v1, true, 1, snap)
+	pre, v2pre := transferInto(t, v1, true, snap)
 	defer v2pre.Terminate()
 	if pre.BytesLive != 0 {
 		t.Errorf("BytesLive = %d after the final epoch, want 0", pre.BytesLive)
@@ -612,7 +586,7 @@ func TestFinalEpochShadowsResidual(t *testing.T) {
 	// Discarding hands the consumed bits back; the checkpoint-free
 	// transfer then moves the same objects with identical contents.
 	snap.Discard()
-	base, v2base := transferInto(t, v1, true, 1, nil)
+	base, v2base := transferInto(t, v1, true, nil)
 	defer v2base.Terminate()
 	if base.BytesTransferred != pre.BytesTransferred || base.ObjectsTransferred != pre.ObjectsTransferred {
 		t.Errorf("final epoch changed the transfer scope: %d/%d bytes, %d/%d objects",

@@ -58,7 +58,7 @@ func TestDaemonKeepsShadowsCurrent(t *testing.T) {
 			}
 
 			snap := d.Snapshot()
-			shadowed, sInst := transferInto(t, v1, withChild, 1, snap)
+			shadowed, sInst := transferInto(t, v1, withChild, snap)
 			defer sInst.Terminate()
 			if shadowed.BytesLive != 0 {
 				t.Errorf("BytesLive = %d, want 0 (idle instance fully shadowed)", shadowed.BytesLive)
@@ -67,7 +67,7 @@ func TestDaemonKeepsShadowsCurrent(t *testing.T) {
 				t.Error("nothing served from shadows")
 			}
 			snap.Discard()
-			baseline, bInst := transferInto(t, v1, withChild, 1, nil)
+			baseline, bInst := transferInto(t, v1, withChild, nil)
 			defer bInst.Terminate()
 			if shadowed.BytesTransferred != baseline.BytesTransferred ||
 				shadowed.ObjectsTransferred != baseline.ObjectsTransferred {

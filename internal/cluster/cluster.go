@@ -33,8 +33,6 @@ type Options struct {
 	// Clients is the closed-loop client count per member's workload
 	// share (default 2).
 	Clients int
-	// Parallelism is each member engine's state-transfer worker count.
-	Parallelism int
 	// Recorder, when set, is shared by every member engine (the obs
 	// recorder is concurrency-safe; member events interleave on it).
 	Recorder *obs.Recorder
@@ -167,7 +165,7 @@ func New(opts Options) (*Cluster, error) {
 	c := &Cluster{opts: opts, spec: spec}
 	for i := 0; i < opts.Members; i++ {
 		eopts := core.Options{
-			Transfer:       core.TransferOptions{Parallelism: opts.Parallelism, VerifyTransfer: true},
+			Transfer:       core.TransferOptions{VerifyTransfer: true},
 			Watchdog:       core.WatchdogOptions{VerifyRollback: true},
 			QuiesceTimeout: 30 * time.Second,
 			StartupTimeout: 30 * time.Second,

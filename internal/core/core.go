@@ -35,9 +35,6 @@ var (
 
 // TransferOptions groups the state-transfer (REMAP) knobs.
 type TransferOptions struct {
-	// Parallelism is the per-process state-transfer worker count
-	// (0 = GOMAXPROCS, 1 = sequential); see trace.Options.Parallelism.
-	Parallelism int
 	// Adopt arms the zero-copy page-adoption fast path: old-instance
 	// pages whose every object is provably bit-identical across the
 	// update (layout-identical same-address pair needing no pointer
@@ -224,9 +221,6 @@ func AuditOptions() Options {
 // Validate rejects incoherent option combinations that earlier versions
 // silently ignored. NewEngine calls it and returns the error.
 func (o *Options) Validate() error {
-	if o.Transfer.Parallelism < 0 {
-		return fmt.Errorf("core: Transfer.Parallelism must be >= 0, got %d", o.Transfer.Parallelism)
-	}
 	if !o.Precopy.Enabled && (o.Precopy.Epochs != 0 || o.Precopy.Interval != 0) {
 		return errors.New("core: Precopy.Epochs/Interval set without Precopy.Enabled")
 	}
@@ -859,7 +853,6 @@ func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan str
 		Policy:             e.opts.Policy,
 		TransferLibs:       e.opts.TransferLibs,
 		DisableDirtyFilter: e.opts.Transfer.DisableDirtyFilter,
-		Parallelism:        e.opts.Transfer.Parallelism,
 		VerifyShadows:      e.opts.Transfer.VerifyTransfer,
 		Adopt:              e.opts.Transfer.Adopt,
 		Ledger:             rep.ledger,

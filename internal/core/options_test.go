@@ -18,14 +18,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"default preset", DefaultOptions(), ""},
 		{"audit preset", AuditOptions(), ""},
 		{"full coherent", Options{
-			Transfer: TransferOptions{Parallelism: 4, Adopt: true, VerifyTransfer: true},
+			Transfer: TransferOptions{Adopt: true, VerifyTransfer: true},
 			Precopy:  PrecopyOptions{Enabled: true, Epochs: 3, Interval: time.Millisecond},
 			Warm:     WarmOptions{Enabled: true, Interval: 200 * time.Microsecond, DutyCycle: 0.25},
 			Canary:   CanaryOptions{Window: 100 * time.Millisecond},
 			Watchdog: WatchdogOptions{PhaseDeadlines: DefaultPhaseDeadlines(), VerifyRollback: true},
 		}, ""},
-		{"negative parallelism", Options{
-			Transfer: TransferOptions{Parallelism: -1}}, "Parallelism"},
 		{"precopy epochs without enable", Options{
 			Precopy: PrecopyOptions{Epochs: 2}}, "without Precopy.Enabled"},
 		{"precopy interval without enable", Options{

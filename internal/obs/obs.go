@@ -33,8 +33,9 @@ import (
 // Track names: one exporter track (Perfetto "thread") per subsystem.
 // Spans on the same track nest; concurrent subsystems get their own
 // tracks so a daemon pass overlapping an engine phase cannot corrupt
-// either stack. Per-process spans (discovery/copy workers) additionally
-// carry a Proc attribute and render as "track/proc" sub-tracks.
+// either stack. Per-process spans (each process's discovery and copy)
+// additionally carry a Proc attribute and render as "track/proc"
+// sub-tracks.
 const (
 	TrackEngine   = "engine"   // update lifecycle phases
 	TrackTransfer = "transfer" // old-side pipeline: handoff epoch, discovery, copy

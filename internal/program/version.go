@@ -89,11 +89,10 @@ type TransferContext interface {
 // example: nginx pointers carrying metadata in their low bits, which the
 // handler must strip, remap, and re-encode.
 //
-// Handlers run concurrently with the transfer of other objects when the
-// engine's transfer parallelism exceeds 1, so a handler must confine its
-// writes to its own newObj range (reads of the old version and the pair
-// table are always safe). A handler that must touch other objects' state
-// requires a sequential transfer (Parallelism = 1).
+// The handlers of one process run one at a time, in address order of their
+// old objects, interleaved with the automatic copies. Processes transfer
+// concurrently, each against its own old/new process pair, so a handler
+// must touch no process but tc's OldProc and NewProc.
 type ObjHandler func(tc TransferContext, oldObj, newObj *mem.Object) error
 
 // SessionInfo describes one live client session inherited from the old

@@ -12,65 +12,71 @@ import (
 
 // TestDecoupledDiscoveryMatchesTransfer asserts the pipelined split
 // (DiscoverInstance while the new version "boots", Complete afterwards)
-// is bit-identical to the one-shot TransferInstance, at sequential and
-// parallel settings — the engine-level guarantee that pipelining cannot
-// change what a rollback would have to undo.
+// is bit-identical to the one-shot TransferInstance — the engine-level
+// guarantee that pipelining cannot change what a rollback would have to
+// undo — on a 3-process heap and on a single-process one, both across a
+// type change.
 func TestDecoupledDiscoveryMatchesTransfer(t *testing.T) {
-	shape := randShape(23, 3)
-	v1 := startSynthV1(t, shape)
-	defer v1.Terminate()
+	for _, tc := range []struct {
+		name  string
+		seed  int64
+		procs int
+	}{
+		{"multi-proc", 23, 3},
+		{"single-proc", 42, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shape := randShape(tc.seed, tc.procs)
+			v1 := startSynthV1(t, shape)
+			defer v1.Terminate()
 
-	baseStats, baseInst := transferSynth(t, v1, shape, true, 1, true)
-	defer baseInst.Terminate()
+			baseStats, baseInst := transferSynth(t, v1, shape, true, true)
+			defer baseInst.Terminate()
+			if baseStats.ObjectsTransferred == 0 || baseStats.TypeTransformed == 0 {
+				t.Fatalf("degenerate transfer, nothing exercised: %+v", baseStats)
+			}
 
-	for _, par := range []int{1, 8} {
-		analyses, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{
-			Policy:             types.DefaultPolicy(),
-			DisableDirtyFilter: true,
-			Parallelism:        par,
-		}
-		// Discovery first — before the new instance exists, exactly like
-		// the pipelined engine overlapping it with RESTART.
-		id, err := DiscoverInstance(v1, opts)
-		if err != nil {
-			t.Fatalf("discover (par=%d): %v", par, err)
-		}
-		v2 := startSynthV2(t, shape, true, analyses)
-		stats, err := id.Complete(v2, analyses)
-		if err != nil {
-			v2.Terminate()
-			t.Fatalf("complete (par=%d): %v", par, err)
-		}
-		if !reflect.DeepEqual(stats, baseStats) {
-			t.Fatalf("par=%d stats diverged:\nsplit %+v\nbase  %+v", par, stats, baseStats)
-		}
-		compareInstances(t, baseInst, v2)
-		v2.Terminate()
+			analyses, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Discovery first — before the new instance exists, exactly like
+			// the pipelined engine overlapping it with RESTART.
+			id, err := DiscoverInstance(v1, Options{
+				Policy:             types.DefaultPolicy(),
+				DisableDirtyFilter: true,
+			})
+			if err != nil {
+				t.Fatalf("discover: %v", err)
+			}
+			v2 := startSynthV2(t, shape, true, analyses)
+			defer v2.Terminate()
+			stats, err := id.Complete(v2, analyses)
+			if err != nil {
+				t.Fatalf("complete: %v", err)
+			}
+			if !reflect.DeepEqual(stats, baseStats) {
+				t.Fatalf("stats diverged:\nsplit %+v\nbase  %+v", stats, baseStats)
+			}
+			compareInstances(t, baseInst, v2)
+		})
 	}
 }
 
 // TestDiscoveryCancel pins the cancellation contract: a fired Cancel
-// channel aborts the walk with ErrCanceled at every Parallelism setting,
-// without deadlocking the worker pool.
+// channel aborts the walk with ErrCanceled.
 func TestDiscoveryCancel(t *testing.T) {
 	shape := randShape(5, 2)
 	v1 := startSynthV1(t, shape)
 	defer v1.Terminate()
 	canceled := make(chan struct{})
 	close(canceled)
-	for _, par := range []int{1, 8} {
-		_, err := DiscoverInstance(v1, Options{
-			Policy:      types.DefaultPolicy(),
-			Parallelism: par,
-			Cancel:      canceled,
-		})
-		if !errors.Is(err, ErrCanceled) {
-			t.Errorf("par=%d: err = %v, want ErrCanceled", par, err)
-		}
+	_, err := DiscoverInstance(v1, Options{
+		Policy: types.DefaultPolicy(),
+		Cancel: canceled,
+	})
+	if !errors.Is(err, ErrCanceled) {
+		t.Errorf("err = %v, want ErrCanceled", err)
 	}
 }
 
@@ -81,7 +87,7 @@ func TestTypeCacheHits(t *testing.T) {
 	shape := randShape(7, 1)
 	v1 := startSynthV1(t, shape)
 	defer v1.Terminate()
-	stats, v2 := transferSynth(t, v1, shape, true, 1, true)
+	stats, v2 := transferSynth(t, v1, shape, true, true)
 	defer v2.Terminate()
 	if stats.TypeTransformed < 10 {
 		t.Fatalf("degenerate scenario: only %d transformed objects", stats.TypeTransformed)
@@ -135,7 +141,6 @@ func TestTransformedObjectsServeFromShadow(t *testing.T) {
 		opts := Options{
 			Policy:             types.DefaultPolicy(),
 			DisableDirtyFilter: true,
-			Parallelism:        1,
 		}
 		if withShadow {
 			opts.Shadows = func(key program.ProcKey) ShadowReader {
@@ -235,9 +240,8 @@ func TestLazyDirtyVerdictMatchesEagerSet(t *testing.T) {
 			}
 		}
 		d, err := DiscoverProc(p, Options{
-			Policy:      types.DefaultPolicy(),
-			Parallelism: 1,
-			Shadows:     func(program.ProcKey) ShadowReader { return &fakeShadow{ever: ever} },
+			Policy:  types.DefaultPolicy(),
+			Shadows: func(program.ProcKey) ShadowReader { return &fakeShadow{ever: ever} },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -250,15 +249,15 @@ func compareInstances(t *testing.T, a, b *program.Instance) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(abuf, bbuf) {
-				t.Fatalf("proc %s: contents of %s differ between sequential and parallel transfer", ap.Key(), ao)
+				t.Fatalf("proc %s: contents of %s differ between the two transfers", ap.Key(), ao)
 			}
 		}
 	}
 }
 
-// transferSynth runs one full analyze+transfer of v1 into a fresh v2 at
-// the given parallelism and returns the stats and the transferred instance.
-func transferSynth(t *testing.T, v1 *program.Instance, shape *synthShape, grow bool, par int, disableDirty bool) (Stats, *program.Instance) {
+// transferSynth runs one full analyze+transfer of v1 into a fresh v2 and
+// returns the stats and the transferred instance.
+func transferSynth(t *testing.T, v1 *program.Instance, shape *synthShape, grow, disableDirty bool) (Stats, *program.Instance) {
 	t.Helper()
 	analyses, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
 	if err != nil {
@@ -268,53 +267,18 @@ func transferSynth(t *testing.T, v1 *program.Instance, shape *synthShape, grow b
 	stats, err := TransferInstance(v1, v2, analyses, Options{
 		Policy:             types.DefaultPolicy(),
 		DisableDirtyFilter: disableDirty,
-		Parallelism:        par,
 	})
 	if err != nil {
 		v2.Terminate()
-		t.Fatalf("transfer (parallelism=%d): %v", par, err)
+		t.Fatalf("transfer: %v", err)
 	}
 	return stats, v2
 }
 
-// TestParallelTransferDeterminism asserts that a parallel transfer is
-// bit-identical to the sequential one: same Stats, same object universe,
-// same remapped memory contents — the acceptance bar for rollback
-// reproducibility.
-func TestParallelTransferDeterminism(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		procs int
-		seed  int64
-	}{
-		{"single-proc", 1, 42},
-		{"multi-proc", 3, 7},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			shape := randShape(tc.seed, tc.procs)
-			v1 := startSynthV1(t, shape)
-			defer v1.Terminate()
-
-			seqStats, seqInst := transferSynth(t, v1, shape, true, 1, true)
-			defer seqInst.Terminate()
-			parStats, parInst := transferSynth(t, v1, shape, true, 8, true)
-			defer parInst.Terminate()
-
-			if !reflect.DeepEqual(seqStats, parStats) {
-				t.Fatalf("stats diverged:\nseq %+v\npar %+v", seqStats, parStats)
-			}
-			if seqStats.ObjectsTransferred == 0 || seqStats.TypeTransformed == 0 {
-				t.Fatalf("degenerate transfer, nothing exercised: %+v", seqStats)
-			}
-			compareInstances(t, seqInst, parInst)
-		})
-	}
-}
-
-// TestParallelTransferRaceStress repeatedly transfers randomized
-// multi-process heaps at Parallelism > 1; run under -race it shakes out
-// unsynchronized access in the discovery and copy worker pools.
+// TestParallelTransferRaceStress repeatedly transfers randomized 2- and
+// 3-process heaps; run under -race it shakes out unsynchronized access
+// between the per-process discovery and copy goroutines of
+// DiscoverInstance and Complete, the only concurrency in a transfer.
 func TestParallelTransferRaceStress(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
@@ -323,59 +287,12 @@ func TestParallelTransferRaceStress(t *testing.T) {
 			v1 := startSynthV1(t, shape)
 			defer v1.Terminate()
 			for rep := 0; rep < 2; rep++ {
-				stats, v2 := transferSynth(t, v1, shape, rep == 1, 4, rep == 0)
+				stats, v2 := transferSynth(t, v1, shape, rep == 1, rep == 0)
 				if stats.ObjectsDiscovered == 0 {
 					t.Fatalf("rep %d: nothing discovered", rep)
 				}
 				v2.Terminate()
 			}
 		})
-	}
-}
-
-// TestParallelFigure2MatchesSequential re-runs the paper's Figure 2
-// scenario (dirty filter on, handlers absent, immutable pinned scratch)
-// at Parallelism 8 and checks the stats match the sequential baseline.
-func TestParallelFigure2MatchesSequential(t *testing.T) {
-	v1 := runV1(t, 3)
-	defer v1.Terminate()
-	an, err := AnalyzeProc(v1.Root(), types.DefaultPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2a := startV2(t, figure2Version(1, true), an)
-	defer v2a.Terminate()
-	seqOpts := defaultOpts()
-	seqOpts.Parallelism = 1
-	seqStats, err := TransferProc(v1.Root(), v2a.Root(), an, seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2b := startV2(t, figure2Version(1, true), an)
-	defer v2b.Terminate()
-	parOpts := defaultOpts()
-	parOpts.Parallelism = 8
-	parStats, err := TransferProc(v1.Root(), v2b.Root(), an, parOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqStats, parStats) {
-		t.Fatalf("stats diverged:\nseq %+v\npar %+v", seqStats, parStats)
-	}
-}
-
-// TestOptionsWorkers pins the Parallelism resolution contract.
-func TestOptionsWorkers(t *testing.T) {
-	if got := (Options{Parallelism: 1}).workers(); got != 1 {
-		t.Errorf("Parallelism=1 -> %d workers", got)
-	}
-	if got := (Options{Parallelism: 6}).workers(); got != 6 {
-		t.Errorf("Parallelism=6 -> %d workers", got)
-	}
-	if got := (Options{}).workers(); got < 1 {
-		t.Errorf("default workers = %d, want >= 1", got)
-	}
-	if got := (Options{Parallelism: -2}).workers(); got != 1 {
-		t.Errorf("negative Parallelism -> %d workers, want 1 (fail safe)", got)
 	}
 }

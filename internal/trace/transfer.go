@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -65,10 +64,10 @@ type Stats struct {
 	// Checksum digests the transferred source stream when
 	// Options.VerifyShadows is set: per transferred object an FNV-64a
 	// hash over identity and pre-remap source bytes, XOR-combined so the
-	// digest is independent of copy order and worker scheduling. Two
-	// transfers from the same quiesced state produce the same checksum
-	// regardless of engine, shadows or parallelism — the bit-identity
-	// witness the live-traffic harness records.
+	// digest is independent of copy order and of the order in which
+	// processes finish. Two transfers from the same quiesced state produce
+	// the same checksum regardless of engine, shadows or adoption — the
+	// bit-identity witness the live-traffic harness records.
 	Checksum uint64
 }
 
@@ -126,20 +125,6 @@ type Options struct {
 	// DisableDirtyFilter transfers every discovered object, ignoring
 	// soft-dirty tracking (the D1 ablation).
 	DisableDirtyFilter bool
-	// Parallelism is the number of worker goroutines used inside one
-	// process's transfer, for both graph discovery and object copying.
-	// 0 means runtime.GOMAXPROCS(0); 1 runs the plain sequential
-	// algorithm with no worker machinery; negative values are treated as
-	// 1 (fail safe, not wide). Successful transfers are bit-identical at
-	// every setting: discovery order is canonicalized before pairing, so
-	// reallocation addresses, remapped contents and statistics do not
-	// depend on worker scheduling. A conflicting transfer reports the
-	// same (lowest-ordered) first conflict at every setting, but the
-	// statistics of the aborted attempt may include more completed work
-	// under parallelism; rollback discards the attempt either way.
-	// With Parallelism > 1 user object handlers run concurrently — see
-	// program.ObjHandler for the thread-safety contract.
-	Parallelism int
 	// Shadows, when set, resolves a process key to the pre-copy
 	// checkpoint state the snapshotter accumulated for it while the old
 	// version was still serving (nil for an unknown process). The
@@ -158,7 +143,7 @@ type Options struct {
 	// than the downtime-critical path.
 	VerifyShadows bool
 	// Cancel, when non-nil, aborts an in-flight discovery once closed:
-	// workers stop between objects and discovery returns ErrCanceled. The
+	// the walk stops between objects and discovery returns ErrCanceled. The
 	// pipelined update engine closes it when the concurrent RESTART phase
 	// fails, so rollback never waits for a full old-side walk.
 	Cancel <-chan struct{}
@@ -199,24 +184,12 @@ type ShadowReader interface {
 	Shadow(o *mem.Object) ([]byte, bool)
 }
 
-// workers resolves Parallelism to an effective worker count.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	if o.Parallelism < 0 {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // shadowFor returns o's pre-copied contents when they are provably
 // current: a shadow exists, it covers the object, and none of o's pages
 // carry a soft-dirty bit at quiescence. Any write after the epoch that
 // captured the shadow would have re-set a bit (the read-and-clear and the
 // store both run under the address-space lock), so a clean page range
-// guarantees the shadow is bit-identical to live memory. Read-only on pt;
-// safe for concurrent workers.
+// guarantees the shadow is bit-identical to live memory.
 func (pt *procTransfer) shadowFor(o *mem.Object) ([]byte, bool) {
 	if pt.shadow == nil {
 		return nil, false
@@ -306,15 +279,13 @@ type procTransfer struct {
 
 	// typeCache memoizes the per-(oldType, newType) layout comparison and
 	// transformation pair() derives: a heap full of objects of one changed
-	// type costs one Diff, not one per object. Only pair() (sequential)
-	// touches it, so no lock.
+	// type costs one Diff, not one per object.
 	typeCache map[typePair]*typeDelta
 
 	// layouts memoizes types.LayoutOf for the transfer (layoutOf): the
 	// adoption test and both copy legs flatten each type once, not once
-	// per object. The copy workers share it under layoutMu.
-	layoutMu sync.Mutex
-	layouts  layoutMemo
+	// per object.
+	layouts layoutMemo
 
 	// The dirty-since-startup page set, as two ascending lists: pages
 	// still soft-dirty at quiescence, and pages whose bit a pre-copy epoch
@@ -329,7 +300,7 @@ type procTransfer struct {
 
 	// adopted marks old objects whose pages moved by zero-copy frame
 	// adoption; transferOne skips them. Written only by adoptPages
-	// (sequential, before copyContents), read-only afterwards.
+	// (before copyContents), read-only afterwards.
 	adopted map[mem.Addr]bool
 
 	stats Stats
@@ -408,34 +379,40 @@ func TransferProc(oldProc, newProc *program.Proc, an *Analysis, opts Options) (S
 	return d.Complete(newProc, an)
 }
 
-// discover walks the old object graph from the roots (static, stack and
-// opted-in lib objects), following precise pointer slots and likely
-// pointers, and returns the reachable objects sorted by address. The order
-// is canonical — independent of traversal strategy and worker scheduling —
-// because pair() reallocates objects in this order, and reallocation
-// addresses must not depend on Parallelism.
+// discover walks the old object graph breadth-first from the roots
+// (static, stack and opted-in lib objects), following precise pointer
+// slots and likely pointers, and returns the reachable objects sorted by
+// address: pair() reallocates objects in this order. A scan failure ends
+// the walk and is returned as is.
 func (pt *procTransfer) discover() ([]*mem.Object, error) {
-	var roots []*mem.Object
+	seen := make(map[mem.Addr]bool)
+	var out []*mem.Object
+	push := func(o *mem.Object) {
+		if !seen[o.Addr] {
+			seen[o.Addr] = true
+			out = append(out, o)
+		}
+	}
 	pt.oldObjs = pt.oldProc.Index().All()
 	for _, o := range pt.oldObjs {
 		switch o.Kind {
 		case mem.ObjStatic, mem.ObjStack:
-			roots = append(roots, o)
+			push(o)
 		case mem.ObjLib:
 			if pt.opts.TransferLibs[o.Name] {
-				roots = append(roots, o)
+				push(o)
 			}
 		}
 	}
-	var out []*mem.Object
-	var err error
-	if w := pt.opts.workers(); w > 1 {
-		out, err = pt.discoverParallel(roots, w)
-	} else {
-		out, err = pt.discoverSeq(roots)
-	}
-	if err != nil {
-		return nil, err
+	r := newResolver(pt.oldObjs, pt.opts.Policy)
+	// out doubles as the queue: everything before next has been scanned.
+	for next := 0; next < len(out); next++ {
+		if pt.canceled() {
+			return nil, ErrCanceled
+		}
+		if err := pt.scanObject(out[next], r, push); err != nil {
+			return nil, err
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	for _, o := range out {
@@ -449,8 +426,7 @@ func (pt *procTransfer) discover() ([]*mem.Object, error) {
 // pass the conservative analysis runs too) and calls visit for each live
 // target, filtering non-transferred library objects. A provably-current
 // pre-copy shadow holds the same bytes as live memory, so there is nothing
-// to gain from scanning it instead. Read-only on pt and safe for
-// concurrent use with a resolver per worker.
+// to gain from scanning it instead.
 func (pt *procTransfer) scanObject(o *mem.Object, r *resolver, visit func(*mem.Object)) error {
 	each := func(ti int) {
 		if t := r.objs[ti]; t.Kind != mem.ObjLib || pt.opts.TransferLibs[t.Name] {
@@ -471,42 +447,6 @@ func (pt *procTransfer) canceled() bool {
 	default:
 		return false
 	}
-}
-
-// discoverSeq is the single-worker BFS. Like the parallel traversal it
-// completes the walk even past scan failures (a failed object contributes
-// no successors either way) and reports the lowest-address failure, so a
-// failing discovery names the same object at every Parallelism setting.
-func (pt *procTransfer) discoverSeq(roots []*mem.Object) ([]*mem.Object, error) {
-	seen := make(map[mem.Addr]bool)
-	var queue []*mem.Object
-	push := func(o *mem.Object) {
-		if !seen[o.Addr] {
-			seen[o.Addr] = true
-			queue = append(queue, o)
-		}
-	}
-	for _, o := range roots {
-		push(o)
-	}
-	var out []*mem.Object
-	r := newResolver(pt.oldObjs, pt.opts.Policy)
-	var fail scanFailure
-	for len(queue) > 0 {
-		if pt.canceled() {
-			return nil, ErrCanceled
-		}
-		o := queue[0]
-		queue = queue[1:]
-		out = append(out, o)
-		if err := pt.scanObject(o, r, push); err != nil {
-			fail = mergeFailure(fail, o.Addr, err)
-		}
-	}
-	if fail.err != nil {
-		return nil, fail.err
-	}
-	return out, nil
 }
 
 // newTypeFor maps an old object's type into the new version's registry:
@@ -683,17 +623,10 @@ var _ program.TransferContext = (*procTransfer)(nil)
 // copyContents performs the actual state copy: dirty objects (and all
 // post-startup reallocations) are transformed and remapped into the new
 // version; clean startup objects are left to mutable reinitialization.
-// With Parallelism > 1 the object pairs are processed by a worker pool:
-// every pair writes only into its own (disjoint) new-object range, stats
-// accumulate into per-worker shards merged at the end, and on conflict the
-// error of the lowest-index object is returned — the same conflict the
-// sequential pass reports first, keeping rollback reproducible.
+// Objects go one at a time, in address order.
 func (pt *procTransfer) copyContents(reachable []*mem.Object) error {
-	if w := pt.opts.workers(); w > 1 && len(reachable) > 1 {
-		return pt.copyContentsParallel(reachable, w)
-	}
 	for _, o := range reachable {
-		if err := pt.transferOne(o, &pt.stats); err != nil {
+		if err := pt.transferOne(o); err != nil {
 			return err
 		}
 	}
@@ -701,9 +634,9 @@ func (pt *procTransfer) copyContents(reachable []*mem.Object) error {
 }
 
 // transferOne copies one reachable object into its new-version pair,
-// accumulating into st. It writes only within the paired new object's
-// range, so distinct objects can transfer concurrently.
-func (pt *procTransfer) transferOne(o *mem.Object, st *Stats) error {
+// accumulating into pt.stats.
+func (pt *procTransfer) transferOne(o *mem.Object) error {
+	st := &pt.stats
 	e := pt.pairs[o.Addr]
 	if e == nil || e.newObj == nil {
 		return nil
@@ -721,7 +654,7 @@ func (pt *procTransfer) transferOne(o *mem.Object, st *Stats) error {
 		st.ObjectsSkippedClean++
 		return nil
 	}
-	// Injected copy faults: a worker failing loudly mid-object, or parking
+	// Injected copy faults: the copy failing loudly mid-object, or parking
 	// until the pipeline cancel / watchdog releases it.
 	if err := pt.opts.Faults.Check(faultinject.PointTransferError); err != nil {
 		return err
@@ -897,13 +830,11 @@ func (pt *procTransfer) copyField(o, n *mem.Object, c types.FieldCopy, shadow []
 var onePtrSlot = []types.PtrSlot{{}}
 
 // layoutOf is types.LayoutOf under the transfer's policy, flattened once
-// per type per transfer. Copy workers share the memo.
+// per type per transfer.
 func (pt *procTransfer) layoutOf(t *types.Type) types.Layout {
 	if t == nil {
 		return types.Layout{}
 	}
-	pt.layoutMu.Lock()
-	defer pt.layoutMu.Unlock()
 	return pt.layouts.of(t)
 }
 
@@ -973,23 +904,6 @@ func (pt *procTransfer) remapped(v uint64) (uint64, bool) {
 	return nv, ok && nv != v
 }
 
-// resolveParallelism fixes the per-process worker budget: an explicit
-// opts.Parallelism applies per process, while the default (0) splits the
-// GOMAXPROCS budget across the concurrent per-process transfers so a
-// many-process instance does not oversubscribe the CPU. Discovery and
-// completion must resolve identically, or the two halves of a pipelined
-// transfer would disagree with the unpipelined engine.
-func resolveParallelism(opts Options, procs int) Options {
-	if opts.Parallelism == 0 && procs > 1 {
-		if w := runtime.GOMAXPROCS(0) / procs; w > 0 {
-			opts.Parallelism = w
-		} else {
-			opts.Parallelism = 1
-		}
-	}
-	return opts
-}
-
 // InstanceDiscovery is the old-side half of a whole-instance transfer:
 // every process's dirty set and reachable graph, computed against the
 // quiesced old version only. The pipelined update engine runs it
@@ -1002,11 +916,11 @@ type InstanceDiscovery struct {
 
 // DiscoverInstance runs the old-side discovery of every process in
 // parallel (§6: "fully parallelizing the state transfer operations in a
-// multiprocess context"). On any failure the first error in process
-// order is returned, so a conflicting discovery is reproducible.
+// multiprocess context"): one goroutine per process, each walking its own
+// process alone. On any failure the first error in process order is
+// returned, so a conflicting discovery is reproducible.
 func DiscoverInstance(oldInst *program.Instance, opts Options) (*InstanceDiscovery, error) {
 	oldProcs := oldInst.Procs()
-	opts = resolveParallelism(opts, len(oldProcs))
 	discs := make([]*ProcDiscovery, len(oldProcs))
 	errs := make([]error, len(oldProcs))
 	var wg sync.WaitGroup

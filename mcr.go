@@ -66,9 +66,9 @@ type Engine = core.Engine
 // CanaryOptions and WatchdogOptions — and validated by NewEngine.
 type Options = core.Options
 
-// TransferOptions groups the state-transfer knobs of Options (worker
-// parallelism, the zero-copy page-adoption fast path, checksum
-// verification, the dirty-filter ablation).
+// TransferOptions groups the state-transfer knobs of Options (the
+// zero-copy page-adoption fast path, checksum verification, the
+// dirty-filter ablation).
 type TransferOptions = core.TransferOptions
 
 // PrecopyOptions groups the incremental pre-copy checkpoint knobs.
