@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artifacts (one benchmark
-// per table/figure, plus the ablations DESIGN.md calls out). Run with:
+// per table/figure, plus ablations of replay matching, the tracing policy
+// and the soft-dirty filter). Run with:
 //
 //	go test -bench=. -benchmem
 //

@@ -28,4 +28,7 @@ func TestDeadlineFlagAcceptsEveryCorePhase(t *testing.T) {
 	if _, err := parseDeadlines("remap=150ms"); err == nil {
 		t.Error("-deadline accepted an obs span name that is not a phase")
 	}
+	if _, err := parseDeadlines("precopy=150ms"); err == nil {
+		t.Error("-deadline accepted the retired precopy phase")
+	}
 }

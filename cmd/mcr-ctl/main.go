@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	mcr-ctl -server nginx -updates 3 [-adopt] [-precopy [-epochs N]] [-sequential] [-warm] [-canary SLO] [-trace-out FILE]
+//	mcr-ctl -server nginx -updates 3 [-adopt] [-warm] [-canary SLO] [-trace-out FILE]
 package main
 
 import (
@@ -25,9 +25,6 @@ func main() {
 		server     = flag.String("server", "nginx", "server to run (httpd, nginx, vsftpd, sshd)")
 		updates    = flag.Int("updates", 2, "number of staged updates to deploy")
 		adopt      = flag.Bool("adopt", false, "arm the zero-copy page-adoption fast path (layout-identical pages move, not copy; shows the adopted-pages line)")
-		precopy    = flag.Bool("precopy", false, "arm the incremental pre-copy checkpoint engine")
-		epochs     = flag.Int("epochs", 0, "pre-copy epoch bound (0 = default; requires -precopy)")
-		sequential = flag.Bool("sequential", false, "use the strictly-ordered update engine (pipelining off)")
 		warm       = flag.Bool("warm", false, "arm the warm-standby readiness daemon (updates start at quiesce; shows the warm status line)")
 		canarySpec = flag.String("canary", "", "arm a post-commit canary window with this SLO (e.g. p99=5ms,tput=0.5,err=0.01); a breach auto-reverts the update")
 		traceOut   = flag.String("trace-out", "", "arm the flight recorder and write a Chrome-trace-event JSON file here (load in Perfetto or chrome://tracing)")
@@ -45,8 +42,7 @@ func main() {
 	flag.Parse()
 
 	cfg := config{Server: *server, Updates: *updates, Adopt: *adopt,
-		Precopy: *precopy, Epochs: *epochs, Sequential: *sequential, Warm: *warm,
-		Canary: *canarySpec, TraceOut: *traceOut, Fault: *fault, Deadlines: *deadline,
+		Warm: *warm, Canary: *canarySpec, TraceOut: *traceOut, Fault: *fault, Deadlines: *deadline,
 		Cluster: *clusterN, WaveSize: *waveSize, WaveBudget: *waveBudget,
 		AbortPolicy: *abortPolicy, PlanOut: *planOut, Apply: *applyFile, FaultMember: *faultMember}
 	if err := run(cfg, os.Stdout); err != nil {

@@ -79,17 +79,14 @@ func parseFaults(spec string) (*faultinject.Plane, error) {
 
 // config is the parsed command line.
 type config struct {
-	Server     string
-	Updates    int
-	Adopt      bool   // arm the zero-copy page-adoption fast path
-	Precopy    bool   // arm the incremental pre-copy checkpoint engine
-	Epochs     int    // pre-copy epoch bound (0 = checkpoint default)
-	Sequential bool   // strictly-ordered update engine (pipelining off)
-	Warm       bool   // arm the warm-standby readiness daemon
-	Canary     string // SLO spec; non-empty arms the post-commit canary window
-	TraceOut   string // write a Chrome-trace-event JSON file of the whole run
-	Fault      string // fault-injection point(s), comma-separated
-	Deadlines  string // per-phase watchdog budgets, phase=dur[,phase=dur...]
+	Server    string
+	Updates   int
+	Adopt     bool   // arm the zero-copy page-adoption fast path
+	Warm      bool   // arm the warm-standby readiness daemon
+	Canary    string // SLO spec; non-empty arms the post-commit canary window
+	TraceOut  string // write a Chrome-trace-event JSON file of the whole run
+	Fault     string // fault-injection point(s), comma-separated
+	Deadlines string // per-phase watchdog budgets, phase=dur[,phase=dur...]
 
 	// Fleet mode (see fleet.go): -cluster N runs a rolling update across
 	// an N-member fleet instead of the single-instance scenario.
@@ -108,12 +105,6 @@ type config struct {
 func run(cfg config, out io.Writer) error {
 	if cfg.Cluster > 0 || cfg.Apply != "" {
 		return runFleet(cfg, out)
-	}
-	if cfg.Epochs < 0 {
-		return fmt.Errorf("%w: -epochs must be >= 0, got %d", errUsage, cfg.Epochs)
-	}
-	if cfg.Epochs > 0 && !cfg.Precopy {
-		return fmt.Errorf("%w: -epochs requires -precopy", errUsage)
 	}
 	var slo canary.SLO
 	if cfg.Canary != "" {
@@ -156,18 +147,14 @@ func run(cfg config, out io.Writer) error {
 	servers.SeedFiles(k)
 	plane.AttachRecorder(rec)
 	eopts := core.Options{
-		Transfer:   core.TransferOptions{Adopt: cfg.Adopt},
-		Sequential: cfg.Sequential,
-		Warm:       core.WarmOptions{Enabled: cfg.Warm},
-		Recorder:   rec,
-		Faults:     plane,
+		Transfer: core.TransferOptions{Adopt: cfg.Adopt},
+		Warm:     core.WarmOptions{Enabled: cfg.Warm},
+		Recorder: rec,
+		Faults:   plane,
 		Watchdog: core.WatchdogOptions{
 			PhaseDeadlines: deadlines,
 			VerifyRollback: plane != nil || deadlines != nil,
 		},
-	}
-	if cfg.Precopy {
-		eopts.Precopy = core.PrecopyOptions{Enabled: true, Epochs: cfg.Epochs}
 	}
 	engine, err := core.NewEngine(k, eopts)
 	if err != nil {
@@ -283,9 +270,6 @@ func run(cfg config, out io.Writer) error {
 		if hist := engine.History(); len(hist) > 0 {
 			rep := hist[len(hist)-1]
 			engineName := "pipelined"
-			if !rep.Pipelined {
-				engineName = "sequential"
-			}
 			if rep.Warm {
 				engineName = "warm " + engineName
 			}
@@ -318,12 +302,6 @@ func run(cfg config, out io.Writer) error {
 				}
 				fmt.Fprintf(out, "rollback cause: %s\n", cause)
 				rolledBack = rep.RollbackCause
-			}
-			if cfg.Precopy {
-				fmt.Fprintf(out, "  precopy: %d epochs (+%d handoff pages), %d objects shadowed; downtime copy: %d B from shadow, %d B live (%.0f%% off the critical path)\n",
-					rep.Precopy.Epochs, rep.Precopy.FinalPages, rep.Precopy.ObjectsCopied,
-					rep.Transfer.BytesFromShadow, rep.Transfer.BytesLive,
-					rep.Transfer.ShadowFraction()*100)
 			}
 		}
 		// Prove the pre-update session still answers.

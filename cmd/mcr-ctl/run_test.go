@@ -81,44 +81,6 @@ func TestRunClampsUpdatesToAvailableVersions(t *testing.T) {
 	}
 }
 
-func TestRunEpochsWithoutPrecopyIsUsageError(t *testing.T) {
-	var out strings.Builder
-	err := run(config{Server: "nginx", Updates: 1, Epochs: 3}, &out)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want errUsage", err)
-	}
-}
-
-func TestRunPrecopyDeploysUpdateAndReportsShadowSplit(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Server: "nginx", Updates: 1, Precopy: true, Epochs: 4}, &out); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"precopy:",
-		"epochs",
-		"done: all updates deployed live",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunSequentialEngineDeploysUpdate(t *testing.T) {
-	var out strings.Builder
-	if err := run(config{Server: "nginx", Updates: 1, Sequential: true}, &out); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{"downtime:", "sequential engine", "done: all updates deployed live"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestRunWarmDeploysUpdateAndShowsReadiness(t *testing.T) {
 	var out strings.Builder
 	if err := run(config{Server: "nginx", Updates: 1, Warm: true}, &out); err != nil {
@@ -148,11 +110,11 @@ func TestRunWarmDeploysUpdateAndShowsReadiness(t *testing.T) {
 
 func TestRunPipelinedReportsDowntime(t *testing.T) {
 	var out strings.Builder
-	if err := run(config{Server: "nginx", Updates: 1, Precopy: true}, &out); err != nil {
+	if err := run(config{Server: "nginx", Updates: 1}, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"pipelined engine", "analyses reused", "handoff pages"} {
+	for _, want := range []string{"downtime:", "pipelined engine", "analyses reused"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
@@ -190,10 +152,18 @@ func TestRunCanaryFinalizesHealthyUpdate(t *testing.T) {
 	}
 }
 
+// TestRunTraceOutWritesChromeTrace runs a warm httpd update through a
+// canary window with -trace-out. The run prints the human-readable
+// timeline, and the exported file's schema holds: every instrumented
+// layer has its own named lanes, every event sits on an assigned lane of
+// the one engine process with a valid timestamp, the update lifecycle and
+// the workload intervals are in the capture, and the metrics block
+// records the one committed update.
 func TestRunTraceOutWritesChromeTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out strings.Builder
-	if err := run(config{Server: "nginx", Updates: 1, Warm: true, TraceOut: path}, &out); err != nil {
+	cfg := config{Server: "httpd", Updates: 1, Warm: true, Canary: "p99=500ms,err=0.5", TraceOut: path}
+	if err := run(cfg, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	got := out.String()
@@ -217,35 +187,70 @@ func TestRunTraceOutWritesChromeTrace(t *testing.T) {
 			Name string         `json:"name"`
 			Cat  string         `json:"cat"`
 			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
+			Dur  *float64       `json:"dur"`
 			Pid  int            `json:"pid"`
 			Tid  int            `json:"tid"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
+		OtherData struct {
+			Metrics map[string]int64 `json:"metrics"`
+		} `json:"otherData"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("trace file is not valid JSON: %v", err)
 	}
-	// The capture must carry the engine phases, the daemon passes and the
-	// workload intervals as distinct named tracks.
-	lanes := map[string]bool{}
-	cats := map[string]bool{}
+	// A lane is named after its track, or "track/proc" for a per-process
+	// sub-track (the transfer track's discovery and copy spans).
+	lanes, cats := map[string]bool{}, map[string]bool{}
+	enginePhases := map[string]bool{}
+	events, workloadX := 0, 0
 	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "M" && ev.Name == "thread_name" {
-			if n, ok := ev.Args["name"].(string); ok {
-				lanes[n] = true
+		if ev.Ph == "M" {
+			if n, ok := ev.Args["name"].(string); ok && ev.Name == "thread_name" {
+				track, _, _ := strings.Cut(n, "/")
+				lanes[track] = true
+			}
+			continue
+		}
+		events++
+		cats[ev.Cat] = true
+		if ev.Ts < 0 || ev.Pid != 1 || ev.Tid < 1 {
+			t.Errorf("event %s/%s off the engine process or its lanes: ts=%v pid=%d tid=%d",
+				ev.Cat, ev.Name, ev.Ts, ev.Pid, ev.Tid)
+		}
+		if ev.Cat == "engine" {
+			enginePhases[ev.Name] = true
+		}
+		if ev.Ph == "X" && ev.Cat == "workload" {
+			workloadX++
+			if ev.Dur == nil || *ev.Dur <= 0 {
+				t.Errorf("workload interval at ts=%v has no duration", ev.Ts)
 			}
 		}
-		if ev.Cat != "" {
-			cats[ev.Cat] = true
+	}
+	if events == 0 {
+		t.Fatal("trace export has no events")
+	}
+	for _, lane := range []string{"engine", "transfer", "daemon", "canary", "workload"} {
+		if !lanes[lane] {
+			t.Errorf("trace has no %q thread lane (lanes: %v)", lane, lanes)
+		}
+		if !cats[lane] {
+			t.Errorf("trace has no events in category %q", lane)
 		}
 	}
-	for _, track := range []string{"engine", "daemon", "workload"} {
-		if !lanes[track] {
-			t.Errorf("trace has no %q thread lane (lanes: %v)", track, lanes)
+	for _, phase := range []string{"update", "quiesce", "restart", "remap", "commit"} {
+		if !enginePhases[phase] {
+			t.Errorf("trace lacks the engine %q phase (have %v)", phase, enginePhases)
 		}
-		if !cats[track] {
-			t.Errorf("trace has no events in category %q", track)
-		}
+	}
+	if workloadX == 0 {
+		t.Error("trace lacks workload-interval complete events")
+	}
+	if m := doc.OtherData.Metrics; m["core.updates"] != 1 || m["core.commits"] != 1 {
+		t.Errorf("metrics block: core.updates=%d core.commits=%d, want 1 and 1",
+			m["core.updates"], m["core.commits"])
 	}
 }
 

@@ -1,38 +1,33 @@
-// Package checkpoint implements MCR's incremental pre-copy checkpoint
-// engine: the new layer between the memory substrate (internal/mem) and
-// the transfer engine (internal/trace) that takes state transfer off the
-// downtime-critical path.
+// Package checkpoint is the warm-standby daemon's shadow store: the layer
+// between the memory substrate (internal/mem) and the transfer engine
+// (internal/trace) that keeps per-process copies of recently written
+// objects while the old version serves.
 //
-// While the old version keeps serving traffic, a snapshotter repeatedly
-// runs pre-copy epochs, live-migration style: each epoch atomically
-// reads-and-clears the soft-dirty page bits of every process, maps the
-// dirty pages back to the objects overlapping them (mem.ObjectIndex's
-// page buckets), and copies those objects into per-process shadow buffers
-// keyed by object identity. The epoch loop converges when the dirty rate
-// stabilizes (the writable working set has been reached — further epochs
-// cannot shrink it) or a bounded epoch count is hit.
+// Each epoch atomically reads-and-clears the soft-dirty page bits of every
+// process, maps the dirty pages back to the objects overlapping them
+// (mem.ObjectIndex's page buckets), and copies those objects into
+// per-process shadow buffers keyed by object identity. The Daemon runs
+// epochs between updates; nothing else in the engine does.
 //
-// At quiescence, the transfer phase consults the checkpoint through two
+// At quiescence, the transfer phase consults the store through two
 // queries: EverDirtyPages (the pages whose bits epochs consumed, so the
-// dirty-object set stays identical to a no-checkpoint run) and Shadow
-// (the pre-copied bytes of one object). An object whose pages carry no
+// dirty-object set stays identical to a run without shadows) and Shadow
+// (the captured bytes of one object). An object whose pages carry no
 // soft-dirty bit at transfer time was not written after the epoch that
 // captured its shadow — the shadow is bit-identical to live memory and
-// the downtime copy can skip the locked read of the live address space.
-// Downtime therefore scales with the dirty working set, not the heap.
+// the copy can skip the locked read of the live address space.
 //
 // Consumed-bit accounting lives in the address space itself (a per-page
 // "consumed" mark set by ReadAndClearSoftDirty): a fork clones it
-// together with the data and the soft-dirty bits, so a child created in
-// the middle of a pre-copy run stays exactly accountable with no extra
-// bookkeeping here. Epochs are speculative: Discard hands every consumed
-// bit back (rollback must leave a later, checkpoint-free update attempt
-// with the full dirty-since-startup set).
+// together with the data and the soft-dirty bits, so a child created
+// between epochs stays exactly accountable with no extra bookkeeping
+// here. Epochs are speculative: Discard hands every consumed bit back
+// (rollback must leave a later update attempt with the full
+// dirty-since-startup set).
 package checkpoint
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/mem"
@@ -43,92 +38,35 @@ import (
 
 // Options configures a Snapshotter.
 type Options struct {
-	// MaxEpochs bounds the pre-copy epoch loop (default 8). Pre-copy must
-	// terminate even when the write rate never stabilizes.
-	MaxEpochs int
-	// StableRatio declares convergence when an epoch dirties at least
-	// this fraction of the previous epoch's page count (default 0.9):
-	// the dirty set has stopped shrinking, so further epochs only burn
-	// bandwidth — quiesce now.
-	StableRatio float64
-	// Interval pauses between epochs so the running version's writes can
-	// accumulate (default 0: back-to-back epochs).
-	Interval time.Duration
-	// NoEpochHistory drops the per-epoch history (Stats.PerEpoch stays
-	// empty; the scalar totals still accumulate). The warm-standby daemon
-	// sets it: a snapshotter that runs epochs for hours must not grow an
-	// unbounded slice that every Stats() copy then drags along.
-	NoEpochHistory bool
 	// Recorder, when set, receives one flight-recorder span per epoch
-	// (dirty-page count attached) on Track. FinalEpoch always emits on
-	// the transfer track: the handoff epoch runs in the pipelined
-	// engine's old-side goroutine, concurrent with the engine phases.
+	// (dirty-page count attached) on the daemon track, where epochs nest
+	// under the daemon's pass spans.
 	Recorder *obs.Recorder
-	// Track is the recorder track epoch spans land on (default engine —
-	// the in-call pre-copy loop; the warm daemon sets its own track so
-	// its epochs nest under pass spans).
-	Track string
 	// Faults consults the fault-injection plane at the epoch seam
 	// (faultinject.PointEpochFail): a firing poisons the snapshotter
 	// instead of producing a half-trusted epoch. nil never fires.
 	Faults *faultinject.Plane
 }
 
-func (o *Options) fill() {
-	if o.MaxEpochs <= 0 {
-		o.MaxEpochs = 8
-	}
-	if o.StableRatio <= 0 {
-		o.StableRatio = 0.9
-	}
-	if o.Track == "" {
-		o.Track = obs.TrackEngine
-	}
-}
-
-// EpochStats describes one pre-copy epoch.
+// EpochStats describes one epoch.
 type EpochStats struct {
-	Epoch         int
-	DirtyPages    int
-	ObjectsCopied int
-	BytesCopied   uint64
+	DirtyPages int // soft-dirty pages consumed
 }
 
-// Stats summarizes a snapshotter run.
-type Stats struct {
-	Epochs        int
-	Converged     bool // dirty rate stabilized or drained (vs epoch bound hit)
-	PagesCopied   int  // dirty pages consumed across all epochs
-	ObjectsCopied int  // shadow captures (re-captures included)
-	BytesCopied   uint64
-	PerEpoch      []EpochStats
-	// The handoff epoch the pipelined engine runs after quiescence,
-	// concurrently with the new version's RESTART phase. Accounted apart
-	// from the pre-quiesce loop so the Epochs bound and its per-epoch
-	// history keep their meaning.
-	FinalRan     bool
-	FinalPages   int
-	FinalObjects int
-	FinalBytes   uint64
-}
-
-// Snapshotter is the epoch-based background pre-copier for one running
-// (old-version) instance.
+// Snapshotter holds the shadows of one running (old-version) instance.
 type Snapshotter struct {
 	inst *program.Instance
 	opts Options
 
 	mu        sync.Mutex
 	procs     map[program.ProcKey]*ProcShadow
-	stats     Stats
 	discarded bool
 	err       error // poisoned: shadows cannot be trusted (failed epoch / shot daemon pass)
 }
 
-// New builds a snapshotter over the running instance. Epochs start when
-// Run (or Epoch) is called; the instance keeps serving throughout.
+// New builds a snapshotter over the running instance. Epochs run when
+// Epoch is called; the instance keeps serving throughout.
 func New(inst *program.Instance, opts Options) *Snapshotter {
-	opts.fill()
 	return &Snapshotter{
 		inst:  inst,
 		opts:  opts,
@@ -136,67 +74,14 @@ func New(inst *program.Instance, opts Options) *Snapshotter {
 	}
 }
 
-// Run executes pre-copy epochs until convergence or the epoch bound and
-// returns the final statistics. Safe to call while the instance's threads
-// run: bit reads/clears and object copies synchronize through each
-// address space's lock.
-func (s *Snapshotter) Run() Stats {
-	prev := -1
-	for i := 0; i < s.opts.MaxEpochs; i++ {
-		es := s.Epoch()
-		if es.DirtyPages == 0 {
-			s.setConverged()
-			break
-		}
-		if prev >= 0 && float64(es.DirtyPages) >= s.opts.StableRatio*float64(prev) {
-			// Dirty rate stabilized: this is the writable working set.
-			s.setConverged()
-			break
-		}
-		prev = es.DirtyPages
-		if s.opts.Interval > 0 && i+1 < s.opts.MaxEpochs {
-			time.Sleep(s.opts.Interval)
-		}
-	}
-	return s.Stats()
-}
-
-// Epoch runs one pre-copy epoch over every live process: read-and-clear
-// its soft-dirty bits, then shadow the objects overlapping the dirty
-// pages.
+// Epoch runs one epoch over every live process: read-and-clear its
+// soft-dirty bits, then shadow the objects overlapping the dirty pages.
+// Safe to call while the instance's threads run: bit reads/clears and
+// object copies synchronize through each address space's lock.
 func (s *Snapshotter) Epoch() EpochStats {
-	sp := s.opts.Recorder.Span(s.opts.Track, obs.PhaseEpoch)
+	sp := s.opts.Recorder.Span(obs.TrackDaemon, obs.PhaseEpoch)
 	es := s.epoch()
 	sp.EndArg("dirty_pages", int64(es.DirtyPages))
-	s.mu.Lock()
-	s.stats.Epochs++
-	es.Epoch = s.stats.Epochs
-	s.stats.PagesCopied += es.DirtyPages
-	s.stats.ObjectsCopied += es.ObjectsCopied
-	s.stats.BytesCopied += es.BytesCopied
-	if !s.opts.NoEpochHistory {
-		s.stats.PerEpoch = append(s.stats.PerEpoch, es)
-	}
-	s.mu.Unlock()
-	return es
-}
-
-// FinalEpoch runs the handoff epoch over the quiesced instance: with no
-// thread left running, everything still dirty is consumed and shadowed in
-// one pass, after which the entire downtime copy can be served from
-// shadows. The pipelined engine runs it concurrently with the new
-// version's RESTART phase — the residual live copy shrinks while v2
-// boots. Recorded in the Final* stats, not the epoch-loop history.
-func (s *Snapshotter) FinalEpoch() EpochStats {
-	sp := s.opts.Recorder.Span(obs.TrackTransfer, obs.PhaseHandoff)
-	es := s.epoch()
-	sp.EndArg("dirty_pages", int64(es.DirtyPages))
-	s.mu.Lock()
-	s.stats.FinalRan = true
-	s.stats.FinalPages += es.DirtyPages
-	s.stats.FinalObjects += es.ObjectsCopied
-	s.stats.FinalBytes += es.BytesCopied
-	s.mu.Unlock()
 	return es
 }
 
@@ -237,26 +122,9 @@ func (s *Snapshotter) epoch() EpochStats {
 				continue
 			}
 			ps.put(o, buf)
-			es.ObjectsCopied++
-			es.BytesCopied += o.Size
 		}
 	}
 	return es
-}
-
-// Stats returns a snapshot of the accumulated statistics.
-func (s *Snapshotter) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.stats
-	out.PerEpoch = append([]EpochStats(nil), s.stats.PerEpoch...)
-	return out
-}
-
-func (s *Snapshotter) setConverged() {
-	s.mu.Lock()
-	s.stats.Converged = true
-	s.mu.Unlock()
 }
 
 // fail poisons the snapshotter: the first failure sticks.
@@ -350,9 +218,9 @@ func (s *Snapshotter) Discard() {
 }
 
 // Discarded reports whether Discard has run — i.e. whether every dirty
-// bit this snapshotter consumed has been handed back. The canary fault
-// tests use it to pin down the consumed-bit restore contract the
-// adoptable window relies on.
+// bit this snapshotter consumed has been handed back. The engine's
+// rollback tests use it to pin down that contract on the snapshotter an
+// update adopted.
 func (s *Snapshotter) Discarded() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,9 +253,9 @@ func (ps *ProcShadow) drop() {
 }
 
 // EverDirtyPages returns, in ascending order, every page whose soft-dirty
-// bit a pre-copy epoch read-and-cleared. The transfer unions these with
-// the pages still dirty at quiescence to recover the exact dirty set a
-// checkpoint-free run would have seen.
+// bit an epoch read-and-cleared. The transfer unions these with the pages
+// still dirty at quiescence to recover the exact dirty set a run without
+// shadows would have seen.
 func (ps *ProcShadow) EverDirtyPages() []mem.Addr {
 	return ps.space.ConsumedDirtyPages()
 }

@@ -13,7 +13,7 @@ import (
 // DaemonOptions configures the warm-standby readiness daemon.
 type DaemonOptions struct {
 	// Interval is the base pause between warm passes (default 2ms). Each
-	// pass is one staleness poll, at most one pre-copy epoch, and one
+	// pass is one staleness poll, at most one shadow epoch, and one
 	// incremental analysis refresh.
 	Interval time.Duration
 	// DutyCycle bounds the fraction of wall clock the daemon may spend
@@ -22,11 +22,6 @@ type DaemonOptions struct {
 	// the backpressure that keeps warm epochs from starving the serving
 	// workload — a heavy pass automatically stretches the pause.
 	DutyCycle float64
-	// MinDirtyPages is the staleness threshold below which a pass skips
-	// the shadow epoch (default 1: any dirty page triggers one). The
-	// poll uses the count-only soft-dirty query, so an up-to-date
-	// instance costs one counter sweep per pass.
-	MinDirtyPages int
 	// Recorder, when set, records every pass and backpressure yield as
 	// spans on the daemon track (epochs nest inside passes) and unifies
 	// the pass/epoch/page tallies into the metrics registry — the
@@ -45,15 +40,12 @@ func (o *DaemonOptions) fill() {
 	if o.DutyCycle <= 0 || o.DutyCycle > 1 {
 		o.DutyCycle = 0.25
 	}
-	if o.MinDirtyPages <= 0 {
-		o.MinDirtyPages = 1
-	}
 }
 
 // DaemonStats summarizes a daemon's warm work so far.
 type DaemonStats struct {
 	Passes      int // warm passes (poll + optional epoch + refresh)
-	Epochs      int // shadow epochs run (staleness at or above threshold)
+	Epochs      int // shadow epochs run (passes that found a dirty page)
 	Skipped     int // passes that found the shadows current
 	PagesCopied int // dirty pages consumed by warm epochs
 	Reanalyzed  int // warm-analysis recomputations (per-process)
@@ -95,8 +87,7 @@ func (s DaemonStats) DutyFraction() float64 {
 // revalidated against the memory delta counters, so an update can begin
 // at quiescence with the pre-quiesce work already done. The engine stops
 // the daemon when an update starts and adopts its snapshotter and
-// analysis; Discard semantics are unchanged — a rollback hands every
-// consumed soft-dirty bit back exactly as with in-call pre-copy.
+// analysis; a rollback's Discard hands every consumed soft-dirty bit back.
 type Daemon struct {
 	inst *program.Instance
 	snap *Snapshotter
@@ -126,7 +117,7 @@ func StartDaemon(inst *program.Instance, warm *trace.WarmAnalysis, opts DaemonOp
 	opts.fill()
 	d := &Daemon{
 		inst: inst,
-		snap: New(inst, Options{NoEpochHistory: true, Recorder: opts.Recorder, Track: obs.TrackDaemon, Faults: opts.Faults}),
+		snap: New(inst, Options{Recorder: opts.Recorder, Faults: opts.Faults}),
 		warm: warm,
 		opts: opts,
 		stop: make(chan struct{}),
@@ -189,8 +180,9 @@ func (d *Daemon) loop() {
 	}
 }
 
-// pass runs one warm iteration: poll staleness, run a shadow epoch if the
-// dirty set crossed the threshold, then refresh the warm analysis.
+// pass runs one warm iteration: poll staleness (the count-only soft-dirty
+// query, so an up-to-date instance costs one counter sweep), run a shadow
+// epoch if any page is dirty, then refresh the warm analysis.
 func (d *Daemon) pass() {
 	// Injected stall: the pass hangs until the daemon is stopped (the
 	// update's detach join releases it via d.stop) or the plane's stalls
@@ -204,12 +196,10 @@ func (d *Daemon) pass() {
 		d.mu.Unlock()
 		return
 	}
-	stale := d.ShadowLag()
 	var es EpochStats
-	ranEpoch := false
-	if stale >= d.opts.MinDirtyPages {
+	ranEpoch := d.ShadowLag() > 0
+	if ranEpoch {
 		es = d.snap.Epoch()
-		ranEpoch = true
 	}
 	rs := d.warm.Refresh(d.inst)
 
@@ -268,14 +258,14 @@ func (d *Daemon) Stats() DaemonStats {
 	return st
 }
 
-// Current reports instantaneous readiness: the shadow lag is below the
-// epoch threshold and every live process's warm analysis validates
+// Current reports instantaneous readiness: no page awaits a shadow epoch
+// and every live process's warm analysis validates
 // against the delta counters right now. Both probes are counter
 // comparisons — no copy or analysis work — so Current is cheap to poll
 // and cannot return stale truth the way a last-pass flag would (a write
 // landing after a pass flips it back to false immediately).
 func (d *Daemon) Current() bool {
-	return d.ShadowLag() < d.opts.MinDirtyPages && !d.warm.Stale(d.inst)
+	return d.ShadowLag() == 0 && !d.warm.Stale(d.inst)
 }
 
 // WaitCurrent blocks until the daemon reports Current (the shadows and

@@ -282,7 +282,8 @@ func Apply(c *Cluster, p *Plan, opts ApplyOptions) (*RolloutReport, error) {
 			rep.event(opts.Progress, "member %d committed v%d (downtime %v)", i, a.To, urep.Downtime)
 		}
 		// Every member of this wave committed: the next wave may warm-arm
-		// now, overlapping its pre-copy with this wave's canary verdict.
+		// now, overlapping its daemons' shadow epochs with this wave's
+		// canary verdict.
 		if w+1 < len(p.Waves) {
 			armWave(w + 1)
 		}

@@ -94,12 +94,13 @@ func hiddenPtrVersion(release string, seq int) *program.Version {
 // address; under the fully-precise policy (what annotation-demanding prior
 // systems trace) it is silently lost — the stash dangles.
 func TestPolicyAblationHiddenPointer(t *testing.T) {
-	run := func(opts Options) (stashVal uint64, present bool) {
+	run := func(pol types.Policy) (stashVal uint64, present bool) {
 		k := kernel.New()
-		e, err := NewEngine(k, opts)
+		e, err := NewEngine(k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.policy = pol
 		if _, err := e.Launch(hiddenPtrVersion("1.0", 0)); err != nil {
 			t.Fatal(err)
 		}
@@ -120,12 +121,11 @@ func TestPolicyAblationHiddenPointer(t *testing.T) {
 		return stashVal, present
 	}
 
-	val, present := run(Options{})
+	val, present := run(types.DefaultPolicy())
 	if val == 0 || !present {
 		t.Errorf("default policy: hidden target lost (stash=%#x present=%v)", val, present)
 	}
-	precise := Options{Policy: types.FullyPrecisePolicy(), PolicySet: true}
-	val, present = run(precise)
+	val, present = run(types.FullyPrecisePolicy())
 	if val == 0 {
 		t.Fatal("stash itself not transferred")
 	}

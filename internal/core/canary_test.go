@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/canary"
+	"repro/internal/checkpoint"
 	"repro/internal/leakcheck"
 	"repro/internal/program"
 	"repro/internal/trace"
@@ -59,6 +60,21 @@ func consumedPages(inst *program.Instance) int {
 		n += p.Space().ConsumedCount()
 	}
 	return n
+}
+
+// armedSnapshot returns the armed daemon's snapshotter: the one the next
+// warm update adopts. A rollback test holds it across Update and checks
+// Discarded on it directly, because the daemon the update re-arms (and
+// any later DisarmWarm) restores the same address spaces' bits and would
+// hide an adopted snapshotter that was never discarded.
+func armedSnapshot(t *testing.T, e *Engine) *checkpoint.Snapshotter {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.daemon == nil {
+		t.Fatal("no warm daemon armed")
+	}
+	return e.daemon.Snapshot()
 }
 
 func mustDigest(t *testing.T, inst *program.Instance) uint64 {
@@ -380,7 +396,7 @@ func TestCanaryFaultMatrix(t *testing.T) {
 // invisible to the committed state.
 func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
 	drive := func(withCanary bool) (*UpdateReport, *program.Instance) {
-		e, k := launchEchod(t, Options{Precopy: PrecopyOptions{Enabled: true}, Transfer: TransferOptions{VerifyTransfer: true}})
+		e, k := warmEchod(t, Options{Transfer: TransferOptions{VerifyTransfer: true}})
 		t.Cleanup(e.Shutdown)
 		c1, err := k.Connect(7000)
 		if err != nil {
@@ -393,6 +409,9 @@ func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
 		sendRecv(t, c1, "a")
 		sendRecv(t, c1, "b")
 		sendRecv(t, c2, "x")
+		if !e.WarmWait(10 * time.Second) {
+			t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
+		}
 		if withCanary {
 			feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
 			e.SetCanaryPacing(20*time.Millisecond, 2*time.Millisecond, 2)

@@ -47,12 +47,12 @@ type TransferOptions struct {
 	// instance stays whole.
 	Adopt bool
 	// VerifyTransfer enables the transfer's shadow-verification checksum:
-	// every byte served from a pre-copy shadow is cross-checked against
-	// the quiesced live memory it stands in for, and Stats.Checksum
-	// digests the full transferred stream (FNV-64a per object, combined
-	// order-independently) — adopted pages included, digested before
-	// their frames move. A stale shadow fails the update instead of
-	// committing corrupt state. Costs one extra locked read per
+	// every byte served from a warm daemon's shadow is cross-checked
+	// against the quiesced live memory it stands in for, and
+	// Stats.Checksum digests the full transferred stream (FNV-64a per
+	// object, combined order-independently) — adopted pages included,
+	// digested before their frames move. A stale shadow fails the update
+	// instead of committing corrupt state. Costs one extra locked read per
 	// shadow-served object; meant for harnesses and audits.
 	VerifyTransfer bool
 	// DisableDirtyFilter transfers all state, ignoring soft-dirty bits
@@ -60,39 +60,24 @@ type TransferOptions struct {
 	DisableDirtyFilter bool
 }
 
-// PrecopyOptions groups the incremental pre-copy checkpoint knobs.
-type PrecopyOptions struct {
-	// Enabled arms the pre-copy checkpoint engine: before the CHECKPOINT
-	// quiesce, a snapshotter runs bounded pre-copy epochs over the
-	// still-serving old version, shadowing dirty objects so the downtime
-	// copy only reads the dirty working set from live memory. Results are
-	// bit-identical with or without pre-copy.
-	Enabled bool
-	// Epochs bounds the pre-copy epoch loop (0 = checkpoint default).
-	Epochs int
-	// Interval pauses between pre-copy epochs (0 = back-to-back).
-	Interval time.Duration
-}
-
 // WarmOptions groups the warm-standby readiness daemon knobs.
 type WarmOptions struct {
 	// Enabled arms the warm-standby readiness daemon: between updates a
 	// background loop keeps per-process shadow buffers continuously
-	// current against the soft-dirty bits (low-rate pre-copy epochs with
-	// duty-cycle backpressure) and a warm conservative analysis
-	// incrementally revalidated against the memory delta counters. Update
-	// then skips the pre-copy and speculate phases entirely — the
-	// request starts at quiescence — and runs only the handoff epoch and
-	// per-process validation inside the window. While warm, Precopy is
-	// subsumed (the daemon's epochs replace the in-call loop). Transfer
-	// results stay bit-identical warm or cold.
+	// current against the soft-dirty bits (shadow epochs with duty-cycle
+	// backpressure) and a warm conservative analysis incrementally
+	// revalidated against the memory delta counters. Update then skips
+	// the speculate phase — the request starts at quiescence — and runs
+	// only per-process validation inside the window. The daemon is the
+	// only source of shadows: a cold update reads all state live.
+	// Transfer results stay bit-identical warm or cold.
 	Enabled bool
 	// Interval paces the daemon's warm passes (0 = daemon default).
 	Interval time.Duration
 	// DutyCycle bounds the fraction of wall clock the warm daemon may
-	// spend doing warm work (0 = daemon default, 0.25). The knob the
-	// live-traffic overhead harness sweeps: lower settings cost the
-	// serving workload less and let the shadows lag further behind.
+	// spend doing warm work (0 = daemon default, 0.25): lower settings
+	// cost the serving workload less and let the shadows lag further
+	// behind.
 	DutyCycle float64
 }
 
@@ -138,15 +123,10 @@ type WatchdogOptions struct {
 }
 
 // Options configures the engine. The update-path knobs are grouped by
-// subsystem (Transfer, Precopy, Warm, Canary, Watchdog); incoherent
+// subsystem (Transfer, Warm, Canary, Watchdog); incoherent
 // combinations are rejected by Validate, which NewEngine runs. Use
 // DefaultOptions / AuditOptions as starting points.
 type Options struct {
-	// Policy is the tracing opacity policy (default: the paper's).
-	Policy types.Policy
-	// PolicySet marks Policy as explicitly provided (a zero Policy is the
-	// fully-precise ablation).
-	PolicySet bool
 	// TransferLibs opts specific shared libraries into state transfer.
 	TransferLibs map[string]bool
 	// Instr is the instrumentation level for launched instances
@@ -165,33 +145,25 @@ type Options struct {
 	// (nginxreg).
 	RegionInstrumented bool
 	// Sequential selects the strictly-ordered schedule of the update
-	// lifecycle: every phase completes before the next begins (pre-copy,
-	// quiesce, analysis, restart, discovery, transfer) — the
-	// downtime-ablation baseline and the bit-identity oracle. The default
+	// lifecycle: every phase completes before the next begins (quiesce,
+	// analysis, restart, discovery, transfer) — the downtime-ablation
+	// baseline and the bit-identity oracle. The default
 	// (pipelined) schedule takes the analysis and the old-side discovery
 	// off the downtime window and produces bit-identical results.
 	Sequential bool
-	// BeforeQuiesce, when set, is invoked after the pre-copy epochs (if
-	// any) and immediately before quiescence begins — the last moment the
-	// old version's state can change. Operators can log or snapshot here;
-	// the downtime harness injects residual writes to exercise the
-	// handoff epoch deterministically.
-	BeforeQuiesce func(old *program.Instance)
 	// Faults, when set, is the fault-injection plane every update-path
 	// seam consults (see internal/faultinject). nil — the production
 	// configuration — costs one pointer check per point.
 	Faults *faultinject.Plane
 	// Recorder, when set, is the flight recorder every subsystem emits
 	// phase events into: engine phases on the engine track, the old-side
-	// pipeline (handoff epoch, discovery, copy) on the transfer track,
+	// pipeline (discovery, copy) on the transfer track,
 	// warm-daemon passes on the daemon track, and the canary window on
 	// its own track. A nil recorder costs one pointer check per phase.
 	Recorder *obs.Recorder
 
 	// Transfer configures the REMAP state transfer.
 	Transfer TransferOptions
-	// Precopy configures the incremental pre-copy checkpoint.
-	Precopy PrecopyOptions
 	// Warm configures the warm-standby readiness daemon.
 	Warm WarmOptions
 	// Canary configures the post-commit canary window.
@@ -199,6 +171,11 @@ type Options struct {
 	// Watchdog configures the per-phase deadline watchdog and the
 	// rollback audit.
 	Watchdog WatchdogOptions
+
+	// beforeQuiesce, when set, runs immediately before quiescence begins —
+	// the last moment the old version's state can change. This package's
+	// tests set it to land writes or calls there deterministically.
+	beforeQuiesce func(old *program.Instance)
 }
 
 // DefaultOptions returns the recommended configuration: the pipelined
@@ -221,12 +198,6 @@ func AuditOptions() Options {
 // Validate rejects incoherent option combinations that earlier versions
 // silently ignored. NewEngine calls it and returns the error.
 func (o *Options) Validate() error {
-	if !o.Precopy.Enabled && (o.Precopy.Epochs != 0 || o.Precopy.Interval != 0) {
-		return errors.New("core: Precopy.Epochs/Interval set without Precopy.Enabled")
-	}
-	if o.Precopy.Epochs < 0 {
-		return fmt.Errorf("core: Precopy.Epochs must be >= 0, got %d", o.Precopy.Epochs)
-	}
 	if !o.Warm.Enabled && (o.Warm.Interval != 0 || o.Warm.DutyCycle != 0) {
 		return errors.New("core: Warm.Interval/DutyCycle set without Warm.Enabled")
 	}
@@ -248,9 +219,6 @@ func (o *Options) Validate() error {
 }
 
 func (o *Options) fill() {
-	if !o.PolicySet {
-		o.Policy = types.DefaultPolicy()
-	}
 	if o.Instr == 0 {
 		o.Instr = program.InstrQDet
 	}
@@ -286,11 +254,10 @@ type UpdateReport struct {
 	// The named durations below are derived from these records.
 	Phases []PhaseRecord
 
-	PrecopyTime          time.Duration // pre-copy epochs (old version still serving)
 	QuiesceTime          time.Duration // checkpoint: barrier convergence
 	AnalysisTime         time.Duration // in-window analysis: log marking, validation + re-analysis
 	ControlMigrationTime time.Duration // restart: v2 startup under replay
-	DiscoveryTime        time.Duration // old-side discovery (+ handoff epoch when pipelined); overlapped with restart when pipelined, in-window when sequential
+	DiscoveryTime        time.Duration // old-side discovery; overlapped with restart when pipelined, in-window when sequential
 	StateTransferTime    time.Duration // remap: pair + copy (both schedules; discovery is split out above)
 	// Downtime is the service-unavailable window: from the moment
 	// quiescence is initiated to the moment the new version resumes. The
@@ -309,8 +276,8 @@ type UpdateReport struct {
 	PagesReused     int
 
 	// Warm reports that the update started from the warm-standby daemon's
-	// state: the pre-copy and speculate phases were skipped and
-	// the request effectively began at quiescence. WarmDaemon is the
+	// state: the speculate phase was skipped and the request effectively
+	// began at quiescence. WarmDaemon is the
 	// daemon's accumulated warm work at disarm; WarmReanalyses is the
 	// per-process analysis-recomputation tally across the serving window
 	// plus the in-window validation (the fork-heavy skew evidence).
@@ -327,7 +294,6 @@ type UpdateReport struct {
 
 	Replayed, LiveExecuted, Conflicted int
 	Transfer                           trace.Stats
-	Precopy                            checkpoint.Stats
 	FDsCollected                       int
 
 	RolledBack bool
@@ -381,6 +347,9 @@ func (r *UpdateReport) TransferWork() time.Duration {
 type Engine struct {
 	kern *kernel.Kernel
 	opts Options
+	// policy is the tracing opacity policy: the paper's default, which
+	// the package's ablation test swaps before Launch.
+	policy types.Policy
 
 	mu       sync.Mutex
 	current  *program.Instance
@@ -410,7 +379,7 @@ func NewEngine(k *kernel.Kernel, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	opts.fill()
-	return &Engine{kern: k, opts: opts, warmOn: opts.Warm.Enabled}, nil
+	return &Engine{kern: k, opts: opts, policy: types.DefaultPolicy(), warmOn: opts.Warm.Enabled}, nil
 }
 
 // Kernel returns the engine's kernel.
@@ -477,7 +446,7 @@ func (e *Engine) Launch(v *program.Version) (*program.Instance, error) {
 func (e *Engine) newDaemonLocked() *checkpoint.Daemon {
 	e.opts.Recorder.Instant(obs.TrackDaemon, obs.PhaseArmWarm, "", 0)
 	return checkpoint.StartDaemon(e.current,
-		trace.NewWarmAnalysis(e.opts.Policy, e.opts.TransferLibs),
+		trace.NewWarmAnalysis(e.policy, e.opts.TransferLibs),
 		checkpoint.DaemonOptions{
 			Interval:  e.opts.Warm.Interval,
 			DutyCycle: e.opts.Warm.DutyCycle,
@@ -488,8 +457,8 @@ func (e *Engine) newDaemonLocked() *checkpoint.Daemon {
 
 // SetWarmPacing reconfigures the warm daemon's pacing (interval and
 // duty-cycle bound; zero keeps the daemon default). Takes effect the next
-// time a daemon is armed — the overhead harness disarms, re-paces and
-// re-arms between duty-cycle sweep points.
+// time a daemon is armed, so a caller sweeping duty cycles disarms,
+// re-paces and re-arms between points.
 func (e *Engine) SetWarmPacing(interval time.Duration, dutyCycle float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -850,7 +819,7 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 // frame so rollback and the canary window can make the old side whole.
 func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}, rep *UpdateReport) trace.Options {
 	topts := trace.Options{
-		Policy:             e.opts.Policy,
+		Policy:             e.policy,
 		TransferLibs:       e.opts.TransferLibs,
 		DisableDirtyFilter: e.opts.Transfer.DisableDirtyFilter,
 		VerifyShadows:      e.opts.Transfer.VerifyTransfer,
@@ -878,8 +847,8 @@ func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
 	rep.RollbackIdentical = err == nil && d == rep.preDigest
 }
 
-// lifecycle is the update protocol, stated once: CHECKPOINT (shadows and
-// analysis prepared while the old version serves, then quiesce), RESTART
+// lifecycle is the update protocol, stated once: CHECKPOINT (the analysis
+// prepared while the old version serves, then quiesce), RESTART
 // (the new version under mutable reinitialization), REMAP (mutable tracing
 // state transfer), commit — with abort, from any point, resuming the old
 // version from its checkpoint. Every phase runs through runPhase, so the
@@ -893,32 +862,27 @@ func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
 //
 //  1. The conservative analysis is brought current off-window, while the
 //     old version is still serving: by the warm daemon between updates,
-//     or else by one speculate phase run after the pre-copy epochs and
-//     before quiescence. In-window it is only validated per process
-//     against the soft-dirty/allocation deltas; what they invalidated is
-//     re-analyzed.
-//  2. The old-side job — the checkpoint's handoff epoch, then object
-//     discovery — runs concurrently with the new version's RESTART, so
-//     the transfer phase joins it and pairs at once. The residual live
-//     copy shrinks to nothing while v2 boots, because a quiesced instance
-//     cannot re-dirty what the handoff epoch shadows. (The sequential
-//     schedule runs discovery inside the transfer phase and skips the
-//     handoff epoch, which only pays for itself when overlapped.)
+//     or else by one speculate phase run just before quiescence. In-window
+//     it is only validated per process against the soft-dirty/allocation
+//     deltas; what they invalidated is re-analyzed.
+//  2. The old-side job — object discovery — runs concurrently with the
+//     new version's RESTART, so the transfer phase joins it and pairs at
+//     once. (The sequential schedule runs discovery inside the transfer
+//     phase.)
 //
-// With a warm handoff the pre-quiesce phases disappear: the daemon already
-// ran the pre-copy epochs and kept the analysis current, so the request
-// starts at quiescence.
+// With a warm handoff the speculate phase disappears: the daemon kept the
+// analysis current, so the request starts at quiescence, and the copy
+// serves every object the daemon's shadows still cover.
 func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *checkpoint.Daemon, wd *watchdog) error {
 	pipelined := !e.opts.Sequential
 	rep.Pipelined = pipelined
 	rep.Phases = make([]PhaseRecord, 0, len(phaseTable))
 	var (
-		snap      *checkpoint.Snapshotter
 		converged time.Duration // barrier convergence, as the barrier measured it
-		// The old-side job: the old-instance half of REMAP — the
-		// checkpoint's handoff epoch, then object discovery — and when it
-		// ran. It needs only the quiesced old instance, which is what lets
-		// the pipelined schedule run it beside RESTART.
+		// The old-side job: the old-instance half of REMAP — object
+		// discovery — and when it ran. It needs only the quiesced old
+		// instance, which is what lets the pipelined schedule run it beside
+		// RESTART.
 		job struct {
 			disc       *trace.InstanceDiscovery
 			err        error
@@ -973,14 +937,9 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 	// The report's named durations are derived from the phase records, on
 	// every outcome — the one place they are assigned.
 	defer func() {
-		if snap != nil {
-			rep.Precopy = snap.Stats() // includes the handoff epoch
-		}
 		rep.QuiesceTime = converged
 		for _, p := range rep.Phases {
 			switch p.Phase {
-			case WDPrecopy:
-				rep.PrecopyTime = p.Dur
 			case WDAnalysis:
 				rep.AnalysisTime = p.Dur
 			case WDRestart:
@@ -1004,41 +963,26 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 		}
 	}()
 
-	// --- CHECKPOINT, off-window: shadows and analysis ------------------
+	// --- CHECKPOINT, off-window: the analysis -------------------------
 	// The analysis source is one warm analysis: the daemon's when handed
-	// off, otherwise a fresh, empty one. Pre-copy epochs are speculative:
-	// Discard hands the consumed soft-dirty bits back on every outcome
-	// (rollback needs them for the next attempt; after commit the old
-	// instance is gone and re-marking is harmless).
-	var an *trace.WarmAnalysis
+	// off, otherwise a fresh, empty one. The daemon's shadows come with it.
+	// Its epochs were speculative: Discard hands the consumed soft-dirty
+	// bits back on every outcome (rollback needs them for the next attempt;
+	// after commit the old instance is gone and re-marking is harmless).
+	var (
+		snap *checkpoint.Snapshotter
+		an   *trace.WarmAnalysis
+	)
 	if warm != nil {
 		snap, an = warm.Snapshot(), warm.Warm()
-	} else {
-		an = trace.NewWarmAnalysis(e.opts.Policy, e.opts.TransferLibs)
-		if e.opts.Precopy.Enabled {
-			snap = checkpoint.New(old, checkpoint.Options{
-				MaxEpochs: e.opts.Precopy.Epochs,
-				Interval:  e.opts.Precopy.Interval,
-				Recorder:  e.opts.Recorder,
-				Faults:    e.opts.Faults,
-			})
-		}
-	}
-	if snap != nil {
 		defer snap.Discard()
-		if warm == nil {
-			if err := runPhase(phaseTable[phPrecopy], func() error {
-				attr, attrN = "epochs", snap.Run().Epochs
-				return nil
-			}); err != nil {
-				return abort(nil, err)
-			}
-		}
 		// A snapshotter that failed an epoch (or had a daemon pass shot
 		// out from under it) cannot vouch for its shadows.
 		if err := snap.Err(); err != nil {
 			return abort(nil, wd.wrap(fmt.Errorf("checkpoint: %w", err)))
 		}
+	} else {
+		an = trace.NewWarmAnalysis(e.policy, e.opts.TransferLibs)
 	}
 	// An empty analysis (a cold update, or a daemon detached before its
 	// first pass) gets one refresh here, where the old version is still
@@ -1063,7 +1007,7 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 			return abort(nil, err)
 		}
 	}
-	if h := e.opts.BeforeQuiesce; h != nil {
+	if h := e.opts.beforeQuiesce; h != nil {
 		h(old)
 	}
 
@@ -1086,15 +1030,7 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 	topts := e.transferOptions(snap, wd.cancel, rep)
 	runOldSide := func() {
 		job.start = time.Now()
-		if pipelined && snap != nil {
-			snap.FinalEpoch()
-		}
 		job.disc, job.err = trace.DiscoverInstance(old, topts)
-		if job.err == nil && snap != nil {
-			// A handoff epoch that failed poisons the snapshotter rather
-			// than erroring the discovery that ran beside it.
-			job.err = snap.Err()
-		}
 		job.end = time.Now()
 	}
 	if pipelined {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/canary"
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
 )
@@ -21,6 +22,18 @@ func faultOpts(p *faultinject.Plane) Options {
 	}
 }
 
+// waitFired waits until the armed point pt has fired: a loaded machine can
+// hold a daemon pass back well past any fixed sleep.
+func waitFired(t *testing.T, p *faultinject.Plane, pt faultinject.Point) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !p.Fired(pt); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no daemon pass reached the armed point %s", pt)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 // TestInjectedFaultsRollBackWithCause sweeps the loud injection points:
 // each must abort the update, report the classified "fault:<point>"
 // cause, resume the old version bit-identically, leak nothing, and leave
@@ -29,11 +42,15 @@ func TestInjectedFaultsRollBackWithCause(t *testing.T) {
 	cases := []struct {
 		name      string
 		point     faultinject.Point
-		opts      func(Options) Options // extra engine config
 		wantCause string
 		// postQuiesce marks faults that fire after the digest capture, so
 		// the VerifyRollback audit applies.
 		postQuiesce bool
+		// warm arms the daemon, whose next epoch the point must hit
+		// before the update adopts it.
+		warm bool
+		// sequential runs the update on the sequential schedule.
+		sequential bool
 	}{
 		{
 			name:        "analysis",
@@ -74,23 +91,25 @@ func TestInjectedFaultsRollBackWithCause(t *testing.T) {
 		{
 			name:      "epoch-fail",
 			point:     faultinject.PointEpochFail,
-			opts:      func(o Options) Options { o.Precopy.Enabled = true; return o },
+			warm:      true,
 			wantCause: "fault:epoch-fail",
 		},
 		{
-			name:      "epoch-fail-sequential",
-			point:     faultinject.PointEpochFail,
-			opts:      func(o Options) Options { o.Precopy.Enabled = true; o.Sequential = true; return o },
-			wantCause: "fault:epoch-fail",
+			name:       "epoch-fail-sequential",
+			point:      faultinject.PointEpochFail,
+			warm:       true,
+			sequential: true,
+			wantCause:  "fault:epoch-fail",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plane := faultinject.New(1)
 			opts := faultOpts(plane)
-			if tc.opts != nil {
-				opts = tc.opts(opts)
+			if tc.warm {
+				opts.Warm = WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
 			}
+			opts.Sequential = tc.sequential
 			e, k := launchEchod(t, opts)
 			defer e.Shutdown()
 			c1, err := k.Connect(7000)
@@ -98,12 +117,28 @@ func TestInjectedFaultsRollBackWithCause(t *testing.T) {
 				t.Fatal(err)
 			}
 			sendRecv(t, c1, "a")
+			plane.Arm(tc.point)
+			if tc.warm {
+				// A request dirties pages; the daemon's next epoch hits the
+				// armed point and poisons the snapshotter the update adopts.
+				sendRecv(t, c1, "b")
+				waitFired(t, plane, tc.point)
+			}
 			old := e.Current()
 			d0 := mustDigest(t, old)
 			g0 := leakcheck.Goroutines()
+			var snap *checkpoint.Snapshotter
+			if tc.warm {
+				snap = armedSnapshot(t, e)
+			}
 
-			plane.Arm(tc.point)
 			rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
+			if snap != nil && !snap.Discarded() {
+				t.Fatal("rollback did not discard the adopted snapshotter: its consumed soft-dirty bits were never handed back")
+			}
+			// The re-armed daemon would consume bits again; the checks
+			// below are about what the rollback handed back.
+			e.DisarmWarm()
 			if !errors.Is(err, ErrUpdateFailed) {
 				t.Fatalf("Update err = %v, want ErrUpdateFailed", err)
 			}
@@ -252,16 +287,14 @@ func TestWatchdogRecoversStalledTransfer(t *testing.T) {
 	}
 }
 
-// TestTransferCorruptionCaughtByVerifier flips one byte in a pre-copy
-// shadow served to the downtime copy: the VerifyTransfer cross-check must
-// catch the divergence as a conflict (the silent fault's *detector* is
-// the verifier, so the cause classifies as a plain update conflict) and
-// the rollback must hand back bit-identical old state.
+// TestTransferCorruptionCaughtByVerifier flips one byte in a warm
+// daemon's shadow served to the downtime copy: the VerifyTransfer
+// cross-check must catch the divergence as a conflict (the silent fault's
+// *detector* is the verifier, so the cause classifies as a plain update
+// conflict) and the rollback must hand back bit-identical old state.
 func TestTransferCorruptionCaughtByVerifier(t *testing.T) {
 	plane := faultinject.New(7)
-	opts := faultOpts(plane)
-	opts.Precopy.Enabled = true
-	e, k := launchEchod(t, opts)
+	e, k := warmEchod(t, faultOpts(plane))
 	defer e.Shutdown()
 	c1, err := k.Connect(7000)
 	if err != nil {
@@ -269,6 +302,11 @@ func TestTransferCorruptionCaughtByVerifier(t *testing.T) {
 	}
 	sendRecv(t, c1, "a")
 	sendRecv(t, c1, "b")
+	// The daemon has shadowed the session state, so the copy serves it
+	// from shadows.
+	if !e.WarmWait(10 * time.Second) {
+		t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
+	}
 	old := e.Current()
 	d0 := mustDigest(t, old)
 
@@ -317,14 +355,8 @@ func TestDaemonStallPoisonsAdoptedCheckpoint(t *testing.T) {
 	// Arm after the daemon is current so the stalled pass is a later one;
 	// the stall parks until Update's detach stops the daemon.
 	plane.Arm(faultinject.PointDaemonStall)
-	// Wait until a pass has hit the armed point and parked: a loaded
-	// machine can hold the next pass back well past any fixed sleep.
-	for deadline := time.Now().Add(5 * time.Second); !plane.Fired(faultinject.PointDaemonStall); {
-		if time.Now().After(deadline) {
-			t.Fatal("no daemon pass reached the armed stall")
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	// Wait until a pass has hit the armed point and parked.
+	waitFired(t, plane, faultinject.PointDaemonStall)
 	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
 	if !errors.Is(err, ErrUpdateFailed) {
 		t.Fatalf("Update err = %v, want ErrUpdateFailed", err)

@@ -10,13 +10,11 @@ import (
 )
 
 // enginePhases extracts the engine-track span phases in start order — the
-// phase sequence the flight recorder claims the update executed. Pre-copy
-// epoch spans are dropped: they nest inside the precopy phase and their
-// count is workload-dependent.
+// phase sequence the flight recorder claims the update executed.
 func enginePhases(spans []obs.PhaseSpan) []string {
 	var out []string
 	for _, s := range spans {
-		if s.Track == obs.TrackEngine && s.Phase != obs.PhaseEpoch {
+		if s.Track == obs.TrackEngine {
 			out = append(out, s.Phase)
 		}
 	}
@@ -52,13 +50,13 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 	}{
 		{
 			name:       "sequential",
-			opts:       Options{Sequential: true, Precopy: PrecopyOptions{Enabled: true}, Transfer: TransferOptions{VerifyTransfer: true}},
-			wantEngine: []string{obs.PhaseUpdate, obs.PhasePrecopy, obs.PhaseQuiesce, obs.PhaseAnalyze, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
+			opts:       Options{Sequential: true, Transfer: TransferOptions{VerifyTransfer: true}},
+			wantEngine: []string{obs.PhaseUpdate, obs.PhaseQuiesce, obs.PhaseAnalyze, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:       "pipelined",
-			opts:       Options{Precopy: PrecopyOptions{Enabled: true}, Transfer: TransferOptions{VerifyTransfer: true}},
-			wantEngine: []string{obs.PhaseUpdate, obs.PhasePrecopy, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
+			opts:       Options{Transfer: TransferOptions{VerifyTransfer: true}},
+			wantEngine: []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:       "warm",
@@ -200,13 +198,9 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 
 			switch tc.name {
 			case "warm":
-				// The daemon's warm work is on its own track, and the
-				// handoff epoch ran on the transfer track inside the window.
+				// The daemon's warm work is on its own track.
 				if _, ok := findSpan(spans, obs.TrackDaemon, obs.PhasePass); !ok {
 					t.Error("no daemon pass span")
-				}
-				if _, ok := findSpan(spans, obs.TrackTransfer, obs.PhaseHandoff); !ok {
-					t.Error("no handoff-epoch span on the transfer track")
 				}
 			case "rollback-mid-update":
 				rb, _ := findSpan(spans, obs.TrackEngine, obs.PhaseRollback)

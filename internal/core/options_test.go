@@ -19,17 +19,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"audit preset", AuditOptions(), ""},
 		{"full coherent", Options{
 			Transfer: TransferOptions{Adopt: true, VerifyTransfer: true},
-			Precopy:  PrecopyOptions{Enabled: true, Epochs: 3, Interval: time.Millisecond},
 			Warm:     WarmOptions{Enabled: true, Interval: 200 * time.Microsecond, DutyCycle: 0.25},
 			Canary:   CanaryOptions{Window: 100 * time.Millisecond},
 			Watchdog: WatchdogOptions{PhaseDeadlines: DefaultPhaseDeadlines(), VerifyRollback: true},
 		}, ""},
-		{"precopy epochs without enable", Options{
-			Precopy: PrecopyOptions{Epochs: 2}}, "without Precopy.Enabled"},
-		{"precopy interval without enable", Options{
-			Precopy: PrecopyOptions{Interval: time.Millisecond}}, "without Precopy.Enabled"},
-		{"negative epochs", Options{
-			Precopy: PrecopyOptions{Enabled: true, Epochs: -1}}, "Epochs"},
 		{"warm interval without enable", Options{
 			Warm: WarmOptions{Interval: time.Millisecond}}, "without Warm.Enabled"},
 		{"duty cycle out of range", Options{
@@ -65,8 +58,8 @@ func TestOptionsValidate(t *testing.T) {
 // incoherent combination surfaces as a NewEngine error, not a silently
 // ignored field.
 func TestNewEngineRejectsInvalidOptions(t *testing.T) {
-	_, err := NewEngine(kernel.New(), Options{Precopy: PrecopyOptions{Epochs: 2}})
-	if err == nil || !strings.Contains(err.Error(), "Precopy.Enabled") {
-		t.Fatalf("NewEngine = %v, want Precopy.Enabled validation error", err)
+	_, err := NewEngine(kernel.New(), Options{Warm: WarmOptions{Interval: time.Millisecond}})
+	if err == nil || !strings.Contains(err.Error(), "Warm.Enabled") {
+		t.Fatalf("NewEngine = %v, want Warm.Enabled validation error", err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 // phase and the joins it implies (WDTransfer spans the old-side join,
 // remap pairing and copy; WDAnalysis covers validation and re-analysis).
 const (
-	WDPrecopy   = "precopy"
 	WDSpeculate = "speculate"
 	WDQuiesce   = "quiesce"
 	WDAnalysis  = "analysis"
@@ -30,8 +29,7 @@ type phaseSpec struct {
 
 // Indexes into phaseTable, in lifecycle order.
 const (
-	phPrecopy = iota
-	phSpeculate
+	phSpeculate = iota
 	phQuiesce
 	phAnalysis
 	phRestart
@@ -46,7 +44,6 @@ const (
 // (startup replay and the copy fan-out dominate real update time), commit
 // is bookkeeping and gets the smallest.
 var phaseTable = [...]phaseSpec{
-	phPrecopy:   {WDPrecopy, obs.PhasePrecopy, 30 * time.Second},
 	phSpeculate: {WDSpeculate, obs.PhaseSpeculate, 30 * time.Second},
 	phQuiesce:   {WDQuiesce, obs.PhaseQuiesce, 30 * time.Second},
 	// The analysis span is obs.PhaseAnalyze instead when nothing exists

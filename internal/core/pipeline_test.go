@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/program"
@@ -61,7 +62,7 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 	}
 	drive := func(sequential bool) run {
 		t.Helper()
-		e, k := launchEchod(t, Options{Sequential: sequential, Precopy: PrecopyOptions{Enabled: true}})
+		e, k := launchEchod(t, Options{Sequential: sequential})
 		t.Cleanup(e.Shutdown)
 		c1, err := k.Connect(7000)
 		if err != nil {
@@ -107,11 +108,11 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 	compareState(t, seq.inst, pipe.inst)
 }
 
-// TestPipelinedReportBreakdown pins the pipelined report: the handoff
-// epoch ran, every copied byte came off the critical path, and the
-// downtime window is measured.
+// TestPipelinedReportBreakdown pins the pipelined report of a cold
+// update: every copied byte is read live (the engine runs no epochs of
+// its own), and the downtime window and its phases are measured.
 func TestPipelinedReportBreakdown(t *testing.T) {
-	e, k := launchEchod(t, Options{Precopy: PrecopyOptions{Enabled: true}})
+	e, k := launchEchod(t, Options{})
 	defer e.Shutdown()
 	cc, _ := k.Connect(7000)
 	sendRecv(t, cc, "a")
@@ -122,14 +123,9 @@ func TestPipelinedReportBreakdown(t *testing.T) {
 	if !rep.Pipelined {
 		t.Error("default engine not pipelined")
 	}
-	if !rep.Precopy.FinalRan {
-		t.Error("handoff epoch did not run")
-	}
-	if rep.Transfer.BytesLive != 0 {
-		t.Errorf("BytesLive = %d, want 0 (quiesced instance fully shadowed)", rep.Transfer.BytesLive)
-	}
-	if rep.Transfer.BytesFromShadow == 0 {
-		t.Error("nothing served from shadows")
+	if rep.Transfer.BytesFromShadow != 0 || rep.Transfer.BytesLive == 0 {
+		t.Errorf("cold copy: %d B from shadows, %d B live; want 0 and > 0",
+			rep.Transfer.BytesFromShadow, rep.Transfer.BytesLive)
 	}
 	if rep.Downtime <= 0 || rep.Downtime > rep.TotalTime {
 		t.Errorf("downtime %v out of range (total %v)", rep.Downtime, rep.TotalTime)
@@ -142,70 +138,33 @@ func TestPipelinedReportBreakdown(t *testing.T) {
 	}
 }
 
-// TestBeforeQuiesceResidualHitsFinalEpoch injects residual writes at the
-// last pre-quiesce moment: they must be picked up by the handoff epoch
-// during RESTART, keeping the downtime copy fully shadow-served. (Whether
-// they also invalidate the speculative analysis depends on whether the
-// write lands before or after the concurrent capture — both outcomes are
-// valid; the delta logic itself is pinned in trace.TestSpeculateResolve.)
-func TestBeforeQuiesceResidualHitsFinalEpoch(t *testing.T) {
-	opts := Options{Precopy: PrecopyOptions{Enabled: true}}
-	opts.BeforeQuiesce = func(old *program.Instance) {
-		root := old.Root()
-		g := root.MustGlobal("conf")
-		v, err := root.ReadField(g, "")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := root.WriteField(g, "", v); err != nil {
-			t.Error(err)
-		}
-	}
-	e, k := launchEchod(t, opts)
-	defer e.Shutdown()
-	cc, _ := k.Connect(7000)
-	sendRecv(t, cc, "a")
-	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AnalysesReused+rep.ProcsReanalyzed != 1 {
-		t.Errorf("analysis accounting broken: reused=%d reanalyzed=%d",
-			rep.AnalysesReused, rep.ProcsReanalyzed)
-	}
-	if rep.Precopy.FinalPages == 0 {
-		t.Error("handoff epoch consumed no residual pages")
-	}
-	if rep.Transfer.BytesLive != 0 {
-		t.Errorf("BytesLive = %d, want 0 (handoff epoch shadows the residual)", rep.Transfer.BytesLive)
-	}
-	if got := sendRecv(t, cc, "b"); got != "v2:b:2" {
-		t.Errorf("post-update reply = %q", got)
-	}
-}
-
 // TestPipelinedRollbackMidRestart injects a failure into the RESTART
-// phase while the overlapped handoff epoch and discovery are in flight:
-// the engine must cancel and join them, restore every consumed soft-dirty
-// bit, and leave the old instance serving — then a follow-up update must
-// still carry the full session state.
+// phase of a warm update while the overlapped discovery is in flight: the
+// engine must cancel and join it, restore every soft-dirty bit the
+// daemon's epochs consumed, and leave the old instance serving — then a
+// follow-up update must still carry the full session state.
 func TestPipelinedRollbackMidRestart(t *testing.T) {
-	e, k := launchEchod(t, Options{Precopy: PrecopyOptions{Enabled: true}})
+	e, k := warmEchod(t, Options{})
 	defer e.Shutdown()
 	cc, _ := k.Connect(7000)
 	if got := sendRecv(t, cc, "a"); got != "v1:a:1" {
 		t.Fatal(got)
 	}
+	if !e.WarmWait(10 * time.Second) {
+		t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
+	}
 
 	// Wrong port: the bind replay conflicts during RESTART, after the
-	// pre-copy epochs (and possibly the handoff epoch) consumed the dirty
-	// bits.
+	// daemon's epochs consumed the dirty bits.
+	snap := armedSnapshot(t, e)
 	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7001))
 	if !errors.Is(err, ErrUpdateFailed) {
 		t.Fatalf("err = %v, want ErrUpdateFailed", err)
 	}
-	if !rep.RolledBack || !rep.Pipelined || rep.Precopy.Epochs == 0 {
+	if !snap.Discarded() {
+		t.Fatal("rollback did not discard the adopted snapshotter")
+	}
+	if !rep.RolledBack || !rep.Pipelined || rep.WarmDaemon.Epochs == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 	// Old instance serving with state intact.
@@ -226,8 +185,8 @@ func TestPipelinedRollbackMidRestart(t *testing.T) {
 	}
 }
 
-// TestPipelinedRollbackWithoutPrecopy exercises the cancel/join path when
-// there is no checkpoint: discovery alone is in flight when RESTART fails.
+// TestPipelinedRollbackWithoutPrecopy exercises the cancel/join path of a
+// cold update: discovery alone is in flight when RESTART fails.
 func TestPipelinedRollbackWithoutPrecopy(t *testing.T) {
 	e, k := launchEchod(t, Options{})
 	defer e.Shutdown()
@@ -254,7 +213,7 @@ func TestPipelinedRollbackWithoutPrecopy(t *testing.T) {
 func TestUpdateReportsPagesRescanned(t *testing.T) {
 	rec := obs.New(1 << 14)
 	opts := Options{Recorder: rec}
-	opts.BeforeQuiesce = func(old *program.Instance) {
+	opts.beforeQuiesce = func(old *program.Instance) {
 		root := old.Root()
 		g := root.MustGlobal("conf")
 		if err := root.WriteField(g, "", 7); err != nil {

@@ -24,10 +24,10 @@ func warmEchod(t *testing.T, opts Options) (*Engine, *kernel.Kernel) {
 	return e, k
 }
 
-// TestWarmUpdateFastPath pins the tentpole: a warm engine's update skips
-// the in-call pre-quiesce phases (no in-call pre-copy loop, analysis
-// fully reused), still runs the handoff epoch, serves the whole downtime
-// copy from shadows, and re-arms the daemon on the new version.
+// TestWarmUpdateFastPath pins the warm path: a warm engine's update skips
+// the speculate phase (analysis fully reused), serves the whole downtime
+// copy from the daemon's shadows, and re-arms the daemon on the new
+// version.
 func TestWarmUpdateFastPath(t *testing.T) {
 	e, k := warmEchod(t, Options{})
 	defer e.Shutdown()
@@ -49,9 +49,6 @@ func TestWarmUpdateFastPath(t *testing.T) {
 	if !rep.Warm || !rep.Pipelined {
 		t.Fatalf("report not warm+pipelined: warm=%v pipelined=%v", rep.Warm, rep.Pipelined)
 	}
-	if rep.PrecopyTime != 0 {
-		t.Errorf("warm update spent %v in in-call pre-copy, want 0", rep.PrecopyTime)
-	}
 	if rep.AnalysesReused != 1 || rep.ProcsReanalyzed != 0 {
 		t.Errorf("analysis: reused=%d reanalyzed=%d, want 1/0 (idle at update)",
 			rep.AnalysesReused, rep.ProcsReanalyzed)
@@ -59,11 +56,8 @@ func TestWarmUpdateFastPath(t *testing.T) {
 	if rep.WarmDaemon.Epochs == 0 {
 		t.Errorf("daemon tally missing: %+v", rep.WarmDaemon)
 	}
-	if !rep.Precopy.FinalRan {
-		t.Error("handoff epoch did not run on the warm path")
-	}
 	if rep.Transfer.BytesLive != 0 {
-		t.Errorf("BytesLive = %d, want 0 (warm shadows + handoff epoch)", rep.Transfer.BytesLive)
+		t.Errorf("BytesLive = %d, want 0 (every dirty object shadowed by the daemon)", rep.Transfer.BytesLive)
 	}
 	if len(rep.WarmReanalyses) == 0 {
 		t.Error("per-process reanalysis tally missing")
@@ -92,9 +86,6 @@ func TestWarmMatchesColdDeterminism(t *testing.T) {
 		switch mode {
 		case "sequential":
 			opts.Sequential = true
-			opts.Precopy.Enabled = true
-		case "cold":
-			opts.Precopy.Enabled = true
 		case "warm":
 			opts.Warm = WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
 		}
@@ -249,7 +240,7 @@ func TestArmWarmRefusedMidUpdate(t *testing.T) {
 		e      *Engine
 		armErr error
 	)
-	opts := Options{BeforeQuiesce: func(*program.Instance) { armErr = e.ArmWarm() }}
+	opts := Options{beforeQuiesce: func(*program.Instance) { armErr = e.ArmWarm() }}
 	e, k := launchEchod(t, opts)
 	defer e.Shutdown()
 	cc, _ := k.Connect(7000)

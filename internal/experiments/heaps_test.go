@@ -1,6 +1,6 @@
 package experiments
 
-// End-to-end verdicts of the engine beyond the paper — pre-copy,
+// End-to-end verdicts of the engine beyond the paper — shadows,
 // pipelining, page adoption and warm standby — on synthetic heaps built
 // for the purpose: chains of opaque blobs whose startup allocations are
 // recreated at identical addresses, so every mode's transfer can be
@@ -278,7 +278,7 @@ func startBlobInstance(t *testing.T, seq, blobs, size int, plan map[mem.PlanKey]
 	return inst
 }
 
-// TestCheckpointDowntimeReduction checks what pre-copy buys the downtime
+// TestCheckpointDowntimeReduction checks what shadows buy the downtime
 // copy. The whole heap is written after startup and shadowed by one
 // epoch; the workload then keeps rewriting a leading fraction of the heap
 // between epochs and after the last one. The transfer served from the
@@ -324,11 +324,8 @@ func TestCheckpointDowntimeReduction(t *testing.T) {
 		pre := transfer(true)
 		snap.Discard()
 		base := transfer(false)
-		if snap.Stats().Epochs == 0 {
-			t.Errorf("ratio %.2f: no epochs ran", ratio)
-		}
 		if base.BytesTransferred != pre.BytesTransferred || base.ObjectsTransferred != pre.ObjectsTransferred {
-			t.Errorf("ratio %.2f: pre-copy changed the transfer scope: %d/%d bytes, %d/%d objects", ratio,
+			t.Errorf("ratio %.2f: shadows changed the transfer scope: %d/%d bytes, %d/%d objects", ratio,
 				pre.BytesTransferred, base.BytesTransferred, pre.ObjectsTransferred, base.ObjectsTransferred)
 		}
 		if pre.BytesLive+pre.BytesFromShadow != base.BytesLive {
@@ -360,13 +357,11 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 		return core.Options{
 			Sequential: sequential,
 			Transfer:   core.TransferOptions{Adopt: adopt, VerifyTransfer: true},
-			Precopy:    core.PrecopyOptions{Enabled: true},
 		}
 	}
 	seq := updateHeap(t, mode(true, false), blob)
 	pipe := updateHeap(t, mode(false, false), blob)
 	warm := mode(false, true)
-	warm.Precopy = core.PrecopyOptions{}
 	warm.Warm = core.WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
 	adopters := map[string]heapRun{
 		"pipelined+adopt": updateHeap(t, mode(false, true), blob),
@@ -385,13 +380,13 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 		t.Errorf("downtime not measured: seq %v pipe %v", seq.rep.Downtime, pipe.rep.Downtime)
 	}
 	// No writes happen during the update, so the whole analysis must be
-	// validated out of the downtime window, and pre-copy plus the handoff
-	// epoch leave nothing for the live path.
+	// validated out of the downtime window. A cold update has no shadows:
+	// the engine runs no epochs of its own.
 	if pipe.rep.AnalysesReused != 1 || pipe.rep.ProcsReanalyzed != 0 {
 		t.Errorf("speculation not reused: reused %d reanalyzed %d", pipe.rep.AnalysesReused, pipe.rep.ProcsReanalyzed)
 	}
-	if f := pipe.rep.Transfer.ShadowFraction(); f != 1.0 {
-		t.Errorf("pipelined shadow fraction = %.2f, want 1.0", f)
+	if n := pipe.rep.Transfer.BytesFromShadow; n != 0 {
+		t.Errorf("cold pipelined update served %d B from shadows, want 0", n)
 	}
 	for name, run := range adopters {
 		if f := run.rep.Transfer.AdoptionFraction(); f < 0.9 {
@@ -444,8 +439,8 @@ func TestTransferChecksumBitIdenticalAcrossEngines(t *testing.T) {
 	blob := func(seq int) *program.Version { return blobVersion(seq, 64, 2048) }
 	verified := core.TransferOptions{VerifyTransfer: true}
 	runs := map[string]core.Options{
-		"sequential": {Sequential: true, Transfer: verified, Precopy: core.PrecopyOptions{Enabled: true}},
-		"cold":       {Transfer: verified, Precopy: core.PrecopyOptions{Enabled: true}},
+		"sequential": {Sequential: true, Transfer: verified},
+		"cold":       {Transfer: verified},
 		"warm":       {Transfer: verified, Warm: core.WarmOptions{Enabled: true, Interval: 500 * time.Microsecond}},
 	}
 	sums := map[string]uint64{}
@@ -469,8 +464,8 @@ func TestTransferChecksumBitIdenticalAcrossEngines(t *testing.T) {
 // copy from shadows.
 func TestWarmStandbyBitIdenticalAndFastPath(t *testing.T) {
 	blob := func(seq int) *program.Version { return blobVersion(seq, 256, 8192) }
-	seq := updateHeap(t, core.Options{Sequential: true, Precopy: core.PrecopyOptions{Enabled: true}}, blob)
-	cold := updateHeap(t, core.Options{Precopy: core.PrecopyOptions{Enabled: true}}, blob)
+	seq := updateHeap(t, core.Options{Sequential: true}, blob)
+	cold := updateHeap(t, core.Options{}, blob)
 	warm := updateHeap(t, core.Options{Warm: core.WarmOptions{Enabled: true, Interval: 500 * time.Microsecond}}, blob)
 
 	if warm.sum != cold.sum || warm.sum != seq.sum {
@@ -503,8 +498,6 @@ func TestWarmForksSkewedRevalidation(t *testing.T) {
 		opts := core.Options{QuiesceTimeout: 30 * time.Second, StartupTimeout: 30 * time.Second}
 		if warm {
 			opts.Warm = core.WarmOptions{Enabled: true, Interval: 500 * time.Microsecond}
-		} else {
-			opts.Precopy.Enabled = true
 		}
 		e, err := core.NewEngine(kernel.New(), opts)
 		if err != nil {

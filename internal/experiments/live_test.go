@@ -1,7 +1,7 @@
 package experiments
 
 // End-to-end verdicts under live, validated traffic on the model servers:
-// pre-copy while clients keep writing, the warm daemon at several duty
+// daemon epochs while clients keep writing, the warm daemon at several duty
 // cycles, the post-commit canary window, injected faults, and fleet
 // rollouts. Every response the closed-loop clients receive is checked;
 // each test asserts a contract and reports no numbers.
@@ -82,11 +82,12 @@ func consumedPages(inst *program.Instance) int {
 	return n
 }
 
-// TestFigure3LiveTrafficPrecopy runs Figure 3's update with pre-copy
-// armed while one of the open sessions keeps issuing requests: epochs
-// race real writes, and requests in flight at quiescence are answered by
-// the new version after commit. Every point must run epochs, measure its
-// downtime, and complete traffic during the update.
+// TestFigure3LiveTrafficPrecopy runs Figure 3's update with the warm
+// daemon armed while one of the open sessions keeps issuing requests: the
+// update is requested only after a daemon epoch has run over the writes of
+// that live traffic, and requests in flight at quiescence are answered by
+// the new version after commit. Every point must start from the daemon,
+// measure its downtime, and complete traffic during the update.
 func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 	for _, spec := range servers.Catalog() {
 		for _, conns := range Quick.connPoints() {
@@ -95,12 +96,12 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 					old := servers.SetHttpdPoolThreads(Quick.poolThreads())
 					defer servers.SetHttpdPoolThreads(old)
 				}
-				// Epochs spaced out so the workload re-dirties its working
-				// set between them.
+				// Passes spaced out so the workload re-dirties its working
+				// set between epochs.
 				e, k, err := launchServer(spec, core.Options{
 					QuiesceTimeout: 30 * time.Second,
 					StartupTimeout: 30 * time.Second,
-					Precopy:        core.PrecopyOptions{Enabled: true, Interval: 2 * time.Millisecond},
+					Warm:           core.WarmOptions{Enabled: true, Interval: 2 * time.Millisecond},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -111,8 +112,14 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer workload.CloseSessions(sessions)
+				// The daemon has absorbed session setup before the
+				// traffic starts, so every point runs at least one pass.
+				if !e.WarmWait(30 * time.Second) {
+					t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
+				}
 
 				stop, done := make(chan struct{}), make(chan struct{})
+				served := make(chan struct{}) // closed after the first live request
 				reqs := 0
 				if conns == 0 {
 					close(done)
@@ -128,9 +135,34 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 							if err := driveOne(spec.Name, sessions[0], i); err != nil {
 								return
 							}
-							reqs++
+							if reqs++; reqs == 1 {
+								close(served)
+							}
 						}
 					}()
+				}
+				// Hold the update until an epoch has begun after the first
+				// live request, so the daemon's shadows were taken while
+				// the traffic was writing.
+				epochs := 0
+				if conns > 0 {
+					select {
+					case <-served:
+					case <-done:
+						t.Fatal("live traffic failed before its first request")
+					case <-time.After(30 * time.Second):
+						t.Fatal("live traffic never completed a request")
+					}
+					epochs = e.WarmStatus().Epochs
+					deadline := time.Now().Add(30 * time.Second)
+					for e.WarmStatus().Epochs <= epochs+1 {
+						if time.Now().After(deadline) {
+							close(stop)
+							<-done
+							t.Fatalf("no daemon epoch ran over the live traffic: %+v", e.WarmStatus())
+						}
+						time.Sleep(time.Millisecond)
+					}
 				}
 				rep, err := e.Update(spec.Version(1))
 				close(stop)
@@ -138,8 +170,11 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Precopy.Epochs == 0 {
-					t.Error("no pre-copy epochs ran")
+				if !rep.Warm || rep.WarmDaemon.Passes == 0 {
+					t.Errorf("update did not start from the daemon: warm %v, %+v", rep.Warm, rep.WarmDaemon)
+				}
+				if conns > 0 && rep.WarmDaemon.Epochs <= epochs+1 {
+					t.Errorf("update adopted %d daemon epochs, want > %d (one past the first live request)", rep.WarmDaemon.Epochs, epochs+1)
 				}
 				if conns > 0 && reqs == 0 {
 					t.Error("no live traffic completed during the update")

@@ -21,7 +21,7 @@
 //     the injected *Error so the caller aborts instead of proceeding on
 //     a half-done phase.
 //   - Corrupt: the point flips one byte in a buffer (silent data
-//     corruption — a stale pre-copy shadow); detection is the transfer
+//     corruption — a stale daemon shadow); detection is the transfer
 //     verifier's job, not the plane's.
 package faultinject
 
@@ -39,9 +39,9 @@ type Point string
 
 // Injection points, in the order an update encounters them.
 const (
-	// PointEpochFail fails a pre-copy checkpoint epoch (in-call loop,
-	// handoff epoch, or a warm daemon pass), poisoning the snapshotter so
-	// the update that adopts it aborts instead of trusting its shadows.
+	// PointEpochFail fails a warm daemon's shadow epoch, poisoning the
+	// snapshotter so the update that adopts it aborts instead of trusting
+	// its shadows.
 	PointEpochFail Point = "epoch-fail"
 	// PointDaemonStall parks a warm daemon pass until the daemon is
 	// stopped (the update's detach join releases it); the interrupted

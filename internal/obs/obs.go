@@ -1,11 +1,11 @@
 // Package obs is the engine's flight recorder: a low-overhead,
 // always-compiled-in event log threaded through the whole update path.
 //
-// The engine now runs five overlapping machines (pre-copy epochs,
-// speculative analysis, pipelined RESTART, warm daemon, canary window)
-// whose only prior windows were scalar stat structs — when a warm update
-// was slow or a canary breached, nothing showed *which phase* ate the
-// time or *which daemon pass* caused the p99 spike. The recorder captures
+// The engine runs four overlapping machines (speculative analysis,
+// pipelined RESTART beside the old-side discovery, warm daemon, canary
+// window) whose only prior windows were scalar stat structs — when a warm
+// update was slow or a canary breached, nothing showed *which phase* ate
+// the time or *which daemon pass* caused the p99 spike. The recorder captures
 // timestamped span begin/end and instant events (with per-process and
 // per-epoch attributes) into a preallocated, lock-striped ring buffer,
 // cheap enough to leave on under live traffic, plus a counters/gauges
@@ -19,8 +19,7 @@
 // Cost model: a nil *Recorder is fully disabled and every method is a
 // nil-check away from zero cost — no allocation, no atomic, pinned by
 // BenchmarkRecorderDisabled. A live recorder can also be soft-disabled
-// (SetEnabled) so the overhead harness can measure the enabled-vs-off
-// delta on one threaded instance.
+// (SetEnabled), which costs one atomic load per emission on top.
 package obs
 
 import (
@@ -38,7 +37,7 @@ import (
 // sub-tracks.
 const (
 	TrackEngine   = "engine"   // update lifecycle phases
-	TrackTransfer = "transfer" // old-side pipeline: handoff epoch, discovery, copy
+	TrackTransfer = "transfer" // old-side pipeline: discovery, copy
 	TrackDaemon   = "daemon"   // warm-standby pass/yield slices
 	TrackCanary   = "canary"   // post-commit window, judges, verdict
 	TrackWorkload = "workload" // sustained-driver interval buckets
@@ -47,7 +46,6 @@ const (
 // Phase names emitted by the integrated subsystems.
 const (
 	PhaseUpdate    = "update" // whole request (Update entry to return)
-	PhasePrecopy   = "precopy"
 	PhaseSpeculate = "speculate"
 	PhaseQuiesce   = "quiesce"
 	PhaseAnalyze   = "analyze"  // in-window analysis with nothing to validate (sequential schedule, cold)
@@ -58,10 +56,9 @@ const (
 	PhaseRollback  = "rollback"
 	PhaseArmWarm   = "arm-warm" // instant: a fresh daemon armed
 
-	PhaseEpoch   = "epoch"         // one pre-copy epoch (engine or daemon track)
-	PhaseHandoff = "handoff-epoch" // post-quiesce epoch on the transfer track
-	PhasePass    = "pass"          // daemon work slice
-	PhaseYield   = "yield"         // daemon backpressure pause
+	PhaseEpoch = "epoch" // one shadow epoch (daemon track, inside a pass)
+	PhasePass  = "pass"  // daemon work slice
+	PhaseYield = "yield" // daemon backpressure pause
 
 	PhaseDiscover = "discover"
 	PhaseCopy     = "copy"
@@ -157,8 +154,7 @@ func (r *Recorder) On() bool {
 }
 
 // SetEnabled toggles recording on a live recorder. While off, every
-// emission is dropped at the same nil-check-plus-atomic-load cost the
-// overhead harness measures against. Nil-safe.
+// emission is dropped after one nil check and one atomic load. Nil-safe.
 func (r *Recorder) SetEnabled(on bool) {
 	if r != nil {
 		r.off.Store(!on)

@@ -10,8 +10,8 @@
 //
 //   - CHECKPOINT: quiesce the running version — every thread parks at a
 //     profiled quiescent point (a blocking call at the top of its
-//     long-running loop), reached promptly because all blocking calls are
-//     "unblockified" into timeout slices.
+//     long-running loop), reached promptly because arming the barrier
+//     wakes every thread blocked in a wrapped blocking call at once.
 //   - RESTART: start the new version from scratch under mutable
 //     reinitialization — replaying the old version's startup log for
 //     operations on immutable state objects (inherited file descriptors,
@@ -28,13 +28,13 @@
 // soft-dirty page tracking, a ptmalloc-style allocator with in-band type
 // tags, and an OS kernel with fd tables, pid namespaces and epoll),
 // because a native Go process cannot expose the raw memory and kernel
-// facilities the paper's C implementation manipulates. See DESIGN.md for
-// the substitution table.
+// facilities the paper's C implementation manipulates. README.md maps each
+// package to the paper mechanism it models.
 //
 // # Quick start
 //
 //	k := mcr.NewKernel()
-//	engine := mcr.NewEngine(k, mcr.Options{})
+//	engine, err := mcr.NewEngine(k, mcr.DefaultOptions())
 //	if _, err := engine.Launch(v1); err != nil { ... }
 //	// ... clients connect, state accumulates ...
 //	report, err := engine.Update(v2) // live update, state carried over
@@ -62,17 +62,14 @@ type Engine = core.Engine
 
 // Options configures an Engine (tracing policy, instrumentation level,
 // replay matching strategy, timeouts). The update-path knobs are grouped
-// by subsystem — see TransferOptions, PrecopyOptions, WarmOptions,
-// CanaryOptions and WatchdogOptions — and validated by NewEngine.
+// by subsystem — see TransferOptions, WarmOptions, CanaryOptions and
+// WatchdogOptions — and validated by NewEngine.
 type Options = core.Options
 
 // TransferOptions groups the state-transfer knobs of Options (the
 // zero-copy page-adoption fast path, checksum verification, the
 // dirty-filter ablation).
 type TransferOptions = core.TransferOptions
-
-// PrecopyOptions groups the incremental pre-copy checkpoint knobs.
-type PrecopyOptions = core.PrecopyOptions
 
 // WarmOptions groups the warm-standby readiness daemon knobs.
 type WarmOptions = core.WarmOptions
@@ -168,9 +165,6 @@ type Field = types.Field
 // Registry holds the named types of one program version.
 type Registry = types.Registry
 
-// Policy selects which memory areas mutable tracing treats as opaque.
-type Policy = types.Policy
-
 // Profiler is the quiescence profiler: run a version under a test
 // workload and it reports thread classes, long-lived loops and quiescent
 // points.
@@ -231,10 +225,6 @@ func NewAnnotations() *Annotations { return program.NewAnnotations() }
 
 // NewRegistry creates an empty type registry for a Version.
 func NewRegistry() *Registry { return types.NewRegistry() }
-
-// DefaultPolicy returns the paper's default opacity policy (unions,
-// pointer-sized integers and char arrays are traced conservatively).
-func DefaultPolicy() Policy { return types.DefaultPolicy() }
 
 // Scalar returns the canonical descriptor for a scalar kind.
 func Scalar(k types.Kind) *Type { return types.Scalar(k) }
