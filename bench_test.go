@@ -359,7 +359,7 @@ func BenchmarkDirtyFilter(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e, k := launchBench(b, servers.NginxSpec(), core.Options{Transfer: core.TransferOptions{DisableDirtyFilter: disable}})
+				e, k := launchBench(b, servers.NginxSpec(), core.Options{DisableDirtyFilter: disable})
 				sessions, err := workload.OpenSessions(k, "nginx", servers.NginxPort, 5)
 				if err != nil {
 					b.Fatal(err)

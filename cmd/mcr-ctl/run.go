@@ -146,24 +146,27 @@ func run(cfg config, out io.Writer) error {
 	k := kernel.New()
 	servers.SeedFiles(k)
 	plane.AttachRecorder(rec)
-	eopts := core.Options{
-		Transfer: core.TransferOptions{Adopt: cfg.Adopt},
-		Warm:     core.WarmOptions{Enabled: cfg.Warm},
+	engine, err := core.NewEngine(k, core.Options{
+		Adopt:    cfg.Adopt,
 		Recorder: rec,
 		Faults:   plane,
-		Watchdog: core.WatchdogOptions{
-			PhaseDeadlines: deadlines,
-			VerifyRollback: plane != nil || deadlines != nil,
-		},
-	}
-	engine, err := core.NewEngine(k, eopts)
+		Audit:    plane != nil || deadlines != nil,
+	})
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
+	}
+	if err := engine.SetPhaseDeadlines(deadlines); err != nil {
+		return fmt.Errorf("%w: -deadline: %v", errUsage, err)
 	}
 	if _, err := engine.Launch(spec.Version(0)); err != nil {
 		return fmt.Errorf("launch: %w", err)
 	}
 	defer engine.Shutdown()
+	if cfg.Warm {
+		if err := engine.ArmWarm(); err != nil {
+			return fmt.Errorf("warm: %w", err)
+		}
+	}
 	fmt.Fprintf(out, "launched %s-%s on port %d\n", spec.Name, spec.Version(0).Release, spec.Port)
 	if plane != nil {
 		fmt.Fprintf(out, "fault armed: %s\n", cfg.Fault)

@@ -10,13 +10,19 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	mcr "repro"
 	"repro/internal/kernel"
 	"repro/internal/program"
 )
+
+// hiddenState is what each event writes into the buffer b's hidden
+// pointer targets.
+const hiddenState = "hidden state"
 
 // version builds the Listing 1 server. withNew adds the `new` field to
 // l_t — the Figure 2 update.
@@ -122,7 +128,7 @@ func serverMain(t *mcr.Thread) error {
 			if err != nil {
 				return err
 			}
-			if err := p.WriteBytes(scratch, 0, []byte("hidden state")); err != nil {
+			if err := p.WriteBytes(scratch, 0, []byte(hiddenState)); err != nil {
 				return err
 			}
 			if err := p.WriteWordAt(p.MustGlobal("b"), 0, uint64(scratch.Addr)); err != nil {
@@ -136,33 +142,56 @@ func serverMain(t *mcr.Thread) error {
 	})
 }
 
-func dumpList(p *mcr.Proc, label string, hasNew bool) {
-	fmt.Printf("%s list:", label)
-	node, ok := p.ReadPtr(p.MustGlobal("list"), "next")
-	for ok {
-		v, _ := p.ReadField(node, "value")
-		if hasNew {
-			nv, _ := p.ReadField(node, "new")
-			fmt.Printf(" {value=%d new=%d @%#x}", v, nv, node.Addr)
-		} else {
-			fmt.Printf(" {value=%d @%#x}", v, node.Addr)
-		}
-		node, ok = p.ReadPtr(node, "next")
-	}
-	bval, _ := p.ReadWordAt(p.MustGlobal("b"), 0)
-	fmt.Printf("\n%s b hides pointer %#x\n", label, bval)
+// node is one list node as Figure 2 draws it.
+type node struct {
+	addr       mcr.Addr
+	value, new uint64
 }
 
-func main() {
+// figure2State reads the state Figure 2 is about: the list nodes, in list
+// order, and the pointer b hides. hasNew reads v2's `new` field.
+func figure2State(p *mcr.Proc, hasNew bool) ([]node, mcr.Addr) {
+	var nodes []node
+	obj, ok := p.ReadPtr(p.MustGlobal("list"), "next")
+	for ok {
+		n := node{addr: obj.Addr}
+		n.value, _ = p.ReadField(obj, "value")
+		if hasNew {
+			n.new, _ = p.ReadField(obj, "new")
+		}
+		nodes = append(nodes, n)
+		obj, ok = p.ReadPtr(obj, "next")
+	}
+	hidden, _ := p.ReadWordAt(p.MustGlobal("b"), 0)
+	return nodes, mcr.Addr(hidden)
+}
+
+func printState(w io.Writer, label string, nodes []node, hidden mcr.Addr, hasNew bool) {
+	fmt.Fprintf(w, "%s list:", label)
+	for _, n := range nodes {
+		if hasNew {
+			fmt.Fprintf(w, " {value=%d new=%d @%#x}", n.value, n.new, n.addr)
+		} else {
+			fmt.Fprintf(w, " {value=%d @%#x}", n.value, n.addr)
+		}
+	}
+	fmt.Fprintf(w, "\n%s b hides pointer %#x\n", label, hidden)
+}
+
+// run launches v1, serves three clients, live-updates to v2 and checks
+// Figure 2's outcome: every list node relocated and type-transformed
+// with new=0, the object behind b's hidden pointer pinned at its old
+// address with its contents, and the listener still serving.
+func run(w io.Writer) error {
 	k := mcr.NewKernel()
 	engine, err := mcr.NewEngine(k, mcr.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("== launching listing1 v1 ==")
+	fmt.Fprintln(w, "== launching listing1 v1 ==")
 	if _, err := engine.Launch(version(0, false)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer engine.Shutdown()
 
@@ -170,36 +199,59 @@ func main() {
 	for i := 0; i < 3; i++ {
 		cc, err := k.Connect(80)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := cc.Recv(2 * time.Second); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	dumpList(engine.Current().Root(), "v1", false)
+	v1, hidden1 := figure2State(engine.Current().Root(), false)
+	printState(w, "v1", v1, hidden1, false)
 
-	fmt.Println("\n== live update to v2 (l_t gains a `new` field) ==")
+	fmt.Fprintln(w, "\n== live update to v2 (l_t gains a `new` field) ==")
 	rep, err := engine.Update(version(1, true))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("update done in %v (quiesce %v, control migration %v, state transfer %v)\n",
+	fmt.Fprintf(w, "update done in %v (quiesce %v, control migration %v, state transfer %v)\n",
 		rep.TotalTime.Round(time.Microsecond), rep.QuiesceTime.Round(time.Microsecond),
 		rep.ControlMigrationTime.Round(time.Microsecond), rep.TransferWork().Round(time.Microsecond))
-	fmt.Printf("replayed %d startup operations, %d executed live; transferred %d objects (%d type-transformed)\n",
+	fmt.Fprintf(w, "replayed %d startup operations, %d executed live; transferred %d objects (%d type-transformed)\n",
 		rep.Replayed, rep.LiveExecuted, rep.Transfer.ObjectsTransferred, rep.Transfer.TypeTransformed)
 
-	dumpList(engine.Current().Root(), "v2", true)
+	root := engine.Current().Root()
+	v2, hidden2 := figure2State(root, true)
+	printState(w, "v2", v2, hidden2, true)
+	if len(v2) != len(v1) {
+		return fmt.Errorf("figure 2: v2 list has %d nodes, v1 had %d", len(v2), len(v1))
+	}
+	for i := range v1 {
+		if v2[i].value != v1[i].value || v2[i].new != 0 || v2[i].addr == v1[i].addr {
+			return fmt.Errorf("figure 2: node %d went %+v -> %+v, want it relocated with its value and new=0", i, v1[i], v2[i])
+		}
+	}
+	hidden := make([]byte, len(hiddenState))
+	if err := root.Space().ReadAt(hidden2, hidden); err != nil || hidden2 != hidden1 || string(hidden) != hiddenState {
+		return fmt.Errorf("figure 2: b hides %#x -> %#x holding %q (%v), want its target pinned with %q",
+			hidden1, hidden2, hidden, err, hiddenState)
+	}
 
 	// The same listener still accepts — a fourth client talks to v2.
 	cc, err := k.Connect(80)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if msg, err := cc.Recv(2 * time.Second); err != nil || string(msg) != "welcome" {
-		log.Fatalf("post-update client: %q %v", msg, err)
+		return fmt.Errorf("post-update client: %q %v", msg, err)
 	}
-	fmt.Println("\npost-update client served; list nodes were relocated and")
-	fmt.Println("type-transformed (new=0), while b's hidden pointer target was")
-	fmt.Println("pinned at its old address — exactly Figure 2.")
+	fmt.Fprintln(w, "\npost-update client served; list nodes were relocated and")
+	fmt.Fprintln(w, "type-transformed (new=0), while b's hidden pointer target was")
+	fmt.Fprintln(w, "pinned at its old address — exactly Figure 2.")
+	return nil
+}
+
+func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -36,7 +36,7 @@ type MemberReport struct {
 	Outcome  string        `json:"outcome"`
 	Cause    string        `json:"cause,omitempty"` // rollback-cause taxonomy, verbatim from the member
 	Downtime time.Duration `json:"downtime_ns"`
-	// RollbackVerified/Identical carry the member's VerifyRollback digest
+	// RollbackVerified/Identical carry the member's rollback digest
 	// audit when it rolled back or reverted.
 	RollbackVerified  bool   `json:"rollback_verified"`
 	RollbackIdentical bool   `json:"rollback_identical"`
@@ -234,7 +234,10 @@ func Apply(c *Cluster, p *Plan, opts ApplyOptions) (*RolloutReport, error) {
 			m := c.members[i]
 			mr := &rep.Members[i]
 			if a.Budget > 0 {
-				m.eng.SetPhaseDeadlines(budgetDeadlines(a.Budget))
+				if err := m.eng.SetPhaseDeadlines(budgetDeadlines(a.Budget)); err != nil {
+					finishWave()
+					return abort(w, i, "deadlines: "+err.Error(), committed)
+				}
 			}
 			if p.Canary != "" {
 				// Interval and grace scale with the hold; the grace

@@ -41,8 +41,6 @@ type Options struct {
 	Faults *faultinject.Plane
 	// FaultMember is the index carrying Faults (ignored when nil).
 	FaultMember int
-	// WarmInterval paces member warm daemons (0 = daemon default).
-	WarmInterval time.Duration
 }
 
 func (o *Options) fill() error {
@@ -165,8 +163,7 @@ func New(opts Options) (*Cluster, error) {
 	c := &Cluster{opts: opts, spec: spec}
 	for i := 0; i < opts.Members; i++ {
 		eopts := core.Options{
-			Transfer:       core.TransferOptions{VerifyTransfer: true},
-			Watchdog:       core.WatchdogOptions{VerifyRollback: true},
+			Audit:          true,
 			QuiesceTimeout: 30 * time.Second,
 			StartupTimeout: 30 * time.Second,
 			Recorder:       opts.Recorder,
@@ -181,10 +178,6 @@ func New(opts Options) (*Cluster, error) {
 			c.Shutdown()
 			return nil, fmt.Errorf("cluster: engine member %d: %w", i, err)
 		}
-		// Members arm warm standby explicitly (ArmWarm around rollout
-		// waves), so the pacing goes through the mutator rather than
-		// Options — Validate rejects Warm.Interval without Warm.Enabled.
-		m.eng.SetWarmPacing(opts.WarmInterval, 0)
 		if _, err := m.eng.Launch(spec.Version(0)); err != nil {
 			c.Shutdown()
 			return nil, fmt.Errorf("cluster: launch member %d: %w", i, err)

@@ -138,7 +138,7 @@ func TestPolicyAblationHiddenPointer(t *testing.T) {
 // transfers strictly more bytes for the same update.
 func TestDirtyFilterAblationViaEngine(t *testing.T) {
 	measure := func(disable bool) uint64 {
-		e, k := launchEchod(t, Options{Transfer: TransferOptions{DisableDirtyFilter: disable}})
+		e, k := launchEchod(t, Options{DisableDirtyFilter: disable})
 		defer e.Shutdown()
 		cc, _ := k.Connect(7000)
 		sendRecv(t, cc, "x")

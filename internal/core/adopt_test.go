@@ -130,10 +130,9 @@ func TestAdoptDeterminism(t *testing.T) {
 	for _, gmp := range []int{1, 4} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
-			base := run(t, Options{Sequential: true,
-				Transfer: TransferOptions{VerifyTransfer: true}})
-			copied := run(t, Options{Transfer: TransferOptions{VerifyTransfer: true}})
-			adopted := run(t, Options{Transfer: TransferOptions{Adopt: true, VerifyTransfer: true}})
+			base := run(t, Options{Sequential: true, Audit: true})
+			copied := run(t, Options{Audit: true})
+			adopted := run(t, Options{Adopt: true, Audit: true})
 			if adopted.pages == 0 || adopted.fraction < 0.9 {
 				t.Fatalf("adoption did not engage: %+v", adopted)
 			}
@@ -232,8 +231,7 @@ func TestAdoptExcludesNonIdentityPointers(t *testing.T) {
 	const recs = 200 // spans multiple pages
 	run := func(t *testing.T, adopt bool) (uint64, uint64, *trace.Stats) {
 		t.Helper()
-		e, err := NewEngine(kernel.New(), Options{Transfer: TransferOptions{
-			Adopt: adopt, VerifyTransfer: true}})
+		e, err := NewEngine(kernel.New(), Options{Adopt: adopt, Audit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,16 +271,12 @@ func TestAdoptExcludesNonIdentityPointers(t *testing.T) {
 // TestAdoptRollbackReturnsFrames drives a commit-crash fault through an
 // update that already adopted the whole heap: every donated frame must
 // return to the old instance with its original bookkeeping, the
-// VerifyRollback audit must find the old image bit-identical, and nothing
+// rollback audit must find the old image bit-identical, and nothing
 // may leak.
 func TestAdoptRollbackReturnsFrames(t *testing.T) {
 	const blobs, size = 24, 2048
 	plane := faultinject.New(1)
-	e, err := NewEngine(kernel.New(), Options{
-		Transfer: TransferOptions{Adopt: true, VerifyTransfer: true},
-		Watchdog: WatchdogOptions{VerifyRollback: true},
-		Faults:   plane,
-	})
+	e, err := NewEngine(kernel.New(), Options{Adopt: true, Audit: true, Faults: plane})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,19 +86,24 @@ func (e *Engine) DisarmCanary() {
 	}
 }
 
-// SetCanaryPacing reconfigures the window length, monitor interval and
-// grace-interval count for windows opened after this call (zero window or
-// interval keeps the current value; negative grace means none).
+// SetCanaryPacing reconfigures the canary window for windows opened
+// after this call: how long a committed update stays revertible, how
+// often the monitor judges the SLO, and how many initial intervals are
+// exempt from breaching — requests that blocked across the update's
+// quiesce complete just after commit with latency roughly equal to the
+// downtime, which is the old version's cost, not the new version's
+// behavior. A zero window or interval keeps the current value; a negative
+// grace means none. NewEngine starts at 250ms, 25ms and 2.
 func (e *Engine) SetCanaryPacing(window, interval time.Duration, grace int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if window > 0 {
-		e.opts.Canary.Window = window
+		e.canaryWindow = window
 	}
 	if interval > 0 {
-		e.opts.Canary.Interval = interval
+		e.canaryInterval = interval
 	}
-	e.opts.Canary.Grace = grace
+	e.canaryGrace = grace
 }
 
 // CanaryWait blocks until no canary window is open: immediately true when
@@ -195,12 +200,7 @@ func (e *Engine) openCanary(old, newInst *program.Instance, rep *UpdateReport) b
 		return false
 	}
 	src := e.canarySrc
-	window := e.opts.Canary.Window
-	interval := e.opts.Canary.Interval
-	grace := e.opts.Canary.Grace
-	if grace < 0 {
-		grace = 0
-	}
+	window, interval, grace := e.canaryWindow, e.canaryInterval, max(e.canaryGrace, 0)
 	run := &canaryRun{
 		old:    old,
 		new:    newInst,

@@ -203,12 +203,11 @@ func TestCanaryFaultMatrix(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Transfer: TransferOptions{VerifyTransfer: true}}
-			if tc.warm {
-				opts.Warm = WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
-			}
-			e, k := launchEchod(t, opts)
+			e, k := launchEchod(t, Options{Audit: true})
 			defer e.Shutdown()
+			if tc.warm {
+				armWarm(t, e)
+			}
 
 			c1, err := k.Connect(7000)
 			if err != nil {
@@ -262,7 +261,7 @@ func TestCanaryFaultMatrix(t *testing.T) {
 			}
 			cs0 := rep.Transfer.Checksum
 			if cs0 == 0 {
-				t.Fatal("VerifyTransfer produced no checksum")
+				t.Fatal("Audit produced no checksum")
 			}
 
 			if tc.preUpdate == nil {
@@ -396,7 +395,7 @@ func TestCanaryFaultMatrix(t *testing.T) {
 // invisible to the committed state.
 func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
 	drive := func(withCanary bool) (*UpdateReport, *program.Instance) {
-		e, k := warmEchod(t, Options{Transfer: TransferOptions{VerifyTransfer: true}})
+		e, k := warmEchod(t, Options{Audit: true})
 		t.Cleanup(e.Shutdown)
 		c1, err := k.Connect(7000)
 		if err != nil {
@@ -448,7 +447,7 @@ func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
 // TestCanaryControllerStatus exercises the mcr-ctl "canary status"
 // surface across the armed -> reverted lifecycle.
 func TestCanaryControllerStatus(t *testing.T) {
-	e, _ := launchEchod(t, Options{Transfer: TransferOptions{VerifyTransfer: true}})
+	e, _ := launchEchod(t, Options{Audit: true})
 	defer e.Shutdown()
 	c := NewController(e, "/run/mcr.sock")
 
@@ -492,7 +491,7 @@ func TestCanaryControllerStatus(t *testing.T) {
 // failsafe allowed (window + max(4 intervals, 20ms)). A late judge is not
 // a dead judge: the window must finalize, not revert with canary:monitor.
 func TestCanaryStarvedMonitorIsNotDead(t *testing.T) {
-	e, k := launchEchod(t, Options{Transfer: TransferOptions{VerifyTransfer: true}})
+	e, k := launchEchod(t, Options{Audit: true})
 	defer e.Shutdown()
 	c1, err := k.Connect(7000)
 	if err != nil {

@@ -213,6 +213,20 @@ func canaryLine(cs CanaryStatus) string {
 	return out
 }
 
+// ctlReplyWait bounds how long CtlRequest waits for a reply. An update
+// request is answered only once the update commits or rolls back, and
+// under the default watchdog profile every phase may run to its budget
+// before a wedged update rolls back; the wait is that whole profile plus
+// 30s for the rollback and the reply, so a hang surfaces as its rollback
+// cause, never as a client timeout.
+func ctlReplyWait() time.Duration {
+	d := 30 * time.Second
+	for _, budget := range DefaultPhaseDeadlines() {
+		d += budget
+	}
+	return d
+}
+
 // CtlRequest sends one mcr-ctl request over the simulated kernel and
 // returns the response (the client side of the protocol).
 func CtlRequest(k *kernel.Kernel, path, req string) (string, error) {
@@ -224,7 +238,7 @@ func CtlRequest(k *kernel.Kernel, path, req string) (string, error) {
 	if err := cc.Send([]byte(req)); err != nil {
 		return "", err
 	}
-	resp, err := cc.Recv(30 * time.Second)
+	resp, err := cc.Recv(ctlReplyWait())
 	if err != nil {
 		return "", err
 	}

@@ -33,144 +33,76 @@ var (
 	ErrCanaryOpen   = errors.New("core: a canary window is open; wait for it to resolve")
 )
 
-// TransferOptions groups the state-transfer (REMAP) knobs.
-type TransferOptions struct {
+// Options is what an engine is built with. Each field is earned by the
+// test or bench row its comment names. The runtime modes are configured by
+// the calls that arm them, not here: ArmWarm/SetWarmPacing for the warm
+// daemon, ArmCanary/SetCanaryPacing for the canary window and
+// SetPhaseDeadlines for the watchdog. Use DefaultOptions / AuditOptions as
+// starting points.
+type Options struct {
+	// Instr is the instrumentation level for launched instances
+	// (default InstrQDet; lower levels cannot live-update). Table 3.
+	Instr program.Instr
+	// RegionInstrumented enables custom-allocator instrumentation
+	// (nginxreg). Table 3.
+	RegionInstrumented bool
+	// Profiler, when set, is attached to launched instances. Table 1.
+	Profiler *quiesce.Profiler
+	// ReplayStrategy selects the startup-log matching algorithm
+	// (default call-stack IDs; global ordering for the ablation).
+	// TestGlobalOrderStrategyOnDeterministicStartup, BenchmarkReplayMatching.
+	ReplayStrategy replaylog.Strategy
+	// DisableDirtyFilter transfers all state, ignoring soft-dirty bits.
+	// Figure 3, TestDirtyFilterAblationViaEngine.
+	DisableDirtyFilter bool
+	// Sequential selects the strictly-ordered schedule of the update
+	// lifecycle: every phase completes before the next begins (quiesce,
+	// analysis, restart, discovery, transfer). The default (pipelined)
+	// schedule takes the analysis and the old-side discovery off the
+	// downtime window and must produce bit-identical results; the
+	// sequential one is the oracle TestSchedulesEquivalentAndLedgerCloses
+	// holds it to.
+	Sequential bool
+	// QuiesceTimeout bounds quiescence convergence (default 5s);
+	// StartupTimeout bounds new-version startup (default 10s). The fleet
+	// and the experiment harnesses raise both to 30s.
+	QuiesceTimeout time.Duration
+	StartupTimeout time.Duration
+	// Faults, when set, is the fault-injection plane every update-path
+	// seam consults (see internal/faultinject). nil — the production
+	// configuration — costs one pointer check per point.
+	// TestFaultCampaignSmoke, mcr-ctl -fault.
+	Faults *faultinject.Plane
+	// Recorder, when set, is the flight recorder every subsystem emits
+	// phase events into: engine phases on the engine track, the old-side
+	// pipeline (discovery, copy) on the transfer track, warm-daemon
+	// passes on the daemon track, and the canary window on its own track.
+	// A nil recorder costs one pointer check per phase. The bench's
+	// traced pass, mcr-ctl -trace-out.
+	Recorder *obs.Recorder
 	// Adopt arms the zero-copy page-adoption fast path: old-instance
 	// pages whose every object is provably bit-identical across the
 	// update (layout-identical same-address pair needing no pointer
 	// rewrite) are moved into the new address space as whole frames — the
 	// simulated analogue of the paper's VMA remap — instead of copied
-	// object by object. Downtime copy bytes for a layout-identical update
-	// approach zero; results stay bit-identical with adoption on or off,
-	// rollback returns every donated frame, and a canary window copies
-	// the adopted contents back at window open so the quiesced old
-	// instance stays whole.
+	// object by object. Results stay bit-identical with adoption on or
+	// off, rollback returns every donated frame, and a canary window
+	// copies the adopted contents back at window open so the quiesced old
+	// instance stays whole. The nginx-adopt bench row, TestAdoptDeterminism.
 	Adopt bool
-	// VerifyTransfer enables the transfer's shadow-verification checksum:
-	// every byte served from a warm daemon's shadow is cross-checked
-	// against the quiesced live memory it stands in for, and
-	// Stats.Checksum digests the full transferred stream (FNV-64a per
-	// object, combined order-independently) — adopted pages included,
-	// digested before their frames move. A stale shadow fails the update
-	// instead of committing corrupt state. Costs one extra locked read per
-	// shadow-served object; meant for harnesses and audits.
-	VerifyTransfer bool
-	// DisableDirtyFilter transfers all state, ignoring soft-dirty bits
-	// (ablation).
-	DisableDirtyFilter bool
-}
-
-// WarmOptions groups the warm-standby readiness daemon knobs.
-type WarmOptions struct {
-	// Enabled arms the warm-standby readiness daemon: between updates a
-	// background loop keeps per-process shadow buffers continuously
-	// current against the soft-dirty bits (shadow epochs with duty-cycle
-	// backpressure) and a warm conservative analysis incrementally
-	// revalidated against the memory delta counters. Update then skips
-	// the speculate phase — the request starts at quiescence — and runs
-	// only per-process validation inside the window. The daemon is the
-	// only source of shadows: a cold update reads all state live.
-	// Transfer results stay bit-identical warm or cold.
-	Enabled bool
-	// Interval paces the daemon's warm passes (0 = daemon default).
-	Interval time.Duration
-	// DutyCycle bounds the fraction of wall clock the warm daemon may
-	// spend doing warm work (0 = daemon default, 0.25): lower settings
-	// cost the serving workload less and let the shadows lag further
-	// behind.
-	DutyCycle float64
-}
-
-// CanaryOptions groups the post-commit canary window pacing. The canary
-// itself is armed at run time (ArmCanary supplies the SLO and the sample
-// source); these fields only shape the window it opens.
-type CanaryOptions struct {
-	// Window is how long a committed update stays revertible when a
-	// canary is armed (default 250ms): the old instance is held quiesced
-	// and adoptable while the live workload drives the new version, and
-	// an SLO breach rolls back to it.
-	Window time.Duration
-	// Interval paces the canary monitor's SLO evaluation ticks
-	// (default 25ms).
-	Interval time.Duration
-	// Grace is how many initial monitor intervals are exempt from
-	// breaching (default 2; negative = none): requests that blocked
-	// across the update's quiesce complete just after commit with latency
-	// roughly equal to the downtime, which is the old version's cost, not
-	// the new version's behavior.
-	Grace int
-}
-
-// WatchdogOptions groups the per-phase deadline watchdog and rollback
-// audit knobs.
-type WatchdogOptions struct {
-	// PhaseDeadlines is the per-phase watchdog budget table (keys are the
-	// WD* phase names). nil selects DefaultPhaseDeadlines(). A phase
-	// exceeding its budget is aborted — the pipeline cancel fires,
-	// injected stalls release, and the update rolls back with
-	// RollbackCause "deadline:<phase>". To run without a watchdog set
-	// Disable; a non-nil empty map is rejected by Validate as ambiguous.
-	PhaseDeadlines map[string]time.Duration
-	// Disable turns the watchdog off entirely (no phase budgets).
-	Disable bool
-	// VerifyRollback arms the rollback bit-identity audit: the old
-	// instance's state digest is captured at quiescence and recomputed
-	// just before it resumes from any rollback (pre-commit or canary
-	// revert); UpdateReport.RollbackVerified/RollbackIdentical report the
-	// comparison. Costs one full-state digest per update; meant for
-	// harnesses and the fault campaign.
-	VerifyRollback bool
-}
-
-// Options configures the engine. The update-path knobs are grouped by
-// subsystem (Transfer, Warm, Canary, Watchdog); incoherent
-// combinations are rejected by Validate, which NewEngine runs. Use
-// DefaultOptions / AuditOptions as starting points.
-type Options struct {
-	// TransferLibs opts specific shared libraries into state transfer.
-	TransferLibs map[string]bool
-	// Instr is the instrumentation level for launched instances
-	// (default InstrQDet; lower levels cannot live-update).
-	Instr program.Instr
-	// ReplayStrategy selects the startup-log matching algorithm
-	// (default call-stack IDs; global ordering for the ablation).
-	ReplayStrategy replaylog.Strategy
-	// Profiler, when set, is attached to launched instances.
-	Profiler *quiesce.Profiler
-	// QuiesceTimeout bounds quiescence convergence (default 5s).
-	QuiesceTimeout time.Duration
-	// StartupTimeout bounds new-version startup (default 10s).
-	StartupTimeout time.Duration
-	// RegionInstrumented enables custom-allocator instrumentation
-	// (nginxreg).
-	RegionInstrumented bool
-	// Sequential selects the strictly-ordered schedule of the update
-	// lifecycle: every phase completes before the next begins (quiesce,
-	// analysis, restart, discovery, transfer) — the downtime-ablation
-	// baseline and the bit-identity oracle. The default
-	// (pipelined) schedule takes the analysis and the old-side discovery
-	// off the downtime window and produces bit-identical results.
-	Sequential bool
-	// Faults, when set, is the fault-injection plane every update-path
-	// seam consults (see internal/faultinject). nil — the production
-	// configuration — costs one pointer check per point.
-	Faults *faultinject.Plane
-	// Recorder, when set, is the flight recorder every subsystem emits
-	// phase events into: engine phases on the engine track, the old-side
-	// pipeline (discovery, copy) on the transfer track,
-	// warm-daemon passes on the daemon track, and the canary window on
-	// its own track. A nil recorder costs one pointer check per phase.
-	Recorder *obs.Recorder
-
-	// Transfer configures the REMAP state transfer.
-	Transfer TransferOptions
-	// Warm configures the warm-standby readiness daemon.
-	Warm WarmOptions
-	// Canary configures the post-commit canary window.
-	Canary CanaryOptions
-	// Watchdog configures the per-phase deadline watchdog and the
-	// rollback audit.
-	Watchdog WatchdogOptions
+	// Audit arms both verifiers. The transfer's checksum: every byte
+	// served from a warm daemon's shadow is cross-checked against the
+	// quiesced live memory it stands in for, and Stats.Checksum digests
+	// the full transferred stream (FNV-64a per object, combined
+	// order-independently), adopted pages included — a stale shadow fails
+	// the update instead of committing corrupt state. And the rollback
+	// audit: the old instance's state digest is captured at quiescence and
+	// recomputed just before it resumes from any rollback;
+	// UpdateReport.RollbackVerified/RollbackIdentical report the
+	// comparison. Costs one full-state digest per update and one extra
+	// locked read per shadow-served object; meant for harnesses and
+	// audits. The bit-identity oracles and the fault campaign.
+	Audit bool
 
 	// beforeQuiesce, when set, runs immediately before quiescence begins —
 	// the last moment the old version's state can change. This package's
@@ -179,43 +111,17 @@ type Options struct {
 }
 
 // DefaultOptions returns the recommended configuration: the pipelined
-// engine with the zero-copy page-adoption fast path armed and every
-// subsystem at its built-in default.
+// engine with the zero-copy page-adoption fast path armed.
 func DefaultOptions() Options {
-	return Options{Transfer: TransferOptions{Adopt: true}}
+	return Options{Adopt: true}
 }
 
-// AuditOptions returns DefaultOptions with both verifiers armed: the
-// transfer's shadow-verification checksum and the rollback bit-identity
-// audit. The configuration harnesses and campaigns should run under.
+// AuditOptions returns DefaultOptions with both verifiers armed. The
+// configuration harnesses and campaigns should run under.
 func AuditOptions() Options {
 	o := DefaultOptions()
-	o.Transfer.VerifyTransfer = true
-	o.Watchdog.VerifyRollback = true
+	o.Audit = true
 	return o
-}
-
-// Validate rejects incoherent option combinations that earlier versions
-// silently ignored. NewEngine calls it and returns the error.
-func (o *Options) Validate() error {
-	if !o.Warm.Enabled && (o.Warm.Interval != 0 || o.Warm.DutyCycle != 0) {
-		return errors.New("core: Warm.Interval/DutyCycle set without Warm.Enabled")
-	}
-	if o.Warm.DutyCycle < 0 || o.Warm.DutyCycle > 1 {
-		return fmt.Errorf("core: Warm.DutyCycle must be in [0,1], got %g", o.Warm.DutyCycle)
-	}
-	if o.Watchdog.Disable && len(o.Watchdog.PhaseDeadlines) > 0 {
-		return errors.New("core: Watchdog.Disable set alongside Watchdog.PhaseDeadlines")
-	}
-	if o.Watchdog.PhaseDeadlines != nil && len(o.Watchdog.PhaseDeadlines) == 0 && !o.Watchdog.Disable {
-		return errors.New("core: empty Watchdog.PhaseDeadlines is ambiguous (nil selects the default profile); set Watchdog.Disable to run without a watchdog")
-	}
-	for ph := range o.Watchdog.PhaseDeadlines {
-		if _, ok := DefaultPhaseDeadlines()[ph]; !ok {
-			return fmt.Errorf("core: Watchdog.PhaseDeadlines: unknown phase %q", ph)
-		}
-	}
-	return nil
 }
 
 func (o *Options) fill() {
@@ -227,20 +133,6 @@ func (o *Options) fill() {
 	}
 	if o.StartupTimeout == 0 {
 		o.StartupTimeout = 10 * time.Second
-	}
-	if o.Canary.Window == 0 {
-		o.Canary.Window = 250 * time.Millisecond
-	}
-	if o.Canary.Interval == 0 {
-		o.Canary.Interval = 25 * time.Millisecond
-	}
-	if o.Canary.Grace == 0 {
-		o.Canary.Grace = 2
-	}
-	if o.Watchdog.Disable {
-		o.Watchdog.PhaseDeadlines = map[string]time.Duration{}
-	} else if o.Watchdog.PhaseDeadlines == nil {
-		o.Watchdog.PhaseDeadlines = DefaultPhaseDeadlines()
 	}
 }
 
@@ -310,17 +202,17 @@ type UpdateReport struct {
 	// otherwise. RollbackCause keeps the primary abort cause and Reason's
 	// chain carries both errors.
 	RollbackSecondary string
-	// RollbackVerified / RollbackIdentical report the Options.VerifyRollback
+	// RollbackVerified / RollbackIdentical report the Options.Audit rollback
 	// audit: the old instance's quiesce-time state digest recomputed just
 	// before it resumed from a rollback. Identical means the abort handed
 	// back bit-identical state.
 	RollbackVerified  bool
 	RollbackIdentical bool
 
-	preDigest uint64 // quiesce-time trace.StateDigest of the old instance (VerifyRollback)
+	preDigest uint64 // quiesce-time trace.StateDigest of the old instance (Audit)
 
 	// ledger tracks the page frames the transfer moved out of the old
-	// instance (Transfer.Adopt): rollback returns them, a canary window
+	// instance (Options.Adopt): rollback returns them, a canary window
 	// copies their contents back at open, and a plain commit drops the
 	// records. Nil unless adoption is armed.
 	ledger *mem.AdoptLedger
@@ -357,29 +249,45 @@ type Engine struct {
 	warmOn   bool // warm-standby mode enabled (armed/re-armed around updates)
 	updating bool // an Update is in flight (blocks ArmWarm)
 	daemon   *checkpoint.Daemon
+	// Warm daemon pacing (SetWarmPacing; zero = daemon default).
+	warmInterval time.Duration
+	warmDuty     float64
+	// deadlines is the watchdog's per-phase budget table
+	// (SetPhaseDeadlines).
+	deadlines map[string]time.Duration
 
-	// Canary state: armed SLO and workload feed, the open window (nil
-	// when none), the baseline throughput captured at the last Update's
-	// start, and the settled verdict of the most recent window.
-	canaryOn      bool
-	canarySLO     canary.SLO
-	canarySrc     func() canary.Sample
-	canaryRun     *canaryRun
-	canaryLast    *canaryRun // most recent window, kept after resolution (CanaryWait settles on it)
-	canaryBase    float64
-	canaryOutcome string
-	canaryCause   string
-	canaryFinal   canary.MonitorStatus
+	// Canary state: the window pacing (SetCanaryPacing), the armed SLO and
+	// workload feed, the open window (nil when none), the baseline
+	// throughput captured at the last Update's start, and the settled
+	// verdict of the most recent window.
+	canaryWindow   time.Duration
+	canaryInterval time.Duration
+	canaryGrace    int
+	canaryOn       bool
+	canarySLO      canary.SLO
+	canarySrc      func() canary.Sample
+	canaryRun      *canaryRun
+	canaryLast     *canaryRun // most recent window, kept after resolution (CanaryWait settles on it)
+	canaryBase     float64
+	canaryOutcome  string
+	canaryCause    string
+	canaryFinal    canary.MonitorStatus
 }
 
-// NewEngine builds an engine over the shared kernel. It validates opts
-// (see Options.Validate) and rejects incoherent combinations.
+// NewEngine builds an engine over the shared kernel, with the default
+// watchdog profile and the default canary pacing: a 250ms window judged
+// every 25ms, the first two intervals exempt. The error is always nil.
 func NewEngine(k *kernel.Kernel, opts Options) (*Engine, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	opts.fill()
-	return &Engine{kern: k, opts: opts, policy: types.DefaultPolicy(), warmOn: opts.Warm.Enabled}, nil
+	return &Engine{
+		kern:           k,
+		opts:           opts,
+		policy:         types.DefaultPolicy(),
+		deadlines:      DefaultPhaseDeadlines(),
+		canaryWindow:   250 * time.Millisecond,
+		canaryInterval: 25 * time.Millisecond,
+		canaryGrace:    2,
+	}, nil
 }
 
 // Kernel returns the engine's kernel.
@@ -446,39 +354,52 @@ func (e *Engine) Launch(v *program.Version) (*program.Instance, error) {
 func (e *Engine) newDaemonLocked() *checkpoint.Daemon {
 	e.opts.Recorder.Instant(obs.TrackDaemon, obs.PhaseArmWarm, "", 0)
 	return checkpoint.StartDaemon(e.current,
-		trace.NewWarmAnalysis(e.policy, e.opts.TransferLibs),
+		trace.NewWarmAnalysis(e.policy, nil),
 		checkpoint.DaemonOptions{
-			Interval:  e.opts.Warm.Interval,
-			DutyCycle: e.opts.Warm.DutyCycle,
+			Interval:  e.warmInterval,
+			DutyCycle: e.warmDuty,
 			Recorder:  e.opts.Recorder,
 			Faults:    e.opts.Faults,
 		})
 }
 
-// SetWarmPacing reconfigures the warm daemon's pacing (interval and
-// duty-cycle bound; zero keeps the daemon default). Takes effect the next
-// time a daemon is armed, so a caller sweeping duty cycles disarms,
-// re-paces and re-arms between points.
-func (e *Engine) SetWarmPacing(interval time.Duration, dutyCycle float64) {
+// SetWarmPacing sets the warm daemon's pacing: the interval between
+// passes and the bound on the fraction of wall clock it may spend working
+// (zero keeps the daemon defaults; a lower duty cycle costs the serving
+// workload less and lets the shadows lag further behind). Takes effect
+// the next time a daemon is armed, so a caller sweeping duty cycles
+// disarms, re-paces and re-arms between points. A duty cycle outside
+// [0,1] is refused.
+func (e *Engine) SetWarmPacing(interval time.Duration, dutyCycle float64) error {
+	if dutyCycle < 0 || dutyCycle > 1 {
+		return fmt.Errorf("core: warm duty cycle must be in [0,1], got %g", dutyCycle)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.opts.Warm.Interval = interval
-	e.opts.Warm.DutyCycle = dutyCycle
+	e.warmInterval, e.warmDuty = interval, dutyCycle
+	return nil
 }
 
-// SetPhaseDeadlines replaces the per-phase watchdog budget table for
-// updates started after this call (nil restores the default profile; an
-// explicitly empty map disables the watchdog). The fleet orchestrator
-// uses this to divide a rollout wave's deadline budget across its
-// members before each member's update. Must not be called while an
-// update on this engine is in flight.
-func (e *Engine) SetPhaseDeadlines(deadlines map[string]time.Duration) {
+// SetPhaseDeadlines sets the per-phase watchdog budgets (keys are the WD*
+// phase names) for updates started after this call. The given budgets
+// replace those phases' defaults and every unlisted phase keeps its
+// DefaultPhaseDeadlines budget; nil restores the whole default profile.
+// A phase exceeding its budget is aborted and the update rolls back with
+// RollbackCause "deadline:<phase>". An unknown phase is refused. The
+// fleet orchestrator uses this to divide a rollout wave's deadline budget
+// across its members before each member's update.
+func (e *Engine) SetPhaseDeadlines(deadlines map[string]time.Duration) error {
+	table := DefaultPhaseDeadlines()
+	for ph, d := range deadlines {
+		if _, ok := table[ph]; !ok {
+			return fmt.Errorf("core: unknown watchdog phase %q", ph)
+		}
+		table[ph] = d
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if deadlines == nil {
-		deadlines = DefaultPhaseDeadlines()
-	}
-	e.opts.Watchdog.PhaseDeadlines = deadlines
+	e.deadlines = table
+	return nil
 }
 
 // stopAndDiscard halts a daemon and discards its checkpoint, handing
@@ -656,7 +577,7 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 		e.mu.Unlock()
 	}
 	rep := &UpdateReport{}
-	if e.opts.Transfer.Adopt {
+	if e.opts.Adopt {
 		rep.ledger = &mem.AdoptLedger{}
 	}
 	start := time.Now()
@@ -670,6 +591,7 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	e.opts.Recorder.Metrics().Counter("core.updates").Add(1)
 	e.mu.Lock()
 	e.updating = true
+	deadlines := e.deadlines
 	e.mu.Unlock()
 	// Detach the warm daemon (if armed) and adopt its snapshotter and
 	// analysis: the Stop join is part of the request's true latency, so it
@@ -687,7 +609,7 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	// The watchdog monitors this attempt's phase budgets and owns the
 	// pipeline cancel channel; the stop join runs before the bookkeeping
 	// defer so no monitor goroutine outlives its update.
-	wd := newWatchdog(e.opts.Watchdog.PhaseDeadlines, e.opts.Faults, e.opts.Recorder)
+	wd := newWatchdog(deadlines, e.opts.Faults, e.opts.Recorder)
 	defer wd.stop()
 	return rep, e.lifecycle(old, v2, rep, warm, wd)
 }
@@ -815,15 +737,14 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 // transferOptions builds the REMAP options. cancel is the update's
 // watchdog-owned pipeline cancel, so a deadline trip and an explicit abort
 // drain the transfer work identically. rep carries the update's adoption
-// ledger (nil unless Transfer.Adopt), which records every donated page
+// ledger (nil unless Options.Adopt), which records every donated page
 // frame so rollback and the canary window can make the old side whole.
 func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}, rep *UpdateReport) trace.Options {
 	topts := trace.Options{
 		Policy:             e.policy,
-		TransferLibs:       e.opts.TransferLibs,
-		DisableDirtyFilter: e.opts.Transfer.DisableDirtyFilter,
-		VerifyShadows:      e.opts.Transfer.VerifyTransfer,
-		Adopt:              e.opts.Transfer.Adopt,
+		DisableDirtyFilter: e.opts.DisableDirtyFilter,
+		VerifyShadows:      e.opts.Audit,
+		Adopt:              e.opts.Adopt,
 		Ledger:             rep.ledger,
 		Recorder:           e.opts.Recorder,
 		Faults:             e.opts.Faults,
@@ -837,9 +758,9 @@ func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan str
 
 // auditRollback recomputes the old instance's state digest just before
 // it resumes from a rollback and compares it against the quiesce-time
-// capture (Options.VerifyRollback).
+// capture (Options.Audit).
 func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
-	if !e.opts.Watchdog.VerifyRollback || rep.preDigest == 0 {
+	if !e.opts.Audit || rep.preDigest == 0 {
 		return
 	}
 	d, err := trace.StateDigest(old)
@@ -982,7 +903,7 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 			return abort(nil, wd.wrap(fmt.Errorf("checkpoint: %w", err)))
 		}
 	} else {
-		an = trace.NewWarmAnalysis(e.policy, e.opts.TransferLibs)
+		an = trace.NewWarmAnalysis(e.policy, nil)
 	}
 	// An empty analysis (a cold update, or a daemon detached before its
 	// first pass) gets one refresh here, where the old version is still
@@ -1020,7 +941,7 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 		}
 		// The rollback audit's reference digest, while nothing else is
 		// reading or writing the old side (0, no audit, if it fails).
-		if e.opts.Watchdog.VerifyRollback {
+		if e.opts.Audit {
 			rep.preDigest, _ = trace.StateDigest(old)
 		}
 		return nil

@@ -12,14 +12,10 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// faultOpts builds the standard fault-test engine configuration: verified
-// transfer, verified rollback, and the given plane.
+// faultOpts builds the standard fault-test engine configuration: both
+// verifiers and the given plane.
 func faultOpts(p *faultinject.Plane) Options {
-	return Options{
-		Transfer: TransferOptions{VerifyTransfer: true},
-		Watchdog: WatchdogOptions{VerifyRollback: true},
-		Faults:   p,
-	}
+	return Options{Audit: true, Faults: p}
 }
 
 // waitFired waits until the armed point pt has fired: a loaded machine can
@@ -44,7 +40,7 @@ func TestInjectedFaultsRollBackWithCause(t *testing.T) {
 		point     faultinject.Point
 		wantCause string
 		// postQuiesce marks faults that fire after the digest capture, so
-		// the VerifyRollback audit applies.
+		// the rollback audit applies.
 		postQuiesce bool
 		// warm arms the daemon, whose next epoch the point must hit
 		// before the update adopts it.
@@ -106,12 +102,12 @@ func TestInjectedFaultsRollBackWithCause(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			plane := faultinject.New(1)
 			opts := faultOpts(plane)
-			if tc.warm {
-				opts.Warm = WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
-			}
 			opts.Sequential = tc.sequential
 			e, k := launchEchod(t, opts)
 			defer e.Shutdown()
+			if tc.warm {
+				armWarm(t, e)
+			}
 			c1, err := k.Connect(7000)
 			if err != nil {
 				t.Fatal(err)
@@ -207,9 +203,11 @@ func TestWatchdogRecoversHungRestart(t *testing.T) {
 			opts := faultOpts(plane)
 			opts.Sequential = seq
 			opts.StartupTimeout = 5 * time.Minute // watchdog must win, not this
-			opts.Watchdog.PhaseDeadlines = map[string]time.Duration{WDRestart: 150 * time.Millisecond}
 			e, k := launchEchod(t, opts)
 			defer e.Shutdown()
+			if err := e.SetPhaseDeadlines(map[string]time.Duration{WDRestart: 150 * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
 			c1, err := k.Connect(7000)
 			if err != nil {
 				t.Fatal(err)
@@ -256,10 +254,11 @@ func TestWatchdogRecoversHungRestart(t *testing.T) {
 // rollback reports deadline:transfer.
 func TestWatchdogRecoversStalledTransfer(t *testing.T) {
 	plane := faultinject.New(1)
-	opts := faultOpts(plane)
-	opts.Watchdog.PhaseDeadlines = map[string]time.Duration{WDTransfer: 150 * time.Millisecond}
-	e, k := launchEchod(t, opts)
+	e, k := launchEchod(t, faultOpts(plane))
 	defer e.Shutdown()
+	if err := e.SetPhaseDeadlines(map[string]time.Duration{WDTransfer: 150 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	c1, err := k.Connect(7000)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +287,7 @@ func TestWatchdogRecoversStalledTransfer(t *testing.T) {
 }
 
 // TestTransferCorruptionCaughtByVerifier flips one byte in a warm
-// daemon's shadow served to the downtime copy: the VerifyTransfer
+// daemon's shadow served to the downtime copy: the Audit transfer
 // cross-check must catch the divergence as a conflict (the silent fault's
 // *detector* is the verifier, so the cause classifies as a plain update
 // conflict) and the rollback must hand back bit-identical old state.
@@ -338,10 +337,9 @@ func TestTransferCorruptionCaughtByVerifier(t *testing.T) {
 // instead of trusting shadows of unknown currency.
 func TestDaemonStallPoisonsAdoptedCheckpoint(t *testing.T) {
 	plane := faultinject.New(1)
-	opts := faultOpts(plane)
-	opts.Warm = WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
-	e, k := launchEchod(t, opts)
+	e, k := launchEchod(t, faultOpts(plane))
 	defer e.Shutdown()
+	armWarm(t, e)
 	c1, err := k.Connect(7000)
 	if err != nil {
 		t.Fatal(err)
@@ -471,8 +469,9 @@ func TestCanaryMonitorDeathFailsafe(t *testing.T) {
 // panic or double-resolve — it simply satisfies the next wait (the same
 // collapse rule resolveCanary applies to a deadline racing a breach).
 func TestWaitLateCompletionIsBenign(t *testing.T) {
-	e, k := launchEchod(t, Options{Warm: WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}})
+	e, k := launchEchod(t, Options{})
 	defer e.Shutdown()
+	armWarm(t, e)
 	c1, err := k.Connect(7000)
 	if err != nil {
 		t.Fatal(err)
@@ -510,25 +509,5 @@ func TestWaitLateCompletionIsBenign(t *testing.T) {
 	e.DisarmCanary()
 	if st := e.CanaryStatus(); st.Open || st.LastOutcome != "finalized" {
 		t.Fatalf("status after double disarm: open=%v outcome=%q", st.Open, st.LastOutcome)
-	}
-}
-
-// TestWatchdogDisabledByEmptyMap pins the Options contract: nil selects
-// the default profile, an explicitly empty map turns the watchdog off
-// (and an update still runs normally with no monitor goroutine).
-func TestWatchdogDisabledByEmptyMap(t *testing.T) {
-	e, k := launchEchod(t, Options{Watchdog: WatchdogOptions{Disable: true}})
-	defer e.Shutdown()
-	c1, err := k.Connect(7000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendRecv(t, c1, "a")
-	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
-	if err != nil || rep.RolledBack {
-		t.Fatalf("update with watchdog off: err=%v rolledback=%v", err, rep.RolledBack)
-	}
-	if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v2:after:") {
-		t.Fatalf("post-update reply = %q", got)
 	}
 }

@@ -57,10 +57,10 @@ func phaseIndex(name string) int {
 func TestSchedulesEquivalentAndLedgerCloses(t *testing.T) {
 	flavors := []struct {
 		name string
-		opts Options
+		warm bool
 	}{
-		{"cold", Options{}},
-		{"warm", Options{Warm: WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}}},
+		{"cold", false},
+		{"warm", true},
 	}
 	type outcome struct{ checksum, digest uint64 }
 	for _, fl := range flavors {
@@ -69,26 +69,24 @@ func TestSchedulesEquivalentAndLedgerCloses(t *testing.T) {
 			for si, sequential := range []bool{true, false} {
 				name := fmt.Sprintf("%s/sequential=%v/rollback=%v", fl.name, sequential, rollback)
 				t.Run(name, func(t *testing.T) {
-					opts := fl.opts
-					opts.Sequential = sequential
-					opts.Transfer.VerifyTransfer = true
-					opts.Watchdog.VerifyRollback = true
 					rec := obs.New(1 << 16)
-					opts.Recorder = rec
-					e, k := launchEchod(t, opts)
+					e, k := launchEchod(t, Options{Sequential: sequential, Audit: true, Recorder: rec})
 					defer e.Shutdown()
+					if fl.warm {
+						armWarm(t, e)
+					}
 					cc, err := k.Connect(7000)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sendRecv(t, cc, "a")
 					sendRecv(t, cc, "b")
-					if opts.Warm.Enabled && !e.WarmWait(10*time.Second) {
+					if fl.warm && !e.WarmWait(10*time.Second) {
 						t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
 					}
 					old := e.Current()
 					var snap *checkpoint.Snapshotter
-					if opts.Warm.Enabled {
+					if fl.warm {
 						snap = armedSnapshot(t, e)
 					}
 
@@ -224,10 +222,7 @@ func scandVersion(release string, seq int) *program.Version {
 // see it.)
 func TestEarlyAbortLeavesNoAnalysisGoroutine(t *testing.T) {
 	plane := faultinject.New(1)
-	e, err := NewEngine(kernel.New(), Options{
-		Warm:   WarmOptions{Enabled: true, Interval: 200 * time.Microsecond},
-		Faults: plane,
-	})
+	e, err := NewEngine(kernel.New(), Options{Faults: plane})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +231,7 @@ func TestEarlyAbortLeavesNoAnalysisGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Shutdown()
+	armWarm(t, e)
 
 	// scand writes nothing after startup: rewrite the anchor with its own
 	// value so the daemon's next pass runs an epoch, which the armed point
@@ -300,13 +296,11 @@ func lingerdVersion(release string, seq int, linger func()) *program.Version {
 func TestCommitBudgetBreachedPastCommitPointStands(t *testing.T) {
 	rec := obs.New(1 << 12)
 	breaches := rec.Metrics().Counter("core.deadline_breaches")
-	deadlines := DefaultPhaseDeadlines()
-	deadlines[WDCommit] = 20 * time.Millisecond
-	e, err := NewEngine(kernel.New(), Options{
-		Recorder: rec,
-		Watchdog: WatchdogOptions{PhaseDeadlines: deadlines},
-	})
+	e, err := NewEngine(kernel.New(), Options{Recorder: rec})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetPhaseDeadlines(map[string]time.Duration{WDCommit: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	linger := func() {

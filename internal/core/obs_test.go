@@ -34,12 +34,13 @@ func findSpan(spans []obs.PhaseSpan, track, phase string) (obs.PhaseSpan, bool) 
 // and asserts the recorded event stream is well-formed (every begin has a
 // matching end, nothing left open) and the engine-track phases run in
 // exactly the order each engine promises. This is the observability
-// contract the `events` command, the trace export and mcr-profile all
-// build on: if a phase goes missing or reorders, every consumer lies.
+// contract the `events` command and the trace export build on: if a
+// phase goes missing or reorders, every consumer lies.
 func TestUpdatePhaseOrdering(t *testing.T) {
 	cases := []struct {
 		name string
 		opts Options
+		warm bool
 		// canary: "" = none, otherwise the expected window verdict
 		// ("finalized" or "reverted").
 		canary string
@@ -50,34 +51,35 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 	}{
 		{
 			name:       "sequential",
-			opts:       Options{Sequential: true, Transfer: TransferOptions{VerifyTransfer: true}},
+			opts:       Options{Sequential: true, Audit: true},
 			wantEngine: []string{obs.PhaseUpdate, obs.PhaseQuiesce, obs.PhaseAnalyze, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:       "pipelined",
-			opts:       Options{Transfer: TransferOptions{VerifyTransfer: true}},
+			opts:       Options{Audit: true},
 			wantEngine: []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:       "warm",
-			opts:       Options{Warm: WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}, Transfer: TransferOptions{VerifyTransfer: true}},
+			opts:       Options{Audit: true},
+			warm:       true,
 			wantEngine: []string{obs.PhaseUpdate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:       "canary-accept",
-			opts:       Options{Transfer: TransferOptions{VerifyTransfer: true}},
+			opts:       Options{Audit: true},
 			canary:     "finalized",
 			wantEngine: []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:       "canary-revert",
-			opts:       Options{Transfer: TransferOptions{VerifyTransfer: true}},
+			opts:       Options{Audit: true},
 			canary:     "reverted",
 			wantEngine: []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:         "rollback-mid-update",
-			opts:         Options{Transfer: TransferOptions{VerifyTransfer: true}},
+			opts:         Options{Audit: true},
 			conflictPort: true,
 			wantEngine:   []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRollback},
 		},
@@ -89,6 +91,9 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 			tc.opts.Recorder = rec
 			e, k := launchEchod(t, tc.opts)
 			defer e.Shutdown()
+			if tc.warm {
+				armWarm(t, e)
+			}
 
 			// A little session traffic so the transfer has mutable state to
 			// move (a traffic-free update transfers nothing and digests no
@@ -115,7 +120,7 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 					}
 				}
 			}
-			if tc.opts.Warm.Enabled && !e.WarmWait(5*time.Second) {
+			if tc.warm && !e.WarmWait(5*time.Second) {
 				t.Fatal("warm daemon never became current")
 			}
 
@@ -176,7 +181,7 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 			}
 
 			// Transfer track: per-process discovery and copy ran (and with
-			// VerifyTransfer, the aggregate checksum instant) — except on
+			// Audit, the aggregate checksum instant) — except on
 			// the rollback flavor, which dies before the transfer completes.
 			if !tc.conflictPort {
 				if _, ok := findSpan(spans, obs.TrackTransfer, obs.PhaseDiscover); !ok {
@@ -284,7 +289,7 @@ func TestControllerEventsCommand(t *testing.T) {
 	}
 
 	rec := obs.New(0)
-	e, _ := launchEchod(t, Options{Recorder: rec, Transfer: TransferOptions{VerifyTransfer: true}})
+	e, _ := launchEchod(t, Options{Recorder: rec, Audit: true})
 	defer e.Shutdown()
 	c := NewController(e, "/run/mcr.sock")
 	c.Stage(echodVersion("2.0", 1, "v2", true, 7000))

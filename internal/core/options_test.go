@@ -1,65 +1,98 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/kernel"
 )
 
-func TestOptionsValidate(t *testing.T) {
-	cases := []struct {
-		name    string
-		opts    Options
-		wantErr string // substring; empty means valid
-	}{
-		{"zero value", Options{}, ""},
-		{"default preset", DefaultOptions(), ""},
-		{"audit preset", AuditOptions(), ""},
-		{"full coherent", Options{
-			Transfer: TransferOptions{Adopt: true, VerifyTransfer: true},
-			Warm:     WarmOptions{Enabled: true, Interval: 200 * time.Microsecond, DutyCycle: 0.25},
-			Canary:   CanaryOptions{Window: 100 * time.Millisecond},
-			Watchdog: WatchdogOptions{PhaseDeadlines: DefaultPhaseDeadlines(), VerifyRollback: true},
-		}, ""},
-		{"warm interval without enable", Options{
-			Warm: WarmOptions{Interval: time.Millisecond}}, "without Warm.Enabled"},
-		{"duty cycle out of range", Options{
-			Warm: WarmOptions{Enabled: true, DutyCycle: 1.5}}, "DutyCycle"},
-		{"disable with deadlines", Options{
-			Watchdog: WatchdogOptions{Disable: true,
-				PhaseDeadlines: map[string]time.Duration{WDRestart: time.Second}}},
-			"Disable set alongside"},
-		{"empty deadline map", Options{
-			Watchdog: WatchdogOptions{PhaseDeadlines: map[string]time.Duration{}}},
-			"ambiguous"},
-		{"unknown phase", Options{
-			Watchdog: WatchdogOptions{PhaseDeadlines: map[string]time.Duration{
-				"bogus": time.Second}}}, "unknown phase"},
+func newIdleEngine(t *testing.T) *Engine {
+	t.Helper()
+	e, err := NewEngine(kernel.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.opts.Validate()
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
-			}
-		})
+	return e
+}
+
+func (e *Engine) phaseDeadlines() map[string]time.Duration {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.deadlines
+}
+
+// TestSetPhaseDeadlinesKeepsUnlistedDefaults pins the watchdog setter's
+// merge: a budget given for one phase leaves every other phase at its
+// default (mcr-ctl -deadline restart=250ms must not unbudget the
+// transfer), nil restores the default profile, and an unknown phase is
+// refused without touching the table.
+func TestSetPhaseDeadlinesKeepsUnlistedDefaults(t *testing.T) {
+	e := newIdleEngine(t)
+	defaults := DefaultPhaseDeadlines()
+	if err := e.SetPhaseDeadlines(map[string]time.Duration{WDRestart: 250 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	got := e.phaseDeadlines()
+	if len(got) != len(defaults) {
+		t.Fatalf("table has %d phases, want %d: %v", len(got), len(defaults), got)
+	}
+	for ph, def := range defaults {
+		want := def
+		if ph == WDRestart {
+			want = 250 * time.Millisecond
+		}
+		if got[ph] != want {
+			t.Errorf("phase %s budget = %v, want %v", ph, got[ph], want)
+		}
+	}
+
+	if err := e.SetPhaseDeadlines(map[string]time.Duration{"bogus": time.Second}); err == nil {
+		t.Error("unknown phase accepted")
+	}
+	if got := e.phaseDeadlines()[WDRestart]; got != 250*time.Millisecond {
+		t.Errorf("a refused table changed the restart budget to %v", got)
+	}
+
+	if err := e.SetPhaseDeadlines(nil); err != nil {
+		t.Fatal(err)
+	}
+	for ph, def := range defaults {
+		if got := e.phaseDeadlines()[ph]; got != def {
+			t.Errorf("after nil: phase %s budget = %v, want default %v", ph, got, def)
+		}
 	}
 }
 
-// TestNewEngineRejectsInvalidOptions pins the construction contract: the
-// incoherent combination surfaces as a NewEngine error, not a silently
-// ignored field.
-func TestNewEngineRejectsInvalidOptions(t *testing.T) {
-	_, err := NewEngine(kernel.New(), Options{Warm: WarmOptions{Interval: time.Millisecond}})
-	if err == nil || !strings.Contains(err.Error(), "Warm.Enabled") {
-		t.Fatalf("NewEngine = %v, want Warm.Enabled validation error", err)
+// TestSetWarmPacingRejectsDutyCycleOutOfRange pins the pacing setter's
+// range check: a duty cycle is a fraction of wall clock.
+func TestSetWarmPacingRejectsDutyCycleOutOfRange(t *testing.T) {
+	e := newIdleEngine(t)
+	for _, duty := range []float64{0, 0.25, 1} {
+		if err := e.SetWarmPacing(time.Millisecond, duty); err != nil {
+			t.Errorf("duty cycle %g refused: %v", duty, err)
+		}
+	}
+	for _, duty := range []float64{-0.1, 1.5} {
+		if err := e.SetWarmPacing(time.Millisecond, duty); err == nil {
+			t.Errorf("duty cycle %g accepted", duty)
+		}
+	}
+	if e.warmDuty != 1 {
+		t.Errorf("refused settings changed the duty cycle to %g", e.warmDuty)
+	}
+}
+
+// TestCtlReplyWaitOutlastsDefaultProfile pins the controller client's
+// reply wait to the watchdog: an update that wedges under the default
+// profile must roll back, and its reply must arrive, before the client
+// gives up on it.
+func TestCtlReplyWaitOutlastsDefaultProfile(t *testing.T) {
+	var profile time.Duration
+	for _, budget := range DefaultPhaseDeadlines() {
+		profile += budget
+	}
+	if w := ctlReplyWait(); w <= profile {
+		t.Fatalf("reply wait %v does not outlast the default profile %v", w, profile)
 	}
 }

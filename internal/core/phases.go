@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Lifecycle phase names: the keys of Options.PhaseDeadlines, the Phase of
+// Lifecycle phase names: the keys of SetPhaseDeadlines, the Phase of
 // every PhaseRecord and the <phase> of a "deadline:<phase>" rollback
 // cause. They are coarser than the obs span names: one budget covers a
 // phase and the joins it implies (WDTransfer spans the old-side join,

@@ -12,12 +12,24 @@ import (
 	"repro/internal/types"
 )
 
+// armWarm arms the warm daemon over e's running instance at a tight
+// interval.
+func armWarm(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.SetWarmPacing(200*time.Microsecond, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ArmWarm(); err != nil {
+		t.Fatalf("ArmWarm: %v", err)
+	}
+}
+
 // warmEchod launches echod with the warm daemon armed at a tight
 // interval and waits until it has caught up with startup traffic.
 func warmEchod(t *testing.T, opts Options) (*Engine, *kernel.Kernel) {
 	t.Helper()
-	opts.Warm = WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
 	e, k := launchEchod(t, opts)
+	armWarm(t, e)
 	if !e.WarmWait(10 * time.Second) {
 		t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
 	}
@@ -82,15 +94,11 @@ func TestWarmMatchesColdDeterminism(t *testing.T) {
 	}
 	drive := func(mode string) run {
 		t.Helper()
-		opts := Options{}
-		switch mode {
-		case "sequential":
-			opts.Sequential = true
-		case "warm":
-			opts.Warm = WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
-		}
-		e, k := launchEchod(t, opts)
+		e, k := launchEchod(t, Options{Sequential: mode == "sequential"})
 		t.Cleanup(e.Shutdown)
+		if mode == "warm" {
+			armWarm(t, e)
+		}
 		c1, err := k.Connect(7000)
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +343,7 @@ func idleLoop(t *program.Thread) error {
 func TestWarmForkSkewOnlyMutatedProcsReanalyzed(t *testing.T) {
 	const children = 3
 	k := kernel.New()
-	e, err := NewEngine(k, Options{Warm: WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}})
+	e, err := NewEngine(k, Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -343,6 +351,7 @@ func TestWarmForkSkewOnlyMutatedProcsReanalyzed(t *testing.T) {
 		t.Fatalf("Launch: %v", err)
 	}
 	defer e.Shutdown()
+	armWarm(t, e)
 	inst := e.Current()
 	procs := inst.Procs()
 	if len(procs) != children+1 {

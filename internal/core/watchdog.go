@@ -15,10 +15,10 @@ import (
 // wedged daemon join — left the engine stuck holding a quiesced old
 // instance forever. The watchdog turns a hang into the standard failure
 // path: each update runs under a monitor goroutine with one budget per
-// phase (Options.PhaseDeadlines); on expiry it cancels the old-side
-// pipeline (the same drain-not-abandon Options.Cancel semantics the
-// abort path uses), releases any injected stalls, and fails the phase,
-// so the engine unwinds through its normal rollback with
+// phase (Engine.SetPhaseDeadlines); on expiry it closes the pipeline
+// cancel channel (the same drain-not-abandon trace.Options.Cancel
+// semantics the abort path uses), releases any injected stalls, and fails
+// the phase, so the engine unwinds through its normal rollback with
 // RollbackCause "deadline:<phase>" instead of wedging.
 
 // DeadlineError reports a watchdog-aborted phase. Rollback-cause
@@ -42,17 +42,16 @@ func (e *DeadlineError) Unwrap() error { return e.Cause }
 // watchdog monitors one update attempt. It owns the pipeline cancel
 // channel: a deadline trip and an explicit abort close the same channel,
 // so every cancel consumer (transfer workers, injected stalls, the
-// RESTART hang point) unwinds identically for both. A watchdog built
-// with no deadlines never trips and runs no goroutine.
+// RESTART hang point) unwinds identically for both.
 type watchdog struct {
 	deadlines map[string]time.Duration
 	plane     *faultinject.Plane
 	rec       *obs.Recorder
 
-	cancel     chan struct{} // the update's pipeline cancel; see Options.Cancel
+	cancel     chan struct{} // the update's pipeline cancel; see trace.Options.Cancel
 	cancelOnce sync.Once
 
-	phaseC chan string // nil when no monitor goroutine runs
+	phaseC chan string
 	quit   chan struct{}
 	done   chan struct{}
 
@@ -67,14 +66,10 @@ func newWatchdog(deadlines map[string]time.Duration, plane *faultinject.Plane, r
 		plane:     plane,
 		rec:       rec,
 		cancel:    make(chan struct{}),
+		phaseC:    make(chan string),
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	if len(deadlines) == 0 {
-		close(w.done)
-		return w
-	}
-	w.phaseC = make(chan string)
 	go w.run()
 	return w
 }
@@ -118,9 +113,6 @@ func (w *watchdog) run() {
 
 // setPhase starts phase ph's budget; "" stops the clock between phases.
 func (w *watchdog) setPhase(ph string) {
-	if w.phaseC == nil {
-		return
-	}
 	select {
 	case w.phaseC <- ph:
 	case <-w.done: // tripped or stopped; the phase clock no longer matters

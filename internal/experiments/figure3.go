@@ -140,9 +140,9 @@ func RunDirtyStats(scale Scale) ([]DirtyStats, error) {
 		d := DirtyStats{Name: spec.Name, Connections: conns}
 		for _, disable := range []bool{false, true} {
 			e, k, err := launchServer(spec, core.Options{
-				Transfer:       core.TransferOptions{DisableDirtyFilter: disable},
-				QuiesceTimeout: 30 * time.Second,
-				StartupTimeout: 30 * time.Second,
+				DisableDirtyFilter: disable,
+				QuiesceTimeout:     30 * time.Second,
+				StartupTimeout:     30 * time.Second,
 			})
 			if err != nil {
 				return nil, err

@@ -215,11 +215,11 @@ type heapRun struct {
 	sum uint64
 }
 
-// updateHeap launches version(0) with opts, rewrites its whole heap (the
-// post-startup state every mode must transfer identically), lets an
-// armed warm daemon catch up, updates to version(1) and digests the
-// result.
-func updateHeap(t *testing.T, opts core.Options, version func(seq int) *program.Version) heapRun {
+// updateHeap launches version(0) with opts, arms the warm daemon paced at
+// warm (none when 0), rewrites its whole heap (the post-startup state
+// every mode must transfer identically), lets the daemon catch up,
+// updates to version(1) and digests the result.
+func updateHeap(t *testing.T, opts core.Options, warm time.Duration, version func(seq int) *program.Version) heapRun {
 	t.Helper()
 	opts.QuiesceTimeout = 30 * time.Second
 	opts.StartupTimeout = 30 * time.Second
@@ -231,10 +231,13 @@ func updateHeap(t *testing.T, opts core.Options, version func(seq int) *program.
 	if _, err := e.Launch(version(0)); err != nil {
 		t.Fatal(err)
 	}
+	if warm > 0 {
+		armWarm(t, e, warm, 0)
+	}
 	if err := rewriteHeap(e.Current().Root(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if opts.Warm.Enabled && !e.WarmWait(30*time.Second) {
+	if warm > 0 && !e.WarmWait(30*time.Second) {
 		t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
 	}
 	rep, err := e.Update(version(1))
@@ -354,18 +357,13 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 	const blobs, size = 256, 8192
 	blob := func(seq int) *program.Version { return blobVersion(seq, blobs, size) }
 	mode := func(sequential, adopt bool) core.Options {
-		return core.Options{
-			Sequential: sequential,
-			Transfer:   core.TransferOptions{Adopt: adopt, VerifyTransfer: true},
-		}
+		return core.Options{Sequential: sequential, Adopt: adopt, Audit: true}
 	}
-	seq := updateHeap(t, mode(true, false), blob)
-	pipe := updateHeap(t, mode(false, false), blob)
-	warm := mode(false, true)
-	warm.Warm = core.WarmOptions{Enabled: true, Interval: 200 * time.Microsecond}
+	seq := updateHeap(t, mode(true, false), 0, blob)
+	pipe := updateHeap(t, mode(false, false), 0, blob)
 	adopters := map[string]heapRun{
-		"pipelined+adopt": updateHeap(t, mode(false, true), blob),
-		"warm+adopt":      updateHeap(t, warm, blob),
+		"pipelined+adopt": updateHeap(t, mode(false, true), 0, blob),
+		"warm+adopt":      updateHeap(t, mode(false, true), 200*time.Microsecond, blob),
 	}
 
 	if seq.sum != pipe.sum || seq.rep.Transfer.Checksum != pipe.rep.Transfer.Checksum {
@@ -398,7 +396,7 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 		}
 	}
 
-	typed := updateHeap(t, mode(false, true), func(seq int) *program.Version { return typedVersion(seq, blobs) })
+	typed := updateHeap(t, mode(false, true), 0, func(seq int) *program.Version { return typedVersion(seq, blobs) })
 	if typed.rep.Transfer.PagesAdopted != 0 || typed.rep.Transfer.BytesAdopted != 0 {
 		t.Errorf("type-changing update adopted %d pages (%d bytes)",
 			typed.rep.Transfer.PagesAdopted, typed.rep.Transfer.BytesAdopted)
@@ -408,7 +406,8 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 	// complete after commit; adoption must not cut one off.
 	spec := servers.HttpdSpec()
 	e, k, err := launchServer(spec, core.Options{
-		Transfer:       core.TransferOptions{Adopt: true, VerifyTransfer: true},
+		Adopt:          true,
+		Audit:          true,
 		QuiesceTimeout: 30 * time.Second,
 		StartupTimeout: 30 * time.Second,
 	})
@@ -437,15 +436,17 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 // warm fast path.
 func TestTransferChecksumBitIdenticalAcrossEngines(t *testing.T) {
 	blob := func(seq int) *program.Version { return blobVersion(seq, 64, 2048) }
-	verified := core.TransferOptions{VerifyTransfer: true}
-	runs := map[string]core.Options{
-		"sequential": {Sequential: true, Transfer: verified},
-		"cold":       {Transfer: verified},
-		"warm":       {Transfer: verified, Warm: core.WarmOptions{Enabled: true, Interval: 500 * time.Microsecond}},
+	runs := map[string]struct {
+		opts core.Options
+		warm time.Duration
+	}{
+		"sequential": {core.Options{Sequential: true, Audit: true}, 0},
+		"cold":       {core.Options{Audit: true}, 0},
+		"warm":       {core.Options{Audit: true}, 500 * time.Microsecond},
 	}
 	sums := map[string]uint64{}
-	for name, opts := range runs {
-		sums[name] = updateHeap(t, opts, blob).rep.Transfer.Checksum
+	for name, r := range runs {
+		sums[name] = updateHeap(t, r.opts, r.warm, blob).rep.Transfer.Checksum
 		if sums[name] == 0 {
 			t.Fatalf("%s: no checksum recorded", name)
 		}
@@ -464,9 +465,9 @@ func TestTransferChecksumBitIdenticalAcrossEngines(t *testing.T) {
 // copy from shadows.
 func TestWarmStandbyBitIdenticalAndFastPath(t *testing.T) {
 	blob := func(seq int) *program.Version { return blobVersion(seq, 256, 8192) }
-	seq := updateHeap(t, core.Options{Sequential: true}, blob)
-	cold := updateHeap(t, core.Options{}, blob)
-	warm := updateHeap(t, core.Options{Warm: core.WarmOptions{Enabled: true, Interval: 500 * time.Microsecond}}, blob)
+	seq := updateHeap(t, core.Options{Sequential: true}, 0, blob)
+	cold := updateHeap(t, core.Options{}, 0, blob)
+	warm := updateHeap(t, core.Options{}, 500*time.Microsecond, blob)
 
 	if warm.sum != cold.sum || warm.sum != seq.sum {
 		t.Errorf("state sums differ: %#x / %#x / %#x", seq.sum, cold.sum, warm.sum)
@@ -495,17 +496,16 @@ func TestWarmForksSkewedRevalidation(t *testing.T) {
 	const children, blobs, size = 6, 24, 1024
 	const procs, writers, rounds = children + 1, 2, 3
 	run := func(warm bool) (*core.UpdateReport, uint64, []*program.Proc) {
-		opts := core.Options{QuiesceTimeout: 30 * time.Second, StartupTimeout: 30 * time.Second}
-		if warm {
-			opts.Warm = core.WarmOptions{Enabled: true, Interval: 500 * time.Microsecond}
-		}
-		e, err := core.NewEngine(kernel.New(), opts)
+		e, err := core.NewEngine(kernel.New(), core.Options{QuiesceTimeout: 30 * time.Second, StartupTimeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Shutdown()
 		if _, err := e.Launch(forkVersion(0, children, blobs, size)); err != nil {
 			t.Fatal(err)
+		}
+		if warm {
+			armWarm(t, e, 500*time.Microsecond, 0)
 		}
 		// The daemon's initial pass completes before the writes, so the
 		// tally is exact: initial analysis plus one per absorbed round.

@@ -62,6 +62,18 @@ func serveLive(t *testing.T, spec *servers.Spec, opts core.Options) (*core.Engin
 	return e, drv
 }
 
+// armWarm arms e's warm daemon over its running instance, paced at
+// interval and duty (0 = the daemon's default duty cycle).
+func armWarm(t *testing.T, e *core.Engine, interval time.Duration, duty float64) {
+	t.Helper()
+	if err := e.SetWarmPacing(interval, duty); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ArmWarm(); err != nil {
+		t.Fatalf("ArmWarm: %v", err)
+	}
+}
+
 // nextVersion returns the next release in e's history, clamped to the
 // last one spec has.
 func nextVersion(e *core.Engine, spec *servers.Spec) *program.Version {
@@ -101,12 +113,12 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 				e, k, err := launchServer(spec, core.Options{
 					QuiesceTimeout: 30 * time.Second,
 					StartupTimeout: 30 * time.Second,
-					Warm:           core.WarmOptions{Enabled: true, Interval: 2 * time.Millisecond},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer e.Shutdown()
+				armWarm(t, e, 2*time.Millisecond, 0)
 				sessions, err := workload.OpenSessions(k, spec.Name, spec.Port, conns)
 				if err != nil {
 					t.Fatal(err)
@@ -215,15 +227,12 @@ func TestRunOverheadLiveTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, drv := serveLive(t, spec, core.Options{Transfer: core.TransferOptions{VerifyTransfer: true}})
+			e, drv := serveLive(t, spec, core.Options{Audit: true})
 			if base := window(drv, liveWindow); base.Requests == 0 {
 				t.Fatalf("baseline served nothing (last err %v)", drv.LastError())
 			}
 			for _, duty := range []float64{0.05, 0.15, 0.30, 0.60} {
-				e.SetWarmPacing(200*time.Microsecond, duty)
-				if err := e.ArmWarm(); err != nil {
-					t.Fatalf("arm at duty %.2f: %v", duty, err)
-				}
+				armWarm(t, e, 200*time.Microsecond, duty)
 				e.WarmWait(liveWindow)
 				w := window(drv, liveWindow)
 				e.DisarmWarm()
@@ -233,10 +242,7 @@ func TestRunOverheadLiveTraffic(t *testing.T) {
 			}
 
 			update := func(expectRollback bool) {
-				e.SetWarmPacing(200*time.Microsecond, 0.25)
-				if err := e.ArmWarm(); err != nil {
-					t.Fatal(err)
-				}
+				armWarm(t, e, 200*time.Microsecond, 0.25)
 				defer e.DisarmWarm()
 				e.WarmWait(liveWindow)
 				before := drv.Snapshot()
@@ -299,15 +305,12 @@ func TestRunCanary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, drv := serveLive(t, spec, core.Options{Transfer: core.TransferOptions{VerifyTransfer: true}})
+			e, drv := serveLive(t, spec, core.Options{Audit: true})
 			base := window(drv, liveWindow)
 			if base.Requests == 0 {
 				t.Fatalf("baseline served nothing (last err %v)", drv.LastError())
 			}
-			e.SetWarmPacing(200*time.Microsecond, 0.25)
-			if err := e.ArmWarm(); err != nil {
-				t.Fatal(err)
-			}
+			armWarm(t, e, 200*time.Microsecond, 0.25)
 			e.WarmWait(liveWindow)
 			v := nextVersion(e, spec)
 			switch tc.scenario {
@@ -418,15 +421,11 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			rec := obs.New(1 << 14)
 			plane.AttachRecorder(rec)
 			opts := core.Options{
-				Transfer:       core.TransferOptions{VerifyTransfer: true},
-				Watchdog:       core.WatchdogOptions{VerifyRollback: true},
+				Audit:          true,
 				Faults:         plane,
 				QuiesceTimeout: 30 * time.Second,
 				StartupTimeout: 30 * time.Second,
 				Recorder:       rec,
-			}
-			if tc.deadlinePhase != "" {
-				opts.Watchdog.PhaseDeadlines = map[string]time.Duration{tc.deadlinePhase: 250 * time.Millisecond}
 			}
 			if tc.point == faultinject.PointRestartHang {
 				// Only the watchdog may recover the hang.
@@ -439,6 +438,11 @@ func TestFaultCampaignSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Shutdown()
+			if tc.deadlinePhase != "" {
+				if err := e.SetPhaseDeadlines(map[string]time.Duration{tc.deadlinePhase: 250 * time.Millisecond}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if _, err := e.Launch(spec.Version(0)); err != nil {
 				t.Fatal(err)
 			}

@@ -136,8 +136,7 @@ func CheckSpans(events []Event) error {
 }
 
 // PhaseTable renders spans as an aligned human-readable timeline — the
-// shared formatter behind the `events` ctl command and mcr-profile's
-// phase table, so both report identical numbers.
+// formatter behind the `events` ctl command.
 func PhaseTable(spans []PhaseSpan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%12s %10s %-9s %-16s %-18s %s\n", "start", "dur", "track", "phase", "proc", "detail")

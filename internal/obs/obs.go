@@ -12,9 +12,8 @@
 // registry unifying the ad-hoc stats. Exports: a Chrome-trace-event JSON
 // file (Perfetto-loadable, one track per subsystem so workload-latency
 // spikes visually line up with the daemon passes that caused them), a
-// human-readable phase timeline (shared by the `events` ctl command and
-// mcr-profile so both report identical numbers), and programmatic access
-// for experiments and invariant tests.
+// human-readable phase timeline (the `events` ctl command), and
+// programmatic access for experiments and invariant tests.
 //
 // Cost model: a nil *Recorder is fully disabled and every method is a
 // nil-check away from zero cost — no allocation, no atomic, pinned by

@@ -60,26 +60,11 @@ import (
 // on conflicts.
 type Engine = core.Engine
 
-// Options configures an Engine (tracing policy, instrumentation level,
-// replay matching strategy, timeouts). The update-path knobs are grouped
-// by subsystem — see TransferOptions, WarmOptions, CanaryOptions and
-// WatchdogOptions — and validated by NewEngine.
+// Options is what an Engine is built with (instrumentation level, replay
+// matching strategy, timeouts, the adoption fast path, the verifiers).
+// The runtime modes — warm standby, the canary window, the watchdog's
+// phase budgets — are set on the Engine by the calls that arm them.
 type Options = core.Options
-
-// TransferOptions groups the state-transfer knobs of Options (the
-// zero-copy page-adoption fast path, checksum verification, the
-// dirty-filter ablation).
-type TransferOptions = core.TransferOptions
-
-// WarmOptions groups the warm-standby readiness daemon knobs.
-type WarmOptions = core.WarmOptions
-
-// CanaryOptions groups the post-commit canary window knobs.
-type CanaryOptions = core.CanaryOptions
-
-// WatchdogOptions groups the per-phase deadline watchdog and rollback
-// audit knobs.
-type WatchdogOptions = core.WatchdogOptions
 
 // UpdateReport is the outcome of one live update: the three update-time
 // components (quiescence, control migration, state transfer), replay and
@@ -195,10 +180,7 @@ type PointerStats = trace.PointerStats
 // NewKernel creates a simulated OS instance.
 func NewKernel() *Kernel { return kernel.New() }
 
-// NewEngine builds a live-update engine over the kernel. The options are
-// validated first (Options.Validate); incoherent combinations — pacing
-// knobs for a subsystem that is not enabled, a malformed watchdog table —
-// are rejected with an error instead of being silently ignored.
+// NewEngine builds a live-update engine over the kernel.
 func NewEngine(k *Kernel, opts Options) (*Engine, error) { return core.NewEngine(k, opts) }
 
 // DefaultOptions returns the recommended engine configuration: the
