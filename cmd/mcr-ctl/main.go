@@ -30,21 +30,11 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "arm the flight recorder and write a Chrome-trace-event JSON file here (load in Perfetto or chrome://tracing)")
 		fault      = flag.String("fault", "", "arm fault-injection point(s), comma-separated (e.g. restart-hang or restart-crash,rollback-restore; see internal/faultinject); the update rolls back and mcr-ctl exits 3")
 		deadline   = flag.String("deadline", "", "per-phase watchdog budgets as phase=dur[,phase=dur...] (e.g. restart=250ms,transfer=1s); unlisted phases keep the default profile")
-
-		clusterN    = flag.Int("cluster", 0, "fleet mode: run N member instances and roll the update through them in waves (plan/apply; see -wave-size, -wave-budget, -abort-policy)")
-		waveSize    = flag.Int("wave-size", 1, "fleet: members updated per rollout wave")
-		waveBudget  = flag.Duration("wave-budget", 0, "fleet: total deadline budget per wave, divided across its members (0 = engine default phase budgets)")
-		abortPolicy = flag.String("abort-policy", "keep", "fleet: what happens to members already committed when the rollout aborts (keep | revert; revert requires -canary)")
-		planOut     = flag.String("plan-out", "", "fleet: write the rollout plan JSON here and exit without applying")
-		applyFile   = flag.String("apply", "", "fleet: execute a plan file written by -plan-out")
-		faultMember = flag.Int("fault-member", 0, "fleet: member index the -fault plane is installed on")
 	)
 	flag.Parse()
 
 	cfg := config{Server: *server, Updates: *updates, Adopt: *adopt,
-		Warm: *warm, Canary: *canarySpec, TraceOut: *traceOut, Fault: *fault, Deadlines: *deadline,
-		Cluster: *clusterN, WaveSize: *waveSize, WaveBudget: *waveBudget,
-		AbortPolicy: *abortPolicy, PlanOut: *planOut, Apply: *applyFile, FaultMember: *faultMember}
+		Warm: *warm, Canary: *canarySpec, TraceOut: *traceOut, Fault: *fault, Deadlines: *deadline}
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mcr-ctl:", err)
 		if errors.Is(err, errUsage) {

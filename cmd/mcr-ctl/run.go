@@ -87,25 +87,12 @@ type config struct {
 	TraceOut  string // write a Chrome-trace-event JSON file of the whole run
 	Fault     string // fault-injection point(s), comma-separated
 	Deadlines string // per-phase watchdog budgets, phase=dur[,phase=dur...]
-
-	// Fleet mode (see fleet.go): -cluster N runs a rolling update across
-	// an N-member fleet instead of the single-instance scenario.
-	Cluster     int           // fleet size (0 = single-instance mode)
-	WaveSize    int           // members per rollout wave
-	WaveBudget  time.Duration // total deadline budget per wave
-	AbortPolicy string        // keep | revert
-	PlanOut     string        // write the rollout plan JSON here and exit
-	Apply       string        // execute a previously written plan file
-	FaultMember int           // fleet member carrying the -fault plane
 }
 
 // run executes the whole scenario — launch, stage, update, verify the
 // client session — writing progress to out. Factored out of main so tests
 // can drive it end to end.
 func run(cfg config, out io.Writer) error {
-	if cfg.Cluster > 0 || cfg.Apply != "" {
-		return runFleet(cfg, out)
-	}
 	var slo canary.SLO
 	if cfg.Canary != "" {
 		var err error

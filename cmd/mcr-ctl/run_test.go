@@ -363,99 +363,3 @@ func TestRunDoubleFaultSecondaryOnCauseLine(t *testing.T) {
 		t.Errorf("output missing %q:\n%s", want, out.String())
 	}
 }
-
-func TestRunFleetRolloutDeploysAllMembers(t *testing.T) {
-	var out strings.Builder
-	err := run(config{Server: "httpd", Updates: 1, Cluster: 3, WaveSize: 2,
-		WaveBudget: 10 * time.Second}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"rollout plan: httpd fleet of 3 -> v1 in 2 waves",
-		"launched httpd fleet of 3",
-		"wave 0 start",
-		"wave 1 armed",
-		"fleet totals:",
-		"0 errors, 0 wrong responses",
-		"done: rollout complete; fleet on v1",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunFleetPlanOutThenApply(t *testing.T) {
-	planPath := filepath.Join(t.TempDir(), "plan.json")
-	var out strings.Builder
-	// Plan only: the file is written and nothing launches.
-	err := run(config{Server: "httpd", Updates: 1, Cluster: 2,
-		WaveBudget: 10 * time.Second, PlanOut: planPath}, &out)
-	if err != nil {
-		t.Fatalf("plan: %v\noutput:\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "plan written to "+planPath) {
-		t.Errorf("missing plan-written line:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "launched") {
-		t.Errorf("plan-only run launched a fleet:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(planPath)
-	if err != nil {
-		t.Fatalf("plan file: %v", err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatalf("plan file is not JSON: %v", err)
-	}
-	// Apply the written plan.
-	out.Reset()
-	if err := run(config{Apply: planPath}, &out); err != nil {
-		t.Fatalf("apply: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"loaded plan from " + planPath,
-		"done: rollout complete; fleet on v1",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunFleetAbortBubblesMemberCause(t *testing.T) {
-	// The fault plane on member 1 crashes its RESTART: the rollout aborts
-	// with the member's cause verbatim on the stable line, exit status 3.
-	var out strings.Builder
-	err := run(config{Server: "httpd", Updates: 1, Cluster: 3, WaveSize: 1,
-		WaveBudget: 10 * time.Second, Fault: "restart-crash", FaultMember: 1}, &out)
-	if !errors.Is(err, errRolledBack) {
-		t.Fatalf("err = %v, want errRolledBack\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"fault armed on member 1: restart-crash",
-		"member 1 rolled back: fault:restart-crash",
-		"rollback cause: fault:restart-crash",
-		"member 2 (wave 2): skipped",
-		"done: rollout aborted",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "wave 2 armed") {
-		t.Errorf("wave 2 armed despite abort:\n%s", got)
-	}
-}
-
-func TestRunFleetPlanOutApplyExclusive(t *testing.T) {
-	var out strings.Builder
-	err := run(config{Apply: "a.json", PlanOut: "b.json", Cluster: 2}, &out)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want errUsage", err)
-	}
-}

@@ -146,13 +146,9 @@ func (b Breach) String() string {
 			b.Value, b.Limit, b.Interval)
 	case "monitor":
 		return "monitor died before delivering a verdict"
-	case "errors":
+	default: // "errors"
 		return fmt.Sprintf("error rate %.4f > %.4f (interval %d)",
 			b.Value, b.Limit, b.Interval)
-	default:
-		// An operator- or fleet-initiated breach (core.RevertCanary)
-		// carries only the metric naming who called the revert.
-		return fmt.Sprintf("%s-initiated revert", b.Metric)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // covers (bound[i-1], bound[i]] with bound[0] = 1µs and a ×1.25 growth
 // factor, reaching ~2.4e6 s at the top — wide enough that any real
 // round-trip lands below the overflow bucket. 96 fixed buckets keep the
-// histogram a flat value type (copyable, subtractable, mergeable with no
+// histogram a flat value type (copyable and subtractable with no
 // allocation), which is what lets it ride inside workload.SustainedStats
 // snapshots.
 const HistBuckets = 96
@@ -76,13 +76,6 @@ func (h Histogram) Delta(since Histogram) Histogram {
 		d.Counts[i] = h.Counts[i] - since.Counts[i]
 	}
 	return d
-}
-
-// Merge adds another histogram's samples into h.
-func (h *Histogram) Merge(o Histogram) {
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
 }
 
 // Quantile returns the upper boundary of the bucket containing the

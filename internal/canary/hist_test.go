@@ -94,7 +94,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHistogramDeltaMerge(t *testing.T) {
+func TestHistogramDelta(t *testing.T) {
 	var a, b Histogram
 	lat := []time.Duration{time.Microsecond, time.Millisecond, 10 * time.Millisecond, time.Second}
 	for _, d := range lat {
@@ -106,11 +106,11 @@ func TestHistogramDeltaMerge(t *testing.T) {
 	if d.Count() != int64(len(lat)) {
 		t.Fatalf("delta count %d != %d", d.Count(), len(lat))
 	}
-	// Delta + base == original, bucket by bucket.
-	sum := a
-	sum.Merge(d)
-	if sum != b {
-		t.Fatalf("a + (b-a) != b:\n%v\n%v", sum, b)
+	// Each delta bucket is b's count minus a's.
+	for i := range d.Counts {
+		if want := b.Counts[i] - a.Counts[i]; d.Counts[i] != want {
+			t.Fatalf("bucket %d: delta %d, want %d - %d = %d", i, d.Counts[i], b.Counts[i], a.Counts[i], want)
+		}
 	}
 	// Bounds are strictly increasing (the geometric ladder is monotone).
 	for i := 1; i < HistBuckets; i++ {

@@ -130,28 +130,6 @@ func (e *Engine) CanaryWait(timeout time.Duration) bool {
 	}
 }
 
-// RevertCanary force-resolves an open canary window as a breach of the
-// given metric (rollback cause "canary:<metric>"): the new version is
-// quiesced and terminated and the old instance is adopted back, exactly
-// as an SLO breach would. This is the fleet orchestrator's wave-revert —
-// when one member of a rollout wave breaches its SLO, the siblings still
-// holding open windows are reverted with it. Returns false when no
-// window is open; blocks until the revert completes.
-func (e *Engine) RevertCanary(metric string) bool {
-	if metric == "" {
-		metric = "operator"
-	}
-	e.mu.Lock()
-	run := e.canaryRun
-	e.mu.Unlock()
-	if run == nil {
-		return false
-	}
-	e.resolveCanary(run, &canary.Breach{Metric: metric})
-	<-run.done
-	return true
-}
-
 // CanaryStatus describes the canary for operators (the mcr-ctl "canary
 // status" surface).
 type CanaryStatus struct {
@@ -324,9 +302,8 @@ func (e *Engine) resolveCanary(run *canaryRun, br *canary.Breach) {
 		return
 	}
 	run.resolved = true
-	// Wake the monitor loop: a resolution arriving from outside it (an
-	// operator breach call) must not leave it ticking for the rest of the
-	// window.
+	// Wake the monitor loop: a resolution that did not come from it must
+	// not leave it ticking for the rest of the window.
 	run.close()
 	e.canaryFinal = run.mon.Status()
 	e.canaryRun = nil

@@ -64,8 +64,8 @@ type Options struct {
 	// holds it to.
 	Sequential bool
 	// QuiesceTimeout bounds quiescence convergence (default 5s);
-	// StartupTimeout bounds new-version startup (default 10s). The fleet
-	// and the experiment harnesses raise both to 30s.
+	// StartupTimeout bounds new-version startup (default 10s). The
+	// experiment harnesses raise both to 30s.
 	QuiesceTimeout time.Duration
 	StartupTimeout time.Duration
 	// Faults, when set, is the fault-injection plane every update-path
@@ -385,9 +385,7 @@ func (e *Engine) SetWarmPacing(interval time.Duration, dutyCycle float64) error 
 // replace those phases' defaults and every unlisted phase keeps its
 // DefaultPhaseDeadlines budget; nil restores the whole default profile.
 // A phase exceeding its budget is aborted and the update rolls back with
-// RollbackCause "deadline:<phase>". An unknown phase is refused. The
-// fleet orchestrator uses this to divide a rollout wave's deadline budget
-// across its members before each member's update.
+// RollbackCause "deadline:<phase>". An unknown phase is refused.
 func (e *Engine) SetPhaseDeadlines(deadlines map[string]time.Duration) error {
 	table := DefaultPhaseDeadlines()
 	for ph, d := range deadlines {

@@ -2,9 +2,9 @@ package experiments
 
 // End-to-end verdicts under live, validated traffic on the model servers:
 // daemon epochs while clients keep writing, the warm daemon at several duty
-// cycles, the post-commit canary window, injected faults, and fleet
-// rollouts. Every response the closed-loop clients receive is checked;
-// each test asserts a contract and reports no numbers.
+// cycles, the post-commit canary window and injected faults. Every
+// response the closed-loop clients receive is checked; each test asserts
+// a contract and reports no numbers.
 
 import (
 	"errors"
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/canary"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
@@ -521,130 +520,4 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			}
 		})
 	}
-}
-
-// rolloutCell is one fleet rollout of three httpd members under
-// closed-loop traffic. A fault, when set, is armed on member 1's engine
-// and the rollout must abort with wantCause verbatim.
-type rolloutCell struct {
-	waveSize    int
-	waveBudget  time.Duration
-	canary      string
-	abortPolicy string
-	fault       faultinject.Point
-	wantCause   string
-}
-
-// run applies the plan and asserts the fleet contract: a healthy rollout
-// moves every member to the target with throughput in every wave; an
-// aborted one names the failing member and its cause, audits every
-// rolled-back or reverted member as bit-identical, and leaves skipped
-// members untouched. Either way no response fails or comes back wrong,
-// no member keeps consumed soft-dirty pages or stale pid reservations,
-// and the fleet tears down to the goroutines it started with.
-func (rc rolloutCell) run(t *testing.T) {
-	t.Helper()
-	const members, faultMember = 3, 1
-	g0 := leakcheck.Goroutines()
-	var plane *faultinject.Plane
-	if rc.fault != "" {
-		plane = faultinject.New(1)
-		plane.Arm(rc.fault)
-	}
-	c, err := cluster.New(cluster.Options{
-		Server: "httpd", Members: members, Clients: 2, Faults: plane, FaultMember: faultMember,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shutdown := c.Shutdown
-	defer func() { shutdown() }()
-	p, err := cluster.PlanRollout("httpd", members, 0, cluster.PlanOptions{
-		Target: 1, WaveSize: rc.waveSize, WaveBudget: rc.waveBudget,
-		Canary: rc.canary, CanaryHold: 40 * time.Millisecond, AbortPolicy: rc.abortPolicy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cluster.Apply(c, p, cluster.ApplyOptions{})
-	if err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	if rc.wantCause == "" {
-		time.Sleep(30 * time.Millisecond) // the fleet keeps serving on the target
-		if rep.Aborted {
-			t.Fatalf("rollout aborted: %s\n%s", rep.AbortCause, strings.Join(rep.Events, "\n"))
-		}
-		for i, m := range c.Members() {
-			if v := m.Version(); v != p.Target {
-				t.Errorf("member %d on v%d, want v%d", i, v, p.Target)
-			}
-		}
-		for i, w := range rep.Waves {
-			if w.AggregateRPS <= 0 {
-				t.Errorf("wave %d recorded no aggregate throughput", i)
-			}
-		}
-	} else {
-		if !rep.Aborted || rep.AbortCause != rc.wantCause || rep.AbortMember != faultMember {
-			t.Fatalf("aborted %v by member %d with %q, want member %d with %q verbatim",
-				rep.Aborted, rep.AbortMember, rep.AbortCause, faultMember, rc.wantCause)
-		}
-		if !plane.Fired(rc.fault) {
-			t.Fatal("armed fault never fired")
-		}
-		audited := 0
-		for _, mr := range rep.Members {
-			switch mr.Outcome {
-			case cluster.OutcomeRolledBack, cluster.OutcomeReverted:
-				audited++
-				if !mr.RollbackVerified || !mr.RollbackIdentical {
-					t.Errorf("member %d rollback audit: verified=%v identical=%v",
-						mr.Member, mr.RollbackVerified, mr.RollbackIdentical)
-				}
-			case cluster.OutcomeSkipped:
-				if v := c.Member(mr.Member).Version(); v != 0 {
-					t.Errorf("skipped member %d moved to v%d", mr.Member, v)
-				}
-			}
-		}
-		if audited == 0 {
-			t.Error("no member rolled back in an aborted rollout")
-		}
-	}
-	if tot := c.Totals(); tot.Errors > 0 || tot.BadResponses > 0 {
-		t.Fatalf("%d failed / %d wrong responses fleet-wide", tot.Errors, tot.BadResponses)
-	}
-	for i, m := range c.Members() {
-		// An armed warm daemon legitimately holds consumed bits.
-		m.Engine().DisarmWarm()
-		if n := consumedPages(m.Engine().Current()); n != 0 {
-			t.Errorf("member %d holds %d consumed soft-dirty pages", i, n)
-		}
-		if err := leakcheck.CheckReservedPids(m.Engine().Current()); err != nil {
-			t.Errorf("member %d: %v", i, err)
-		}
-	}
-	shutdown()
-	shutdown = func() {}
-	if err := leakcheck.CheckGoroutines(g0, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRolloutCampaignSmoke runs a healthy canary-gated rollout and one
-// aborted by a restart crash on its second member.
-func TestRolloutCampaignSmoke(t *testing.T) {
-	t.Run("healthy", rolloutCell{waveSize: 2, waveBudget: 20 * time.Second,
-		canary: "err=0.9", abortPolicy: cluster.AbortRevert}.run)
-	t.Run("fault-crash", rolloutCell{waveSize: 1, waveBudget: 20 * time.Second,
-		canary: "err=0.9", abortPolicy: cluster.AbortKeep,
-		fault: faultinject.PointRestartCrash, wantCause: "fault:restart-crash"}.run)
-}
-
-// TestRolloutDeadlineScenario wedges the second member's restart: the
-// wave budget recovers it, and its deadline cause bubbles up verbatim.
-func TestRolloutDeadlineScenario(t *testing.T) {
-	rolloutCell{waveSize: 1, waveBudget: 250 * time.Millisecond,
-		fault: faultinject.PointRestartHang, wantCause: "deadline:restart"}.run(t)
 }

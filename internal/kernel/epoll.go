@@ -53,22 +53,6 @@ func (p *Proc) EpollDel(epfd, fd int) error {
 	return nil
 }
 
-// EpollWatched returns the watched fd numbers in ascending order.
-func (p *Proc) EpollWatched(epfd int) ([]int, error) {
-	ep, err := p.epoll(epfd)
-	if err != nil {
-		return nil, err
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	out := make([]int, 0, len(ep.watch))
-	for fd := range ep.watch {
-		out = append(out, fd)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
 // EpollWait waits for any watched fd to become readable and returns its
 // number, or fails with ErrTimeout once cancel closes; a ready fd always
 // wins over a closed cancel. Closed connections report readable so the

@@ -9,12 +9,8 @@ import (
 // model servers read and write.
 type File struct {
 	mu   sync.Mutex
-	path string
 	data []byte
 }
-
-// Path returns the file path.
-func (f *File) Path() string { return f.path }
 
 // WriteFile creates or replaces a file (host-side seeding of configs).
 func (k *Kernel) WriteFile(path string, data []byte) {
@@ -22,7 +18,7 @@ func (k *Kernel) WriteFile(path string, data []byte) {
 	defer k.mu.Unlock()
 	f := k.fs[path]
 	if f == nil {
-		f = &File{path: path}
+		f = &File{}
 		k.fs[path] = f
 	}
 	f.mu.Lock()
@@ -66,7 +62,7 @@ func (p *Proc) Create(path string) (int, error) {
 	p.k.mu.Lock()
 	f := p.k.fs[path]
 	if f == nil {
-		f = &File{path: path}
+		f = &File{}
 		p.k.fs[path] = f
 	}
 	p.k.mu.Unlock()

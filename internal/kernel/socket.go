@@ -89,13 +89,6 @@ func (o *Object) unref() {
 	}
 }
 
-// Refs returns the current reference count (diagnostics and tests).
-func (o *Object) Refs() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.refs
-}
-
 // Conn is a full-duplex simulated connection between a client and a
 // server. Both buffers live in the kernel, so a connection survives the
 // death of either program version as long as one version holds its fd —

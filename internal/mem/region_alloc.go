@@ -159,9 +159,6 @@ func (r *RegionAllocator) Destroy() error {
 	return nil
 }
 
-// Instrumented reports whether sub-allocations carry type tags.
-func (r *RegionAllocator) Instrumented() bool { return r.instrumented }
-
 // BytesHeld returns the total chunk bytes currently held by the region.
 func (r *RegionAllocator) BytesHeld() uint64 {
 	r.mu.Lock()

@@ -305,9 +305,6 @@ func (p *Proc) Heap() *mem.Allocator { return p.heap }
 // Log returns the startup log (nil for post-startup children).
 func (p *Proc) Log() *replaylog.Log { return p.log }
 
-// InStartup reports whether the process is still in its startup phase.
-func (p *Proc) InStartup() bool { return p.inStartup.Load() }
-
 // Global returns the named global variable's object.
 func (p *Proc) Global(name string) (*mem.Object, bool) {
 	o, ok := p.globals[name]

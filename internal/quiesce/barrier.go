@@ -234,10 +234,3 @@ func (b *Barrier) Release(d Directive) {
 	}
 	b.parked = make(map[int64]*parking)
 }
-
-// RegisteredCount returns the number of registered threads.
-func (b *Barrier) RegisteredCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.registered)
-}

@@ -208,23 +208,6 @@ func Sessions(old *program.Instance) []program.SessionInfo {
 	return out
 }
 
-// SessionConnFDs lists the connection fds held by one old process
-// (including the root, for event-driven servers whose sessions live
-// in-process). Used by handlers and by fd garbage collection.
-func SessionConnFDs(p *program.Proc) []int {
-	var out []int
-	for _, fd := range p.KProc().FDs() {
-		obj, err := p.KProc().FD(fd)
-		if err != nil {
-			continue
-		}
-		if obj.Kind() == kernel.ObjConn {
-			out = append(out, fd)
-		}
-	}
-	return out
-}
-
 // CollectUnused closes, in the new instance's processes, inherited fds
 // that no old counterpart holds — "all the immutable objects that do not
 // participate in replay operations in a given process are simply garbage

@@ -100,12 +100,6 @@ func (t *Type) IsInteger() bool {
 	return false
 }
 
-// IsScalar reports whether t is a scalar (integer, pointer-sized integer,
-// pointer, or function pointer).
-func (t *Type) IsScalar() bool {
-	return t.IsInteger() || t.Kind == KindUintPtr || t.Kind == KindPtr || t.Kind == KindFuncPtr
-}
-
 // IsCharArray reports whether t is an array of 1-byte elements, the classic
 // C "char buf[N]" idiom that the default policy scans conservatively.
 func (t *Type) IsCharArray() bool {

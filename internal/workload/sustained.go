@@ -271,14 +271,6 @@ func (s *Sustained) flushIntervalsLocked(cur int) {
 	}
 }
 
-// IntervalBounds returns bucket idx's window in recorder-relative time —
-// the correlation key between the driver's IntervalStats and the
-// recorder's daemon-pass spans.
-func (s *Sustained) IntervalBounds(idx int) (start, end time.Duration) {
-	start = s.recT0 + time.Duration(idx)*s.opts.Interval
-	return start, start + s.opts.Interval
-}
-
 // client is one closed-loop session: connect, issue requests until Stop,
 // reconnect on failure.
 func (s *Sustained) client(id int) {

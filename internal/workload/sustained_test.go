@@ -103,7 +103,9 @@ func TestSustainedIntervalAccountingExact(t *testing.T) {
 		sumReq += iv.Requests
 		sumErr += iv.Errors
 		sumLat += iv.Latency
-		sumHist.Merge(iv.Hist)
+		for b, c := range iv.Hist.Counts {
+			sumHist.Counts[b] += c
+		}
 	}
 	if sumReq != stats.Requests || sumErr != stats.Errors || sumLat != stats.Latency {
 		t.Fatalf("interval totals (%d req, %d err, %v lat) != cumulative (%d, %d, %v)",
