@@ -211,6 +211,7 @@ func run(cfg config, out io.Writer) error {
 	}
 
 	rolledBack := "" // first rollback cause; non-empty ends the scenario
+	var updated []updateMark
 	if err := send("ping"); err != nil {
 		return err
 	}
@@ -236,6 +237,7 @@ func run(cfg config, out io.Writer) error {
 			// request, so every update takes the warm fast path.
 			engine.WarmWait(5 * time.Second)
 		}
+		updated = append(updated, updateMark{spec.Version(i).Release, time.Now()})
 		if err := send("update " + spec.Version(i).Release); err != nil {
 			return err
 		}
@@ -334,7 +336,7 @@ func run(cfg config, out io.Writer) error {
 	if drv != nil {
 		st := drv.Stop()
 		if st.BadResponses > 0 {
-			return fmt.Errorf("workload saw %d wrong responses", st.BadResponses)
+			return wrongResponses(st, updated)
 		}
 		fmt.Fprintf(out, "workload: %d requests, 0 wrong responses\n", st.Requests)
 	}
@@ -361,4 +363,28 @@ func run(cfg config, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "done: all updates deployed live; the client session never reconnected")
 	return nil
+}
+
+// updateMark is when an update was requested.
+type updateMark struct {
+	release string
+	at      time.Time
+}
+
+// wrongResponses is the error of a run whose workload got wrong replies:
+// the count, then each reply the workload kept, placed after the last
+// update requested before it arrived.
+func wrongResponses(st workload.SustainedStats, updated []updateMark) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "workload saw %d wrong responses", st.BadResponses)
+	for _, r := range st.Bad {
+		when := "before the first update"
+		for _, u := range updated {
+			if !r.At.Before(u.at) {
+				when = fmt.Sprintf("%s after update %s", r.At.Sub(u.at).Round(time.Microsecond), u.release)
+			}
+		}
+		fmt.Fprintf(&b, "\n  client %d seq %d, %s: want %q, got %q", r.Client, r.Seq, when, r.Want, r.Reply)
+	}
+	return errors.New(b.String())
 }

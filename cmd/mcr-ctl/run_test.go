@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/servers"
+	"repro/internal/workload"
 )
 
 func TestRunUnknownServerIsUsageError(t *testing.T) {
@@ -361,5 +362,24 @@ func TestRunDoubleFaultSecondaryOnCauseLine(t *testing.T) {
 	want := "rollback cause: fault:restart-crash (secondary: fault:rollback-restore)"
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("output missing %q:\n%s", want, out.String())
+	}
+}
+
+// TestWrongResponsesNamesEachCrossedReply: the run's error for a workload
+// that got wrong replies counts them, then names each reply the workload
+// kept — client, sequence number, what it wanted, what it got — placed
+// after the last update requested before it arrived.
+func TestWrongResponsesNamesEachCrossedReply(t *testing.T) {
+	t0 := time.Now()
+	updated := []updateMark{{"2.2.24", t0}, {"2.2.25", t0.Add(time.Second)}}
+	st := workload.SustainedStats{BadResponses: 7, Bad: []workload.BadReply{
+		{Client: 1, Seq: 4, Want: "ka-req=GET /load-1-4", Reply: "HTTP/1.1 200 OK Server: Apache/2.2.23 ka-req=GET /load-1-3", At: t0.Add(-time.Millisecond)},
+		{Client: 0, Seq: 9, Want: "ka-req=GET /load-0-9", Reply: "HTTP/1.1 200 OK Server: Apache/2.2.25 ka-req=GET /load-1-5", At: t0.Add(1500 * time.Millisecond)},
+	}}
+	want := "workload saw 7 wrong responses\n" +
+		`  client 1 seq 4, before the first update: want "ka-req=GET /load-1-4", got "HTTP/1.1 200 OK Server: Apache/2.2.23 ka-req=GET /load-1-3"` + "\n" +
+		`  client 0 seq 9, 500ms after update 2.2.25: want "ka-req=GET /load-0-9", got "HTTP/1.1 200 OK Server: Apache/2.2.25 ka-req=GET /load-1-5"`
+	if got := wrongResponses(st, updated).Error(); got != want {
+		t.Fatalf("error =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -339,12 +339,15 @@ func (e *Engine) resolveCanary(run *canaryRun, br *canary.Breach) {
 	// it: half-served requests finish, unread ones stay buffered for the
 	// old instance. A version too degraded to even converge is terminated
 	// anyway — adopting the old instance back must not hang on the new
-	// one's failure mode.
-	_, _ = run.new.Quiesce(e.opts.QuiesceTimeout)
+	// one's failure mode; its failure to converge is noted on the revert.
+	note := cause
+	if _, err := run.new.Quiesce(e.opts.QuiesceTimeout); err != nil {
+		note += "; new version not quiesced: " + err.Error()
+	}
 	run.new.Terminate()
 	e.auditRollback(run.old, run.rep)
 	run.old.Resume()
-	rsp.EndNote(cause)
+	rsp.EndNote(note)
 	run.span.EndNote("reverted")
 	e.rearmWarm()
 	close(run.done)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/canary"
 	"repro/internal/checkpoint"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -532,5 +533,82 @@ func TestCanaryStarvedMonitorIsNotDead(t *testing.T) {
 	}
 	if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v2:after:") {
 		t.Fatalf("post-window reply = %q", got)
+	}
+}
+
+// TestCanaryRevertNotesUnquiescedNewVersion: a new version that cannot
+// converge when its canary window reverts (one of its threads stops
+// reaching quiescent points) is terminated anyway, the old instance is
+// adopted back and serves, and the revert span on the canary track says
+// why the park failed instead of dropping the error.
+func TestCanaryRevertNotesUnquiescedNewVersion(t *testing.T) {
+	rec := obs.New(1 << 12)
+	e, k := launchEchod(t, Options{Audit: true, Recorder: rec, QuiesceTimeout: 300 * time.Millisecond})
+	defer e.Shutdown()
+	c, err := k.Connect(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sendRecv(t, c, "a"); got != "v1:a:1" {
+		t.Fatalf("pre-update reply = %q", got)
+	}
+	old := e.Current()
+
+	// v2 carries a thread that parks like any other until told to spin,
+	// then loops without a quiescent point until the instance stops.
+	var spin atomic.Bool
+	v2 := echodVersion("2.0", 1, "v2", true, 7000)
+	serve := v2.Main
+	v2.Main = func(t *program.Thread) error {
+		if _, err := t.SpawnThread("spinner", func(t *program.Thread) error {
+			err := t.CondQP("wait@spinner", func() (bool, error) { return spin.Load(), nil })
+			if err != nil {
+				return nil // stopped while parked
+			}
+			for !t.Proc().Instance().Stopping() {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		return serve(t)
+	}
+
+	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
+	e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
+	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
+		t.Fatalf("ArmCanary: %v", err)
+	}
+	rep, err := e.Update(v2)
+	if err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if !rep.Canary {
+		t.Fatal("update did not open a canary window")
+	}
+	if got := sendRecv(t, c, "b"); got != "v2:b:2" {
+		t.Fatalf("mid-window reply = %q", got)
+	}
+	spin.Store(true)
+	e.Current().Root().Notify()
+	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond) // breach p99
+	if !e.CanaryWait(10 * time.Second) {
+		t.Fatal("canary window never resolved")
+	}
+	if rep.CanaryOutcome != "reverted" || e.Current() != old {
+		t.Fatalf("outcome %q, old instance current %v: want a revert", rep.CanaryOutcome, e.Current() == old)
+	}
+	if got := sendRecv(t, c, "c"); !strings.HasPrefix(got, "v1:c:") {
+		t.Fatalf("post-revert reply = %q, want v1 banner", got)
+	}
+	var notes []string
+	for _, ev := range rec.Events() {
+		if ev.Track == obs.TrackCanary && ev.Phase == obs.PhaseCanaryRevert && ev.Kind == obs.KindEnd {
+			notes = append(notes, ev.Note)
+		}
+	}
+	if len(notes) != 1 || !strings.HasPrefix(notes[0], "p99") || !strings.Contains(notes[0], "new version not quiesced: ") {
+		t.Fatalf("revert span notes = %q, want the breach and the new version's quiescence error", notes)
 	}
 }

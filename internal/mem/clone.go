@@ -39,7 +39,7 @@ func (ix *ObjectIndex) Clone() *ObjectIndex {
 		oc := *o
 		out.snap[i] = &oc
 		out.byStart[oc.Addr] = &oc
-		for pb := pageBase(oc.Addr); pb < oc.End(); pb += PageSize {
+		for pb := PageBase(oc.Addr); pb < oc.End(); pb += PageSize {
 			out.byPage[pb] = append(out.byPage[pb], &oc)
 		}
 	}

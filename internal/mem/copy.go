@@ -48,7 +48,7 @@ func copyChunk(dst *AddressSpace, da Addr, src *AddressSpace, sa Addr, n, check 
 	}
 	dst.mutations++
 	for end := da + Addr(n); da < end; {
-		dpb := pageBase(da)
+		dpb := PageBase(da)
 		stop := dpb + PageSize
 		if stop > end {
 			stop = end
@@ -63,7 +63,7 @@ func copyChunk(dst *AddressSpace, da Addr, src *AddressSpace, sa Addr, n, check 
 		dp.stamp = dst.mutations
 		// This destination fragment draws on at most two source pages.
 		for da < stop {
-			spb := pageBase(sa)
+			spb := PageBase(sa)
 			k := spb + PageSize - sa
 			if rem := stop - da; k > rem {
 				k = rem

@@ -297,7 +297,7 @@ func TestUpdateResident(t *testing.T) {
 			data[i] ^= 0xFF
 			want.bytes[int(base-copySrc)+i] ^= 0xFF
 		}
-		want.dirty = append(want.dirty, pageBase(base))
+		want.dirty = append(want.dirty, PageBase(base))
 		return true
 	})
 	if err != nil {

@@ -130,7 +130,7 @@ func TestObjectIndexDifferential(t *testing.T) {
 				case 0:
 					o.Size = uint64(PageSize + rnd.Intn(3*PageSize)) // spans pages
 				case 1:
-					o.Addr = pageBase(o.Addr) + PageSize - 8 // straddles a boundary
+					o.Addr = PageBase(o.Addr) + PageSize - 8 // straddles a boundary
 				case 2:
 					if len(removed) > 0 { // address reuse by a new struct
 						o.Addr = removed[rnd.Intn(len(removed))].Addr
@@ -183,7 +183,7 @@ func TestObjectIndexDifferential(t *testing.T) {
 			// first, and meet it as far behind as the mutations left it.
 			pages := make([]Addr, rnd.Intn(12))
 			for i := range pages {
-				pages[i] = pageBase(pick()) // any order, repeats likely
+				pages[i] = PageBase(pick()) // any order, repeats likely
 			}
 			if rnd.Intn(2) == 0 {
 				if err := sameObjects(ix.OnPages(pages), ref.onPages(pages), !cloned); err != nil {
@@ -298,7 +298,7 @@ func TestRepeatedReaderLeavesSnapshotAlone(t *testing.T) {
 	}
 	churn(20)
 	buf, _ := ix.AppendAll(nil)
-	pages := []Addr{pageBase(objs[n/2].Addr), pageBase(objs[10].Addr)}
+	pages := []Addr{PageBase(objs[n/2].Addr), PageBase(objs[10].Addr)}
 	var onPages []*Object
 	perCall := testing.AllocsPerRun(50, func() {
 		churn(2)
@@ -328,7 +328,7 @@ func TestRepeatedReaderLeavesSnapshotAlone(t *testing.T) {
 	// Most of the index asked for: the snapshot is the cheaper way.
 	churn(2)
 	var all []Addr
-	for pb := pageBase(testBase); pb < objs[n-1].End(); pb += PageSize {
+	for pb := PageBase(testBase); pb < objs[n-1].End(); pb += PageSize {
 		all = append(all, pb)
 	}
 	if got := ix.OnPages(all); len(got) != n || len(ix.touched) != 0 {
@@ -488,9 +488,9 @@ func BenchmarkObjectIndexInsertRemove(b *testing.B) {
 func TestRemoveLeavesNoStalePointer(t *testing.T) {
 	ix := NewObjectIndex()
 	objs := fillIndex(ix, 3) // one page
-	bucket := ix.byPage[pageBase(testBase)]
+	bucket := ix.byPage[PageBase(testBase)]
 	ix.Remove(objs[0].Addr)
-	if got := ix.byPage[pageBase(testBase)]; len(got) != 2 || bucket[2] != nil {
+	if got := ix.byPage[PageBase(testBase)]; len(got) != 2 || bucket[2] != nil {
 		t.Errorf("bucket after Remove: len %d, old tail slot %v", len(got), bucket[2])
 	}
 }

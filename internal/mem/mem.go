@@ -149,7 +149,7 @@ func (as *AddressSpace) Unmap(start Addr) error {
 			continue
 		}
 		as.regions = append(as.regions[:i], as.regions[i+1:]...)
-		for pb := pageBase(r.Start); pb < r.End(); pb += PageSize {
+		for pb := PageBase(r.Start); pb < r.End(); pb += PageSize {
 			delete(as.pages, pb)
 		}
 		as.reshapeLocked()
@@ -226,7 +226,8 @@ func (as *AddressSpace) reshapeLocked() {
 	as.reshaped = as.mutations
 }
 
-func pageBase(a Addr) Addr { return a &^ Addr(pageMask) }
+// PageBase returns the start of the page holding a.
+func PageBase(a Addr) Addr { return a &^ Addr(pageMask) }
 
 // WriteAt stores buf at addr, demand-allocating pages and setting their
 // soft-dirty bits. Stores outside mapped regions fail like a segfault.
@@ -241,7 +242,7 @@ func (as *AddressSpace) WriteAt(addr Addr, buf []byte) error {
 	}
 	as.mutations++
 	for off := 0; off < len(buf); {
-		pb := pageBase(addr + Addr(off))
+		pb := PageBase(addr + Addr(off))
 		p := as.pages[pb]
 		if p == nil {
 			p = &page{}
@@ -268,7 +269,7 @@ func (as *AddressSpace) ReadAt(addr Addr, buf []byte) error {
 		return err
 	}
 	for off := 0; off < len(buf); {
-		pb := pageBase(addr + Addr(off))
+		pb := PageBase(addr + Addr(off))
 		po := int(addr+Addr(off)) & pageMask
 		n := PageSize - po
 		if rem := len(buf) - off; n > rem {
@@ -483,7 +484,7 @@ func (as *AddressSpace) SoftDirtyPages() []Addr {
 func (as *AddressSpace) PageSoftDirty(addr Addr) bool {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	p := as.pages[pageBase(addr)]
+	p := as.pages[PageBase(addr)]
 	return p != nil && p.softDirty
 }
 

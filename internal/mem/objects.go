@@ -139,7 +139,7 @@ func (ix *ObjectIndex) Insert(o *Object) error {
 	if _, dup := ix.byStart[o.Addr]; dup {
 		return fmt.Errorf("mem: object already tracked at %#x", o.Addr)
 	}
-	for pb := pageBase(o.Addr); pb < o.End(); pb += PageSize {
+	for pb := PageBase(o.Addr); pb < o.End(); pb += PageSize {
 		for _, other := range ix.byPage[pb] {
 			if other.Addr < o.End() && o.Addr < other.End() {
 				return fmt.Errorf("mem: object %s overlaps %s", o, other)
@@ -147,7 +147,7 @@ func (ix *ObjectIndex) Insert(o *Object) error {
 		}
 	}
 	ix.byStart[o.Addr] = o
-	for pb := pageBase(o.Addr); pb < o.End(); pb += PageSize {
+	for pb := PageBase(o.Addr); pb < o.End(); pb += PageSize {
 		ix.byPage[pb] = append(ix.byPage[pb], o)
 	}
 	ix.touch(o.Addr)
@@ -163,7 +163,7 @@ func (ix *ObjectIndex) Remove(addr Addr) (*Object, bool) {
 		return nil, false
 	}
 	delete(ix.byStart, addr)
-	for pb := pageBase(o.Addr); pb < o.End(); pb += PageSize {
+	for pb := PageBase(o.Addr); pb < o.End(); pb += PageSize {
 		bucket := ix.byPage[pb]
 		i := slices.Index(bucket, o)
 		// Delete zeroes the vacated tail slot: no stale pointer stays behind.
@@ -199,7 +199,7 @@ func (ix *ObjectIndex) At(addr Addr) (*Object, bool) {
 func (ix *ObjectIndex) Containing(addr Addr) (*Object, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for _, o := range ix.byPage[pageBase(addr)] {
+	for _, o := range ix.byPage[PageBase(addr)] {
 		if o.Contains(addr) {
 			return o, true
 		}
@@ -211,7 +211,7 @@ func (ix *ObjectIndex) Containing(addr Addr) (*Object, bool) {
 func (ix *ObjectIndex) OverlappingRange(start, end Addr) (*Object, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for pb := pageBase(start); pb < end; pb += PageSize {
+	for pb := PageBase(start); pb < end; pb += PageSize {
 		for _, o := range ix.byPage[pb] {
 			if o.Addr < end && start < o.End() {
 				return o, true

@@ -33,7 +33,7 @@ const walkChunkPages = 64
 func (as *AddressSpace) WalkResident(addr Addr, size uint64, fn func(base Addr, data []byte)) error {
 	end := addr + Addr(size)
 	for addr < end {
-		stop := pageBase(addr) + walkChunkPages*PageSize
+		stop := PageBase(addr) + walkChunkPages*PageSize
 		if stop > end {
 			stop = end
 		}
@@ -52,7 +52,7 @@ func (as *AddressSpace) walkChunk(addr, stop Addr, fn func(base Addr, data []byt
 		return err
 	}
 	for addr < stop {
-		pb := pageBase(addr)
+		pb := PageBase(addr)
 		next := pb + PageSize
 		if next > stop {
 			next = stop
@@ -78,7 +78,7 @@ func (as *AddressSpace) walkChunk(addr, stop Addr, fn func(base Addr, data []byt
 func (as *AddressSpace) UpdateResident(addr Addr, size uint64, fn func(base Addr, data []byte) (stored bool)) error {
 	end := addr + Addr(size)
 	for addr < end {
-		stop := pageBase(addr) + walkChunkPages*PageSize
+		stop := PageBase(addr) + walkChunkPages*PageSize
 		if stop > end {
 			stop = end
 		}
@@ -98,7 +98,7 @@ func (as *AddressSpace) updateChunk(addr, stop Addr, fn func(base Addr, data []b
 	}
 	stored := false
 	for addr < stop {
-		pb := pageBase(addr)
+		pb := PageBase(addr)
 		next := pb + PageSize
 		if next > stop {
 			next = stop

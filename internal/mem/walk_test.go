@@ -21,7 +21,7 @@ func walkBytes(t *testing.T, as *AddressSpace, addr Addr, size uint64) ([]byte, 
 		if base < next || base+Addr(len(data)) > addr+Addr(size) || len(data) == 0 {
 			t.Errorf("fragment [%#x,+%d) out of order or out of range [%#x,+%d)", base, len(data), addr, size)
 		}
-		if pageBase(base) != pageBase(base+Addr(len(data))-1) {
+		if PageBase(base) != PageBase(base+Addr(len(data))-1) {
 			t.Errorf("fragment [%#x,+%d) crosses a page", base, len(data))
 		}
 		copy(out[base-addr:], data)

@@ -117,7 +117,7 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		if elig[o.Addr] == nil {
 			continue
 		}
-		first, end := pageOf(o.Addr), pageOf(o.End()+mem.PageSize-1)
+		first, end := mem.PageBase(o.Addr), mem.PageBase(o.End()+mem.PageSize-1)
 		mapped := oldAS.Mapped(first, uint64(end-first)) && newAS.Mapped(first, uint64(end-first))
 		for pb := first; pb < end; pb += mem.PageSize {
 			if _, seen := cand[pb]; !seen {
@@ -129,7 +129,7 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		}
 	}
 	strike := func(o *mem.Object) {
-		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+		for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 			if cand[pb] {
 				cand[pb] = false
 			}
@@ -172,7 +172,7 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 			continue
 		}
 		whole := true
-		for pb := pageOf(o.Addr); pb < o.End() && whole; pb += mem.PageSize {
+		for pb := mem.PageBase(o.Addr); pb < o.End() && whole; pb += mem.PageSize {
 			whole = cand[pb]
 		}
 		if !whole {
@@ -202,8 +202,6 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 	return nil
 }
 
-func pageOf(a mem.Addr) mem.Addr { return a &^ mem.Addr(mem.PageSize-1) }
-
 // settleAdoptable shrinks the candidate set to the pages that can move
 // together: an object moves only if all of its pages are candidates, and a
 // page stays a candidate only if all of its objects move. cand holds every
@@ -229,7 +227,7 @@ func settleAdoptable(cand map[mem.Addr]bool, onPage func(pb mem.Addr) []*mem.Obj
 				continue
 			}
 			demoted[o] = true
-			for q := pageOf(o.Addr); q < o.End(); q += mem.PageSize {
+			for q := mem.PageBase(o.Addr); q < o.End(); q += mem.PageSize {
 				if cand[q] {
 					cand[q] = false
 					work = append(work, q)

@@ -231,7 +231,7 @@ func TestRemapSlotsMatchesStagedRemap(t *testing.T) {
 			wantDirty := map[mem.Addr]bool{}
 			for i := range want {
 				if want[i] != before[i] {
-					wantDirty[pageOf(o.Addr+mem.Addr(i))] = true
+					wantDirty[mem.PageBase(o.Addr+mem.Addr(i))] = true
 					rewritten++
 				}
 			}

@@ -90,7 +90,7 @@ func (s *pageSummary) touches(delta []*mem.Object) bool {
 	}
 	tps, i := s.targetPages(), 0
 	for _, x := range delta {
-		for lo := pageOf(x.Addr); i < len(tps) && tps[i] < lo; {
+		for lo := mem.PageBase(x.Addr); i < len(tps) && tps[i] < lo; {
 			i++
 		}
 		if i < len(tps) && tps[i] < x.End() {
@@ -115,6 +115,9 @@ type procAnalysis struct {
 	// allocating allocates nothing itself.
 	bufs [2][]*mem.Object
 	cur  int // objs is bufs[cur]
+	// look is the resolver's page table over objs, kept across steps and
+	// advanced with every rebuild of the list (pageTable).
+	look pageTable
 	// holds and pins count, per object, the pages on which it holds a
 	// likely pointer and the pages holding one into it: an object is
 	// immutable while pins has it, nonupdatable while either does.
@@ -145,6 +148,7 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 		cur ^= 1
 		st.bufs[cur], gen = ix.AppendAll(st.bufs[cur][:0])
 		objs = st.bufs[cur]
+		st.look.advance()
 	}
 	var (
 		now   uint64
@@ -160,17 +164,19 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 	if full {
 		*st = procAnalysis{
 			bufs:  st.bufs,
+			look:  st.look,
 			pages: make(map[mem.Addr]*pageSummary),
 			holds: make(map[mem.Addr]int32),
 			pins:  make(map[mem.Addr]int32),
 		}
 		now, todo, _ = as.StoredSince(0)
+		st.look.reserve(len(todo))
 		st.regions = as.Regions() // after the listing: a later mapping change shows as reshaped
 		delta = nil
 	}
 	if len(delta) > 0 {
 		for _, x := range delta {
-			for pb := pageOf(x.Addr); pb < x.End(); pb += mem.PageSize {
+			for pb := mem.PageBase(x.Addr); pb < x.End(); pb += mem.PageSize {
 				todo = append(todo, pb)
 			}
 		}
@@ -182,7 +188,7 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 		slices.Sort(todo)
 		todo = slices.Compact(todo)
 	}
-	sc := newPageScanner(as, objs, pol, libs, st.regions)
+	sc := newPageScanner(as, objs, &st.look, pol, libs, st.regions)
 	todo = sc.withStraddled(todo)
 	kept = len(st.pages)
 	for i := 0; i < len(todo); {
@@ -323,10 +329,9 @@ type pageScanner struct {
 	page                mem.Addr
 	src                 *mem.Object // the object being scanned
 	srcClass            uint8
-	srcLikely           bool // it holds a likely pointer on this page
 	precise, likely     census
 	holds, pins, tpages []mem.Addr
-	onPrecise, onLikely func(ti int)
+	onHits              func(precise, likely []int32)
 	onMiss              func(w uint64)
 	// recent remembers, by low bits, targets already in pins: most of a
 	// page's likely pointers repeat a few targets, and the sort that makes
@@ -339,8 +344,8 @@ type pageScanner struct {
 	gapLo, gapLen mem.Addr
 }
 
-func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, pol types.Policy, libs map[string]bool, regions []mem.Region) *pageScanner {
-	sc := &pageScanner{r: newResolver(objs, pol), as: as, libs: libs, regions: regions}
+func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, look *pageTable, pol types.Policy, libs map[string]bool, regions []mem.Region) *pageScanner {
+	sc := &pageScanner{r: newTableResolver(objs, pol, look), as: as, libs: libs, regions: regions}
 	if n := len(regions); n > 0 {
 		// A word that points nowhere today is remembered if an object
 		// could ever be allocated under it: pre-filter by the mapped
@@ -353,21 +358,21 @@ func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, pol types.Policy, 
 	// A fragment belongs to the page it lies on: the scan of an object that
 	// spans several moves from page to page as its fragments arrive.
 	sc.r.onFragment = func(base mem.Addr, data []byte) {
-		sc.enter(pageOf(base))
+		sc.enter(mem.PageBase(base))
 		sc.r.fragment(base, data)
 	}
-	sc.onPrecise = func(ti int) {
-		t := sc.r.objs[ti]
-		sc.precise[sc.srcClass][regionClass[t.Kind]]++
-		sc.notePage(pageOf(t.Addr))
-	}
-	sc.onLikely = func(ti int) {
-		t := sc.r.objs[ti]
-		sc.likely[sc.srcClass][regionClass[t.Kind]]++
-		sc.srcLikely = true
-		if slot := &sc.recent[ti&63]; *slot != int32(ti) {
-			*slot = int32(ti)
-			sc.pins = append(sc.pins, t.Addr)
+	// The census is the resolver's tally, folded per source object and
+	// page (noteHolder); what is left per target is the page's lists.
+	sc.onHits = func(precise, likely []int32) {
+		objs := sc.r.objs
+		for _, ti := range precise {
+			sc.notePage(mem.PageBase(objs[ti].Addr))
+		}
+		for _, ti := range likely {
+			if slot := &sc.recent[ti&63]; *slot != ti {
+				*slot = ti
+				sc.pins = append(sc.pins, objs[ti].Addr)
+			}
 		}
 	}
 	sc.onMiss = func(w uint64) {
@@ -390,7 +395,7 @@ func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, pol types.Policy, 
 			}
 			sc.region = sc.regions[i]
 		}
-		sc.notePage(pageOf(a))
+		sc.notePage(mem.PageBase(a))
 	}
 	return sc
 }
@@ -468,7 +473,7 @@ func (sc *pageScanner) scanRun(lo mem.Addr, n int) ([]*pageSummary, error) {
 			// passed it (scanRange): walk such an object a page at a time,
 			// so that the word still finds the page it starts on open —
 			// resident or not.
-			for pb := pageOf(from); pb < to; pb += mem.PageSize {
+			for pb := mem.PageBase(from); pb < to; pb += mem.PageSize {
 				sc.enter(pb)
 				if err := sc.scanSource(max(from, pb), min(to, pb+mem.PageSize)); err != nil {
 					return nil, err
@@ -482,7 +487,7 @@ func (sc *pageScanner) scanRun(lo mem.Addr, n int) ([]*pageSummary, error) {
 }
 
 func (sc *pageScanner) scanSource(from, to mem.Addr) error {
-	if err := sc.r.scanRange(sc.as, sc.src, from, to, sc.onPrecise, sc.onLikely, sc.onMiss); err != nil {
+	if err := sc.r.scanRange(sc.as, sc.src, from, to, sc.onHits, sc.onMiss); err != nil {
 		return fmt.Errorf("trace: scan %s: %w", sc.src, err)
 	}
 	return nil
@@ -496,13 +501,25 @@ func (sc *pageScanner) enter(pb mem.Addr) {
 	}
 }
 
-// noteHolder records the object being scanned as holding a likely pointer
-// on the page in progress, if it was seen to.
+// noteHolder folds the object being scanned into the page in progress: its
+// pointers into the census, and the object into the holders if it was seen
+// to hold a likely pointer there.
 func (sc *pageScanner) noteHolder() {
-	if sc.srcLikely {
-		sc.holds = append(sc.holds, sc.src.Addr)
-		sc.srcLikely = false
+	t := &sc.r.cur.tally
+	precise, likely := t[0][0]|t[0][1]|t[0][2], t[1][0]|t[1][1]|t[1][2]
+	if precise|likely == 0 {
+		return // the common case, once per object: ORed, as an array compare calls memequal
 	}
+	for k, n := range t[0] {
+		sc.precise[sc.srcClass][k] += n
+	}
+	for k, n := range t[1] {
+		sc.likely[sc.srcClass][k] += n
+	}
+	if likely != 0 {
+		sc.holds = append(sc.holds, sc.src.Addr)
+	}
+	*t = [2][3]uint16{}
 }
 
 // closePage files the summary of the page in progress and clears the slate

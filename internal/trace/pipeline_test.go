@@ -205,7 +205,7 @@ func TestLazyDirtyVerdictMatchesEagerSet(t *testing.T) {
 		// first, round 1 into the second, nothing touches the third.
 		rewrite := func(round mem.Addr) {
 			for _, o := range objs {
-				for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+				for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 					if o.Kind == mem.ObjLib || pb/mem.PageSize%3 != round {
 						continue
 					}
@@ -233,7 +233,7 @@ func TestLazyDirtyVerdictMatchesEagerSet(t *testing.T) {
 		}
 		eager := make(map[mem.Addr]bool) // the old pt.dirty: OnPages over the union
 		for _, o := range objs {
-			for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+			for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 				if onDirtyPage[pb] {
 					eager[o.Addr] = true
 				}

@@ -299,7 +299,7 @@ func plantRandomHeap(tb testing.TB, p *program.Proc, seed int64) []*mem.Object {
 			if rnd.Intn(16) == 0 && off+12 <= o.Size {
 				at += 4
 			}
-			if dark[pageOf(at)] || dark[pageOf(at+7)] {
+			if dark[mem.PageBase(at)] || dark[mem.PageBase(at+7)] {
 				continue
 			}
 			binary.LittleEndian.PutUint64(word[:], v)
@@ -359,7 +359,7 @@ func TestScanMatchesReferenceOnRandomHeaps(t *testing.T) {
 		for _, o := range planted {
 			if o.Addr&7 != 0 {
 				unaligned++
-				if pageOf(o.Addr) != pageOf(o.End()-1) {
+				if mem.PageBase(o.Addr) != mem.PageBase(o.End()-1) {
 					straddling++
 				}
 			}
@@ -494,6 +494,147 @@ func TestScanWordsAcrossPageBoundaries(t *testing.T) {
 	}
 }
 
+// randomObjectList lays out a seeded random, address-sorted object list
+// from base: untyped objects spanning several pages, pages packed with 64
+// abutting 64-byte objects, runs of abutting objects of random sizes, and
+// gaps, some of them whole pages. A third of the objects carry a type that
+// rejects words at offsets that are not multiples of 4.
+func randomObjectList(rnd *rand.Rand, base mem.Addr, n int) []*mem.Object {
+	aligned := scanFixtureTypes()[0] // Align 8
+	packed := scanFixtureTypes()[2]  // Align 1: any offset is plausible
+	var objs []*mem.Object
+	add := func(at mem.Addr, size uint64) mem.Addr {
+		o := &mem.Object{Addr: at, Size: size, Kind: []mem.ObjKind{mem.ObjHeap, mem.ObjStatic, mem.ObjLib}[rnd.Intn(3)]}
+		switch rnd.Intn(3) {
+		case 0:
+			o.Type = aligned
+		case 1:
+			o.Type = packed
+		}
+		objs = append(objs, o)
+		return o.End()
+	}
+	at := base + mem.Addr(rnd.Intn(64))
+	for len(objs) < n {
+		switch rnd.Intn(5) {
+		case 0: // spanning pages
+			at = add(at, uint64(mem.PageSize+rnd.Intn(4*mem.PageSize)))
+		case 1: // 64 objects on one page
+			at = mem.PageBase(at) + mem.PageSize
+			for i := 0; i < 64; i++ {
+				at = add(at, 64)
+			}
+		case 2: // abutting, random sizes
+			for i := rnd.Intn(8); i >= 0; i-- {
+				at = add(at, uint64(1+rnd.Intn(300)))
+			}
+		case 3: // a gap of whole pages
+			at += mem.Addr(mem.PageSize * (1 + rnd.Intn(3)))
+		default:
+			at = add(at+mem.Addr(rnd.Intn(40)), uint64(8+rnd.Intn(600)))
+		}
+	}
+	return objs
+}
+
+// binaryContaining is the plain binary search the page table stands in
+// front of: the index of the object containing w, or -1.
+func binaryContaining(objs []*mem.Object, w uint64) int {
+	i := sort.Search(len(objs), func(i int) bool { return uint64(objs[i].Addr) > w }) - 1
+	if i < 0 || w-uint64(objs[i].Addr) >= objs[i].Size {
+		return -1
+	}
+	return i
+}
+
+// TestScanResolverMatchesBinarySearch: over seeded random object lists,
+// page-keyed resolution (containing, likelyTarget) answers every candidate
+// exactly as a binary search over the list does — the target, its class
+// and the alignment verdict — in a shuffled order, with tables small
+// enough that pages share slots, and with words on pages no object
+// overlaps (the holes the resolver remembers) in between. A list rebuilt under a kept table (the
+// incremental analysis's step) retires the old slots: an object that left
+// or moved, or an address another object took over, never resolves to
+// what the old list had there.
+func TestScanResolverMatchesBinarySearch(t *testing.T) {
+	pol := types.DefaultPolicy()
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
+		rnd := rand.New(rand.NewSource(seed))
+		base := mem.Addr(0x10_0000 + rnd.Intn(16)*mem.PageSize)
+		candidates := func(objs []*mem.Object) []uint64 {
+			var ws []uint64
+			for _, o := range objs {
+				a := uint64(o.Addr)
+				ws = append(ws, a, a+1, a+2, a+3, a+4, a+o.Size-1, a+o.Size, a-1,
+					a+uint64(rnd.Int63n(int64(o.Size))), uint64(mem.PageBase(o.Addr)))
+			}
+			last := uint64(objs[len(objs)-1].End())
+			for i := 0; i < 500; i++ {
+				ws = append(ws, uint64(base)+uint64(rnd.Int63n(int64(last-uint64(base)+mem.PageSize))))
+			}
+			rnd.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+			return ws
+		}
+		check := func(name string, r *resolver, objs []*mem.Object) {
+			t.Helper()
+			for pass := 0; pass < 2; pass++ { // cold slots, then warm ones
+				for _, w := range candidates(objs) {
+					want := binaryContaining(objs, w)
+					if got := r.containing(w); got != want {
+						t.Fatalf("seed %d %s: containing(%#x) = %d, binary search %d", seed, name, w, got, want)
+					}
+					wantLikely := want
+					if want >= 0 {
+						if o := objs[want]; o.Type != nil && o.Type.Align > 1 && (w-uint64(o.Addr))%4 != 0 {
+							wantLikely = -1
+						}
+					}
+					gotLikely := -1
+					if s := r.likelyTarget(w); s != nil {
+						gotLikely = int(s.idx)
+						if o := objs[s.idx]; s.class != regionClass[o.Kind] || s.lo != uint64(o.Addr) || s.size != o.Size {
+							t.Fatalf("seed %d %s: slot for %#x describes [%#x,+%d) class %d, object is %s", seed, name, w, s.lo, s.size, s.class, o)
+						}
+					}
+					if gotLikely != wantLikely {
+						t.Fatalf("seed %d %s: likelyTarget(%#x) = %d, want %d", seed, name, w, gotLikely, wantLikely)
+					}
+				}
+			}
+		}
+
+		objs := randomObjectList(rnd, base, 400)
+		check("own table", newResolver(objs, pol), objs)
+		tiny := pageTable{slots: make([]pageSlot, 4)} // every fourth page shares a slot
+		tiny.advance()
+		check("4 slots", newTableResolver(objs, pol, &tiny), objs)
+
+		// Rebuild the list under the kept table, as a step does: drop
+		// every third object, give every fifth survivor's address to a
+		// new object of another size and type, and add objects in the
+		// gaps the drops left.
+		var rebuilt []*mem.Object
+		for i, o := range objs {
+			switch {
+			case i%3 == 0:
+				if i%2 == 0 && o.Size > 16 {
+					rebuilt = append(rebuilt, &mem.Object{Addr: o.Addr + 8, Size: o.Size / 2, Kind: mem.ObjHeap})
+				}
+			case i%5 == 0:
+				rebuilt = append(rebuilt, &mem.Object{Addr: o.Addr, Size: max(1, o.Size/3), Kind: mem.ObjMmap, Type: scanFixtureTypes()[0]})
+			default:
+				rebuilt = append(rebuilt, o)
+			}
+		}
+		var kept pageTable // as a step keeps it: advanced, then sized
+		kept.advance()
+		kept.reserve(32)
+		check("kept table, old list", newTableResolver(objs, pol, &kept), objs)
+		kept.advance()
+		check("kept table, rebuilt list", newTableResolver(rebuilt, pol, &kept), rebuilt)
+	}
+}
+
 // TestWarmRefreshFailsValidationOnMidScanStore races a writer against an
 // off-window analysis refresh of the same process (run under -race: the
 // in-place scan and the stores meet only through the address-space lock).
@@ -618,7 +759,7 @@ func randomAdoptLayout(rnd *rand.Rand, pages int) (map[mem.Addr]bool, map[mem.Ad
 			break
 		}
 		eligible := o.Scratch || rnd.Intn(30) > 0
-		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+		for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 			byPage[pb] = append(byPage[pb], o)
 			if eligible && !o.Scratch {
 				if _, seen := cand[pb]; !seen {
@@ -632,7 +773,7 @@ func randomAdoptLayout(rnd *rand.Rand, pages int) (map[mem.Addr]bool, map[mem.Ad
 		cursor = o.End() + mem.Addr(rnd.Intn(512))
 	}
 	for _, o := range inelig {
-		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+		for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 			if _, shared := cand[pb]; shared {
 				cand[pb] = false
 			}
@@ -671,7 +812,7 @@ func TestSettleAdoptableMatchesFixpoint(t *testing.T) {
 	cand := make(map[mem.Addr]bool)
 	for i := 0; i < n; i++ {
 		o := &mem.Object{Addr: mem.Addr(i)*mem.PageSize + 2048, Size: mem.PageSize}
-		for pb := pageOf(o.Addr); pb < o.End(); pb += mem.PageSize {
+		for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 			byPage[pb] = append(byPage[pb], o)
 			cand[pb] = pb != 0
 		}
@@ -740,27 +881,88 @@ func oneBigObject(tb testing.TB, size int, fill func(page []byte, at mem.Addr)) 
 var scanFills = []struct {
 	name string
 	fill func(page []byte, at mem.Addr)
+	// chunk, when set, splits the big object into untyped objects of this
+	// many bytes after the fill (chunked).
+	chunk int
 }{
 	{"zero", func(page []byte, _ mem.Addr) {
 		for i := range page {
 			page[i] = 0
 		}
-	}},
+	}, 0},
 	{"text", func(page []byte, _ mem.Addr) {
 		const s = "GET /index.html HTTP/1.1\r\nHost: example.org\r\n"
 		for i := range page {
 			page[i] = s[i%len(s)]
 		}
-	}},
+	}, 0},
 	{"pointers", func(page []byte, at mem.Addr) {
 		// Every word is an interior pointer into one of the targets,
-		// hopping between them: all candidates, all hits, the last-hit
-		// cache no help.
+		// hopping between them: all candidates, all hits, and the 64
+		// targets on a page seldom hit twice in a row.
 		for i := 0; i < len(page); i += 8 {
 			n := (uint64(at) + uint64(i)) / 8 * 2654435761 % scanTargets
 			binary.LittleEndian.PutUint64(page[i:], uint64(scanFixtureBase)+n*scanTargetSize+8)
 		}
-	}},
+	}, 0},
+	{"records", fillRecords, recordChunk},
+}
+
+// The records fill is httpd's keepalive state: 8 KiB chunks of an
+// uninstrumented region allocator, each packed with request records. A
+// record is four words — a pointer into the config object (the first
+// target), the previous record (in this chunk, or at the end of the one
+// before), its own body and a small integer (the connection's fd) — and
+// the request text as its body. Three candidates a record, all hits,
+// alternating between the config object and the record's own chunk: a
+// cache of the one last target would miss two in three.
+const (
+	recordChunk = 8 << 10
+	recordSize  = 80
+	recordsPer  = recordChunk / recordSize // the chunk's tail stays zero
+)
+
+func fillRecords(page []byte, at mem.Addr) {
+	const text = "GET /keepalive?seq=000042 HTTP/1.1\r\nHost: a.org\r\n"
+	for i := 0; i < len(page); i += 8 {
+		off := uint64(at-scanBigBase) + uint64(i)
+		chunk, k, field := off/recordChunk, off%recordChunk/recordSize, off%recordChunk%recordSize
+		rec := uint64(scanBigBase) + chunk*recordChunk + k*recordSize
+		var v uint64
+		switch {
+		case k == recordsPer:
+			// the chunk's tail
+		case field == 0:
+			v = uint64(scanFixtureBase) + 8
+		case field == 8 && k > 0:
+			v = rec - recordSize
+		case field == 8 && chunk > 0:
+			v = rec - recordChunk + (recordsPer-1)*recordSize
+		case field == 16:
+			v = rec + 32
+		case field == 24:
+			v = 7 + k
+		case field >= 32:
+			v = binary.LittleEndian.Uint64([]byte(text[field-32:]))
+		}
+		binary.LittleEndian.PutUint64(page[i:], v)
+	}
+}
+
+// chunked replaces oneBigObject's big object by untyped objects of chunk
+// bytes each over the same memory.
+func chunked(tb testing.TB, p *program.Proc, size, chunk int) {
+	tb.Helper()
+	ix := p.Index()
+	if _, ok := ix.Remove(scanBigBase); !ok {
+		tb.Fatal("no big object")
+	}
+	for off := 0; off < size; off += chunk {
+		o := &mem.Object{Addr: scanBigBase + mem.Addr(off), Size: uint64(min(chunk, size-off)), Kind: mem.ObjHeap, Site: 1}
+		if err := ix.Insert(o); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
 // TestAnalyzeProcAllocsIndependentOfHeapBytes: the analysis allocates per
@@ -801,13 +1003,18 @@ func TestAnalyzeProcAllocsIndependentOfHeapBytes(t *testing.T) {
 // BenchmarkAnalyzeProc is the conservative analysis of one process whose
 // state is one opaque object (plus its 1024 possible targets), by size and
 // by content: resident zeroes, text (every word fails the range
-// pre-filter) and pointers (every word is resolved by binary search and
-// censused). MB/s is the scan rate.
+// pre-filter), pointers (every word is a hit on a page of 64 targets, and
+// a distinct pin) and httpd's records (the same bytes as 8 KiB chunks of
+// records, each pointing at the config object, the record before and its
+// own body). MB/s is the scan rate.
 func BenchmarkAnalyzeProc(b *testing.B) {
 	for _, size := range []int{256 << 10, scanBigMax} {
 		for _, f := range scanFills {
 			b.Run(fmt.Sprintf("bytes=%dK/%s", size>>10, f.name), func(b *testing.B) {
 				p := oneBigObject(b, size, f.fill)
+				if f.chunk > 0 {
+					chunked(b, p, size, f.chunk)
+				}
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -206,7 +206,7 @@ func (pt *procTransfer) shadowFor(o *mem.Object) ([]byte, bool) {
 
 // anyPageOf reports whether any page of the ascending list overlaps o.
 func anyPageOf(pages []mem.Addr, o *mem.Object) bool {
-	i, _ := slices.BinarySearch(pages, pageOf(o.Addr))
+	i, _ := slices.BinarySearch(pages, mem.PageBase(o.Addr))
 	return i < len(pages) && pages[i] < o.End()
 }
 
@@ -428,12 +428,15 @@ func (pt *procTransfer) discover() ([]*mem.Object, error) {
 // pre-copy shadow holds the same bytes as live memory, so there is nothing
 // to gain from scanning it instead.
 func (pt *procTransfer) scanObject(o *mem.Object, r *resolver, visit func(*mem.Object)) error {
-	each := func(ti int) {
-		if t := r.objs[ti]; t.Kind != mem.ObjLib || pt.opts.TransferLibs[t.Name] {
-			visit(t)
+	return r.scan(pt.oldProc.Space(), o, func(precise, likely []int32) {
+		for _, hits := range [2][]int32{precise, likely} {
+			for _, ti := range hits {
+				if t := r.objs[ti]; t.Kind != mem.ObjLib || pt.opts.TransferLibs[t.Name] {
+					visit(t)
+				}
+			}
 		}
-	}
-	return r.scan(pt.oldProc.Space(), o, each, each)
+	})
 }
 
 // canceled reports whether Options.Cancel has fired.

@@ -66,11 +66,26 @@ type SustainedStats struct {
 	Requests     int
 	Errors       int
 	BadResponses int           // protocol-valid reply with wrong content
+	Bad          []BadReply    // the first maxBadReplies of them
 	Latency      time.Duration // summed over all requests
 	Elapsed      time.Duration
 	Hist         canary.Histogram // cumulative latency distribution
 	Intervals    []IntervalStat
 }
+
+// BadReply is one wrong response as the client saw it: which request it
+// answered, what that request should have got back, and what came back
+// instead (a reply's Server: banner names the version that wrote it).
+type BadReply struct {
+	Client, Seq int
+	Want        string // the echo (or reply marker) the request expects
+	Reply       string
+	At          time.Time // when the reply arrived
+}
+
+// maxBadReplies bounds SustainedStats.Bad: the first few wrong replies
+// describe a failure; the count says how often it recurred.
+const maxBadReplies = 4
 
 // Throughput returns completed requests per second.
 func (s SustainedStats) Throughput() float64 {
@@ -101,6 +116,7 @@ func (s SustainedStats) Delta(since SustainedStats) SustainedStats {
 		Requests:     s.Requests - since.Requests,
 		Errors:       s.Errors - since.Errors,
 		BadResponses: s.BadResponses - since.BadResponses,
+		Bad:          s.Bad[len(since.Bad):],
 		Latency:      s.Latency - since.Latency,
 		Elapsed:      s.Elapsed - since.Elapsed,
 		Hist:         s.Hist.Delta(since.Hist),
@@ -182,6 +198,7 @@ func (s *Sustained) Snapshot() SustainedStats {
 	out := s.stats
 	out.Elapsed = time.Since(s.start)
 	out.Intervals = append([]IntervalStat(nil), s.stats.Intervals...)
+	out.Bad = append([]BadReply(nil), s.stats.Bad...)
 	return out
 }
 
@@ -221,8 +238,8 @@ func (s *Sustained) stopping() bool {
 }
 
 // record attributes one completed request to the bucket its completion
-// falls in.
-func (s *Sustained) record(took time.Duration, err error, bad bool) {
+// falls in. bad is non-nil for a wrong reply.
+func (s *Sustained) record(took time.Duration, err error, bad *BadReply) {
 	idx := int(time.Since(s.start) / s.opts.Interval)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -245,8 +262,11 @@ func (s *Sustained) record(took time.Duration, err error, bad bool) {
 	iv.Requests++
 	iv.Latency += took
 	iv.Hist.Observe(took)
-	if bad {
+	if bad != nil {
 		s.stats.BadResponses++
+		if len(s.stats.Bad) < maxBadReplies {
+			s.stats.Bad = append(s.stats.Bad, *bad)
+		}
 	}
 }
 
@@ -287,7 +307,7 @@ func (s *Sustained) client(id int) {
 			var err error
 			sess, err = s.connect(id)
 			if err != nil {
-				s.record(0, err, false)
+				s.record(0, err, nil)
 				// Brief backoff so a server mid-quiesce is not hammered
 				// with doomed connection attempts.
 				select {
@@ -305,12 +325,16 @@ func (s *Sustained) client(id int) {
 		resp, err := s.request(sess, id, seq)
 		took := time.Since(t0)
 		if err != nil {
-			s.record(took, err, false)
+			s.record(took, err, nil)
 			sess.Close()
 			sess = nil
 			continue
 		}
-		s.record(took, nil, !s.valid(resp, id, seq))
+		var bad *BadReply
+		if want, ok := s.check(resp, id, seq); !ok {
+			bad = &BadReply{Client: id, Seq: seq, Want: want, Reply: resp, At: time.Now()}
+		}
+		s.record(took, nil, bad)
 		seq++
 	}
 }
@@ -368,23 +392,25 @@ func CanarySource(s *Sustained) func() canary.Sample {
 	return s.Sample
 }
 
-// valid checks the reply actually answers this client's request — the
-// correctness half of the mid-traffic scenario: through quiesce, commit
-// and rollback every client must keep getting its own echo back, not a
-// garbled or crossed response.
-func (s *Sustained) valid(resp string, id, seq int) bool {
+// check reports whether the reply actually answers this client's request
+// — the correctness half of the mid-traffic scenario: through quiesce,
+// commit and rollback every client must keep getting its own echo back,
+// not a garbled or crossed response — and what it looked for.
+func (s *Sustained) check(resp string, id, seq int) (want string, ok bool) {
 	switch s.opts.Server {
 	case "httpd":
-		return strings.Contains(resp, fmt.Sprintf("ka-req=GET /load-%d-%d", id, seq))
+		want = fmt.Sprintf("ka-req=GET /load-%d-%d", id, seq)
+		return want, strings.Contains(resp, want)
 	case "nginx":
 		// nginx replies carry a request counter, not a per-request echo:
 		// validate the protocol frame and body marker.
-		return strings.HasPrefix(resp, "HTTP/1.1 200 OK banner=") &&
-			strings.Contains(resp, "body=<html>hello from nginx</html>")
+		const frame, body = "HTTP/1.1 200 OK banner=", "body=<html>hello from nginx</html>"
+		return frame + "... " + body, strings.HasPrefix(resp, frame) && strings.Contains(resp, body)
 	case "vsftpd":
-		return strings.HasPrefix(resp, "211 ")
+		return "211 ", strings.HasPrefix(resp, "211 ")
 	case "sshd":
-		return strings.Contains(resp, fmt.Sprintf("ran %q", fmt.Sprintf("load-%d-%d", id, seq)))
+		want = fmt.Sprintf("ran %q", fmt.Sprintf("load-%d-%d", id, seq))
+		return want, strings.Contains(resp, want)
 	}
-	return false
+	return "", false
 }

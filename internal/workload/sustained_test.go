@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/canary"
+	"repro/internal/kernel"
 )
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -252,5 +255,95 @@ func TestSustainedDeltaQuantiles(t *testing.T) {
 	// dense driver snapshots).
 	if z := after.Delta(after); z.Hist.Count() != 0 || len(z.Intervals) != 0 {
 		t.Fatalf("self-delta not empty: %+v", z)
+	}
+}
+
+// crossingServer is an httpd-style keepalive server in the simulated
+// kernel that echoes each request, except that from load request
+// crossFrom (counted from 0 after the keepalive open) on it answers with
+// the echo of the request before: a protocol-valid reply to someone
+// else's request.
+func crossingServer(t *testing.T, k *kernel.Kernel, port, crossFrom int) {
+	t.Helper()
+	p := k.NewProc()
+	lfd := p.Socket()
+	if err := p.Bind(lfd, port); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Listen(lfd, 16); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		close(stop)
+		wg.Wait()
+		p.Exit()
+	})
+	serve := func(fd int) {
+		defer wg.Done()
+		prev := ""
+		for n := 0; ; n++ {
+			msg, err := p.Read(fd, stop)
+			if err != nil {
+				return
+			}
+			echo := string(msg)
+			if n > crossFrom {
+				echo = prev
+			}
+			prev = string(msg)
+			if p.Write(fd, []byte("HTTP/1.1 200 OK Server: crossing ka-req="+echo)) != nil {
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			fd, _, err := p.Accept(lfd, stop)
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go serve(fd)
+		}
+	}()
+}
+
+// TestSustainedKeepsCrossedReplies: a reply that answers another request
+// counts as a wrong response, and the first few are kept with the client,
+// the sequence number, the echo it wanted and the reply it got.
+func TestSustainedKeepsCrossedReplies(t *testing.T) {
+	k := kernel.New()
+	const port, crossFrom = 9091, 3
+	crossingServer(t, k, port, crossFrom)
+	s, err := StartSustained(k, SustainedOptions{Server: "httpd", Port: port, Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Snapshot().BadResponses < 2*maxBadReplies && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	t0 := time.Now()
+	st := s.Stop()
+	if st.BadResponses < 2*maxBadReplies || st.Requests != st.BadResponses+crossFrom {
+		t.Fatalf("%d requests, %d wrong: want every request from seq %d on wrong (last err %v)", st.Requests, st.BadResponses, crossFrom, s.LastError())
+	}
+	if len(st.Bad) != maxBadReplies {
+		t.Fatalf("kept %d wrong replies, want the first %d", len(st.Bad), maxBadReplies)
+	}
+	for i, b := range st.Bad {
+		seq := crossFrom + i
+		want := fmt.Sprintf("ka-req=GET /load-0-%d", seq)
+		got := fmt.Sprintf("HTTP/1.1 200 OK Server: crossing ka-req=GET /load-0-%d", seq-1)
+		if b.Client != 0 || b.Seq != seq || b.Want != want || b.Reply != got || b.At.IsZero() || b.At.After(t0) {
+			t.Errorf("wrong reply %d = %+v, want client 0 seq %d, want %q, reply %q", i, b, seq, want, got)
+		}
+	}
+	if d := st.Delta(SustainedStats{Bad: st.Bad[:1]}); len(d.Bad) != maxBadReplies-1 || d.Bad[0] != st.Bad[1] {
+		t.Errorf("Delta kept %+v, want the wrong replies after the earlier snapshot's", d.Bad)
 	}
 }
