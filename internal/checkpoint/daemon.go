@@ -57,6 +57,9 @@ type DaemonStats struct {
 	PagesRescanned     int
 	PagesReused        int
 	LastPagesRescanned int
+	// FullSteps counts the recomputations that scanned every page of
+	// their process, by cause.
+	FullSteps trace.FullSteps
 
 	// Duty-cycle accounting, the raw material of the overhead curve:
 	// WorkTime is wall clock spent inside passes, PauseTime wall clock
@@ -85,9 +88,11 @@ func (s DaemonStats) DutyFraction() float64 {
 // long-lived Snapshotter's per-process shadows continuously current
 // against the soft-dirty bits and a trace.WarmAnalysis incrementally
 // revalidated against the memory delta counters, so an update can begin
-// at quiescence with the pre-quiesce work already done. The engine stops
-// the daemon when an update starts and adopts its snapshotter and
-// analysis; a rollback's Discard hands every consumed soft-dirty bit back.
+// at quiescence with the pre-quiesce work already done. The analysis is
+// the caller's: the engine keeps one per running instance and hands it to
+// each daemon it arms there. The engine stops the daemon when an update
+// starts and adopts its snapshotter; a rollback's Discard hands every
+// consumed soft-dirty bit back.
 type Daemon struct {
 	inst *program.Instance
 	snap *Snapshotter
@@ -221,6 +226,7 @@ func (d *Daemon) pass() {
 	d.stats.PagesRescanned += rs.PagesRescanned
 	d.stats.PagesReused += rs.PagesReused
 	d.stats.LastPagesRescanned = rs.PagesRescanned
+	d.stats.FullSteps.Add(rs.Full)
 	d.mu.Unlock()
 }
 
@@ -239,8 +245,7 @@ func (d *Daemon) Stop() {
 // adopt only after Stop.
 func (d *Daemon) Snapshot() *Snapshotter { return d.snap }
 
-// Warm returns the daemon's warm analysis. Meaningful to adopt only
-// after Stop.
+// Warm returns the analysis the daemon steps.
 func (d *Daemon) Warm() *trace.WarmAnalysis { return d.warm }
 
 // DutyCycle returns the configured duty-cycle bound.

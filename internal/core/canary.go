@@ -199,7 +199,7 @@ func (e *Engine) openCanary(old, newInst *program.Instance, rep *UpdateReport) b
 	run.span = e.opts.Recorder.Span(obs.TrackCanary, obs.PhaseCanaryWindow)
 	e.canaryRun = run
 	e.canaryLast = run
-	e.current = newInst
+	e.setCurrentLocked(newInst)
 	e.mu.Unlock()
 	// Make the parked old instance whole before the new version resumes:
 	// adopted page frames stay with the new instance (which is about to
@@ -328,7 +328,7 @@ func (e *Engine) resolveCanary(run *canaryRun, br *canary.Breach) {
 	run.rep.Reason = fmt.Errorf("canary: %s", cause)
 	e.canaryOutcome = "reverted"
 	e.canaryCause = cause
-	e.current = run.old
+	e.setCurrentLocked(run.old)
 	d := e.daemon
 	e.daemon = nil
 	e.mu.Unlock()

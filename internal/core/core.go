@@ -161,18 +161,23 @@ type UpdateReport struct {
 	// split the in-window analysis validation outcome per process (one
 	// with any page re-scanned counts as re-analyzed), PagesRescanned /
 	// PagesReused per page: how much of those processes it took.
+	// FullSteps counts, by cause, the processes the update's analysis
+	// steps — the speculate refresh and the in-window validation — had to
+	// analyze from nothing.
 	Pipelined       bool
 	AnalysesReused  int
 	ProcsReanalyzed int
 	PagesRescanned  int
 	PagesReused     int
+	FullSteps       trace.FullSteps
 
 	// Warm reports that the update started from the warm-standby daemon's
 	// state: the speculate phase was skipped and the request effectively
 	// began at quiescence. WarmDaemon is the
 	// daemon's accumulated warm work at disarm; WarmReanalyses is the
-	// per-process analysis-recomputation tally across the serving window
-	// plus the in-window validation (the fork-heavy skew evidence).
+	// per-process analysis-recomputation tally of the old instance's
+	// analysis, from its first step to the in-window validation (the
+	// fork-heavy skew evidence).
 	Warm           bool
 	WarmDaemon     checkpoint.DaemonStats
 	WarmReanalyses map[program.ProcKey]int
@@ -243,8 +248,14 @@ type Engine struct {
 	// the package's ablation test swaps before Launch.
 	policy types.Policy
 
-	mu       sync.Mutex
-	current  *program.Instance
+	mu      sync.Mutex
+	current *program.Instance
+	// analysis is current's conservative analysis, kept for as long as
+	// current is: the warm daemon steps it while armed, and every update
+	// of current steps it from wherever it stands. setCurrentLocked
+	// replaces it with current — process keys repeat across versions, so
+	// another instance's entries could validate by coincident counters.
+	analysis *trace.WarmAnalysis
 	history  []*UpdateReport
 	warmOn   bool // warm-standby mode enabled (armed/re-armed around updates)
 	updating bool // an Update is in flight (blocks ArmWarm)
@@ -343,18 +354,26 @@ func (e *Engine) Launch(v *program.Version) (*program.Instance, error) {
 	inst.CompleteStartup()
 	inst.Resume()
 	e.mu.Lock()
-	e.current = inst
+	e.setCurrentLocked(inst)
 	e.mu.Unlock()
 	e.rearmWarm()
 	return inst, nil
 }
 
+// setCurrentLocked makes inst the running instance, with an empty
+// analysis of it (none with no instance). The caller must hold e.mu.
+func (e *Engine) setCurrentLocked(inst *program.Instance) {
+	e.current, e.analysis = inst, nil
+	if inst != nil {
+		e.analysis = trace.NewWarmAnalysis(e.policy, nil)
+	}
+}
+
 // newDaemonLocked starts a readiness daemon over the current instance
-// with a fresh warm analysis; the caller must hold e.mu.
+// that steps the instance's analysis; the caller must hold e.mu.
 func (e *Engine) newDaemonLocked() *checkpoint.Daemon {
 	e.opts.Recorder.Instant(obs.TrackDaemon, obs.PhaseArmWarm, "", 0)
-	return checkpoint.StartDaemon(e.current,
-		trace.NewWarmAnalysis(e.policy, nil),
+	return checkpoint.StartDaemon(e.current, e.analysis,
 		checkpoint.DaemonOptions{
 			Interval:  e.warmInterval,
 			DutyCycle: e.warmDuty,
@@ -432,7 +451,10 @@ func (e *Engine) ArmWarm() error {
 
 // DisarmWarm disables warm-standby mode: the daemon stops and its
 // checkpoint is discarded, handing every consumed soft-dirty bit back so
-// a later cold update still sees the full dirty-since-startup set.
+// a later cold update still sees the full dirty-since-startup set. The
+// analysis it kept current stays with the instance: a later cold update
+// steps it over what was written since, instead of analyzing from
+// nothing.
 func (e *Engine) DisarmWarm() {
 	e.mu.Lock()
 	d := e.daemon
@@ -444,10 +466,10 @@ func (e *Engine) DisarmWarm() {
 
 // detachWarm stops the daemon and hands it to the calling update attempt,
 // which adopts its long-lived snapshotter (shadows + consumed-bit
-// accounting) and its warm analysis; the daemon's work tally at disarm is
-// recorded in rep. nil means no daemon was armed. Warm mode
-// stays enabled — the update re-arms a fresh daemon on whatever instance
-// survives (the new version after commit, the old one after rollback).
+// accounting); the daemon's work tally at disarm is recorded in rep. nil
+// means no daemon was armed. Warm mode stays enabled — the update re-arms
+// a fresh daemon on whatever instance survives (the new version after
+// commit, the old one after rollback).
 func (e *Engine) detachWarm(rep *UpdateReport) *checkpoint.Daemon {
 	e.mu.Lock()
 	d := e.daemon
@@ -559,7 +581,7 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 		e.mu.Unlock()
 		return nil, ErrCanaryOpen
 	}
-	old := e.current
+	old, an := e.current, e.analysis
 	src := e.canarySrc
 	canaryArmed := e.canaryOn && src != nil
 	e.mu.Unlock()
@@ -591,10 +613,10 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	e.updating = true
 	deadlines := e.deadlines
 	e.mu.Unlock()
-	// Detach the warm daemon (if armed) and adopt its snapshotter and
-	// analysis: the Stop join is part of the request's true latency, so it
-	// runs inside the timed window. Warm mode re-arms a fresh daemon on
-	// whatever instance survives the attempt.
+	// Detach the warm daemon (if armed) and adopt its snapshotter: the
+	// Stop join is part of the request's true latency, so it runs inside
+	// the timed window. Warm mode re-arms a fresh daemon on whatever
+	// instance survives the attempt.
 	warm := e.detachWarm(rep)
 	defer func() {
 		rep.TotalTime = time.Since(start)
@@ -609,7 +631,7 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	// defer so no monitor goroutine outlives its update.
 	wd := newWatchdog(deadlines, e.opts.Faults, e.opts.Recorder)
 	defer wd.stop()
-	return rep, e.lifecycle(old, v2, rep, warm, wd)
+	return rep, e.lifecycle(old, an, v2, rep, warm, wd)
 }
 
 // restart is the body of the RESTART phase: the new version starts from
@@ -728,7 +750,7 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 	reinit.ReleaseIDs(newInst.Root())
 	newInst.Resume()
 	e.mu.Lock()
-	e.current = newInst
+	e.setCurrentLocked(newInst)
 	e.mu.Unlock()
 }
 
@@ -779,11 +801,13 @@ func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
 // begins. The pipelined one — the default — takes two pieces of work off
 // the quiesce→commit window:
 //
-//  1. The conservative analysis is brought current off-window, while the
-//     old version is still serving: by the warm daemon between updates,
-//     or else by one speculate phase run just before quiescence. In-window
-//     it is only validated per process against the soft-dirty/allocation
-//     deltas; what they invalidated is re-analyzed.
+//  1. The conservative analysis — the old instance's own, kept across its
+//     updates — is brought current off-window, while the old version is
+//     still serving: by the warm daemon between updates, or else by one
+//     speculate phase run just before quiescence, which steps it from
+//     wherever it stands. In-window it is only validated per process
+//     against the page stamps and allocation deltas; what they invalidated
+//     is re-scanned.
 //  2. The old-side job — object discovery — runs concurrently with the
 //     new version's RESTART, so the transfer phase joins it and pairs at
 //     once. (The sequential schedule runs discovery inside the transfer
@@ -792,7 +816,7 @@ func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
 // With a warm handoff the speculate phase disappears: the daemon kept the
 // analysis current, so the request starts at quiescence, and the copy
 // serves every object the daemon's shadows still cover.
-func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *UpdateReport, warm *checkpoint.Daemon, wd *watchdog) error {
+func (e *Engine) lifecycle(old *program.Instance, an *trace.WarmAnalysis, v2 *program.Version, rep *UpdateReport, warm *checkpoint.Daemon, wd *watchdog) error {
 	pipelined := !e.opts.Sequential
 	rep.Pipelined = pipelined
 	rep.Phases = make([]PhaseRecord, 0, len(phaseTable))
@@ -883,42 +907,42 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 	}()
 
 	// --- CHECKPOINT, off-window: the analysis -------------------------
-	// The analysis source is one warm analysis: the daemon's when handed
-	// off, otherwise a fresh, empty one. The daemon's shadows come with it.
-	// Its epochs were speculative: Discard hands the consumed soft-dirty
-	// bits back on every outcome (rollback needs them for the next attempt;
-	// after commit the old instance is gone and re-marking is harmless).
-	var (
-		snap *checkpoint.Snapshotter
-		an   *trace.WarmAnalysis
-	)
+	// The analysis is the old instance's own (an). A warm daemon hands its
+	// shadows over with it. Its epochs were speculative: Discard hands the
+	// consumed soft-dirty bits back on every outcome (rollback needs them
+	// for the next attempt; after commit the old instance is gone and
+	// re-marking is harmless).
+	var snap *checkpoint.Snapshotter
 	if warm != nil {
-		snap, an = warm.Snapshot(), warm.Warm()
+		snap = warm.Snapshot()
 		defer snap.Discard()
 		// A snapshotter that failed an epoch (or had a daemon pass shot
 		// out from under it) cannot vouch for its shadows.
 		if err := snap.Err(); err != nil {
 			return abort(nil, wd.wrap(fmt.Errorf("checkpoint: %w", err)))
 		}
-	} else {
-		an = trace.NewWarmAnalysis(e.policy, nil)
 	}
-	// An empty analysis (a cold update, or a daemon detached before its
-	// first pass) gets one refresh here, where the old version is still
-	// serving; Resolve over it in-window would move every per-process
-	// analysis into the downtime. Only an *empty* one: under traffic a
-	// warm analysis is always somewhat stale, and refreshing it here would
-	// put a full pass on every warm request. The select lets a deadline
-	// trip abandon a wedged refresh instead of joining it.
-	if pipelined && an.Entries() == 0 {
+	// A cold update steps the analysis here, where the old version is
+	// still serving: from where a daemon armed earlier left it, over the
+	// pages written since, or from nothing on an instance never analyzed.
+	// Resolve over a stale analysis in-window would move that work into
+	// the downtime. A warm handoff skips the step unless the daemon was
+	// detached before its first pass: the daemon's analysis is as current
+	// as its last pass, and the in-window Resolve pays for the pages
+	// written since. The select lets a deadline trip abandon a wedged
+	// refresh instead of joining it.
+	if pipelined && (warm == nil || an.Entries() == 0) {
 		if err := runPhase(phaseTable[phSpeculate], func() error {
+			var rs trace.WarmRefresh
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				an.Refresh(old)
+				rs = an.Refresh(old)
 			}()
 			select {
 			case <-done:
+				note = fmt.Sprintf("pages rescanned=%d reused=%d %v", rs.PagesRescanned, rs.PagesReused, rs.Full)
+				rep.FullSteps.Add(rs.Full)
 			case <-wd.cancel:
 			}
 			return nil
@@ -981,7 +1005,7 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 		if !prior {
 			attr, attrN = "procs", len(analyses)
 		}
-		note = fmt.Sprintf("pages rescanned=%d reused=%d", rs.PagesRescanned, rs.PagesReused)
+		note = fmt.Sprintf("pages rescanned=%d reused=%d %v", rs.PagesRescanned, rs.PagesReused, rs.Full)
 		if err == nil && prior {
 			err = e.opts.Faults.Check(faultinject.PointSpeculation)
 		}
@@ -993,6 +1017,7 @@ func (e *Engine) lifecycle(old *program.Instance, v2 *program.Version, rep *Upda
 		}
 		rep.AnalysesReused, rep.ProcsReanalyzed = rs.Revalidated, len(analyses)-rs.Revalidated
 		rep.PagesRescanned, rep.PagesReused = rs.PagesRescanned, rs.PagesReused
+		rep.FullSteps.Add(rs.Full)
 		if warm != nil {
 			rep.WarmReanalyses = an.ReanalysisCounts()
 		}
@@ -1115,7 +1140,7 @@ func (e *Engine) Shutdown() {
 	}
 	e.mu.Lock()
 	inst := e.current
-	e.current = nil
+	e.setCurrentLocked(nil)
 	d := e.daemon
 	e.daemon = nil
 	e.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 // compareState asserts two instances carry bit-identical state: same
@@ -238,8 +239,13 @@ func TestUpdateReportsPagesRescanned(t *testing.T) {
 	if rep.PagesRescanned != 1 || rep.PagesReused == 0 {
 		t.Errorf("pages rescanned=%d reused=%d, want 1 rescanned and the rest reused", rep.PagesRescanned, rep.PagesReused)
 	}
+	// The speculate step analyzed the process from nothing; the in-window
+	// step did not, and its note says so.
+	if want := (trace.FullSteps{New: 1}); rep.FullSteps != want {
+		t.Errorf("full steps %v, want %v", rep.FullSteps, want)
+	}
 	sp, ok := findSpan(obs.Pair(rec.Events()), obs.TrackEngine, obs.PhaseValidate)
-	want := fmt.Sprintf("pages rescanned=%d reused=%d", rep.PagesRescanned, rep.PagesReused)
+	want := fmt.Sprintf("pages rescanned=%d reused=%d full new=0 remapped=0 frame=0", rep.PagesRescanned, rep.PagesReused)
 	if !ok || sp.Note != want || sp.ArgName != "reused" {
 		t.Errorf("analysis span = %+v, want note %q beside the reused count", sp, want)
 	}

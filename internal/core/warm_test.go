@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/canary"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/program"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -397,4 +399,173 @@ func TestWarmForkSkewOnlyMutatedProcsReanalyzed(t *testing.T) {
 			t.Errorf("idle proc %s reanalyses = %d, want 1 (initial only)", p.Key(), counts[p.Key()])
 		}
 	}
+}
+
+// TestColdUpdateStepsKeptAnalysis: disarming warm standby keeps the
+// analysis the daemon made current with the instance, and the cold update
+// that follows steps it over what changed since — a heap that grew past
+// its mapping included — instead of analyzing every process from nothing.
+// What it commits is bit-identical to the sequential engine's after the
+// same script.
+func TestColdUpdateStepsKeptAnalysis(t *testing.T) {
+	type run struct {
+		rep    *UpdateReport
+		digest uint64
+		last   string
+	}
+	drive := func(sequential bool) run {
+		t.Helper()
+		e, k := launchEchod(t, Options{Sequential: sequential, Audit: true})
+		t.Cleanup(e.Shutdown)
+		armWarm(t, e)
+		c, err := k.Connect(7000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendRecv(t, c, "a")
+		if !e.WarmWait(10 * time.Second) {
+			t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
+		}
+		e.DisarmWarm()
+
+		// Past a growth quantum, with likely pointers on its pages: the
+		// heap region grows while no daemon runs.
+		root := e.Current().Root()
+		heapRegion := func() mem.Region {
+			r, ok := root.Space().RegionAt(program.HeapBase)
+			if !ok {
+				t.Fatal("no heap region")
+			}
+			return r
+		}
+		before := heapRegion()
+		big, err := root.Heap().Alloc(3<<19, nil, 4242)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf, _ := root.ReadPtr(root.MustGlobal("conf"), "")
+		for off := uint64(0); off < big.Size; off += 64 << 10 {
+			if err := root.Space().WriteWord(big.Addr+mem.Addr(off), uint64(conf.Addr)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if heapRegion().Size <= before.Size {
+			t.Fatalf("heap region did not grow: %d bytes before, %d after", before.Size, heapRegion().Size)
+		}
+
+		rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
+		if err != nil {
+			t.Fatalf("Update (sequential=%v): %v", sequential, err)
+		}
+		digest, err := trace.StateDigest(e.Current())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{rep: rep, digest: digest, last: sendRecv(t, c, "b")}
+	}
+
+	cold, seq := drive(false), drive(true)
+	if cold.rep.Warm || !cold.rep.Pipelined {
+		t.Fatalf("want a pipelined cold update: warm=%v pipelined=%v", cold.rep.Warm, cold.rep.Pipelined)
+	}
+	// The in-window step of the cold update finds the summaries its
+	// speculate step left; the sequential one has no speculate step, and
+	// rescans what the allocation wrote in-window.
+	if cold.rep.PagesReused == 0 {
+		t.Errorf("cold update reused no page summary in-window (%d rescanned)", cold.rep.PagesRescanned)
+	}
+	for _, r := range []struct {
+		name string
+		run
+	}{{"cold", cold}, {"sequential", seq}} {
+		if r.rep.FullSteps.Total() != 0 {
+			t.Errorf("%s update: %v: want the kept analysis stepped, not restarted", r.name, r.rep.FullSteps)
+		}
+		if r.last != "v2:b:2" {
+			t.Errorf("%s update: post-update reply %q, want v2:b:2", r.name, r.last)
+		}
+	}
+	if cold.rep.Transfer.Checksum != seq.rep.Transfer.Checksum || cold.digest != seq.digest {
+		t.Errorf("cold vs sequential: transfer checksum %#x vs %#x, state digest %#x vs %#x",
+			cold.rep.Transfer.Checksum, seq.rep.Transfer.Checksum, cold.digest, seq.digest)
+	}
+	if cold.rep.Transfer.Checksum == 0 {
+		t.Error("transfer checksum not computed")
+	}
+}
+
+// TestKeptAnalysisDoesNotCrossInstances: the engine's kept analysis
+// describes one instance. Process keys repeat across versions, so one
+// carried to another instance could pass for current on coincident
+// counters. After a commit, after a canary revert and after Shutdown and
+// Launch, each following the population of the analysis being replaced,
+// the next cold update's speculate step analyzes every process from
+// nothing.
+func TestKeptAnalysisDoesNotCrossInstances(t *testing.T) {
+	const children = 2
+	e, err := NewEngine(kernel.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	seq := 0
+	launch := func() {
+		t.Helper()
+		if _, err := e.Launch(forkdVersion(fmt.Sprintf("1.%d", seq), seq, children)); err != nil {
+			t.Fatalf("Launch: %v", err)
+		}
+	}
+	update := func() *UpdateReport {
+		t.Helper()
+		seq++
+		rep, err := e.Update(forkdVersion(fmt.Sprintf("1.%d", seq), seq, children))
+		if err != nil {
+			t.Fatalf("Update to 1.%d: %v", seq, err)
+		}
+		return rep
+	}
+	populate := func() {
+		t.Helper()
+		armWarm(t, e)
+		if !e.WarmWait(10 * time.Second) {
+			t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
+		}
+		e.DisarmWarm()
+	}
+	fromNothing := func(when string, rep *UpdateReport) {
+		t.Helper()
+		if want := (trace.FullSteps{New: children + 1}); rep.FullSteps != want {
+			t.Errorf("%s: the next update took %v, want %v: every process analyzed from nothing", when, rep.FullSteps, want)
+		}
+	}
+
+	launch()
+	populate()
+	if rep := update(); rep.FullSteps.Total() != 0 {
+		t.Errorf("the instance's own kept analysis was not stepped: %v", rep.FullSteps)
+	}
+	// That update left the old instance's analysis fully populated.
+	fromNothing("after a commit", update())
+
+	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
+	e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
+	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
+		t.Fatal(err)
+	}
+	old := e.Current()
+	if rep := update(); !rep.Canary {
+		t.Fatal("the update opened no canary window")
+	}
+	populate() // the new version's analysis
+	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
+	if !e.CanaryWait(10*time.Second) || e.Current() != old {
+		t.Fatal("the canary window did not revert to the old instance")
+	}
+	e.DisarmCanary()
+	fromNothing("after a canary revert", update())
+
+	populate()
+	e.Shutdown()
+	launch()
+	fromNothing("after Shutdown and Launch", update())
 }

@@ -107,9 +107,12 @@ type AddressSpace struct {
 	// invalidate a concurrently captured speculative analysis.
 	mutations uint64
 	// reshaped is the mutations value at the last change to the *shape* of
-	// the space: a region mapped, unmapped or grown, or a resident frame
-	// taken away (donated, or restored to absence). Such a change leaves no
-	// page behind to carry a stamp, so StoredSince reports it separately.
+	// the space: a region mapped or unmapped, or a resident frame taken
+	// away (donated, or restored to absence). Such a change leaves no page
+	// behind to carry a stamp, so StoredSince reports it separately.
+	// Growth is not one: the grown part holds no resident page, and the
+	// first store into it stamps the page it lands on. A reader that
+	// filters by the mapped span follows growth itself.
 	reshaped uint64
 }
 
@@ -159,7 +162,8 @@ func (as *AddressSpace) Unmap(start Addr) error {
 }
 
 // GrowRegion extends the named region by delta bytes (sbrk-style heap
-// growth). The extension must not collide with the next region.
+// growth). The extension must not collide with the next region. It counts
+// as a mutation, not as a reshape: no page appears or disappears.
 func (as *AddressSpace) GrowRegion(name string, delta uint64) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -175,7 +179,7 @@ func (as *AddressSpace) GrowRegion(name string, delta uint64) error {
 			}
 		}
 		r.Size += delta
-		as.reshapeLocked()
+		as.mutations++
 		return nil
 	}
 	return fmt.Errorf("mem: GrowRegion %q: %w", name, ErrNoRegion)
@@ -445,12 +449,14 @@ func (as *AddressSpace) Mutations() uint64 {
 // the resident pages stored into or installed after the write generation
 // epoch (an earlier Mutations reading; 0 lists every resident page), the
 // generation now that the listing describes — the epoch to pass next time —
-// and whether the space was reshaped since epoch: a region mapped, unmapped
-// or grown, or a resident frame taken away, which no surviving page can
-// report. A store racing the call lands on one side of it: either its page
-// is listed, or its stamp is past now and the next call lists it. Unlike
-// ReadAndClearSoftDirty this clears nothing, so it does not interfere with
-// the checkpoint's dirty tracking or with other callers.
+// and whether the space was reshaped since epoch: a region mapped or
+// unmapped, or a resident frame taken away, which no surviving page can
+// report. A grown region is not reported: nothing is resident in the grown
+// part until a store stamps it. A store racing the call lands on one side
+// of it: either its page is listed, or its stamp is past now and the next
+// call lists it. Unlike ReadAndClearSoftDirty this clears nothing, so it
+// does not interfere with the checkpoint's dirty tracking or with other
+// callers.
 func (as *AddressSpace) StoredSince(epoch uint64) (now uint64, pages []Addr, reshaped bool) {
 	as.mu.RLock()
 	for pb, p := range as.pages {

@@ -36,9 +36,10 @@ func (r *storedSince) expect(what string, reshaped bool, pages ...int) {
 // reader — a store, an in-place update, a page-to-page copy, a frame
 // installed by adoption, restore or a bulk move — stamps its page, and every
 // way a page or a mapping can disappear or appear — donation, restore to
-// absence, map, grow, unmap — is reported as a reshape. Nothing else moves
-// either (reads, the soft-dirty operations), and the query itself leaves
-// the soft-dirty bits alone.
+// absence, map, unmap — is reported as a reshape. Growing a region is not
+// one: it makes room, and the first store into the grown part stamps its
+// page like any other. Nothing else moves either (reads, the soft-dirty
+// operations), and the query itself leaves the soft-dirty bits alone.
 func TestStoredSinceCoversEveryWritePath(t *testing.T) {
 	as, other := newDirtySpace(t, 16), newDirtySpace(t, 16)
 	at := func(pg int) Addr { return 0x1000 + Addr(pg)*PageSize }
@@ -130,7 +131,9 @@ func TestStoredSinceCoversEveryWritePath(t *testing.T) {
 	r.expect("parent not written", false)
 
 	check(as.GrowRegion("heap", PageSize))
-	r.expect("GrowRegion", true)
+	r.expect("GrowRegion", false)
+	writePage(t, as, 16, 1)
+	r.expect("a store into the grown part", false, 16)
 	check(as.Map(0x100000, PageSize, RegionMmap, "extra"))
 	r.expect("Map", true)
 	check(as.Unmap(0x100000))
@@ -138,7 +141,7 @@ func TestStoredSinceCoversEveryWritePath(t *testing.T) {
 
 	// Epoch 0 is "everything resident".
 	r.epoch = 0
-	r.expect("from epoch 0", true, 3, 4, 5, 6, 7, 8, 9, 11)
+	r.expect("from epoch 0", true, 3, 4, 5, 6, 7, 8, 9, 11, 16)
 }
 
 // TestStoredSinceRacingStores: a store that races the query lands on one

@@ -78,7 +78,7 @@ func (a *Analysis) IsImmutable(addr mem.Addr) bool {
 // step from nothing — every resident page to scan (incremental.go).
 func AnalyzeProc(p *program.Proc, pol types.Policy, transferLibs map[string]bool) (*Analysis, error) {
 	var st procAnalysis
-	if _, _, err := st.step(p, pol, transferLibs); err != nil {
+	if _, _, _, err := st.step(p, pol, transferLibs); err != nil {
 		return nil, err
 	}
 	return st.an, nil

@@ -28,7 +28,12 @@ import (
 // Every other summary stands as it is. The cold analysis is the same step
 // with every resident page to scan. A change to the shape of the address
 // space (a mapping change, or a frame taken away) moves what "in span"
-// means, or removes pages without a trace, and falls back to that.
+// means, or removes pages without a trace, and falls back to that. Heap
+// growth does not: the span a heap's dangling words are kept within runs
+// up to the next region (trackedSpans), so the object later allocated in
+// the grown part re-scans the pages that point at it like any other. An
+// object outside that span — in the grown part of another region — falls
+// back as a mapping change.
 
 // regionClass maps an object kind to the memory class Table 2 reports:
 // static (globals and stack variables), dynamic, lib.
@@ -104,11 +109,11 @@ func (s *pageSummary) touches(delta []*mem.Object) bool {
 // their fold, and what the fold was computed against. Not safe for
 // concurrent use.
 type procAnalysis struct {
-	objs    []*mem.Object // the live objects the summaries resolve against, by address
-	gen     uint64        // Index().Gen() as of objs
-	regions []mem.Region  // the mapped span dangling words are kept within
-	epoch   uint64        // Mutations as of the last step's page listing
-	pages   map[mem.Addr]*pageSummary
+	objs  []*mem.Object // the live objects the summaries resolve against, by address
+	gen   uint64        // Index().Gen() as of objs
+	spans []mem.Region  // the span dangling words are kept within (trackedSpans), as of the last full step
+	epoch uint64        // Mutations as of the last step's page listing
+	pages map[mem.Addr]*pageSummary
 	// bufs are objs and its predecessor, by turns: a step that finds the
 	// index moved has the new list merged into the one objs is not in
 	// (mem.ObjectIndex.AppendAll), so stepping a process that keeps
@@ -132,18 +137,45 @@ type procAnalysis struct {
 	an *Analysis
 }
 
+// fullCause says why a step scanned every resident page (notFull: it did
+// not).
+type fullCause uint8
+
+const (
+	notFull        fullCause = iota
+	fullNew                  // nothing to step from
+	fullRemapped             // a region mapped or unmapped, or an object outside the tracked span
+	fullFrameTaken           // a resident frame taken away
+)
+
+// trackedSpans turns a space's regions (a fresh copy, sorted by start) into
+// the span its dangling words are kept within: each region, a heap region
+// extended over the gap above it up to the next one — the room it grows
+// into.
+func trackedSpans(regions []mem.Region) []mem.Region {
+	for i := range regions[:max(len(regions)-1, 0)] {
+		if r := &regions[i]; r.Kind == mem.RegionHeap {
+			r.Size = uint64(regions[i+1].Start - r.Start)
+		}
+	}
+	return regions
+}
+
 // step brings the analysis up to date with p and returns how many pages it
-// scanned and how many summaries stood as they were. After an error the
-// state is partial and must be discarded.
-func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]bool) (scanned, kept int, err error) {
+// scanned, how many summaries stood as they were, and why it scanned every
+// page if it did. After an error the state is partial and must be
+// discarded.
+func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]bool) (scanned, kept int, full fullCause, err error) {
 	as, ix := p.Space(), p.Index()
 	// Every capture is of one instant or precedes what it vouches for — the
 	// object list comes with its generation, the page listing is the epoch —
 	// so whatever races this step is seen, again, by the next one, never
 	// missed.
 	objs, gen, cur := st.objs, st.gen, st.cur
-	full := st.pages == nil
-	moved := full || ix.Gen() != gen
+	if st.pages == nil {
+		full = fullNew
+	}
+	moved := full != notFull || ix.Gen() != gen
 	if moved {
 		cur ^= 1
 		st.bufs[cur], gen = ix.AppendAll(st.bufs[cur][:0])
@@ -155,13 +187,24 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 		todo  []mem.Addr
 		delta []*mem.Object
 	)
-	if !full {
-		now, todo, full = as.StoredSince(st.epoch)
-		if moved && !full {
-			delta, full = st.indexDelta(objs)
+	if full == notFull {
+		var reshaped bool
+		now, todo, reshaped = as.StoredSince(st.epoch)
+		// A mapping change moves the tracked span; a frame taken away
+		// leaves it as it was.
+		switch {
+		case reshaped && slices.Equal(trackedSpans(as.Regions()), st.spans):
+			full = fullFrameTaken
+		case reshaped:
+			full = fullRemapped
+		case moved:
+			var inSpan bool
+			if delta, inSpan = st.indexDelta(objs); !inSpan {
+				full = fullRemapped
+			}
 		}
 	}
-	if full {
+	if full != notFull {
 		*st = procAnalysis{
 			bufs:  st.bufs,
 			look:  st.look,
@@ -171,7 +214,7 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 		}
 		now, todo, _ = as.StoredSince(0)
 		st.look.reserve(len(todo))
-		st.regions = as.Regions() // after the listing: a later mapping change shows as reshaped
+		st.spans = trackedSpans(as.Regions()) // after the listing: a later mapping change shows as reshaped
 		delta = nil
 	}
 	if len(delta) > 0 {
@@ -188,7 +231,7 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 		slices.Sort(todo)
 		todo = slices.Compact(todo)
 	}
-	sc := newPageScanner(as, objs, &st.look, pol, libs, st.regions)
+	sc := newPageScanner(as, objs, &st.look, pol, libs, st.spans)
 	todo = sc.withStraddled(todo)
 	kept = len(st.pages)
 	for i := 0; i < len(todo); {
@@ -198,7 +241,7 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 		}
 		sums, err := sc.scanRun(todo[i], j-i)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, full, err
 		}
 		for k, s := range sums {
 			// New before old, so an object both sides name never passes
@@ -225,15 +268,15 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 	}
 	st.objs, st.cur, st.gen, st.epoch = objs, cur, gen, now
 	st.publish()
-	return len(todo), kept, nil
+	return len(todo), kept, full, nil
 }
 
 // indexDelta merge-walks the object list the summaries were resolved against
 // and the current one — both sorted — and returns the objects removed and
-// inserted between them, ascending. An object outside the mapped span the
-// summaries filtered dangling words by cannot be handled incrementally:
-// full is set.
-func (st *procAnalysis) indexDelta(cur []*mem.Object) (delta []*mem.Object, full bool) {
+// inserted between them, ascending. An object outside the span the
+// summaries kept dangling words within cannot be handled incrementally:
+// inSpan is false.
+func (st *procAnalysis) indexDelta(cur []*mem.Object) (delta []*mem.Object, inSpan bool) {
 	old := st.objs
 	for i, j := 0, 0; i < len(old) || j < len(cur); {
 		switch {
@@ -252,15 +295,15 @@ func (st *procAnalysis) indexDelta(cur []*mem.Object) (delta []*mem.Object, full
 		}
 	}
 	for _, x := range delta {
-		if x.Size > 0 && !(mapped(st.regions, x.Addr) && mapped(st.regions, x.End()-1)) {
-			return nil, true
+		if x.Size > 0 && !(within(st.spans, x.Addr) && within(st.spans, x.End()-1)) {
+			return nil, false
 		}
 	}
-	return delta, false
+	return delta, true
 }
 
-// mapped reports whether a lies in one of the regions (sorted by start).
-func mapped(regions []mem.Region, a mem.Addr) bool {
+// within reports whether a lies in one of the regions (sorted by start).
+func within(regions []mem.Region, a mem.Addr) bool {
 	i := sort.Search(len(regions), func(i int) bool { return regions[i].End() > a })
 	return i < len(regions) && regions[i].Start <= a
 }
@@ -315,11 +358,11 @@ func (st *procAnalysis) publish() {
 // pageScanner scans pages of one process against one object list, a run of
 // consecutive pages at a time. Runs must be scanned in ascending order.
 type pageScanner struct {
-	r       *resolver
-	as      *mem.AddressSpace
-	libs    map[string]bool
-	regions []mem.Region
-	next    int // r.objs[:next] end at or before the start of the last run scanned
+	r     *resolver
+	as    *mem.AddressSpace
+	libs  map[string]bool
+	spans []mem.Region // trackedSpans: where a word that resolves to nothing is kept
+	next  int          // r.objs[:next] end at or before the start of the last run scanned
 
 	// The run in progress: where it starts, and its pages' summaries so far.
 	lo  mem.Addr
@@ -338,19 +381,19 @@ type pageScanner struct {
 	// pins a set should see each about once. A collision only costs a
 	// duplicate.
 	recent [64]int32
-	// region caches the last mapped region a miss fell into, gap the last
-	// hole between regions one fell into.
-	region        mem.Region
+	// span caches the last tracked span a miss fell into, gap the last
+	// hole between spans one fell into.
+	span          mem.Region
 	gapLo, gapLen mem.Addr
 }
 
-func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, look *pageTable, pol types.Policy, libs map[string]bool, regions []mem.Region) *pageScanner {
-	sc := &pageScanner{r: newTableResolver(objs, pol, look), as: as, libs: libs, regions: regions}
-	if n := len(regions); n > 0 {
+func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, look *pageTable, pol types.Policy, libs map[string]bool, spans []mem.Region) *pageScanner {
+	sc := &pageScanner{r: newTableResolver(objs, pol, look), as: as, libs: libs, spans: spans}
+	if n := len(spans); n > 0 {
 		// A word that points nowhere today is remembered if an object
-		// could ever be allocated under it: pre-filter by the mapped
+		// could ever be allocated under it: pre-filter by the tracked
 		// span, not by the span of today's objects.
-		sc.r.cover(regions[0].Start, regions[n-1].End())
+		sc.r.cover(spans[0].Start, spans[n-1].End())
 	}
 	for i := range sc.recent {
 		sc.recent[i] = -1
@@ -380,20 +423,20 @@ func newPageScanner(as *mem.AddressSpace, objs []*mem.Object, look *pageTable, p
 		if a-sc.gapLo < sc.gapLen {
 			return // integers that look like addresses cluster: the same hole again
 		}
-		if !sc.region.Contains(a) {
-			i := sort.Search(len(sc.regions), func(i int) bool { return sc.regions[i].End() > a })
-			if i == len(sc.regions) {
+		if !sc.span.Contains(a) {
+			i := sort.Search(len(sc.spans), func(i int) bool { return sc.spans[i].End() > a })
+			if i == len(sc.spans) {
 				return
 			}
-			if next := sc.regions[i].Start; next > a {
+			if next := sc.spans[i].Start; next > a {
 				sc.gapLo = 0
 				if i > 0 {
-					sc.gapLo = sc.regions[i-1].End()
+					sc.gapLo = sc.spans[i-1].End()
 				}
 				sc.gapLen = next - sc.gapLo
 				return
 			}
-			sc.region = sc.regions[i]
+			sc.span = sc.spans[i]
 		}
 		sc.notePage(mem.PageBase(a))
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -28,7 +29,7 @@ import (
 // process.
 type fixtureMutator struct {
 	tb   testing.TB
-	rnd  *rand.Rand
+	rnd  chooser
 	inst *program.Instance
 	end  map[program.ProcKey]mem.Addr // end of each process's fixture mapping
 	site uint64
@@ -295,33 +296,81 @@ func (m *fixtureMutator) rewrite(p *program.Proc) {
 	}
 }
 
-// step applies one random mutation and reports whether it was a plain
-// store: bytes changed on at most three pages, nothing else did.
-func (m *fixtureMutator) step() (storeOnly bool) {
+// chooser is where a mutator's choices come from: a seeded *rand.Rand, or
+// a fuzzer's input (fuzzChoices).
+type chooser interface {
+	Intn(n int) int
+	Int63n(n int64) int64
+}
+
+// mutation is one kind of change the mutator makes.
+type mutation int
+
+const (
+	// Plain stores: bytes change on at most three pages, nothing else does.
+	mStore mutation = iota
+	mRewrite
+	mCopyRange
+	// Index changes, and growth: pages and objects come and go, the shape
+	// of the space stays.
+	mAlloc
+	mFree
+	mRetype
+	mGrow
+	// What an incremental step cannot follow: a process never seen, or a
+	// frame taken away (moveFrames returns what it moved now and then).
+	mFork
+	mMoveFrames
+	nMutations
+)
+
+// storeOnly reports whether k is a plain store.
+func (k mutation) storeOnly() bool { return k <= mCopyRange }
+
+// apply makes one mutation of kind k to p (a fork forks the root).
+func (m *fixtureMutator) apply(k mutation, p *program.Proc) {
+	switch k {
+	case mStore:
+		m.store(p)
+	case mRewrite:
+		m.rewrite(p)
+	case mCopyRange:
+		m.copyRange(p)
+	case mAlloc:
+		m.alloc(p)
+	case mFree:
+		m.free(p)
+	case mRetype:
+		m.retype(p)
+	case mGrow:
+		m.grow(p)
+	case mFork:
+		m.fork()
+	case mMoveFrames:
+		m.moveFrames(p)
+	}
+}
+
+// mutationMix is how often step picks each kind, in percent.
+var mutationMix = []struct {
+	k   mutation
+	pct int
+}{
+	{mStore, 40}, {mRewrite, 6}, {mCopyRange, 6}, {mAlloc, 12}, {mFree, 11},
+	{mRetype, 12}, {mMoveFrames, 6}, {mGrow, 4}, {mFork, 3},
+}
+
+// step applies one random mutation to a random process and returns its
+// kind.
+func (m *fixtureMutator) step() mutation {
 	procs := m.procs()
 	p := procs[m.rnd.Intn(len(procs))]
-	n := m.rnd.Intn(100)
-	switch {
-	case n < 40:
-		m.store(p)
-	case n < 46:
-		m.rewrite(p)
-	case n < 52:
-		m.copyRange(p)
-	case n < 64:
-		m.alloc(p)
-	case n < 75:
-		m.free(p)
-	case n < 87:
-		m.retype(p)
-	case n < 93:
-		m.moveFrames(p)
-	case n < 97:
-		m.grow(p)
-	default:
-		m.fork()
+	n, i := m.rnd.Intn(100), 0
+	for ; n >= mutationMix[i].pct; i++ {
+		n -= mutationMix[i].pct
 	}
-	return n < 52
+	m.apply(mutationMix[i].k, p)
+	return mutationMix[i].k
 }
 
 // checkAgainstReference compares the processes' analyses — those Resolve
@@ -352,6 +401,7 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 	if testing.Short() {
 		steps = 60
 	}
+	grewPasses := 0 // passes that followed a growth, and no fork or frame move
 	for i, seed := range []int64{3, 17, 58, 101} {
 		pc, libs := scanPolicies[i%len(scanPolicies)], scanLibSets[(i/2)%len(scanLibSets)]
 		t.Run(fmt.Sprintf("seed=%d/%s", seed, pc.name), func(t *testing.T) {
@@ -363,14 +413,19 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 			w := NewWarmAnalysis(pc.pol, libs)
 			// stores counts the mutations since the last pass while they
 			// were all plain stores (-1 once one was not); storePasses the
-			// passes that followed only stores.
+			// passes that followed only stores. shaped is set by a mutation
+			// since the last pass that an incremental step cannot follow.
 			stores, storePasses := 0, 0
+			shaped, grew := true, false
 			for s := 0; s < steps; s++ {
-				if m.step() && stores >= 0 {
+				k := m.step()
+				if k.storeOnly() && stores >= 0 {
 					stores++
 				} else {
 					stores = -1
 				}
+				shaped = shaped || k >= mFork
+				grew = grew || k == mGrow
 				if m.rnd.Intn(4) > 0 && s < steps-1 {
 					continue // let mutations pile up across kinds
 				}
@@ -405,13 +460,106 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 						t.Errorf("%s: %d stores cost %d pages rescanned (%d reused)", when, stores, rs.PagesRescanned, rs.PagesReused)
 					}
 				}
-				stores = 0
+				// Allocation, free and heap growth are followed page by
+				// page: only a new process or a frame taken away starts a
+				// process over.
+				if !shaped && rs.Full.Total() != 0 {
+					t.Errorf("%s: no fork or frame move since the last pass, yet %v", when, rs.Full)
+				}
+				if rs.Full.Remapped != 0 {
+					t.Errorf("%s: nothing was mapped or unmapped, yet %v", when, rs.Full)
+				}
+				if grew && !shaped {
+					grewPasses++
+				}
+				stores, shaped, grew = 0, false, false
 			}
 			if len(inst.Procs()) < 2 || storePasses == 0 {
 				t.Errorf("%d steps saw %d processes and %d passes after stores alone", steps, len(inst.Procs()), storePasses)
 			}
 		})
 	}
+	if grewPasses == 0 {
+		t.Error("no pass followed a growth without a fork or frame move: the seeds do not test growth")
+	}
+}
+
+// fuzzChoices is a chooser that reads its choices from a fuzzer's input.
+// A choice among n options takes the fewest whole bytes that can tell them
+// apart and scales them onto [0, n): 0x00… picks the first option, 0xff…
+// the last, whatever n is. An exhausted input reads as zeros.
+type fuzzChoices struct{ b []byte }
+
+func (c *fuzzChoices) Int63n(n int64) int64 {
+	k := (bits.Len64(uint64(n-1)) + 7) / 8
+	var v uint64
+	for range k {
+		v <<= 8
+		if len(c.b) > 0 {
+			v |= uint64(c.b[0])
+			c.b = c.b[1:]
+		}
+	}
+	hi, _ := bits.Mul64(v<<(64-8*k), uint64(n))
+	return int64(hi)
+}
+
+func (c *fuzzChoices) Intn(n int) int { return int(c.Int63n(int64(n))) }
+
+// FuzzIncrementalMatchesReference is the differential test with the
+// fuzzer choosing: the input is a script of mutations — each a kind, a
+// process and the mutation's own choices — and Refresh or Resolve passes,
+// read off by fuzzChoices; the seed byte picks the planted heap, the policy
+// and the library set. After every pass each process's analysis must equal
+// the from-scratch oracle, and a pass that followed no fork and no frame
+// move must not have analyzed any process from nothing.
+func FuzzIncrementalMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint8, script []byte) {
+		if len(script) > 512 {
+			t.Skip("a longer script adds mutations between the same few passes, not reach")
+		}
+		pc, libs := scanPolicies[int(seed)%len(scanPolicies)], scanLibSets[int(seed/2)%len(scanLibSets)]
+		p := startScanFixture(t)
+		plantRandomHeap(t, p, int64(seed))
+		inst := p.Instance()
+		src := &fuzzChoices{b: script}
+		m := &fixtureMutator{tb: t, rnd: src, inst: inst,
+			end: map[program.ProcKey]mem.Addr{p.Key(): scanFixtureBase + scanFixtureSize}}
+		w := NewWarmAnalysis(pc.pol, libs)
+		shaped := true // the first pass analyzes every process from nothing
+		for pass := 0; ; {
+			k := mutation(src.Intn(int(nMutations) + 2))
+			if k < nMutations && len(src.b) > 0 {
+				procs := m.procs()
+				m.apply(k, procs[src.Intn(len(procs))])
+				shaped = shaped || k >= mFork
+				continue
+			}
+			when := fmt.Sprintf("pass %d", pass)
+			var rs WarmRefresh
+			if k == nMutations {
+				rs = w.Refresh(inst)
+				checkAgainstReference(t, when+" (Refresh)", w, inst.Procs(), nil)
+			} else {
+				got, tally, err := w.Resolve(inst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs = tally
+				checkAgainstReference(t, when+" (Resolve)", w, inst.Procs(), got)
+			}
+			if rs.Full.Remapped != 0 || (!shaped && rs.Full.Total() != 0) {
+				t.Fatalf("%s: %v after a script that mapped nothing (fork or frame move since the last pass: %v)", when, rs.Full, shaped)
+			}
+			// The oracle reads every word of every process: a script is
+			// a few passes, however many it asks for.
+			if len(src.b) == 0 || pass == 8 {
+				return
+			}
+			pass++
+			shaped = false
+		}
+	})
 }
 
 // ---- Named cases -----------------------------------------------------------
@@ -561,10 +709,13 @@ func TestIncrementalPreciseTargetFreed(t *testing.T) {
 
 // TestIncrementalFramesAndMappings: the changes that leave no stamped page
 // behind. An adopted frame arrives stamped and is scanned like a store; a
-// frame taken back (rollback) leaves an absent page whose summary must go;
-// a grown region puts words that pointed past the mapping in span, so an
-// object allocated there finds its pointers though their pages were never
-// written again.
+// frame taken back (rollback) leaves an absent page whose summary must go,
+// and the process is analyzed again from nothing. A grown heap region puts
+// words that pointed past its top in span, so an object allocated there
+// finds its pointers though their pages were never written again — and
+// the step that finds it is not a full one. A region of another kind
+// tracks no gap above it: an object allocated in its grown part still
+// starts the process over, as the mapping of the region did.
 func TestIncrementalFramesAndMappings(t *testing.T) {
 	f := newIncrementalFixture(t)
 	as := f.p.Space()
@@ -572,9 +723,17 @@ func TestIncrementalFramesAndMappings(t *testing.T) {
 	holder := f.insert(&mem.Object{Addr: fixturePage(3), Size: mem.PageSize, Kind: mem.ObjHeap, Site: 2})
 	beyond := scanFixtureBase + scanFixtureSize + 0x40
 	f.put(target.Addr, le64(uint64(beyond)+8)) // points past the mapping
-	if an, _ := f.resolve("empty holder"); an.IsImmutable(target.Addr) {
+	full := func(when string, rs WarmRefresh, want FullSteps) {
+		t.Helper()
+		if rs.Full != want {
+			t.Errorf("%s: %v, want %v", when, rs.Full, want)
+		}
+	}
+	an, rs := f.resolve("empty holder")
+	if an.IsImmutable(target.Addr) {
 		t.Fatal("nothing points at the target yet")
 	}
+	full("first step", rs, FullSteps{New: 1})
 
 	donor := mem.NewAddressSpace()
 	if err := donor.Map(scanFixtureBase, scanFixtureSize, mem.RegionMmap, "scanfix"); err != nil {
@@ -587,24 +746,51 @@ func TestIncrementalFramesAndMappings(t *testing.T) {
 	if err := mem.MoveFrames(donor, as, []mem.Addr{holder.Addr}, &ledger); err != nil {
 		t.Fatal(err)
 	}
-	an, rs := f.resolve("frame adopted")
+	an, rs = f.resolve("frame adopted")
 	if !an.IsImmutable(target.Addr) || rs.PagesRescanned != 1 {
 		t.Errorf("adopted frame: target pinned=%v, %d pages rescanned (want 1)", an.IsImmutable(target.Addr), rs.PagesRescanned)
 	}
+	full("frame adopted", rs, FullSteps{})
 	if err := ledger.ReturnAll(); err != nil {
 		t.Fatal(err)
 	}
-	if an, _ := f.resolve("frame returned"); an.IsImmutable(target.Addr) || an.Nonupdatable[holder.Addr] {
+	an, rs = f.resolve("frame returned")
+	if an.IsImmutable(target.Addr) || an.Nonupdatable[holder.Addr] {
 		t.Error("the pointer left with its frame, the pin did not")
 	}
+	full("frame returned", rs, FullSteps{FrameTaken: 1})
 
 	if err := as.GrowRegion("scanfix", mem.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	late := f.insert(&mem.Object{Addr: beyond, Size: 64, Kind: mem.ObjHeap, Site: 3})
-	if an, _ := f.resolve("allocated in the grown part"); !an.IsImmutable(late.Addr) || !an.Nonupdatable[target.Addr] {
+	an, rs = f.resolve("allocated in the grown part")
+	if !an.IsImmutable(late.Addr) || !an.Nonupdatable[target.Addr] {
 		t.Errorf("late object pinned=%v, its holder nonupdatable=%v", an.IsImmutable(late.Addr), an.Nonupdatable[target.Addr])
 	}
+	full("allocated in a heap's grown part", rs, FullSteps{})
+	if rs.PagesRescanned != 2 {
+		t.Errorf("allocated in a heap's grown part: %d pages rescanned, want 2 (the object's and the one pointing at it)", rs.PagesRescanned)
+	}
+
+	other := scanFixtureBase + 2*scanFixtureSize
+	if err := as.Map(other, mem.PageSize, mem.RegionMmap, "scanmmap"); err != nil {
+		t.Fatal(err)
+	}
+	f.put(target.Addr+8, le64(uint64(other)+mem.PageSize+8)) // past the new region's end
+	_, rs = f.resolve("region mapped")
+	full("region mapped", rs, FullSteps{Remapped: 1})
+	if err := as.GrowRegion("scanmmap", mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	_, rs = f.resolve("mmap region grown")
+	full("mmap region grown, nothing allocated there", rs, FullSteps{})
+	mm := f.insert(&mem.Object{Addr: other + mem.PageSize, Size: 64, Kind: mem.ObjMmap, Site: 4})
+	an, rs = f.resolve("allocated in an mmap region's grown part")
+	if !an.IsImmutable(mm.Addr) {
+		t.Error("the object in the mmap region's grown part is not pinned")
+	}
+	full("allocated in an mmap region's grown part", rs, FullSteps{Remapped: 1})
 }
 
 // TestResolvedAnalysisIsNotMutatedLater: what Resolve hands out belongs to
@@ -696,7 +882,7 @@ func TestSummaryFootprintPerResidentPage(t *testing.T) {
 		}
 	}
 	var st procAnalysis
-	scanned, _, err := st.step(p, types.DefaultPolicy(), nil)
+	scanned, _, _, err := st.step(p, types.DefaultPolicy(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,11 +911,11 @@ func TestSummaryFootprintPerResidentPage(t *testing.T) {
 		if err := ix.Insert(extra); err != nil {
 			t.Fatal(err)
 		}
-		if n, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil || n == 0 {
+		if n, _, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil || n == 0 {
 			t.Fatalf("step after an allocation scanned %d pages, err %v", n, err)
 		}
 		ix.Remove(extra.Addr)
-		if _, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil {
+		if _, _, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -756,7 +942,7 @@ func BenchmarkAnalyzeIncremental(b *testing.B) {
 		b.Run(fmt.Sprintf("pages=%d/dirty=1", size/mem.PageSize), func(b *testing.B) {
 			p := oneBigObject(b, size, scanFills[2].fill)
 			var st procAnalysis
-			if _, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil {
+			if _, _, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -766,7 +952,7 @@ func BenchmarkAnalyzeIncremental(b *testing.B) {
 				if err := p.Space().WriteWord(at, uint64(scanFixtureBase)+8*uint64(i%scanTargets)); err != nil {
 					b.Fatal(err)
 				}
-				if n, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil || n != 1 {
+				if n, _, _, err := st.step(p, types.DefaultPolicy(), nil); err != nil || n != 1 {
 					b.Fatalf("scanned %d pages, err %v", n, err)
 				}
 			}

@@ -151,7 +151,9 @@ const (
 
 // startScanFixture runs an idle single-process program (with two library
 // images, so lib objects exist in and out of transferLibs) and maps the
-// fixture region into its root process.
+// fixture region into its root process. The region is a heap region: it
+// grows the way an allocator's does, into a gap the incremental analysis
+// tracks.
 func startScanFixture(tb testing.TB) *program.Proc {
 	tb.Helper()
 	v := synthVersion(0, &synthShape{nodes: 4, blobSizes: []int{64, 64}, links: [][3]int{{0, 1, 8}}}, false)
@@ -169,7 +171,7 @@ func startScanFixture(tb testing.TB) *program.Proc {
 	inst.CompleteStartup()
 	tb.Cleanup(inst.Terminate)
 	p := inst.Root()
-	if err := p.Space().Map(scanFixtureBase, scanFixtureSize, mem.RegionMmap, "scanfix"); err != nil {
+	if err := p.Space().Map(scanFixtureBase, scanFixtureSize, mem.RegionHeap, "scanfix"); err != nil {
 		tb.Fatal(err)
 	}
 	return p

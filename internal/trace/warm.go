@@ -7,11 +7,14 @@
 // allocation. One whose counters moved is stepped: only the pages stored
 // into since, and the pages an allocation or free can affect, are
 // re-scanned, so the work is proportional to what changed, not to the heap.
-// The warm-standby daemon steps every process each pass (Refresh); a cold
-// update does so once before it quiesces; the update engine steps again
+// The update engine keeps one such analysis per running instance: the
+// warm-standby daemon steps every process each pass (Refresh) while it is
+// armed, a cold update steps it once more before it quiesces — from where
+// the daemon left it, if one was ever armed — and the engine steps again
 // inside the window (Resolve), where a process that served requests since
-// the last pass costs the few pages those requests wrote. A process never
-// seen before is the same step with every resident page to scan.
+// the last step costs the few pages those requests wrote. A process never
+// seen before is the same step with every resident page to scan; so is
+// one whose address space changed shape (FullSteps counts both).
 package trace
 
 import (
@@ -44,6 +47,41 @@ type WarmRefresh struct {
 
 	PagesRescanned int // pages scanned across the re-analyzed processes
 	PagesReused    int // page summaries that stood, across all processes
+
+	Full FullSteps // processes whose step scanned every resident page, by cause
+}
+
+// FullSteps counts the processes analyzed from nothing instead of stepped
+// from their summaries, by what ruled the incremental step out.
+type FullSteps struct {
+	New        int // no entry: a process not seen before, or whose entry an error dropped
+	Remapped   int // a region mapped or unmapped, or an object allocated outside the tracked span
+	FrameTaken int // a resident page frame taken away (donated, or returned at rollback)
+}
+
+// Total is the number of full steps.
+func (f FullSteps) Total() int { return f.New + f.Remapped + f.FrameTaken }
+
+// Add sums g into f.
+func (f *FullSteps) Add(g FullSteps) {
+	f.New += g.New
+	f.Remapped += g.Remapped
+	f.FrameTaken += g.FrameTaken
+}
+
+func (f FullSteps) String() string {
+	return fmt.Sprintf("full new=%d remapped=%d frame=%d", f.New, f.Remapped, f.FrameTaken)
+}
+
+func (f *FullSteps) count(c fullCause) {
+	switch c {
+	case fullNew:
+		f.New++
+	case fullRemapped:
+		f.Remapped++
+	case fullFrameTaken:
+		f.FrameTaken++
+	}
 }
 
 // WarmAnalysis is a per-process conservative analysis kept incrementally
@@ -113,9 +151,10 @@ func (w *WarmAnalysis) bring(p *program.Proc, rs *WarmRefresh) (*warmEntry, erro
 	} else {
 		st = new(procAnalysis)
 	}
-	scanned, kept, err := st.step(p, w.pol, w.libs)
+	scanned, kept, full, err := st.step(p, w.pol, w.libs)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	rs.Full.count(full)
 	if err != nil {
 		delete(w.entries, p.Key())
 		rs.Errors++
