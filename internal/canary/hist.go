@@ -1,7 +1,7 @@
 // Package canary implements the post-commit canary window: per-interval
 // throughput, error-rate and p99-latency samples from the live workload
-// feed an SLO check, and a breach triggers automatic rollback to the
-// still-adoptable old instance. The package is a leaf — it knows nothing
+// feed an SLO check, and a breach triggers an automatic live update back
+// to the old version. The package is a leaf — it knows nothing
 // about instances or engines, only samples and verdicts — so both the
 // workload driver (which produces histograms) and the core engine (which
 // consumes verdicts) can import it.

@@ -273,8 +273,7 @@ func (ps *ProcShadow) Shadow(o *mem.Object) ([]byte, bool) {
 // Invalidate drops any shadow captured for o. The transfer calls it when
 // o's page frames are adopted into the new address space: the shadow
 // described frames this space no longer owns, and must never be served
-// again (not even after a canary copy-back, whose bytes are re-captured by
-// the next checkpoint from scratch). Nil-receiver safe.
+// again. Nil-receiver safe.
 func (ps *ProcShadow) Invalidate(o *mem.Object) {
 	if ps == nil {
 		return

@@ -10,29 +10,28 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/program"
-	"repro/internal/reinit"
 )
 
-// This file is the adoptable-window lifecycle: the paper's rollback story
+// This file is the post-commit canary window: the paper's rollback story
 // ends at commit, so an update that transfers cleanly but behaves badly
-// (latency regression, error spike) would be irreversible. With a canary
-// armed, commit does not terminate the old instance — it parks it,
-// quiesced and adoptable, behind a grace window while the live workload
-// drives the new version. A monitor differences the workload's cumulative
-// samples per interval against the SLO; a breach adopts the old instance
-// back. The contract making the revert safe is already in place: the
-// update's checkpoint Discard ran when Update returned, handing every
-// consumed soft-dirty bit back to the old instance's address spaces, so
-// the old side resumes exactly as checkpointed and a later update attempt
-// still sees the full dirty-since-startup set.
+// (latency regression, error spike) would stand. With a canary armed,
+// commit finalizes as it always does — the old instance is terminated and
+// its pid reservations released — and a monitor then differences the live
+// workload's cumulative samples per interval against the SLO. A breach
+// goes back the one way that stays exact once the new version has served:
+// a live update from it to the old version's program, which carries over
+// every session, counter and kernel object the new version changed. That
+// update commits (the window reverted) or rolls back (the revert failed
+// and the new version keeps serving); there is no third outcome.
 
-// canaryRun is one open adoptable window.
+// canaryRun is one open window.
 type canaryRun struct {
-	old *program.Instance // quiesced, adoptable until resolved
-	new *program.Instance // serving; finalized or reverted by the verdict
-	rep *UpdateReport
-	mon *canary.Monitor
-	src func() canary.Sample
+	back     *program.Version // the version a breach updates back to
+	rep      *UpdateReport
+	mon      *canary.Monitor
+	src      func() canary.Sample
+	window   time.Duration
+	interval time.Duration
 
 	cancel    chan struct{} // closed by DisarmCanary/Shutdown: accept now
 	closeOnce sync.Once
@@ -72,8 +71,9 @@ func (e *Engine) ArmCanary(slo canary.SLO, src func() canary.Sample) error {
 }
 
 // DisarmCanary disarms the canary; an open window is resolved now by
-// accepting the new version (disarming is not a breach), and the call
-// blocks until that resolution completes.
+// accepting the new version (disarming is not a breach) unless a revert
+// is already under way, and the call blocks until the resolution
+// completes.
 func (e *Engine) DisarmCanary() {
 	e.mu.Lock()
 	run := e.canaryRun
@@ -110,8 +110,8 @@ func (e *Engine) SetCanaryPacing(window, interval time.Duration, grace int) {
 // none ever opened, false if the open window has not resolved within the
 // timeout. The canary fields of the window's UpdateReport are settled
 // once this returns true — a window that already resolved is still waited
-// on through its done channel, so the resolution's trailing writes (the
-// rollback digest audit on a revert) are complete, not merely started.
+// on through its done channel, so a revert's update has returned and its
+// report is written, not merely started.
 func (e *Engine) CanaryWait(timeout time.Duration) bool {
 	e.mu.Lock()
 	run := e.canaryRun
@@ -139,8 +139,8 @@ type CanaryStatus struct {
 	// Monitor is the live monitor state while a window is open, or the
 	// final state of the most recent window otherwise.
 	Monitor canary.MonitorStatus
-	// LastOutcome is "" before any window, then "finalized" or
-	// "reverted"; LastCause carries the breach for a reverted window.
+	// LastOutcome is "" before any window, then "finalized", "reverted"
+	// or "revert-failed"; LastCause carries the breach behind a revert.
 	LastOutcome string
 	LastCause   string
 }
@@ -163,64 +163,44 @@ func (e *Engine) CanaryStatus() CanaryStatus {
 	return st
 }
 
-// openCanary is commit's canary branch. When a canary is armed it holds
-// the old instance adoptable instead of terminating it: the new instance
-// resumes into service and becomes current, but the old one keeps its
-// checkpointed state (every consumed soft-dirty bit is handed back by the
-// update's deferred Discard), its quiesced threads, and — via the pid
-// reservations ReserveIDs planted in the new namespace — an id space no
-// natural allocation can steal while a rollback is still possible.
-// Returns false when no canary applies and commit should finalize.
-func (e *Engine) openCanary(old, newInst *program.Instance, rep *UpdateReport) bool {
+// openCanary is commit's canary branch, run after the old instance is
+// gone and before the new one resumes: when a canary is armed it opens a
+// window over the new version, to revert to back on a breach. Update
+// starts the window's monitor once its own bookkeeping is done. No window
+// opens while one is open, so a revert's own commit opens none.
+func (e *Engine) openCanary(back *program.Version, rep *UpdateReport) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if !e.canaryOn || e.canarySrc == nil || e.canaryRun != nil {
-		e.mu.Unlock()
-		return false
+		return
 	}
 	src := e.canarySrc
-	window, interval, grace := e.canaryWindow, e.canaryInterval, max(e.canaryGrace, 0)
 	run := &canaryRun{
-		old:    old,
-		new:    newInst,
-		rep:    rep,
-		src:    src,
-		cancel: make(chan struct{}),
-		done:   make(chan struct{}),
+		back:     back,
+		rep:      rep,
+		src:      src,
+		window:   e.canaryWindow,
+		interval: e.canaryInterval,
+		cancel:   make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	// Seed the monitor with the cumulative sample at window open, so the
 	// first interval covers exactly the window (the workload is still
 	// blocked on the quiesced service here — the sample is stable).
-	run.mon = canary.NewMonitor(e.canarySLO, e.canaryBase, src(), grace)
+	run.mon = canary.NewMonitor(e.canarySLO, e.canaryBase, src(), max(e.canaryGrace, 0))
 	rep.Canary = true
 	rep.CanaryOutcome = "open"
 	// The window span outlives Update (its monitor goroutine ends it with
 	// the verdict), so it lives on its own track where it can overlap the
-	// engine phases of a subsequent rollback.
+	// engine phases of the revert's update.
 	run.span = e.opts.Recorder.Span(obs.TrackCanary, obs.PhaseCanaryWindow)
 	e.canaryRun = run
 	e.canaryLast = run
-	e.setCurrentLocked(newInst)
-	e.mu.Unlock()
-	// Make the parked old instance whole before the new version resumes:
-	// adopted page frames stay with the new instance (which is about to
-	// serve from them), but their contents — still bit-identical to the
-	// quiesce-time state here — are copied back into the old address
-	// spaces, so a breach adopts back exactly the checkpointed state
-	// without touching the serving side.
-	if rep.ledger != nil {
-		if cerr := rep.ledger.CopyBack(); cerr != nil {
-			e.opts.Recorder.InstantNote(obs.TrackCanary, obs.PhaseCanaryJudge,
-				"copyback-failed: "+cerr.Error())
-		}
-	}
-	newInst.Resume()
-	go e.canaryLoop(run, window, interval)
-	return true
 }
 
 // canaryLoop drives one window: periodic SLO ticks until a breach, the
 // deadline, or an early accept.
-func (e *Engine) canaryLoop(run *canaryRun, window, interval time.Duration) {
+func (e *Engine) canaryLoop(run *canaryRun) {
 	// Failsafe: if this goroutine exits without resolving the window (a
 	// crash, or the injected canary-monitor fault), the window must not
 	// stay open forever refusing further updates with an unjudged new
@@ -230,9 +210,9 @@ func (e *Engine) canaryLoop(run *canaryRun, window, interval time.Duration) {
 	// starved of CPU is late, not dead. After any verdict below this is a
 	// no-op (the first resolution wins).
 	defer e.resolveCanary(run, &canary.Breach{Metric: "monitor"})
-	deadline := time.NewTimer(window)
+	deadline := time.NewTimer(run.window)
 	defer deadline.Stop()
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(run.interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -282,19 +262,16 @@ func (e *Engine) judgeInstant(br *canary.Breach) {
 // Engine.mu — a deadline racing a breach, or a double breach, collapses
 // to the first resolution).
 //
-// Accept (br == nil): the old instance is terminated for good and the
-// RESTART resources held open by the window are released — the old
-// namespace's pid reservations drop, exactly what plain commit does at
-// finalization.
+// Accept (br == nil) has nothing left to do: commit already finalized.
 //
-// Revert (br != nil): the engine adopts the old instance back. The new
-// version is quiesced first, so no request is cut off mid-service —
-// in-flight replies complete, and requests not yet read stay buffered in
-// the shared connection objects (PassFDs keeps fd objects shared between
-// the versions precisely so this hand-back is possible) for the old
-// instance to serve after Resume. The warm daemon armed on the new
-// instance after commit is stopped and its checkpoint discarded before
-// the swap, then warm mode re-arms on the adopted old instance.
+// Revert (br != nil) is a live update from the serving new version to
+// run.back, run here. The window stays registered until it returns, so a
+// caller's Update is still refused with ErrCanaryOpen and the revert's own
+// commit opens no second window. If the revert commits, the window's
+// report reads as rolled back with cause canary:<metric>; if it rolls back
+// (the new version would not quiesce, say), the new version keeps serving
+// and the outcome is revert-failed. Either way the revert's own report
+// hangs off the window's as Revert.
 func (e *Engine) resolveCanary(run *canaryRun, br *canary.Breach) {
 	e.mu.Lock()
 	if run.resolved {
@@ -306,49 +283,38 @@ func (e *Engine) resolveCanary(run *canaryRun, br *canary.Breach) {
 	// not leave it ticking for the rest of the window.
 	run.close()
 	e.canaryFinal = run.mon.Status()
-	e.canaryRun = nil
 	if br == nil {
 		run.rep.CanaryOutcome = "finalized"
-		e.canaryOutcome = "finalized"
-		e.canaryCause = ""
+		e.canaryOutcome, e.canaryCause = "finalized", ""
+		e.canaryRun = nil
 		e.mu.Unlock()
-		fsp := e.opts.Recorder.Span(obs.TrackCanary, obs.PhaseCanaryFinalize)
 		e.opts.Recorder.Metrics().Counter("canary.finalized").Add(1)
-		run.old.Terminate()
-		reinit.ReleaseIDs(run.new.Root())
-		fsp.End()
 		run.span.EndNote("finalized")
 		close(run.done)
 		return
 	}
-	cause := br.String()
-	run.rep.RolledBack = true
-	run.rep.RollbackCause = "canary:" + br.Metric
-	run.rep.CanaryOutcome = "reverted"
-	run.rep.Reason = fmt.Errorf("canary: %s", cause)
-	e.canaryOutcome = "reverted"
-	e.canaryCause = cause
-	e.setCurrentLocked(run.old)
-	d := e.daemon
-	e.daemon = nil
 	e.mu.Unlock()
+	cause := br.String()
 	rsp := e.opts.Recorder.Span(obs.TrackCanary, obs.PhaseCanaryRevert)
-	e.opts.Recorder.Metrics().Counter("canary.reverted").Add(1)
-	stopAndDiscard(d)
-	// Park the degraded version at its quiescent points before killing
-	// it: half-served requests finish, unread ones stay buffered for the
-	// old instance. A version too degraded to even converge is terminated
-	// anyway — adopting the old instance back must not hang on the new
-	// one's failure mode; its failure to converge is noted on the revert.
-	note := cause
-	if _, err := run.new.Quiesce(e.opts.QuiesceTimeout); err != nil {
-		note += "; new version not quiesced: " + err.Error()
+	back, err := e.update(run.back)
+	outcome, counter, note := "reverted", "canary.reverted", cause
+	if err != nil {
+		outcome, counter = "revert-failed", "canary.revert_failed"
+		note += "; revert failed: " + err.Error()
 	}
-	run.new.Terminate()
-	e.auditRollback(run.old, run.rep)
-	run.old.Resume()
+	e.mu.Lock()
+	run.rep.Revert = back
+	run.rep.CanaryOutcome = outcome
+	if err == nil {
+		run.rep.RolledBack = true
+		run.rep.RollbackCause = "canary:" + br.Metric
+		run.rep.Reason = fmt.Errorf("canary: %s", cause)
+	}
+	e.canaryOutcome, e.canaryCause = outcome, cause
+	e.canaryRun = nil
+	e.mu.Unlock()
+	e.opts.Recorder.Metrics().Counter(counter).Add(1)
 	rsp.EndNote(note)
-	run.span.EndNote("reverted")
-	e.rearmWarm()
+	run.span.EndNote(outcome)
 	close(run.done)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,9 +53,9 @@ func (f *fakeFeed) src() canary.Sample {
 }
 
 // consumedPages sums the consumed (read-and-not-yet-restored) soft-dirty
-// bits across an instance's address spaces. The adoptable-window contract
-// is that every consumed bit is handed back by the time a window
-// resolves, so this must be zero on the surviving instance.
+// bits across an instance's address spaces. Every consumed bit is handed
+// back by the time an update or a window resolves, so this must be zero
+// on the surviving instance.
 func consumedPages(inst *program.Instance) int {
 	n := 0
 	for _, p := range inst.Procs() {
@@ -97,11 +98,12 @@ type canaryHarness struct {
 }
 
 // TestCanaryFaultMatrix injects a failure at every canary phase and
-// asserts the window resolves to a consistent engine: the right instance
-// survives and serves, every consumed soft-dirty bit is restored, the
-// transfer checksum recorded at commit is untouched by the resolution,
-// and a follow-up update still works. Run under -race: the double-breach
-// and warm-re-arm cases are genuine concurrent resolutions.
+// asserts the window resolves to a consistent engine: the right version
+// serves the same sessions with every count the new version took, every
+// consumed soft-dirty bit is restored, the transfer checksum recorded at
+// commit is untouched by the resolution, and a follow-up update still
+// works. Run under -race: the double-breach case is two concurrent
+// resolutions, and the warm case a revert that takes over the daemon.
 func TestCanaryFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name string
@@ -110,10 +112,7 @@ func TestCanaryFaultMatrix(t *testing.T) {
 		// that must race the window opening).
 		preUpdate func(h *canaryHarness)
 		// duringOpen runs while the window is deterministically open.
-		duringOpen func(h *canaryHarness)
-		// oldWrite marks cases that deliberately mutate the old instance,
-		// so the bit-identical-resume digest check does not apply.
-		oldWrite        bool
+		duringOpen      func(h *canaryHarness)
 		wantOutcome     string
 		wantCausePrefix string
 	}{
@@ -123,26 +122,6 @@ func TestCanaryFaultMatrix(t *testing.T) {
 				// 10 completions at 100ms against a 1ms p99 SLO.
 				h.feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
 			},
-			wantOutcome:     "reverted",
-			wantCausePrefix: "canary:p99",
-		},
-		{
-			name: "old-instance-write-during-window",
-			duringOpen: func(h *canaryHarness) {
-				// A stray writer mutates the adoptable (quiesced) old
-				// instance mid-window, then the SLO breaches: the revert
-				// must adopt the old instance back, mutation and all.
-				p := h.old.Root()
-				conf, ok := p.ReadPtr(p.MustGlobal("conf"), "")
-				if !ok {
-					h.t.Fatal("old instance has no conf")
-				}
-				if err := p.WriteField(conf, "port", 4242); err != nil {
-					h.t.Fatalf("write into old instance: %v", err)
-				}
-				h.feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
-			},
-			oldWrite:        true,
 			wantOutcome:     "reverted",
 			wantCausePrefix: "canary:p99",
 		},
@@ -182,9 +161,9 @@ func TestCanaryFaultMatrix(t *testing.T) {
 			warm: true,
 			preUpdate: func(h *canaryHarness) {
 				// Degrade continuously from before the window opens: the
-				// first monitor tick breaches, so the revert (which takes
-				// the warm daemon and re-arms it on the old instance) runs
-				// concurrently with Update's own deferred warm re-arm.
+				// first monitor tick breaches, so the revert takes over the
+				// daemon Update re-armed on the new version and re-arms one
+				// on the version it reverts to.
 				go func() {
 					for {
 						select {
@@ -247,7 +226,6 @@ func TestCanaryFaultMatrix(t *testing.T) {
 				t.Fatalf("ArmCanary: %v", err)
 			}
 
-			d0 := mustDigest(t, h.old)
 			if tc.preUpdate != nil {
 				tc.preUpdate(h)
 			}
@@ -302,45 +280,30 @@ func TestCanaryFaultMatrix(t *testing.T) {
 				t.Fatalf("status LastOutcome = %q, want %q", cs.LastOutcome, tc.wantOutcome)
 			}
 
-			// The right instance survived and serves the same sessions.
+			// The right version serves the same sessions, with the count
+			// of every message the new version answered.
 			cur := e.Current()
+			banner, count := "v2", 3
 			if reverted {
-				if cur != h.old {
-					t.Fatal("revert did not adopt the old instance back")
+				banner = "v1"
+				if cur.Version() != h.old.Version() {
+					t.Fatalf("revert left %s serving, want %s", cur.Version(), h.old.Version())
 				}
-				if !tc.oldWrite {
-					// Clean revert resumes the old instance bit-identical
-					// to its pre-update state (checked before any new
-					// traffic reaches it).
-					if d1 := mustDigest(t, cur); d1 != d0 {
-						t.Fatalf("old instance state drifted across the window: %#x -> %#x", d0, d1)
-					}
+				if rep.Revert == nil || rep.Revert.RolledBack || rep.Revert.Transfer.Checksum == 0 {
+					t.Fatalf("revert report %+v, want a committed update with a checksum", rep.Revert)
 				}
-				if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v1:after:") {
-					t.Fatalf("post-revert reply = %q, want v1 banner", got)
-				}
-			} else {
-				if cur == h.old {
-					t.Fatal("finalize kept the old instance current")
-				}
-				if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v2:after:") {
-					t.Fatalf("post-finalize reply = %q, want v2 banner", got)
-				}
-				// Finalization released the RESTART pid reservations.
-				if pids := cur.Root().KProc().ReservedPids(); len(pids) != 0 {
-					t.Fatalf("pid reservations survived finalization: %v", pids)
-				}
+			} else if cur.Version() == h.old.Version() {
+				t.Fatal("finalize left the old version serving")
 			}
-			if tc.oldWrite {
-				// The mid-window mutation rode through the revert.
-				p := cur.Root()
-				conf, ok := p.ReadPtr(p.MustGlobal("conf"), "")
-				if !ok {
-					t.Fatal("adopted instance has no conf")
-				}
-				if port, err := p.ReadField(conf, "port"); err != nil || port != 4242 {
-					t.Fatalf("old-instance write lost across revert: port=%d err=%v", port, err)
-				}
+			if tc.preUpdate == nil {
+				count++ // the mid-window message
+			}
+			if got, want := sendRecv(t, c1, "after"), fmt.Sprintf("%s:after:%d", banner, count); got != want {
+				t.Fatalf("post-window reply = %q, want %q", got, want)
+			}
+			// Commit released the RESTART pid reservations.
+			if pids := cur.Root().KProc().ReservedPids(); len(pids) != 0 {
+				t.Fatalf("pid reservations survived the window: %v", pids)
 			}
 
 			// Transfer checksum recorded at commit is untouched by the
@@ -392,8 +355,8 @@ func TestCanaryFaultMatrix(t *testing.T) {
 // TestCanaryAcceptBitIdenticalToPlainCommit drives the same traffic and
 // the same update through a plain warm commit and through a canary
 // window that runs to its deadline and finalizes, then compares the
-// surviving instances bit for bit: the adoptable window must be
-// invisible to the committed state.
+// surviving instances bit for bit: the window must be invisible to the
+// committed state.
 func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
 	drive := func(withCanary bool) (*UpdateReport, *program.Instance) {
 		e, k := warmEchod(t, Options{Audit: true})
@@ -536,11 +499,113 @@ func TestCanaryStarvedMonitorIsNotDead(t *testing.T) {
 	}
 }
 
+// TestCanaryRevertKeepsWindowState: a breach after the new version has
+// served reverts by a live update from it, so what it served carries back.
+// A session counts one message on v1 and two on v2; the revert must hand
+// v1 the count v2 left, not the count v1 had when it quiesced.
+func TestCanaryRevertKeepsWindowState(t *testing.T) {
+	e, k := launchEchod(t, Options{Audit: true})
+	defer e.Shutdown()
+	c, err := k.Connect(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
+	e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
+	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
+		t.Fatal(err)
+	}
+	var replies []string
+	replies = append(replies, sendRecv(t, c, "a"))
+	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
+	if err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	replies = append(replies, sendRecv(t, c, "b"), sendRecv(t, c, "b2"))
+	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond) // breach p99
+	if !e.CanaryWait(10 * time.Second) {
+		t.Fatal("canary window never resolved")
+	}
+	if rep.CanaryOutcome != "reverted" {
+		t.Fatalf("outcome %q (reason %v), want reverted", rep.CanaryOutcome, rep.Reason)
+	}
+	replies = append(replies, sendRecv(t, c, "c"))
+	if got, want := strings.Join(replies, " "), "v1:a:1 v2:b:2 v2:b2:3 v1:c:4"; got != want {
+		t.Fatalf("replies %q, want %q", got, want)
+	}
+}
+
+// TestCanaryRevertMatchesDirectUpdate: a revert is an update back to the
+// old version, bit for bit. One engine reverts a canary window; another
+// runs the same script with the sequential engine and no canary, updating
+// v1→v2→v1 directly. The surviving states and the reverts' transfer
+// checksums must be identical.
+func TestCanaryRevertMatchesDirectUpdate(t *testing.T) {
+	drive := func(withCanary bool) (*UpdateReport, *program.Instance) {
+		e, k := launchEchod(t, Options{Audit: true, Sequential: !withCanary})
+		t.Cleanup(e.Shutdown)
+		c1, err := k.Connect(7000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, err := k.Connect(7000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendRecv(t, c1, "a")
+		sendRecv(t, c1, "b")
+		sendRecv(t, c2, "x")
+		feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
+		if withCanary {
+			e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
+			if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		back := e.Current().Version()
+		rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
+		if err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		sendRecv(t, c1, "during")
+		sendRecv(t, c2, "y")
+		if !withCanary {
+			rep, err = e.Update(back)
+			if err != nil {
+				t.Fatalf("direct update back: %v", err)
+			}
+			return rep, e.Current()
+		}
+		feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond) // breach p99
+		if !e.CanaryWait(10 * time.Second) {
+			t.Fatal("canary window never resolved")
+		}
+		if rep.CanaryOutcome != "reverted" || rep.Revert == nil {
+			t.Fatalf("outcome %q (reason %v), want reverted", rep.CanaryOutcome, rep.Reason)
+		}
+		return rep.Revert, e.Current()
+	}
+
+	direct, instA := drive(false)
+	revert, instB := drive(true)
+	if instB.Version().String() != instA.Version().String() {
+		t.Fatalf("revert left %s serving, direct update %s", instB.Version(), instA.Version())
+	}
+	compareState(t, instA, instB)
+	if da, db := mustDigest(t, instA), mustDigest(t, instB); da != db {
+		t.Fatalf("state digest: direct %#x vs revert %#x", da, db)
+	}
+	if direct.Transfer.Checksum == 0 || direct.Transfer.Checksum != revert.Transfer.Checksum {
+		t.Fatalf("transfer checksum: direct %#x vs revert %#x", direct.Transfer.Checksum, revert.Transfer.Checksum)
+	}
+}
+
 // TestCanaryRevertNotesUnquiescedNewVersion: a new version that cannot
 // converge when its canary window reverts (one of its threads stops
-// reaching quiescent points) is terminated anyway, the old instance is
-// adopted back and serves, and the revert span on the canary track says
-// why the park failed instead of dropping the error.
+// reaching quiescent points) fails the revert's quiescence, so the revert
+// rolls back: the new version keeps serving, the window settles as
+// revert-failed without reading as rolled back, and the revert span on
+// the canary track carries the quiescence error instead of dropping it.
 func TestCanaryRevertNotesUnquiescedNewVersion(t *testing.T) {
 	rec := obs.New(1 << 12)
 	e, k := launchEchod(t, Options{Audit: true, Recorder: rec, QuiesceTimeout: 300 * time.Millisecond})
@@ -552,7 +617,6 @@ func TestCanaryRevertNotesUnquiescedNewVersion(t *testing.T) {
 	if got := sendRecv(t, c, "a"); got != "v1:a:1" {
 		t.Fatalf("pre-update reply = %q", got)
 	}
-	old := e.Current()
 
 	// v2 carries a thread that parks like any other until told to spin,
 	// then loops without a quiescent point until the instance stops.
@@ -596,11 +660,21 @@ func TestCanaryRevertNotesUnquiescedNewVersion(t *testing.T) {
 	if !e.CanaryWait(10 * time.Second) {
 		t.Fatal("canary window never resolved")
 	}
-	if rep.CanaryOutcome != "reverted" || e.Current() != old {
-		t.Fatalf("outcome %q, old instance current %v: want a revert", rep.CanaryOutcome, e.Current() == old)
+	if rep.CanaryOutcome != "revert-failed" || rep.RolledBack || rep.RollbackCause != "" {
+		t.Fatalf("outcome %q, rolled back %v (cause %q): want revert-failed, not rolled back",
+			rep.CanaryOutcome, rep.RolledBack, rep.RollbackCause)
 	}
-	if got := sendRecv(t, c, "c"); !strings.HasPrefix(got, "v1:c:") {
-		t.Fatalf("post-revert reply = %q, want v1 banner", got)
+	if rep.Revert == nil || !rep.Revert.RolledBack {
+		t.Fatalf("revert report %+v, want a rolled-back update", rep.Revert)
+	}
+	if got := e.Current().Version(); got != v2 {
+		t.Fatalf("%s serving after a failed revert, want %s", got, v2)
+	}
+	if st := e.CanaryStatus(); st.Open || st.LastOutcome != "revert-failed" {
+		t.Fatalf("canary status %+v, want a closed window with outcome revert-failed", st)
+	}
+	if got := sendRecv(t, c, "c"); got != "v2:c:3" {
+		t.Fatalf("post-revert reply = %q, want v2 serving", got)
 	}
 	var notes []string
 	for _, ev := range rec.Events() {
@@ -608,7 +682,7 @@ func TestCanaryRevertNotesUnquiescedNewVersion(t *testing.T) {
 			notes = append(notes, ev.Note)
 		}
 	}
-	if len(notes) != 1 || !strings.HasPrefix(notes[0], "p99") || !strings.Contains(notes[0], "new version not quiesced: ") {
+	if len(notes) != 1 || !strings.HasPrefix(notes[0], "p99") || !strings.Contains(notes[0], "quiescence: ") {
 		t.Fatalf("revert span notes = %q, want the breach and the new version's quiescence error", notes)
 	}
 }

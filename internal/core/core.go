@@ -86,9 +86,8 @@ type Options struct {
 	// rewrite) are moved into the new address space as whole frames — the
 	// simulated analogue of the paper's VMA remap — instead of copied
 	// object by object. Results stay bit-identical with adoption on or
-	// off, rollback returns every donated frame, and a canary window
-	// copies the adopted contents back at window open so the quiesced old
-	// instance stays whole. The nginx-adopt bench row, TestAdoptDeterminism.
+	// off, and rollback returns every donated frame. The nginx-adopt bench
+	// row, TestAdoptDeterminism.
 	Adopt bool
 	// Audit arms both verifiers. The transfer's checksum: every byte
 	// served from a warm daemon's shadow is cross-checked against the
@@ -200,7 +199,7 @@ type UpdateReport struct {
 	// version resumed from its checkpoint), "deadline:<phase>" when the
 	// watchdog aborted a phase that blew its budget, "fault:<point>" when
 	// an injected fault fired, "canary:<metric>" for a post-commit SLO
-	// breach that reverted to the adoptable old instance.
+	// breach whose revert to the old version committed.
 	RollbackCause string
 	// RollbackSecondary classifies a second fault that fired while the
 	// rollback itself was reverting (the double-fault case); empty
@@ -217,18 +216,21 @@ type UpdateReport struct {
 	preDigest uint64 // quiesce-time trace.StateDigest of the old instance (Audit)
 
 	// ledger tracks the page frames the transfer moved out of the old
-	// instance (Options.Adopt): rollback returns them, a canary window
-	// copies their contents back at open, and a plain commit drops the
+	// instance (Options.Adopt): rollback returns them and commit drops the
 	// records. Nil unless adoption is armed.
 	ledger *mem.AdoptLedger
 
-	// Canary reports the update committed into a canary window instead of
-	// finalizing immediately. CanaryOutcome is "open" while the window is
-	// running and settles to "finalized" or "reverted"; the canary and
-	// rollback fields of this report are written by the window's monitor
-	// goroutine, so callers must Engine.CanaryWait before reading them.
+	// Canary reports the update committed into a canary window.
+	// CanaryOutcome is "open" while the window is running and settles to
+	// "finalized", "reverted" (a breach, and the update back to the old
+	// version committed) or "revert-failed" (that update rolled back and
+	// this version kept serving). Revert is that update's own report. The
+	// canary and rollback fields of this report are written by the
+	// window's monitor goroutine, so callers must Engine.CanaryWait before
+	// reading them.
 	Canary        bool
 	CanaryOutcome string
+	Revert        *UpdateReport
 }
 
 // TransferWork returns the total mutable-tracing wall clock: discovery
@@ -575,19 +577,17 @@ func (e *Engine) WarmWait(timeout time.Duration) bool {
 // conflict or failure the new version is discarded and the old version
 // resumes from its checkpoint — clients never observe a failed attempt.
 // The phases, and the two schedules they run on, are Engine.lifecycle's.
+// With a canary armed, a committed update opens a window and its monitor
+// starts as Update returns; no update is taken while a window is open.
 func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	e.mu.Lock()
 	if e.canaryRun != nil {
 		e.mu.Unlock()
 		return nil, ErrCanaryOpen
 	}
-	old, an := e.current, e.analysis
 	src := e.canarySrc
 	canaryArmed := e.canaryOn && src != nil
 	e.mu.Unlock()
-	if old == nil {
-		return nil, ErrNotRunning
-	}
 	if canaryArmed {
 		// The pre-update throughput anchors the canary's relative
 		// throughput floor; sampled before anything perturbs the workload.
@@ -595,6 +595,31 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 		e.mu.Lock()
 		e.canaryBase = base
 		e.mu.Unlock()
+	}
+	rep, err := e.update(v2)
+	if rep == nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.history = append(e.history, rep)
+	run := e.canaryRun
+	e.mu.Unlock()
+	// The monitor starts only once the update's bookkeeping is done, so a
+	// revert never overlaps it (the warm re-arm above all).
+	if rep.Canary {
+		go e.canaryLoop(run)
+	}
+	return rep, err
+}
+
+// update is Update's body, shared with a canary revert: one live update of
+// the running instance to v2, recorded in no history.
+func (e *Engine) update(v2 *program.Version) (*UpdateReport, error) {
+	e.mu.Lock()
+	old, an := e.current, e.analysis
+	e.mu.Unlock()
+	if old == nil {
+		return nil, ErrNotRunning
 	}
 	rep := &UpdateReport{}
 	if e.opts.Adopt {
@@ -604,8 +629,8 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	// The update span is registered before the bookkeeping defer so its End
 	// runs last (defer LIFO) and the span covers the full request. It ends
 	// plain — outcome attributes come from the commit/rollback spans, not
-	// here, because a canary window's monitor goroutine may still be
-	// writing rep when this returns.
+	// here, because a canary window's monitor goroutine may later write
+	// rep.
 	usp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseUpdate)
 	defer usp.End()
 	e.opts.Recorder.Metrics().Counter("core.updates").Add(1)
@@ -621,7 +646,6 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	defer func() {
 		rep.TotalTime = time.Since(start)
 		e.mu.Lock()
-		e.history = append(e.history, rep)
 		e.updating = false
 		e.mu.Unlock()
 		e.rearmWarm()
@@ -723,31 +747,25 @@ func (e *Engine) restart(old *program.Instance, v2 *program.Version,
 }
 
 // commit is the body of the commit phase: collect inherited-but-unused
-// fds, leave reserved mode, then either finalize immediately (terminate
-// the old version, release its pid reservations, resume the new one) or —
-// when a canary is armed — open the adoptable window: the old instance
-// stays quiesced and re-adoptable, RESTART resources (the old namespace's
-// pid reservations in the new instance) are held, and finalization is
-// deferred to the window's verdict. It cannot fail, and nothing after it
-// may roll the update back: the lifecycle consults the commit-time crash
-// seam and the watchdog before calling it.
+// fds, leave reserved mode, terminate the old version, release its pid
+// reservations, open a canary window when one is armed, and resume the new
+// version. It cannot fail, and nothing after it may roll the update back:
+// the lifecycle consults the commit-time crash seam and the watchdog
+// before calling it.
 func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 	e.opts.Recorder.Metrics().Counter("core.commits").Add(1)
 	rep.FDsCollected = reinit.CollectUnused(old, newInst)
 	reinit.ReservedModeOff(newInst)
-	if e.openCanary(old, newInst, rep) {
-		return
-	}
-	// Immediate finalization: the old instance will never be re-adopted,
-	// so the adopted frames' provenance records can be dropped.
+	// The old instance will never resume, so the adopted frames'
+	// provenance records can be dropped.
 	if rep.ledger != nil {
 		rep.ledger.Forget()
 	}
 	old.Terminate()
 	// Finalization releases the pid side of global separability: the old
-	// id space no longer needs protecting once the old instance can never
-	// be re-adopted.
+	// id space no longer needs protecting once the old instance is gone.
 	reinit.ReleaseIDs(newInst.Root())
+	e.openCanary(old.Version(), rep)
 	newInst.Resume()
 	e.mu.Lock()
 	e.setCurrentLocked(newInst)
@@ -758,7 +776,7 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 // watchdog-owned pipeline cancel, so a deadline trip and an explicit abort
 // drain the transfer work identically. rep carries the update's adoption
 // ledger (nil unless Options.Adopt), which records every donated page
-// frame so rollback and the canary window can make the old side whole.
+// frame so rollback can make the old side whole.
 func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}, rep *UpdateReport) trace.Options {
 	topts := trace.Options{
 		Policy:             e.policy,
@@ -774,18 +792,6 @@ func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan str
 		topts.Shadows = snap.Shadows()
 	}
 	return topts
-}
-
-// auditRollback recomputes the old instance's state digest just before
-// it resumes from a rollback and compares it against the quiesce-time
-// capture (Options.Audit).
-func (e *Engine) auditRollback(old *program.Instance, rep *UpdateReport) {
-	if !e.opts.Audit || rep.preDigest == 0 {
-		return
-	}
-	d, err := trace.StateDigest(old)
-	rep.RollbackVerified = true
-	rep.RollbackIdentical = err == nil && d == rep.preDigest
 }
 
 // lifecycle is the update protocol, stated once: CHECKPOINT (the analysis
@@ -1101,7 +1107,13 @@ func (e *Engine) rollback(old, new *program.Instance, rep *UpdateReport, cause e
 		e.opts.Recorder.Metrics().Counter("core.double_faults").Add(1)
 		cause = fmt.Errorf("%w; second fault during rollback: %v", cause, err2)
 	}
-	e.auditRollback(old, rep)
+	// The rollback audit (Options.Audit): the old instance's state digest,
+	// recomputed just before it resumes, against the quiesce-time capture.
+	if e.opts.Audit && rep.preDigest != 0 {
+		d, err := trace.StateDigest(old)
+		rep.RollbackVerified = true
+		rep.RollbackIdentical = err == nil && d == rep.preDigest
+	}
 	old.Resume()
 	sp.EndNote(cause.Error())
 	rep.RolledBack = true

@@ -453,13 +453,14 @@ func TestCanaryMonitorDeathFailsafe(t *testing.T) {
 	if rep.CanaryOutcome != "reverted" || rep.RollbackCause != "canary:monitor" {
 		t.Fatalf("outcome=%q cause=%q, want reverted/canary:monitor", rep.CanaryOutcome, rep.RollbackCause)
 	}
-	if e.Current() != old {
-		t.Fatal("failsafe revert did not adopt the old instance")
+	cur := e.Current()
+	if cur.Version() != old.Version() {
+		t.Fatalf("failsafe revert left %s serving, want %s", cur.Version(), old.Version())
 	}
-	if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v1:after:") {
+	if got := sendRecv(t, c1, "after"); got != "v1:after:2" {
 		t.Fatalf("post-revert reply = %q", got)
 	}
-	if err := leakcheck.CheckReservedPids(old); err != nil {
+	if err := leakcheck.CheckReservedPids(cur); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -72,10 +72,12 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 			wantEngine: []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
-			name:       "canary-revert",
-			opts:       Options{Audit: true},
-			canary:     "reverted",
-			wantEngine: []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
+			// The revert is a second update, back to v1, run by the window.
+			name:   "canary-revert",
+			opts:   Options{Audit: true},
+			canary: "reverted",
+			wantEngine: []string{obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit,
+				obs.PhaseUpdate, obs.PhaseSpeculate, obs.PhaseQuiesce, obs.PhaseValidate, obs.PhaseRestart, obs.PhaseRemap, obs.PhaseCommit},
 		},
 		{
 			name:         "rollback-mid-update",
@@ -165,13 +167,17 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 				t.Fatalf("engine phases = %v, want %v\n%s", got, tc.wantEngine, obs.Timeline(evs))
 			}
 
-			// The update span must cover every other engine phase.
-			usp, ok := findSpan(spans, obs.TrackEngine, obs.PhaseUpdate)
-			if !ok {
-				t.Fatal("no update span")
-			}
+			// Every other engine phase runs inside the update span that
+			// precedes it.
+			var usp obs.PhaseSpan
+			var updates []obs.PhaseSpan
 			for _, s := range spans {
-				if s.Track != obs.TrackEngine || s.Phase == obs.PhaseUpdate {
+				if s.Track != obs.TrackEngine {
+					continue
+				}
+				if s.Phase == obs.PhaseUpdate {
+					usp = s
+					updates = append(updates, s)
 					continue
 				}
 				if s.Start < usp.Start || s.End() > usp.End() {
@@ -234,28 +240,31 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 				if judges == 0 {
 					t.Error("no canary-judge instants recorded")
 				}
-				verdictPhase := obs.PhaseCanaryFinalize
-				if tc.canary == "reverted" {
-					verdictPhase = obs.PhaseCanaryRevert
+				// A revert is a span of its own, inside the window and
+				// around the update back; a window that finalizes has none.
+				rsp, ok := findSpan(spans, obs.TrackCanary, obs.PhaseCanaryRevert)
+				if ok != (tc.canary == "reverted") {
+					t.Fatalf("canary-revert span recorded: %v, outcome %s", ok, tc.canary)
 				}
-				vsp, ok := findSpan(spans, obs.TrackCanary, verdictPhase)
-				if !ok {
-					t.Fatalf("no %s span", verdictPhase)
-				}
-				if vsp.Start < win.Start || vsp.End() > win.End() {
-					t.Errorf("%s span escapes the canary window", verdictPhase)
-				}
-				if tc.canary == "reverted" && !strings.HasPrefix(vsp.Note, "p99") {
-					t.Errorf("revert span note = %q, want the breach cause", vsp.Note)
+				if ok {
+					if rsp.Start < win.Start || rsp.End() > win.End() {
+						t.Error("canary-revert span escapes the canary window")
+					}
+					if back := updates[len(updates)-1]; back.Start < rsp.Start || back.End() > rsp.End() {
+						t.Error("the revert's update span escapes the canary-revert span")
+					}
+					if !strings.HasPrefix(rsp.Note, "p99") {
+						t.Errorf("revert span note = %q, want the breach cause", rsp.Note)
+					}
 				}
 			}
 
 			// Counter registry agrees with the report.
 			m := rec.Metrics().Snapshot()
-			if m["core.updates"] != 1 {
-				t.Errorf("core.updates = %d, want 1", m["core.updates"])
+			if want := int64(len(updates)); m["core.updates"] != want {
+				t.Errorf("core.updates = %d, want %d", m["core.updates"], want)
 			}
-			wantCommits := int64(1)
+			wantCommits := int64(len(updates))
 			if tc.conflictPort {
 				wantCommits = 0
 			}

@@ -552,14 +552,14 @@ func TestKeptAnalysisDoesNotCrossInstances(t *testing.T) {
 	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
 		t.Fatal(err)
 	}
-	old := e.Current()
+	old := e.Current().Version()
 	if rep := update(); !rep.Canary {
 		t.Fatal("the update opened no canary window")
 	}
 	populate() // the new version's analysis
 	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
-	if !e.CanaryWait(10*time.Second) || e.Current() != old {
-		t.Fatal("the canary window did not revert to the old instance")
+	if !e.CanaryWait(10*time.Second) || e.Current().Version() != old {
+		t.Fatal("the canary window did not revert to the old version")
 	}
 	e.DisarmCanary()
 	fromNothing("after a canary revert", update())

@@ -386,9 +386,11 @@ func TestRunCanary(t *testing.T) {
 // watchdog deadlines, a killed canary monitor and a double fault. Every
 // cell asserts the survival contract: the classified cause (and
 // secondary), the point fired, recovery within budget, a verified and
-// identical rollback digest, the old instance serving after the
-// rollback, zero failed or wrong responses, every consumed soft-dirty
-// bit handed back, and no leaked goroutine or pid reservation.
+// identical rollback digest (for the killed monitor, whose window reverts
+// by a live update back, a committed revert with a transfer checksum),
+// the old version serving after, zero failed or wrong responses, every
+// consumed soft-dirty bit handed back, and no leaked goroutine or pid
+// reservation.
 func TestFaultCampaignSmoke(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -495,7 +497,14 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			if !plane.Fired(tc.point) {
 				t.Fatalf("armed point %s never fired", tc.point)
 			}
-			if !rep.RollbackVerified || !rep.RollbackIdentical {
+			if tc.canary {
+				if rev := rep.Revert; rev == nil || rev.RolledBack || rev.Transfer.Checksum == 0 {
+					t.Fatalf("revert report %+v, want a committed update with a checksum", rev)
+				}
+				if got, want := e.Current().Version().Release, spec.Version(0).Release; got != want {
+					t.Fatalf("%s serving after the revert, want %s", got, want)
+				}
+			} else if !rep.RollbackVerified || !rep.RollbackIdentical {
 				t.Fatalf("rollback audit: verified=%v identical=%v", rep.RollbackVerified, rep.RollbackIdentical)
 			}
 

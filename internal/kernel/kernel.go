@@ -217,8 +217,7 @@ func (p *Proc) ReservePids(pids []Pid) {
 
 // ReleaseReservedPids drops every outstanding pid reservation in this
 // process's namespace and returns how many were released. MCR calls it
-// when an update is finalized — i.e. once the old instance can no longer
-// be re-adopted (plain commit, or canary-window close): the old id space
+// when an update commits and the old instance is gone: the old id space
 // no longer needs protecting, so natural allocation may reuse it.
 func (p *Proc) ReleaseReservedPids() int {
 	p.k.mu.Lock()

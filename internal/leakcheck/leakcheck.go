@@ -2,7 +2,8 @@
 // rollback must leave nothing behind — no goroutine the aborted attempt
 // spawned (monitor loops, pipeline workers, parked stalls) and no pid
 // reservation the RESTART phase planted. The canary fault matrix and the
-// fault-injection campaign both run these checks after every rollback.
+// fault-injection campaign both run these checks after every rollback and
+// canary revert.
 package leakcheck
 
 import (

@@ -10,13 +10,11 @@
 // space at any time: DonatePage unlinks it before handing it out, AdoptPage
 // and RestorePage refuse a frame that is still (or again) resident, and the
 // AdoptLedger keeps only where a frame went and the bookkeeping bits it
-// carried — never the frame. The only deep copies are ExportPage and the
-// ledger's CopyBack, where the frame has to stay with the new side.
+// carried — never the frame.
 //
 // MoveFrames is the bulk path the transfer uses; DonatePage, AdoptPage and
 // RestorePage are the same relinking one page at a time. An AdoptLedger
-// records every bulk move so rollback (return the frames) and the canary
-// window (copy contents back while keeping the frames) are both exact.
+// records every bulk move so a rollback can return the frames exactly.
 
 package mem
 
@@ -149,22 +147,6 @@ func (as *AddressSpace) RestorePage(pb Addr, f PageFrame) error {
 	return nil
 }
 
-// ExportPage returns a deep copy of the current frame at pb without
-// detaching it or changing any bookkeeping (the canary window's copy-back
-// reads through it). The copy is a detached frame of its own.
-func (as *AddressSpace) ExportPage(pb Addr) (PageFrame, error) {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	if err := as.checkPageLocked("ExportPage", pb); err != nil {
-		return PageFrame{}, err
-	}
-	p := as.pages[pb]
-	if p == nil {
-		return PageFrame{}, nil
-	}
-	return PageFrame{frame: &page{data: p.data, detached: true}, SoftDirty: p.softDirty, Consumed: p.consumed}, nil
-}
-
 // MoveFrames moves the frames of the given pages — page-aligned, strictly
 // ascending — out of from and into to at the same addresses: DonatePage +
 // AdoptPage for every page, 0 bytes copied and nothing allocated for a
@@ -173,7 +155,7 @@ func (as *AddressSpace) ExportPage(pb Addr) (PageFrame, error) {
 // write-locked once per run, always from before to, and each side's range
 // is checked once per run. A run that fails its check moves nothing;
 // earlier runs stay moved, and recorded. l, when non-nil, records every
-// moved page so the move can be undone (ReturnAll) or mirrored (CopyBack).
+// moved page so the move can be undone (ReturnAll).
 func MoveFrames(from, to *AddressSpace, pages []Addr, l *AdoptLedger) error {
 	if from == to {
 		return fmt.Errorf("mem: MoveFrames within one address space")
@@ -251,11 +233,9 @@ func (r adoptRecord) restore(p *page) error {
 
 // AdoptLedger records every page frame an update moved from the old
 // instance to the new one. It is safe for concurrent use (per-process
-// transfers record in parallel). Exactly one of three things consumes the
+// transfers record in parallel). Exactly one of two things consumes the
 // ledger: ReturnAll (rollback — frames move back with their original
-// bits), CopyBack (canary window open — contents are copied back so the
-// quiesced old side is whole again, frames stay with the new instance), or
-// Forget (plain commit — the frames now simply belong to the new
+// bits) or Forget (commit — the frames now simply belong to the new
 // instance).
 type AdoptLedger struct {
 	mu   sync.Mutex
@@ -282,27 +262,11 @@ func (l *AdoptLedger) Count() int {
 // bit-identical without a copy. The first error is returned but the sweep
 // continues: rollback must return as many frames as it can.
 func (l *AdoptLedger) ReturnAll() error {
-	return l.drain(func(r adoptRecord) (PageFrame, error) { return r.to.DonatePage(r.pb) })
-}
-
-// CopyBack copies every donated frame's current contents back into the
-// originating address space with the original bookkeeping bits, leaving
-// the frames themselves with the adopting space, then empties the ledger.
-// The canary window calls this at window open: the quiesced old instance
-// must hold a complete bit-identical image so a breach revert adopts it
-// back without any frame motion.
-func (l *AdoptLedger) CopyBack() error {
-	return l.drain(func(r adoptRecord) (PageFrame, error) { return r.to.ExportPage(r.pb) })
-}
-
-// drain restores every recorded page from the frame take yields for it and
-// empties the ledger, reporting the first error.
-func (l *AdoptLedger) drain(take func(adoptRecord) (PageFrame, error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var first error
 	for _, r := range l.recs {
-		f, err := take(r)
+		f, err := r.to.DonatePage(r.pb)
 		if err == nil {
 			err = r.restore(f.frame)
 		}
@@ -314,8 +278,8 @@ func (l *AdoptLedger) drain(take func(adoptRecord) (PageFrame, error)) error {
 	return first
 }
 
-// Forget drops the ledger without moving anything: after a plain commit
-// the donated frames simply belong to the new instance.
+// Forget drops the ledger without moving anything: after a commit the
+// donated frames simply belong to the new instance.
 func (l *AdoptLedger) Forget() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

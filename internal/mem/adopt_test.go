@@ -143,33 +143,6 @@ func TestLedgerReturnAllRestoresBitsAndBytes(t *testing.T) {
 	}
 }
 
-func TestLedgerCopyBackKeepsFrameWithNewSide(t *testing.T) {
-	old, new := adoptPair(t)
-	payload := bytes.Repeat([]byte{0x7e}, PageSize)
-	if err := old.WriteAt(testBase, payload); err != nil {
-		t.Fatal(err)
-	}
-	var l AdoptLedger
-	if err := MoveFrames(old, new, []Addr{testBase}, &l); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CopyBack(); err != nil {
-		t.Fatalf("CopyBack: %v", err)
-	}
-	if l.Count() != 0 {
-		t.Errorf("ledger not emptied: %d", l.Count())
-	}
-	got := make([]byte, PageSize)
-	for side, as := range map[string]*AddressSpace{"old": old, "new": new} {
-		if err := as.ReadAt(testBase, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Errorf("%s side lost the page contents after CopyBack", side)
-		}
-	}
-}
-
 func TestLedgerForgetDropsRecords(t *testing.T) {
 	old, new := adoptPair(t)
 	if err := old.WriteAt(testBase, []byte{1}); err != nil {
@@ -260,8 +233,8 @@ func framesOf(as *AddressSpace) map[Addr]*page {
 
 // TestFrameNeverResidentInTwoSpaces: a frame that moved by pointer belongs
 // to exactly one address space at every step of its life — after the move
-// and across a Clone of the adopter, after ReturnAll, after CopyBack, a
-// store to one side is invisible on every other — and the soft-dirty
+// and across a Clone of the adopter, and after ReturnAll, a store to one
+// side is invisible on every other — and the soft-dirty
 // bookkeeping the donor had comes back exactly. A reader runs against the
 // old side the whole time (the race detector's view of the relinking).
 func TestFrameNeverResidentInTwoSpaces(t *testing.T) {
@@ -401,34 +374,6 @@ func TestFrameNeverResidentInTwoSpaces(t *testing.T) {
 		}
 		isolated(t, map[string]*AddressSpace{"old": fx.old, "new": fx.new})
 	})
-
-	t.Run("CopyBack", func(t *testing.T) {
-		fx := moved(t)
-		if err := fx.ledger.CopyBack(); err != nil {
-			t.Fatalf("CopyBack: %v", err)
-		}
-		if fx.ledger.Count() != 0 {
-			t.Fatalf("ledger holds %d records after CopyBack", fx.ledger.Count())
-		}
-		// The frames stay with the adopter; the old side holds copies.
-		oldNow, newNow := framesOf(fx.old), framesOf(fx.new)
-		for pb, p := range fx.frames {
-			if newNow[pb] != p {
-				t.Fatalf("page %#x: CopyBack took the frame from the adopter", pb)
-			}
-			if oldNow[pb] == p || oldNow[pb] == nil {
-				t.Fatalf("page %#x: the old side does not hold a copy of its own", pb)
-			}
-		}
-		if len(oldNow) != len(fx.frames) {
-			t.Fatalf("old side has %d resident pages after CopyBack, want %d", len(oldNow), len(fx.frames))
-		}
-		sameBits(t, fx)
-		if got := readAll(t, fx.old, pages); !bytes.Equal(got, fx.want) {
-			t.Fatal("CopyBack did not restore the old side's bytes")
-		}
-		isolated(t, map[string]*AddressSpace{"old": fx.old, "new": fx.new})
-	})
 }
 
 // TestFrameInstalledOnce: the PageFrame a donor handed out stays in the
@@ -458,17 +403,6 @@ func TestFrameInstalledOnce(t *testing.T) {
 	}
 	if len(old.pages) != 0 || len(new.pages) != 1 {
 		t.Errorf("resident pages old/new = %d/%d, want 0/1", len(old.pages), len(new.pages))
-	}
-	// An exported copy is a frame of its own and installs once, too.
-	c, err := new.ExportPage(testBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.RestorePage(testBase, c); err != nil {
-		t.Fatalf("RestorePage of an exported copy: %v", err)
-	}
-	if err := new.AdoptPage(testBase+PageSize, c); err == nil {
-		t.Error("an installed copy was adopted again")
 	}
 }
 

@@ -81,9 +81,9 @@ type page struct {
 	// child forked mid-pre-copy stays exactly accountable; RestoreSoftDirty
 	// turns it back into softDirty when a checkpoint is discarded.
 	consumed bool
-	// detached marks a frame no address space holds: DonatePage and
-	// ExportPage hand one out, installing it clears the mark, and only a
-	// detached frame can be installed — one frame is never resident twice.
+	// detached marks a frame no address space holds: DonatePage hands one
+	// out, installing it clears the mark, and only a detached frame can be
+	// installed — one frame is never resident twice.
 	detached bool
 	// stamp is the owning space's mutations value at the last store into
 	// the frame, or at its installation: what StoredSince compares. Unlike

@@ -63,10 +63,9 @@ const (
 	PhaseCopy     = "copy"
 	PhaseChecksum = "checksum" // instant: aggregate transfer FNV digest
 
-	PhaseCanaryWindow   = "canary-window"
-	PhaseCanaryJudge    = "canary-judge" // instant: one SLO tick
-	PhaseCanaryFinalize = "canary-finalize"
-	PhaseCanaryRevert   = "canary-revert"
+	PhaseCanaryWindow = "canary-window"
+	PhaseCanaryJudge  = "canary-judge" // instant: one SLO tick
+	PhaseCanaryRevert = "canary-revert"
 
 	PhaseInterval = "interval" // workload stats bucket (complete event)
 

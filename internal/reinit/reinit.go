@@ -260,13 +260,10 @@ func ReserveIDs(old *program.Instance, newRoot *program.Proc) {
 	newRoot.KProc().ReservePids(old.Root().KProc().NamespacePids())
 }
 
-// ReleaseIDs is ReserveIDs' closing bracket: once an update is finalized
-// — the old instance terminated for good, whether at plain commit or at
-// the close of a canary window — the old version's id space no longer
+// ReleaseIDs is ReserveIDs' closing bracket: once an update commits and
+// the old instance is terminated, the old version's id space no longer
 // needs protecting and the outstanding reservations are dropped, letting
-// natural allocation reuse those pids. While a canary window is open the
-// engine deliberately does NOT call this: the old instance is still
-// adoptable, and a rollback must find its pids unclaimed.
+// natural allocation reuse those pids.
 func ReleaseIDs(newRoot *program.Proc) int {
 	return newRoot.KProc().ReleaseReservedPids()
 }

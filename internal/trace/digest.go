@@ -12,10 +12,9 @@ import (
 // (address, size, kind, name) and raw contents, in canonical per-process
 // index order — into one FNV-64a word. Two instances with equal digests
 // hold bit-identical state; a digest taken before and after an event
-// proves the event left the state untouched. The canary layer leans on
-// this twice: the old instance's digest must not drift while it sits
-// adoptable behind an open window (its warm shadows stay valid), and a
-// reverted update must hand back exactly the state it checkpointed.
+// proves the event left the state untouched: a rolled-back update must
+// hand back exactly the state it checkpointed, and a canary revert must
+// leave the state a direct update back would.
 // Contents are hashed in place (foldBytes): nothing is staged per object.
 func StateDigest(inst *program.Instance) (uint64, error) {
 	h := fnv.New64a()

@@ -401,7 +401,13 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 	if testing.Short() {
 		steps = 60
 	}
-	grewPasses := 0 // passes that followed a growth, and no fork or frame move
+	// Coverage is tallied over the whole run, not per seed: a shorter run
+	// need not fork or store-only in every seed. grewPasses counts the
+	// passes that followed a growth and no fork or frame move, storePasses
+	// those that followed only stores after the warm-up, forkedRuns the
+	// seeds that saw a second process.
+	grewPasses, storePasses, forkedRuns := 0, 0, 0
+	warmup := steps / 6
 	for i, seed := range []int64{3, 17, 58, 101} {
 		pc, libs := scanPolicies[i%len(scanPolicies)], scanLibSets[(i/2)%len(scanLibSets)]
 		t.Run(fmt.Sprintf("seed=%d/%s", seed, pc.name), func(t *testing.T) {
@@ -412,10 +418,10 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 				end: map[program.ProcKey]mem.Addr{p.Key(): scanFixtureBase + scanFixtureSize}}
 			w := NewWarmAnalysis(pc.pol, libs)
 			// stores counts the mutations since the last pass while they
-			// were all plain stores (-1 once one was not); storePasses the
-			// passes that followed only stores. shaped is set by a mutation
-			// since the last pass that an incremental step cannot follow.
-			stores, storePasses := 0, 0
+			// were all plain stores (-1 once one was not). shaped is set by a
+			// mutation since the last pass that an incremental step cannot
+			// follow.
+			stores := 0
 			shaped, grew := true, false
 			for s := 0; s < steps; s++ {
 				k := m.step()
@@ -454,7 +460,7 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 				// a straddling word), whatever the heap holds. The fixture
 				// is too densely linked to say as much of a free — nearly
 				// every page points into every object.
-				if stores > 0 && s > 20 {
+				if stores > 0 && s > warmup {
 					storePasses++
 					if rs.PagesRescanned > 6*stores {
 						t.Errorf("%s: %d stores cost %d pages rescanned (%d reused)", when, stores, rs.PagesRescanned, rs.PagesReused)
@@ -474,10 +480,13 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 				}
 				stores, shaped, grew = 0, false, false
 			}
-			if len(inst.Procs()) < 2 || storePasses == 0 {
-				t.Errorf("%d steps saw %d processes and %d passes after stores alone", steps, len(inst.Procs()), storePasses)
+			if len(inst.Procs()) > 1 {
+				forkedRuns++
 			}
 		})
+	}
+	if forkedRuns == 0 || storePasses == 0 {
+		t.Errorf("%d steps a seed saw a second process in %d seeds and %d passes after stores alone", steps, forkedRuns, storePasses)
 	}
 	if grewPasses == 0 {
 		t.Error("no pass followed a growth without a fork or frame move: the seeds do not test growth")

@@ -168,9 +168,8 @@ type Options struct {
 	// off (the VerifyShadows checksum digests adopted sources too).
 	Adopt bool
 	// Ledger, when set with Adopt, records every donated page frame so
-	// the update engine can return them on rollback or copy them back for
-	// a canary window. Without a ledger adopted frames are unrecoverable;
-	// the engine always supplies one.
+	// the update engine can return them on rollback. Without a ledger
+	// adopted frames are unrecoverable; the engine always supplies one.
 	Ledger *mem.AdoptLedger
 }
 
