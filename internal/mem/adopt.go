@@ -25,9 +25,11 @@ import (
 
 // PageFrame is a detached page: the frame itself, by reference, plus the
 // soft-dirty bookkeeping it carried when it was donated. A frame that is
-// not Present stands for a page that had never been touched (demand-zero):
-// restoring it re-establishes the page's absence rather than materializing
-// a zero frame. Installing a frame hands it to the address space; the
+// not Present stands for a page that had never been touched (demand-zero),
+// and a bulk move never materializes a page that is absent on both sides:
+// adopting it leaves an absent page absent, and restoring it
+// re-establishes the page's absence rather than installing a zero frame.
+// Installing a frame hands it to the address space; the
 // PageFrame value must not be installed again afterwards (AdoptPage and
 // RestorePage refuse it).
 type PageFrame struct {
@@ -74,10 +76,15 @@ func (as *AddressSpace) installLocked(pb Addr, p *page, softDirty, consumed bool
 	as.pages[pb] = p
 }
 
-// adoptLocked installs p — a fresh zero page when the donated page was
-// absent — the way WriteAt would have left it: soft-dirty, not consumed.
+// adoptLocked installs p the way WriteAt would have left it: soft-dirty,
+// not consumed. A donated page that was absent (p nil) leaves an absent
+// page absent, as CopyRange does — zeroes onto zeroes — and clears a
+// resident one to a fresh dirty zero page.
 func (as *AddressSpace) adoptLocked(pb Addr, p *page) {
 	if p == nil {
+		if as.pages[pb] == nil {
+			return
+		}
 		p = &page{}
 	}
 	as.installLocked(pb, p, true, false)
@@ -105,10 +112,11 @@ func (as *AddressSpace) DonatePage(pb Addr) (PageFrame, error) {
 // AdoptPage installs a donated frame at page base pb, replacing whatever
 // was resident there (the new version's startup may have touched the same
 // addresses). The installed page is marked soft-dirty and not consumed —
-// exactly the bit state an object-by-object copy of the same bytes would
-// have left via WriteAt — so the next update's dirty tracking is identical
-// across the adoption and copy paths. A frame that is not Present installs
-// a fresh dirty zero page. Counts as a mutation.
+// exactly the bit state CopyRange of the same bytes leaves — so the next
+// update's dirty tracking is identical across the adoption and copy paths.
+// A frame that is not Present clears a resident page to a fresh dirty zero
+// page and leaves an absent one absent: no bits, no stamp. Counts as a
+// mutation.
 func (as *AddressSpace) AdoptPage(pb Addr, f PageFrame) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()

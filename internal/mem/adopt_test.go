@@ -172,7 +172,8 @@ func TestLedgerForgetDropsRecords(t *testing.T) {
 // frameFixture builds an old side with a mix of page states over pages
 // pages — resident and soft-dirty, resident with the bit consumed by an
 // epoch, and never touched — and a new side whose startup touched some of
-// the same addresses. It returns the page list and the old side's bytes.
+// the same addresses, never-touched ones among them. It returns the page
+// list and the old side's bytes.
 func frameFixture(t testing.TB, pages int) (old, new *AddressSpace, list []Addr, want []byte) {
 	t.Helper()
 	old, new = NewAddressSpace(), NewAddressSpace()
@@ -184,16 +185,16 @@ func frameFixture(t testing.TB, pages int) (old, new *AddressSpace, list []Addr,
 	for pg := 0; pg < pages; pg++ {
 		pb := testBase + Addr(pg)*PageSize
 		list = append(list, pb)
+		if pg%3 == 0 {
+			if err := new.WriteAt(pb+8, []byte{0xEE}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if pg%5 == 4 {
 			continue // demand-zero on the old side
 		}
 		if err := old.WriteAt(pb, bytes.Repeat([]byte{byte(1 + pg%250)}, PageSize)); err != nil {
 			t.Fatal(err)
-		}
-		if pg%3 == 0 {
-			if err := new.WriteAt(pb+8, []byte{0xEE}); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	old.ReadAndClearSoftDirty() // every resident page: consumed, clean
@@ -282,6 +283,17 @@ func TestFrameNeverResidentInTwoSpaces(t *testing.T) {
 		fx.old, fx.new, fx.list, fx.want = frameFixture(t, pages)
 		fx.dirty, fx.consumed = fx.old.SoftDirtyPages(), fx.old.ConsumedDirtyPages()
 		fx.frames = framesOf(fx.old)
+		// What CopyRange of the same bytes would have left: every page
+		// resident on either side before the move resident and soft-dirty
+		// after it (a frame the donor lacked as a zero page over the
+		// adopter's), none consumed; a page absent on both sides absent.
+		var written []Addr
+		adopter := framesOf(fx.new)
+		for _, pb := range fx.list {
+			if fx.frames[pb] != nil || adopter[pb] != nil {
+				written = append(written, pb)
+			}
+		}
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -313,11 +325,11 @@ func TestFrameNeverResidentInTwoSpaces(t *testing.T) {
 		if got := readAll(t, fx.new, pages); !bytes.Equal(got, fx.want) {
 			t.Fatal("adopter does not read the donated bytes")
 		}
-		// What WriteAt of the same bytes would have left: every page
-		// resident and soft-dirty (absent sources as zero pages), none
-		// consumed.
-		if got := fx.new.SoftDirtyPages(); !slices.Equal(got, fx.list) || fx.new.ConsumedCount() != 0 {
-			t.Fatalf("adopter bits: %d dirty / %d consumed, want %d / 0", len(got), fx.new.ConsumedCount(), pages)
+		if got := fx.new.SoftDirtyPages(); !slices.Equal(got, written) || fx.new.ConsumedCount() != 0 {
+			t.Fatalf("adopter bits: %d dirty / %d consumed, want %d / 0", len(got), fx.new.ConsumedCount(), len(written))
+		}
+		if n := fx.new.RSSBytes(); n != uint64(len(written))*PageSize {
+			t.Fatalf("adopter holds %d resident pages, want %d", n/PageSize, len(written))
 		}
 		now := framesOf(fx.new)
 		for pb, p := range fx.frames {

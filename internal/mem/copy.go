@@ -3,14 +3,21 @@ package mem
 import "fmt"
 
 // CopyRange copies size bytes from srcAddr in src to dstAddr in dst, page
-// to page: the result is what src.ReadAt into a buffer followed by
+// to page: the result reads as what src.ReadAt into a buffer followed by
 // dst.WriteAt of that buffer leaves — the same bytes, every destination
-// page the range touches resident and soft-dirty (consumed marks
-// untouched), an absent source page arriving as zeroes (over a resident
-// destination page, or as a fresh dirty zero page), dst's Mutations
-// advanced — without the buffer: one memmove per source-page/
+// page the copy writes soft-dirty (consumed marks untouched), dst's
+// Mutations advanced — without the buffer: one memmove per source-page/
 // destination-page overlap, which is one per page when the two addresses
 // agree mod PageSize. The two addresses need not.
+//
+// A bulk move never materializes a page that is absent on both sides: a
+// destination page that is absent, and whose fragment draws only on
+// absent source pages, stays absent — it already reads as the zeroes the
+// copy would store — with no soft-dirty bit and no stamp. That is where
+// the result differs from the staged copy, which leaves a fresh dirty
+// zero page. Every other page is written: an absent source page over a
+// resident destination page clears it, and a fragment with any resident
+// source byte materializes its page.
 //
 // Both whole ranges are checked before the first byte moves: a range that
 // leaves either mapping fails with ErrUnmapped and writes nothing. The copy
@@ -56,6 +63,14 @@ func copyChunk(dst *AddressSpace, da Addr, src *AddressSpace, sa Addr, n, check 
 		dp := dst.pages[dpb]
 		fresh := dp == nil
 		if fresh {
+			// The fragment draws on at most two source pages: when both
+			// are absent it is zeroes onto zeroes, and the page stays
+			// demand-zero.
+			if src.pages[PageBase(sa)] == nil && src.pages[PageBase(sa+(stop-da)-1)] == nil {
+				sa += stop - da
+				da = stop
+				continue
+			}
 			dp = &page{}
 			dst.pages[dpb] = dp
 		}

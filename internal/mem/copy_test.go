@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -103,17 +105,51 @@ func (a spaceState) diff(b spaceState) string {
 	return ""
 }
 
+// stagedDemandZero is the staged copy with the one rule CopyRange adds:
+// a destination page that was absent, and whose fragment's source bytes all
+// lie on absent source pages, stays absent (the staged copy materializes it
+// as a dirty zero page; here that page is taken away again). It returns how
+// many pages stayed absent.
+func stagedDemandZero(t testing.TB, dst *AddressSpace, dstAddr Addr, src *AddressSpace, srcAddr Addr, size uint64) int {
+	t.Helper()
+	srcFrames, dstFrames := framesOf(src), framesOf(dst)
+	if err := stagedCopy(dst, dstAddr, src, srcAddr, size); err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	end := dstAddr + Addr(size)
+	for pb := PageBase(dstAddr); pb < end; pb += PageSize {
+		if dstFrames[pb] != nil {
+			continue
+		}
+		lo, hi := max(pb, dstAddr), min(pb+PageSize, end)
+		absent := true
+		for spb := PageBase(lo - dstAddr + srcAddr); spb < hi-dstAddr+srcAddr; spb += PageSize {
+			absent = absent && srcFrames[spb] == nil
+		}
+		if absent {
+			if _, err := dst.DonatePage(pb); err != nil {
+				t.Fatal(err)
+			}
+			kept++
+		}
+	}
+	return kept
+}
+
 // TestCopyRangeMatchesStagedCopy: on seeded random sparse spaces the page-
 // to-page copy leaves the destination exactly as ReadAt + WriteAt through a
 // buffer does — bytes, resident page set, soft-dirty and consumed bits —
-// and advances its Mutations. The ranges start and end mid-page, pair
-// addresses that differ mod PageSize as often as not, span the region
-// boundary and more than one lock chunk, and lay absent source pages over
-// resident destination pages (and over absent ones, which materialize as
-// dirty zero pages). A range that runs off either mapping fails with
-// ErrUnmapped and changes nothing.
+// except that a page absent on both sides stays absent and clean
+// (stagedDemandZero), and advances its Mutations. The ranges start and end
+// mid-page, pair addresses that differ mod PageSize as often as not, span
+// the region boundary and more than one lock chunk, and lay absent source
+// pages over resident destination pages (which they clear and dirty) and
+// over absent ones (which stay absent). A range that runs off either
+// mapping fails with ErrUnmapped and changes nothing.
 func TestCopyRangeMatchesStagedCopy(t *testing.T) {
 	const total = copyPages * PageSize
+	kept := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		src := copySpace(t, copySrc)
@@ -141,9 +177,7 @@ func TestCopyRangeMatchesStagedCopy(t *testing.T) {
 				}
 			}
 			sa, da := copySrc+Addr(so), copyDst+Addr(do)
-			if err := stagedCopy(want, da, src, sa, uint64(size)); err != nil {
-				t.Fatalf("seed %d: staged copy: %v", seed, err)
-			}
+			kept += stagedDemandZero(t, want, da, src, sa, uint64(size))
 			before := got.Mutations()
 			if err := CopyRange(got, da, src, sa, uint64(size)); err != nil {
 				t.Fatalf("seed %d: CopyRange(%#x <- %#x, %d): %v", seed, da, sa, size, err)
@@ -177,6 +211,139 @@ func TestCopyRangeMatchesStagedCopy(t *testing.T) {
 			t.Fatalf("seed %d: copying changed the source (%s)", seed, d)
 		}
 	}
+	if kept == 0 {
+		t.Error("no copy laid an absent source page over an absent destination page")
+	}
+}
+
+// TestDemandZeroStaysAbsent: a bulk move never materializes a page that
+// is absent on both sides. Through CopyRange (misaligned, across three
+// pages) and MoveFrames such a page stays absent: the resident set, the
+// soft-dirty set and StoredSince do not move, and the range reads zeroes.
+// Every other page is written as before: a fragment drawing on one
+// resident and one absent source page materializes, in either order; an
+// absent source over a resident destination page clears and dirties it;
+// and ReturnAll after a move of absent frames restores the donor exactly.
+func TestDemandZeroStaysAbsent(t *testing.T) {
+	pg := func(n int) Addr { return copySrc + Addr(n)*PageSize }
+	fill := func(t *testing.T, as *AddressSpace, n int, v byte) {
+		t.Helper()
+		if err := as.WriteAt(pg(n), bytes.Repeat([]byte{v}, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// pair returns a source with page 0 and 2 resident and a destination
+	// with page 4 resident, both clean, and the destination's epoch.
+	pair := func(t *testing.T) (src, dst *AddressSpace, epoch uint64) {
+		src, dst = copySpace(t, copySrc), copySpace(t, copySrc)
+		fill(t, src, 0, 0x11)
+		fill(t, src, 2, 0x22)
+		fill(t, dst, 4, 0x44)
+		src.ClearSoftDirty()
+		dst.ClearSoftDirty()
+		return src, dst, dst.Mutations()
+	}
+	stored := func(t *testing.T, as *AddressSpace, epoch uint64, want ...Addr) {
+		t.Helper()
+		_, got, reshaped := as.StoredSince(epoch)
+		if !slices.Equal(got, want) || reshaped {
+			t.Errorf("StoredSince = %#x reshaped=%v, want %#x reshaped=false", got, reshaped, want)
+		}
+	}
+	readsAs := func(t *testing.T, as *AddressSpace, at Addr, want []byte) {
+		t.Helper()
+		got := make([]byte, len(want))
+		if err := as.ReadAt(at, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%#x reads other bytes than expected", at)
+		}
+	}
+
+	for _, path := range []struct {
+		name string
+		move func(src, dst *AddressSpace) error
+	}{
+		{"CopyRange", func(src, dst *AddressSpace) error {
+			return CopyRange(dst, pg(5)+100, src, pg(5)+50, 2*PageSize) // pages 5-7 from 5-7
+		}},
+		{"MoveFrames", func(src, dst *AddressSpace) error {
+			return MoveFrames(src, dst, []Addr{pg(5), pg(6), pg(7)}, nil)
+		}},
+	} {
+		t.Run("absent onto absent/"+path.name, func(t *testing.T) {
+			src, dst, epoch := pair(t)
+			srcBefore, dstBefore := stateOf(t, src, copySrc), stateOf(t, dst, copySrc)
+			if err := path.move(src, dst); err != nil {
+				t.Fatal(err)
+			}
+			if d := stateOf(t, dst, copySrc).diff(dstBefore); d != "" {
+				t.Errorf("destination: %s changed", d)
+			}
+			if d := stateOf(t, src, copySrc).diff(srcBefore); d != "" {
+				t.Errorf("source: %s changed", d)
+			}
+			stored(t, dst, epoch)
+			readsAs(t, dst, pg(5), make([]byte, 3*PageSize))
+		})
+	}
+
+	t.Run("straddling fragment materializes", func(t *testing.T) {
+		src, dst, epoch := pair(t)
+		// Page 5 draws on source pages 1 (absent) and 2, page 6 on 2 and 3
+		// (absent).
+		if err := CopyRange(dst, pg(5), src, pg(1)+PageSize/2, 2*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		want := append(make([]byte, PageSize/2), bytes.Repeat([]byte{0x22}, PageSize)...)
+		readsAs(t, dst, pg(5), append(want, make([]byte, PageSize/2)...))
+		if got := dst.SoftDirtyPages(); !slices.Equal(got, []Addr{pg(5), pg(6)}) {
+			t.Errorf("soft-dirty pages %#x, want pages 5 and 6", got)
+		}
+		stored(t, dst, epoch, pg(5), pg(6))
+	})
+
+	for _, path := range []struct {
+		name string
+		move func(src, dst *AddressSpace) error
+	}{
+		{"CopyRange", func(src, dst *AddressSpace) error { return CopyRange(dst, pg(4), src, pg(3), PageSize) }},
+		{"MoveFrames", func(src, dst *AddressSpace) error { return MoveFrames(src, dst, []Addr{pg(4)}, nil) }},
+	} {
+		t.Run("absent over resident/"+path.name, func(t *testing.T) {
+			src, dst, epoch := pair(t)
+			if err := path.move(src, dst); err != nil {
+				t.Fatal(err)
+			}
+			readsAs(t, dst, pg(4), make([]byte, PageSize))
+			if got := dst.SoftDirtyPages(); !slices.Equal(got, []Addr{pg(4)}) {
+				t.Errorf("soft-dirty pages %#x, want page 4", got)
+			}
+			stored(t, dst, epoch, pg(4))
+		})
+	}
+
+	t.Run("ReturnAll after absent frames", func(t *testing.T) {
+		src, dst, _ := pair(t)
+		src.ReadAndClearSoftDirty()
+		fill(t, src, 2, 0x23) // page 0 consumed, page 2 consumed and dirty
+		before, frames := stateOf(t, src, copySrc), framesOf(src)
+		var l AdoptLedger
+		// Absent frames onto an absent page (3) and a resident one (4).
+		if err := MoveFrames(src, dst, []Addr{pg(0), pg(1), pg(2), pg(3), pg(4)}, &l); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.ReturnAll(); err != nil {
+			t.Fatal(err)
+		}
+		if d := stateOf(t, src, copySrc).diff(before); d != "" {
+			t.Errorf("donor: %s differ after ReturnAll", d)
+		}
+		if now := framesOf(src); !maps.Equal(now, frames) {
+			t.Error("donor does not hold the frames it donated")
+		}
+	})
 }
 
 func TestCopyRangeEdges(t *testing.T) {
@@ -318,8 +485,14 @@ func TestUpdateResident(t *testing.T) {
 // BenchmarkCopyRange is the bulk copy of one fully resident range into a
 // space where it is already resident (the steady state: no page
 // allocation on either path), page to page against staged through a
-// buffer, by size.
+// buffer, by size. The sparse case is a reservation's shape: an absent
+// source range into a fresh destination, which CopyRange leaves absent and
+// the staged copy materializes; it reports ns/page and allocs/page.
 func BenchmarkCopyRange(b *testing.B) {
+	paths := []struct {
+		name string
+		copy func(dst *AddressSpace, da Addr, src *AddressSpace, sa Addr, size uint64) error
+	}{{"range", CopyRange}, {"staged", stagedCopy}}
 	for _, size := range []int{4 << 10, 1 << 20, 16 << 20} {
 		src, dst := NewAddressSpace(), NewAddressSpace()
 		for _, as := range []*AddressSpace{src, dst} {
@@ -330,10 +503,7 @@ func BenchmarkCopyRange(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		for _, path := range []struct {
-			name string
-			copy func(dst *AddressSpace, da Addr, src *AddressSpace, sa Addr, size uint64) error
-		}{{"range", CopyRange}, {"staged", stagedCopy}} {
+		for _, path := range paths {
 			b.Run(fmt.Sprintf("bytes=%dK/%s", size>>10, path.name), func(b *testing.B) {
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
@@ -344,5 +514,36 @@ func BenchmarkCopyRange(b *testing.B) {
 				}
 			})
 		}
+	}
+	const sparse = 16 << 20
+	pages := float64(sparse / PageSize)
+	empty := func(b *testing.B) *AddressSpace {
+		as := NewAddressSpace()
+		if err := as.Map(copySrc, sparse, RegionHeap, "heap"); err != nil {
+			b.Fatal(err)
+		}
+		return as
+	}
+	src := empty(b)
+	for _, path := range paths {
+		b.Run(fmt.Sprintf("bytes=%dK/sparse/%s", sparse>>10, path.name), func(b *testing.B) {
+			dsts := make([]*AddressSpace, b.N)
+			for i := range dsts {
+				dsts[i] = empty(b)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := range dsts {
+				if err := path.copy(dsts[i], copySrc, src, copySrc, sparse); err != nil {
+					b.Fatal(err)
+				}
+				dsts[i] = nil
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pages, "ns/page")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N)/pages, "allocs/page")
+		})
 	}
 }
