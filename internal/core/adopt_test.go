@@ -268,6 +268,151 @@ func TestAdoptExcludesNonIdentityPointers(t *testing.T) {
 	}
 }
 
+// sparsedPages is the span of sparsed's one large buffer.
+const sparsedPages = 256
+
+// sparsedVersion builds the neutral-page fixture: one untyped buffer of
+// sparsedPages pages, allocated at startup and left demand-zero, rooted in
+// an untyped global. With shared set, a record whose pointer to a static
+// global never remaps to itself (the relocd rule) is allocated just before
+// the buffer, on the buffer's first page.
+func sparsedVersion(seq int, shared bool) *program.Version {
+	reg := types.NewRegistry()
+	conf := types.StructOf("conf_s", types.Field{Name: "port", Type: types.Scalar(types.KindUint64)})
+	reg.Define(conf)
+	reg.Define(types.StructOf("rec_s", types.Field{Name: "conf", Type: types.PointerTo(conf)}))
+	return &program.Version{
+		Program: "sparsed",
+		Release: fmt.Sprintf("v%d", seq+1),
+		Seq:     seq,
+		Types:   reg,
+		Globals: []program.GlobalSpec{
+			{Name: "conf", Type: "conf_s"},
+			{Name: "anchor", Size: 64},
+		},
+		Annotations: program.NewAnnotations(),
+		Main: func(t *program.Thread) error {
+			t.Enter("main")
+			defer t.Exit()
+			if err := t.Call("sparsed_init", func() error {
+				p := t.Proc()
+				anchor := p.MustGlobal("anchor")
+				if shared {
+					r, err := t.Malloc("rec_s")
+					if err != nil {
+						return err
+					}
+					if err := p.WriteWordAt(r, 0, uint64(p.MustGlobal("conf").Addr)); err != nil {
+						return err
+					}
+					if err := p.WriteWordAt(anchor, 8, uint64(r.Addr)); err != nil {
+						return err
+					}
+				}
+				b, err := t.MallocBytes(sparsedPages * mem.PageSize)
+				if err != nil {
+					return err
+				}
+				return p.WriteWordAt(anchor, 0, uint64(b.Addr))
+			}); err != nil {
+				return err
+			}
+			return t.Loop("sparsed_loop", func() error {
+				if err := t.IdleQP("idle@sparsed_loop"); err != nil {
+					if errors.Is(err, program.ErrStopped) {
+						return program.ErrLoopExit
+					}
+					return err
+				}
+				return nil
+			})
+		},
+	}
+}
+
+// TestAdoptMovesOnlyResidentFrames: a page absent on both sides neither
+// moves nor blocks. A sparse buffer, dirtied on two pages after startup,
+// moves as the frames resident in it and nothing more — PagesAdopted is
+// their count, and the new buffer is as sparse as the old — and when its
+// one resident page is shared with an object that may not move, it falls
+// back to the copy path whole. Either way the transfer checksum and the
+// state digest equal those of the copy path and of the sequential engine.
+func TestAdoptMovesOnlyResidentFrames(t *testing.T) {
+	type outcome struct {
+		checksum, digest uint64
+		stats            trace.Stats
+		before, after    int // resident pages of the buffer, old and new
+	}
+	resident := func(t *testing.T, inst *program.Instance) (mem.Object, int) {
+		t.Helper()
+		var buf mem.Object
+		for _, o := range inst.Root().Index().All() {
+			if o.Kind == mem.ObjHeap && o.Size > buf.Size {
+				buf = *o
+			}
+		}
+		n := 0
+		if err := inst.Root().Space().WalkResident(buf.Addr, buf.Size, func(mem.Addr, []byte) { n++ }); err != nil {
+			t.Fatal(err)
+		}
+		return buf, n
+	}
+	run := func(t *testing.T, shared bool, opts Options) outcome {
+		t.Helper()
+		e, err := NewEngine(kernel.New(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Launch(sparsedVersion(0, shared)); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Shutdown()
+		buf, _ := resident(t, e.Current())
+		if buf.Size != sparsedPages*mem.PageSize {
+			t.Fatalf("buffer %s, want %d pages", &buf, sparsedPages)
+		}
+		as := e.Current().Root().Space()
+		offs := []uint64{8, 7*mem.PageSize + 100, 200 * mem.PageSize}
+		if shared {
+			offs = offs[:1] // the first page only, which the record shares
+		}
+		for _, off := range offs {
+			if err := as.WriteAt(buf.Addr+mem.Addr(off), []byte("post-startup state")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, before := resident(t, e.Current())
+		rep, err := e.Update(sparsedVersion(1, shared))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, after := resident(t, e.Current())
+		return outcome{rep.Transfer.Checksum, mustDigest(t, e.Current()), rep.Transfer, before, after}
+	}
+	for _, shared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			base := run(t, shared, Options{Sequential: true, Audit: true})
+			copied := run(t, shared, Options{Audit: true})
+			adopted := run(t, shared, Options{Adopt: true, Audit: true})
+			for name, o := range map[string]outcome{"copied": copied, "adopted": adopted} {
+				if o.checksum != base.checksum || o.digest != base.digest {
+					t.Errorf("%s: checksum %#x, digest %#x; sequential %#x, %#x", name, o.checksum, o.digest, base.checksum, base.digest)
+				}
+			}
+			st := adopted.stats
+			if adopted.before > 4 || adopted.after != adopted.before {
+				t.Errorf("buffer resident pages: %d before, %d after the update", adopted.before, adopted.after)
+			}
+			switch {
+			case !shared && (st.PagesAdopted != adopted.before || st.BytesAdopted < sparsedPages*mem.PageSize):
+				t.Errorf("sparse buffer: %d pages, %d bytes adopted; want its %d resident frames and all of it", st.PagesAdopted, st.BytesAdopted, adopted.before)
+			case shared && (st.PagesAdopted != 0 || st.BytesAdopted != 0):
+				t.Errorf("buffer sharing its page with an unmovable record: %d pages, %d bytes adopted, want the copy path", st.PagesAdopted, st.BytesAdopted)
+			}
+		})
+	}
+}
+
 // TestAdoptRollbackReturnsFrames drives a commit-crash fault through an
 // update that already adopted the whole heap: every donated frame must
 // return to the old instance with its original bookkeeping, the

@@ -39,9 +39,7 @@ func (ix *ObjectIndex) Clone() *ObjectIndex {
 		oc := *o
 		out.snap[i] = &oc
 		out.byStart[oc.Addr] = &oc
-		for pb := PageBase(oc.Addr); pb < oc.End(); pb += PageSize {
-			out.byPage[pb] = append(out.byPage[pb], &oc)
-		}
+		out.place(&oc) // in address order: a large object appends to large
 	}
 	return out
 }

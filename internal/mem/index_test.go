@@ -99,121 +99,217 @@ func sameObjects(got, want []*Object, byIdentity bool) error {
 	return nil
 }
 
-// TestObjectIndexDifferential drives the index and the reference through
-// the same seeded random sequence — inserts (small, page-straddling and
-// multi-page objects, overlaps that must be refused), removals, address
-// reuse, remove-then-reinsert of the very same struct, clones that take
-// over as the index under test, and reads at random points (so snapshots
-// are rebuilt from deltas of every size, including dropped ones) — and
-// compares every query after every step.
-func TestObjectIndexDifferential(t *testing.T) {
-	const span = 64 * PageSize
-	for seed := int64(1); seed <= 8; seed++ {
-		rnd := rand.New(rand.NewSource(seed))
-		ix, ref := NewObjectIndex(), newRefIndex()
-		cloned := false // after a clone the two sides hold distinct structs
-		var removed, scratch []*Object
-		var live []Addr
-		pick := func() Addr { return testBase + Addr(rnd.Intn(span))&^7 }
-		mirror := func(o *Object) *Object { // what the reference stores for o
-			if !cloned {
-				return o
-			}
-			c := *o
-			return &c
+func (r *refIndex) overlapping(start, end Addr) (*Object, bool) {
+	for _, o := range r.byStart {
+		if o.Addr < end && start < o.End() {
+			return o, true
 		}
-		for step := 0; step < 1500; step++ {
-			switch op := rnd.Intn(100); {
-			case op < 45: // insert; now and then at an address just freed
-				o := &Object{Addr: pick(), Size: uint64(8 + rnd.Intn(200)), Site: uint64(step)}
-				switch rnd.Intn(10) {
-				case 0:
-					o.Size = uint64(PageSize + rnd.Intn(3*PageSize)) // spans pages
-				case 1:
-					o.Addr = PageBase(o.Addr) + PageSize - 8 // straddles a boundary
-				case 2:
-					if len(removed) > 0 { // address reuse by a new struct
-						o.Addr = removed[rnd.Intn(len(removed))].Addr
-					}
+	}
+	return nil, false
+}
+
+// Index scripts place small objects in a window of indexWindow bytes and
+// large ones — 1 to 4 096 pages — in the indexFar bytes after it.
+const (
+	indexWindow  = 64 * PageSize
+	indexFar     = 8192 * PageSize
+	reservePages = 3800
+)
+
+// runIndexScript drives the index and the reference through one script —
+// inserts (small, page-straddling and multi-page objects, objects of up to
+// 4 096 pages, a reservation-sized one with small objects abutting both of
+// its ends, overlaps that must be refused), removals, address reuse,
+// remove-then-reinsert of the very same struct, clones that take over as
+// the index under test, and reads at random points (so snapshots are
+// rebuilt from deltas of every size, including dropped ones) — and
+// compares every query after every step. Every query is also aimed at the
+// first, last and interior pages of live objects and just past their ends.
+// intn draws the script — a seeded generator, or a fuzz input — and more
+// says whether to take another step.
+func runIndexScript(t *testing.T, intn func(n int) int, more func(step int) bool) {
+	t.Helper()
+	ix, ref := NewObjectIndex(), newRefIndex()
+	cloned := false // after a clone the two sides hold distinct structs
+	var removed, scratch []*Object
+	var live []Addr
+	pick := func() Addr { return testBase + Addr(intn(indexWindow))&^7 }
+	mirror := func(o *Object) *Object { // what the reference stores for o
+		if !cloned {
+			return o
+		}
+		c := *o
+		return &c
+	}
+	insert := func(step int, o *Object) {
+		ok := ref.insert(mirror(o))
+		if err := ix.Insert(o); (err == nil) != ok {
+			t.Fatalf("step %d: Insert(%s) = %v, reference accepted = %v", step, o, err, ok)
+		}
+		if ok {
+			live = append(live, o.Addr)
+		}
+	}
+	// probe returns an address at or near a live object's edges or inside
+	// it, or anywhere in the small-object window.
+	probe := func() Addr {
+		if len(live) == 0 || intn(3) == 0 {
+			return pick() + Addr(intn(8))
+		}
+		o := ref.byStart[live[intn(len(live))]]
+		switch intn(5) {
+		case 0:
+			return o.Addr
+		case 1:
+			return o.End() - 1
+		case 2:
+			return o.End()
+		case 3:
+			return o.Addr - 1
+		}
+		return o.Addr + Addr(intn(int(o.Size)))
+	}
+	for step := 0; more(step); step++ {
+		switch op := intn(100); {
+		case op < 45: // insert; now and then at an address just freed
+			o := &Object{Addr: pick(), Size: uint64(8 + intn(200)), Site: uint64(step)}
+			switch intn(12) {
+			case 0:
+				o.Size = uint64(PageSize + intn(3*PageSize)) // spans pages
+			case 1:
+				o.Addr = PageBase(o.Addr) + PageSize - 8 // straddles a boundary
+			case 2:
+				if len(removed) > 0 { // address reuse by a new struct
+					o.Addr = removed[intn(len(removed))].Addr
 				}
-				ok := ref.insert(mirror(o))
-				if err := ix.Insert(o); (err == nil) != ok {
-					t.Fatalf("seed %d step %d: Insert(%s) = %v, reference accepted = %v", seed, step, o, err, ok)
-				}
-				if ok {
-					live = append(live, o.Addr)
-				}
-			case op < 75: // remove
-				if len(live) == 0 {
-					continue
-				}
-				i := rnd.Intn(len(live))
-				addr := live[i]
-				live = slices.Delete(live, i, i+1)
-				o, ok := ix.Remove(addr)
-				ro, rok := ref.remove(addr)
-				if ok != rok || !ok || *o != *ro {
-					t.Fatalf("seed %d step %d: Remove(%#x) = %v %v, want %v %v", seed, step, addr, o, ok, ro, rok)
-				}
-				removed = append(removed, o)
-			case op < 85: // reinsert a struct removed earlier, if its range is still free
-				if len(removed) == 0 {
-					continue
-				}
-				i := rnd.Intn(len(removed))
-				o := removed[i]
-				removed = slices.Delete(removed, i, i+1)
-				ok := ref.insert(mirror(o))
-				if err := ix.Insert(o); (err == nil) != ok {
-					t.Fatalf("seed %d step %d: reinsert %s = %v, reference accepted = %v", seed, step, o, err, ok)
-				}
-				if ok {
-					live = append(live, o.Addr)
-				}
-			case op < 88: // fork: carry on with the child
-				ix, ref = ix.Clone(), ref.clone()
-				cloned, removed = true, nil
-			case op < 94: // no reader for a while: lets the delta outgrow its bound
+			case 3, 4: // 1 to 4 096 pages, mostly large
+				o.Addr = testBase + indexWindow + Addr(intn(indexFar))&^7
+				o.Size = uint64(8 + intn(4096*PageSize))
+			case 5: // a reservation with neighbours abutting both ends
+				o.Addr = testBase + indexWindow + Addr(intn(indexFar))&^7
+				o.Size = reservePages*PageSize - uint64(intn(PageSize))&^7
+				insert(step, o)
+				insert(step, &Object{Addr: o.Addr - 48, Size: 48, Site: uint64(step)})
+				o = &Object{Addr: o.End(), Size: uint64(8 + intn(200)), Site: uint64(step)}
+			}
+			insert(step, o)
+		case op < 75: // remove
+			if len(live) == 0 {
 				continue
 			}
-			if rnd.Intn(3) == 0 {
-				continue // mutations pile up between reads
+			i := intn(len(live))
+			addr := live[i]
+			live = slices.Delete(live, i, i+1)
+			o, ok := ix.Remove(addr)
+			ro, rok := ref.remove(addr)
+			if ok != rok || !ok || *o != *ro {
+				t.Fatalf("step %d: Remove(%#x) = %v %v, want %v %v", step, addr, o, ok, ro, rok)
 			}
-			// Half the time the two queries that leave the snapshot alone go
-			// first, and meet it as far behind as the mutations left it.
-			pages := make([]Addr, rnd.Intn(12))
-			for i := range pages {
-				pages[i] = PageBase(pick()) // any order, repeats likely
+			removed = append(removed, o)
+		case op < 85: // reinsert a struct removed earlier, if its range is still free
+			if len(removed) == 0 {
+				continue
 			}
-			if rnd.Intn(2) == 0 {
-				if err := sameObjects(ix.OnPages(pages), ref.onPages(pages), !cloned); err != nil {
-					t.Fatalf("seed %d step %d: OnPages(%#x) behind the snapshot: %v", seed, step, pages, err)
-				}
-				own, gen := ix.AppendAll(scratch[:0])
-				if err := sameObjects(own, ref.all(), !cloned); err != nil || gen != ref.gen {
-					t.Fatalf("seed %d step %d: AppendAll: %v (gen %d, want %d)", seed, step, err, gen, ref.gen)
-				}
-				scratch = own
-			}
-			if err := sameObjects(ix.All(), ref.all(), !cloned); err != nil {
-				t.Fatalf("seed %d step %d: All: %v", seed, step, err)
-			}
-			if ix.Len() != len(ref.byStart) || ix.Gen() != ref.gen {
-				t.Fatalf("seed %d step %d: Len/Gen = %d/%d, want %d/%d", seed, step, ix.Len(), ix.Gen(), len(ref.byStart), ref.gen)
-			}
+			i := intn(len(removed))
+			o := removed[i]
+			removed = slices.Delete(removed, i, i+1)
+			insert(step, o)
+		case op < 88: // fork: carry on with the child
+			ix, ref = ix.Clone(), ref.clone()
+			cloned, removed = true, nil
+		case op < 94: // no reader for a while: lets the delta outgrow its bound
+			continue
+		}
+		if intn(3) == 0 {
+			continue // mutations pile up between reads
+		}
+		// Half the time the two queries that leave the snapshot alone go
+		// first, and meet it as far behind as the mutations left it.
+		pages := make([]Addr, intn(12))
+		for i := range pages {
+			pages[i] = PageBase(probe()) // any order, repeats likely
+		}
+		if intn(2) == 0 {
 			if err := sameObjects(ix.OnPages(pages), ref.onPages(pages), !cloned); err != nil {
-				t.Fatalf("seed %d step %d: OnPages(%#x): %v", seed, step, pages, err)
+				t.Fatalf("step %d: OnPages(%#x) behind the snapshot: %v", step, pages, err)
 			}
-			for k := 0; k < 8; k++ {
-				addr := pick() + Addr(rnd.Intn(8))
-				o, ok := ix.Containing(addr)
-				ro, rok := ref.containing(addr)
-				if ok != rok || (ok && *o != *ro) {
-					t.Fatalf("seed %d step %d: Containing(%#x) = %v %v, want %v %v", seed, step, addr, o, ok, ro, rok)
-				}
+			own, gen := ix.AppendAll(scratch[:0])
+			if err := sameObjects(own, ref.all(), !cloned); err != nil || gen != ref.gen {
+				t.Fatalf("step %d: AppendAll: %v (gen %d, want %d)", step, err, gen, ref.gen)
+			}
+			scratch = own
+		}
+		if err := sameObjects(ix.All(), ref.all(), !cloned); err != nil {
+			t.Fatalf("step %d: All: %v", step, err)
+		}
+		if ix.Len() != len(ref.byStart) || ix.Gen() != ref.gen {
+			t.Fatalf("step %d: Len/Gen = %d/%d, want %d/%d", step, ix.Len(), ix.Gen(), len(ref.byStart), ref.gen)
+		}
+		if err := sameObjects(ix.OnPages(pages), ref.onPages(pages), !cloned); err != nil {
+			t.Fatalf("step %d: OnPages(%#x): %v", step, pages, err)
+		}
+		for k := 0; k < 8; k++ {
+			addr := probe()
+			o, ok := ix.Containing(addr)
+			ro, rok := ref.containing(addr)
+			if ok != rok || (ok && *o != *ro) {
+				t.Fatalf("step %d: Containing(%#x) = %v %v, want %v %v", step, addr, o, ok, ro, rok)
+			}
+			end := addr + Addr(1+intn(64))
+			switch intn(3) {
+			case 0:
+				end = addr + Addr(1+intn(4*PageSize))
+			case 1:
+				end = addr + Addr(1+intn(5000*PageSize))
+			}
+			o, ok = ix.OverlappingRange(addr, end)
+			_, rok = ref.overlapping(addr, end)
+			if ok != rok || (ok && (o.Addr >= end || addr >= o.End() || *ref.byStart[o.Addr] != *o)) {
+				t.Fatalf("step %d: OverlappingRange(%#x, %#x) = %v %v, reference overlaps = %v", step, addr, end, o, ok, rok)
 			}
 		}
 	}
+}
+
+// TestObjectIndexDifferential runs seeded random index scripts against the
+// reference (see runIndexScript).
+func TestObjectIndexDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runIndexScript(t, rand.New(rand.NewSource(seed)).Intn, func(step int) bool { return step < 1500 })
+		})
+	}
+}
+
+// FuzzObjectIndex runs index scripts drawn from the fuzz input against the
+// reference (see runIndexScript). The checked-in corpus under
+// testdata/fuzz/FuzzObjectIndex holds seeded scripts. An input reads as a
+// stream of draws, each the fewest little-endian bytes that can hold its
+// bound, reduced modulo it; the script ends when the input runs out, or
+// after 400 steps.
+func FuzzObjectIndex(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &byteDraws{data: data}
+		runIndexScript(t, src.intn, func(step int) bool { return step < 400 && len(src.data) > 0 })
+	})
+}
+
+// byteDraws reads bounded draws from a fuzz input (see FuzzObjectIndex);
+// past its end every draw is 0.
+type byteDraws struct {
+	data []byte
+}
+
+func (s *byteDraws) intn(n int) int {
+	v := 0
+	for k := 0; (n-1)>>(8*k) > 0; k++ {
+		if len(s.data) == 0 {
+			return 0
+		}
+		v |= int(s.data[0]) << (8 * k)
+		s.data = s.data[1:]
+	}
+	return v % n
 }
 
 // fillIndex inserts n 64-byte objects 128 bytes apart and returns them.
@@ -462,29 +558,66 @@ func BenchmarkObjectIndexAll(b *testing.B) {
 // BenchmarkObjectIndexInsertRemove is the write path: one Insert+Remove
 // pair on a 25 000-object index, with nobody reading (the pending list is
 // dropped and stays dropped) and with a reader taking a snapshot every
-// 1000 pairs.
+// 1000 pairs — of a 32-byte object and of a 16 MB one. The 16 MB one is
+// one interval, not one bucket entry a page: it opens its two buckets, and
+// its overlap check walks the index's few hundred occupied buckets instead
+// of its 4 096 pages.
 func BenchmarkObjectIndexInsertRemove(b *testing.B) {
-	for _, readEvery := range []int{0, 1000} {
-		b.Run(fmt.Sprintf("readEvery=%d", readEvery), func(b *testing.B) {
-			ix := NewObjectIndex()
-			fillIndex(ix, 25_000)
-			ix.All()
-			o := &Object{Addr: testBase + 64, Size: 32}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ix.Insert(o)
-				ix.Remove(o.Addr)
-				if readEvery > 0 && i%readEvery == 0 {
-					ix.All()
+	for _, size := range []struct {
+		name  string
+		bytes uint64
+	}{{"32", 32}, {"16M", 16 << 20}} {
+		for _, readEvery := range []int{0, 1000} {
+			b.Run(fmt.Sprintf("size=%s/readEvery=%d", size.name, readEvery), func(b *testing.B) {
+				ix := NewObjectIndex()
+				objs := fillIndex(ix, 25_000)
+				ix.All()
+				o := &Object{Addr: testBase + 64, Size: size.bytes}
+				if size.bytes > 64 { // past the filled range
+					o.Addr = PageBase(objs[len(objs)-1].End()) + PageSize + 64
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ix.Insert(o)
+					ix.Remove(o.Addr)
+					if readEvery > 0 && i%readEvery == 0 {
+						ix.All()
+					}
+				}
+			})
+		}
 	}
 }
 
-// TestRemoveLeavesNoStalePointer: the page bucket's vacated tail slot must
-// not keep the removed object reachable.
+// TestObjectIndexCostIndependentOfSpan: inserting, forking and removing a
+// 16 MB object allocates no more than doing the same with a 64 KB one. A
+// bucket entry per spanned page would make the first about 4 000
+// allocations dearer (the reservation a placement plan inherits is 3 800
+// pages).
+func TestObjectIndexCostIndependentOfSpan(t *testing.T) {
+	allocs := func(size uint64) float64 {
+		ix := NewObjectIndex()
+		objs := fillIndex(ix, 200)
+		o := &Object{Addr: PageBase(objs[len(objs)-1].End()) + PageSize + 64, Size: size}
+		return testing.AllocsPerRun(20, func() {
+			if err := ix.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			if c := ix.Clone(); c.Len() != len(objs)+1 {
+				t.Fatalf("clone holds %d objects", c.Len())
+			}
+			ix.Remove(o.Addr)
+		})
+	}
+	small, large := allocs(64<<10), allocs(16<<20)
+	if large > small {
+		t.Errorf("Insert+Clone+Remove of a 16 MB object allocates %.0f times, of a 64 KB one %.0f", large, small)
+	}
+}
+
+// TestRemoveLeavesNoStalePointer: neither the page bucket's vacated tail
+// slot nor the large-object list's may keep a removed object reachable.
 func TestRemoveLeavesNoStalePointer(t *testing.T) {
 	ix := NewObjectIndex()
 	objs := fillIndex(ix, 3) // one page
@@ -492,5 +625,15 @@ func TestRemoveLeavesNoStalePointer(t *testing.T) {
 	ix.Remove(objs[0].Addr)
 	if got := ix.byPage[PageBase(testBase)]; len(got) != 2 || bucket[2] != nil {
 		t.Errorf("bucket after Remove: len %d, old tail slot %v", len(got), bucket[2])
+	}
+	for i := Addr(1); i <= 2; i++ {
+		if err := ix.Insert(&Object{Addr: testBase + i<<20, Size: 32 * PageSize}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	large := ix.large
+	ix.Remove(testBase + 1<<20)
+	if len(ix.large) != 1 || large[1] != nil {
+		t.Errorf("large list after Remove: len %d, old tail slot %v", len(ix.large), large[1])
 	}
 }

@@ -74,6 +74,15 @@ func (o *Object) String() string {
 // the page-bucket index keeps it O(objects-on-page)), and the ordered view
 // — All, OnPages, Clone — every whole-process pass walks.
 //
+// A large object — one spanning more than largePages pages — is one
+// interval, the way a conservative collector keeps one header for a large
+// block: it sits in the buckets of its first and last page and in a short
+// address-sorted list, never in the buckets of its interior pages. No other
+// object can overlap an interior page, so an empty bucket is the only one a
+// large object can hide behind, and a page query that finds its bucket
+// empty asks the list by binary search. Insert, Remove and Clone make at
+// most largePages bucket entries per object, whatever it spans.
+//
 // The ordered view is one immutable, address-sorted snapshot shared
 // read-only by all readers (callers must not write to the slice All
 // returns), plus the addresses Insert/Remove touched since it was taken.
@@ -93,7 +102,11 @@ func (o *Object) String() string {
 type ObjectIndex struct {
 	mu      sync.RWMutex
 	byStart map[Addr]*Object
-	byPage  map[Addr][]*Object // page base -> objects overlapping the page
+	// byPage maps a page base to the objects overlapping the page, except
+	// large objects on their interior pages: those are in large alone.
+	byPage map[Addr][]*Object
+	// large holds the live large objects (isLarge), sorted by address.
+	large []*Object
 	// gen advances on every Insert/Remove: the allocation-delta half of
 	// the speculative-analysis validation (AddressSpace.Mutations is the
 	// data half).
@@ -130,6 +143,86 @@ func (ix *ObjectIndex) touch(addr Addr) {
 	ix.touched = append(ix.touched, addr)
 }
 
+// largePages is the span, in pages, past which an object is large: it is
+// bucketed at its first and last page only, and listed in large. Below it
+// a bucket entry per page is the cheaper lookup: an address on an interior
+// page of a large object costs a binary search of large, one in a bucket a
+// map probe. httpd's region chunks span five to eight pages, some 550 in a
+// worker; listed, they would turn most of its interior-pointer lookups
+// into searches of a 550-entry list (README, "The object index").
+const largePages = 16
+
+// isLarge reports whether o spans more than largePages pages.
+func isLarge(o *Object) bool {
+	return o.Size > 0 && PageBase(o.End()-1)-PageBase(o.Addr) >= largePages*PageSize
+}
+
+// bucketed returns the pages whose buckets hold o, as the loop
+// for pb := first; pb <= last; pb += step: every page of a small object,
+// the first and last page of a large one.
+func bucketed(o *Object) (first, last, step Addr) {
+	first, last = PageBase(o.Addr), PageBase(o.End()-1)
+	if step = PageSize; isLarge(o) {
+		step = last - first
+	}
+	return first, last, step
+}
+
+// byAddr orders objects by start address, for binary searches by address.
+func byAddr(o *Object, a Addr) int { return cmp.Compare(o.Addr, a) }
+
+// largeOn returns the large object overlapping [start, end), if any; at
+// most one can overlap a range of one page. Objects are disjoint, so large
+// is sorted by end as well as by start. Caller holds mu.
+func (ix *ObjectIndex) largeOn(start, end Addr) (*Object, bool) {
+	lo, hi := 0, len(ix.large) // the first large object ending past start
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ix.large[m].End() <= start {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(ix.large) && ix.large[lo].Addr < end {
+		return ix.large[lo], true
+	}
+	return nil, false
+}
+
+// overlapping returns an object overlapping [start, end) — the same one
+// for the same index, whatever the maps' iteration order. The buckets are
+// walked page by page or all of them, whichever is fewer: a range the size
+// of a placement reservation spans thousands of pages on a heap of a few
+// hundred buckets. Caller holds mu.
+func (ix *ObjectIndex) overlapping(start, end Addr) (*Object, bool) {
+	first := PageBase(start)
+	if uint64(end-first)/PageSize < uint64(len(ix.byPage)) {
+		for pb := first; pb < end; pb += PageSize {
+			for _, o := range ix.byPage[pb] {
+				if o.Addr < end && start < o.End() {
+					return o, true
+				}
+			}
+		}
+	} else {
+		var hit *Object // the lowest, so that map order cannot choose
+		for pb, bucket := range ix.byPage {
+			if pb < first || pb >= end {
+				continue
+			}
+			for _, o := range bucket {
+				if o.Addr < end && start < o.End() && (hit == nil || o.Addr < hit.Addr) {
+					hit = o
+				}
+			}
+		}
+		if hit != nil {
+			return hit, true
+		}
+	}
+	return ix.largeOn(start, end)
+}
+
 // Insert adds an object. Inserting an object whose range overlaps a live
 // object is an error: the allocator guarantees disjointness, so overlap
 // means corrupted metadata.
@@ -139,19 +232,26 @@ func (ix *ObjectIndex) Insert(o *Object) error {
 	if _, dup := ix.byStart[o.Addr]; dup {
 		return fmt.Errorf("mem: object already tracked at %#x", o.Addr)
 	}
-	for pb := PageBase(o.Addr); pb < o.End(); pb += PageSize {
-		for _, other := range ix.byPage[pb] {
-			if other.Addr < o.End() && o.Addr < other.End() {
-				return fmt.Errorf("mem: object %s overlaps %s", o, other)
-			}
-		}
+	if other, ok := ix.overlapping(o.Addr, o.End()); ok {
+		return fmt.Errorf("mem: object %s overlaps %s", o, other)
 	}
 	ix.byStart[o.Addr] = o
-	for pb := PageBase(o.Addr); pb < o.End(); pb += PageSize {
-		ix.byPage[pb] = append(ix.byPage[pb], o)
-	}
+	ix.place(o)
 	ix.touch(o.Addr)
 	return nil
+}
+
+// place enters o in its buckets (bucketed), and in large when it is
+// large. Caller holds mu.
+func (ix *ObjectIndex) place(o *Object) {
+	first, last, step := bucketed(o)
+	for pb := first; pb <= last; pb += step {
+		ix.byPage[pb] = append(ix.byPage[pb], o)
+	}
+	if isLarge(o) {
+		i, _ := slices.BinarySearchFunc(ix.large, o.Addr, byAddr)
+		ix.large = slices.Insert(ix.large, i, o)
+	}
 }
 
 // Remove drops the object starting at addr and returns it.
@@ -163,15 +263,21 @@ func (ix *ObjectIndex) Remove(addr Addr) (*Object, bool) {
 		return nil, false
 	}
 	delete(ix.byStart, addr)
-	for pb := PageBase(o.Addr); pb < o.End(); pb += PageSize {
+	first, last, step := bucketed(o)
+	for pb := first; pb <= last; pb += step {
 		bucket := ix.byPage[pb]
 		i := slices.Index(bucket, o)
-		// Delete zeroes the vacated tail slot: no stale pointer stays behind.
+		// Delete zeroes the vacated tail slot, in a bucket as in large: no
+		// stale pointer stays behind.
 		if bucket = slices.Delete(bucket, i, i+1); len(bucket) == 0 {
 			delete(ix.byPage, pb)
 		} else {
 			ix.byPage[pb] = bucket
 		}
+	}
+	if isLarge(o) {
+		i, _ := slices.BinarySearchFunc(ix.large, o.Addr, byAddr)
+		ix.large = slices.Delete(ix.large, i, i+1)
 	}
 	ix.touch(addr)
 	return o, true
@@ -199,10 +305,14 @@ func (ix *ObjectIndex) At(addr Addr) (*Object, bool) {
 func (ix *ObjectIndex) Containing(addr Addr) (*Object, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for _, o := range ix.byPage[PageBase(addr)] {
+	bucket := ix.byPage[PageBase(addr)]
+	for _, o := range bucket {
 		if o.Contains(addr) {
 			return o, true
 		}
+	}
+	if len(bucket) == 0 {
+		return ix.largeOn(addr, addr+1)
 	}
 	return nil, false
 }
@@ -211,14 +321,7 @@ func (ix *ObjectIndex) Containing(addr Addr) (*Object, bool) {
 func (ix *ObjectIndex) OverlappingRange(start, end Addr) (*Object, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for pb := PageBase(start); pb < end; pb += PageSize {
-		for _, o := range ix.byPage[pb] {
-			if o.Addr < end && start < o.End() {
-				return o, true
-			}
-		}
-	}
-	return nil, false
+	return ix.overlapping(start, end)
 }
 
 // Len returns the number of live objects.
@@ -345,14 +448,22 @@ func (ix *ObjectIndex) fromBuckets(pages []Addr) ([]*Object, bool) {
 	}
 	n := 0
 	for _, pb := range pages {
-		n += len(ix.byPage[pb])
+		if k := len(ix.byPage[pb]); k > 0 {
+			n += k
+		} else if _, ok := ix.largeOn(pb, pb+PageSize); ok {
+			n++
+		}
 	}
 	if n > len(ix.byStart)/4 {
 		return nil, false
 	}
 	out := make([]*Object, 0, n)
 	for _, pb := range pages {
-		out = append(out, ix.byPage[pb]...)
+		if bucket := ix.byPage[pb]; len(bucket) > 0 {
+			out = append(out, bucket...)
+		} else if o, ok := ix.largeOn(pb, pb+PageSize); ok {
+			out = append(out, o)
+		}
 	}
 	slices.SortFunc(out, func(a, b *Object) int { return cmp.Compare(a.Addr, b.Addr) })
 	return slices.Compact(out), true

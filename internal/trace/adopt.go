@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+
 	"repro/internal/mem"
 	"repro/internal/types"
 )
@@ -30,8 +32,13 @@ type shadowInvalidator interface {
 //     on both paths) already holds its post-remap value;
 //   - every new-version object overlapping the page is exactly the pair
 //     target of one of those old objects (nothing new-only to clobber);
-//   - an object moves only if all of its pages move, and a page moves
-//     only if all of its objects move (settleAdoptable).
+//   - an object moves only if all of its candidate pages move, and a page
+//     moves only if all of its objects move (settleAdoptable).
+//
+// Only pages resident on at least one side are candidates. A page absent
+// on both is left where it is whatever its objects: copying it and moving
+// its frame both leave it absent, so it decides nothing, and
+// Stats.PagesAdopted counts the frames that actually moved.
 //
 // Bytes on a donated page outside any object (in-band chunk headers,
 // alignment gaps, free-chunk words) travel with the frame; the simulation
@@ -94,6 +101,12 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		if !needsCopy {
 			continue
 		}
+		// An object off the mapping on either side cannot move; left out,
+		// it strikes the pages it shares like any other ineligible object.
+		first, end := mem.PageBase(o.Addr), mem.PageBase(o.End()+mem.PageSize-1)
+		if !oldAS.Mapped(first, uint64(end-first)) || !newAS.Mapped(first, uint64(end-first)) {
+			continue
+		}
 		if !types.AdoptCompatible(o.Type, e.newObj.Type, pt.opts.Policy) && !identityRemap(o) {
 			continue
 		}
@@ -103,36 +116,46 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		return nil
 	}
 
-	// Candidate pages: every page of every eligible object, ascending
-	// (reachable is address-sorted). A page stays a candidate only when it
-	// is mapped on both sides — asked once per object, over its whole page
-	// range: an object off the mapping cannot move, so all of its pages
-	// fall with it — when every old object on it is eligible, and when the
-	// new objects on it are exactly their pair targets. The two index
-	// checks take one OnPages call each, over the whole candidate list,
-	// and strike the pages of every object that does not belong.
-	cand := make(map[mem.Addr]bool)
-	var candPages []mem.Addr
+	// Candidate pages: the pages of eligible objects resident on either
+	// side, ascending (reachable is address-sorted), found by walking
+	// both spaces. A page absent on both sides is neutral — neither a
+	// candidate nor a blocker: the copy and the frame move both leave it
+	// absent, with no dirty bit and no stamp, so an object's cost here is
+	// its resident pages, not the pages it spans. A candidate stays one
+	// only when every old object on it is eligible and the new objects on
+	// it are exactly their pair targets. The two index checks take one
+	// OnPages call each, over the whole candidate list, and strike the
+	// candidate pages of every object that does not belong.
+	var candPages, res []mem.Addr
+	collect := func(base mem.Addr, _ []byte) { res = append(res, mem.PageBase(base)) }
 	for _, o := range reachable {
 		if elig[o.Addr] == nil {
 			continue
 		}
-		first, end := mem.PageBase(o.Addr), mem.PageBase(o.End()+mem.PageSize-1)
-		mapped := oldAS.Mapped(first, uint64(end-first)) && newAS.Mapped(first, uint64(end-first))
-		for pb := first; pb < end; pb += mem.PageSize {
-			if _, seen := cand[pb]; !seen {
+		res = res[:0]
+		if err := oldAS.WalkResident(o.Addr, o.Size, collect); err != nil {
+			return err
+		}
+		if err := newAS.WalkResident(o.Addr, o.Size, collect); err != nil {
+			return err
+		}
+		slices.Sort(res)
+		for _, pb := range res {
+			// Both sides, and neighbours sharing a page, may name a page
+			// twice: the list stays distinct.
+			if n := len(candPages); n == 0 || candPages[n-1] != pb {
 				candPages = append(candPages, pb)
-				cand[pb] = mapped
-			} else if !mapped {
-				cand[pb] = false
 			}
 		}
 	}
+	ok := make([]bool, len(candPages))
+	for i := range ok {
+		ok[i] = true
+	}
 	strike := func(o *mem.Object) {
-		for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
-			if cand[pb] {
-				cand[pb] = false
-			}
+		lo, hi := candSpan(candPages, o)
+		for i := lo; i < hi; i++ {
+			ok[i] = false
 		}
 	}
 	oldIx, newIx := pt.oldProc.Index(), pt.newProc.Index()
@@ -150,32 +173,27 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		}
 	}
 	var one [1]mem.Addr
-	settleAdoptable(cand, func(pb mem.Addr) []*mem.Object {
+	settleAdoptable(candPages, ok, func(pb mem.Addr) []*mem.Object {
 		one[0] = pb
 		return oldIx.OnPages(one[:])
 	})
 
-	pages := candPages[:0]
-	for _, pb := range candPages {
-		if cand[pb] {
+	// pages is a slice of its own: the per-object walk below still reads
+	// candPages.
+	var pages []mem.Addr
+	for i, pb := range candPages {
+		if ok[i] {
 			pages = append(pages, pb)
 		}
 	}
-	if len(pages) == 0 {
-		return nil
-	}
-
 	pt.adopted = make(map[mem.Addr]bool)
 	inv, _ := pt.shadow.(shadowInvalidator)
 	for _, o := range reachable {
 		if elig[o.Addr] == nil {
 			continue
 		}
-		whole := true
-		for pb := mem.PageBase(o.Addr); pb < o.End() && whole; pb += mem.PageSize {
-			whole = cand[pb]
-		}
-		if !whole {
+		lo, hi := candSpan(candPages, o)
+		if slices.Contains(ok[lo:hi], false) {
 			continue
 		}
 		if pt.opts.VerifyShadows {
@@ -202,34 +220,44 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 	return nil
 }
 
+// candSpan returns the index range of the ascending candidate pages that
+// overlap o.
+func candSpan(pages []mem.Addr, o *mem.Object) (lo, hi int) {
+	lo, _ = slices.BinarySearch(pages, mem.PageBase(o.Addr))
+	hi, _ = slices.BinarySearch(pages[lo:], o.End())
+	return lo, lo + hi
+}
+
 // settleAdoptable shrinks the candidate set to the pages that can move
-// together: an object moves only if all of its pages are candidates, and a
-// page stays a candidate only if all of its objects move. cand holds every
-// page of every eligible object with the verdict of the per-page checks;
-// onPage lists the old objects overlapping a page (scratch overlays ride
-// along and are ignored). Demoting a page demotes its objects, which
-// demotes their other pages: a worklist in which each page is expanded and
-// each object demoted at most once, so the work is linear in the pages
-// however far one demotion propagates.
-func settleAdoptable(cand map[mem.Addr]bool, onPage func(pb mem.Addr) []*mem.Object) {
-	var work []mem.Addr
-	for pb, ok := range cand {
-		if !ok {
-			work = append(work, pb)
+// together: an object moves only if all of its candidate pages survive,
+// and a candidate page survives only if all of its objects move. pages are
+// the candidates, ascending, and ok their verdicts from the per-page
+// checks; onPage lists the old objects overlapping a page (scratch
+// overlays ride along and are ignored). Demoting a page demotes its
+// objects, which demotes their other candidate pages: a worklist in which
+// each page is expanded and each object demoted at most once, so the work
+// is linear in the candidates however far one demotion propagates, and an
+// object's pages outside the list cost nothing.
+func settleAdoptable(pages []mem.Addr, ok []bool, onPage func(pb mem.Addr) []*mem.Object) {
+	var work []int
+	for i, k := range ok {
+		if !k {
+			work = append(work, i)
 		}
 	}
 	demoted := make(map[*mem.Object]bool)
 	for len(work) > 0 {
-		pb := work[len(work)-1]
+		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, o := range onPage(pb) {
+		for _, o := range onPage(pages[i]) {
 			if o.Scratch || demoted[o] {
 				continue
 			}
 			demoted[o] = true
-			for q := mem.PageBase(o.Addr); q < o.End(); q += mem.PageSize {
-				if cand[q] {
-					cand[q] = false
+			lo, hi := candSpan(pages, o)
+			for q := lo; q < hi; q++ {
+				if ok[q] {
+					ok[q] = false
 					work = append(work, q)
 				}
 			}

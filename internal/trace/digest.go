@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -17,7 +16,7 @@ import (
 // leave the state a direct update back would.
 // Contents are hashed in place (foldBytes): nothing is staged per object.
 func StateDigest(inst *program.Instance) (uint64, error) {
-	h := fnv.New64a()
+	h := newFNV64a()
 	for _, p := range inst.Procs() {
 		for _, o := range p.Index().All() {
 			if o.Scratch {
@@ -26,45 +25,78 @@ func StateDigest(inst *program.Instance) (uint64, error) {
 				// page adoption moves its bytes freely with the frame.
 				continue
 			}
-			fmt.Fprintf(h, "%x:%x:%d:%s;", o.Addr, o.Size, o.Kind, o.Name)
-			err := foldBytes(p.Space(), o.Addr, o.Size, func(_ uint64, data []byte) { h.Write(data) })
+			fmt.Fprintf(&h, "%x:%x:%d:%s;", o.Addr, o.Size, o.Kind, o.Name)
+			err := foldBytes(p.Space(), o.Addr, o.Size, func(_ uint64, data []byte) { h.Write(data) }, h.zeroes)
 			if err != nil {
 				return 0, fmt.Errorf("trace: digest %s at %#x: %w", p.Key(), o.Addr, err)
 			}
 		}
 	}
-	return h.Sum64(), nil
+	return uint64(h), nil
 }
 
-// zeroPage stands in for the pages foldBytes finds absent. Read-only.
-var zeroPage [mem.PageSize]byte
+// fnv64a is FNV-1a-64 — the digests hash/fnv's New64a computes, bit for
+// bit — with its state in the open, so that a run of zero bytes folds in
+// one step: hashing a zero byte only multiplies by the prime, and a run of
+// k of them multiplies by prime^k.
+type fnv64a uint64
 
-// foldBytes hands fn the n bytes at addr — what ReadAt would return — in
-// ascending pieces of at most a page, off being a piece's offset from
-// addr: resident fragments in place (mem.WalkResident), the demand-zero
-// gaps between them as slices of one static zero page. fn runs under
-// WalkResident's contract (read lock held: no retaining, no writing, no
-// calls into as). On error fn has seen a prefix of the range.
-func foldBytes(as *mem.AddressSpace, addr mem.Addr, n uint64, fn func(off uint64, data []byte)) error {
-	next := addr
-	zeroesTo := func(stop mem.Addr) {
-		for next < stop {
-			k := stop - next
-			if k > mem.PageSize {
-				k = mem.PageSize
-			}
-			fn(uint64(next-addr), zeroPage[:k])
-			next += k
-		}
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func newFNV64a() fnv64a { return fnvOffset64 }
+
+// Write folds data byte by byte. It never fails: fnv64a is an io.Writer
+// for fmt.Fprintf.
+func (h *fnv64a) Write(data []byte) (int, error) {
+	v := *h
+	for _, c := range data {
+		v ^= fnv64a(c)
+		v *= fnvPrime64
 	}
-	err := as.WalkResident(addr, n, func(base mem.Addr, data []byte) {
-		zeroesTo(base)
-		fn(uint64(base-addr), data)
-		next = base + mem.Addr(len(data))
+	*h = v
+	return len(data), nil
+}
+
+// zeroes folds k zero bytes, a whole demand-zero gap at once: one
+// multiply by prime^k. The offset is foldBytes' and unused.
+func (h *fnv64a) zeroes(_, k uint64) { *h *= fnvPrimePow(k) }
+
+// fnvPrimePow returns prime^k modulo 2^64, by squaring: O(log k).
+func fnvPrimePow(k uint64) fnv64a {
+	r, b := fnv64a(1), fnv64a(fnvPrime64)
+	for ; k > 0; k >>= 1 {
+		if k&1 != 0 {
+			r *= b
+		}
+		b *= b
+	}
+	return r
+}
+
+// foldBytes hands the n bytes at addr — what ReadAt would return — to two
+// callbacks in ascending order, off being a piece's offset from addr:
+// resident fragments, in place (mem.WalkResident), to data, and the
+// length k of each demand-zero gap between them to zeroes, which never
+// sees the zero bytes themselves. data runs under WalkResident's contract
+// (read lock held: no retaining, no writing, no calls into as). On error
+// the callbacks have seen a prefix of the range.
+func foldBytes(as *mem.AddressSpace, addr mem.Addr, n uint64, data func(off uint64, b []byte), zeroes func(off, k uint64)) error {
+	next := addr
+	err := as.WalkResident(addr, n, func(base mem.Addr, b []byte) {
+		if base > next {
+			zeroes(uint64(next-addr), uint64(base-next))
+		}
+		data(uint64(base-addr), b)
+		next = base + mem.Addr(len(b))
 	})
 	if err != nil {
 		return err
 	}
-	zeroesTo(addr + mem.Addr(n))
+	if end := addr + mem.Addr(n); end > next {
+		zeroes(uint64(next-addr), uint64(end-next))
+	}
 	return nil
 }

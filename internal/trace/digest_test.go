@@ -116,7 +116,7 @@ func referenceVerifySource(pt *procTransfer, o *mem.Object, n uint64, shadow []b
 // TestDigestsInPlaceMatchStaged: on the random heaps of the scan tests —
 // unaligned objects, objects straddling pages, demand-zero pages in the
 // middle of large ones — the digests folded in place (resident fragments,
-// a static zero page for the gaps) are bit-identical to the staged
+// each demand-zero gap in one step) are bit-identical to the staged
 // definitions: the state digest of the instance, and per object the source
 // digest, the acceptance of an exact shadow, and the "shadow diverges"
 // conflict for a shadow that differs in one byte anywhere, a byte of an
@@ -170,6 +170,60 @@ func TestDigestsInPlaceMatchStaged(t *testing.T) {
 		}
 		if conflicts == 0 {
 			t.Fatalf("seed %d: no bent shadow was caught", seed)
+		}
+	}
+}
+
+// TestFoldBytesMatchesFNV: folding a range in place — resident fragments
+// byte by byte, each demand-zero gap as one multiply by a power of the
+// prime — leaves the state hash/fnv's FNV-64a reaches over the bytes ReadAt
+// returns, on seeded sparse spaces: ranges starting and ending mid-page,
+// inside one page, on resident and absent pages, and runs of absent pages
+// up to a whole 256-page space, each after a random prefix.
+func TestFoldBytesMatchesFNV(t *testing.T) {
+	const base, pages = mem.Addr(0x4000_0000), 256
+	for seed := int64(1); seed <= 6; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		as := mem.NewAddressSpace()
+		if err := as.Map(base, pages*mem.PageSize, mem.RegionHeap, "sparse"); err != nil {
+			t.Fatal(err)
+		}
+		for pg := 0; pg < pages; pg++ {
+			if rnd.Intn(int(seed)+1) != 0 { // ever sparser with the seed
+				continue
+			}
+			buf := make([]byte, 1+rnd.Intn(mem.PageSize))
+			rnd.Read(buf)
+			if err := as.WriteAt(base+mem.Addr(pg*mem.PageSize+rnd.Intn(mem.PageSize-len(buf)+1)), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 200; k++ {
+			off := rnd.Intn(pages * mem.PageSize)
+			n := rnd.Intn(pages*mem.PageSize - off + 1)
+			if k%4 == 0 {
+				n = rnd.Intn(min(2*mem.PageSize, pages*mem.PageSize-off) + 1)
+			}
+			prefix := make([]byte, rnd.Intn(40))
+			rnd.Read(prefix)
+			want := fnv.New64a()
+			want.Write(prefix)
+			src := make([]byte, n)
+			if err := as.ReadAt(base+mem.Addr(off), src); err != nil {
+				t.Fatal(err)
+			}
+			want.Write(src)
+			got := newFNV64a()
+			got.Write(prefix)
+			if err := foldBytes(as, base+mem.Addr(off), uint64(n), func(_ uint64, b []byte) { got.Write(b) }, got.zeroes); err != nil {
+				t.Fatal(err)
+			}
+			if uint64(got) != want.Sum64() {
+				t.Fatalf("seed %d: [%#x, +%d): folded %#x, hash/fnv %#x", seed, off, n, uint64(got), want.Sum64())
+			}
+		}
+		if rss := as.RSSBytes(); rss == pages*mem.PageSize {
+			t.Fatalf("seed %d: no page of the space is absent", seed)
 		}
 	}
 }

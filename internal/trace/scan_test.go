@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -703,8 +704,9 @@ func TestWarmRefreshFailsValidationOnMidScanStore(t *testing.T) {
 
 // ---- adoptPages' page/object settlement ----------------------------------
 
-// referenceSettle is the fixpoint settleAdoptable replaced, kept verbatim
-// as its oracle: rescan every candidate page until nothing changes.
+// referenceSettle is the fixpoint settleAdoptable replaced, kept as its
+// oracle: rescan every candidate page until nothing changes. A page that
+// is not a candidate at all (absent on both sides) blocks nothing.
 func referenceSettle(cand map[mem.Addr]bool, onPage func(mem.Addr) []*mem.Object) {
 	pagesOf := func(o *mem.Object) []mem.Addr {
 		var out []mem.Addr
@@ -725,7 +727,7 @@ func referenceSettle(cand map[mem.Addr]bool, onPage func(mem.Addr) []*mem.Object
 				}
 				whole := true
 				for _, opb := range pagesOf(po) {
-					if !cand[opb] {
+					if ok, in := cand[opb]; in && !ok { // a page off the list is neutral
 						whole = false
 						break
 					}
@@ -742,13 +744,15 @@ func referenceSettle(cand map[mem.Addr]bool, onPage func(mem.Addr) []*mem.Object
 
 // randomAdoptLayout builds what adoptPages hands the settlement: objects
 // laid over pages (some sharing a page, some spanning many, a few scratch
-// overlays, a few ineligible), and the candidate map — every page of every
-// eligible object, false where the per-page checks failed or an ineligible
-// object intrudes.
+// overlays, a few ineligible), and the candidate map — the pages of
+// eligible objects that are resident on either side (a fifth are absent on
+// both, and off the map), false where the per-page checks failed or an
+// ineligible object intrudes.
 func randomAdoptLayout(rnd *rand.Rand, pages int) (map[mem.Addr]bool, map[mem.Addr][]*mem.Object) {
 	const base = mem.Addr(0x10_0000)
 	byPage := make(map[mem.Addr][]*mem.Object)
 	cand := make(map[mem.Addr]bool)
+	neutral := make(map[mem.Addr]bool)
 	var inelig []*mem.Object
 	end := base + mem.Addr(pages)*mem.PageSize
 	for cursor := base; cursor < end; {
@@ -764,8 +768,12 @@ func randomAdoptLayout(rnd *rand.Rand, pages int) (map[mem.Addr]bool, map[mem.Ad
 		for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 			byPage[pb] = append(byPage[pb], o)
 			if eligible && !o.Scratch {
-				if _, seen := cand[pb]; !seen {
-					cand[pb] = rnd.Intn(40) > 0
+				if _, seen := cand[pb]; !seen && !neutral[pb] {
+					if rnd.Intn(5) == 0 {
+						neutral[pb] = true
+					} else {
+						cand[pb] = rnd.Intn(40) > 0
+					}
 				}
 			}
 		}
@@ -798,7 +806,7 @@ func TestSettleAdoptableMatchesFixpoint(t *testing.T) {
 		referenceSettle(want, func(pb mem.Addr) []*mem.Object { return byPage[pb] })
 
 		calls := 0
-		settleAdoptable(cand, func(pb mem.Addr) []*mem.Object { calls++; return byPage[pb] })
+		settleMap(cand, func(pb mem.Addr) []*mem.Object { calls++; return byPage[pb] })
 		if !reflect.DeepEqual(cand, want) {
 			t.Fatalf("seed %d: worklist and fixpoint disagree on %d pages", seed, len(cand))
 		}
@@ -820,7 +828,7 @@ func TestSettleAdoptableMatchesFixpoint(t *testing.T) {
 		}
 	}
 	calls := 0
-	settleAdoptable(cand, func(pb mem.Addr) []*mem.Object { calls++; return byPage[pb] })
+	settleMap(cand, func(pb mem.Addr) []*mem.Object { calls++; return byPage[pb] })
 	for pb, ok := range cand {
 		if ok {
 			t.Fatalf("chain: page %#x survived", pb)
@@ -830,16 +838,142 @@ func TestSettleAdoptableMatchesFixpoint(t *testing.T) {
 		t.Fatalf("chain: %d page expansions for %d pages", calls, len(cand))
 	}
 
-	cand, onPage := bigObjectLayout(n)
+	pages, ok, onPage := bigObjectLayout(n)
 	calls = 0
-	settleAdoptable(cand, func(pb mem.Addr) []*mem.Object { calls++; return onPage(pb) })
-	for pb, ok := range cand {
-		if ok {
-			t.Fatalf("big object: page %#x survived", pb)
+	settleAdoptable(pages, ok, func(pb mem.Addr) []*mem.Object { calls++; return onPage(pb) })
+	if i := slices.Index(ok, true); i >= 0 {
+		t.Fatalf("big object: page %#x survived", pages[i])
+	}
+	if calls > len(pages) {
+		t.Fatalf("big object: %d page expansions for %d pages", calls, len(pages))
+	}
+}
+
+// settleMap runs settleAdoptable over a candidate map, handed over as
+// adoptPages hands it — ascending pages and their verdicts — and writes
+// the verdicts back.
+func settleMap(cand map[mem.Addr]bool, onPage func(mem.Addr) []*mem.Object) {
+	pages := make([]mem.Addr, 0, len(cand))
+	for pb := range cand {
+		pages = append(pages, pb)
+	}
+	slices.Sort(pages)
+	ok := make([]bool, len(pages))
+	for i, pb := range pages {
+		ok[i] = cand[pb]
+	}
+	settleAdoptable(pages, ok, onPage)
+	for i, pb := range pages {
+		cand[pb] = ok[i]
+	}
+}
+
+// adoptBase is where adoptFixture maps the region its objects live in.
+const adoptBase = scanFixtureBase + 64<<20
+
+// adoptFixture returns an old and a new process, each with an empty heap
+// region of the given pages at adoptBase.
+func adoptFixture(tb testing.TB, pages int) (oldP, newP *program.Proc) {
+	tb.Helper()
+	oldP, newP = startScanFixture(tb), startScanFixture(tb)
+	for _, p := range []*program.Proc{oldP, newP} {
+		if err := p.Space().Map(adoptBase, uint64(pages)*mem.PageSize, mem.RegionHeap, "adopt"); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	if calls > len(cand) {
-		t.Fatalf("big object: %d page expansions for %d pages", calls, len(cand))
+	return oldP, newP
+}
+
+// insertPairs inserts each object into the old index and a same-address,
+// same-size counterpart into the new one, and returns the pairs.
+func insertPairs(tb testing.TB, oldP, newP *program.Proc, objs ...*mem.Object) map[mem.Addr]*pairEntry {
+	tb.Helper()
+	pairs := make(map[mem.Addr]*pairEntry)
+	for _, o := range objs {
+		n := *o
+		if err := oldP.Index().Insert(o); err != nil {
+			tb.Fatal(err)
+		}
+		if err := newP.Index().Insert(&n); err != nil {
+			tb.Fatal(err)
+		}
+		pairs[o.Addr] = &pairEntry{oldObj: o, newObj: &n}
+	}
+	return pairs
+}
+
+// adoptTransfer is the part of a procTransfer adoptPages reads, between
+// the two processes.
+func adoptTransfer(oldP, newP *program.Proc, pairs map[mem.Addr]*pairEntry) *procTransfer {
+	pol := types.DefaultPolicy()
+	return &procTransfer{oldProc: oldP, newProc: newP, opts: Options{Adopt: true, Policy: pol},
+		ann: program.NewAnnotations(), layouts: newLayoutMemo(pol), pairs: pairs}
+}
+
+// TestAdoptPagesMovesResidentCandidates: adoptPages' candidates are the
+// pages resident on either side, and nothing else decides. Four eligible
+// objects: A's last page is shared with an old object that may not move,
+// so A stays behind; B has one page resident on the old side and one on
+// the new side only, and both frames move, the absent one clearing the
+// new side's page as the copy would; C is absent on both sides and moves
+// with no frame at all; D's page holds a new-only object, so D stays. A
+// struck object ahead of an adopted one is the order in which a candidate
+// list reused as the list of moving pages would misjudge A.
+func TestAdoptPagesMovesResidentCandidates(t *testing.T) {
+	oldP, newP := adoptFixture(t, 24)
+	page := func(i int) mem.Addr { return adoptBase + mem.Addr(i)*mem.PageSize }
+	a := &mem.Object{Addr: page(0) + 64, Size: 3*mem.PageSize + 1024, Kind: mem.ObjHeap, Site: 1}
+	b := &mem.Object{Addr: page(5) + 64, Size: 8 * mem.PageSize, Kind: mem.ObjHeap, Site: 2}
+	c := &mem.Object{Addr: page(16), Size: 4 * mem.PageSize, Kind: mem.ObjHeap, Site: 3}
+	d := &mem.Object{Addr: page(20) + 512, Size: 2 * mem.PageSize, Kind: mem.ObjHeap, Site: 4}
+	pairs := insertPairs(t, oldP, newP, a, b, c, d)
+	x := &mem.Object{Addr: a.End(), Size: 64, Kind: mem.ObjHeap, Site: 5}       // old side only
+	y := &mem.Object{Addr: page(20) + 64, Size: 64, Kind: mem.ObjHeap, Site: 6} // new side only
+	if err := oldP.Index().Insert(x); err != nil {
+		t.Fatal(err)
+	}
+	if err := newP.Index().Insert(y); err != nil {
+		t.Fatal(err)
+	}
+	write := func(p *program.Proc, at mem.Addr, s string) {
+		if err := p.Space().WriteAt(at, []byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(oldP, a.Addr+mem.PageSize, "a's data")
+	write(oldP, x.Addr, "x's data")
+	write(oldP, page(6)+8, "b's data")
+	write(newP, page(9)+8, "the new version's own bytes")
+	write(oldP, d.Addr, "d's data")
+	write(newP, y.Addr, "y's data")
+
+	pt := adoptTransfer(oldP, newP, pairs)
+	if err := pt.adoptPages([]*mem.Object{a, b, c, d}); err != nil {
+		t.Fatal(err)
+	}
+	if pt.adopted[a.Addr] || !pt.adopted[b.Addr] || !pt.adopted[c.Addr] || pt.adopted[d.Addr] {
+		t.Fatalf("adopted %v; want b and c, not a or d", pt.adopted)
+	}
+	if pt.stats.PagesAdopted != 2 || pt.stats.BytesAdopted != b.Size+c.Size {
+		t.Fatalf("%d frames, %d bytes adopted; want 2 frames, %d bytes", pt.stats.PagesAdopted, pt.stats.BytesAdopted, b.Size+c.Size)
+	}
+	resident := func(p *program.Proc) (pages []int) {
+		if err := p.Space().WalkResident(adoptBase, 24*mem.PageSize, func(at mem.Addr, _ []byte) {
+			pages = append(pages, int((at-adoptBase)/mem.PageSize))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return pages
+	}
+	if got, want := resident(oldP), []int{1, 3, 20}; !slices.Equal(got, want) {
+		t.Errorf("old side resident pages %v, want %v", got, want)
+	}
+	if got, want := resident(newP), []int{6, 9, 20}; !slices.Equal(got, want) {
+		t.Errorf("new side resident pages %v, want %v", got, want)
+	}
+	got := make([]byte, 32)
+	if err := newP.Space().ReadAt(page(9), got); err != nil || !slices.Equal(got, make([]byte, 32)) {
+		t.Errorf("new side page 9 reads %q (%v), want the old side's zeroes", got, err)
 	}
 }
 
@@ -1034,28 +1168,60 @@ func BenchmarkAnalyzeProc(b *testing.B) {
 // with a small neighbour on each, and the per-page checks failed on the
 // last page only. The old fixpoint rebuilt the object's page list once per
 // candidate page per round; every page must fall, each expanded once.
-func bigObjectLayout(n int) (map[mem.Addr]bool, func(mem.Addr) []*mem.Object) {
+func bigObjectLayout(n int) ([]mem.Addr, []bool, func(mem.Addr) []*mem.Object) {
 	big := &mem.Object{Addr: 0x10_0000, Size: uint64(n) * mem.PageSize}
-	cand := make(map[mem.Addr]bool, n)
+	pages, ok := make([]mem.Addr, 0, n), make([]bool, 0, n)
 	for pb := big.Addr; pb < big.End(); pb += mem.PageSize {
-		cand[pb] = pb+mem.PageSize < big.End()
+		pages = append(pages, pb)
+		ok = append(ok, pb+mem.PageSize < big.End())
 	}
 	one := []*mem.Object{big}
-	return cand, func(mem.Addr) []*mem.Object { return one }
+	return pages, ok, func(mem.Addr) []*mem.Object { return one }
 }
 
 // BenchmarkAdoptPages is the page/object settlement of adoptPages on that
-// layout, by page count: ns/page must stay flat across the decades.
+// layout, by page count: ns/page must stay flat across the decades. The
+// sparse case is all of adoptPages over one eligible 4 000-page object
+// with 2 pages resident: its cost must follow the 2, not the 4 000.
 func BenchmarkAdoptPages(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("pages=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cand, onPage := bigObjectLayout(n)
+				pages, ok, onPage := bigObjectLayout(n)
 				b.StartTimer()
-				settleAdoptable(cand, onPage)
+				settleAdoptable(pages, ok, onPage)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/page")
 		})
 	}
+	b.Run("sparse/pages=4000/resident=2", func(b *testing.B) {
+		const n = 4000
+		oldP, newP := adoptFixture(b, n+1)
+		o := &mem.Object{Addr: adoptBase + 64, Size: n * mem.PageSize, Kind: mem.ObjHeap, Site: 1}
+		pairs := insertPairs(b, oldP, newP, o)
+		resident := []mem.Addr{adoptBase + 10*mem.PageSize, adoptBase + 3000*mem.PageSize}
+		for _, pb := range resident {
+			if err := oldP.Space().WriteAt(pb+8, []byte{1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reachable := []*mem.Object{o}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pt := adoptTransfer(oldP, newP, pairs)
+			if err := pt.adoptPages(reachable); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if pt.stats.PagesAdopted != len(resident) {
+				b.Fatalf("%d frames moved, want %d", pt.stats.PagesAdopted, len(resident))
+			}
+			if err := mem.MoveFrames(newP.Space(), oldP.Space(), resident, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"sync"
@@ -765,22 +764,29 @@ func (pt *procTransfer) copyBytes(dst mem.Addr, o *mem.Object, off, size uint64,
 // addresses, and two equal digests would XOR to zero — cancelling exactly
 // the fork-heavy copies the audit exists to cover.
 func (pt *procTransfer) verifySource(o *mem.Object, n uint64, shadow []byte, st *Stats) error {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v:%x:%x:%d:%s;", pt.oldProc.Key(), o.Addr, o.Size, o.Kind, o.Name)
+	h := newFNV64a()
+	fmt.Fprintf(&h, "%v:%x:%x:%d:%s;", pt.oldProc.Key(), o.Addr, o.Size, o.Kind, o.Name)
 	diverged := false
-	err := foldBytes(pt.oldProc.Space(), o.Addr, n, func(off uint64, data []byte) {
-		if shadow != nil && !bytes.Equal(data, shadow[off:off+uint64(len(data))]) {
-			diverged = true
+	data, zeroes := func(_ uint64, b []byte) { h.Write(b) }, h.zeroes
+	if shadow != nil {
+		// The shadow is compared byte for byte, the demand-zero gaps
+		// against zeroes; the hash still folds each gap in one step.
+		data = func(off uint64, b []byte) {
+			diverged = diverged || !bytes.Equal(b, shadow[off:off+uint64(len(b))])
+			h.Write(b)
 		}
-		h.Write(data)
-	})
-	if err != nil {
+		zeroes = func(off, k uint64) {
+			diverged = diverged || slices.ContainsFunc(shadow[off:off+k], func(c byte) bool { return c != 0 })
+			h.zeroes(off, k)
+		}
+	}
+	if err := foldBytes(pt.oldProc.Space(), o.Addr, n, data, zeroes); err != nil {
 		return err
 	}
 	if diverged {
 		return conflictf("shadow for %s diverges from quiesced memory", o)
 	}
-	st.Checksum ^= h.Sum64()
+	st.Checksum ^= uint64(h)
 	return nil
 }
 
