@@ -83,7 +83,7 @@ type config struct {
 	Updates   int
 	Adopt     bool   // arm the zero-copy page-adoption fast path
 	Warm      bool   // arm the warm-standby readiness daemon
-	Canary    string // SLO spec; non-empty arms the post-commit canary window
+	Canary    string // SLO spec; non-empty runs a canary window after each update
 	TraceOut  string // write a Chrome-trace-event JSON file of the whole run
 	Fault     string // fault-injection point(s), comma-separated
 	Deadlines string // per-phase watchdog budgets, phase=dur[,phase=dur...]
@@ -175,11 +175,10 @@ func run(cfg config, out io.Writer) error {
 		}
 		defer drv.Stop()
 	}
+	var watch canary.Config
 	if cfg.Canary != "" {
-		engine.SetCanaryPacing(100*time.Millisecond, 10*time.Millisecond, 2)
-		if err := engine.ArmCanary(slo, workload.CanarySource(drv)); err != nil {
-			return fmt.Errorf("canary: %w", err)
-		}
+		watch = canary.Config{SLO: slo, Source: workload.CanarySource(drv),
+			Window: 100 * time.Millisecond, Recorder: rec}
 		fmt.Fprintf(out, "canary armed: slo %s (100ms window)\n", slo)
 	}
 
@@ -218,11 +217,6 @@ func run(cfg config, out io.Writer) error {
 	if err := send("status"); err != nil {
 		return err
 	}
-	if cfg.Canary != "" {
-		if err := send("canary status"); err != nil {
-			return err
-		}
-	}
 	if cfg.Warm {
 		// Give the daemon a moment to absorb the startup traffic, then show
 		// the readiness line (shadow currency + analysis generation).
@@ -237,19 +231,30 @@ func run(cfg config, out io.Writer) error {
 			// request, so every update takes the warm fast path.
 			engine.WarmWait(5 * time.Second)
 		}
+		// back is what a canary breach updates back to, and base the
+		// pre-update throughput the window's throughput gate is relative to.
+		back := engine.Current().Version()
+		var base float64
+		if cfg.Canary != "" {
+			base = watch.Source().Throughput()
+		}
+		n := len(engine.History())
 		updated = append(updated, updateMark{spec.Version(i).Release, time.Now()})
 		if err := send("update " + spec.Version(i).Release); err != nil {
 			return err
 		}
-		if cfg.Canary != "" {
-			// The update returns with the window open; wait for the
-			// verdict so the status line below shows it.
-			if !engine.CanaryWait(30 * time.Second) {
-				return fmt.Errorf("canary window after update %d never resolved", i)
-			}
-			if err := send("canary status"); err != nil {
+		hist := engine.History()
+		if len(hist) <= n {
+			return fmt.Errorf("update %d left no report", i)
+		}
+		rep := hist[n] // the deployed update's; a canary revert follows it
+		var verdict *canary.Verdict
+		if cfg.Canary != "" && !rep.RolledBack {
+			v := canary.Watch(watch, base, func() error {
+				_, err := engine.Update(back)
 				return err
-			}
+			})
+			verdict = &v
 		}
 		if err := send("status"); err != nil {
 			return err
@@ -259,42 +264,51 @@ func run(cfg config, out io.Writer) error {
 				return err
 			}
 		}
-		if hist := engine.History(); len(hist) > 0 {
-			rep := hist[len(hist)-1]
-			engineName := "pipelined"
-			if rep.Warm {
-				engineName = "warm " + engineName
+		engineName := "pipelined"
+		if rep.Warm {
+			engineName = "warm " + engineName
+		}
+		fmt.Fprintf(out, "  downtime: %s (%s engine; %d/%d analyses reused; %d pages rescanned, %d reused)\n",
+			rep.Downtime.Round(10*time.Microsecond), engineName,
+			rep.AnalysesReused, rep.AnalysesReused+rep.ProcsReanalyzed,
+			rep.PagesRescanned, rep.PagesReused)
+		if cfg.Adopt {
+			fmt.Fprintf(out, "  adopted pages: %d (%d B, %.0f%% of transferred bytes moved zero-copy)\n",
+				rep.Transfer.PagesAdopted, rep.Transfer.BytesAdopted,
+				rep.Transfer.AdoptionFraction()*100)
+		}
+		cause, secondary := rep.RollbackCause, rep.RollbackSecondary
+		if verdict != nil {
+			line := "  canary: " + verdict.Outcome
+			if verdict.Outcome == canary.Reverted {
+				cause = "canary:" + verdict.Breach.Metric
+				line += fmt.Sprintf(" (cause=%s)", cause)
 			}
-			fmt.Fprintf(out, "  downtime: %s (%s engine; %d/%d analyses reused; %d pages rescanned, %d reused)\n",
-				rep.Downtime.Round(10*time.Microsecond), engineName,
-				rep.AnalysesReused, rep.AnalysesReused+rep.ProcsReanalyzed,
-				rep.PagesRescanned, rep.PagesReused)
-			if cfg.Adopt {
-				fmt.Fprintf(out, "  adopted pages: %d (%d B, %.0f%% of transferred bytes moved zero-copy)\n",
-					rep.Transfer.PagesAdopted, rep.Transfer.BytesAdopted,
-					rep.Transfer.AdoptionFraction()*100)
+			fmt.Fprintln(out, line)
+			m := verdict.Monitor
+			fmt.Fprintf(out, "  canary window: intervals=%d base=%.0frps last=%.0frps p99=%v errrate=%.4f",
+				m.Intervals, m.BaselineRPS, m.LastRPS, m.LastP99, m.LastErrorRate)
+			if verdict.Breach != nil {
+				fmt.Fprintf(out, " breach=%q", verdict.Breach.String())
 			}
-			if rep.Canary {
-				line := "  canary: " + rep.CanaryOutcome
-				if rep.RollbackCause != "" {
-					line += fmt.Sprintf(" (cause=%s)", rep.RollbackCause)
-				}
-				fmt.Fprintln(out, line)
+			if verdict.RevertErr != nil {
+				fmt.Fprintf(out, " revert-error=%q", verdict.RevertErr.Error())
 			}
-			if rep.RolledBack {
-				// The stable machine-readable line: scripts key on this
-				// (and on exit status 3) to tell a classified rollback —
-				// deadline:<phase>, fault:<point>, canary:<metric> or
-				// update — from a tool failure. A double fault (a second
-				// fault firing while the rollback itself reverted) rides on
-				// the same line so operators see both causes at once.
-				cause := rep.RollbackCause
-				if rep.RollbackSecondary != "" {
-					cause += fmt.Sprintf(" (secondary: %s)", rep.RollbackSecondary)
-				}
-				fmt.Fprintf(out, "rollback cause: %s\n", cause)
-				rolledBack = rep.RollbackCause
+			fmt.Fprintln(out)
+		}
+		if cause != "" {
+			// The stable machine-readable line: scripts key on this (and
+			// on exit status 3) to tell a classified rollback —
+			// deadline:<phase>, fault:<point>, canary:<metric> or update —
+			// from a tool failure. A double fault (a second fault firing
+			// while the rollback itself reverted) rides on the same line
+			// so operators see both causes at once.
+			line := cause
+			if secondary != "" {
+				line += fmt.Sprintf(" (secondary: %s)", secondary)
 			}
+			fmt.Fprintf(out, "rollback cause: %s\n", line)
+			rolledBack = cause
 		}
 		// Prove the pre-update session still answers.
 		var resp string

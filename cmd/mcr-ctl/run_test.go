@@ -140,9 +140,8 @@ func TestRunCanaryFinalizesHealthyUpdate(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"canary armed: slo p99=500ms,err=0.5",
-		"canary=armed",
-		"outcome=finalized",
 		"canary: finalized",
+		"canary window: intervals=",
 		"client session alive:",
 		"0 wrong responses",
 		"done: all updates deployed live",
@@ -258,7 +257,7 @@ func TestRunTraceOutWritesChromeTrace(t *testing.T) {
 func TestRunCanaryRevertsRegressionWithCause(t *testing.T) {
 	// Force the new httpd version to serve every keepalive request slower
 	// than the armed p99 gate: the window must catch it, auto-revert, and
-	// surface the cause in both the status line and the report line.
+	// surface the cause in both the verdict line and the report line.
 	defer servers.SetHttpdDegrade(30*time.Millisecond, 1)()
 	var out strings.Builder
 	err := run(config{Server: "httpd", Updates: 1, Canary: "p99=2ms"}, &out)
@@ -268,9 +267,8 @@ func TestRunCanaryRevertsRegressionWithCause(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"canary armed: slo p99=2ms",
-		"outcome=reverted",
-		`cause="p99`,
 		"canary: reverted (cause=canary:p99)",
+		`breach="p99`,
 		"rollback cause: canary:p99",
 		"client session alive:",
 		"0 wrong responses",

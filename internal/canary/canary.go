@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -126,11 +125,9 @@ func (s Sample) ErrorRate() float64 {
 	return float64(s.Errors) / float64(n)
 }
 
-// Breach records one SLO violation. Metric "monitor" is synthetic: the
-// window's judge died without delivering a verdict, which the engine's
-// failsafe treats as a breach (an unjudged version is not accepted).
+// Breach records one SLO violation.
 type Breach struct {
-	Metric   string  // "p99", "throughput", "errors" or "monitor"
+	Metric   string  // "p99", "throughput" or "errors"
 	Value    float64 // observed value (ns for p99)
 	Limit    float64 // the configured limit (ns for p99)
 	Interval int     // 1-based monitor interval that breached
@@ -144,8 +141,6 @@ func (b Breach) String() string {
 	case "throughput":
 		return fmt.Sprintf("throughput %.1f rps < %.1f rps (interval %d)",
 			b.Value, b.Limit, b.Interval)
-	case "monitor":
-		return "monitor died before delivering a verdict"
 	default: // "errors"
 		return fmt.Sprintf("error rate %.4f > %.4f (interval %d)",
 			b.Value, b.Limit, b.Interval)
@@ -188,7 +183,6 @@ type Monitor struct {
 	baseline float64
 	grace    int
 
-	mu        sync.Mutex
 	last      Sample
 	lastDelta Sample
 	intervals int
@@ -209,8 +203,6 @@ func NewMonitor(slo SLO, baselineRPS float64, start Sample, grace int) *Monitor 
 // found (sticky: once breached, every later Tick returns the same
 // breach), or nil while the SLO holds.
 func (m *Monitor) Tick(cum Sample) *Breach {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.breach != nil {
 		return m.breach
 	}
@@ -229,7 +221,7 @@ func (m *Monitor) Tick(cum Sample) *Breach {
 	return nil
 }
 
-// MonitorStatus is a point-in-time view of a monitor for status surfaces.
+// MonitorStatus is a point-in-time view of a monitor.
 type MonitorStatus struct {
 	Intervals     int
 	BaselineRPS   float64
@@ -241,8 +233,6 @@ type MonitorStatus struct {
 
 // Status reports the monitor's progress and the last interval's metrics.
 func (m *Monitor) Status() MonitorStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return MonitorStatus{
 		Intervals:     m.intervals,
 		BaselineRPS:   m.baseline,

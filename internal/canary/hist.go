@@ -1,10 +1,10 @@
 // Package canary implements the post-commit canary window: per-interval
 // throughput, error-rate and p99-latency samples from the live workload
-// feed an SLO check, and a breach triggers an automatic live update back
-// to the old version. The package is a leaf — it knows nothing
-// about instances or engines, only samples and verdicts — so both the
-// workload driver (which produces histograms) and the core engine (which
-// consumes verdicts) can import it.
+// feed an SLO check, and Watch answers a breach by calling the caller's
+// revert, a live update back to the old version. It knows nothing about
+// instances or engines, only samples, verdicts and that callback: the
+// workload driver (which produces histograms) imports it, the engine does
+// not, and the caller runs a window after Update commits.
 package canary
 
 import (

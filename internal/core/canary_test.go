@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,39 +14,62 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeFeed is a synthetic, test-controlled canary sample source: the
-// fault matrix needs deterministic breaches, so the monitor is fed
-// hand-built cumulative samples instead of a live workload driver.
-type fakeFeed struct {
-	mu sync.Mutex
-	s  canary.Sample
-}
-
-func newFakeFeed(reqs int, each, elapsed time.Duration) *fakeFeed {
-	f := &fakeFeed{}
-	f.s.Requests = reqs
-	f.s.Elapsed = elapsed
-	for i := 0; i < reqs; i++ {
-		f.s.Hist.Observe(each)
+// scriptedFeed is a canary sample source whose script does not depend on
+// timing: its first call (the seed canary.Watch takes) reads 100 requests
+// at 200µs over a second, and every later call adds ten completions at
+// each over 10ms and errs of them as errors. So a feed of slow completions
+// breaches a tighter p99 gate on the first judged tick, however the ticks
+// fall.
+func scriptedFeed(each time.Duration, errs int) func() canary.Sample {
+	var s canary.Sample
+	s.Requests, s.Elapsed = 100, time.Second
+	for i := 0; i < 100; i++ {
+		s.Hist.Observe(200 * time.Microsecond)
 	}
-	return f
-}
-
-func (f *fakeFeed) add(reqs, errs int, each, elapsed time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.s.Requests += reqs
-	f.s.Errors += errs
-	f.s.Elapsed += elapsed
-	for i := 0; i < reqs; i++ {
-		f.s.Hist.Observe(each)
+	seeded := false
+	return func() canary.Sample {
+		if seeded {
+			s.Requests += 10
+			s.Errors += errs
+			s.Elapsed += 10 * time.Millisecond
+			for i := 0; i < 10; i++ {
+				s.Hist.Observe(each)
+			}
+		}
+		seeded = true
+		return s
 	}
 }
 
-func (f *fakeFeed) src() canary.Sample {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.s
+// Window lengths for the tests: a breaching feed against a 1ms p99 gate
+// reverts on the third tick (the first after the grace intervals), three
+// tenths into its window; a healthy one against a 1s gate runs a short
+// window to its end and finalizes.
+const (
+	breachWindow  = 300 * time.Millisecond
+	healthyWindow = 20 * time.Millisecond
+)
+
+// watchBack runs a canary window over e's serving version whose revert is
+// a live update back to the version back, recorded on e's recorder.
+func watchBack(e *Engine, back *program.Version, slo canary.SLO, src func() canary.Sample, window time.Duration) canary.Verdict {
+	cfg := canary.Config{SLO: slo, Source: src, Window: window, Recorder: e.Recorder()}
+	return canary.Watch(cfg, 0, func() error {
+		_, err := e.Update(back)
+		return err
+	})
+}
+
+// watchBreach runs a window that breaches p99 on its first judged tick.
+func watchBreach(e *Engine, back *program.Version) canary.Verdict {
+	return watchBack(e, back, canary.SLO{MaxP99: time.Millisecond},
+		scriptedFeed(100*time.Millisecond, 0), breachWindow)
+}
+
+// watchHealthy runs a window that holds its SLO to the end.
+func watchHealthy(e *Engine, back *program.Version) canary.Verdict {
+	return watchBack(e, back, canary.SLO{MaxP99: time.Second},
+		scriptedFeed(200*time.Microsecond, 0), healthyWindow)
 }
 
 // consumedPages sums the consumed (read-and-not-yet-restored) soft-dirty
@@ -88,96 +108,43 @@ func mustDigest(t *testing.T, inst *program.Instance) uint64 {
 	return d
 }
 
-// canaryHarness is the shared per-case state the fault injectors act on.
-type canaryHarness struct {
-	t    *testing.T
-	e    *Engine
-	feed *fakeFeed
-	old  *program.Instance
-	stop chan struct{} // closed at case end; background injectors watch it
-}
-
-// TestCanaryFaultMatrix injects a failure at every canary phase and
-// asserts the window resolves to a consistent engine: the right version
-// serves the same sessions with every count the new version took, every
-// consumed soft-dirty bit is restored, the transfer checksum recorded at
-// commit is untouched by the resolution, and a follow-up update still
-// works. Run under -race: the double-breach case is two concurrent
-// resolutions, and the warm case a revert that takes over the daemon.
+// TestCanaryFaultMatrix breaches a canary window in every shape and
+// asserts it resolves to a consistent engine: the old version serves the
+// same sessions with every count the new version took, the revert is the
+// one update History gains, every consumed soft-dirty bit is restored, the
+// transfer checksum recorded at commit is untouched, nothing the window
+// spawned outlives it, and a follow-up update still works. Run under
+// -race: the warm case is a revert that takes over the daemon the update
+// re-armed on the new version.
 func TestCanaryFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name string
 		warm bool
-		// preUpdate runs after arming, before Update (background faults
-		// that must race the window opening).
-		preUpdate func(h *canaryHarness)
-		// duringOpen runs while the window is deterministically open.
-		duringOpen      func(h *canaryHarness)
-		wantOutcome     string
-		wantCausePrefix string
+		slo  canary.SLO
+		feed func() canary.Sample
+		// wantMetric is the breach the single revert is charged to.
+		wantMetric string
 	}{
 		{
-			name: "breach-during-window",
-			duringOpen: func(h *canaryHarness) {
-				// 10 completions at 100ms against a 1ms p99 SLO.
-				h.feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
-			},
-			wantOutcome:     "reverted",
-			wantCausePrefix: "canary:p99",
+			name:       "breach-during-window",
+			slo:        canary.SLO{MaxP99: time.Millisecond},
+			feed:       scriptedFeed(100*time.Millisecond, 0),
+			wantMetric: "p99",
 		},
 		{
-			name: "double-breach",
-			duringOpen: func(h *canaryHarness) {
-				// Two breaches race each other (and the canary loop) into
-				// resolveCanary; exactly one may win.
-				h.e.mu.Lock()
-				run := h.e.canaryRun
-				h.e.mu.Unlock()
-				if run == nil {
-					h.t.Fatal("no open canary run")
-				}
-				br1 := &canary.Breach{Metric: "p99", Value: 1e8, Limit: 1e6, Interval: 1}
-				br2 := &canary.Breach{Metric: "errors", Value: 0.5, Limit: 0.01, Interval: 1}
-				var wg sync.WaitGroup
-				wg.Add(2)
-				go func() { defer wg.Done(); h.e.resolveCanary(run, br1) }()
-				go func() { defer wg.Done(); h.e.resolveCanary(run, br2) }()
-				wg.Wait()
-			},
-			wantOutcome:     "reverted",
-			wantCausePrefix: "canary:",
+			// Every judged interval breaches two gates at once: one
+			// breach, charged to the first gate checked, and one revert.
+			name:       "double-breach",
+			slo:        canary.SLO{MaxP99: time.Millisecond, MaxErrorRate: 0.01},
+			feed:       scriptedFeed(100*time.Millisecond, 5),
+			wantMetric: "p99",
 		},
 		{
-			name: "disarm-mid-window",
-			duringOpen: func(h *canaryHarness) {
-				// Operator disarms while the window is open: resolves as
-				// an early accept, not a breach.
-				h.e.DisarmCanary()
-			},
-			wantOutcome: "finalized",
-		},
-		{
-			name: "revert-races-warm-rearm",
-			warm: true,
-			preUpdate: func(h *canaryHarness) {
-				// Degrade continuously from before the window opens: the
-				// first monitor tick breaches, so the revert takes over the
-				// daemon Update re-armed on the new version and re-arms one
-				// on the version it reverts to.
-				go func() {
-					for {
-						select {
-						case <-h.stop:
-							return
-						default:
-						}
-						h.feed.add(2, 0, 100*time.Millisecond, time.Millisecond)
-						time.Sleep(500 * time.Microsecond)
-					}
-				}()
-			},
-			wantOutcome:     "reverted",
-			wantCausePrefix: "canary:p99",
+			name:       "revert-races-warm-rearm",
+			warm:       true,
+			slo:        canary.SLO{MaxP99: time.Millisecond},
+			feed:       scriptedFeed(100*time.Millisecond, 0),
+			wantMetric: "p99",
 		},
 	}
 
@@ -210,103 +177,57 @@ func TestCanaryFaultMatrix(t *testing.T) {
 				t.Fatal("warm daemon never became current")
 			}
 
-			h := &canaryHarness{
-				t:    t,
-				e:    e,
-				feed: newFakeFeed(100, 200*time.Microsecond, time.Second),
-				old:  e.Current(),
-				stop: make(chan struct{}),
-			}
-			defer close(h.stop)
-
-			// Long window, fast ticks, no grace: only the injected fault
-			// (or an explicit disarm) resolves the window.
-			e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
-			if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, h.feed.src); err != nil {
-				t.Fatalf("ArmCanary: %v", err)
-			}
-
-			if tc.preUpdate != nil {
-				tc.preUpdate(h)
-			}
 			g0 := leakcheck.Goroutines()
-
+			back := e.Current().Version()
 			rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
 			if err != nil {
 				t.Fatalf("Update: %v", err)
-			}
-			if !rep.Canary {
-				t.Fatal("update did not open a canary window")
 			}
 			cs0 := rep.Transfer.Checksum
 			if cs0 == 0 {
 				t.Fatal("Audit produced no checksum")
 			}
-
-			if tc.preUpdate == nil {
-				// The window is deterministically open here: a second
-				// update must be refused, and the new version serves the
-				// live traffic (old session counters carried over).
-				if _, err := e.Update(echodVersion("2.1", 1, "v2b", true, 7000)); !errors.Is(err, ErrCanaryOpen) {
-					t.Fatalf("update during open window: err = %v, want ErrCanaryOpen", err)
-				}
-				if got := sendRecv(t, c1, "during"); got != "v2:during:3" {
-					t.Fatalf("mid-window reply = %q", got)
-				}
-			}
-			if tc.duringOpen != nil {
-				tc.duringOpen(h)
-			}
-			if !e.CanaryWait(10 * time.Second) {
-				t.Fatal("canary window never resolved")
+			// The new version serves the live traffic, old session
+			// counters carried over.
+			if got := sendRecv(t, c1, "during"); got != "v2:during:3" {
+				t.Fatalf("mid-window reply = %q", got)
 			}
 
-			// Verdict bookkeeping.
-			if rep.CanaryOutcome != tc.wantOutcome {
-				t.Fatalf("CanaryOutcome = %q, want %q (reason %v)", rep.CanaryOutcome, tc.wantOutcome, rep.Reason)
+			v := watchBack(e, back, tc.slo, tc.feed, breachWindow)
+			if v.Outcome != canary.Reverted || v.RevertErr != nil {
+				t.Fatalf("outcome %q (revert error %v), want reverted", v.Outcome, v.RevertErr)
 			}
-			reverted := tc.wantOutcome == "reverted"
-			if rep.RolledBack != reverted {
-				t.Fatalf("RolledBack = %v, want %v", rep.RolledBack, reverted)
+			if v.Breach == nil || v.Breach.Metric != tc.wantMetric || v.Breach.Interval != 3 {
+				t.Fatalf("breach %+v, want %s on interval 3", v.Breach, tc.wantMetric)
 			}
-			if reverted && !strings.HasPrefix(rep.RollbackCause, tc.wantCausePrefix) {
-				t.Fatalf("RollbackCause = %q, want prefix %q", rep.RollbackCause, tc.wantCausePrefix)
+			if v.Monitor.Intervals != 3 || v.Monitor.Breach != v.Breach {
+				t.Fatalf("monitor %+v, want three intervals ending in the breach", v.Monitor)
 			}
-			cs := e.CanaryStatus()
-			if cs.Open {
-				t.Fatal("status still reports an open window")
+			hist := e.History()
+			if len(hist) != 2 || hist[0] != rep {
+				t.Fatalf("history holds %d reports, want the update and its revert", len(hist))
 			}
-			if cs.LastOutcome != tc.wantOutcome {
-				t.Fatalf("status LastOutcome = %q, want %q", cs.LastOutcome, tc.wantOutcome)
+			if rep.RolledBack {
+				t.Fatal("the deployed update reads as rolled back; its revert is an update of its own")
+			}
+			if rev := hist[1]; rev.RolledBack || rev.Transfer.Checksum == 0 {
+				t.Fatalf("revert report %+v, want a committed update with a checksum", rev)
 			}
 
-			// The right version serves the same sessions, with the count
-			// of every message the new version answered.
+			// The old version serves the same sessions, with the count of
+			// every message the new version answered.
 			cur := e.Current()
-			banner, count := "v2", 3
-			if reverted {
-				banner = "v1"
-				if cur.Version() != h.old.Version() {
-					t.Fatalf("revert left %s serving, want %s", cur.Version(), h.old.Version())
-				}
-				if rep.Revert == nil || rep.Revert.RolledBack || rep.Revert.Transfer.Checksum == 0 {
-					t.Fatalf("revert report %+v, want a committed update with a checksum", rep.Revert)
-				}
-			} else if cur.Version() == h.old.Version() {
-				t.Fatal("finalize left the old version serving")
+			if cur.Version() != back {
+				t.Fatalf("revert left %s serving, want %s", cur.Version(), back)
 			}
-			if tc.preUpdate == nil {
-				count++ // the mid-window message
-			}
-			if got, want := sendRecv(t, c1, "after"), fmt.Sprintf("%s:after:%d", banner, count); got != want {
-				t.Fatalf("post-window reply = %q, want %q", got, want)
+			if got := sendRecv(t, c1, "after"); got != "v1:after:4" {
+				t.Fatalf("post-window reply = %q, want v1:after:4", got)
 			}
 			// Commit released the RESTART pid reservations.
 			if pids := cur.Root().KProc().ReservedPids(); len(pids) != 0 {
 				t.Fatalf("pid reservations survived the window: %v", pids)
 			}
-
-			// Transfer checksum recorded at commit is untouched by the
+			// The transfer checksum recorded at commit is untouched by the
 			// window's resolution.
 			if rep.Transfer.Checksum != cs0 {
 				t.Fatalf("transfer checksum changed across the window: %#x -> %#x", cs0, rep.Transfer.Checksum)
@@ -315,16 +236,12 @@ func TestCanaryFaultMatrix(t *testing.T) {
 			// Consumed soft-dirty bits all restored on the survivor (stop
 			// the warm daemon first — it legitimately holds consumed bits
 			// while armed).
-			e.DisarmCanary()
 			if tc.warm {
 				e.DisarmWarm()
 			}
 			if n := consumedPages(cur); n != 0 {
 				t.Fatalf("%d consumed soft-dirty pages not restored", n)
 			}
-
-			// Rollback hygiene: nothing the resolved window spawned is
-			// still running, and no pid reservation leaked on the survivor.
 			if err := leakcheck.CheckGoroutines(g0, 2*time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -333,17 +250,13 @@ func TestCanaryFaultMatrix(t *testing.T) {
 			}
 
 			// The survivor is still updateable: shadows and soft-dirty
-			// accounting stayed valid across the fault.
-			next := cur.Version().Seq + 1
-			rep2, err := e.Update(echodVersion("3.0", next, "v3", true, 7000))
+			// accounting stayed valid across the revert.
+			rep2, err := e.Update(echodVersion("3.0", cur.Version().Seq+1, "v3", true, 7000))
 			if err != nil {
 				t.Fatalf("follow-up update: %v", err)
 			}
-			if rep2.RolledBack {
-				t.Fatalf("follow-up update rolled back: %v", rep2.Reason)
-			}
-			if rep2.Transfer.Checksum == 0 {
-				t.Fatal("follow-up transfer checksum missing")
+			if rep2.RolledBack || rep2.Transfer.Checksum == 0 {
+				t.Fatalf("follow-up update rolled back %v, checksum %#x", rep2.RolledBack, rep2.Transfer.Checksum)
 			}
 			if got := sendRecv(t, c1, "final"); !strings.HasPrefix(got, "v3:final:") {
 				t.Fatalf("post-follow-up reply = %q, want v3 banner", got)
@@ -352,9 +265,47 @@ func TestCanaryFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestCanaryRevertIsInHistory: a revert is a plain update, so History
+// holds both after one: v1→v2 committed, then v2→v1 committed, in that
+// order, with v1 serving.
+func TestCanaryRevertIsInHistory(t *testing.T) {
+	e, k := launchEchod(t, Options{Audit: true})
+	defer e.Shutdown()
+	c, err := k.Connect(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendRecv(t, c, "a")
+	v1, v2 := e.Current().Version(), echodVersion("2.0", 1, "v2", true, 7000)
+	rep, err := e.Update(v2)
+	if err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if got := e.Current().Version(); got != v2 {
+		t.Fatalf("%s serving after the update, want %s", got, v2)
+	}
+	sendRecv(t, c, "b")
+	if v := watchBreach(e, v1); v.Outcome != canary.Reverted {
+		t.Fatalf("outcome %q (revert error %v), want reverted", v.Outcome, v.RevertErr)
+	}
+	if got := e.Current().Version(); got != v1 {
+		t.Fatalf("%s serving after the revert, want %s", got, v1)
+	}
+	hist := e.History()
+	if len(hist) != 2 || hist[0] != rep {
+		t.Fatalf("history holds %d reports, want v1→v2 then v2→v1", len(hist))
+	}
+	for i, r := range hist {
+		if r.RolledBack || r.Transfer.Checksum == 0 {
+			t.Fatalf("history[%d]: rolled back %v (cause %q), checksum %#x; want a committed update",
+				i, r.RolledBack, r.RollbackCause, r.Transfer.Checksum)
+		}
+	}
+}
+
 // TestCanaryAcceptBitIdenticalToPlainCommit drives the same traffic and
-// the same update through a plain warm commit and through a canary
-// window that runs to its deadline and finalizes, then compares the
+// the same update through a plain warm commit and through one followed by
+// a canary window that runs to its end and finalizes, then compares the
 // surviving instances bit for bit: the window must be invisible to the
 // committed state.
 func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
@@ -375,26 +326,18 @@ func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
 		if !e.WarmWait(10 * time.Second) {
 			t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
 		}
-		if withCanary {
-			feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
-			e.SetCanaryPacing(20*time.Millisecond, 2*time.Millisecond, 2)
-			if err := e.ArmCanary(canary.SLO{MaxP99: time.Second}, feed.src); err != nil {
-				t.Fatalf("ArmCanary: %v", err)
-			}
-		}
+		back := e.Current().Version()
 		rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
 		if err != nil {
 			t.Fatalf("Update: %v", err)
 		}
 		if withCanary {
-			if !e.CanaryWait(10 * time.Second) {
-				t.Fatal("canary window never resolved")
+			if v := watchHealthy(e, back); v.Outcome != canary.Finalized {
+				t.Fatalf("healthy canary outcome = %q (breach %v)", v.Outcome, v.Breach)
 			}
-			if rep.CanaryOutcome != "finalized" {
-				t.Fatalf("healthy canary outcome = %q (reason %v)", rep.CanaryOutcome, rep.Reason)
-			}
-		} else if rep.Canary {
-			t.Fatal("plain update unexpectedly opened a canary window")
+		}
+		if n := len(e.History()); n != 1 {
+			t.Fatalf("history holds %d reports, want the one update", n)
 		}
 		return rep, e.Current()
 	}
@@ -408,52 +351,11 @@ func TestCanaryAcceptBitIdenticalToPlainCommit(t *testing.T) {
 	}
 }
 
-// TestCanaryControllerStatus exercises the mcr-ctl "canary status"
-// surface across the armed -> reverted lifecycle.
-func TestCanaryControllerStatus(t *testing.T) {
-	e, _ := launchEchod(t, Options{Audit: true})
-	defer e.Shutdown()
-	c := NewController(e, "/run/mcr.sock")
-
-	if got := c.dispatch("canary status"); got != "OK canary=disarmed" {
-		t.Fatalf("disarmed status = %q", got)
-	}
-	if got := c.dispatch("canary"); !strings.HasPrefix(got, "ERR usage:") {
-		t.Fatalf("bare canary = %q", got)
-	}
-
-	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
-	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
-		t.Fatal(err)
-	}
-	got := c.dispatch("canary status")
-	if !strings.Contains(got, "canary=armed") || !strings.Contains(got, "slo=p99=1ms") {
-		t.Fatalf("armed status = %q", got)
-	}
-
-	e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
-	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
-	if !e.CanaryWait(10 * time.Second) {
-		t.Fatal("window never resolved")
-	}
-	if rep.CanaryOutcome != "reverted" {
-		t.Fatalf("outcome = %q", rep.CanaryOutcome)
-	}
-	got = c.dispatch("canary status")
-	if !strings.Contains(got, "outcome=reverted") || !strings.Contains(got, `cause="p99`) {
-		t.Fatalf("post-revert status = %q", got)
-	}
-}
-
-// TestCanaryStarvedMonitorIsNotDead runs a healthy update whose monitor is
-// held up — inside its sample source, standing in for a goroutine starved
-// of CPU — until well past the window plus the slack the old wall-clock
-// failsafe allowed (window + max(4 intervals, 20ms)). A late judge is not
-// a dead judge: the window must finalize, not revert with canary:monitor.
+// TestCanaryStarvedMonitorIsNotDead runs a healthy window whose sample
+// source is held up on its first tick (standing in for a judge starved of
+// CPU) until well past the window's end. A late judge delays the verdict;
+// it does not turn it into a revert: the window ends with the intervals it
+// got and finalizes.
 func TestCanaryStarvedMonitorIsNotDead(t *testing.T) {
 	e, k := launchEchod(t, Options{Audit: true})
 	defer e.Shutdown()
@@ -462,36 +364,29 @@ func TestCanaryStarvedMonitorIsNotDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendRecv(t, c1, "a")
-	old := e.Current()
-
-	const window, interval = 20 * time.Millisecond, 2 * time.Millisecond
-	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
-	var calls atomic.Int32
-	src := func() canary.Sample {
-		// Calls 1 and 2 are Update's throughput baseline and the monitor's
-		// seed at window open; the third is the monitor loop's first.
-		if calls.Add(1) == 3 {
-			time.Sleep(window + 20*time.Millisecond + 40*time.Millisecond)
-			feed.add(100, 0, 200*time.Microsecond, 80*time.Millisecond)
-		}
-		return feed.src()
-	}
-	e.SetCanaryPacing(window, interval, -1)
-	if err := e.ArmCanary(canary.SLO{MaxP99: time.Second}, src); err != nil {
-		t.Fatal(err)
-	}
+	back := e.Current().Version()
 	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if !e.CanaryWait(10 * time.Second) {
-		t.Fatal("window never resolved")
+
+	feed := scriptedFeed(200*time.Microsecond, 0)
+	calls := 0
+	src := func() canary.Sample {
+		// Call 1 is the seed; call 2 is the first tick's.
+		if calls++; calls == 2 {
+			time.Sleep(3 * healthyWindow)
+		}
+		return feed()
 	}
-	if rep.CanaryOutcome != "finalized" || rep.RolledBack {
-		t.Fatalf("outcome=%q cause=%q, want a late monitor to finalize the healthy version",
-			rep.CanaryOutcome, rep.RollbackCause)
+	v := watchBack(e, back, canary.SLO{MaxP99: time.Second}, src, healthyWindow)
+	if v.Outcome != canary.Finalized || v.Breach != nil {
+		t.Fatalf("outcome=%q breach=%v, want a late judge to finalize the healthy version", v.Outcome, v.Breach)
 	}
-	if e.Current() == old {
+	if v.Monitor.Intervals != 1 {
+		t.Fatalf("%d intervals judged, want the one that ran past the window", v.Monitor.Intervals)
+	}
+	if rep.RolledBack || e.Current().Version() == back {
 		t.Fatal("healthy version was reverted")
 	}
 	if got := sendRecv(t, c1, "after"); !strings.HasPrefix(got, "v2:after:") {
@@ -510,24 +405,15 @@ func TestCanaryRevertKeepsWindowState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
-	e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
-	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
-		t.Fatal(err)
-	}
 	var replies []string
 	replies = append(replies, sendRecv(t, c, "a"))
-	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
-	if err != nil {
+	back := e.Current().Version()
+	if _, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000)); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	replies = append(replies, sendRecv(t, c, "b"), sendRecv(t, c, "b2"))
-	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond) // breach p99
-	if !e.CanaryWait(10 * time.Second) {
-		t.Fatal("canary window never resolved")
-	}
-	if rep.CanaryOutcome != "reverted" {
-		t.Fatalf("outcome %q (reason %v), want reverted", rep.CanaryOutcome, rep.Reason)
+	if v := watchBreach(e, back); v.Outcome != canary.Reverted {
+		t.Fatalf("outcome %q (revert error %v), want reverted", v.Outcome, v.RevertErr)
 	}
 	replies = append(replies, sendRecv(t, c, "c"))
 	if got, want := strings.Join(replies, " "), "v1:a:1 v2:b:2 v2:b2:3 v1:c:4"; got != want {
@@ -555,35 +441,24 @@ func TestCanaryRevertMatchesDirectUpdate(t *testing.T) {
 		sendRecv(t, c1, "a")
 		sendRecv(t, c1, "b")
 		sendRecv(t, c2, "x")
-		feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
-		if withCanary {
-			e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
-			if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
-				t.Fatal(err)
-			}
-		}
 		back := e.Current().Version()
-		rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000))
-		if err != nil {
+		if _, err := e.Update(echodVersion("2.0", 1, "v2", true, 7000)); err != nil {
 			t.Fatalf("Update: %v", err)
 		}
 		sendRecv(t, c1, "during")
 		sendRecv(t, c2, "y")
 		if !withCanary {
-			rep, err = e.Update(back)
+			rep, err := e.Update(back)
 			if err != nil {
 				t.Fatalf("direct update back: %v", err)
 			}
 			return rep, e.Current()
 		}
-		feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond) // breach p99
-		if !e.CanaryWait(10 * time.Second) {
-			t.Fatal("canary window never resolved")
+		if v := watchBreach(e, back); v.Outcome != canary.Reverted {
+			t.Fatalf("outcome %q (revert error %v), want reverted", v.Outcome, v.RevertErr)
 		}
-		if rep.CanaryOutcome != "reverted" || rep.Revert == nil {
-			t.Fatalf("outcome %q (reason %v), want reverted", rep.CanaryOutcome, rep.Reason)
-		}
-		return rep.Revert, e.Current()
+		hist := e.History()
+		return hist[len(hist)-1], e.Current()
 	}
 
 	direct, instA := drive(false)
@@ -604,8 +479,9 @@ func TestCanaryRevertMatchesDirectUpdate(t *testing.T) {
 // converge when its canary window reverts (one of its threads stops
 // reaching quiescent points) fails the revert's quiescence, so the revert
 // rolls back: the new version keeps serving, the window settles as
-// revert-failed without reading as rolled back, and the revert span on
-// the canary track carries the quiescence error instead of dropping it.
+// revert-failed, History holds the deployed update as committed and the
+// revert as rolled back, and the revert span on the canary track carries
+// the quiescence error instead of dropping it.
 func TestCanaryRevertNotesUnquiescedNewVersion(t *testing.T) {
 	rec := obs.New(1 << 12)
 	e, k := launchEchod(t, Options{Audit: true, Recorder: rec, QuiesceTimeout: 300 * time.Millisecond})
@@ -639,39 +515,30 @@ func TestCanaryRevertNotesUnquiescedNewVersion(t *testing.T) {
 		return serve(t)
 	}
 
-	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
-	e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
-	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
-		t.Fatalf("ArmCanary: %v", err)
-	}
+	back := e.Current().Version()
 	rep, err := e.Update(v2)
 	if err != nil {
 		t.Fatalf("Update: %v", err)
-	}
-	if !rep.Canary {
-		t.Fatal("update did not open a canary window")
 	}
 	if got := sendRecv(t, c, "b"); got != "v2:b:2" {
 		t.Fatalf("mid-window reply = %q", got)
 	}
 	spin.Store(true)
 	e.Current().Root().Notify()
-	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond) // breach p99
-	if !e.CanaryWait(10 * time.Second) {
-		t.Fatal("canary window never resolved")
+	v := watchBreach(e, back)
+	if v.Outcome != canary.RevertFailed || v.RevertErr == nil {
+		t.Fatalf("outcome %q (revert error %v): want revert-failed", v.Outcome, v.RevertErr)
 	}
-	if rep.CanaryOutcome != "revert-failed" || rep.RolledBack || rep.RollbackCause != "" {
-		t.Fatalf("outcome %q, rolled back %v (cause %q): want revert-failed, not rolled back",
-			rep.CanaryOutcome, rep.RolledBack, rep.RollbackCause)
+	hist := e.History()
+	if len(hist) != 2 || hist[0] != rep || rep.RolledBack || rep.RollbackCause != "" {
+		t.Fatalf("history %d reports, deployed update rolled back %v (cause %q): want it committed",
+			len(hist), rep.RolledBack, rep.RollbackCause)
 	}
-	if rep.Revert == nil || !rep.Revert.RolledBack {
-		t.Fatalf("revert report %+v, want a rolled-back update", rep.Revert)
+	if !hist[1].RolledBack {
+		t.Fatalf("revert report %+v, want a rolled-back update", hist[1])
 	}
 	if got := e.Current().Version(); got != v2 {
 		t.Fatalf("%s serving after a failed revert, want %s", got, v2)
-	}
-	if st := e.CanaryStatus(); st.Open || st.LastOutcome != "revert-failed" {
-		t.Fatalf("canary status %+v, want a closed window with outcome revert-failed", st)
 	}
 	if got := sendRecv(t, c, "c"); got != "v2:c:3" {
 		t.Fatalf("post-revert reply = %q, want v2 serving", got)

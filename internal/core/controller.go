@@ -130,15 +130,6 @@ func (c *Controller) dispatch(req string) string {
 		default:
 			return "ERR usage: warm <on|off|status>"
 		}
-	case "canary":
-		if len(fields) != 2 || fields[1] != "status" {
-			return "ERR usage: canary status"
-		}
-		cs := c.engine.CanaryStatus()
-		if !cs.Armed && !cs.Open && cs.LastOutcome == "" {
-			return "OK canary=disarmed"
-		}
-		return "OK " + canaryLine(cs)
 	case "events":
 		if len(fields) != 1 {
 			return "ERR usage: events"
@@ -187,30 +178,6 @@ func warmLine(ws WarmStatus) string {
 		ws.Current, ws.ShadowLag, ws.ShadowedPages, ws.AnalysisGen, ws.DutyCycle,
 		ws.Passes, ws.Epochs, ws.Yields, ws.Reanalyzed, ws.Revalidated,
 		ws.PagesRescanned, ws.PagesReused, ws.LastPagesRescanned)
-}
-
-// canaryLine renders the canary state for status responses: the armed
-// SLO, whether a window is open, the monitor's last-interval metrics, and
-// the most recent verdict with its cause.
-func canaryLine(cs CanaryStatus) string {
-	state := "disarmed"
-	if cs.Armed {
-		state = "armed"
-	}
-	if cs.Open {
-		state = "open"
-	}
-	out := fmt.Sprintf("canary=%s slo=%s intervals=%d base=%.0frps last=%.0frps p99=%v errrate=%.4f",
-		state, cs.SLO, cs.Monitor.Intervals, cs.Monitor.BaselineRPS,
-		cs.Monitor.LastRPS, cs.Monitor.LastP99, cs.Monitor.LastErrorRate)
-	if cs.LastOutcome != "" {
-		cause := cs.LastCause
-		if cause == "" {
-			cause = "none"
-		}
-		out += fmt.Sprintf(" outcome=%s cause=%q", cs.LastOutcome, cause)
-	}
-	return out
 }
 
 // ctlReplyWait bounds how long CtlRequest waits for a reply. An update

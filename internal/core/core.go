@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/canary"
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
@@ -30,15 +29,13 @@ import (
 var (
 	ErrNotRunning   = errors.New("core: no running instance")
 	ErrUpdateFailed = errors.New("core: update failed and was rolled back")
-	ErrCanaryOpen   = errors.New("core: a canary window is open; wait for it to resolve")
 )
 
 // Options is what an engine is built with. Each field is earned by the
 // test or bench row its comment names. The runtime modes are configured by
 // the calls that arm them, not here: ArmWarm/SetWarmPacing for the warm
-// daemon, ArmCanary/SetCanaryPacing for the canary window and
-// SetPhaseDeadlines for the watchdog. Use DefaultOptions / AuditOptions as
-// starting points.
+// daemon and SetPhaseDeadlines for the watchdog. Use DefaultOptions /
+// AuditOptions as starting points.
 type Options struct {
 	// Instr is the instrumentation level for launched instances
 	// (default InstrQDet; lower levels cannot live-update). Table 3.
@@ -75,10 +72,10 @@ type Options struct {
 	Faults *faultinject.Plane
 	// Recorder, when set, is the flight recorder every subsystem emits
 	// phase events into: engine phases on the engine track, the old-side
-	// pipeline (discovery, copy) on the transfer track, warm-daemon
-	// passes on the daemon track, and the canary window on its own track.
-	// A nil recorder costs one pointer check per phase. The bench's
-	// traced pass, mcr-ctl -trace-out.
+	// pipeline (discovery, copy) on the transfer track and warm-daemon
+	// passes on the daemon track; callers may record tracks of their own
+	// through Recorder(). A nil recorder costs one pointer check per
+	// phase. The bench's traced pass, mcr-ctl -trace-out.
 	Recorder *obs.Recorder
 	// Adopt arms the zero-copy page-adoption fast path: old-instance
 	// pages whose every object is provably bit-identical across the
@@ -198,8 +195,7 @@ type UpdateReport struct {
 	// conflict or failure (the three-phase machinery aborted and the old
 	// version resumed from its checkpoint), "deadline:<phase>" when the
 	// watchdog aborted a phase that blew its budget, "fault:<point>" when
-	// an injected fault fired, "canary:<metric>" for a post-commit SLO
-	// breach whose revert to the old version committed.
+	// an injected fault fired.
 	RollbackCause string
 	// RollbackSecondary classifies a second fault that fired while the
 	// rollback itself was reverting (the double-fault case); empty
@@ -219,18 +215,6 @@ type UpdateReport struct {
 	// instance (Options.Adopt): rollback returns them and commit drops the
 	// records. Nil unless adoption is armed.
 	ledger *mem.AdoptLedger
-
-	// Canary reports the update committed into a canary window.
-	// CanaryOutcome is "open" while the window is running and settles to
-	// "finalized", "reverted" (a breach, and the update back to the old
-	// version committed) or "revert-failed" (that update rolled back and
-	// this version kept serving). Revert is that update's own report. The
-	// canary and rollback fields of this report are written by the
-	// window's monitor goroutine, so callers must Engine.CanaryWait before
-	// reading them.
-	Canary        bool
-	CanaryOutcome string
-	Revert        *UpdateReport
 }
 
 // TransferWork returns the total mutable-tracing wall clock: discovery
@@ -268,38 +252,17 @@ type Engine struct {
 	// deadlines is the watchdog's per-phase budget table
 	// (SetPhaseDeadlines).
 	deadlines map[string]time.Duration
-
-	// Canary state: the window pacing (SetCanaryPacing), the armed SLO and
-	// workload feed, the open window (nil when none), the baseline
-	// throughput captured at the last Update's start, and the settled
-	// verdict of the most recent window.
-	canaryWindow   time.Duration
-	canaryInterval time.Duration
-	canaryGrace    int
-	canaryOn       bool
-	canarySLO      canary.SLO
-	canarySrc      func() canary.Sample
-	canaryRun      *canaryRun
-	canaryLast     *canaryRun // most recent window, kept after resolution (CanaryWait settles on it)
-	canaryBase     float64
-	canaryOutcome  string
-	canaryCause    string
-	canaryFinal    canary.MonitorStatus
 }
 
 // NewEngine builds an engine over the shared kernel, with the default
-// watchdog profile and the default canary pacing: a 250ms window judged
-// every 25ms, the first two intervals exempt. The error is always nil.
+// watchdog profile. The error is always nil.
 func NewEngine(k *kernel.Kernel, opts Options) (*Engine, error) {
 	opts.fill()
 	return &Engine{
-		kern:           k,
-		opts:           opts,
-		policy:         types.DefaultPolicy(),
-		deadlines:      DefaultPhaseDeadlines(),
-		canaryWindow:   250 * time.Millisecond,
-		canaryInterval: 25 * time.Millisecond,
-		canaryGrace:    2,
+		kern:      k,
+		opts:      opts,
+		policy:    types.DefaultPolicy(),
+		deadlines: DefaultPhaseDeadlines(),
 	}, nil
 }
 
@@ -577,44 +540,8 @@ func (e *Engine) WarmWait(timeout time.Duration) bool {
 // conflict or failure the new version is discarded and the old version
 // resumes from its checkpoint — clients never observe a failed attempt.
 // The phases, and the two schedules they run on, are Engine.lifecycle's.
-// With a canary armed, a committed update opens a window and its monitor
-// starts as Update returns; no update is taken while a window is open.
+// Every attempt's report, committed or rolled back, joins History.
 func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
-	e.mu.Lock()
-	if e.canaryRun != nil {
-		e.mu.Unlock()
-		return nil, ErrCanaryOpen
-	}
-	src := e.canarySrc
-	canaryArmed := e.canaryOn && src != nil
-	e.mu.Unlock()
-	if canaryArmed {
-		// The pre-update throughput anchors the canary's relative
-		// throughput floor; sampled before anything perturbs the workload.
-		base := src().Throughput()
-		e.mu.Lock()
-		e.canaryBase = base
-		e.mu.Unlock()
-	}
-	rep, err := e.update(v2)
-	if rep == nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.history = append(e.history, rep)
-	run := e.canaryRun
-	e.mu.Unlock()
-	// The monitor starts only once the update's bookkeeping is done, so a
-	// revert never overlaps it (the warm re-arm above all).
-	if rep.Canary {
-		go e.canaryLoop(run)
-	}
-	return rep, err
-}
-
-// update is Update's body, shared with a canary revert: one live update of
-// the running instance to v2, recorded in no history.
-func (e *Engine) update(v2 *program.Version) (*UpdateReport, error) {
 	e.mu.Lock()
 	old, an := e.current, e.analysis
 	e.mu.Unlock()
@@ -628,9 +555,7 @@ func (e *Engine) update(v2 *program.Version) (*UpdateReport, error) {
 	start := time.Now()
 	// The update span is registered before the bookkeeping defer so its End
 	// runs last (defer LIFO) and the span covers the full request. It ends
-	// plain — outcome attributes come from the commit/rollback spans, not
-	// here, because a canary window's monitor goroutine may later write
-	// rep.
+	// plain: outcome attributes come from the commit/rollback spans.
 	usp := e.opts.Recorder.Span(obs.TrackEngine, obs.PhaseUpdate)
 	defer usp.End()
 	e.opts.Recorder.Metrics().Counter("core.updates").Add(1)
@@ -647,6 +572,7 @@ func (e *Engine) update(v2 *program.Version) (*UpdateReport, error) {
 		rep.TotalTime = time.Since(start)
 		e.mu.Lock()
 		e.updating = false
+		e.history = append(e.history, rep)
 		e.mu.Unlock()
 		e.rearmWarm()
 	}()
@@ -748,8 +674,7 @@ func (e *Engine) restart(old *program.Instance, v2 *program.Version,
 
 // commit is the body of the commit phase: collect inherited-but-unused
 // fds, leave reserved mode, terminate the old version, release its pid
-// reservations, open a canary window when one is armed, and resume the new
-// version. It cannot fail, and nothing after it may roll the update back:
+// reservations, and resume the new version. It cannot fail, and nothing after it may roll the update back:
 // the lifecycle consults the commit-time crash seam and the watchdog
 // before calling it.
 func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
@@ -765,7 +690,6 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 	// Finalization releases the pid side of global separability: the old
 	// id space no longer needs protecting once the old instance is gone.
 	reinit.ReleaseIDs(newInst.Root())
-	e.openCanary(old.Version(), rep)
 	newInst.Resume()
 	e.mu.Lock()
 	e.setCurrentLocked(newInst)
@@ -1138,18 +1062,9 @@ func rollbackCause(cause error) string {
 	return "update"
 }
 
-// Shutdown terminates the running instance, resolving any open canary
-// window (the new version is accepted — shutdown is not a verdict) and
-// stopping the warm daemon first so no background work races the
-// teardown.
+// Shutdown terminates the running instance, stopping the warm daemon
+// first so no background work races the teardown.
 func (e *Engine) Shutdown() {
-	e.mu.Lock()
-	run := e.canaryRun
-	e.mu.Unlock()
-	if run != nil {
-		run.close()
-		<-run.done
-	}
 	e.mu.Lock()
 	inst := e.current
 	e.setCurrentLocked(nil)

@@ -107,21 +107,6 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 			sendRecv(t, cc, "a")
 			sendRecv(t, cc, "b")
 
-			var feed *fakeFeed
-			if tc.canary != "" {
-				feed = newFakeFeed(100, 200*time.Microsecond, time.Second)
-				if tc.canary == "reverted" {
-					e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
-					if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					e.SetCanaryPacing(20*time.Millisecond, 2*time.Millisecond, 2)
-					if err := e.ArmCanary(canary.SLO{MaxP99: time.Second}, feed.src); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 			if tc.warm && !e.WarmWait(5*time.Second) {
 				t.Fatal("warm daemon never became current")
 			}
@@ -130,6 +115,7 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 			if tc.conflictPort {
 				port = 7001
 			}
+			back := e.Current().Version()
 			rep, err := e.Update(echodVersion("2.0", 1, "v2", true, port))
 			if tc.conflictPort {
 				if err == nil || !rep.RolledBack {
@@ -139,14 +125,12 @@ func TestUpdatePhaseOrdering(t *testing.T) {
 				t.Fatalf("Update: %v", err)
 			}
 			if tc.canary != "" {
-				if tc.canary == "reverted" {
-					feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
+				watch := watchHealthy
+				if tc.canary == canary.Reverted {
+					watch = watchBreach
 				}
-				if !e.CanaryWait(10 * time.Second) {
-					t.Fatal("canary window never resolved")
-				}
-				if rep.CanaryOutcome != tc.canary {
-					t.Fatalf("CanaryOutcome = %q, want %q (reason %v)", rep.CanaryOutcome, tc.canary, rep.Reason)
+				if v := watch(e, back); v.Outcome != tc.canary {
+					t.Fatalf("canary outcome = %q, want %q (breach %v)", v.Outcome, tc.canary, v.Breach)
 				}
 			}
 			// Quiet the background emitters (warm daemon) before taking the

@@ -547,21 +547,12 @@ func TestKeptAnalysisDoesNotCrossInstances(t *testing.T) {
 	// That update left the old instance's analysis fully populated.
 	fromNothing("after a commit", update())
 
-	feed := newFakeFeed(100, 200*time.Microsecond, time.Second)
-	e.SetCanaryPacing(time.Minute, time.Millisecond, -1)
-	if err := e.ArmCanary(canary.SLO{MaxP99: time.Millisecond}, feed.src); err != nil {
-		t.Fatal(err)
-	}
 	old := e.Current().Version()
-	if rep := update(); !rep.Canary {
-		t.Fatal("the update opened no canary window")
-	}
+	update()
 	populate() // the new version's analysis
-	feed.add(10, 0, 100*time.Millisecond, 50*time.Millisecond)
-	if !e.CanaryWait(10*time.Second) || e.Current().Version() != old {
-		t.Fatal("the canary window did not revert to the old version")
+	if v := watchBreach(e, old); v.Outcome != canary.Reverted || e.Current().Version() != old {
+		t.Fatalf("the canary window did not revert to the old version: %q (%v)", v.Outcome, v.RevertErr)
 	}
-	e.DisarmCanary()
 	fromNothing("after a canary revert", update())
 
 	populate()

@@ -9,7 +9,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -283,14 +282,14 @@ func TestRunOverheadLiveTraffic(t *testing.T) {
 	}
 }
 
-// TestRunCanary runs the post-commit canary window under live traffic,
-// each scenario on a fresh engine. On httpd a plain warm commit commits,
-// a healthy update rides through its SLO window to finalization, and a
-// forced regression — state transferred perfectly, every request served
-// slower than the gate allows — is caught and auto-reverted with cause
-// canary:p99, no failed response, and the old version serving after. On
-// sshd a healthy update finalizes. No scenario may see a wrong response,
-// and every committed transfer carries a checksum.
+// TestRunCanary runs a canary window after a live update under live
+// traffic, each scenario on a fresh engine. On httpd a plain warm commit
+// commits, a healthy update rides through its SLO window to finalization,
+// and a forced regression — state transferred perfectly, every request
+// served slower than the gate allows — is caught on p99 and reverted by a
+// live update back, with no failed response and the old version serving
+// after. On sshd a healthy update finalizes. No scenario may see a wrong
+// response, and every committed transfer carries a checksum.
 func TestRunCanary(t *testing.T) {
 	cases := []struct{ server, scenario, outcome string }{
 		{"httpd", "plain", "committed"},
@@ -312,60 +311,57 @@ func TestRunCanary(t *testing.T) {
 			armWarm(t, e, 200*time.Microsecond, 0.25)
 			e.WarmWait(liveWindow)
 			v := nextVersion(e, spec)
+			src := workload.CanarySource(drv)
+			watch := canary.Config{Source: src, Recorder: e.Recorder()}
 			switch tc.scenario {
 			case "healthy":
 				// Gates a healthy update cannot plausibly trip, even with
 				// one scheduler stall in an interval's tail.
-				e.SetCanaryPacing(liveWindow, liveWindow/8, 2)
-				if err := e.ArmCanary(canary.SLO{MaxP99: 100*base.P99() + time.Second, MaxErrorRate: 0.25},
-					workload.CanarySource(drv)); err != nil {
-					t.Fatal(err)
-				}
+				watch.SLO = canary.SLO{MaxP99: 100*base.P99() + time.Second, MaxErrorRate: 0.25}
+				watch.Window = liveWindow
 			case "regression":
 				maxP99 := 2*base.P99() + 5*time.Millisecond
 				delay := 4 * maxP99
 				if delay < 20*time.Millisecond {
 					delay = 20 * time.Millisecond
 				}
-				e.SetCanaryPacing(8*delay, delay/2, 1)
-				if err := e.ArmCanary(canary.SLO{MaxP99: maxP99}, workload.CanarySource(drv)); err != nil {
-					t.Fatal(err)
-				}
+				watch.SLO = canary.SLO{MaxP99: maxP99}
+				watch.Window = 8 * delay
 				defer servers.SetHttpdDegrade(delay, v.Seq)()
 			}
-			defer e.DisarmCanary()
 			defer e.DisarmWarm()
 
+			back := e.Current().Version()
+			baseRPS := src().Throughput()
 			before := drv.Snapshot()
 			rep, err := e.Update(v)
-			during := drv.Snapshot().Delta(before)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if rep.Canary != (tc.scenario != "plain") {
-				t.Fatalf("canary window open = %v", rep.Canary)
 			}
 			if rep.Transfer.Checksum == 0 {
 				t.Error("no transfer checksum")
 			}
-			win := window(drv, liveWindow)
-			if !e.CanaryWait(30 * time.Second) {
-				t.Fatal("canary window never resolved")
-			}
 			outcome := "committed"
-			if rep.Canary {
-				outcome = rep.CanaryOutcome
-			}
-			if outcome != tc.outcome {
-				t.Fatalf("outcome %q, want %q (reason %v)", outcome, tc.outcome, rep.Reason)
-			}
-			if tc.scenario == "regression" {
-				if !rep.RolledBack || !strings.HasPrefix(rep.RollbackCause, "canary:p99") {
-					t.Errorf("rolled back %v, cause %q, want canary:p99", rep.RolledBack, rep.RollbackCause)
+			if tc.scenario != "plain" {
+				verdict := canary.Watch(watch, baseRPS, func() error {
+					_, err := e.Update(back)
+					return err
+				})
+				outcome = verdict.Outcome
+				if tc.scenario == "regression" && (verdict.Breach == nil || verdict.Breach.Metric != "p99") {
+					t.Errorf("breach %v, want p99", verdict.Breach)
 				}
-				// win straddled the revert: the old version must still
-				// be serving in a fresh window.
-				win = window(drv, liveWindow)
+			}
+			during := drv.Snapshot().Delta(before)
+			if outcome != tc.outcome {
+				t.Fatalf("outcome %q, want %q", outcome, tc.outcome)
+			}
+			win := window(drv, liveWindow)
+			if tc.scenario == "regression" {
+				// The old version must still be serving after the revert.
+				if cur := e.Current().Version(); cur != back {
+					t.Errorf("%s serving after the revert, want %s", cur, back)
+				}
 				if win.Requests == 0 {
 					t.Errorf("old version served nothing after the revert (last err %v)", drv.LastError())
 				}
@@ -383,12 +379,10 @@ func TestRunCanary(t *testing.T) {
 // TestFaultCampaignSmoke fires faults through a real server under
 // sustained, validated traffic: httpd with four pool threads, four
 // closed-loop clients, one cell per recovery path — a loud crash, both
-// watchdog deadlines, a killed canary monitor and a double fault. Every
-// cell asserts the survival contract: the classified cause (and
-// secondary), the point fired, recovery within budget, a verified and
-// identical rollback digest (for the killed monitor, whose window reverts
-// by a live update back, a committed revert with a transfer checksum),
-// the old version serving after, zero failed or wrong responses, every
+// watchdog deadlines and a double fault. Every cell asserts the survival
+// contract: the classified cause (and secondary), the point fired,
+// recovery within budget, a verified and identical rollback digest, the
+// old version serving after, zero failed or wrong responses, every
 // consumed soft-dirty bit handed back, and no leaked goroutine or pid
 // reservation.
 func TestFaultCampaignSmoke(t *testing.T) {
@@ -397,7 +391,6 @@ func TestFaultCampaignSmoke(t *testing.T) {
 		point         faultinject.Point
 		secondary     faultinject.Point
 		deadlinePhase string
-		canary        bool
 		wantCause     string
 		wantSecondary string
 		budget        time.Duration
@@ -408,8 +401,6 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			wantCause: "deadline:restart", budget: 5 * time.Second},
 		{name: "transfer-stall", point: faultinject.PointTransferStall, deadlinePhase: core.WDTransfer,
 			wantCause: "deadline:transfer", budget: 5 * time.Second},
-		{name: "canary-monitor", point: faultinject.PointCanaryMonitor, canary: true,
-			wantCause: "canary:monitor", budget: 30 * time.Second},
 		{name: "double-fault", point: faultinject.PointRestartCrash, secondary: faultinject.PointRollbackRestore,
 			wantCause: "fault:restart-crash", wantSecondary: "fault:rollback-restore", budget: 15 * time.Second},
 	}
@@ -459,14 +450,6 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			if base.Requests == 0 {
 				t.Fatalf("baseline served nothing (last err %v)", drv.LastError())
 			}
-			if tc.canary {
-				slo := canary.SLO{MaxP99: 100*base.P99() + time.Second, MaxErrorRate: 0.25}
-				e.SetCanaryPacing(liveWindow, liveWindow/8, -1)
-				if err := e.ArmCanary(slo, workload.CanarySource(drv)); err != nil {
-					t.Fatal(err)
-				}
-				defer e.DisarmCanary()
-			}
 			plane.Arm(tc.point)
 			if tc.secondary != "" {
 				plane.Arm(tc.secondary)
@@ -475,16 +458,7 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			g0 := leakcheck.Goroutines()
 			t0 := time.Now()
 			rep, err := e.Update(spec.Version(1))
-			if tc.canary {
-				// The faulty monitor commits, then dies; the failsafe must
-				// settle the window within the budget.
-				if err != nil {
-					t.Fatalf("Update failed before the window opened: %v", err)
-				}
-				if !e.CanaryWait(tc.budget) {
-					t.Fatal("canary window never resolved")
-				}
-			} else if !errors.Is(err, core.ErrUpdateFailed) {
+			if !errors.Is(err, core.ErrUpdateFailed) {
 				t.Fatalf("Update err = %v, want ErrUpdateFailed", err)
 			}
 			if d := time.Since(t0); d > tc.budget {
@@ -497,14 +471,7 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			if !plane.Fired(tc.point) {
 				t.Fatalf("armed point %s never fired", tc.point)
 			}
-			if tc.canary {
-				if rev := rep.Revert; rev == nil || rev.RolledBack || rev.Transfer.Checksum == 0 {
-					t.Fatalf("revert report %+v, want a committed update with a checksum", rev)
-				}
-				if got, want := e.Current().Version().Release, spec.Version(0).Release; got != want {
-					t.Fatalf("%s serving after the revert, want %s", got, want)
-				}
-			} else if !rep.RollbackVerified || !rep.RollbackIdentical {
+			if !rep.RollbackVerified || !rep.RollbackIdentical {
 				t.Fatalf("rollback audit: verified=%v identical=%v", rep.RollbackVerified, rep.RollbackIdentical)
 			}
 
@@ -516,7 +483,6 @@ func TestFaultCampaignSmoke(t *testing.T) {
 				t.Fatalf("%d failed / %d wrong responses through the fault", errs, bad)
 			}
 
-			e.DisarmCanary()
 			cur := e.Current()
 			if n := consumedPages(cur); n != 0 {
 				t.Fatalf("%d consumed soft-dirty pages not restored", n)

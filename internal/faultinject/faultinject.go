@@ -1,11 +1,11 @@
 // Package faultinject is the update-time fault-injection plane: a
 // deterministic, seedable set of named injection points threaded through
 // every update phase at the same seams the flight recorder instruments.
-// The engine, the checkpoint/daemon layer, the transfer workers and the
-// canary monitor each consult the plane at their point; an armed point
-// fires exactly as configured (on the Nth hit, a bounded number of times)
-// and the firing is recorded, so a campaign can assert both that the
-// fault happened and that the system recovered from it.
+// The engine, the checkpoint/daemon layer and the transfer workers each
+// consult the plane at their point; an armed point fires exactly as
+// configured (on the Nth hit, a bounded number of times) and the firing is
+// recorded, so a campaign can assert both that the fault happened and that
+// the system recovered from it.
 //
 // A nil *Plane is the production configuration and costs one pointer
 // check per consulted point — the same contract as a nil *obs.Recorder.
@@ -74,9 +74,6 @@ const (
 	// PointCommitCrash crashes the commit before any side effect, the
 	// last moment a pre-commit rollback is possible.
 	PointCommitCrash Point = "commit-crash"
-	// PointCanaryMonitor kills the canary monitor goroutine mid-window,
-	// leaving the verdict to the window's failsafe (cause canary:monitor).
-	PointCanaryMonitor Point = "canary-monitor"
 	// PointRollbackRestore injects a second fault into the rollback path
 	// itself (the double-fault case): reverting must still complete and
 	// report both causes.
@@ -90,7 +87,7 @@ func Catalog() []Point {
 		PointEpochFail, PointDaemonStall, PointSpeculation, PointAnalysis,
 		PointRestartCrash, PointRestartHang, PointTransferCorrupt,
 		PointTransferError, PointTransferStall, PointRemapFail,
-		PointCommitCrash, PointCanaryMonitor, PointRollbackRestore,
+		PointCommitCrash, PointRollbackRestore,
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package leakcheck is the shared rollback-hygiene test helper: a clean
 // rollback must leave nothing behind — no goroutine the aborted attempt
-// spawned (monitor loops, pipeline workers, parked stalls) and no pid
+// spawned (watchdog monitors, pipeline workers, parked stalls) and no pid
 // reservation the RESTART phase planted. The canary fault matrix and the
-// fault-injection campaign both run these checks after every rollback and
-// canary revert.
+// fault-injection campaign both run these checks, after every canary
+// revert and every rollback.
 package leakcheck
 
 import (

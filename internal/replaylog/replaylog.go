@@ -16,7 +16,6 @@ package replaylog
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -25,14 +24,24 @@ import (
 // StackID computes the version-agnostic call-stack ID of §5: a hash of all
 // active function names on the calling thread's stack. Function renames
 // change the ID (a tolerated source of conservative conflicts); adding,
-// deleting or reordering *other* call sites does not.
+// deleting or reordering *other* call sites does not. The hash is
+// FNV-1a-64 over each name's bytes and a zero byte after each, folded
+// inline with no hasher and no per-name []byte conversion; it runs on
+// every heap allocation and must not allocate.
 func StackID(stack []string) uint64 {
-	h := fnv.New64a()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, fn := range stack {
-		h.Write([]byte(fn))
-		h.Write([]byte{0})
+		for i := 0; i < len(fn); i++ {
+			h ^= uint64(fn[i])
+			h *= prime64
+		}
+		h *= prime64 // the zero separator: xor with 0 leaves h unchanged
 	}
-	return h.Sum64()
+	return h
 }
 
 // Record is one logged startup operation.

@@ -2,6 +2,8 @@ package replaylog
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +40,43 @@ func TestStackIDProperties(t *testing.T) {
 	// Concatenation ambiguity: ["ab","c"] vs ["a","bc"] must differ.
 	if StackID([]string{"ab", "c"}) == StackID([]string{"a", "bc"}) {
 		t.Error("stack boundary not separated in hash")
+	}
+}
+
+// TestStackIDMatchesFNV pins StackID to hash/fnv's FNV-1a-64 over each
+// frame name followed by a zero byte, on seeded random stacks with the
+// empty stack and empty frame names among them, and checks it allocates
+// nothing.
+func TestStackIDMatchesFNV(t *testing.T) {
+	ref := func(stack []string) uint64 {
+		h := fnv.New64a()
+		for _, fn := range stack {
+			h.Write([]byte(fn))
+			h.Write([]byte{0})
+		}
+		return h.Sum64()
+	}
+	rng := rand.New(rand.NewSource(1))
+	stacks := [][]string{nil, {}, {""}, {"", ""}, {"main", ""}, {"", "main"}}
+	for i := 0; i < 500; i++ {
+		stack := make([]string, rng.Intn(8))
+		for j := range stack {
+			name := make([]byte, rng.Intn(24))
+			for k := range name {
+				name[k] = byte(rng.Intn(256))
+			}
+			stack[j] = string(name)
+		}
+		stacks = append(stacks, stack)
+	}
+	for _, stack := range stacks {
+		if got, want := StackID(stack), ref(stack); got != want {
+			t.Fatalf("StackID(%q) = %#x, hash/fnv %#x", stack, got, want)
+		}
+	}
+	stack := []string{"main", "server_init", "ngx_palloc"}
+	if n := testing.AllocsPerRun(100, func() { StackID(stack) }); n != 0 {
+		t.Fatalf("StackID allocates %v times per call, want 0", n)
 	}
 }
 

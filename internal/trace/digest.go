@@ -12,8 +12,8 @@ import (
 // index order — into one FNV-64a word. Two instances with equal digests
 // hold bit-identical state; a digest taken before and after an event
 // proves the event left the state untouched: a rolled-back update must
-// hand back exactly the state it checkpointed, and a canary revert must
-// leave the state a direct update back would.
+// hand back exactly the state it checkpointed, and the two schedules of
+// one update must leave the same state.
 // Contents are hashed in place (foldBytes): nothing is staged per object.
 func StateDigest(inst *program.Instance) (uint64, error) {
 	h := newFNV64a()

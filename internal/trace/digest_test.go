@@ -16,9 +16,9 @@ import (
 )
 
 // TestStateDigest pins the digest's two contractual properties: it is
-// stable across reads of an untouched instance (taking it twice — or
-// letting the instance sit quiesced in between, the canary-window case —
-// changes nothing), and any byte of drift in any object changes it.
+// stable across reads of an untouched instance (taking it twice, or
+// letting the instance sit quiesced in between, changes nothing), and any
+// byte of drift in any object changes it.
 func TestStateDigest(t *testing.T) {
 	inst := runV1(t, 3)
 	defer inst.Terminate()

@@ -803,8 +803,8 @@ func TestIncrementalFramesAndMappings(t *testing.T) {
 }
 
 // TestResolvedAnalysisIsNotMutatedLater: what Resolve hands out belongs to
-// the caller — the engine keeps it across a rollback and a re-arm, or a
-// canary window, while the daemon's next Refresh moves the analysis on.
+// the caller — the engine keeps it across a rollback and a re-arm, while
+// the daemon's next Refresh moves the analysis on.
 func TestResolvedAnalysisIsNotMutatedLater(t *testing.T) {
 	p := startScanFixture(t)
 	plantRandomHeap(t, p, 23)

@@ -62,8 +62,9 @@ type Engine = core.Engine
 
 // Options is what an Engine is built with (instrumentation level, replay
 // matching strategy, timeouts, the adoption fast path, the verifiers).
-// The runtime modes — warm standby, the canary window, the watchdog's
-// phase budgets — are set on the Engine by the calls that arm them.
+// The runtime modes — warm standby, the watchdog's phase budgets — are
+// set on the Engine by the calls that arm them; a post-commit canary
+// window is the caller's, run after Update returns (internal/canary).
 type Options = core.Options
 
 // UpdateReport is the outcome of one live update: the three update-time
