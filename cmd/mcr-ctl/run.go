@@ -219,7 +219,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.Warm {
 		// Give the daemon a moment to absorb the startup traffic, then show
-		// the readiness line (shadow currency + analysis generation).
+		// the readiness line (analysis currency and generation).
 		engine.WarmWait(5 * time.Second)
 		if err := send("warm status"); err != nil {
 			return err
@@ -236,7 +236,7 @@ func run(cfg config, out io.Writer) error {
 		back := engine.Current().Version()
 		var base float64
 		if cfg.Canary != "" {
-			base = watch.Source().Throughput()
+			base = canary.Baseline(watch)
 		}
 		n := len(engine.History())
 		updated = append(updated, updateMark{spec.Version(i).Release, time.Now()})
@@ -331,8 +331,7 @@ func run(cfg config, out io.Writer) error {
 		}
 	}
 	if cfg.Warm {
-		// Operator disarm: hands every consumed bit back and stops the
-		// daemon; status confirms.
+		// Operator disarm: stops the daemon; status confirms.
 		if err := send("warm off"); err != nil {
 			return err
 		}

@@ -90,7 +90,7 @@ func TestRunWarmDeploysUpdateAndShowsReadiness(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"warm=armed", // readiness line before and after the update
-		"lag=",       // shadow currency
+		"current=",   // analysis readiness
 		"agen=",      // analysis generation
 		"duty=0.25",  // the daemon's duty-cycle setting (default bound)
 		"passes=",    // pass counter behind the overhead curve
@@ -280,11 +280,16 @@ func TestRunCanaryRevertsRegressionWithCause(t *testing.T) {
 	}
 }
 
+// TestRunUnknownFaultPointIsUsageError: a made-up point, and the
+// epoch-fail and transfer-corrupt points the catalog no longer has, are
+// usage errors.
 func TestRunUnknownFaultPointIsUsageError(t *testing.T) {
-	var out strings.Builder
-	err := run(config{Server: "nginx", Updates: 1, Fault: "no-such-fault"}, &out)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want errUsage", err)
+	for _, spec := range []string{"no-such-fault", "epoch-fail", "transfer-corrupt", "restart-crash,epoch-fail"} {
+		var out strings.Builder
+		err := run(config{Server: "nginx", Updates: 1, Fault: spec}, &out)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("-fault %q: err = %v, want errUsage", spec, err)
+		}
 	}
 }
 

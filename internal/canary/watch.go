@@ -78,6 +78,17 @@ func Watch(cfg Config, baseRPS float64, revert func() error) Verdict {
 	return v
 }
 
+// Baseline samples the throughput a window's throughput gate is relative
+// to: the rate over one interval (Window/10) read from cfg.Source, the
+// caller's last step before the update. The feed's cumulative rate would
+// average in everything since the driver started, so one update's floor
+// would be looser than a later one's.
+func Baseline(cfg Config) float64 {
+	start := cfg.Source()
+	time.Sleep(cfg.Window / intervals)
+	return cfg.Source().Delta(start).Throughput()
+}
+
 // judge records one SLO tick; a breach carries the failing metric as the
 // note.
 func judge(rec *obs.Recorder, br *Breach) {

@@ -102,3 +102,34 @@ func TestWatchVerdicts(t *testing.T) {
 		})
 	}
 }
+
+// TestBaselineIsTheRecentRate: the throughput gate's base is the rate of
+// one interval sampled before the update, not the feed's cumulative rate.
+// The feed starts slow, so its cumulative rate is about a third of its
+// recent one and climbs while it runs; every call advances it by ten
+// completions in 10 ms of driver time, so nothing here reads the clock.
+func TestBaselineIsTheRecentRate(t *testing.T) {
+	s := Sample{Requests: 100, Elapsed: 300 * time.Millisecond}
+	feed := func() Sample {
+		s.Requests += 10
+		s.Elapsed += 10 * time.Millisecond
+		return s
+	}
+	cfg := Config{Source: feed, Window: time.Millisecond}
+	const recent = 1000.0 // 10 completions per 10 ms
+	if cum := s.Throughput(); cum > recent/2.5 {
+		t.Fatalf("cumulative rate %.0f/s is not well below the recent %.0f/s: the feed proves nothing", cum, recent)
+	}
+	first := Baseline(cfg)
+	if first != recent {
+		t.Fatalf("baseline %.1f/s, want the recent rate %.0f/s (cumulative %.1f/s)", first, recent, s.Throughput())
+	}
+	// A window's worth of steady serving, then the next update's baseline.
+	for i := 0; i < 50; i++ {
+		feed()
+	}
+	second := Baseline(cfg)
+	if r := max(first, second) / min(first, second); r > 1.2 {
+		t.Fatalf("successive baselines %.1f/s and %.1f/s differ %.2fx on a steady feed", first, second, r)
+	}
+}

@@ -166,7 +166,7 @@ func heapObjs(p *program.Proc) []*mem.Object {
 // `every`-th page, in every process: typed nodes at their value field,
 // opaque blobs at their last word (links live at word 0). Selecting by
 // page keeps the residual dirty set page-sparse — the unit the soft-dirty
-// filter (and therefore shadow currency) works at. Patterns depend on
+// filter works at. Patterns depend on
 // (step, object index) so distinct phases leave distinct bits, and every
 // byte has the top bit set so no payload word aliases a mapped address.
 func dirtyHeap(t *testing.T, inst *program.Instance, every, step int) {
@@ -192,9 +192,8 @@ func dirtyHeap(t *testing.T, inst *program.Instance, every, step int) {
 }
 
 // transferInto analyzes v1 and transfers it into a freshly started new
-// version, optionally consulting the snapshotter's shadows.
-func transferInto(t *testing.T, v1 *program.Instance, withChild bool,
-	snap *Snapshotter) (trace.Stats, *program.Instance) {
+// version, with the soft-dirty filter or copying every object.
+func transferInto(t *testing.T, v1 *program.Instance, withChild, unfiltered bool) (trace.Stats, *program.Instance) {
 	t.Helper()
 	analyses, err := trace.AnalyzeInstance(v1, types.DefaultPolicy(), nil)
 	if err != nil {
@@ -203,14 +202,11 @@ func transferInto(t *testing.T, v1 *program.Instance, withChild bool,
 	plan, reserve, pinned := trace.CombinedPlacement(analyses)
 	v2 := startInst(t, synthVersion(1, withChild),
 		program.Options{PinnedStatics: pinned}, plan, reserve)
-	opts := trace.Options{Policy: types.DefaultPolicy()}
-	if snap != nil {
-		opts.Shadows = snap.Shadows()
-	}
+	opts := trace.Options{Policy: types.DefaultPolicy(), DisableDirtyFilter: unfiltered}
 	stats, err := trace.TransferInstance(v1, v2, analyses, opts)
 	if err != nil {
 		v2.Terminate()
-		t.Fatalf("transfer (precopy=%v): %v", snap != nil, err)
+		t.Fatalf("transfer (unfiltered=%v): %v", unfiltered, err)
 	}
 	return stats, v2
 }
@@ -254,14 +250,12 @@ func compareInstances(t *testing.T, label string, a, b *program.Instance) {
 
 // --- tests ------------------------------------------------------------------
 
-// TestPrecopyBitIdentical is the tentpole acceptance test: after pre-copy
-// epochs interleaved with further dirtying, a shadow-consulting transfer
-// must produce the same transferred-object set and bit-identical new
-// instances as a checkpoint-free transfer, while serving a substantial
-// share of the copied bytes from shadows.
+// TestPrecopyBitIdentical: epochs interleaved with writes clear nothing,
+// so the transfer that follows still sees every object written since
+// startup. The filtered transfer must be bit-identical to one that copies
+// every object, while skipping the objects nobody wrote.
 func TestPrecopyBitIdentical(t *testing.T) {
 	for _, withChild := range []bool{false, true} {
-		withChild := withChild
 		name := "single-proc"
 		if withChild {
 			name = "multi-proc"
@@ -271,51 +265,31 @@ func TestPrecopyBitIdentical(t *testing.T) {
 			defer v1.Terminate()
 
 			snap := New(v1, Options{})
-			dirtyHeap(t, v1, 1, 0) // everything written since startup
+			dirtyHeap(t, v1, 2, 0)
 			snap.Epoch()
-			dirtyHeap(t, v1, 4, 1) // writable working set between epochs
+			dirtyHeap(t, v1, 4, 1)
 			snap.Epoch()
-			dirtyHeap(t, v1, 8, 2) // residual writes after the last epoch
-
-			s, shadowInst := transferInto(t, v1, withChild, snap)
-			defer shadowInst.Terminate()
-			if s.BytesFromShadow == 0 {
-				t.Fatalf("no bytes served from shadows: %+v", s)
-			}
-			if s.BytesFromShadow+s.BytesLive != s.BytesTransferred {
-				t.Fatalf("shadow+live != transferred: %+v", s)
-			}
-
-			// Discard hands the consumed bits back; a checkpoint-free
-			// transfer must now see the identical dirty set.
+			dirtyHeap(t, v1, 8, 2) // writes after the last epoch
 			snap.Discard()
-			b, baseInst := transferInto(t, v1, withChild, nil)
-			defer baseInst.Terminate()
-			if b.BytesFromShadow != 0 {
-				t.Fatalf("baseline: unexpected shadow bytes: %+v", b)
-			}
-			if s.ObjectsDiscovered != b.ObjectsDiscovered ||
-				s.ObjectsTransferred != b.ObjectsTransferred ||
-				s.ObjectsSkippedClean != b.ObjectsSkippedClean ||
-				s.BytesTransferred != b.BytesTransferred {
-				t.Fatalf("transfer scope diverged with pre-copy:\nshadowed %+v\nbaseline %+v", s, b)
-			}
-			compareInstances(t, "shadow vs baseline", shadowInst, baseInst)
 
+			s, filtered := transferInto(t, v1, withChild, false)
+			defer filtered.Terminate()
+			b, full := transferInto(t, v1, withChild, true)
+			defer full.Terminate()
 			if s.ObjectsSkippedClean == 0 || s.ObjectsTransferred == 0 {
 				t.Fatalf("degenerate scenario, nothing exercised: %+v", s)
 			}
-			if s.ShadowFraction() < 0.5 {
-				t.Errorf("shadow fraction %.2f too low for a mostly-stable heap: %+v",
-					s.ShadowFraction(), s)
+			if s.ObjectsDiscovered != b.ObjectsDiscovered {
+				t.Fatalf("transfer scope diverged:\nfiltered   %+v\nunfiltered %+v", s, b)
 			}
+			compareInstances(t, "filtered vs unfiltered", filtered, full)
 		})
 	}
 }
 
-// TestDiscardRestoresDirtyBits pins the rollback contract: consumed bits
-// come back as soft-dirty, so a later checkpoint-free attempt still sees
-// the full dirty-since-startup set.
+// TestDiscardRestoresDirtyBits: an epoch and a discard leave the dirty set
+// exactly as they found it, so a transfer after them — or the benchmark
+// probe's clone — still sees every page written since startup.
 func TestDiscardRestoresDirtyBits(t *testing.T) {
 	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
 	defer v1.Terminate()
@@ -326,30 +300,20 @@ func TestDiscardRestoresDirtyBits(t *testing.T) {
 		t.Fatal("nothing dirty after dirtyHeap")
 	}
 	snap := New(v1, Options{})
-	snap.Epoch()
-	if got := space.SoftDirtyPages(); len(got) != 0 {
-		t.Fatalf("epoch left %d pages soft-dirty", len(got))
+	if es := snap.Epoch(); es.DirtyPages != len(before) {
+		t.Fatalf("epoch read %d dirty pages, want %d", es.DirtyPages, len(before))
 	}
-	if got := space.ConsumedDirtyPages(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("consumed pages %v != dirtied pages %v", got, before)
+	if got := space.SoftDirtyPages(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("epoch changed the dirty set: %v, was %v", got, before)
 	}
 	snap.Discard()
 	if got := space.SoftDirtyPages(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("restored pages %v != dirtied pages %v", got, before)
-	}
-	if got := space.ConsumedDirtyPages(); len(got) != 0 {
-		t.Fatalf("consumed marks survived discard: %v", got)
-	}
-	if ps := snap.ProcShadow(program.RootKey); ps != nil {
-		t.Fatal("ProcShadow served after discard")
+		t.Fatalf("discard changed the dirty set: %v, was %v", got, before)
 	}
 }
 
-// TestForkDuringPrecopyStaysAccountable covers the mid-pre-copy fork
-// hazard: a child forked after epochs consumed the parent's bits inherits
-// the consumed marks with its memory image, so its dirty-since-startup
-// set (soft-dirty ∪ consumed) is exact, and Discard restores the child's
-// bits too.
+// TestForkDuringPrecopyStaysAccountable: a child forked after an epoch
+// inherits the parent's whole dirty-since-startup set as soft-dirty bits.
 func TestForkDuringPrecopyStaysAccountable(t *testing.T) {
 	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
 	defer v1.Terminate()
@@ -357,7 +321,7 @@ func TestForkDuringPrecopyStaysAccountable(t *testing.T) {
 	parentDirty := v1.Root().Space().SoftDirtyPages()
 
 	snap := New(v1, Options{})
-	snap.Epoch() // consumes the parent's bits
+	snap.Epoch()
 
 	if err := v1.RunHandler(func(th *program.Thread) error {
 		_, err := th.ForkProc("late_child", func(ct *program.Thread) error {
@@ -381,20 +345,13 @@ func TestForkDuringPrecopyStaysAccountable(t *testing.T) {
 	if child == nil {
 		t.Fatal("no child process")
 	}
-	got := child.Space().ConsumedDirtyPages()
-	if !reflect.DeepEqual(got, parentDirty) {
-		t.Fatalf("child consumed pages %v != parent's pre-fork dirty set %v", got, parentDirty)
-	}
-	snap.Discard()
 	if got := child.Space().SoftDirtyPages(); !reflect.DeepEqual(got, parentDirty) {
-		t.Fatalf("discard did not restore the child's bits: %v vs %v", got, parentDirty)
+		t.Fatalf("child dirty pages %v != parent's pre-fork dirty set %v", got, parentDirty)
 	}
 }
 
-// TestEpochAfterDiscardHandsBitsBack pins the Epoch/Discard interleaving
-// contract: an epoch that loses the race with Discard must hand the bits
-// it just consumed back to the address space — otherwise a later
-// checkpoint-free transfer would silently under-copy.
+// TestEpochAfterDiscardHandsBitsBack: an epoch run after Discard reads the
+// dirty pages like any other and leaves every bit where it was.
 func TestEpochAfterDiscardHandsBitsBack(t *testing.T) {
 	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
 	defer v1.Terminate()
@@ -403,21 +360,17 @@ func TestEpochAfterDiscardHandsBitsBack(t *testing.T) {
 	dirtyHeap(t, v1, 1, 0)
 	space := v1.Root().Space()
 	before := space.SoftDirtyPages()
-	es := snap.Epoch()
-	if es.DirtyPages != 0 {
-		t.Fatalf("post-discard epoch did work: %+v", es)
+	if es := snap.Epoch(); es.DirtyPages != len(before) {
+		t.Fatalf("post-discard epoch read %d pages, want %d", es.DirtyPages, len(before))
 	}
 	if got := space.SoftDirtyPages(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("post-discard epoch leaked consumed bits: %v vs %v", got, before)
-	}
-	if got := space.ConsumedDirtyPages(); len(got) != 0 {
-		t.Fatalf("consumed marks left behind: %v", got)
+		t.Fatalf("post-discard epoch changed the dirty set: %v vs %v", got, before)
 	}
 }
 
-// TestEpochRaceStress runs epochs concurrently with writers and shadow
-// readers; under -race it shakes out unsynchronized access between the
-// snapshotter, the running program and the transfer-side queries.
+// TestEpochRaceStress runs epochs concurrently with a writer; under -race
+// it shakes out unsynchronized access between the epoch's reads and the
+// running program.
 func TestEpochRaceStress(t *testing.T) {
 	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
 	defer v1.Terminate()
@@ -447,68 +400,14 @@ func TestEpochRaceStress(t *testing.T) {
 	}()
 	snap := New(v1, Options{})
 	defer snap.Discard()
-	readerStop := make(chan struct{})
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			select {
-			case <-readerStop:
-				return
-			default:
-			}
-			if ps := snap.ProcShadow(program.RootKey); ps != nil {
-				ps.EverDirtyPages()
-				for _, o := range objs[:4] {
-					ps.Shadow(o)
-				}
-			}
-		}
-	}()
-	// At least ten epochs, and until one of them has raced the writer.
+	// At least ten epochs, and until one of them has seen the writer.
 	pages := 0
 	for i, deadline := 0, time.Now().Add(5*time.Second); i < 10 || (pages == 0 && time.Now().Before(deadline)); i++ {
 		pages += snap.Epoch().DirtyPages
 	}
 	close(stop)
-	close(readerStop)
 	<-done
-	<-readerDone
 	if pages == 0 {
-		t.Fatal("no epoch consumed a page the writer dirtied")
+		t.Fatal("no epoch read a page the writer dirtied")
 	}
-}
-
-// TestProcShadowInvalidate pins the shadow-invalidation contract page
-// adoption relies on: a donated object's shadow must never be served
-// again, and the nil receiver (no checkpoint in flight) must be a no-op.
-func TestProcShadowInvalidate(t *testing.T) {
-	ps := &ProcShadow{shadows: make(map[*mem.Object][]byte)}
-	a := &mem.Object{Addr: 0x1000, Size: 64}
-	b := &mem.Object{Addr: 0x2000, Size: 64}
-	ps.put(a, []byte{1, 2, 3})
-	ps.put(b, []byte{4, 5, 6})
-	if n := ps.ShadowObjects(); n != 2 {
-		t.Fatalf("ShadowObjects = %d, want 2", n)
-	}
-
-	ps.Invalidate(a)
-	if _, ok := ps.Shadow(a); ok {
-		t.Error("invalidated shadow still served")
-	}
-	if buf, ok := ps.Shadow(b); !ok || len(buf) != 3 {
-		t.Error("Invalidate disturbed an unrelated shadow")
-	}
-	if n := ps.ShadowObjects(); n != 1 {
-		t.Errorf("ShadowObjects = %d after Invalidate, want 1", n)
-	}
-
-	// Idempotent, and safe for objects never captured.
-	ps.Invalidate(a)
-	ps.Invalidate(&mem.Object{Addr: 0x3000})
-
-	// Nil receiver: the transfer calls Invalidate unconditionally even
-	// when no checkpoint daemon captured shadows.
-	var none *ProcShadow
-	none.Invalidate(a)
 }

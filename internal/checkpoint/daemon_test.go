@@ -19,13 +19,11 @@ func fastDaemon(inst *program.Instance) *Daemon {
 }
 
 // TestDaemonKeepsShadowsCurrent is the warm-standby core contract: after
-// post-startup writes, the daemon catches up on its own (no epochs driven
-// by the caller), every dirty page is consumed into shadows, the warm
-// analysis covers every process, and a transfer served at quiesce-time is
-// fully shadow-served and bit-identical to a checkpoint-free run.
+// post-startup writes the daemon catches up on its own, the warm analysis
+// covers every process, the daemon leaves the dirty set alone, and the
+// transfer that follows is bit-identical to one copying every object.
 func TestDaemonKeepsShadowsCurrent(t *testing.T) {
 	for _, withChild := range []bool{false, true} {
-		withChild := withChild
 		name := "single-proc"
 		if withChild {
 			name = "multi-proc"
@@ -35,47 +33,42 @@ func TestDaemonKeepsShadowsCurrent(t *testing.T) {
 			defer v1.Terminate()
 
 			d := fastDaemon(v1)
-			dirtyHeap(t, v1, 1, 0)
+			dirtyHeap(t, v1, 2, 0)
+			dirty := make(map[program.ProcKey][]mem.Addr)
+			for _, p := range v1.Procs() {
+				dirty[p.Key()] = p.Space().SoftDirtyPages()
+			}
 			if !d.WaitCurrent(10 * time.Second) {
-				t.Fatalf("daemon never caught up: %+v (lag %d)", d.Stats(), d.ShadowLag())
+				t.Fatalf("daemon never caught up: %+v", d.Stats())
 			}
 			d.Stop()
-			if lag := d.ShadowLag(); lag != 0 {
-				t.Fatalf("shadow lag %d after WaitCurrent", lag)
-			}
-			st := d.Stats()
-			if st.Epochs == 0 || st.PagesCopied == 0 {
-				t.Fatalf("no warm epochs ran: %+v", st)
+			if st := d.Stats(); st.Passes == 0 || st.Errors != 0 {
+				t.Fatalf("daemon passes: %+v", st)
 			}
 			if got, want := d.Warm().Entries(), len(v1.Procs()); got != want {
 				t.Fatalf("warm analysis covers %d procs, want %d", got, want)
 			}
+			for _, p := range v1.Procs() {
+				if got := p.Space().SoftDirtyPages(); !reflect.DeepEqual(got, dirty[p.Key()]) {
+					t.Fatalf("proc %s: the daemon changed the dirty set", p.Key())
+				}
+			}
 
-			snap := d.Snapshot()
-			shadowed, sInst := transferInto(t, v1, withChild, snap)
-			defer sInst.Terminate()
-			if shadowed.BytesLive != 0 {
-				t.Errorf("BytesLive = %d, want 0 (idle instance fully shadowed)", shadowed.BytesLive)
+			filtered, fInst := transferInto(t, v1, withChild, false)
+			defer fInst.Terminate()
+			full, uInst := transferInto(t, v1, withChild, true)
+			defer uInst.Terminate()
+			if filtered.ObjectsSkippedClean == 0 || filtered.ObjectsDiscovered != full.ObjectsDiscovered {
+				t.Errorf("transfer scope: filtered %+v, unfiltered %+v", filtered, full)
 			}
-			if shadowed.BytesFromShadow == 0 {
-				t.Error("nothing served from shadows")
-			}
-			snap.Discard()
-			baseline, bInst := transferInto(t, v1, withChild, nil)
-			defer bInst.Terminate()
-			if shadowed.BytesTransferred != baseline.BytesTransferred ||
-				shadowed.ObjectsTransferred != baseline.ObjectsTransferred {
-				t.Errorf("warm transfer scope diverged: %+v vs %+v", shadowed, baseline)
-			}
-			compareInstances(t, "warm vs baseline", sInst, bInst)
+			compareInstances(t, "after the daemon", fInst, uInst)
 		})
 	}
 }
 
-// TestDaemonForkRace forks a child while the daemon is consuming the
-// parent's bits and keeps writing to the child afterwards: the daemon
-// must pick the child up (shadows and warm analysis both), and the
-// consumed-bit accounting must stay exact through the fork.
+// TestDaemonForkRace forks a child while the daemon runs and keeps
+// writing to the child afterwards: the daemon must pick the child up, and
+// the child keeps its dirty pages.
 func TestDaemonForkRace(t *testing.T) {
 	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
 	defer v1.Terminate()
@@ -108,32 +101,20 @@ func TestDaemonForkRace(t *testing.T) {
 	dirtyHeap(t, v1, 2, 1)
 
 	if !d.WaitCurrent(10 * time.Second) {
-		t.Fatalf("daemon never caught up after fork: %+v (lag %d)", d.Stats(), d.ShadowLag())
+		t.Fatalf("daemon never caught up after fork: %+v", d.Stats())
 	}
 	d.Stop()
 	if got, want := d.Warm().Entries(), len(v1.Procs()); got != want {
 		t.Fatalf("warm analysis covers %d procs, want %d (child included)", got, want)
 	}
-	if child.Space().SoftDirtyCount() != 0 {
-		t.Errorf("child still has %d unshadowed dirty pages", child.Space().SoftDirtyCount())
-	}
-	if child.Space().ConsumedCount() == 0 {
-		t.Error("child has no consumed pages despite post-fork writes")
-	}
-	// Discard restores the exact dirty-since-startup union in the child.
-	d.Snapshot().Discard()
-	if got := child.Space().ConsumedDirtyPages(); len(got) != 0 {
-		t.Errorf("consumed marks survived discard: %v", got)
-	}
-	if got := child.Space().SoftDirtyCount(); got == 0 {
-		t.Error("discard restored no soft-dirty pages in the child")
+	if child.Space().SoftDirtyCount() == 0 {
+		t.Error("child has no dirty pages despite inherited and post-fork writes")
 	}
 }
 
 // TestDaemonDisarmMidEpoch stops the daemon while a writer keeps it busy:
-// Stop must return promptly with the snapshotter in a consistent state —
-// every page the writer dirtied is either still soft-dirty or consumed
-// (nothing lost), and Discard restores the full union.
+// Stop must return promptly, and every page the writer dirtied is still
+// soft-dirty (nothing lost).
 func TestDaemonDisarmMidEpoch(t *testing.T) {
 	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
 	defer v1.Terminate()
@@ -166,9 +147,9 @@ func TestDaemonDisarmMidEpoch(t *testing.T) {
 			}
 		}
 	}()
-	// Wait until warm epochs demonstrably overlap the writes, then disarm.
+	// Wait until passes demonstrably overlap the writes, then disarm.
 	deadline := time.Now().Add(10 * time.Second)
-	for d.Stats().Epochs == 0 && time.Now().Before(deadline) {
+	for d.Stats().Passes < 2 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	d.Stop() // disarm mid-traffic
@@ -176,39 +157,23 @@ func TestDaemonDisarmMidEpoch(t *testing.T) {
 	close(stop)
 	<-done
 
-	if d.Stats().Epochs == 0 {
-		t.Fatalf("no epoch ran under traffic: %+v", d.Stats())
+	if d.Stats().Passes < 2 {
+		t.Fatalf("no pass ran under traffic: %+v", d.Stats())
 	}
-	// Nothing lost: every touched page is soft-dirty or consumed.
-	space := root.Space()
 	dirty := make(map[mem.Addr]bool)
-	for _, pb := range space.SoftDirtyPages() {
-		dirty[pb] = true
-	}
-	for _, pb := range space.ConsumedDirtyPages() {
+	for _, pb := range root.Space().SoftDirtyPages() {
 		dirty[pb] = true
 	}
 	for pb := range touched {
 		if !dirty[pb] {
-			t.Errorf("page %#x written but neither dirty nor consumed after disarm", pb)
+			t.Errorf("page %#x written but not dirty after disarm", pb)
 		}
-	}
-	// Discard restores the union as plain soft-dirty.
-	d.Snapshot().Discard()
-	after := make(map[mem.Addr]bool)
-	for _, pb := range space.SoftDirtyPages() {
-		after[pb] = true
-	}
-	if !reflect.DeepEqual(dirty, after) {
-		t.Errorf("discard after disarm did not restore the dirty union: %d vs %d pages",
-			len(after), len(dirty))
 	}
 }
 
 // TestDaemonBackpressure pins the pacing contract: with a duty cycle of
 // 25%, warm work cannot occupy the wall clock — an idle window must see
-// far fewer passes than back-to-back execution would produce, and an
-// up-to-date instance skips the shadow epoch entirely.
+// far fewer passes than back-to-back execution would produce.
 func TestDaemonBackpressure(t *testing.T) {
 	v1 := startInst(t, synthVersion(0, false), program.Options{}, nil, nil)
 	defer v1.Terminate()
@@ -222,14 +187,6 @@ func TestDaemonBackpressure(t *testing.T) {
 	}
 	if st.Passes > 5 {
 		t.Errorf("%d passes in 25ms at a 10ms interval: pacing broken", st.Passes)
-	}
-	if st.Epochs > 1 {
-		// Startup leaves no dirty pages; at most the first pass could see
-		// any (there are none here).
-		t.Errorf("idle instance ran %d shadow epochs, want 0", st.Epochs)
-	}
-	if st.Skipped == 0 {
-		t.Errorf("idle passes were not skipped: %+v", st)
 	}
 }
 
@@ -245,8 +202,8 @@ func TestDaemonDutyAccounting(t *testing.T) {
 	if d.DutyCycle() != 0.10 {
 		t.Fatalf("DutyCycle() = %v", d.DutyCycle())
 	}
-	// Keep the instance dirty so passes do real epoch + analysis work and
-	// the backpressure has something to stretch.
+	// Keep the instance dirty so passes do real analysis work and the
+	// backpressure has something to stretch.
 	deadline := time.Now().Add(30 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		dirtyHeap(t, v1, 1, 0)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -432,6 +433,7 @@ func TestAdoptRollbackReturnsFrames(t *testing.T) {
 	dirtyBlobPayloads(t, e.Current())
 	old := e.Current()
 	d0 := mustDigest(t, old)
+	dirty := dirtySets(old)
 	g0 := leakcheck.Goroutines()
 
 	plane.Arm(faultinject.PointCommitCrash)
@@ -458,8 +460,8 @@ func TestAdoptRollbackReturnsFrames(t *testing.T) {
 	if d1 := mustDigest(t, old); d1 != d0 {
 		t.Fatalf("old instance state drifted across rollback: %#x -> %#x", d0, d1)
 	}
-	if n := consumedPages(old); n != 0 {
-		t.Fatalf("%d consumed soft-dirty pages not restored", n)
+	if got := dirtySets(old); !reflect.DeepEqual(got, dirty) {
+		t.Fatal("the returned frames did not bring their soft-dirty bits back")
 	}
 	if err := leakcheck.CheckGoroutines(g0, 2*time.Second); err != nil {
 		t.Fatal(err)

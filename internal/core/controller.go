@@ -169,14 +169,14 @@ func (c *Controller) dispatch(req string) string {
 	}
 }
 
-// warmLine renders the warm-standby readiness for status responses:
-// shadow currency (unshadowed dirty pages) and the analysis generation,
-// plus the work tally behind them — per process (reanalyzed/revalidated)
-// and per page (rescanned/reused, and what the last pass alone scanned).
+// warmLine renders the warm-standby readiness for status responses: the
+// analysis generation, plus the work tally behind it — per process
+// (reanalyzed/revalidated) and per page (rescanned/reused, and what the
+// last pass alone scanned).
 func warmLine(ws WarmStatus) string {
-	return fmt.Sprintf("warm=armed current=%v lag=%dpages shadowed=%dpages agen=%d duty=%.2f passes=%d epochs=%d yields=%d reanalyzed=%d revalidated=%d rescanned=%dpages reused=%dpages lastpass=%dpages",
-		ws.Current, ws.ShadowLag, ws.ShadowedPages, ws.AnalysisGen, ws.DutyCycle,
-		ws.Passes, ws.Epochs, ws.Yields, ws.Reanalyzed, ws.Revalidated,
+	return fmt.Sprintf("warm=armed current=%v agen=%d duty=%.2f passes=%d yields=%d reanalyzed=%d revalidated=%d rescanned=%dpages reused=%dpages lastpass=%dpages",
+		ws.Current, ws.AnalysisGen, ws.DutyCycle,
+		ws.Passes, ws.Yields, ws.Reanalyzed, ws.Revalidated,
 		ws.PagesRescanned, ws.PagesReused, ws.LastPagesRescanned)
 }
 

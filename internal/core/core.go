@@ -86,17 +86,14 @@ type Options struct {
 	// off, and rollback returns every donated frame. The nginx-adopt bench
 	// row, TestAdoptDeterminism.
 	Adopt bool
-	// Audit arms both verifiers. The transfer's checksum: every byte
-	// served from a warm daemon's shadow is cross-checked against the
-	// quiesced live memory it stands in for, and Stats.Checksum digests
-	// the full transferred stream (FNV-64a per object, combined
-	// order-independently), adopted pages included — a stale shadow fails
-	// the update instead of committing corrupt state. And the rollback
+	// Audit arms both verifiers. The transfer's checksum: Stats.Checksum
+	// digests the full transferred stream (FNV-64a per object, combined
+	// order-independently), adopted pages included. And the rollback
 	// audit: the old instance's state digest is captured at quiescence and
 	// recomputed just before it resumes from any rollback;
 	// UpdateReport.RollbackVerified/RollbackIdentical report the
 	// comparison. Costs one full-state digest per update and one extra
-	// locked read per shadow-served object; meant for harnesses and
+	// in-place read per transferred object; meant for harnesses and
 	// audits. The bit-identity oracles and the fault campaign.
 	Audit bool
 
@@ -177,10 +174,11 @@ type UpdateReport struct {
 	Warm           bool
 	WarmDaemon     checkpoint.DaemonStats
 	WarmReanalyses map[program.ProcKey]int
-	// WarmLagAtRequest is the shadow staleness (unshadowed soft-dirty
-	// pages) the daemon reported at the instant the update request
-	// detached it — how far behind the serving workload the chosen duty
-	// cycle let the shadows fall.
+	// WarmLagAtRequest is always 0: the daemon keeps no shadows to lag.
+	//
+	// Deprecated: kept only for the benchmark's
+	// checkpoint.shadow_lag_pages row (bench/workloads.go); it goes with
+	// that row.
 	WarmLagAtRequest int
 	// WarmDutyCycle echoes the daemon's configured duty-cycle bound.
 	WarmDutyCycle float64
@@ -350,7 +348,7 @@ func (e *Engine) newDaemonLocked() *checkpoint.Daemon {
 // SetWarmPacing sets the warm daemon's pacing: the interval between
 // passes and the bound on the fraction of wall clock it may spend working
 // (zero keeps the daemon defaults; a lower duty cycle costs the serving
-// workload less and lets the shadows lag further behind). Takes effect
+// workload less and lets the analysis lag further behind). Takes effect
 // the next time a daemon is armed, so a caller sweeping duty cycles
 // disarms, re-paces and re-arms between points. A duty cycle outside
 // [0,1] is refused.
@@ -384,20 +382,10 @@ func (e *Engine) SetPhaseDeadlines(deadlines map[string]time.Duration) error {
 	return nil
 }
 
-// stopAndDiscard halts a daemon and discards its checkpoint, handing
-// every consumed soft-dirty bit back. Nil-safe.
-func stopAndDiscard(d *checkpoint.Daemon) {
-	if d != nil {
-		d.Stop()
-		d.Snapshot().Discard()
-	}
-}
-
 // ArmWarm enables warm-standby mode and starts the readiness daemon over
 // the running instance (the mcr-ctl "warm on" operation). Idempotent
 // while armed. Refused while an update is in flight: a daemon armed
-// mid-update would consume soft-dirty bits outside that update's
-// checkpoint accounting and end up bound to the losing instance.
+// mid-update would end up bound to the losing instance.
 func (e *Engine) ArmWarm() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -414,44 +402,38 @@ func (e *Engine) ArmWarm() error {
 	return nil
 }
 
-// DisarmWarm disables warm-standby mode: the daemon stops and its
-// checkpoint is discarded, handing every consumed soft-dirty bit back so
-// a later cold update still sees the full dirty-since-startup set. The
-// analysis it kept current stays with the instance: a later cold update
-// steps it over what was written since, instead of analyzing from
-// nothing.
+// DisarmWarm disables warm-standby mode: the daemon stops. The analysis
+// it kept current stays with the instance: a later cold update steps it
+// over what was written since, instead of analyzing from nothing.
 func (e *Engine) DisarmWarm() {
 	e.mu.Lock()
 	d := e.daemon
 	e.daemon = nil
 	e.warmOn = false
 	e.mu.Unlock()
-	stopAndDiscard(d)
+	if d != nil {
+		d.Stop()
+	}
 }
 
-// detachWarm stops the daemon and hands it to the calling update attempt,
-// which adopts its long-lived snapshotter (shadows + consumed-bit
-// accounting); the daemon's work tally at disarm is recorded in rep. nil
-// means no daemon was armed. Warm mode stays enabled — the update re-arms
-// a fresh daemon on whatever instance survives (the new version after
-// commit, the old one after rollback).
-func (e *Engine) detachWarm(rep *UpdateReport) *checkpoint.Daemon {
+// detachWarm stops the daemon for the calling update attempt and records
+// its work tally at disarm in rep. It reports whether a daemon was armed.
+// Warm mode stays enabled — the update re-arms a fresh daemon on whatever
+// instance survives (the new version after commit, the old one after
+// rollback).
+func (e *Engine) detachWarm(rep *UpdateReport) bool {
 	e.mu.Lock()
 	d := e.daemon
 	e.daemon = nil
 	e.mu.Unlock()
 	if d == nil {
-		return nil
+		return false
 	}
-	// Staleness at request time is sampled before the Stop join: it
-	// answers "how far behind were the shadows when the update arrived",
-	// not "after the daemon's final pass".
-	rep.WarmLagAtRequest = d.ShadowLag()
 	d.Stop()
 	rep.Warm = true
 	rep.WarmDaemon = d.Stats()
 	rep.WarmDutyCycle = d.DutyCycle()
-	return d
+	return true
 }
 
 // rearmWarm starts a fresh daemon over the current instance when warm
@@ -467,15 +449,11 @@ func (e *Engine) rearmWarm() {
 // WarmStatus describes the warm-standby daemon for operators (the
 // mcr-ctl status surface).
 type WarmStatus struct {
-	Armed         bool
-	Current       bool   // nothing stale right now (shadows and analysis caught up)
-	ShadowLag     int    // soft-dirty pages not yet shadowed (shadow currency)
-	ShadowedPages int    // pages consumed into shadows so far (shadow coverage)
-	AnalysisGen   uint64 // warm-analysis generation
-	Epochs        int    // warm epochs run since (re)arming
-	PagesCopied   int
-	Reanalyzed    int
-	Revalidated   int
+	Armed       bool
+	Current     bool   // nothing stale right now (the analysis caught up)
+	AnalysisGen uint64 // warm-analysis generation
+	Reanalyzed  int
+	Revalidated int
 	// The analysis work per page: pages the passes scanned, page summaries
 	// that stood, and the last pass's scan count alone.
 	PagesRescanned     int
@@ -501,15 +479,11 @@ func (e *Engine) WarmStatus() WarmStatus {
 	}
 	st := d.Stats()
 	return WarmStatus{
-		Armed:         true,
-		Current:       d.Current(),
-		ShadowLag:     d.ShadowLag(),
-		ShadowedPages: d.ShadowCoverage(),
-		AnalysisGen:   d.Warm().Generation(),
-		Epochs:        st.Epochs,
-		PagesCopied:   st.PagesCopied,
-		Reanalyzed:    st.Reanalyzed,
-		Revalidated:   st.Revalidated,
+		Armed:       true,
+		Current:     d.Current(),
+		AnalysisGen: d.Warm().Generation(),
+		Reanalyzed:  st.Reanalyzed,
+		Revalidated: st.Revalidated,
 
 		PagesRescanned:     st.PagesRescanned,
 		PagesReused:        st.PagesReused,
@@ -523,8 +497,8 @@ func (e *Engine) WarmStatus() WarmStatus {
 	}
 }
 
-// WarmWait blocks until the warm daemon reports the shadows and analysis
-// caught up with the workload (false if not armed or the timeout hits).
+// WarmWait blocks until the warm daemon reports the analysis caught up
+// with the workload (false if not armed or the timeout hits).
 func (e *Engine) WarmWait(timeout time.Duration) bool {
 	e.mu.Lock()
 	d := e.daemon
@@ -563,10 +537,9 @@ func (e *Engine) Update(v2 *program.Version) (*UpdateReport, error) {
 	e.updating = true
 	deadlines := e.deadlines
 	e.mu.Unlock()
-	// Detach the warm daemon (if armed) and adopt its snapshotter: the
-	// Stop join is part of the request's true latency, so it runs inside
-	// the timed window. Warm mode re-arms a fresh daemon on whatever
-	// instance survives the attempt.
+	// Detach the warm daemon (if armed): the Stop join is part of the
+	// request's true latency, so it runs inside the timed window. Warm mode
+	// re-arms a fresh daemon on whatever instance survives the attempt.
 	warm := e.detachWarm(rep)
 	defer func() {
 		rep.TotalTime = time.Since(start)
@@ -701,21 +674,17 @@ func (e *Engine) commit(old, newInst *program.Instance, rep *UpdateReport) {
 // drain the transfer work identically. rep carries the update's adoption
 // ledger (nil unless Options.Adopt), which records every donated page
 // frame so rollback can make the old side whole.
-func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan struct{}, rep *UpdateReport) trace.Options {
-	topts := trace.Options{
+func (e *Engine) transferOptions(cancel <-chan struct{}, rep *UpdateReport) trace.Options {
+	return trace.Options{
 		Policy:             e.policy,
 		DisableDirtyFilter: e.opts.DisableDirtyFilter,
-		VerifyShadows:      e.opts.Audit,
+		Checksum:           e.opts.Audit,
 		Adopt:              e.opts.Adopt,
 		Ledger:             rep.ledger,
 		Recorder:           e.opts.Recorder,
 		Faults:             e.opts.Faults,
 		Cancel:             cancel,
 	}
-	if snap != nil {
-		topts.Shadows = snap.Shadows()
-	}
-	return topts
 }
 
 // lifecycle is the update protocol, stated once: CHECKPOINT (the analysis
@@ -744,9 +713,8 @@ func (e *Engine) transferOptions(snap *checkpoint.Snapshotter, cancel <-chan str
 //     phase.)
 //
 // With a warm handoff the speculate phase disappears: the daemon kept the
-// analysis current, so the request starts at quiescence, and the copy
-// serves every object the daemon's shadows still cover.
-func (e *Engine) lifecycle(old *program.Instance, an *trace.WarmAnalysis, v2 *program.Version, rep *UpdateReport, warm *checkpoint.Daemon, wd *watchdog) error {
+// analysis current, so the request starts at quiescence.
+func (e *Engine) lifecycle(old *program.Instance, an *trace.WarmAnalysis, v2 *program.Version, rep *UpdateReport, warm bool, wd *watchdog) error {
 	pipelined := !e.opts.Sequential
 	rep.Pipelined = pipelined
 	rep.Phases = make([]PhaseRecord, 0, len(phaseTable))
@@ -837,22 +805,7 @@ func (e *Engine) lifecycle(old *program.Instance, an *trace.WarmAnalysis, v2 *pr
 	}()
 
 	// --- CHECKPOINT, off-window: the analysis -------------------------
-	// The analysis is the old instance's own (an). A warm daemon hands its
-	// shadows over with it. Its epochs were speculative: Discard hands the
-	// consumed soft-dirty bits back on every outcome (rollback needs them
-	// for the next attempt; after commit the old instance is gone and
-	// re-marking is harmless).
-	var snap *checkpoint.Snapshotter
-	if warm != nil {
-		snap = warm.Snapshot()
-		defer snap.Discard()
-		// A snapshotter that failed an epoch (or had a daemon pass shot
-		// out from under it) cannot vouch for its shadows.
-		if err := snap.Err(); err != nil {
-			return abort(nil, wd.wrap(fmt.Errorf("checkpoint: %w", err)))
-		}
-	}
-	// A cold update steps the analysis here, where the old version is
+	// The analysis is the old instance's own (an). A cold update steps the analysis here, where the old version is
 	// still serving: from where a daemon armed earlier left it, over the
 	// pages written since, or from nothing on an instance never analyzed.
 	// Resolve over a stale analysis in-window would move that work into
@@ -861,7 +814,7 @@ func (e *Engine) lifecycle(old *program.Instance, an *trace.WarmAnalysis, v2 *pr
 	// as its last pass, and the in-window Resolve pays for the pages
 	// written since. The select lets a deadline trip abandon a wedged
 	// refresh instead of joining it.
-	if pipelined && (warm == nil || an.Entries() == 0) {
+	if pipelined && (!warm || an.Entries() == 0) {
 		if err := runPhase(phaseTable[phSpeculate], func() error {
 			var rs trace.WarmRefresh
 			done := make(chan struct{})
@@ -900,7 +853,7 @@ func (e *Engine) lifecycle(old *program.Instance, an *trace.WarmAnalysis, v2 *pr
 	}); err != nil {
 		return abort(nil, err)
 	}
-	topts := e.transferOptions(snap, wd.cancel, rep)
+	topts := e.transferOptions(wd.cancel, rep)
 	runOldSide := func() {
 		job.start = time.Now()
 		job.disc, job.err = trace.DiscoverInstance(old, topts)
@@ -948,7 +901,7 @@ func (e *Engine) lifecycle(old *program.Instance, an *trace.WarmAnalysis, v2 *pr
 		rep.AnalysesReused, rep.ProcsReanalyzed = rs.Revalidated, len(analyses)-rs.Revalidated
 		rep.PagesRescanned, rep.PagesReused = rs.PagesRescanned, rs.PagesReused
 		rep.FullSteps.Add(rs.Full)
-		if warm != nil {
+		if warm {
 			rep.WarmReanalyses = an.ReanalysisCounts()
 		}
 		return nil
@@ -1071,7 +1024,9 @@ func (e *Engine) Shutdown() {
 	d := e.daemon
 	e.daemon = nil
 	e.mu.Unlock()
-	stopAndDiscard(d)
+	if d != nil {
+		d.Stop()
+	}
 	if inst != nil {
 		inst.Terminate()
 	}

@@ -4,14 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/program"
 	"repro/internal/types"
@@ -50,7 +51,7 @@ func phaseIndex(name string) int {
 // {cold, warm} × {sequential, pipelined} × {commit, rollback on
 // a RESTART conflict}. The two schedules must be indistinguishable by
 // result (same transfer checksum and post-update state digest on commit;
-// a bit-identical, fully restored old instance on rollback), and every
+// a bit-identical old instance with its dirty set on rollback), and every
 // run's phase records must be a well-formed ledger: table order, every
 // span closed, and — on commit — in-window durations that sum to the
 // downtime exactly.
@@ -85,34 +86,24 @@ func TestSchedulesEquivalentAndLedgerCloses(t *testing.T) {
 						t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
 					}
 					old := e.Current()
-					var snap *checkpoint.Snapshotter
-					if fl.warm {
-						snap = armedSnapshot(t, e)
-					}
+					dirty := dirtySets(old)
 
 					port := 7000
 					if rollback {
 						port = 7001 // v2 binds another port: a replay conflict in RESTART
 					}
 					rep, err := e.Update(echodVersion("2.0", 1, "v2", true, port))
-					adoptedDiscarded := snap != nil && snap.Discarded()
 					e.DisarmWarm() // quiet the re-armed daemon before reading the recorder
 
 					if rollback {
 						if !errors.Is(err, ErrUpdateFailed) || !rep.RolledBack {
 							t.Fatalf("conflicting update did not roll back (err=%v)", err)
 						}
-						// DisarmWarm restores the same address spaces'
-						// bits, so consumedPages alone cannot tell whether
-						// the update discarded the snapshotter it adopted.
-						if snap != nil && !adoptedDiscarded {
-							t.Error("rollback did not discard the adopted snapshotter")
-						}
 						if !rep.RollbackVerified || !rep.RollbackIdentical {
 							t.Errorf("rollback audit: verified=%v identical=%v", rep.RollbackVerified, rep.RollbackIdentical)
 						}
-						if n := consumedPages(old); n != 0 {
-							t.Errorf("%d consumed soft-dirty pages not restored", n)
+						if !reflect.DeepEqual(dirtySets(old), dirty) {
+							t.Error("the rollback changed the old instance's soft-dirty pages")
 						}
 					} else {
 						if err != nil {
@@ -171,8 +162,9 @@ func TestSchedulesEquivalentAndLedgerCloses(t *testing.T) {
 
 // scandVersion builds "scand": a root holding one large untyped buffer in
 // which every word is a likely pointer — the slowest thing the
-// conservative analysis can be handed — plus two idle forked workers. One
-// analysis pass over it takes tens of milliseconds.
+// conservative analysis or discovery can be handed — reachable from a
+// global, plus two idle forked workers. One pass over it takes tens of
+// milliseconds.
 func scandVersion(release string, seq int) *program.Version {
 	const bufBytes = 4 << 20
 	return &program.Version{
@@ -195,7 +187,10 @@ func scandVersion(release string, seq int) *program.Version {
 				for i := 0; i < len(words); i += 8 {
 					binary.LittleEndian.PutUint64(words[i:], anchor)
 				}
-				return th.Proc().Space().WriteAt(b.Addr, words)
+				if err := th.Proc().Space().WriteAt(b.Addr, words); err != nil {
+					return err
+				}
+				return th.Proc().Space().WriteAt(mem.Addr(anchor), binary.LittleEndian.AppendUint64(nil, uint64(b.Addr)))
 			}); err != nil {
 				return err
 			}
@@ -214,52 +209,35 @@ func scandVersion(release string, seq int) *program.Version {
 	}
 }
 
-// TestEarlyAbortLeavesNoAnalysisGoroutine is the regression test for the
-// orphaned off-window analysis: a warm daemon poisoned by a failed epoch
-// aborts the pipelined schedule before quiescence, and by the time Update
-// returns no goroutine may still be analyzing the resumed old instance.
-// (A goroutine count polled for seconds, as the fault matrix does, cannot
-// see it.)
+// TestEarlyAbortLeavesNoAnalysisGoroutine is the regression test for
+// orphaned old-side work: a failed in-window analysis aborts the
+// pipelined schedule while discovery of the old instance runs beside it,
+// and by the time Update returns no goroutine may still be walking or
+// analyzing the resumed old instance. (A goroutine count polled for
+// seconds, as the fault matrix does, cannot see it.)
 func TestEarlyAbortLeavesNoAnalysisGoroutine(t *testing.T) {
 	plane := faultinject.New(1)
 	e, err := NewEngine(kernel.New(), Options{Faults: plane})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := e.Launch(scandVersion("1.0", 0))
-	if err != nil {
+	if _, err := e.Launch(scandVersion("1.0", 0)); err != nil {
 		t.Fatal(err)
 	}
 	defer e.Shutdown()
-	armWarm(t, e)
 
-	// scand writes nothing after startup: rewrite the anchor with its own
-	// value so the daemon's next pass runs an epoch, which the armed point
-	// fails.
-	plane.Arm(faultinject.PointEpochFail)
-	root := old.Root()
-	anchor := root.MustGlobal("anchor")
-	buf := make([]byte, 8)
-	if err := root.Space().ReadAt(anchor.Addr, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := root.Space().WriteAt(anchor.Addr, buf); err != nil {
-		t.Fatal(err)
-	}
-	waitFired(t, plane, faultinject.PointEpochFail)
+	plane.Arm(faultinject.PointAnalysis)
 	rep, err := e.Update(scandVersion("2.0", 1))
 	stack := make([]byte, 1<<20)
 	stacks := string(stack[:runtime.Stack(stack, true)])
-	if !errors.Is(err, ErrUpdateFailed) || rep.RollbackCause != "fault:epoch-fail" {
-		t.Fatalf("Update err = %v, cause %q; want a fault:epoch-fail rollback", err, rep.RollbackCause)
+	if !errors.Is(err, ErrUpdateFailed) || rep.RollbackCause != "fault:analysis" {
+		t.Fatalf("Update err = %v, cause %q; want a fault:analysis rollback", err, rep.RollbackCause)
 	}
 	if !rep.Pipelined {
 		t.Fatal("scenario needs the pipelined schedule")
 	}
 	for _, g := range strings.Split(stacks, "\n\n") {
-		// The daemon re-armed on the resumed instance analyzes it by
-		// design; only a goroutine the aborted update left is an orphan.
-		if strings.Contains(g, "repro/internal/trace.") && !strings.Contains(g, "checkpoint.(*Daemon)") {
+		if strings.Contains(g, "repro/internal/trace.") {
 			t.Errorf("goroutine still in internal/trace after Update returned:\n%s", g)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -110,8 +111,8 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 }
 
 // TestPipelinedReportBreakdown pins the pipelined report of a cold
-// update: every copied byte is read live (the engine runs no epochs of
-// its own), and the downtime window and its phases are measured.
+// update: every copied byte is read from quiesced memory, and the
+// downtime window and its phases are measured.
 func TestPipelinedReportBreakdown(t *testing.T) {
 	e, k := launchEchod(t, Options{})
 	defer e.Shutdown()
@@ -124,9 +125,9 @@ func TestPipelinedReportBreakdown(t *testing.T) {
 	if !rep.Pipelined {
 		t.Error("default engine not pipelined")
 	}
-	if rep.Transfer.BytesFromShadow != 0 || rep.Transfer.BytesLive == 0 {
-		t.Errorf("cold copy: %d B from shadows, %d B live; want 0 and > 0",
-			rep.Transfer.BytesFromShadow, rep.Transfer.BytesLive)
+	if rep.Transfer.BytesLive == 0 || rep.Transfer.BytesLive+rep.Transfer.BytesAdopted != rep.Transfer.BytesTransferred {
+		t.Errorf("copy split: %d B live, %d B adopted, %d B transferred",
+			rep.Transfer.BytesLive, rep.Transfer.BytesAdopted, rep.Transfer.BytesTransferred)
 	}
 	if rep.Downtime <= 0 || rep.Downtime > rep.TotalTime {
 		t.Errorf("downtime %v out of range (total %v)", rep.Downtime, rep.TotalTime)
@@ -141,9 +142,9 @@ func TestPipelinedReportBreakdown(t *testing.T) {
 
 // TestPipelinedRollbackMidRestart injects a failure into the RESTART
 // phase of a warm update while the overlapped discovery is in flight: the
-// engine must cancel and join it, restore every soft-dirty bit the
-// daemon's epochs consumed, and leave the old instance serving — then a
-// follow-up update must still carry the full session state.
+// engine must cancel and join it and leave the old instance serving with
+// its dirty set — then a follow-up update must still carry the full
+// session state.
 func TestPipelinedRollbackMidRestart(t *testing.T) {
 	e, k := warmEchod(t, Options{})
 	defer e.Shutdown()
@@ -155,25 +156,23 @@ func TestPipelinedRollbackMidRestart(t *testing.T) {
 		t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
 	}
 
-	// Wrong port: the bind replay conflicts during RESTART, after the
-	// daemon's epochs consumed the dirty bits.
-	snap := armedSnapshot(t, e)
+	// Wrong port: the bind replay conflicts during RESTART.
+	dirty := dirtySets(e.Current())
 	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7001))
 	if !errors.Is(err, ErrUpdateFailed) {
 		t.Fatalf("err = %v, want ErrUpdateFailed", err)
 	}
-	if !snap.Discarded() {
-		t.Fatal("rollback did not discard the adopted snapshotter")
-	}
-	if !rep.RolledBack || !rep.Pipelined || rep.WarmDaemon.Epochs == 0 {
+	if !rep.RolledBack || !rep.Pipelined || rep.WarmDaemon.Passes == 0 {
 		t.Fatalf("report = %+v", rep)
+	}
+	if !reflect.DeepEqual(dirtySets(e.Current()), dirty) {
+		t.Error("the rollback changed the old instance's soft-dirty pages")
 	}
 	// Old instance serving with state intact.
 	if got := sendRecv(t, cc, "b"); got != "v1:b:2" {
 		t.Errorf("post-rollback reply = %q", got)
 	}
-	// The discarded checkpoint handed every consumed bit back: the
-	// follow-up update still sees and carries the dirty session state.
+	// The follow-up update still sees and carries the dirty session state.
 	rep2, err := e.Update(echodVersion("2.1", 1, "v2", true, 7000))
 	if err != nil {
 		t.Fatalf("follow-up update: %v", err)

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/canary"
+	"repro/internal/faultinject"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -39,9 +41,8 @@ func warmEchod(t *testing.T, opts Options) (*Engine, *kernel.Kernel) {
 }
 
 // TestWarmUpdateFastPath pins the warm path: a warm engine's update skips
-// the speculate phase (analysis fully reused), serves the whole downtime
-// copy from the daemon's shadows, and re-arms the daemon on the new
-// version.
+// the speculate phase (analysis fully reused) and re-arms the daemon on
+// the new version.
 func TestWarmUpdateFastPath(t *testing.T) {
 	e, k := warmEchod(t, Options{})
 	defer e.Shutdown()
@@ -52,7 +53,7 @@ func TestWarmUpdateFastPath(t *testing.T) {
 		t.Fatalf("daemon did not absorb the traffic: %+v", e.WarmStatus())
 	}
 	ws := e.WarmStatus()
-	if !ws.Armed || ws.ShadowLag != 0 || ws.Epochs == 0 {
+	if !ws.Armed || !ws.Current || ws.Passes == 0 {
 		t.Fatalf("warm status before update: %+v", ws)
 	}
 
@@ -67,11 +68,8 @@ func TestWarmUpdateFastPath(t *testing.T) {
 		t.Errorf("analysis: reused=%d reanalyzed=%d, want 1/0 (idle at update)",
 			rep.AnalysesReused, rep.ProcsReanalyzed)
 	}
-	if rep.WarmDaemon.Epochs == 0 {
+	if rep.WarmDaemon.Passes == 0 {
 		t.Errorf("daemon tally missing: %+v", rep.WarmDaemon)
-	}
-	if rep.Transfer.BytesLive != 0 {
-		t.Errorf("BytesLive = %d, want 0 (every dirty object shadowed by the daemon)", rep.Transfer.BytesLive)
 	}
 	if len(rep.WarmReanalyses) == 0 {
 		t.Error("per-process reanalysis tally missing")
@@ -149,63 +147,73 @@ func TestWarmMatchesColdDeterminism(t *testing.T) {
 	}
 }
 
-// TestWarmRollbackRestoresConsumedBits pins the rollback-while-warm
-// contract: a failed warm update discards the adopted checkpoint (every
-// bit the daemon consumed across the serving window comes back), warm
-// mode re-arms on the old instance, and after an explicit disarm a plain
-// cold update still sees and carries the full dirty session state.
-func TestWarmRollbackRestoresConsumedBits(t *testing.T) {
-	e, k := warmEchod(t, Options{})
-	defer e.Shutdown()
-	cc, _ := k.Connect(7000)
-	sendRecv(t, cc, "a")
-	if !e.WarmWait(10 * time.Second) {
-		t.Fatalf("daemon did not absorb the traffic: %+v", e.WarmStatus())
+// TestWarmRollbackKeepsDirtySet pins the rollback-while-warm contract
+// with adoption armed: a warm update that moved page frames and then
+// crashed at commit hands every frame back with its soft-dirty bit, so
+// each old process's dirty set equals its set at quiescence, and warm mode
+// re-arms on the old instance. The state digest cannot see a lost bit —
+// the bytes are the same either way — but the next update's transfer
+// checksum can, and must equal the sequential engine's.
+func TestWarmRollbackKeepsDirtySet(t *testing.T) {
+	const blobs, size = 24, 2048
+	launch := func(opts Options) *Engine {
+		e, err := NewEngine(kernel.New(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Launch(blobdVersion(0, blobs, size)); err != nil {
+			t.Fatal(err)
+		}
+		dirtyBlobPayloads(t, e.Current())
+		return e
 	}
-	root := e.Current().Root()
-	if root.Space().ConsumedCount() == 0 {
-		t.Fatal("daemon consumed nothing despite traffic")
+	seq := launch(Options{Sequential: true, Audit: true})
+	defer seq.Shutdown()
+	want, err := seq.Update(blobdVersion(1, blobs, size))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Wrong port: the bind replay conflicts during RESTART.
-	rep, err := e.Update(echodVersion("2.0", 1, "v2", true, 7001))
-	if !errors.Is(err, ErrUpdateFailed) {
-		t.Fatalf("err = %v, want ErrUpdateFailed", err)
+	plane := faultinject.New(1)
+	var atQuiesce map[program.ProcKey][]mem.Addr
+	opts := Options{Adopt: true, Audit: true, Faults: plane}
+	opts.beforeQuiesce = func(old *program.Instance) {
+		if atQuiesce == nil {
+			atQuiesce = dirtySets(old)
+		}
 	}
-	if !rep.RolledBack || !rep.Warm {
-		t.Fatalf("report = %+v", rep)
+	e := launch(opts)
+	defer e.Shutdown()
+	armWarm(t, e)
+	if !e.WarmWait(10 * time.Second) {
+		t.Fatalf("warm daemon never caught up: %+v", e.WarmStatus())
 	}
-	// Old instance serving with state intact; warm mode re-armed on it.
-	if got := sendRecv(t, cc, "b"); got != "v1:b:2" {
-		t.Errorf("post-rollback reply = %q", got)
+	old := e.Current()
+	plane.Arm(faultinject.PointCommitCrash)
+	rep, err := e.Update(blobdVersion(1, blobs, size))
+	if !errors.Is(err, ErrUpdateFailed) || rep.RollbackCause != "fault:commit-crash" {
+		t.Fatalf("err = %v, cause %q; want a fault:commit-crash rollback", err, rep.RollbackCause)
+	}
+	if !rep.Warm || rep.Transfer.PagesAdopted == 0 {
+		t.Fatalf("warm %v, %d pages adopted: the fixture proves nothing", rep.Warm, rep.Transfer.PagesAdopted)
+	}
+	if got := dirtySets(old); !reflect.DeepEqual(got, atQuiesce) {
+		t.Fatal("after the rollback the old instance's soft-dirty pages differ from its set at quiescence")
 	}
 	if ws := e.WarmStatus(); !ws.Armed {
 		t.Fatal("warm mode did not re-arm on the rolled-back instance")
 	}
 
-	// Disarm entirely: the fresh daemon's consumed bits are handed back
-	// too, so the address space holds the full dirty-since-startup set as
-	// plain soft-dirty bits.
-	e.DisarmWarm()
-	if ws := e.WarmStatus(); ws.Armed {
-		t.Fatal("still armed after DisarmWarm")
-	}
-	if c := root.Space().ConsumedCount(); c != 0 {
-		t.Errorf("%d consumed pages survived rollback+disarm", c)
-	}
-	if d := root.Space().SoftDirtyCount(); d == 0 {
-		t.Error("no soft-dirty pages after restore: session state lost to the filter")
-	}
-	// A checkpoint-free follow-up still carries the session.
-	rep2, err := e.Update(echodVersion("2.1", 1, "v2", true, 7000))
+	rep2, err := e.Update(blobdVersion(1, blobs, size))
 	if err != nil {
 		t.Fatalf("follow-up update: %v", err)
 	}
-	if rep2.Warm || rep2.Transfer.ObjectsTransferred == 0 {
-		t.Fatalf("follow-up report = %+v", rep2)
+	if !rep2.Warm || rep2.Transfer.Checksum == 0 || rep2.Transfer.Checksum != want.Transfer.Checksum {
+		t.Fatalf("follow-up warm %v, checksum %#x; sequential engine %#x",
+			rep2.Warm, rep2.Transfer.Checksum, want.Transfer.Checksum)
 	}
-	if got := sendRecv(t, cc, "c"); got != "v2:c:3" {
-		t.Errorf("post-update reply = %q, want v2:c:3", got)
+	if got, want := mustDigest(t, e.Current()), mustDigest(t, seq.Current()); got != want {
+		t.Fatalf("follow-up state digest %#x, sequential engine %#x", got, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 package experiments
 
-// End-to-end verdicts of the engine beyond the paper — shadows,
-// pipelining, page adoption and warm standby — on synthetic heaps built
-// for the purpose: chains of opaque blobs whose startup allocations are
-// recreated at identical addresses, so every mode's transfer can be
+// End-to-end verdicts of the engine beyond the paper — the soft-dirty
+// filter, pipelining, page adoption and warm standby — on synthetic heaps
+// built for the purpose: chains of opaque blobs whose startup allocations
+// are recreated at identical addresses, so every mode's transfer can be
 // compared bit for bit. These tests measure nothing; each asserts a
 // contract. Downtime and warm-update latency are measured by the
 // benchmark (`go run ./bench`).
@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -281,68 +280,49 @@ func startBlobInstance(t *testing.T, seq, blobs, size int, plan map[mem.PlanKey]
 	return inst
 }
 
-// TestCheckpointDowntimeReduction checks what shadows buy the downtime
-// copy. The whole heap is written after startup and shadowed by one
-// epoch; the workload then keeps rewriting a leading fraction of the heap
-// between epochs and after the last one. The transfer served from the
-// shadows must move exactly what a discard-then-transfer baseline over
-// the same memory moves, split into live and shadow bytes that add up to
-// it; at <= 20% dirty the live share must drop by >= 60%, and it grows
-// with the dirty ratio.
+// TestCheckpointDowntimeReduction checks what the soft-dirty checkpoint
+// buys the downtime copy. After startup the workload rewrites a leading
+// fraction of the heap, twice; the filtered transfer must discover what an
+// unfiltered one discovers, copy >= 60% fewer bytes at <= 20% dirty, and
+// copy more as the dirty ratio grows.
 func TestCheckpointDowntimeReduction(t *testing.T) {
 	const blobs, size = 1024, 256
 	var prevLive uint64
 	for _, ratio := range []float64{0, 0.05, 0.10, 0.20, 0.50} {
 		v1 := startBlobInstance(t, 0, blobs, size, nil, nil, nil)
 		root := v1.Root()
-		snap := checkpoint.New(v1, checkpoint.Options{})
-		if err := rewriteHeap(root, 1, 0); err != nil { // all state written since startup
-			t.Fatal(err)
+		for round := 1; round <= 2; round++ {
+			if err := rewriteHeap(root, ratio, round); err != nil {
+				t.Fatal(err)
+			}
 		}
-		snap.Epoch()
-		if err := rewriteHeap(root, ratio, 1); err != nil { // working set between epochs
-			t.Fatal(err)
-		}
-		snap.Epoch()
-		if err := rewriteHeap(root, ratio, 2); err != nil { // residual writes before quiesce
-			t.Fatal(err)
-		}
-		transfer := func(withShadows bool) trace.Stats {
+		transfer := func(unfiltered bool) trace.Stats {
 			analyses, err := trace.AnalyzeInstance(v1, types.DefaultPolicy(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			plan, reserve, pinned := trace.CombinedPlacement(analyses)
 			v2 := startBlobInstance(t, 1, blobs, size, plan, reserve, pinned)
-			opts := trace.Options{Policy: types.DefaultPolicy()}
-			if withShadows {
-				opts.Shadows = snap.Shadows()
-			}
+			opts := trace.Options{Policy: types.DefaultPolicy(), DisableDirtyFilter: unfiltered}
 			st, err := trace.TransferInstance(v1, v2, analyses, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return st
 		}
-		pre := transfer(true)
-		snap.Discard()
-		base := transfer(false)
-		if base.BytesTransferred != pre.BytesTransferred || base.ObjectsTransferred != pre.ObjectsTransferred {
-			t.Errorf("ratio %.2f: shadows changed the transfer scope: %d/%d bytes, %d/%d objects", ratio,
-				pre.BytesTransferred, base.BytesTransferred, pre.ObjectsTransferred, base.ObjectsTransferred)
+		filtered, full := transfer(false), transfer(true)
+		if filtered.ObjectsDiscovered != full.ObjectsDiscovered {
+			t.Errorf("ratio %.2f: the filter changed discovery: %d vs %d objects", ratio,
+				filtered.ObjectsDiscovered, full.ObjectsDiscovered)
 		}
-		if pre.BytesLive+pre.BytesFromShadow != base.BytesLive {
-			t.Errorf("ratio %.2f: live+shadow (%d+%d) != baseline %d",
-				ratio, pre.BytesLive, pre.BytesFromShadow, base.BytesLive)
-		}
-		reduction := 1 - float64(pre.BytesLive)/float64(base.BytesLive)
+		reduction := 1 - float64(filtered.BytesLive)/float64(full.BytesLive)
 		if ratio <= 0.20 && reduction < 0.60 {
 			t.Errorf("ratio %.2f: reduction %.0f%% below the 60%% bar", ratio, reduction*100)
 		}
-		if pre.BytesLive < prevLive {
-			t.Errorf("ratio %.2f: live bytes %d fell below the previous ratio's %d", ratio, pre.BytesLive, prevLive)
+		if filtered.BytesLive < prevLive {
+			t.Errorf("ratio %.2f: copied bytes %d fell below the previous ratio's %d", ratio, filtered.BytesLive, prevLive)
 		}
-		prevLive = pre.BytesLive
+		prevLive = filtered.BytesLive
 	}
 }
 
@@ -378,13 +358,9 @@ func TestDowntimePipelineBitIdentical(t *testing.T) {
 		t.Errorf("downtime not measured: seq %v pipe %v", seq.rep.Downtime, pipe.rep.Downtime)
 	}
 	// No writes happen during the update, so the whole analysis must be
-	// validated out of the downtime window. A cold update has no shadows:
-	// the engine runs no epochs of its own.
+	// validated out of the downtime window.
 	if pipe.rep.AnalysesReused != 1 || pipe.rep.ProcsReanalyzed != 0 {
 		t.Errorf("speculation not reused: reused %d reanalyzed %d", pipe.rep.AnalysesReused, pipe.rep.ProcsReanalyzed)
-	}
-	if n := pipe.rep.Transfer.BytesFromShadow; n != 0 {
-		t.Errorf("cold pipelined update served %d B from shadows, want 0", n)
 	}
 	for name, run := range adopters {
 		if f := run.rep.Transfer.AdoptionFraction(); f < 0.9 {
@@ -460,9 +436,8 @@ func TestTransferChecksumBitIdenticalAcrossEngines(t *testing.T) {
 
 // TestWarmStandbyBitIdenticalAndFastPath runs one update cold on both
 // engines and warm on the pipelined one. The state must be bit-identical
-// across all three; the warm update must reuse the analysis the daemon
-// kept current, find daemon epochs already absorbed, and serve the whole
-// copy from shadows.
+// across all three, and the warm update must reuse the analysis the
+// daemon kept current.
 func TestWarmStandbyBitIdenticalAndFastPath(t *testing.T) {
 	blob := func(seq int) *program.Version { return blobVersion(seq, 256, 8192) }
 	seq := updateHeap(t, core.Options{Sequential: true}, 0, blob)
@@ -475,11 +450,8 @@ func TestWarmStandbyBitIdenticalAndFastPath(t *testing.T) {
 	if warm.rep.AnalysesReused != 1 || warm.rep.ProcsReanalyzed != 0 {
 		t.Errorf("warm analysis not reused: reused %d reanalyzed %d", warm.rep.AnalysesReused, warm.rep.ProcsReanalyzed)
 	}
-	if !warm.rep.Warm || warm.rep.WarmDaemon.Epochs == 0 {
-		t.Errorf("no warm epochs absorbed before the request: warm %v epochs %d", warm.rep.Warm, warm.rep.WarmDaemon.Epochs)
-	}
-	if f := warm.rep.Transfer.ShadowFraction(); f != 1.0 {
-		t.Errorf("warm shadow fraction = %.2f, want 1.0", f)
+	if !warm.rep.Warm || warm.rep.WarmDaemon.Passes == 0 {
+		t.Errorf("no daemon pass before the request: warm %v passes %d", warm.rep.Warm, warm.rep.WarmDaemon.Passes)
 	}
 	if warm.rep.TotalTime <= 0 || warm.rep.Downtime <= 0 {
 		t.Errorf("latency not measured: total %v downtime %v", warm.rep.TotalTime, warm.rep.Downtime)

@@ -1,7 +1,7 @@
 package experiments
 
 // End-to-end verdicts under live, validated traffic on the model servers:
-// daemon epochs while clients keep writing, the warm daemon at several duty
+// daemon passes while clients keep writing, the warm daemon at several duty
 // cycles, the post-commit canary window and injected faults. Every
 // response the closed-loop clients receive is checked; each test asserts
 // a contract and reports no numbers.
@@ -82,19 +82,9 @@ func nextVersion(e *core.Engine, spec *servers.Spec) *program.Version {
 	return spec.Version(next)
 }
 
-// consumedPages counts the soft-dirty pages inst's processes have handed
-// to a reader and not yet had restored.
-func consumedPages(inst *program.Instance) int {
-	n := 0
-	for _, p := range inst.Procs() {
-		n += p.Space().ConsumedCount()
-	}
-	return n
-}
-
 // TestFigure3LiveTrafficPrecopy runs Figure 3's update with the warm
 // daemon armed while one of the open sessions keeps issuing requests: the
-// update is requested only after a daemon epoch has run over the writes of
+// update is requested only after a daemon pass has run over the writes of
 // that live traffic, and requests in flight at quiescence are answered by
 // the new version after commit. Every point must start from the daemon,
 // measure its downtime, and complete traffic during the update.
@@ -107,7 +97,7 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 					defer servers.SetHttpdPoolThreads(old)
 				}
 				// Passes spaced out so the workload re-dirties its working
-				// set between epochs.
+				// set between them.
 				e, k, err := launchServer(spec, core.Options{
 					QuiesceTimeout: 30 * time.Second,
 					StartupTimeout: 30 * time.Second,
@@ -151,10 +141,10 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 						}
 					}()
 				}
-				// Hold the update until an epoch has begun after the first
-				// live request, so the daemon's shadows were taken while
-				// the traffic was writing.
-				epochs := 0
+				// Hold the update until a pass has begun after the first
+				// live request, so the daemon analyzed while the traffic
+				// was writing.
+				passes := 0
 				if conns > 0 {
 					select {
 					case <-served:
@@ -163,13 +153,13 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 					case <-time.After(30 * time.Second):
 						t.Fatal("live traffic never completed a request")
 					}
-					epochs = e.WarmStatus().Epochs
+					passes = e.WarmStatus().Passes
 					deadline := time.Now().Add(30 * time.Second)
-					for e.WarmStatus().Epochs <= epochs+1 {
+					for e.WarmStatus().Passes <= passes+1 {
 						if time.Now().After(deadline) {
 							close(stop)
 							<-done
-							t.Fatalf("no daemon epoch ran over the live traffic: %+v", e.WarmStatus())
+							t.Fatalf("no daemon pass ran over the live traffic: %+v", e.WarmStatus())
 						}
 						time.Sleep(time.Millisecond)
 					}
@@ -183,8 +173,8 @@ func TestFigure3LiveTrafficPrecopy(t *testing.T) {
 				if !rep.Warm || rep.WarmDaemon.Passes == 0 {
 					t.Errorf("update did not start from the daemon: warm %v, %+v", rep.Warm, rep.WarmDaemon)
 				}
-				if conns > 0 && rep.WarmDaemon.Epochs <= epochs+1 {
-					t.Errorf("update adopted %d daemon epochs, want > %d (one past the first live request)", rep.WarmDaemon.Epochs, epochs+1)
+				if conns > 0 && rep.WarmDaemon.Passes <= passes+1 {
+					t.Errorf("update followed %d daemon passes, want > %d (one past the first live request)", rep.WarmDaemon.Passes, passes+1)
 				}
 				if conns > 0 && reqs == 0 {
 					t.Error("no live traffic completed during the update")
@@ -214,8 +204,8 @@ func driveOne(server string, s *workload.Session, i int) error {
 // TestRunOverheadLiveTraffic drives the threaded, process-per-connection
 // and exec-helper servers with the warm daemon armed at four duty cycles:
 // every window must serve, with no wrong response. A mid-traffic warm
-// update must then commit on the warm path with a checksummed,
-// shadow-verified transfer and keep serving the surviving sessions; on
+// update must then commit on the warm path with a checksummed transfer
+// and keep serving the surviving sessions; on
 // httpd, an update whose new version aborts at startup must roll back
 // with the old version still serving every client correctly.
 func TestRunOverheadLiveTraffic(t *testing.T) {
@@ -382,9 +372,8 @@ func TestRunCanary(t *testing.T) {
 // watchdog deadlines and a double fault. Every cell asserts the survival
 // contract: the classified cause (and secondary), the point fired,
 // recovery within budget, a verified and identical rollback digest, the
-// old version serving after, zero failed or wrong responses, every
-// consumed soft-dirty bit handed back, and no leaked goroutine or pid
-// reservation.
+// old version serving after, zero failed or wrong responses, and no
+// leaked goroutine or pid reservation.
 func TestFaultCampaignSmoke(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -484,9 +473,6 @@ func TestFaultCampaignSmoke(t *testing.T) {
 			}
 
 			cur := e.Current()
-			if n := consumedPages(cur); n != 0 {
-				t.Fatalf("%d consumed soft-dirty pages not restored", n)
-			}
 			if err := leakcheck.CheckGoroutines(g0, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}

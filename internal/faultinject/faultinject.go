@@ -10,19 +10,16 @@
 // A nil *Plane is the production configuration and costs one pointer
 // check per consulted point — the same contract as a nil *obs.Recorder.
 //
-// Three fault shapes cover the update pipeline's failure modes:
+// Two fault shapes cover the update pipeline's failure modes:
 //
 //   - Check: the point returns an injected *Error (a component failing
-//     loudly — analysis error, epoch failure, startup crash).
+//     loudly — analysis error, startup crash).
 //   - Stall: the point parks the calling goroutine (a component hanging
 //     silently — a wedged RESTART, a stalled transfer worker, a stuck
 //     daemon pass) until its local cancel channel closes or the plane's
 //     stalls are released (the deadline watchdog's lever), then returns
 //     the injected *Error so the caller aborts instead of proceeding on
 //     a half-done phase.
-//   - Corrupt: the point flips one byte in a buffer (silent data
-//     corruption — a stale daemon shadow); detection is the transfer
-//     verifier's job, not the plane's.
 package faultinject
 
 import (
@@ -39,13 +36,10 @@ type Point string
 
 // Injection points, in the order an update encounters them.
 const (
-	// PointEpochFail fails a warm daemon's shadow epoch, poisoning the
-	// snapshotter so the update that adopts it aborts instead of trusting
-	// its shadows.
-	PointEpochFail Point = "epoch-fail"
 	// PointDaemonStall parks a warm daemon pass until the daemon is
-	// stopped (the update's detach join releases it); the interrupted
-	// pass poisons the snapshotter the same way a failed epoch does.
+	// stopped (the update's detach join releases it). The interrupted
+	// pass counts as a daemon error and does not fail the update, which
+	// revalidates the analysis in-window.
 	PointDaemonStall Point = "daemon-stall"
 	// PointSpeculation invalidates the speculative/warm analysis at its
 	// quiesce-time resolution (the validation itself errors).
@@ -58,11 +52,6 @@ const (
 	// PointRestartHang parks the RESTART phase indefinitely — only the
 	// per-phase deadline watchdog can recover (cause deadline:restart).
 	PointRestartHang Point = "restart-hang"
-	// PointTransferCorrupt flips one byte in a shadow buffer served to
-	// the downtime copy; with the transfer verifier armed the divergence
-	// from quiesced memory is a conflict, aborting the update before
-	// corrupt state commits.
-	PointTransferCorrupt Point = "transfer-corrupt"
 	// PointTransferError fails a transfer copy worker mid-object.
 	PointTransferError Point = "transfer-error"
 	// PointTransferStall parks a transfer copy worker; the watchdog's
@@ -84,8 +73,8 @@ const (
 // sweep and the README fault-point table iterate this.
 func Catalog() []Point {
 	return []Point{
-		PointEpochFail, PointDaemonStall, PointSpeculation, PointAnalysis,
-		PointRestartCrash, PointRestartHang, PointTransferCorrupt,
+		PointDaemonStall, PointSpeculation, PointAnalysis,
+		PointRestartCrash, PointRestartHang,
 		PointTransferError, PointTransferStall, PointRemapFail,
 		PointCommitCrash, PointRollbackRestore,
 	}
@@ -111,7 +100,7 @@ func (e *Error) Error() string {
 type Firing struct {
 	Point Point
 	Hit   int
-	Kind  string // "error", "stall", "corrupt"
+	Kind  string // "error" or "stall"
 }
 
 // arming is one point's trigger configuration.
@@ -136,8 +125,8 @@ type Plane struct {
 }
 
 // New builds an empty (nothing armed) plane. The seed parameterizes
-// ArmSeeded's hit selection and Corrupt's byte choice; equal seeds and
-// equal arming produce identical firings.
+// ArmSeeded's hit selection; equal seeds and equal arming produce
+// identical firings.
 func New(seed uint64) *Plane {
 	return &Plane{
 		seed:    seed,
@@ -265,23 +254,6 @@ func (p *Plane) Stall(pt Point, cancel <-chan struct{}) error {
 	case <-cancel:
 	}
 	return &Error{Point: pt, Hit: hit, Stall: true}
-}
-
-// Corrupt consults pt; when it fires, one seed-chosen byte of buf is
-// flipped in place. Reports whether it fired. An empty buf counts the
-// hit but corrupts nothing.
-func (p *Plane) Corrupt(pt Point, buf []byte) bool {
-	if p == nil {
-		return false
-	}
-	_, ok := p.trigger(pt, "corrupt")
-	if !ok {
-		return false
-	}
-	if len(buf) > 0 {
-		buf[int(p.mix(pt)%uint64(len(buf)))] ^= 0xa5
-	}
-	return ok
 }
 
 // ReleaseStalls frees every parked stall — and pre-releases future ones —

@@ -14,10 +14,6 @@ func TestNilPlaneIsInert(t *testing.T) {
 	if err := p.Stall(PointRestartHang, nil); err != nil {
 		t.Fatalf("nil Stall = %v", err)
 	}
-	buf := []byte{1, 2, 3}
-	if p.Corrupt(PointTransferCorrupt, buf) || buf[1] != 2 {
-		t.Fatal("nil Corrupt mutated the buffer")
-	}
 	p.Arm(PointAnalysis)
 	p.ReleaseStalls()
 	if p.Firings() != nil || p.Fired(PointAnalysis) {
@@ -109,35 +105,6 @@ func TestReleaseStallsFreesParkedAndFutureStalls(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("post-release stall parked")
-	}
-}
-
-func TestCorruptFlipsExactlyOneSeededByte(t *testing.T) {
-	mutated := func(seed uint64) []byte {
-		p := New(seed)
-		p.Arm(PointTransferCorrupt)
-		buf := make([]byte, 64)
-		if !p.Corrupt(PointTransferCorrupt, buf) {
-			t.Fatal("armed Corrupt did not fire")
-		}
-		return buf
-	}
-	a := mutated(7)
-	flips := 0
-	for _, b := range a {
-		if b != 0 {
-			flips++
-		}
-	}
-	if flips != 1 {
-		t.Fatalf("corrupt flipped %d bytes, want 1", flips)
-	}
-	// Determinism: same seed, same byte.
-	b := mutated(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at byte %d", i)
-		}
 	}
 }
 

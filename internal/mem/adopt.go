@@ -9,7 +9,7 @@
 // Frame ownership is exclusive. A frame is resident in at most one address
 // space at any time: DonatePage unlinks it before handing it out, AdoptPage
 // and RestorePage refuse a frame that is still (or again) resident, and the
-// AdoptLedger keeps only where a frame went and the bookkeeping bits it
+// AdoptLedger keeps only where a frame went and the soft-dirty bit it
 // carried — never the frame.
 //
 // MoveFrames is the bulk path the transfer uses; DonatePage, AdoptPage and
@@ -24,8 +24,8 @@ import (
 )
 
 // PageFrame is a detached page: the frame itself, by reference, plus the
-// soft-dirty bookkeeping it carried when it was donated. A frame that is
-// not Present stands for a page that had never been touched (demand-zero),
+// soft-dirty bit it carried when it was donated. A frame that is not
+// Present stands for a page that had never been touched (demand-zero),
 // and a bulk move never materializes a page that is absent on both sides:
 // adopting it leaves an absent page absent, and restoring it
 // re-establishes the page's absence rather than installing a zero frame.
@@ -35,7 +35,6 @@ import (
 type PageFrame struct {
 	frame     *page
 	SoftDirty bool
-	Consumed  bool
 }
 
 // Present reports whether the donated page was resident.
@@ -52,7 +51,7 @@ func (as *AddressSpace) checkPageLocked(op string, pb Addr) error {
 	return nil
 }
 
-// detachLocked unlinks the frame at pb and returns it with the bits it
+// detachLocked unlinks the frame at pb and returns it with the bit it
 // carried. Caller holds the write lock, has checked the range and has
 // counted the mutation: a frame that leaves takes its stamp with it, so the
 // space is marked reshaped.
@@ -64,20 +63,19 @@ func (as *AddressSpace) detachLocked(pb Addr) PageFrame {
 	delete(as.pages, pb)
 	as.reshaped = as.mutations
 	p.detached = true
-	return PageFrame{frame: p, SoftDirty: p.softDirty, Consumed: p.consumed}
+	return PageFrame{frame: p, SoftDirty: p.softDirty}
 }
 
-// installLocked links p at pb with the given bits, replacing whatever was
+// installLocked links p at pb with the given bit, replacing whatever was
 // resident there, and stamps it as stored now. Caller holds the write lock,
 // has checked the range and has counted the mutation.
-func (as *AddressSpace) installLocked(pb Addr, p *page, softDirty, consumed bool) {
-	p.softDirty, p.consumed, p.detached = softDirty, consumed, false
+func (as *AddressSpace) installLocked(pb Addr, p *page, softDirty bool) {
+	p.softDirty, p.detached = softDirty, false
 	p.stamp = as.mutations
 	as.pages[pb] = p
 }
 
-// adoptLocked installs p the way WriteAt would have left it: soft-dirty,
-// not consumed. A donated page that was absent (p nil) leaves an absent
+// adoptLocked installs p the way WriteAt would have left it: soft-dirty. A donated page that was absent (p nil) leaves an absent
 // page absent, as CopyRange does — zeroes onto zeroes — and clears a
 // resident one to a fresh dirty zero page.
 func (as *AddressSpace) adoptLocked(pb Addr, p *page) {
@@ -87,7 +85,7 @@ func (as *AddressSpace) adoptLocked(pb Addr, p *page) {
 		}
 		p = &page{}
 	}
-	as.installLocked(pb, p, true, false)
+	as.installLocked(pb, p, true)
 }
 
 // errResident is the refusal to install a frame some address space holds.
@@ -111,9 +109,9 @@ func (as *AddressSpace) DonatePage(pb Addr) (PageFrame, error) {
 
 // AdoptPage installs a donated frame at page base pb, replacing whatever
 // was resident there (the new version's startup may have touched the same
-// addresses). The installed page is marked soft-dirty and not consumed —
-// exactly the bit state CopyRange of the same bytes leaves — so the next
-// update's dirty tracking is identical across the adoption and copy paths.
+// addresses). The installed page is marked soft-dirty — exactly the bit
+// state CopyRange of the same bytes leaves — so the next update's dirty
+// tracking is identical across the adoption and copy paths.
 // A frame that is not Present clears a resident page to a fresh dirty zero
 // page and leaves an absent one absent: no bits, no stamp. Counts as a
 // mutation.
@@ -151,7 +149,7 @@ func (as *AddressSpace) RestorePage(pb Addr, f PageFrame) error {
 		}
 		return nil
 	}
-	as.installLocked(pb, f.frame, f.SoftDirty, f.Consumed)
+	as.installLocked(pb, f.frame, f.SoftDirty)
 	return nil
 }
 
@@ -208,7 +206,7 @@ func moveRun(from, to *AddressSpace, pb Addr, recs []adoptRecord) error {
 	to.mutations++
 	for i := range recs {
 		f := from.detachLocked(pb)
-		recs[i] = adoptRecord{from: from, to: to, pb: pb, present: f.Present(), softDirty: f.SoftDirty, consumed: f.Consumed}
+		recs[i] = adoptRecord{from: from, to: to, pb: pb, present: f.Present(), softDirty: f.SoftDirty}
 		to.adoptLocked(pb, f.frame)
 		pb += PageSize
 	}
@@ -219,9 +217,9 @@ func moveRun(from, to *AddressSpace, pb Addr, recs []adoptRecord) error {
 // and the bookkeeping it carried when it left. It holds no reference to
 // the frame, which belongs to the adopting space alone.
 type adoptRecord struct {
-	from, to                     *AddressSpace
-	pb                           Addr
-	present, softDirty, consumed bool
+	from, to           *AddressSpace
+	pb                 Addr
+	present, softDirty bool
 }
 
 // restore puts p back at the record's page on the donor side with the
@@ -236,7 +234,7 @@ func (r adoptRecord) restore(p *page) error {
 	case p == nil:
 		p = &page{detached: true}
 	}
-	return r.from.RestorePage(r.pb, PageFrame{frame: p, SoftDirty: r.softDirty, Consumed: r.consumed})
+	return r.from.RestorePage(r.pb, PageFrame{frame: p, SoftDirty: r.softDirty})
 }
 
 // AdoptLedger records every page frame an update moved from the old
@@ -264,7 +262,7 @@ func (l *AdoptLedger) Count() int {
 }
 
 // ReturnAll moves every donated frame back into its original address space
-// with its original soft-dirty/consumed bits, emptying the ledger. It is
+// with its original soft-dirty bit, emptying the ledger. It is
 // the same frame that goes back, so contents the new space did not modify
 // (the transfer never writes into adopted pages before commit) come back
 // bit-identical without a copy. The first error is returned but the sweep

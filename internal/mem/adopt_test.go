@@ -55,12 +55,9 @@ func TestDonateAdoptMovesFrame(t *testing.T) {
 		t.Error("adopted page does not carry the donated bytes")
 	}
 	// Adoption leaves the same dirty-tracking state a WriteAt of the same
-	// bytes would have: soft-dirty set, not consumed.
+	// bytes would have: soft-dirty set.
 	if !new.PageSoftDirty(testBase) {
 		t.Error("adopted page not soft-dirty")
-	}
-	if n := new.ConsumedCount(); n != 0 {
-		t.Errorf("adopted page consumed: %d", n)
 	}
 }
 
@@ -108,9 +105,8 @@ func TestLedgerReturnAllRestoresBitsAndBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the page the exact pre-donation bookkeeping we must get back:
-	// soft-dirty cleared, consumed set.
+	// soft-dirty cleared.
 	old.ClearSoftDirty()
-	old.ConsumedDirtyPages()
 	var l AdoptLedger
 	if err := MoveFrames(old, new, []Addr{testBase}, &l); err != nil {
 		t.Fatal(err)
@@ -170,8 +166,8 @@ func TestLedgerForgetDropsRecords(t *testing.T) {
 }
 
 // frameFixture builds an old side with a mix of page states over pages
-// pages — resident and soft-dirty, resident with the bit consumed by an
-// epoch, and never touched — and a new side whose startup touched some of
+// pages — resident and soft-dirty, resident and clean, and never
+// touched — and a new side whose startup touched some of
 // the same addresses, never-touched ones among them. It returns the page
 // list and the old side's bytes.
 func frameFixture(t testing.TB, pages int) (old, new *AddressSpace, list []Addr, want []byte) {
@@ -197,9 +193,9 @@ func frameFixture(t testing.TB, pages int) (old, new *AddressSpace, list []Addr,
 			t.Fatal(err)
 		}
 	}
-	old.ReadAndClearSoftDirty() // every resident page: consumed, clean
+	old.ClearSoftDirty() // every resident page clean
 	for pg := 0; pg < pages; pg += 2 {
-		if pg%5 != 4 { // re-dirty half of them, keeping the consumed mark
+		if pg%5 != 4 { // re-dirty half of them
 			if err := old.WriteAt(testBase+Addr(pg)*PageSize+1, []byte{byte(1 + pg%250)}); err != nil {
 				t.Fatal(err)
 			}
@@ -270,23 +266,23 @@ func TestFrameNeverResidentInTwoSpaces(t *testing.T) {
 
 	// moved builds the fixture, starts the reader and moves every page.
 	type fixture struct {
-		old, new        *AddressSpace
-		list            []Addr
-		want            []byte
-		dirty, consumed []Addr
-		frames          map[Addr]*page
-		ledger          AdoptLedger
+		old, new *AddressSpace
+		list     []Addr
+		want     []byte
+		dirty    []Addr
+		frames   map[Addr]*page
+		ledger   AdoptLedger
 	}
 	moved := func(t *testing.T) *fixture {
 		t.Helper()
 		fx := &fixture{}
 		fx.old, fx.new, fx.list, fx.want = frameFixture(t, pages)
-		fx.dirty, fx.consumed = fx.old.SoftDirtyPages(), fx.old.ConsumedDirtyPages()
+		fx.dirty = fx.old.SoftDirtyPages()
 		fx.frames = framesOf(fx.old)
 		// What CopyRange of the same bytes would have left: every page
 		// resident on either side before the move resident and soft-dirty
 		// after it (a frame the donor lacked as a zero page over the
-		// adopter's), none consumed; a page absent on both sides absent.
+		// adopter's); a page absent on both sides absent.
 		var written []Addr
 		adopter := framesOf(fx.new)
 		for _, pb := range fx.list {
@@ -325,8 +321,8 @@ func TestFrameNeverResidentInTwoSpaces(t *testing.T) {
 		if got := readAll(t, fx.new, pages); !bytes.Equal(got, fx.want) {
 			t.Fatal("adopter does not read the donated bytes")
 		}
-		if got := fx.new.SoftDirtyPages(); !slices.Equal(got, written) || fx.new.ConsumedCount() != 0 {
-			t.Fatalf("adopter bits: %d dirty / %d consumed, want %d / 0", len(got), fx.new.ConsumedCount(), len(written))
+		if got := fx.new.SoftDirtyPages(); !slices.Equal(got, written) {
+			t.Fatalf("adopter bits: %d dirty, want %d", len(got), len(written))
 		}
 		if n := fx.new.RSSBytes(); n != uint64(len(written))*PageSize {
 			t.Fatalf("adopter holds %d resident pages, want %d", n/PageSize, len(written))
@@ -343,9 +339,6 @@ func TestFrameNeverResidentInTwoSpaces(t *testing.T) {
 		t.Helper()
 		if got := fx.old.SoftDirtyPages(); !slices.Equal(got, fx.dirty) {
 			t.Fatalf("soft-dirty pages %x, want %x", got, fx.dirty)
-		}
-		if got := fx.old.ConsumedDirtyPages(); !slices.Equal(got, fx.consumed) {
-			t.Fatalf("consumed pages %x, want %x", got, fx.consumed)
 		}
 	}
 

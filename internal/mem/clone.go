@@ -16,7 +16,7 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	copy(out.regions, as.regions)
 	out.mutations, out.reshaped = as.mutations, as.reshaped
 	for pb, p := range as.pages {
-		np := &page{softDirty: p.softDirty, consumed: p.consumed, stamp: p.stamp}
+		np := &page{softDirty: p.softDirty, stamp: p.stamp}
 		np.data = p.data
 		out.pages[pb] = np
 	}

@@ -5,10 +5,10 @@ import "fmt"
 // CopyRange copies size bytes from srcAddr in src to dstAddr in dst, page
 // to page: the result reads as what src.ReadAt into a buffer followed by
 // dst.WriteAt of that buffer leaves — the same bytes, every destination
-// page the copy writes soft-dirty (consumed marks untouched), dst's
-// Mutations advanced — without the buffer: one memmove per source-page/
-// destination-page overlap, which is one per page when the two addresses
-// agree mod PageSize. The two addresses need not.
+// page the copy writes soft-dirty, dst's Mutations advanced — without the
+// buffer: one memmove per source-page/destination-page overlap, which is
+// one per page when the two addresses agree mod PageSize. The two
+// addresses need not.
 //
 // A bulk move never materializes a page that is absent on both sides: a
 // destination page that is absent, and whose fragment draws only on

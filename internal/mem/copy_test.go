@@ -46,9 +46,9 @@ func copySpace(t testing.TB, base Addr) *AddressSpace {
 }
 
 // sprinkle leaves about two pages in three resident, each holding a random
-// fragment, and — when epochs is set — runs a read-and-clear in the middle
-// so the space ends with clean-consumed, dirty-consumed and dirty pages.
-func sprinkle(t testing.TB, rnd *rand.Rand, as *AddressSpace, base Addr, epochs bool) {
+// fragment, and — when midClear is set — clears the soft-dirty bits in the
+// middle so the space ends with clean, re-dirtied and dirty pages.
+func sprinkle(t testing.TB, rnd *rand.Rand, as *AddressSpace, base Addr, midClear bool) {
 	t.Helper()
 	for round := 0; round < 2; round++ {
 		for pg := 0; pg < copyPages; pg++ {
@@ -62,25 +62,25 @@ func sprinkle(t testing.TB, rnd *rand.Rand, as *AddressSpace, base Addr, epochs 
 				t.Fatal(err)
 			}
 		}
-		if !epochs {
+		if !midClear {
 			return
 		}
 		if round == 0 {
-			as.ReadAndClearSoftDirty()
+			as.ClearSoftDirty()
 		}
 	}
 }
 
 // spaceState is everything a copy may change on the destination.
 type spaceState struct {
-	bytes           []byte
-	resident        []Addr
-	dirty, consumed []Addr
+	bytes    []byte
+	resident []Addr
+	dirty    []Addr
 }
 
 func stateOf(t testing.TB, as *AddressSpace, base Addr) spaceState {
 	t.Helper()
-	st := spaceState{bytes: make([]byte, copyPages*PageSize), dirty: as.SoftDirtyPages(), consumed: as.ConsumedDirtyPages()}
+	st := spaceState{bytes: make([]byte, copyPages*PageSize), dirty: as.SoftDirtyPages()}
 	if err := as.ReadAt(base, st.bytes); err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,6 @@ func (a spaceState) diff(b spaceState) string {
 		return fmt.Sprintf("resident pages (%d vs %d)", len(a.resident), len(b.resident))
 	case !slices.Equal(a.dirty, b.dirty):
 		return fmt.Sprintf("soft-dirty pages (%d vs %d)", len(a.dirty), len(b.dirty))
-	case !slices.Equal(a.consumed, b.consumed):
-		return fmt.Sprintf("consumed pages (%d vs %d)", len(a.consumed), len(b.consumed))
 	}
 	return ""
 }
@@ -139,7 +137,7 @@ func stagedDemandZero(t testing.TB, dst *AddressSpace, dstAddr Addr, src *Addres
 
 // TestCopyRangeMatchesStagedCopy: on seeded random sparse spaces the page-
 // to-page copy leaves the destination exactly as ReadAt + WriteAt through a
-// buffer does — bytes, resident page set, soft-dirty and consumed bits —
+// buffer does — bytes, resident page set, soft-dirty bits —
 // except that a page absent on both sides stays absent and clean
 // (stagedDemandZero), and advances its Mutations. The ranges start and end
 // mid-page, pair addresses that differ mod PageSize as often as not, span
@@ -326,8 +324,8 @@ func TestDemandZeroStaysAbsent(t *testing.T) {
 
 	t.Run("ReturnAll after absent frames", func(t *testing.T) {
 		src, dst, _ := pair(t)
-		src.ReadAndClearSoftDirty()
-		fill(t, src, 2, 0x23) // page 0 consumed, page 2 consumed and dirty
+		src.ClearSoftDirty()
+		fill(t, src, 2, 0x23) // page 0 clean, page 2 dirty again
 		before, frames := stateOf(t, src, copySrc), framesOf(src)
 		var l AdoptLedger
 		// Absent frames onto an absent page (3) and a resident one (4).
@@ -431,7 +429,7 @@ func TestUpdateResident(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	as := copySpace(t, copySrc)
 	sprinkle(t, rnd, as, copySrc, true)
-	as.ReadAndClearSoftDirty()
+	as.ClearSoftDirty()
 	before := stateOf(t, as, copySrc)
 	addr, size := copySrc+PageSize/2, uint64((walkChunkPages+20)*PageSize+100)
 

@@ -75,12 +75,6 @@ func (r Region) Contains(addr Addr) bool { return addr >= r.Start && addr < r.En
 type page struct {
 	data      [PageSize]byte
 	softDirty bool
-	// consumed marks a soft-dirty bit that ReadAndClearSoftDirty took:
-	// the pre-copy checkpoint cleared it, so "dirty since startup" is the
-	// union of softDirty and consumed. Fork clones it with the data, so a
-	// child forked mid-pre-copy stays exactly accountable; RestoreSoftDirty
-	// turns it back into softDirty when a checkpoint is discarded.
-	consumed bool
 	// detached marks a frame no address space holds: DonatePage hands one
 	// out, installing it clears the mark, and only a detached frame can be
 	// installed — one frame is never resident twice.
@@ -103,8 +97,8 @@ type AddressSpace struct {
 	// mutations counts every operation that can change what a reader
 	// observes: data stores and region mapping changes. Soft-dirty bit
 	// operations deliberately do not count — they alter tracking state,
-	// not contents — so a pre-copy epoch's read-and-clear pass does not
-	// invalidate a concurrently captured speculative analysis.
+	// not contents — so clearing bits does not invalidate a concurrently
+	// captured speculative analysis.
 	mutations uint64
 	// reshaped is the mutations value at the last change to the *shape* of
 	// the space: a region mapped or unmapped, or a resident frame taken
@@ -343,18 +337,18 @@ func (as *AddressSpace) ClearSoftDirty() {
 	defer as.mu.Unlock()
 	for _, p := range as.pages {
 		p.softDirty = false
-		p.consumed = false
 	}
 }
 
 // ReadAndClearSoftDirty atomically collects the base addresses of all
-// soft-dirty pages (ascending), clears their bits and marks them consumed
-// — the pagemap scan + clear_refs write a pre-copy epoch performs as one
-// step. Because everything happens under the address-space write lock, a
-// concurrent store cannot fall between the read and the clear (every
-// write either lands in the returned set or re-dirties its page for the
-// next epoch), and a concurrent fork clones bit state from strictly
-// before or strictly after the whole operation.
+// soft-dirty pages (ascending) and clears their bits — the pagemap scan +
+// clear_refs write as one step. Under the address-space write lock, a
+// concurrent store cannot fall between the read and the clear. The update
+// never calls it: the dirty-since-startup set it reads at quiescence is
+// SoftDirtyPages.
+//
+// Deprecated: kept only for the benchmark's mem.softdirty_scan_us row
+// (bench/probe.go); it goes with that row.
 func (as *AddressSpace) ReadAndClearSoftDirty() []Addr {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -362,24 +356,6 @@ func (as *AddressSpace) ReadAndClearSoftDirty() []Addr {
 	for pb, p := range as.pages {
 		if p.softDirty {
 			p.softDirty = false
-			p.consumed = true
-			out = append(out, pb)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ConsumedDirtyPages returns, ascending, every page whose soft-dirty bit
-// ReadAndClearSoftDirty consumed. Re-dirtying a consumed page does not
-// remove the mark — such a page appears in both this set and
-// SoftDirtyPages. Dirty-since-startup is the union of the two.
-func (as *AddressSpace) ConsumedDirtyPages() []Addr {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	var out []Addr
-	for pb, p := range as.pages {
-		if p.consumed {
 			out = append(out, pb)
 		}
 	}
@@ -388,9 +364,8 @@ func (as *AddressSpace) ConsumedDirtyPages() []Addr {
 }
 
 // SoftDirtyCount returns the number of soft-dirty pages without
-// materializing the page list: the cheap staleness query the warm-standby
-// daemon polls between updates to decide whether a shadow refresh epoch
-// is worth running. O(resident pages), but allocation- and sort-free.
+// materializing the page list. O(resident pages), but allocation- and
+// sort-free.
 func (as *AddressSpace) SoftDirtyCount() int {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
@@ -401,36 +376,6 @@ func (as *AddressSpace) SoftDirtyCount() int {
 		}
 	}
 	return n
-}
-
-// ConsumedCount returns the number of pages whose soft-dirty bit
-// ReadAndClearSoftDirty consumed, without materializing the page list
-// (the shadow-coverage half of the warm-standby staleness query).
-func (as *AddressSpace) ConsumedCount() int {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	n := 0
-	for _, p := range as.pages {
-		if p.consumed {
-			n++
-		}
-	}
-	return n
-}
-
-// RestoreSoftDirty hands every consumed dirty bit back: consumed pages
-// become soft-dirty again and lose the consumed mark. Discarding a
-// pre-copy checkpoint (rollback) calls this so that a later transfer
-// without a checkpoint still sees the full dirty-since-startup set.
-func (as *AddressSpace) RestoreSoftDirty() {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for _, p := range as.pages {
-		if p.consumed {
-			p.consumed = false
-			p.softDirty = true
-		}
-	}
 }
 
 // Mutations returns the address space's write generation: a counter that
@@ -454,9 +399,8 @@ func (as *AddressSpace) Mutations() uint64 {
 // report. A grown region is not reported: nothing is resident in the grown
 // part until a store stamps it. A store racing the call lands on one side
 // of it: either its page is listed, or its stamp is past now and the next
-// call lists it. Unlike ReadAndClearSoftDirty this clears nothing, so it
-// does not interfere with the checkpoint's dirty tracking or with other
-// callers.
+// call lists it. It clears nothing, so it disturbs neither the soft-dirty
+// bits nor other callers.
 func (as *AddressSpace) StoredSince(epoch uint64) (now uint64, pages []Addr, reshaped bool) {
 	as.mu.RLock()
 	for pb, p := range as.pages {

@@ -22,9 +22,9 @@ func writePage(t *testing.T, as *AddressSpace, page int, v byte) {
 	}
 }
 
-// TestReadAndClearSoftDirtySemantics pins the epoch primitive: the call
-// returns exactly the dirty pages in ascending order, clears the bits,
-// marks them consumed, and RestoreSoftDirty undoes the consumption.
+// TestReadAndClearSoftDirtySemantics pins the clearing scan: the call
+// returns exactly the dirty pages in ascending order and clears the bits;
+// a page written again is dirty again.
 func TestReadAndClearSoftDirtySemantics(t *testing.T) {
 	as := newDirtySpace(t, 8)
 	for _, pg := range []int{5, 1, 3} {
@@ -40,109 +40,65 @@ func TestReadAndClearSoftDirtySemantics(t *testing.T) {
 	if got := as.ReadAndClearSoftDirty(); len(got) != 0 {
 		t.Fatalf("second read-and-clear not empty: %v", got)
 	}
-	if got := as.ConsumedDirtyPages(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("consumed = %v, want %v", got, want)
-	}
-	// A re-dirtied page appears in both sets (dirty-since-startup is the
-	// union; nothing is double-cleared or lost).
 	writePage(t, as, 3, 0xCD)
 	if got := as.SoftDirtyPages(); !reflect.DeepEqual(got, []Addr{0x1000 + 3*PageSize}) {
 		t.Fatalf("re-dirty = %v", got)
 	}
-	if got := as.ConsumedDirtyPages(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("consumed after re-dirty = %v, want %v", got, want)
-	}
-	as.RestoreSoftDirty()
-	if got := as.SoftDirtyPages(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored = %v, want %v", got, want)
-	}
-	if got := as.ConsumedDirtyPages(); len(got) != 0 {
-		t.Fatalf("consumed marks survived restore: %v", got)
-	}
-	// ClearSoftDirty (startup completion) resets both trackers.
-	as.ReadAndClearSoftDirty()
-	as.ClearSoftDirty()
-	if got := as.ConsumedDirtyPages(); len(got) != 0 {
-		t.Fatalf("consumed marks survived ClearSoftDirty: %v", got)
-	}
 }
 
-// TestSoftDirtyCounts pins the count-only staleness queries against the
-// materializing ones: the warm-standby daemon polls these every pass, so
-// they must track SoftDirtyPages/ConsumedDirtyPages exactly through
-// writes, epochs, restores and startup clears.
+// TestSoftDirtyCounts pins the count-only query against the materializing
+// one through writes, reads, a clearing scan and the startup clear.
 func TestSoftDirtyCounts(t *testing.T) {
 	as := newDirtySpace(t, 8)
-	if as.SoftDirtyCount() != 0 || as.ConsumedCount() != 0 {
-		t.Fatalf("fresh space: dirty=%d consumed=%d, want 0/0", as.SoftDirtyCount(), as.ConsumedCount())
+	if n := as.SoftDirtyCount(); n != 0 {
+		t.Fatalf("fresh space: dirty=%d, want 0", n)
 	}
 	for _, pg := range []int{0, 2, 5} {
 		writePage(t, as, pg, 0xAB)
 	}
-	if got := as.SoftDirtyCount(); got != 3 {
+	as.SoftDirtyPages() // reading clears nothing
+	if got := as.SoftDirtyCount(); got != 3 || got != len(as.SoftDirtyPages()) {
 		t.Fatalf("dirty count = %d, want 3", got)
 	}
 	as.ReadAndClearSoftDirty()
-	if d, c := as.SoftDirtyCount(), as.ConsumedCount(); d != 0 || c != 3 {
-		t.Fatalf("after epoch: dirty=%d consumed=%d, want 0/3", d, c)
-	}
-	writePage(t, as, 2, 0xCD) // re-dirty a consumed page: counted in both
-	if d, c := as.SoftDirtyCount(), as.ConsumedCount(); d != 1 || c != 3 {
-		t.Fatalf("after re-dirty: dirty=%d consumed=%d, want 1/3", d, c)
-	}
-	as.RestoreSoftDirty()
-	if d, c := as.SoftDirtyCount(), as.ConsumedCount(); d != 3 || c != 0 {
-		t.Fatalf("after restore: dirty=%d consumed=%d, want 3/0", d, c)
+	writePage(t, as, 2, 0xCD)
+	if got := as.SoftDirtyCount(); got != 1 || got != len(as.SoftDirtyPages()) {
+		t.Fatalf("after clear and re-dirty: dirty=%d, want 1", got)
 	}
 	as.ClearSoftDirty()
-	if d, c := as.SoftDirtyCount(), as.ConsumedCount(); d != 0 || c != 0 {
-		t.Fatalf("after startup clear: dirty=%d consumed=%d, want 0/0", d, c)
+	if n := as.SoftDirtyCount(); n != 0 {
+		t.Fatalf("after startup clear: dirty=%d, want 0", n)
 	}
 }
 
-// TestSoftDirtyAcrossFork pins the fork contract the checkpoint engine
-// depends on: Clone carries both the soft-dirty bits and the consumed
-// marks (Linux preserves soft-dirty across fork; our consumed marks ride
-// the same per-page state), and the images diverge independently after.
+// TestSoftDirtyAcrossFork pins the fork contract dirty tracking depends
+// on: Clone carries the soft-dirty bits (Linux preserves them across
+// fork), and the images diverge independently after.
 func TestSoftDirtyAcrossFork(t *testing.T) {
 	as := newDirtySpace(t, 8)
-	writePage(t, as, 0, 1) // consumed before fork
-	writePage(t, as, 2, 1) // consumed before fork
-	as.ReadAndClearSoftDirty()
-	writePage(t, as, 4, 1) // still soft-dirty at fork
+	writePage(t, as, 0, 1)
+	writePage(t, as, 2, 1)
 
 	child := as.Clone()
-	if got, want := child.SoftDirtyPages(), as.SoftDirtyPages(); !reflect.DeepEqual(got, want) {
+	if got, want := child.SoftDirtyPages(), as.SoftDirtyPages(); !reflect.DeepEqual(got, want) || len(got) != 2 {
 		t.Fatalf("child dirty = %v, parent %v", got, want)
-	}
-	if got, want := child.ConsumedDirtyPages(), as.ConsumedDirtyPages(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("child consumed = %v, parent %v", got, want)
 	}
 
 	// Post-fork writes and clears do not leak across the images.
 	writePage(t, as, 6, 1)
 	child.ReadAndClearSoftDirty()
-	if got := child.SoftDirtyPages(); len(got) != 0 {
-		t.Fatalf("child dirty after its own clear: %v", got)
+	writePage(t, child, 4, 1)
+	if got := child.SoftDirtyPages(); !reflect.DeepEqual(got, []Addr{0x1000 + 4*PageSize}) {
+		t.Fatalf("child dirty after its own clear and write: %v", got)
 	}
-	if got := as.SoftDirtyPages(); len(got) != 2 { // pages 4 and 6
-		t.Fatalf("parent dirty = %v, want pages 4 and 6", got)
-	}
-	// The child's restore returns its inherited union; the parent keeps
-	// its own accounting.
-	child.RestoreSoftDirty()
-	if got := child.SoftDirtyPages(); len(got) != 3 { // pages 0, 2, 4
-		t.Fatalf("child restored = %v, want 3 pages", got)
-	}
-	if got := as.ConsumedDirtyPages(); len(got) != 2 { // pages 0 and 2
-		t.Fatalf("parent consumed = %v, want 2 pages", got)
+	if got := as.SoftDirtyPages(); len(got) != 3 { // pages 0, 2 and 6
+		t.Fatalf("parent dirty = %v, want pages 0, 2 and 6", got)
 	}
 }
 
 // TestReadAndClearSoftDirtyAtomicity races concurrent writers against a
-// read-and-clear loop (the snapshotter) and checks no write is ever lost:
-// every page a writer touched is either in some epoch's consumed set or
-// still soft-dirty at the end. Run under -race this also proves the
+// read-and-clear loop and checks no write is ever lost: every page a
+// writer touched is in some scan's result. Run under -race this also proves the
 // primitive synchronizes with stores.
 func TestReadAndClearSoftDirtyAtomicity(t *testing.T) {
 	const (
@@ -189,9 +145,5 @@ func TestReadAndClearSoftDirtyAtomicity(t *testing.T) {
 		if !collected[pb] {
 			t.Errorf("page %d written but never observed dirty", pg)
 		}
-	}
-	// Everything collected must now carry the consumed mark.
-	if got := as.ConsumedDirtyPages(); len(got) != len(collected) {
-		t.Errorf("consumed %d pages, collected %d", len(got), len(collected))
 	}
 }

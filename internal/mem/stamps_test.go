@@ -112,17 +112,18 @@ func TestStoredSinceCoversEveryWritePath(t *testing.T) {
 	r.expect("MoveFrames again", false, 9)
 	ro.expect("MoveFrames again, donor", true)
 
-	// Reads and the checkpoint's bit operations are not stores.
+	// Reads and soft-dirty bit operations are not stores.
 	var buf [64]byte
 	check(as.ReadAt(at(3), buf[:]))
 	check(as.WalkResident(at(0), 16*PageSize, func(Addr, []byte) {}))
 	dirty := as.SoftDirtyPages()
-	as.ReadAndClearSoftDirty()
-	as.RestoreSoftDirty()
-	r.expect("reads and soft-dirty operations", false)
+	as.SoftDirtyCount()
+	r.expect("reads and soft-dirty queries", false)
 	if got := as.SoftDirtyPages(); !reflect.DeepEqual(got, dirty) {
 		t.Errorf("StoredSince disturbed the soft-dirty bits: %#x, were %#x", got, dirty)
 	}
+	as.ReadAndClearSoftDirty()
+	r.expect("a clearing soft-dirty scan", false)
 
 	// A fork inherits the stamps with the pages, and its own counter.
 	writePage(t, as, 11, 1)

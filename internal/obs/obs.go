@@ -55,7 +55,6 @@ const (
 	PhaseRollback  = "rollback"
 	PhaseArmWarm   = "arm-warm" // instant: a fresh daemon armed
 
-	PhaseEpoch = "epoch" // one shadow epoch (daemon track, inside a pass)
 	PhasePass  = "pass"  // daemon work slice
 	PhaseYield = "yield" // daemon backpressure pause
 
@@ -88,7 +87,7 @@ const (
 // a global emission ordinal that totally orders events sharing a
 // timestamp. Attributes: Proc carries the per-process key of worker
 // spans, Note free-form context (rollback cause, verdict), and
-// ArgName/Arg one numeric attribute (epoch dirty pages, interval p99).
+// ArgName/Arg one numeric attribute (reused analyses, interval p99).
 type Event struct {
 	Seq     uint64
 	T       time.Duration

@@ -7,14 +7,6 @@ import (
 	"repro/internal/types"
 )
 
-// shadowInvalidator is the optional interface a ShadowReader implements to
-// learn that an object's page frames left the old address space
-// (checkpoint.ProcShadow implements it): its captured shadow must never be
-// served again.
-type shadowInvalidator interface {
-	Invalidate(o *mem.Object)
-}
-
 // adoptPages is the zero-copy fast path (the simulated analogue of the
 // paper's VMA remap): classify whole old-instance pages as adoptable and
 // move their frames into the new address space instead of copying object
@@ -45,7 +37,7 @@ type shadowInvalidator interface {
 // never reads them back — allocator metadata is authoritative in Go
 // structures — so clobbering the new version's gap bytes with the old
 // frame's is unobservable. Runs sequentially between pair and
-// copyContents; under VerifyShadows each adopted object's source bytes are
+// copyContents; under Checksum each adopted object's source bytes are
 // digested before its frames leave, keeping Stats.Checksum identical to an
 // adoption-off run.
 func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
@@ -187,7 +179,6 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		}
 	}
 	pt.adopted = make(map[mem.Addr]bool)
-	inv, _ := pt.shadow.(shadowInvalidator)
 	for _, o := range reachable {
 		if elig[o.Addr] == nil {
 			continue
@@ -196,15 +187,12 @@ func (pt *procTransfer) adoptPages(reachable []*mem.Object) error {
 		if slices.Contains(ok[lo:hi], false) {
 			continue
 		}
-		if pt.opts.VerifyShadows {
+		if pt.opts.Checksum {
 			// Digest the source bytes while the frames are still here, so
 			// the checksum matches an adoption-off run bit for bit.
-			if err := pt.verifySource(o, o.Size, nil, &pt.stats); err != nil {
+			if err := pt.checksumSource(o, o.Size, &pt.stats); err != nil {
 				return err
 			}
-		}
-		if inv != nil {
-			inv.Invalidate(o)
 		}
 		pt.adopted[o.Addr] = true
 		pt.stats.ObjectsTransferred++

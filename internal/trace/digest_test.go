@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -96,15 +95,12 @@ func referenceStateDigest(inst *program.Instance) (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// referenceVerifySource is verifySource as it was: the source staged
-// through ReadAt, compared with the shadow whole, hashed whole.
-func referenceVerifySource(pt *procTransfer, o *mem.Object, n uint64, shadow []byte, st *Stats) error {
+// referenceChecksumSource is checksumSource as it was: the source staged
+// through ReadAt and hashed whole.
+func referenceChecksumSource(pt *procTransfer, o *mem.Object, n uint64, st *Stats) error {
 	src := make([]byte, n)
 	if err := pt.oldProc.Space().ReadAt(o.Addr, src); err != nil {
 		return err
-	}
-	if shadow != nil && !bytes.Equal(src, shadow[:n]) {
-		return conflictf("shadow for %s diverges from quiesced memory", o)
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v:%x:%x:%d:%s;", pt.oldProc.Key(), o.Addr, o.Size, o.Kind, o.Name)
@@ -117,10 +113,8 @@ func referenceVerifySource(pt *procTransfer, o *mem.Object, n uint64, shadow []b
 // unaligned objects, objects straddling pages, demand-zero pages in the
 // middle of large ones — the digests folded in place (resident fragments,
 // each demand-zero gap in one step) are bit-identical to the staged
-// definitions: the state digest of the instance, and per object the source
-// digest, the acceptance of an exact shadow, and the "shadow diverges"
-// conflict for a shadow that differs in one byte anywhere, a byte of an
-// absent page included.
+// definitions: the state digest of the instance, and per object the
+// source digest of the whole object or of a prefix.
 func TestDigestsInPlaceMatchStaged(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := startScanFixture(t)
@@ -141,35 +135,20 @@ func TestDigestsInPlaceMatchStaged(t *testing.T) {
 
 		pt := &procTransfer{oldProc: p}
 		var gotSt, wantSt Stats
-		conflicts := 0
 		for _, o := range planted {
 			n := o.Size
 			if rnd.Intn(4) == 0 {
 				n = uint64(rnd.Int63n(int64(o.Size) + 1)) // a shrunk counterpart: a prefix
 			}
-			exact := make([]byte, o.Size)
-			if err := p.Space().ReadAt(o.Addr, exact); err != nil {
+			if err := pt.checksumSource(o, n, &gotSt); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, o, err)
+			}
+			if err := referenceChecksumSource(pt, o, n, &wantSt); err != nil {
 				t.Fatal(err)
 			}
-			bent := bytes.Clone(exact)
-			at := rnd.Intn(len(bent))
-			bent[at] ^= 0x40
-			for name, shadow := range map[string][]byte{"live": nil, "exact": exact, "bent": bent} {
-				gotErr := pt.verifySource(o, n, shadow, &gotSt)
-				wantErr := referenceVerifySource(pt, o, n, shadow, &wantSt)
-				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && !errors.Is(gotErr, ErrTransferConflict)) {
-					t.Fatalf("seed %d: %s, %s shadow (byte %d of %d bent): err = %v, staged reference: %v", seed, o, name, at, n, gotErr, wantErr)
-				}
-				if gotErr != nil {
-					conflicts++
-				}
-				if gotSt.Checksum != wantSt.Checksum {
-					t.Fatalf("seed %d: %s, %s shadow: checksum %#x, staged reference %#x", seed, o, name, gotSt.Checksum, wantSt.Checksum)
-				}
+			if gotSt.Checksum != wantSt.Checksum {
+				t.Fatalf("seed %d: %s (%d of %d bytes): checksum %#x, staged reference %#x", seed, o, n, o.Size, gotSt.Checksum, wantSt.Checksum)
 			}
-		}
-		if conflicts == 0 {
-			t.Fatalf("seed %d: no bent shadow was caught", seed)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/program"
 	"repro/internal/types"
 )
 
@@ -101,87 +100,11 @@ func TestTypeCacheHits(t *testing.T) {
 	}
 }
 
-// fakeShadow is a test ShadowReader: a full capture of the old process
-// taken while nothing was dirty, so every shadow is trivially current.
-type fakeShadow struct {
-	bufs map[*mem.Object][]byte
-	ever []mem.Addr // pages an epoch consumed; none unless a test says so
-}
-
-func (f *fakeShadow) EverDirtyPages() []mem.Addr { return f.ever }
-func (f *fakeShadow) Shadow(o *mem.Object) ([]byte, bool) {
-	b, ok := f.bufs[o]
-	return b, ok
-}
-
-// TestTransformedObjectsServeFromShadow closes the ROADMAP leftover: the
-// field-mapped (layout-changed) copy path must read from a provably
-// current shadow instead of live memory, with bit-identical output.
-func TestTransformedObjectsServeFromShadow(t *testing.T) {
-	shape := randShape(31, 1)
-	v1 := startSynthV1(t, shape)
-	defer v1.Terminate()
-	root := v1.Root()
-
-	fs := &fakeShadow{bufs: make(map[*mem.Object][]byte)}
-	for _, o := range root.Index().All() {
-		buf := make([]byte, o.Size)
-		if err := root.Space().ReadAt(o.Addr, buf); err != nil {
-			t.Fatal(err)
-		}
-		fs.bufs[o] = buf
-	}
-
-	run := func(withShadow bool) (Stats, *program.Instance) {
-		analyses, err := AnalyzeInstance(v1, types.DefaultPolicy(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2 := startSynthV2(t, shape, true, analyses)
-		opts := Options{
-			Policy:             types.DefaultPolicy(),
-			DisableDirtyFilter: true,
-		}
-		if withShadow {
-			opts.Shadows = func(key program.ProcKey) ShadowReader {
-				if key == root.Key() {
-					return fs
-				}
-				return nil
-			}
-		}
-		stats, err := TransferInstance(v1, v2, analyses, opts)
-		if err != nil {
-			v2.Terminate()
-			t.Fatalf("transfer (shadow=%v): %v", withShadow, err)
-		}
-		return stats, v2
-	}
-
-	live, liveInst := run(false)
-	defer liveInst.Terminate()
-	shadowed, shadowInst := run(true)
-	defer shadowInst.Terminate()
-
-	if shadowed.TypeTransformed == 0 {
-		t.Fatal("scenario exercised no transformed objects")
-	}
-	if shadowed.BytesLive != 0 {
-		t.Errorf("BytesLive = %d with a full current shadow, want 0 (transformed path included)",
-			shadowed.BytesLive)
-	}
-	if shadowed.BytesFromShadow != live.BytesLive || shadowed.BytesTransferred != live.BytesTransferred {
-		t.Errorf("byte accounting diverged: shadow %+v vs live %+v", shadowed, live)
-	}
-	compareInstances(t, liveInst, shadowInst)
-}
-
-// TestLazyDirtyVerdictMatchesEagerSet: discovery no longer materialises
+// TestLazyDirtyVerdictMatchesEagerSet: discovery does not materialise
 // the dirty-object set of the whole process; it answers per object from
-// the two dirty-page lists. On a pre-copy + shadow run — one round of
-// writes consumed by an epoch, a second round still soft-dirty at
-// quiescence — every reachable object must get the verdict the eager set
-// (every object overlapping a page of the union) gave it.
+// the dirty-page list. After two rounds of writes over two thirds of the
+// pages, every reachable object must get the verdict the eager set (every
+// object overlapping a dirty page) gave it.
 func TestLazyDirtyVerdictMatchesEagerSet(t *testing.T) {
 	// A heap of a dozen pages: 1500 list nodes and a chain of 3 KB blobs
 	// (which straddle pages), forked once.
@@ -221,17 +144,12 @@ func TestLazyDirtyVerdictMatchesEagerSet(t *testing.T) {
 			}
 		}
 		rewrite(0)
-		as.ReadAndClearSoftDirty() // the epoch: these pages are now "ever dirty" only
 		rewrite(1)
-		cur, ever := as.SoftDirtyPages(), as.ConsumedDirtyPages()
-		if len(cur) == 0 || len(ever) == 0 {
-			t.Fatalf("proc %s: %d current, %d consumed dirty pages", p.Key(), len(cur), len(ever))
-		}
 		onDirtyPage := make(map[mem.Addr]bool)
-		for _, pb := range append(append([]mem.Addr(nil), cur...), ever...) {
+		for _, pb := range as.SoftDirtyPages() {
 			onDirtyPage[pb] = true
 		}
-		eager := make(map[mem.Addr]bool) // the old pt.dirty: OnPages over the union
+		eager := make(map[mem.Addr]bool) // the old pt.dirty: OnPages over the dirty pages
 		for _, o := range objs {
 			for pb := mem.PageBase(o.Addr); pb < o.End(); pb += mem.PageSize {
 				if onDirtyPage[pb] {
@@ -239,28 +157,20 @@ func TestLazyDirtyVerdictMatchesEagerSet(t *testing.T) {
 				}
 			}
 		}
-		d, err := DiscoverProc(p, Options{
-			Policy:  types.DefaultPolicy(),
-			Shadows: func(program.ProcKey) ShadowReader { return &fakeShadow{ever: ever} },
-		})
+		d, err := DiscoverProc(p, Options{Policy: types.DefaultPolicy()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		verdicts := map[bool]int{}
-		everOnly := 0
 		for _, o := range d.reachable {
 			got := d.pt.isDirty(o)
 			if got != eager[o.Addr] {
 				t.Errorf("proc %s: %s dirty = %v, eager set says %v", p.Key(), o, got, eager[o.Addr])
 			}
 			verdicts[got]++
-			if got && !anyPageOf(cur, o) {
-				everOnly++
-			}
 		}
-		if verdicts[true] == 0 || verdicts[false] == 0 || everOnly == 0 {
-			t.Errorf("proc %s: degenerate scenario: %d dirty (%d through consumed pages only), %d clean",
-				p.Key(), verdicts[true], everOnly, verdicts[false])
+		if verdicts[true] == 0 || verdicts[false] == 0 {
+			t.Errorf("proc %s: degenerate scenario: %d dirty, %d clean", p.Key(), verdicts[true], verdicts[false])
 		}
 	}
 }

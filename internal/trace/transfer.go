@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,13 +40,15 @@ type Stats struct {
 	ObjectsSkippedClean int    // clean startup objects left to reinitialization
 	TypeTransformed     int    // objects whose layout changed across versions
 	HandlerInvocations  int
-	// Downtime copy-source split: of the bytes copied into the new
-	// version, how many were served from a pre-copy shadow (captured
-	// before quiescence, off the critical path) vs read from the live
-	// address space during downtime. Without a checkpoint every copied
-	// byte is live.
+	// BytesFromShadow is always 0: every copied byte is read from the
+	// quiesced address space.
+	//
+	// Deprecated: kept only for the benchmark's trace.bytes_shadow row
+	// (bench/workloads.go); it goes with that row.
 	BytesFromShadow uint64
-	BytesLive       uint64
+	// BytesLive is the bytes copied object by object out of the quiesced
+	// old address space during downtime.
+	BytesLive uint64
 	// TypeCacheHits counts pair() layout/transformation derivations served
 	// from the per-transfer memo instead of recomputed — every object of a
 	// changed type beyond the first is a hit.
@@ -56,17 +57,17 @@ type Stats struct {
 	// object is provably bit-identical across the update moved into the
 	// new address space as frames instead of being copied. Adopted objects
 	// still count in ObjectsTransferred/BytesTransferred; BytesAdopted is
-	// the third leg of the copy-source split, so
-	// BytesFromShadow + BytesLive + BytesAdopted == BytesTransferred.
+	// the other leg of the copy-source split, so
+	// BytesLive + BytesAdopted == BytesTransferred.
 	PagesAdopted int
 	BytesAdopted uint64
 	// Checksum digests the transferred source stream when
-	// Options.VerifyShadows is set: per transferred object an FNV-64a
-	// hash over identity and pre-remap source bytes, XOR-combined so the
-	// digest is independent of copy order and of the order in which
-	// processes finish. Two transfers from the same quiesced state produce
-	// the same checksum regardless of engine, shadows or adoption — the
-	// bit-identity witness the live-traffic harness records.
+	// Options.Checksum is set: per transferred object an FNV-64a hash over
+	// identity and pre-remap source bytes, XOR-combined so the digest is
+	// independent of copy order and of the order in which processes
+	// finish. Two transfers from the same quiesced state produce the same
+	// checksum regardless of engine or adoption — the bit-identity witness
+	// the live-traffic harness records.
 	Checksum uint64
 }
 
@@ -80,7 +81,6 @@ func (s *Stats) Add(other Stats) {
 	s.ObjectsSkippedClean += other.ObjectsSkippedClean
 	s.TypeTransformed += other.TypeTransformed
 	s.HandlerInvocations += other.HandlerInvocations
-	s.BytesFromShadow += other.BytesFromShadow
 	s.BytesLive += other.BytesLive
 	s.TypeCacheHits += other.TypeCacheHits
 	s.PagesAdopted += other.PagesAdopted
@@ -97,15 +97,12 @@ func (s *Stats) AdoptionFraction() float64 {
 	return float64(s.BytesAdopted) / float64(s.BytesTransferred)
 }
 
-// ShadowFraction returns the fraction of copied bytes the pre-copy
-// checkpoint kept out of the downtime window.
-func (s *Stats) ShadowFraction() float64 {
-	total := s.BytesFromShadow + s.BytesLive
-	if total == 0 {
-		return 0
-	}
-	return float64(s.BytesFromShadow) / float64(total)
-}
+// ShadowFraction returns 0: no copied byte comes from anywhere but the
+// quiesced address space.
+//
+// Deprecated: kept only for the benchmark's trace.shadow_frac row
+// (bench/workloads.go); it goes with that row.
+func (s *Stats) ShadowFraction() float64 { return 0 }
 
 // DirtyReduction returns the fraction of state bytes the soft-dirty filter
 // avoided transferring (the 68%-86% reduction of §8).
@@ -124,23 +121,11 @@ type Options struct {
 	// DisableDirtyFilter transfers every discovered object, ignoring
 	// soft-dirty tracking (the D1 ablation).
 	DisableDirtyFilter bool
-	// Shadows, when set, resolves a process key to the pre-copy
-	// checkpoint state the snapshotter accumulated for it while the old
-	// version was still serving (nil for an unknown process). The
-	// transfer unions the checkpoint's consumed pages into the dirty set
-	// — keeping the transferred-object set identical to a checkpoint-free
-	// run — and serves provably-current shadows instead of locked live
-	// reads. Results stay bit-identical with or without a checkpoint.
-	Shadows func(key program.ProcKey) ShadowReader
-	// VerifyShadows turns the transfer into its own auditor: every object
-	// served from a pre-copy shadow is cross-checked byte-for-byte
-	// against the quiesced live memory it stands in for (a stale shadow
-	// is a conflict, aborting the update before corrupt state commits),
-	// and Stats.Checksum accumulates the order-independent FNV digest of
-	// the full transferred source stream. One extra locked read per
-	// shadow-served object; intended for harnesses and audits rather
-	// than the downtime-critical path.
-	VerifyShadows bool
+	// Checksum makes Stats.Checksum accumulate the order-independent FNV
+	// digest of the full transferred source stream: one extra in-place
+	// read per transferred object, intended for harnesses and audits
+	// rather than the downtime-critical path.
+	Checksum bool
 	// Cancel, when non-nil, aborts an in-flight discovery once closed:
 	// the walk stops between objects and discovery returns ErrCanceled. The
 	// pipelined update engine closes it when the concurrent RESTART phase
@@ -148,12 +133,12 @@ type Options struct {
 	Cancel <-chan struct{}
 	// Recorder, when set, records per-process discover/copy spans on the
 	// transfer track (each process as its own sub-track, so the parallel
-	// old-side walk renders as overlapping lanes) and, under
-	// VerifyShadows, the aggregate checksum instant.
+	// old-side walk renders as overlapping lanes) and, under Checksum,
+	// the aggregate checksum instant.
 	Recorder *obs.Recorder
 	// Faults consults the fault-injection plane inside the copy path
-	// (transfer error / stall / shadow corruption) and at the REMAP
-	// pairing step. nil — the production configuration — never fires.
+	// (transfer error / stall) and at the REMAP pairing step. nil — the
+	// production configuration — never fires.
 	// Stalls park until Cancel closes or the plane releases them, so the
 	// watchdog's pipeline cancel drains an injected hang the same way it
 	// drains a real one.
@@ -164,42 +149,12 @@ type Options struct {
 	// moved into the new address space as whole frames — the simulated
 	// analogue of the paper's VMA remap — instead of copied object by
 	// object. Successful transfers stay bit-identical with adoption on or
-	// off (the VerifyShadows checksum digests adopted sources too).
+	// off (the Checksum digest covers adopted sources too).
 	Adopt bool
 	// Ledger, when set with Adopt, records every donated page frame so
 	// the update engine can return them on rollback. Without a ledger
 	// adopted frames are unrecoverable; the engine always supplies one.
 	Ledger *mem.AdoptLedger
-}
-
-// ShadowReader is one process's view of a pre-copy checkpoint
-// (implemented by checkpoint.ProcShadow).
-type ShadowReader interface {
-	// EverDirtyPages lists every page whose soft-dirty bit a pre-copy
-	// epoch consumed, ascending.
-	EverDirtyPages() []mem.Addr
-	// Shadow returns the latest pre-copied contents of o, if captured.
-	Shadow(o *mem.Object) ([]byte, bool)
-}
-
-// shadowFor returns o's pre-copied contents when they are provably
-// current: a shadow exists, it covers the object, and none of o's pages
-// carry a soft-dirty bit at quiescence. Any write after the epoch that
-// captured the shadow would have re-set a bit (the read-and-clear and the
-// store both run under the address-space lock), so a clean page range
-// guarantees the shadow is bit-identical to live memory.
-func (pt *procTransfer) shadowFor(o *mem.Object) ([]byte, bool) {
-	if pt.shadow == nil {
-		return nil, false
-	}
-	buf, ok := pt.shadow.Shadow(o)
-	if !ok || uint64(len(buf)) < o.Size {
-		return nil, false
-	}
-	if anyPageOf(pt.curDirty, o) {
-		return nil, false
-	}
-	return buf, true
 }
 
 // anyPageOf reports whether any page of the ascending list overlaps o.
@@ -212,7 +167,7 @@ func anyPageOf(pages []mem.Addr, o *mem.Object) bool {
 // per reachable object, against the page lists: the dirty-object set of
 // the whole process is never built.
 func (pt *procTransfer) isDirty(o *mem.Object) bool {
-	return anyPageOf(pt.curDirty, o) || anyPageOf(pt.everDirty, o)
+	return anyPageOf(pt.dirty, o)
 }
 
 type pairEntry struct {
@@ -285,16 +240,11 @@ type procTransfer struct {
 	// per object.
 	layouts layoutMemo
 
-	// The dirty-since-startup page set, as two ascending lists: pages
-	// still soft-dirty at quiescence, and pages whose bit a pre-copy epoch
-	// read-and-cleared (empty without a checkpoint). Bits are only ever
-	// set by writes and only cleared by epochs, so an object overlapping
-	// neither list is exactly as startup left it — the same verdict a
-	// checkpoint-free run reaches — and a shadow is current iff none of
-	// its object's pages is in curDirty.
-	curDirty  []mem.Addr
-	everDirty []mem.Addr
-	shadow    ShadowReader // the pre-copy checkpoint's view, or nil
+	// dirty is the dirty-since-startup page set, ascending: the pages
+	// soft-dirty at quiescence. Bits are set by writes and cleared only
+	// when startup completes, so an object overlapping none of them is
+	// exactly as startup left it.
+	dirty []mem.Addr
 
 	// adopted marks old objects whose pages moved by zero-copy frame
 	// adoption; transferOne skips them. Written only by adoptPages
@@ -315,9 +265,8 @@ type ProcDiscovery struct {
 }
 
 // DiscoverProc runs the old-side half of a transfer: it snapshots the
-// dirty page set (the pages still soft-dirty plus any pre-copy
-// checkpoint's consumed pages) and walks the reachable object graph. The
-// new version does not need to exist yet.
+// dirty page set (the pages soft-dirty at quiescence) and walks the
+// reachable object graph. The new version does not need to exist yet.
 func DiscoverProc(oldProc *program.Proc, opts Options) (*ProcDiscovery, error) {
 	pt := &procTransfer{
 		oldProc:   oldProc,
@@ -325,12 +274,7 @@ func DiscoverProc(oldProc *program.Proc, opts Options) (*ProcDiscovery, error) {
 		pairs:     make(map[mem.Addr]*pairEntry),
 		typeCache: make(map[typePair]*typeDelta),
 		layouts:   newLayoutMemo(opts.Policy),
-		curDirty:  oldProc.Space().SoftDirtyPages(),
-	}
-	if opts.Shadows != nil {
-		if pt.shadow = opts.Shadows(oldProc.Key()); pt.shadow != nil {
-			pt.everDirty = pt.shadow.EverDirtyPages()
-		}
+		dirty:     oldProc.Space().SoftDirtyPages(),
 	}
 	reachable, err := pt.discover()
 	if err != nil {
@@ -422,9 +366,7 @@ func (pt *procTransfer) discover() ([]*mem.Object, error) {
 
 // scanObject reads every traced pointer of o in place (resolver.scan, the
 // pass the conservative analysis runs too) and calls visit for each live
-// target, filtering non-transferred library objects. A provably-current
-// pre-copy shadow holds the same bytes as live memory, so there is nothing
-// to gain from scanning it instead.
+// target, filtering non-transferred library objects.
 func (pt *procTransfer) scanObject(o *mem.Object, r *resolver, visit func(*mem.Object)) error {
 	return r.scan(pt.oldProc.Space(), o, func(precise, likely []int32) {
 		for _, hits := range [2][]int32{precise, likely} {
@@ -665,9 +607,8 @@ func (pt *procTransfer) transferOne(o *mem.Object) error {
 	}
 	if h, ok := pt.ann.ObjHandler(o.Name); ok {
 		st.HandlerInvocations++
-		if pt.opts.VerifyShadows {
-			// Handlers read the old side live; digest the same source.
-			if err := pt.verifySource(o, o.Size, nil, st); err != nil {
+		if pt.opts.Checksum {
+			if err := pt.checksumSource(o, o.Size, st); err != nil {
 				return err
 			}
 		}
@@ -676,10 +617,6 @@ func (pt *procTransfer) transferOne(o *mem.Object) error {
 		}
 		st.ObjectsTransferred++
 		st.BytesTransferred += o.Size
-		// Handler behavior is opaque (it may or may not route through
-		// DefaultTransfer), so count its bytes as live conservatively:
-		// the shadow/live split always sums to BytesTransferred and
-		// never overstates what the checkpoint kept out of downtime.
 		st.BytesLive += o.Size
 		return nil
 	}
@@ -694,13 +631,11 @@ func (pt *procTransfer) transferOne(o *mem.Object) error {
 // transferObject applies the automatic transformation for one object pair:
 // verbatim copy for layout-identical pairs, field-mapped transformation
 // otherwise, and in both cases a remap of the precise pointer slots that
-// arrived. Nothing is staged: live bytes move page to page
-// (mem.CopyRange), a provably-current pre-copy shadow is written straight
-// into the new address space in their place, and the pointer slots are
-// rewritten where they landed (remapSlots). st records the shadow-vs-live
-// byte split either way, at object granularity like BytesTransferred, so
-// the split sums to the transferred total even when a field map covers
-// only part of the object.
+// arrived. Nothing is staged: bytes move page to page out of the quiesced
+// old address space (mem.CopyRange), and the pointer slots are rewritten
+// where they landed (remapSlots). st records the bytes at object
+// granularity like BytesTransferred, even when a field map covers only
+// part of the object.
 func (pt *procTransfer) transferObject(e *pairEntry, st *Stats) error {
 	o, n := e.oldObj, e.newObj
 	identical := e.transform == nil || e.transform.Identical
@@ -708,24 +643,14 @@ func (pt *procTransfer) transferObject(e *pairEntry, st *Stats) error {
 	if identical && n.Size < size {
 		size = n.Size
 	}
-	shadow, fromShadow := pt.shadowFor(o)
-	if fromShadow {
-		// Injected silent corruption: one byte of the shadow itself flips,
-		// so what is copied and the shadow agree with each other — only
-		// the VerifyShadows cross-check against quiesced live memory can
-		// catch the divergence.
-		pt.opts.Faults.Corrupt(faultinject.PointTransferCorrupt, shadow[:size])
-		st.BytesFromShadow += size
-	} else {
-		st.BytesLive += size
-	}
-	if pt.opts.VerifyShadows {
-		if err := pt.verifySource(o, size, shadow, st); err != nil {
+	st.BytesLive += size
+	if pt.opts.Checksum {
+		if err := pt.checksumSource(o, size, st); err != nil {
 			return err
 		}
 	}
 	if identical {
-		if err := pt.copyBytes(n.Addr, o, 0, size, shadow); err != nil {
+		if err := pt.copyBytes(n.Addr, o, 0, size); err != nil {
 			return err
 		}
 		// Slots past the copied size (a shrunk counterpart) are left to
@@ -733,7 +658,7 @@ func (pt *procTransfer) transferObject(e *pairEntry, st *Stats) error {
 		return pt.remapSlots(n.Addr, size, pt.layoutOf(n.Type).Ptrs)
 	}
 	for _, c := range e.transform.Copies {
-		if err := pt.copyField(o, n, c, shadow); err != nil {
+		if err := pt.copyField(o, n, c); err != nil {
 			return err
 		}
 	}
@@ -741,63 +666,37 @@ func (pt *procTransfer) transferObject(e *pairEntry, st *Stats) error {
 }
 
 // copyBytes moves size source bytes of o, from offset off, to dst in the
-// new address space: out of shadow (o's current pre-copy capture, starting
-// at the object base) when it covers them, else page to page out of the
-// quiesced old address space — the bytes are identical either way (shadow
-// currency implies no write since capture).
-func (pt *procTransfer) copyBytes(dst mem.Addr, o *mem.Object, off, size uint64, shadow []byte) error {
-	if shadow != nil && off+size <= uint64(len(shadow)) {
-		return pt.newProc.Space().WriteAt(dst, shadow[off:off+size])
-	}
+// new address space, page to page out of the quiesced old address space.
+func (pt *procTransfer) copyBytes(dst mem.Addr, o *mem.Object, off, size uint64) error {
 	return mem.CopyRange(pt.newProc.Space(), dst, pt.oldProc.Space(), o.Addr+mem.Addr(off), size)
 }
 
-// verifySource is the VerifyShadows audit for one object: fold the first
-// n quiesced live bytes, in place, into the source digest, cross-checking
-// on the way the shadow served in their place (nil when the copy read live
-// memory directly), and add the digest to st. The digest definition lives
-// here only — the cross-engine bit-identity test depends on every copy
-// path agreeing on it: per transferred object an FNV-64a hash over identity
-// and pre-remap source bytes, XOR-combined into Stats.Checksum, which makes
-// the stream digest order-independent. The process key is part of the
-// identity: forked processes hold identical objects at identical
-// addresses, and two equal digests would XOR to zero — cancelling exactly
-// the fork-heavy copies the audit exists to cover.
-func (pt *procTransfer) verifySource(o *mem.Object, n uint64, shadow []byte, st *Stats) error {
+// checksumSource is the Checksum fold for one object: fold the first n
+// quiesced bytes, in place, into the source digest and add the digest to
+// st. The digest definition lives here only — the cross-engine
+// bit-identity test depends on every copy path agreeing on it: per
+// transferred object an FNV-64a hash over identity and pre-remap source
+// bytes, XOR-combined into Stats.Checksum, which makes the stream digest
+// order-independent. The process key is part of the identity: forked
+// processes hold identical objects at identical addresses, and two equal
+// digests would XOR to zero — cancelling exactly the fork-heavy copies the
+// audit exists to cover.
+func (pt *procTransfer) checksumSource(o *mem.Object, n uint64, st *Stats) error {
 	h := newFNV64a()
 	fmt.Fprintf(&h, "%v:%x:%x:%d:%s;", pt.oldProc.Key(), o.Addr, o.Size, o.Kind, o.Name)
-	diverged := false
-	data, zeroes := func(_ uint64, b []byte) { h.Write(b) }, h.zeroes
-	if shadow != nil {
-		// The shadow is compared byte for byte, the demand-zero gaps
-		// against zeroes; the hash still folds each gap in one step.
-		data = func(off uint64, b []byte) {
-			diverged = diverged || !bytes.Equal(b, shadow[off:off+uint64(len(b))])
-			h.Write(b)
-		}
-		zeroes = func(off, k uint64) {
-			diverged = diverged || slices.ContainsFunc(shadow[off:off+k], func(c byte) bool { return c != 0 })
-			h.zeroes(off, k)
-		}
-	}
-	if err := foldBytes(pt.oldProc.Space(), o.Addr, n, data, zeroes); err != nil {
+	if err := foldBytes(pt.oldProc.Space(), o.Addr, n, func(_ uint64, b []byte) { h.Write(b) }, h.zeroes); err != nil {
 		return err
-	}
-	if diverged {
-		return conflictf("shadow for %s diverges from quiesced memory", o)
 	}
 	st.Checksum ^= uint64(h)
 	return nil
 }
 
 // copyField applies one FieldCopy, handling integer resizing, pointer
-// remapping and nested aggregates. When shadow (the object's current
-// pre-copy capture, starting at the object base) is non-nil, source bytes
-// come from it instead of the live address space.
-func (pt *procTransfer) copyField(o, n *mem.Object, c types.FieldCopy, shadow []byte) error {
+// remapping and nested aggregates.
+func (pt *procTransfer) copyField(o, n *mem.Object, c types.FieldCopy) error {
 	dstAddr := n.Addr + mem.Addr(c.DstOffset)
 	if c.SrcSize == c.DstSize {
-		if err := pt.copyBytes(dstAddr, o, c.SrcOffset, c.SrcSize, shadow); err != nil {
+		if err := pt.copyBytes(dstAddr, o, c.SrcOffset, c.SrcSize); err != nil {
 			return err
 		}
 		switch {
@@ -809,14 +708,9 @@ func (pt *procTransfer) copyField(o, n *mem.Object, c types.FieldCopy, shadow []
 		return nil
 	}
 	// Integer resize with optional sign extension.
-	var buf []byte
-	if shadow != nil && c.SrcOffset+c.SrcSize <= uint64(len(shadow)) {
-		buf = shadow[c.SrcOffset : c.SrcOffset+c.SrcSize]
-	} else {
-		buf = make([]byte, c.SrcSize)
-		if err := pt.oldProc.Space().ReadAt(o.Addr+mem.Addr(c.SrcOffset), buf); err != nil {
-			return err
-		}
+	buf := make([]byte, c.SrcSize)
+	if err := pt.oldProc.Space().ReadAt(o.Addr+mem.Addr(c.SrcOffset), buf); err != nil {
+		return err
 	}
 	var v uint64
 	for i := len(buf) - 1; i >= 0; i-- {
