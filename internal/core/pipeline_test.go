@@ -244,7 +244,7 @@ func TestUpdateReportsPagesRescanned(t *testing.T) {
 		t.Errorf("full steps %v, want %v", rep.FullSteps, want)
 	}
 	sp, ok := findSpan(obs.Pair(rec.Events()), obs.TrackEngine, obs.PhaseValidate)
-	want := fmt.Sprintf("pages rescanned=%d reused=%d full new=0 remapped=0 frame=0", rep.PagesRescanned, rep.PagesReused)
+	want := fmt.Sprintf("pages rescanned=%d reused=%d full new=0 remapped=0 frame=0 lapsed=0", rep.PagesRescanned, rep.PagesReused)
 	if !ok || sp.Note != want || sp.ArgName != "reused" {
 		t.Errorf("analysis span = %+v, want note %q beside the reused count", sp, want)
 	}

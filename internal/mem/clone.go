@@ -28,12 +28,13 @@ func (as *AddressSpace) Clone() *AddressSpace {
 // copy runs over the parent's sorted snapshot, so the child starts with
 // its own snapshot ready — a forked process's first All costs nothing.
 func (ix *ObjectIndex) Clone() *ObjectIndex {
-	objs, gen := ix.snapshot()
+	objs, gen := ix.Snapshot()
 	out := &ObjectIndex{
 		byStart: make(map[Addr]*Object, len(objs)),
 		byPage:  make(map[Addr][]*Object),
 		gen:     gen,
 		snap:    make([]*Object, len(objs)),
+		snapGen: gen,
 	}
 	for i, o := range objs {
 		oc := *o

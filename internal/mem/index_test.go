@@ -16,6 +16,8 @@ import (
 type refIndex struct {
 	byStart map[Addr]*Object
 	gen     uint64
+	// live[t-1] is the number of live objects generation t left.
+	live []int
 }
 
 func newRefIndex() *refIndex { return &refIndex{byStart: make(map[Addr]*Object)} }
@@ -28,6 +30,7 @@ func (r *refIndex) insert(o *Object) bool {
 	}
 	r.byStart[o.Addr] = o
 	r.gen++
+	r.live = append(r.live, len(r.byStart))
 	return true
 }
 
@@ -36,8 +39,61 @@ func (r *refIndex) remove(addr Addr) (*Object, bool) {
 	if ok {
 		delete(r.byStart, addr)
 		r.gen++
+		r.live = append(r.live, len(r.byStart))
 	}
 	return o, ok
+}
+
+// lapsed reports whether the journal bound was passed since generation g:
+// whether some mutation since left fewer live objects, plus minPending,
+// than there were mutations from g to it.
+func (r *refIndex) lapsed(g uint64) bool {
+	for t := g + 1; t <= r.gen; t++ {
+		if t-g > uint64(r.live[t-1]+minPending) {
+			return true
+		}
+	}
+	return false
+}
+
+// values returns the live objects by value, keyed by address.
+func (r *refIndex) values() map[Addr]Object {
+	out := make(map[Addr]Object, len(r.byStart))
+	for a, o := range r.byStart {
+		out[a] = *o
+	}
+	return out
+}
+
+// changedSince returns the symmetric difference, by value, between the
+// objects live when values were taken and those live now, ascending: at one
+// address the one that left first.
+func (r *refIndex) changedSince(old map[Addr]Object) []Object {
+	var addrs []Addr
+	for a := range old {
+		addrs = append(addrs, a)
+	}
+	for a := range r.byStart {
+		if _, ok := old[a]; !ok {
+			addrs = append(addrs, a)
+		}
+	}
+	slices.Sort(addrs)
+	var out []Object
+	for _, a := range addrs {
+		was, before := old[a]
+		now, after := r.byStart[a]
+		if before && after && was == *now {
+			continue
+		}
+		if before {
+			out = append(out, was)
+		}
+		if after {
+			out = append(out, *now)
+		}
+	}
+	return out
 }
 
 func (r *refIndex) all() []*Object {
@@ -77,7 +133,7 @@ func (r *refIndex) containing(addr Addr) (*Object, bool) {
 // a cloned pair is compared by value.
 func (r *refIndex) clone() *refIndex {
 	out := newRefIndex()
-	out.gen = r.gen
+	out.gen, out.live = r.gen, slices.Clone(r.live)
 	for a, o := range r.byStart {
 		oc := *o
 		out.byStart[a] = &oc
@@ -125,14 +181,37 @@ const (
 // rebuilt from deltas of every size, including dropped ones) — and
 // compares every query after every step. Every query is also aimed at the
 // first, last and interior pages of live objects and just past their ends.
-// intn draws the script — a seeded generator, or a fuzz input — and more
-// says whether to take another step.
-func runIndexScript(t *testing.T, intn func(n int) int, more func(step int) bool) {
+// ChangesSince is asked from a generation an earlier read returned: merged
+// into the list of that read, its answer must give the list now and the
+// reference's difference between then and now, or be a lapse exactly when
+// the journal bound was passed since (refIndex.lapsed). intn draws the
+// script — a seeded generator, or a fuzz input — and more says whether to
+// take another step. It returns how many ChangesSince calls were answered
+// and how many lapsed.
+func runIndexScript(t *testing.T, intn func(n int) int, more func(step int) bool) (answered, lapsed int) {
 	t.Helper()
 	ix, ref := NewObjectIndex(), newRefIndex()
 	cloned := false // after a clone the two sides hold distinct structs
-	var removed, scratch []*Object
+	var removed []*Object
 	var live []Addr
+	var scratch []Change
+	// reads are earlier reads to ask ChangesSince from: the generation, the
+	// index's list and the reference's objects then.
+	type read struct {
+		gen  uint64
+		objs []*Object
+		ref  map[Addr]Object
+	}
+	// The first stays until the next fork, so that some ChangesSince calls
+	// are asked from further back than the journal reaches.
+	var reads []read
+	remember := func(r read) {
+		if len(reads) < 8 {
+			reads = append(reads, r)
+		} else {
+			reads[1+intn(len(reads)-1)] = r
+		}
+	}
 	pick := func() Addr { return testBase + Addr(intn(indexWindow))&^7 }
 	mirror := func(o *Object) *Object { // what the reference stores for o
 		if !cloned {
@@ -216,8 +295,18 @@ func runIndexScript(t *testing.T, intn func(n int) int, more func(step int) bool
 			insert(step, o)
 		case op < 88: // fork: carry on with the child
 			ix, ref = ix.Clone(), ref.clone()
-			cloned, removed = true, nil
-		case op < 94: // no reader for a while: lets the delta outgrow its bound
+			cloned, removed, reads = true, nil, nil
+		case op < 94: // no reader for a while: one object freed and put back, up to twice the journal bound times
+			if len(live) > 0 {
+				addr := live[intn(len(live))]
+				for k := intn(2 * (len(live) + minPending)); k > 0; k-- {
+					o, _ := ix.Remove(addr)
+					ro, _ := ref.remove(addr)
+					if err := ix.Insert(o); err != nil || !ref.insert(ro) {
+						t.Fatalf("step %d: putting back %s: %v", step, o, err)
+					}
+				}
+			}
 			continue
 		}
 		if intn(3) == 0 {
@@ -233,11 +322,37 @@ func runIndexScript(t *testing.T, intn func(n int) int, more func(step int) bool
 			if err := sameObjects(ix.OnPages(pages), ref.onPages(pages), !cloned); err != nil {
 				t.Fatalf("step %d: OnPages(%#x) behind the snapshot: %v", step, pages, err)
 			}
-			own, gen := ix.AppendAll(scratch[:0])
-			if err := sameObjects(own, ref.all(), !cloned); err != nil || gen != ref.gen {
-				t.Fatalf("step %d: AppendAll: %v (gen %d, want %d)", step, err, gen, ref.gen)
+			if len(reads) == 0 || intn(4) == 0 {
+				objs, gen := ix.Snapshot()
+				remember(read{gen, objs, ref.values()})
 			}
-			scratch = own
+			from := reads[intn(len(reads))]
+			changes, gen, ok := ix.ChangesSince(from.gen, scratch[:0])
+			scratch = changes
+			if gen != ref.gen || ok == ref.lapsed(from.gen) {
+				t.Fatalf("step %d: ChangesSince(%d) = gen %d, ok %v; want gen %d, lapsed %v", step, from.gen, gen, ok, ref.gen, ref.lapsed(from.gen))
+			}
+			if !ok {
+				lapsed++
+			} else {
+				answered++
+				if !slices.IsSortedFunc(changes, func(a, b Change) int { return int(a.Addr) - int(b.Addr) }) ||
+					len(slices.CompactFunc(slices.Clone(changes), func(a, b Change) bool { return a.Addr == b.Addr })) != len(changes) {
+					t.Fatalf("step %d: ChangesSince(%d): not ascending and distinct: %v", step, from.gen, changes)
+				}
+				objs, delta := MergeChanges(nil, nil, from.objs, changes)
+				if err := sameObjects(objs, ref.all(), !cloned); err != nil {
+					t.Fatalf("step %d: ChangesSince(%d) merged: %v", step, from.gen, err)
+				}
+				var got []Object
+				for _, o := range delta {
+					got = append(got, *o)
+				}
+				if want := ref.changedSince(from.ref); !slices.Equal(got, want) {
+					t.Fatalf("step %d: ChangesSince(%d) delta %v, want %v", step, from.gen, got, want)
+				}
+				remember(read{gen, objs, ref.values()})
+			}
 		}
 		if err := sameObjects(ix.All(), ref.all(), !cloned); err != nil {
 			t.Fatalf("step %d: All: %v", step, err)
@@ -269,15 +384,21 @@ func runIndexScript(t *testing.T, intn func(n int) int, more func(step int) bool
 			}
 		}
 	}
+	return answered, lapsed
 }
 
 // TestObjectIndexDifferential runs seeded random index scripts against the
 // reference (see runIndexScript).
 func TestObjectIndexDifferential(t *testing.T) {
+	answered, lapsed := 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runIndexScript(t, rand.New(rand.NewSource(seed)).Intn, func(step int) bool { return step < 1500 })
+			a, l := runIndexScript(t, rand.New(rand.NewSource(seed)).Intn, func(step int) bool { return step < 1500 })
+			answered, lapsed = answered+a, lapsed+l
 		})
+	}
+	if answered == 0 || lapsed == 0 {
+		t.Errorf("ChangesSince answered %d times and lapsed %d times: the seeds do not test both", answered, lapsed)
 	}
 }
 
@@ -374,17 +495,18 @@ func TestAllIsFreeOnUnchangedIndex(t *testing.T) {
 }
 
 // TestRepeatedReaderLeavesSnapshotAlone: the two queries the warm-standby
-// daemon makes every pass — all objects into its own buffer, the objects on
-// a few dirty pages — neither build a snapshot nor, in steady state,
-// allocate one's worth: on a large index each new snapshot is a large
-// allocation, and a pass every few milliseconds would make them the heap's
-// main churn. Past an eighth of the index the pending list is folded, so
-// neither query's merge, nor the next All's, grows with the run.
+// daemon makes every pass — the changes since its last pass into its own
+// buffer, the objects on a few dirty pages — neither build a snapshot nor,
+// in steady state, allocate one's worth: on a large index each new
+// snapshot is a large allocation, and a pass every few milliseconds would
+// make them the heap's main churn. Past an eighth of the index behind, the
+// snapshot is brought up to date, so the next All's merge does not grow
+// with the run; the journal the reader follows is not cut by it.
 func TestRepeatedReaderLeavesSnapshotAlone(t *testing.T) {
 	const n = 8000
 	ix := NewObjectIndex()
 	objs := fillIndex(ix, n)
-	snap := ix.All()
+	snap, gen := ix.Snapshot()
 	churn := func(k int) {
 		for i := 0; i < k; i++ {
 			o := objs[(i*7919)%n]
@@ -393,33 +515,42 @@ func TestRepeatedReaderLeavesSnapshotAlone(t *testing.T) {
 		}
 	}
 	churn(20)
-	buf, _ := ix.AppendAll(nil)
+	buf, gen, ok := ix.ChangesSince(gen, nil)
+	if !ok || len(buf) != 20 {
+		t.Fatalf("ChangesSince after 20 mutations: %d changes, ok %v", len(buf), ok)
+	}
 	pages := []Addr{PageBase(objs[n/2].Addr), PageBase(objs[10].Addr)}
 	var onPages []*Object
 	perCall := testing.AllocsPerRun(50, func() {
 		churn(2)
-		buf, _ = ix.AppendAll(buf[:0])
+		buf, gen, ok = ix.ChangesSince(gen, buf[:0])
 		onPages = ix.OnPages(pages)
 	})
 	if perCall > 2 { // OnPages' result, and its growth
-		t.Errorf("AppendAll + OnPages behind the snapshot allocate %.0f times a call", perCall)
+		t.Errorf("ChangesSince + OnPages behind the snapshot allocate %.0f times a call", perCall)
 	}
-	if cur := ix.snap; &cur[0] != &snap[0] || len(ix.touched) == 0 {
-		t.Errorf("the snapshot was advanced (%d pending)", len(ix.touched))
+	if cur := ix.snap; &cur[0] != &snap[0] || ix.snapGen == ix.gen {
+		t.Errorf("the snapshot was advanced (%d behind)", ix.gen-ix.snapGen)
 	}
-	if err := sameObjects(buf, objs, true); err != nil {
-		t.Errorf("AppendAll: %v", err)
+	if want := []Change{{objs[0].Addr, objs[0]}, {objs[7919%n].Addr, objs[7919%n]}}; !ok || !slices.Equal(buf, want) {
+		t.Errorf("ChangesSince = %v %v, want %v", buf, ok, want)
 	}
 	if want := 2 * PageSize / 128; len(onPages) != want || onPages[0] != objs[0] {
 		t.Errorf("OnPages found %d objects from %v, want %d from %v", len(onPages), onPages[0], want, objs[0])
 	}
+	before := ix.log.n
 	churn(n / 8)
-	buf, gen := ix.AppendAll(buf[:0])
-	if len(ix.touched) != 0 || &ix.snap[0] == &snap[0] || gen != ix.Gen() {
-		t.Errorf("after %d more mutations the pending list still holds %d", n/4, len(ix.touched))
+	if buf, gen, ok = ix.ChangesSince(gen, buf[:0]); !ok || gen != ix.Gen() || len(buf) != n/8 {
+		t.Errorf("ChangesSince after %d more mutations: %d changes, ok %v", n/8, len(buf), ok)
 	}
-	if err := sameObjects(buf, ix.All(), true); err != nil {
-		t.Errorf("AppendAll after the fold: %v", err)
+	if ix.snapGen != ix.gen || &ix.snap[0] == &snap[0] {
+		t.Errorf("after %d more mutations the snapshot is still %d behind", n/8, ix.gen-ix.snapGen)
+	}
+	if ix.log.n != before+2*(n/8) {
+		t.Errorf("bringing the snapshot up to date cut the journal from %d to %d entries", before+2*(n/8), ix.log.n)
+	}
+	if err := sameObjects(ix.All(), objs, true); err != nil {
+		t.Errorf("All after the fold: %v", err)
 	}
 	// Most of the index asked for: the snapshot is the cheaper way.
 	churn(2)
@@ -427,48 +558,58 @@ func TestRepeatedReaderLeavesSnapshotAlone(t *testing.T) {
 	for pb := PageBase(testBase); pb < objs[n-1].End(); pb += PageSize {
 		all = append(all, pb)
 	}
-	if got := ix.OnPages(all); len(got) != n || len(ix.touched) != 0 {
-		t.Errorf("OnPages of every page: %d objects, %d still pending", len(got), len(ix.touched))
+	if got := ix.OnPages(all); len(got) != n || ix.snapGen != ix.gen {
+		t.Errorf("OnPages of every page: %d objects, snapshot %d behind", len(got), ix.gen-ix.snapGen)
 	}
 }
 
 // TestPendingDeltaStaysBounded: a long run of mutations nobody reads
-// between — serving with no update in sight — must not accumulate.
+// between — serving with no update in sight — must not accumulate. A
+// reader that keeps up never lapses, and once the journal has grown to
+// its working size writes allocate nothing.
 func TestPendingDeltaStaysBounded(t *testing.T) {
 	ix := NewObjectIndex()
 	fillIndex(ix, 1000)
-	ix.All()
+	_, gen := ix.Snapshot()
 	o := &Object{Addr: testBase + 64, Size: 32} // in the gap after the first object
 	for i := 0; i < 1_000_000; i++ {
 		if err := ix.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 		ix.Remove(o.Addr)
-		if c := cap(ix.touched); c > 2*ix.Len()+2*minPending {
-			t.Fatalf("after %d pairs the pending list holds %d slots for %d live objects", i, c, ix.Len())
+		if held, ring := ix.log.n, len(ix.log.ring); held > ix.Len()+minPending || ring > (ix.Len()+minPending)*9/8+1 {
+			t.Fatalf("after %d pairs the journal holds %d entries in %d slots for %d live objects", i, held, ring, ix.Len())
 		}
 	}
-	if ix.snap != nil || ix.touched != nil {
-		t.Errorf("unread delta not dropped: snapshot %d, pending %d", len(ix.snap), len(ix.touched))
+	if ix.snap != nil || ix.log.ring != nil {
+		t.Errorf("unread journal not dropped: snapshot %d, journal %d", len(ix.snap), ix.log.n)
+	}
+	if _, _, ok := ix.ChangesSince(gen, nil); ok {
+		t.Error("a reader 2 000 000 mutations behind did not lapse")
 	}
 	if got := ix.All(); len(got) != 1000 || ix.Gen() != 1000+2_000_000 {
 		t.Errorf("after the run: %d objects, gen %d", len(got), ix.Gen())
 	}
-	// With a reader keeping up the pending list is merged and its buffer
-	// reused: once it has grown to the working size, writes allocate nothing.
+	// With a reader keeping up the journal slides and its ring is reused:
+	// once it has grown to the working size, writes allocate nothing.
 	pair := func() {
 		ix.Insert(o)
 		ix.Remove(o.Addr)
 	}
-	for i := 0; i < 150; i++ {
+	_, gen = ix.Snapshot()
+	var changes []Change
+	for i := 0; i < 1000; i++ {
 		pair()
+		var ok bool
+		if changes, gen, ok = ix.ChangesSince(gen, changes[:0]); !ok || len(changes) != 1 || changes[0].Now != nil {
+			t.Fatalf("pair %d: ChangesSince = %v %v, want the one address, now empty", i, changes, ok)
+		}
 	}
-	ix.All()
 	if n := testing.AllocsPerRun(100, pair); n != 0 {
 		t.Errorf("Insert+Remove allocate %v times in steady state", n)
 	}
-	if len(ix.touched) == 0 || ix.snap == nil {
-		t.Error("steady-state writes were not logged against the snapshot")
+	if held := ix.log.n; held != ix.Len()+minPending || ix.snap == nil {
+		t.Errorf("steady-state writes were not journaled: %d entries, snapshot %v", held, ix.snap != nil)
 	}
 }
 
@@ -556,7 +697,7 @@ func BenchmarkObjectIndexAll(b *testing.B) {
 }
 
 // BenchmarkObjectIndexInsertRemove is the write path: one Insert+Remove
-// pair on a 25 000-object index, with nobody reading (the pending list is
+// pair on a 25 000-object index, with nobody reading (the journal is
 // dropped and stays dropped) and with a reader taking a snapshot every
 // 1000 pairs — of a 32-byte object and of a 16 MB one. The 16 MB one is
 // one interval, not one bucket entry a page: it opens its two buckets, and

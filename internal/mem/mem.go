@@ -359,7 +359,7 @@ func (as *AddressSpace) ReadAndClearSoftDirty() []Addr {
 			out = append(out, pb)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -418,14 +418,14 @@ func (as *AddressSpace) StoredSince(epoch uint64) (now uint64, pages []Addr, res
 // ascending order, the equivalent of scanning pagemap bit 55.
 func (as *AddressSpace) SoftDirtyPages() []Addr {
 	as.mu.RLock()
-	defer as.mu.RUnlock()
 	var out []Addr
 	for pb, p := range as.pages {
 		if p.softDirty {
 			out = append(out, pb)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	as.mu.RUnlock()
+	slices.Sort(out) // not under the lock, as in StoredSince
 	return out
 }
 

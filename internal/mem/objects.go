@@ -71,8 +71,10 @@ func (o *Object) String() string {
 // ObjectIndex tracks live objects and answers the queries tracing needs:
 // exact lookup by start address (precise tracing), containing-object lookup
 // for arbitrary interior addresses (conservative likely-pointer validation;
-// the page-bucket index keeps it O(objects-on-page)), and the ordered view
-// — All, OnPages, Clone — every whole-process pass walks.
+// the page-bucket index keeps it O(objects-on-page)), the ordered view —
+// All, OnPages, Clone — every whole-process pass walks, and the changes
+// since an earlier generation (ChangesSince) a reader that keeps its own
+// copy of the ordered view follows it by.
 //
 // A large object — one spanning more than largePages pages — is one
 // interval, the way a conservative collector keeps one header for a large
@@ -83,21 +85,32 @@ func (o *Object) String() string {
 // empty asks the list by binary search. Insert, Remove and Clone make at
 // most largePages bucket entries per object, whatever it spans.
 //
+// Every Insert and Remove advances the generation and writes the start
+// address it touched to the journal: a ring of the addresses of the last
+// mutations, one per generation. The journal reaches back as far as it
+// holds entries, and holds at most one per live object plus minPending:
+// past that its oldest entry leaves with every new one, and a reader whose
+// generation it no longer reaches has lapsed — by then a delta would cost
+// about what a full pass does. ChangesSince answers from it: the addresses
+// touched since a generation, with what lives at each now.
+//
 // The ordered view is one immutable, address-sorted snapshot shared
 // read-only by all readers (callers must not write to the slice All
-// returns), plus the addresses Insert/Remove touched since it was taken.
-// All on an unchanged index returns the snapshot as is; after k mutations
-// it merges the k touched addresses into a new slice, O(n + k log k), and
-// earlier snapshots stay as they were. The write side only appends an
-// address; once the pending list outgrows half the snapshot with no reader
-// in between, list and snapshot are dropped and the next All rebuilds from
-// scratch, so a long unobserved run costs nothing and holds nothing.
+// returns), as of a generation the journal reaches. All on an unchanged
+// index returns the snapshot as is; after k mutations it merges the k
+// journal entries since into a new slice, O(n + k log k), and earlier
+// snapshots stay as they were. Advancing the snapshot truncates nothing:
+// the journal is the readers' as much as the snapshot's. A snapshot the
+// journal no longer reaches is dropped, and once neither it nor the
+// latest ChangesSince reader is reached the journal is dropped too and
+// records nothing until a reader comes: a long unobserved run costs
+// nothing and holds nothing.
 //
 // A new snapshot is a new slice as long as the index — on a large heap an
 // allocation the size of a hundred pages. A reader that comes back many
 // times a second while the program allocates (the warm-standby daemon)
 // would make that the dominant garbage of its pass, so the two queries it
-// makes do not advance the snapshot: AppendAll merges into a buffer the
+// makes do not advance the snapshot: ChangesSince fills a buffer the
 // caller owns, and OnPages of a few pages gathers from the page buckets.
 type ObjectIndex struct {
 	mu      sync.RWMutex
@@ -111,11 +124,69 @@ type ObjectIndex struct {
 	// the speculative-analysis validation (AddressSpace.Mutations is the
 	// data half).
 	gen uint64
-	// snap is the sorted snapshot (nil: none, rebuild from byStart);
-	// touched lists the start addresses inserted or removed since, in any
-	// order and with repeats. byStart says what lives at each now.
+	// log is the journal: the start addresses touched by the mutations
+	// that made generations gen-log.n+1 through gen. byStart says what
+	// lives at each now.
+	log journal
+	// snap is the sorted snapshot as of generation snapGen (nil: none,
+	// rebuild from byStart).
 	snap    []*Object
-	touched []Addr
+	snapGen uint64
+	// read is the generation the latest ChangesSince answered to, which
+	// the journal is kept for while reading is set.
+	read    uint64
+	reading bool
+}
+
+// Change is one address the index changed at, with the object that lives
+// there now: nil when nothing does.
+type Change struct {
+	Addr Addr
+	Now  *Object
+}
+
+// journal is a ring of the addresses the last n mutations touched, oldest
+// first from ring[head].
+type journal struct {
+	ring []Addr
+	head int
+	n    int
+}
+
+// push appends a, first dropping the oldest entries as needed to hold at
+// most limit. A full ring, or one over twice the limit (the index shrank),
+// is reallocated at twice what it holds but at most an eighth past the
+// limit: about 9 B per live object, under 16 B just after the index shrank.
+// Reallocated at the limit itself, it would be copied on every insert into
+// a growing heap, whose limit grows one by one; an eighth's headroom makes
+// that an eighth as often.
+func (j *journal) push(a Addr, limit int) {
+	if j.n >= limit {
+		d := j.n - limit + 1
+		j.head = (j.head + d) % len(j.ring)
+		j.n -= d
+	}
+	if j.n == len(j.ring) || len(j.ring) > 2*limit {
+		ring := make([]Addr, max(16, min(2*j.n, limit+limit/8)))
+		older, newer := j.last(j.n)
+		copy(ring[copy(ring, older):], newer)
+		j.ring, j.head = ring, 0
+	}
+	j.ring[(j.head+j.n)%len(j.ring)] = a
+	j.n++
+}
+
+// last returns the newest k entries, oldest first, as the two runs of the
+// ring they occupy.
+func (j *journal) last(k int) (older, newer []Addr) {
+	if k == 0 {
+		return nil, nil
+	}
+	i := (j.head + j.n - k) % len(j.ring)
+	if i+k <= len(j.ring) {
+		return j.ring[i : i+k], nil
+	}
+	return j.ring[i:], j.ring[:i+k-len(j.ring)]
 }
 
 // NewObjectIndex returns an empty index.
@@ -126,21 +197,25 @@ func NewObjectIndex() *ObjectIndex {
 	}
 }
 
-// minPending keeps a small index from dropping its snapshot on every other
-// mutation.
+// minPending keeps a small index's journal from lapsing every few
+// mutations.
 const minPending = 64
 
-// touch records a mutation at addr for the next snapshot. Caller holds mu.
+// touch advances the generation and journals a mutation at addr, if
+// anyone is left that the journal reaches. Caller holds mu.
 func (ix *ObjectIndex) touch(addr Addr) {
 	ix.gen++
-	if ix.snap == nil {
+	limit := len(ix.byStart) + minPending
+	reach := ix.gen - uint64(min(ix.log.n+1, limit)) // the oldest generation answerable after the push
+	if ix.snap != nil && ix.snapGen < reach {
+		ix.snap = nil
+	}
+	ix.reading = ix.reading && ix.read >= reach
+	if ix.snap == nil && !ix.reading {
+		ix.log = journal{}
 		return
 	}
-	if len(ix.touched) >= len(ix.snap)/2+minPending {
-		ix.snap, ix.touched = nil, nil
-		return
-	}
-	ix.touched = append(ix.touched, addr)
+	ix.log.push(addr, limit)
 }
 
 // largePages is the span, in pages, past which an object is large: it is
@@ -335,15 +410,15 @@ func (ix *ObjectIndex) Len() int {
 // which the caller must treat as read-only. It stays valid, and unchanged,
 // whatever happens to the index afterwards.
 func (ix *ObjectIndex) All() []*Object {
-	snap, _ := ix.snapshot()
+	snap, _ := ix.Snapshot()
 	return snap
 }
 
-// snapshot returns the current sorted snapshot and the generation it
-// describes, bringing it up to date first if the index changed.
-func (ix *ObjectIndex) snapshot() ([]*Object, uint64) {
+// Snapshot is All with the generation it describes: the one to pass to
+// ChangesSince to follow the index from there.
+func (ix *ObjectIndex) Snapshot() ([]*Object, uint64) {
 	ix.mu.RLock()
-	snap, gen, fresh := ix.snap, ix.gen, ix.snap != nil && len(ix.touched) == 0
+	snap, gen, fresh := ix.snap, ix.gen, ix.snap != nil && ix.snapGen == ix.gen
 	ix.mu.RUnlock()
 	if fresh {
 		return snap, gen
@@ -354,52 +429,41 @@ func (ix *ObjectIndex) snapshot() ([]*Object, uint64) {
 	return ix.snap, ix.gen
 }
 
-// advance brings the snapshot up to date. Caller holds mu.
+// advance brings the snapshot up to date: it merges the journal entries
+// since into it, or sorts byStart afresh when there is no snapshot or it is
+// more than half the index behind — then the sort costs no more than the
+// merge. Caller holds mu.
 func (ix *ObjectIndex) advance() {
-	switch {
-	case ix.snap == nil:
+	switch k := ix.gen - ix.snapGen; {
+	case ix.snap == nil || k > uint64(len(ix.byStart)/2):
 		ix.snap = make([]*Object, 0, len(ix.byStart))
 		for _, o := range ix.byStart {
 			ix.snap = append(ix.snap, o)
 		}
 		slices.SortFunc(ix.snap, func(a, b *Object) int { return cmp.Compare(a.Addr, b.Addr) })
-	case len(ix.touched) > 0:
-		ix.snap = ix.mergeInto(make([]*Object, 0, len(ix.byStart)))
-		ix.touched = ix.touched[:0]
+	case k > 0:
+		older, newer := ix.log.last(int(k))
+		touched := append(slices.Clone(older), newer...)
+		slices.Sort(touched)
+		ix.snap = ix.mergeInto(make([]*Object, 0, len(ix.byStart)), touched)
 	}
-}
-
-// AppendAll appends all live objects, sorted by address, to dst and returns
-// the extended slice with the generation it describes: All for a caller that
-// asks again and again and brings its own buffer. The result is the caller's
-// alone and the index's snapshot stays where it was, so a call allocates
-// nothing once dst has the capacity — except that a pending list grown past
-// an eighth of the snapshot is folded into a new one first, which keeps the
-// merge here, and the one the next All will do, short.
-func (ix *ObjectIndex) AppendAll(dst []*Object) ([]*Object, uint64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.snap == nil || len(ix.touched) > len(ix.snap)/8+minPending {
-		ix.advance()
-	}
-	return ix.mergeInto(dst), ix.gen
+	ix.snapGen = ix.gen
 }
 
 // mergeInto appends the ordered view as of now to out: the snapshot with
-// the touched addresses merged in. An untouched address keeps its object, a
-// touched one holds whatever byStart says lives there now (nothing, the same
-// object removed and re-inserted, or a new one reusing the address). Caller
-// holds mu for writing: the touched list is sorted in place.
-func (ix *ObjectIndex) mergeInto(out []*Object) []*Object {
-	slices.Sort(ix.touched)
+// the touched addresses (ascending, with repeats) merged in. An untouched
+// address keeps its object, a touched one holds whatever byStart says lives
+// there now (nothing, the same object removed and re-inserted, or a new one
+// reusing the address). Caller holds mu.
+func (ix *ObjectIndex) mergeInto(out []*Object, touched []Addr) []*Object {
 	old := ix.snap
 	var prev Addr
-	for i, addr := range ix.touched {
+	for i, addr := range touched {
 		if i > 0 && addr == prev {
 			continue
 		}
 		prev = addr
-		n, _ := slices.BinarySearchFunc(old, addr, func(o *Object, a Addr) int { return cmp.Compare(o.Addr, a) })
+		n, _ := slices.BinarySearchFunc(old, addr, byAddr)
 		out = append(out, old[:n]...)
 		if old = old[n:]; len(old) > 0 && old[0].Addr == addr {
 			old = old[1:]
@@ -409,6 +473,73 @@ func (ix *ObjectIndex) mergeInto(out []*Object) []*Object {
 		}
 	}
 	return append(out, old...)
+}
+
+// ChangesSince appends to dst what changed in the index since generation
+// g, an earlier reading of Snapshot or ChangesSince: each address a
+// mutation touched since, once, ascending, with the object that lives
+// there now. It returns the extended slice and the generation it brings
+// the reader to. The entries, the objects and the generation are read
+// under one hold of the lock, so the answer describes one instant. ok is
+// false when the journal no longer reaches g (see ObjectIndex): the reader
+// has lapsed and must start over from Snapshot. A call allocates nothing
+// once dst has the capacity — except that a snapshot more than an eighth
+// of the index behind is brought up to date first, which keeps the merge
+// the next All does short.
+func (ix *ObjectIndex) ChangesSince(g uint64, dst []Change) (_ []Change, gen uint64, ok bool) {
+	ix.mu.Lock()
+	if gen = ix.gen; g > gen || gen-g > uint64(ix.log.n) {
+		ix.mu.Unlock()
+		return dst, gen, false
+	}
+	n := len(dst)
+	older, newer := ix.log.last(int(gen - g))
+	for _, run := range [2][]Addr{older, newer} {
+		for _, a := range run {
+			dst = append(dst, Change{Addr: a, Now: ix.byStart[a]})
+		}
+	}
+	if ix.snap == nil || gen-ix.snapGen > uint64(len(ix.byStart)/8+minPending) {
+		ix.advance()
+	}
+	ix.read, ix.reading = gen, true
+	ix.mu.Unlock()
+	// Entries read at one instant agree on what lives at an address:
+	// repeats are dropped whole.
+	changes := dst[n:]
+	slices.SortFunc(changes, func(a, b Change) int { return cmp.Compare(a.Addr, b.Addr) })
+	changes = slices.CompactFunc(changes, func(a, b Change) bool { return a.Addr == b.Addr })
+	return dst[:n+len(changes)], gen, true
+}
+
+// MergeChanges merges changes (ascending by address, as ChangesSince
+// returns them) into objs, the ordered view as of the generation they were
+// asked from, and appends the ordered view as of the generation they bring
+// it to onto out. Onto delta it appends the objects that left or arrived,
+// ascending: at one address the one that left first. An address whose
+// object did not change — the same object removed and put back — adds
+// nothing. objs is only read.
+func MergeChanges(out, delta, objs []*Object, changes []Change) ([]*Object, []*Object) {
+	for _, c := range changes {
+		n, _ := slices.BinarySearchFunc(objs, c.Addr, byAddr)
+		out = append(out, objs[:n]...)
+		var was *Object
+		if objs = objs[n:]; len(objs) > 0 && objs[0].Addr == c.Addr {
+			was, objs = objs[0], objs[1:]
+		}
+		if c.Now != nil {
+			out = append(out, c.Now)
+		}
+		if was != c.Now {
+			if was != nil {
+				delta = append(delta, was)
+			}
+			if c.Now != nil {
+				delta = append(delta, c.Now)
+			}
+		}
+	}
+	return append(out, objs...), delta
 }
 
 // OnPages returns the distinct live objects overlapping any of the given
@@ -443,7 +574,7 @@ func (ix *ObjectIndex) OnPages(pages []Addr) []*Object {
 func (ix *ObjectIndex) fromBuckets(pages []Addr) ([]*Object, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.snap != nil && len(ix.touched) == 0 {
+	if ix.snap != nil && ix.snapGen == ix.gen {
 		return nil, false
 	}
 	n := 0

@@ -2,12 +2,14 @@ package program
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/quiesce"
+	"repro/internal/replaylog"
 	"repro/internal/types"
 )
 
@@ -178,10 +180,46 @@ func TestStartupLogRecordsInit(t *testing.T) {
 	}
 }
 
-// StackIDOf is a test helper aliasing replaylog.StackID.
+// StackIDOf is a test helper: the StackID of a thread that entered the
+// frames of stack in order.
 func StackIDOf(stack []string) uint64 {
-	th := &Thread{stack: stack}
+	th := &Thread{}
+	for _, fn := range stack {
+		th.Enter(fn)
+	}
 	return th.StackID()
+}
+
+// TestStackIDKeptPerFrame drives threads through seeded random Enter and
+// Exit sequences, now and then seeding a new thread with the current stack
+// (as a spawn or fork does), and checks after every step that the ID the
+// thread keeps per frame is the hash of its stack.
+func TestStackIDKeptPerFrame(t *testing.T) {
+	inst, _ := startSample(t, Options{})
+	defer inst.Terminate()
+	names := []string{"", "main", "server_init", "ngx_palloc", "vsf_sysutil_malloc", "x"}
+	rnd := rand.New(rand.NewSource(1))
+	th, err := inst.newThread(inst.Root(), "probe", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 5000; step++ {
+		switch op := rnd.Intn(10); {
+		case op < 5:
+			th.Enter(names[rnd.Intn(len(names))])
+		case op < 9:
+			if len(th.Stack()) > 0 {
+				th.Exit()
+			}
+		default:
+			if th, err = inst.newThread(inst.Root(), "probe", th.Stack()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := th.StackID(), replaylog.StackID(th.Stack()); got != want {
+			t.Fatalf("step %d: StackID() = %#x for %q, want %#x", step, got, th.Stack(), want)
+		}
+	}
 }
 
 func TestServeAfterResume(t *testing.T) {

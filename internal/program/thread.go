@@ -35,6 +35,9 @@ type Thread struct {
 	tid   kernel.Pid
 	class string
 	stack []string
+	// ids[i] is the StackID of stack[:i+1]: StackID costs a slice read,
+	// not a hash over every frame's name, on each allocation.
+	ids []uint64
 
 	loopDepth int
 	stackVars []*mem.Object
@@ -68,7 +71,9 @@ func (inst *Instance) newThread(p *Proc, class string, seedStack []string) (*Thr
 		id:    inst.threadSeq.Add(1),
 		class: class,
 	}
-	th.stack = append(th.stack, seedStack...)
+	for _, fn := range seedStack {
+		th.Enter(fn)
+	}
 	tid, err := p.kproc.NewThreadID()
 	if err != nil {
 		// A pinned thread id clash is a reinitialization conflict, never
@@ -150,7 +155,10 @@ func (th *Thread) TID() kernel.Pid { return th.tid }
 // Enter pushes a function name onto the thread's call stack. Server code
 // brackets its functions with Enter/Exit so syscalls carry faithful
 // call-stack IDs.
-func (th *Thread) Enter(fn string) { th.stack = append(th.stack, fn) }
+func (th *Thread) Enter(fn string) {
+	th.ids = append(th.ids, replaylog.PushStackID(th.StackID(), fn))
+	th.stack = append(th.stack, fn)
+}
 
 // Exit pops the top stack frame.
 func (th *Thread) Exit() {
@@ -158,6 +166,7 @@ func (th *Thread) Exit() {
 		panic("program: Exit on empty call stack")
 	}
 	th.stack = th.stack[:len(th.stack)-1]
+	th.ids = th.ids[:len(th.ids)-1]
 }
 
 // Call runs f inside an Enter/Exit bracket.
@@ -174,8 +183,14 @@ func (th *Thread) Stack() []string {
 	return out
 }
 
-// StackID returns the current version-agnostic call-stack ID.
-func (th *Thread) StackID() uint64 { return replaylog.StackID(th.stack) }
+// StackID returns the current version-agnostic call-stack ID:
+// replaylog.StackID of Stack.
+func (th *Thread) StackID() uint64 {
+	if n := len(th.ids); n > 0 {
+		return th.ids[n-1]
+	}
+	return replaylog.EmptyStackID
+}
 
 // --- syscall interception -----------------------------------------------
 

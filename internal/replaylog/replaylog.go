@@ -26,22 +26,29 @@ import (
 // change the ID (a tolerated source of conservative conflicts); adding,
 // deleting or reordering *other* call sites does not. The hash is
 // FNV-1a-64 over each name's bytes and a zero byte after each, folded
-// inline with no hasher and no per-name []byte conversion; it runs on
-// every heap allocation and must not allocate.
+// inline with no hasher and no per-name []byte conversion, so it does not
+// allocate. It is a prefix hash: a thread that keeps the ID of each frame
+// (PushStackID) has the ID of its stack without hashing it again.
 func StackID(stack []string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := EmptyStackID
 	for _, fn := range stack {
-		for i := 0; i < len(fn); i++ {
-			h ^= uint64(fn[i])
-			h *= prime64
-		}
-		h *= prime64 // the zero separator: xor with 0 leaves h unchanged
+		h = PushStackID(h, fn)
 	}
 	return h
+}
+
+// EmptyStackID is the StackID of the empty stack.
+const EmptyStackID uint64 = 14695981039346656037
+
+// PushStackID returns the StackID of a stack whose ID is id with fn called
+// on top of it.
+func PushStackID(id uint64, fn string) uint64 {
+	const prime64 = 1099511628211
+	for i := 0; i < len(fn); i++ {
+		id ^= uint64(fn[i])
+		id *= prime64
+	}
+	return id * prime64 // the zero separator: xor with 0 leaves id unchanged
 }
 
 // Record is one logged startup operation.

@@ -17,7 +17,9 @@ import (
 //   - a page stored into since the last step (mem.StoredSince: page stamps
 //     against the epoch captured by that step), because its words changed;
 //   - every page an inserted or removed object overlaps, because the
-//     object's layout decides which of its words are traced;
+//     object's layout decides which of its words are traced — the index's
+//     journal names them (mem.ObjectIndex.ChangesSince), and merged into
+//     the step's own object list they cost what changed, not what lives;
 //   - every page holding a traced word that points into such an object's
 //     pages, because a word's resolution can only change when an object on
 //     the page it points into changed — so each summary keeps the targets
@@ -28,7 +30,9 @@ import (
 // Every other summary stands as it is. The cold analysis is the same step
 // with every resident page to scan. A change to the shape of the address
 // space (a mapping change, or a frame taken away) moves what "in span"
-// means, or removes pages without a trace, and falls back to that. Heap
+// means, or removes pages without a trace, and falls back to that; so does
+// a process whose index changed more since the last step than its journal
+// reaches back (lapsed), where the delta would cost a full step anyway. Heap
 // growth does not: the span a heap's dangling words are kept within runs
 // up to the next region (trackedSpans), so the object later allocated in
 // the grown part re-scans the pages that point at it like any other. An
@@ -115,11 +119,16 @@ type procAnalysis struct {
 	epoch uint64        // Mutations as of the last step's page listing
 	pages map[mem.Addr]*pageSummary
 	// bufs are objs and its predecessor, by turns: a step that finds the
-	// index moved has the new list merged into the one objs is not in
-	// (mem.ObjectIndex.AppendAll), so stepping a process that keeps
-	// allocating allocates nothing itself.
+	// index moved merges the changes since gen (mem.ObjectIndex.
+	// ChangesSince) into the buffer objs is not in, so following a process
+	// that keeps allocating allocates nothing once they have grown. A full
+	// step takes the index's shared snapshot as objs, in neither buffer.
 	bufs [2][]*mem.Object
-	cur  int // objs is bufs[cur]
+	cur  int // the buffer the last merge wrote
+	// changes and delta are the buffers of the last merge's input and
+	// output (catchUp).
+	changes []mem.Change
+	delta   []*mem.Object
 	// look is the resolver's page table over objs, kept across steps and
 	// advanced with every rebuild of the list (pageTable).
 	look pageTable
@@ -146,6 +155,7 @@ const (
 	fullNew                  // nothing to step from
 	fullRemapped             // a region mapped or unmapped, or an object outside the tracked span
 	fullFrameTaken           // a resident frame taken away
+	fullLapsed               // the index's journal no longer reaches the last step
 )
 
 // trackedSpans turns a space's regions (a fresh copy, sorted by start) into
@@ -172,20 +182,22 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 	// so whatever races this step is seen, again, by the next one, never
 	// missed.
 	objs, gen, cur := st.objs, st.gen, st.cur
-	if st.pages == nil {
+	var delta []*mem.Object
+	switch {
+	case st.pages == nil:
 		full = fullNew
-	}
-	moved := full != notFull || ix.Gen() != gen
-	if moved {
-		cur ^= 1
-		st.bufs[cur], gen = ix.AppendAll(st.bufs[cur][:0])
-		objs = st.bufs[cur]
-		st.look.advance()
+	case ix.Gen() != gen:
+		var ok bool
+		if objs, delta, gen, ok = st.catchUp(ix); !ok {
+			full = fullLapsed
+		} else {
+			cur ^= 1
+			st.look.advance()
+		}
 	}
 	var (
-		now   uint64
-		todo  []mem.Addr
-		delta []*mem.Object
+		now  uint64
+		todo []mem.Addr
 	)
 	if full == notFull {
 		var reshaped bool
@@ -195,23 +207,22 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 		switch {
 		case reshaped && slices.Equal(trackedSpans(as.Regions()), st.spans):
 			full = fullFrameTaken
-		case reshaped:
+		case reshaped || !st.inSpan(delta):
 			full = fullRemapped
-		case moved:
-			var inSpan bool
-			if delta, inSpan = st.indexDelta(objs); !inSpan {
-				full = fullRemapped
-			}
 		}
 	}
 	if full != notFull {
 		*st = procAnalysis{
-			bufs:  st.bufs,
-			look:  st.look,
-			pages: make(map[mem.Addr]*pageSummary),
-			holds: make(map[mem.Addr]int32),
-			pins:  make(map[mem.Addr]int32),
+			bufs:    st.bufs,
+			changes: st.changes,
+			delta:   st.delta,
+			look:    st.look,
+			pages:   make(map[mem.Addr]*pageSummary),
+			holds:   make(map[mem.Addr]int32),
+			pins:    make(map[mem.Addr]int32),
 		}
+		objs, gen = ix.Snapshot()
+		st.look.advance()
 		now, todo, _ = as.StoredSince(0)
 		st.look.reserve(len(todo))
 		st.spans = trackedSpans(as.Regions()) // after the listing: a later mapping change shows as reshaped
@@ -271,35 +282,32 @@ func (st *procAnalysis) step(p *program.Proc, pol types.Policy, libs map[string]
 	return len(todo), kept, full, nil
 }
 
-// indexDelta merge-walks the object list the summaries were resolved against
-// and the current one — both sorted — and returns the objects removed and
-// inserted between them, ascending. An object outside the span the
-// summaries kept dangling words within cannot be handled incrementally:
-// inSpan is false.
-func (st *procAnalysis) indexDelta(cur []*mem.Object) (delta []*mem.Object, inSpan bool) {
-	old := st.objs
-	for i, j := 0, 0; i < len(old) || j < len(cur); {
-		switch {
-		case j == len(cur) || (i < len(old) && old[i].Addr < cur[j].Addr):
-			delta = append(delta, old[i])
-			i++
-		case i == len(old) || cur[j].Addr < old[i].Addr:
-			delta = append(delta, cur[j])
-			j++
-		default:
-			if old[i] != cur[j] { // the address reused by another object
-				delta = append(delta, old[i], cur[j])
-			}
-			i++
-			j++
-		}
+// catchUp takes the index's changes since the list the summaries were
+// resolved against and merges them into the buffer that list is not in. It
+// returns the current list, the objects removed and inserted between the
+// two (ascending) and the generation the list describes; ok is false when
+// the index's journal no longer reaches the list's generation. It changes
+// nothing the step commits: objs, cur and gen stay as they were.
+func (st *procAnalysis) catchUp(ix *mem.ObjectIndex) (objs, delta []*mem.Object, gen uint64, ok bool) {
+	st.changes, gen, ok = ix.ChangesSince(st.gen, st.changes[:0])
+	if !ok {
+		return nil, nil, gen, false
 	}
+	next := st.cur ^ 1
+	st.bufs[next], st.delta = mem.MergeChanges(st.bufs[next][:0], st.delta[:0], st.objs, st.changes)
+	return st.bufs[next], st.delta, gen, true
+}
+
+// inSpan reports whether every object of delta lies within the span the
+// summaries keep dangling words within: one outside it cannot be followed
+// page by page.
+func (st *procAnalysis) inSpan(delta []*mem.Object) bool {
 	for _, x := range delta {
 		if x.Size > 0 && !(within(st.spans, x.Addr) && within(st.spans, x.End()-1)) {
-			return nil, false
+			return false
 		}
 	}
-	return delta, true
+	return true
 }
 
 // within reports whether a lies in one of the regions (sorted by start).

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -468,7 +469,8 @@ func TestIncrementalMatchesReferenceUnderMutation(t *testing.T) {
 				}
 				// Allocation, free and heap growth are followed page by
 				// page: only a new process or a frame taken away starts a
-				// process over.
+				// process over. No pass follows enough index changes for
+				// the journal to lapse, so Total counts lapses too.
 				if !shaped && rs.Full.Total() != 0 {
 					t.Errorf("%s: no fork or frame move since the last pass, yet %v", when, rs.Full)
 				}
@@ -521,7 +523,9 @@ func (c *fuzzChoices) Intn(n int) int { return int(c.Int63n(int64(n))) }
 // read off by fuzzChoices; the seed byte picks the planted heap, the policy
 // and the library set. After every pass each process's analysis must equal
 // the from-scratch oracle, and a pass that followed no fork and no frame
-// move must not have analyzed any process from nothing.
+// move must not have analyzed any process from nothing — unless its index
+// journal lapsed, which only more index changes since the last pass than
+// the process holds live objects can make it do.
 func FuzzIncrementalMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint8, script []byte) {
 		if len(script) > 512 {
@@ -536,12 +540,21 @@ func FuzzIncrementalMatchesReference(f *testing.F) {
 			end: map[program.ProcKey]mem.Addr{p.Key(): scanFixtureBase + scanFixtureSize}}
 		w := NewWarmAnalysis(pc.pol, libs)
 		shaped := true // the first pass analyzes every process from nothing
+		// passGen is each process's index generation at the last pass; a
+		// process in over changed more objects since than it holds live,
+		// which its journal must pass before its step may lapse.
+		passGen, over := make(map[program.ProcKey]uint64), make(map[program.ProcKey]bool)
 		for pass := 0; ; {
 			k := mutation(src.Intn(int(nMutations) + 2))
 			if k < nMutations && len(src.b) > 0 {
 				procs := m.procs()
 				m.apply(k, procs[src.Intn(len(procs))])
 				shaped = shaped || k >= mFork
+				for _, p := range m.procs() {
+					if g, ok := passGen[p.Key()]; ok && p.Index().Gen()-g > uint64(p.Index().Len()) {
+						over[p.Key()] = true
+					}
+				}
 				continue
 			}
 			when := fmt.Sprintf("pass %d", pass)
@@ -557,9 +570,16 @@ func FuzzIncrementalMatchesReference(f *testing.F) {
 				rs = tally
 				checkAgainstReference(t, when+" (Resolve)", w, inst.Procs(), got)
 			}
-			if rs.Full.Remapped != 0 || (!shaped && rs.Full.Total() != 0) {
+			if rs.Full.Remapped != 0 || (!shaped && rs.Full.Total() != rs.Full.Lapsed) {
 				t.Fatalf("%s: %v after a script that mapped nothing (fork or frame move since the last pass: %v)", when, rs.Full, shaped)
 			}
+			if rs.Full.Lapsed > len(over) {
+				t.Fatalf("%s: %v, yet only %d processes changed more objects than they hold", when, rs.Full, len(over))
+			}
+			for _, p := range m.procs() {
+				passGen[p.Key()] = p.Index().Gen()
+			}
+			clear(over)
 			// The oracle reads every word of every process: a script is
 			// a few passes, however many it asks for.
 			if len(src.b) == 0 || pass == 8 {
@@ -833,6 +853,110 @@ func TestResolvedAnalysisIsNotMutatedLater(t *testing.T) {
 	}
 	if moved < 5 {
 		t.Fatalf("the mutations changed the nonupdatable set in %d rounds of 30: the test shows little", moved)
+	}
+}
+
+// TestStepDeltaIsTheJournal: over a process that holds 10 000 objects and
+// allocated or freed 8 since its last step, the step's delta is exactly
+// those 8 objects, read from the index's journal rather than found by a
+// walk of both lists, and once its buffers have grown taking it allocates
+// nothing. A process that changed more objects since its last step than
+// its index journals is stepped in full, tallied as lapsed.
+func TestStepDeltaIsTheJournal(t *testing.T) {
+	const n = 10_000
+	f := newIncrementalFixture(t)
+	ix := f.p.Index()
+	objs := make([]*mem.Object, n)
+	for i := range objs {
+		objs[i] = f.insert(&mem.Object{Addr: scanFixtureBase + mem.Addr(i)*64, Size: 48, Site: uint64(1 + i)})
+	}
+	for i := 0; i < n; i += 97 { // resident pages, with pointers between them
+		f.put(objs[i].Addr+8, le64(uint64(objs[(i*31)%n].Addr)))
+	}
+	live := make([]bool, n)
+	for i := range live {
+		live[i] = true
+	}
+	// flip frees the live objects of picks and puts the others back.
+	flip := func(picks []int) {
+		for _, i := range picks {
+			if live[i] {
+				ix.Remove(objs[i].Addr)
+			} else {
+				f.insert(objs[i])
+			}
+			live[i] = !live[i]
+		}
+	}
+	// toggle flips picks and returns their objects, ascending.
+	toggle := func(picks []int) []*mem.Object {
+		flip(picks)
+		slices.Sort(picks)
+		var out []*mem.Object
+		for _, i := range picks {
+			out = append(out, objs[i])
+		}
+		return out
+	}
+	rnd := rand.New(rand.NewSource(1))
+	eight := func() []int { return rnd.Perm(n)[:8] }
+
+	if _, rs := f.resolve("first step"); rs.Full != (FullSteps{New: 1}) {
+		t.Fatalf("first step: %v", rs.Full)
+	}
+	toggle(eight())
+	if _, rs := f.resolve("after 8 allocations or frees"); rs.Full.Total() != 0 || rs.PagesRescanned > 16 {
+		t.Errorf("after 8 allocations or frees: %v, %d pages rescanned", rs.Full, rs.PagesRescanned)
+	}
+
+	// A reader of its own, stepped the way step takes its delta.
+	st := &procAnalysis{}
+	st.objs, st.gen = ix.Snapshot()
+	take := func() (delta []*mem.Object, ok bool) {
+		var objs []*mem.Object
+		if objs, delta, st.gen, ok = st.catchUp(ix); ok {
+			st.objs, st.cur = objs, st.cur^1
+		}
+		return delta, ok
+	}
+	for round := 0; round < 50; round++ {
+		want := toggle(eight())
+		delta, ok := take()
+		if !ok || !slices.Equal(delta, want) {
+			t.Fatalf("round %d: delta %v (ok %v), want %v", round, delta, ok, want)
+		}
+		if !slices.Equal(st.objs, ix.All()) {
+			t.Fatalf("round %d: the merged list is not the index's", round)
+		}
+	}
+	picks := eight()
+	for range 2 * (n + 64) / 8 { // the journal and the buffers at their working size
+		flip(picks)
+		take()
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		flip(picks)
+		if delta, ok := take(); !ok || len(delta) != 8 {
+			t.Fatalf("delta of %d objects (ok %v), want 8", len(delta), ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("taking the delta of 8 changes allocates %v times", allocs)
+	}
+
+	// Freeing more than half: past some point the changes since outnumber
+	// what is left live, and the journal no longer reaches back.
+	var half []int
+	for i := 0; i < n; i++ {
+		if live[i] && i%5 != 0 {
+			half = append(half, i)
+		}
+	}
+	toggle(half)
+	if _, ok := take(); ok {
+		t.Errorf("%d frees since the last step did not lapse", len(half))
+	}
+	if _, rs := f.resolve("after the journal lapsed"); rs.Full != (FullSteps{Lapsed: 1}) {
+		t.Errorf("after the journal lapsed: %v, want one lapsed step", rs.Full)
 	}
 }
 

@@ -3,10 +3,16 @@ package trace
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/program"
+	"repro/internal/servers"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // TestDecoupledDiscoveryMatchesTransfer asserts the pipelined split
@@ -193,5 +199,79 @@ func TestAnyPageOfBoundaries(t *testing.T) {
 	}
 	if anyPageOf(nil, &mem.Object{Addr: 0x2000, Size: 8}) {
 		t.Error("anyPageOf over no pages")
+	}
+}
+
+// TestDiscoveryRootsByRegion: discovery finds its roots by a binary search
+// per static, stack and library region of the ordered object list. On every
+// process of every catalog server, after startup and while serving, with no
+// library opted in and with all of them, those are the objects a pass over
+// the whole list picks by kind, in the same order.
+func TestDiscoveryRootsByRegion(t *testing.T) {
+	old := servers.SetHttpdPoolThreads(4)
+	defer servers.SetHttpdPoolThreads(old)
+	byKind := func(objs []*mem.Object, libs map[string]bool) []*mem.Object {
+		var out []*mem.Object
+		for _, o := range objs {
+			if o.Kind == mem.ObjStatic || o.Kind == mem.ObjStack || (o.Kind == mem.ObjLib && libs[o.Name]) {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+	check := func(t *testing.T, when string, inst *program.Instance) {
+		t.Logf("%s: %d processes", when, len(inst.Procs()))
+		for _, p := range inst.Procs() {
+			objs := p.Index().All()
+			all := make(map[string]bool)
+			for _, o := range objs {
+				if o.Kind == mem.ObjLib {
+					all[o.Name] = true
+				}
+			}
+			for _, libs := range []map[string]bool{nil, all} {
+				got, want := roots(objs, p.Space().Regions(), libs), byKind(objs, libs)
+				if len(want) == 0 || !slices.Equal(got, want) {
+					t.Errorf("%s: %s, %d libraries: %d roots by region, %d by kind", when, p.Key(), len(libs), len(got), len(want))
+				}
+			}
+		}
+	}
+	for _, spec := range servers.Catalog() {
+		t.Run(spec.Name, func(t *testing.T) {
+			k := kernel.New()
+			servers.SeedFiles(k)
+			inst, err := program.NewInstance(spec.Version(0), k, program.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := inst.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer inst.Terminate()
+			if err := inst.WaitStartup(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			inst.CompleteStartup()
+			inst.Resume()
+			check(t, "after startup", inst)
+			sessions, err := workload.OpenSessions(k, spec.Name, spec.Port, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer workload.CloseSessions(sessions)
+			switch spec.Name {
+			case "httpd", "nginx":
+				_, err = workload.RunWebBench(k, spec.Port, 40, 2, spec.Name == "nginx")
+			case "vsftpd":
+				_, err = workload.RunFTPBench(k, spec.Port, 2, 10)
+			case "sshd":
+				_, err = workload.RunSSHBench(k, spec.Port, 2, 10)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "while serving", inst)
+		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // resolver answers "which live object contains this address?" against an
-// address-sorted object list (ObjectIndex.All, or AppendAll), with no lock
+// address-sorted object list (ObjectIndex.All, or a step's own), with no lock
 // and no map: a range pre-filter (most scanned words are small integers or
 // text, far outside the object span), then the page table (pageTable: one
 // slot per page, holding the object a word on that page last resolved to),

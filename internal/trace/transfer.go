@@ -1,11 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -336,15 +336,8 @@ func (pt *procTransfer) discover() ([]*mem.Object, error) {
 		}
 	}
 	pt.oldObjs = pt.oldProc.Index().All()
-	for _, o := range pt.oldObjs {
-		switch o.Kind {
-		case mem.ObjStatic, mem.ObjStack:
-			push(o)
-		case mem.ObjLib:
-			if pt.opts.TransferLibs[o.Name] {
-				push(o)
-			}
-		}
+	for _, o := range roots(pt.oldObjs, pt.oldProc.Space().Regions(), pt.opts.TransferLibs) {
+		push(o)
 	}
 	r := newResolver(pt.oldObjs, pt.opts.Policy)
 	// out doubles as the queue: everything before next has been scanned.
@@ -356,12 +349,39 @@ func (pt *procTransfer) discover() ([]*mem.Object, error) {
 			return nil, err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(a, b *mem.Object) int { return cmp.Compare(a.Addr, b.Addr) })
 	for _, o := range out {
 		pt.stats.ObjectsDiscovered++
 		pt.stats.BytesTotalState += o.Size
 	}
 	return out, nil
+}
+
+// roots returns, ascending, the objects discovery starts from: the static
+// and stack objects, and the library objects of the libraries listed. objs
+// is the process's ordered object list and regions its address space's,
+// sorted by start; every static, stack and library object lies in a region
+// of its kind, so the roots are found by a binary search per such region,
+// never by a pass over the heap's objects.
+func roots(objs []*mem.Object, regions []mem.Region, libs map[string]bool) []*mem.Object {
+	var out []*mem.Object
+	for _, r := range regions {
+		if r.Kind != mem.RegionStatic && r.Kind != mem.RegionStack && r.Kind != mem.RegionLib {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(objs, r.Start, func(o *mem.Object, a mem.Addr) int { return cmp.Compare(o.Addr, a) })
+		for ; i < len(objs) && objs[i].Addr < r.End(); i++ {
+			switch o := objs[i]; o.Kind {
+			case mem.ObjStatic, mem.ObjStack:
+				out = append(out, o)
+			case mem.ObjLib:
+				if libs[o.Name] {
+					out = append(out, o)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // scanObject reads every traced pointer of o in place (resolver.scan, the

@@ -14,7 +14,8 @@
 // inside the window (Resolve), where a process that served requests since
 // the last step costs the few pages those requests wrote. A process never
 // seen before is the same step with every resident page to scan; so is
-// one whose address space changed shape (FullSteps counts both).
+// one whose address space changed shape, or that changed more objects since
+// its last step than its index journals (FullSteps counts each).
 package trace
 
 import (
@@ -57,20 +58,22 @@ type FullSteps struct {
 	New        int // no entry: a process not seen before, or whose entry an error dropped
 	Remapped   int // a region mapped or unmapped, or an object allocated outside the tracked span
 	FrameTaken int // a resident page frame taken away (donated, or returned at rollback)
+	Lapsed     int // more index changes since the last step than the index journals (mem.ObjectIndex.ChangesSince)
 }
 
 // Total is the number of full steps.
-func (f FullSteps) Total() int { return f.New + f.Remapped + f.FrameTaken }
+func (f FullSteps) Total() int { return f.New + f.Remapped + f.FrameTaken + f.Lapsed }
 
 // Add sums g into f.
 func (f *FullSteps) Add(g FullSteps) {
 	f.New += g.New
 	f.Remapped += g.Remapped
 	f.FrameTaken += g.FrameTaken
+	f.Lapsed += g.Lapsed
 }
 
 func (f FullSteps) String() string {
-	return fmt.Sprintf("full new=%d remapped=%d frame=%d", f.New, f.Remapped, f.FrameTaken)
+	return fmt.Sprintf("full new=%d remapped=%d frame=%d lapsed=%d", f.New, f.Remapped, f.FrameTaken, f.Lapsed)
 }
 
 func (f *FullSteps) count(c fullCause) {
@@ -81,6 +84,8 @@ func (f *FullSteps) count(c fullCause) {
 		f.Remapped++
 	case fullFrameTaken:
 		f.FrameTaken++
+	case fullLapsed:
+		f.Lapsed++
 	}
 }
 
