@@ -311,15 +311,7 @@ func run(cfg config, out io.Writer) error {
 			rolledBack = cause
 		}
 		// Prove the pre-update session still answers.
-		var resp string
-		switch spec.Name {
-		case "httpd", "nginx":
-			resp, err = workload.KeepaliveRequest(sessions[0], "GET /after-update")
-		case "vsftpd":
-			resp, err = workload.FTPCommand(sessions[0], "STAT")
-		case "sshd":
-			resp, err = workload.SSHExec(sessions[0], "uptime")
-		}
+		resp, err := workload.ProbeSession(spec.Name, sessions[0])
 		if err != nil {
 			return fmt.Errorf("session died after update %d: %w", i, err)
 		}

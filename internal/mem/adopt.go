@@ -67,12 +67,13 @@ func (as *AddressSpace) detachLocked(pb Addr) PageFrame {
 }
 
 // installLocked links p at pb with the given bit, replacing whatever was
-// resident there, and stamps it as stored now. Caller holds the write lock,
-// has checked the range and has counted the mutation.
+// resident there, and stamps it as stored now — journaled whatever stamp
+// it arrived with. Caller holds the write lock, has checked the range and
+// has counted the mutation.
 func (as *AddressSpace) installLocked(pb Addr, p *page, softDirty bool) {
 	p.softDirty, p.detached = softDirty, false
-	p.stamp = as.mutations
 	as.pages[pb] = p
+	as.stampLocked(pb, p, true)
 }
 
 // adoptLocked installs p the way WriteAt would have left it: soft-dirty. A donated page that was absent (p nil) leaves an absent

@@ -7,7 +7,9 @@ package mem
 // Linux preserves them across fork, and MCR's dirty tracking relies on the
 // child inheriting the parent's post-startup dirty state.
 
-// Clone returns a deep copy of the address space.
+// Clone returns a deep copy of the address space. The pages keep their
+// stamps; the store journal is not copied, so the clone's first listing
+// walks its page map.
 func (as *AddressSpace) Clone() *AddressSpace {
 	as.mu.RLock()
 	defer as.mu.RUnlock()

@@ -75,7 +75,7 @@ func copyChunk(dst *AddressSpace, da Addr, src *AddressSpace, sa Addr, n, check 
 			dst.pages[dpb] = dp
 		}
 		dp.softDirty = true
-		dp.stamp = dst.mutations
+		dst.stampLocked(dpb, dp, false)
 		// This destination fragment draws on at most two source pages.
 		for da < stop {
 			spb := PageBase(sa)

@@ -84,7 +84,8 @@ type page struct {
 	// the soft-dirty bits nobody clears it, so any number of readers can
 	// each ask "what changed since I last looked" without disturbing the
 	// checkpoint's dirty tracking. (The struct stays in the allocator's
-	// 4864-byte size class: the stamp costs no memory.)
+	// 4864-byte size class: the stamp costs no memory.) Every stamp goes
+	// through stampLocked, which keeps the store journal.
 	stamp uint64
 }
 
@@ -108,6 +109,17 @@ type AddressSpace struct {
 	// first store into it stamps the page it lands on. A reader that
 	// filters by the mapped span follows growth itself.
 	reshaped uint64
+	// stored is the store journal, the write barrier's remembered set: the
+	// bases of the pages stamped since the last StoredSince listing, which
+	// answered as of generation listed. A page is journaled at its first
+	// stamp past listed; an installed frame at every installation, since
+	// the stamp it arrives with is another space's count. It is kept only
+	// while journaling is set: from the first listing until it would
+	// outgrow the resident page count (a walk of the page map then costs no
+	// more than reading it), and never in a fresh Clone.
+	stored     []Addr
+	listed     uint64
+	journaling bool
 }
 
 // NewAddressSpace returns an empty address space with no mappings.
@@ -247,7 +259,7 @@ func (as *AddressSpace) WriteAt(addr Addr, buf []byte) error {
 			as.pages[pb] = p
 		}
 		p.softDirty = true
-		p.stamp = as.mutations
+		as.stampLocked(pb, p, false)
 		po := int(addr+Addr(off)) & pageMask
 		n := copy(p.data[po:], buf[off:])
 		off += n
@@ -390,6 +402,21 @@ func (as *AddressSpace) Mutations() uint64 {
 	return as.mutations
 }
 
+// stampLocked stamps p, resident at pb, as stored into now, and journals
+// pb if this is the page's first stamp since the last listing or installed
+// says p was just installed. Caller holds the write lock, has linked p at
+// pb and has counted the mutation.
+func (as *AddressSpace) stampLocked(pb Addr, p *page, installed bool) {
+	if as.journaling && (installed || p.stamp <= as.listed) {
+		if len(as.stored) < len(as.pages) {
+			as.stored = append(as.stored, pb)
+		} else {
+			as.stored, as.journaling = nil, false // lapsed: the next listing walks
+		}
+	}
+	p.stamp = as.mutations
+}
+
 // StoredSince is the delta query behind Mutations: it returns, ascending,
 // the resident pages stored into or installed after the write generation
 // epoch (an earlier Mutations reading; 0 lists every resident page), the
@@ -399,19 +426,34 @@ func (as *AddressSpace) Mutations() uint64 {
 // report. A grown region is not reported: nothing is resident in the grown
 // part until a store stamps it. A store racing the call lands on one side
 // of it: either its page is listed, or its stamp is past now and the next
-// call lists it. It clears nothing, so it disturbs neither the soft-dirty
-// bits nor other callers.
+// call lists it.
+//
+// An epoch at or past the last listing's now is answered from the store
+// journal, in time proportional to the pages stored since; any other — the
+// first listing, epoch 0, a second reader's, a listing in a fresh clone or
+// after the journal lapsed — walks the page map, with the same answer.
+// Every listing restarts the journal from now, so it takes the write lock.
+// It leaves the soft-dirty bits alone.
 func (as *AddressSpace) StoredSince(epoch uint64) (now uint64, pages []Addr, reshaped bool) {
-	as.mu.RLock()
-	for pb, p := range as.pages {
-		if p.stamp > epoch {
-			pages = append(pages, pb)
+	as.mu.Lock()
+	if as.journaling && epoch >= as.listed {
+		for _, pb := range as.stored {
+			if p := as.pages[pb]; p != nil && p.stamp > epoch {
+				pages = append(pages, pb)
+			}
+		}
+	} else {
+		for pb, p := range as.pages {
+			if p.stamp > epoch {
+				pages = append(pages, pb)
+			}
 		}
 	}
 	now, reshaped = as.mutations, as.reshaped > epoch
-	as.mu.RUnlock()
-	slices.Sort(pages) // a whole heap's worth on the first call: not under the lock
-	return now, pages, reshaped
+	as.stored, as.listed, as.journaling = as.stored[:0], now, true
+	as.mu.Unlock()
+	slices.Sort(pages)                          // a whole heap's worth on a walk: not under the lock
+	return now, slices.Compact(pages), reshaped // a page gone and back, or installed twice, is journaled twice
 }
 
 // SoftDirtyPages returns the base addresses of all soft-dirty pages in
@@ -427,6 +469,41 @@ func (as *AddressSpace) SoftDirtyPages() []Addr {
 	as.mu.RUnlock()
 	slices.Sort(out) // not under the lock, as in StoredSince
 	return out
+}
+
+// SoftDirtyPagesOf returns, ascending, the soft-dirty pages that overlap
+// any of objs (in any order): SoftDirtyPages filtered to the objects'
+// pages, for a probe of each page they span — or, when they span more
+// pages than are resident, for the one walk of the page map SoftDirtyPages
+// makes. The pagemap analogue is reading the entries of the objects'
+// ranges rather than of the whole address space.
+func (as *AddressSpace) SoftDirtyPagesOf(objs []*Object) []Addr {
+	var span uint64
+	for _, o := range objs {
+		span += uint64(o.End()-PageBase(o.Addr)+pageMask) >> PageShift
+	}
+	var out []Addr
+	if span > as.RSSBytes()/PageSize {
+		dirty := as.SoftDirtyPages()
+		for _, o := range objs {
+			i, _ := slices.BinarySearch(dirty, PageBase(o.Addr))
+			for ; i < len(dirty) && dirty[i] < o.End(); i++ {
+				out = append(out, dirty[i])
+			}
+		}
+	} else {
+		as.mu.RLock()
+		for _, o := range objs {
+			for pb := PageBase(o.Addr); pb < o.End(); pb += PageSize {
+				if p := as.pages[pb]; p != nil && p.softDirty {
+					out = append(out, pb)
+				}
+			}
+		}
+		as.mu.RUnlock()
+	}
+	slices.Sort(out)
+	return slices.Compact(out) // objects sharing a page list it once each
 }
 
 // PageSoftDirty reports the soft-dirty bit of the page containing addr.

@@ -109,7 +109,7 @@ func (as *AddressSpace) updateChunk(addr, stop Addr, fn func(base Addr, data []b
 				stored = true
 			}
 			p.softDirty = true
-			p.stamp = as.mutations
+			as.stampLocked(pb, p, false)
 		}
 		addr = next
 	}

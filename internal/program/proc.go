@@ -47,6 +47,13 @@ type Proc struct {
 
 	log       *replaylog.Log
 	inStartup atomic.Bool
+	// startupDone is set once the memory half of completing startup has
+	// run: the allocator out of startup mode, deferred frees flushed, the
+	// soft-dirty bits cleared. A child inherits it with the memory it
+	// describes. It is not inStartup: a session process a reinitialization
+	// handler re-forks during the new version's startup records nothing,
+	// yet its memory is still in startup until the instance completes it.
+	startupDone atomic.Bool
 
 	// mainClass is the thread class of the process's main thread ("main"
 	// for roots, the fork class for children); reinitialization handlers
@@ -245,6 +252,7 @@ func (p *Proc) fork(key ProcKey) (*Proc, error) {
 		forkSeq: make(map[uint64]uint64),
 	}
 	child.inStartup.Store(p.inStartup.Load())
+	child.startupDone.Store(p.startupDone.Load())
 	if !child.inStartup.Load() {
 		child.log = nil // post-startup children record nothing
 	}
@@ -261,13 +269,15 @@ func (p *Proc) fork(key ProcKey) (*Proc, error) {
 	return child, nil
 }
 
-// completeStartup transitions the process out of its startup phase.
+// completeStartup transitions the process out of its startup phase: it
+// seals the startup log if the process still records one, and completes
+// the memory half once.
 func (p *Proc) completeStartup() {
-	if !p.inStartup.Swap(false) {
-		return
-	}
-	if p.log != nil {
+	if p.inStartup.Swap(false) && p.log != nil {
 		p.log.Seal()
+	}
+	if p.startupDone.Swap(true) {
+		return
 	}
 	p.heap.SetStartupMode(false)
 	// Separability: deferred frees stay queued; the engine flushes them

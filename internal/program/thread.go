@@ -383,8 +383,9 @@ func (th *Thread) forkProc(key ProcKey, class string, mainTID int, childMain fun
 			child.kproc.PinNextPid(kernel.Pid(mainTID))
 		}
 		if th.noRecord {
-			// Handler-reconstructed session processes behave like
-			// post-startup children: no startup log of their own.
+			// Handler-reconstructed session processes record like
+			// post-startup children: no startup log of their own. Their
+			// memory still completes startup with the instance's.
 			child.log = nil
 			child.inStartup.Store(false)
 		}

@@ -573,3 +573,47 @@ func TestHttpdCyclesRetainNoProcess(t *testing.T) {
 		t.Fatalf("%d of %d httpd address spaces are still reachable after shutdown", want-got, want)
 	}
 }
+
+// TestEveryServerSurvivesItsUpdateStream: every catalog server takes five
+// live updates under one client session. After each commit the session
+// still answers, the new instance has recorded no error, and no process
+// that existed past startup is left with every resident page soft-dirty —
+// the sign of a process whose startup never completed (a session process
+// a reinitialization handler re-forked keeps its startup-mode heap, its
+// deferred frees and its bits until the instance completes startup).
+func TestEveryServerSurvivesItsUpdateStream(t *testing.T) {
+	const updates = 5
+	for _, spec := range Catalog() {
+		t.Run(spec.Name, func(t *testing.T) {
+			e, k := launch(t, spec, core.Options{})
+			defer e.Shutdown()
+			sessions, err := workload.OpenSessions(k, spec.Name, spec.Port, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer workload.CloseSessions(sessions)
+			for i := 1; i <= updates; i++ {
+				rep, err := e.Update(spec.Version(i))
+				if err != nil {
+					t.Fatalf("update %d: %v", i, err)
+				}
+				if rep.RolledBack {
+					t.Fatalf("update %d rolled back: %v", i, rep.Reason)
+				}
+				if _, err := workload.ProbeSession(spec.Name, sessions[0]); err != nil {
+					t.Fatalf("session died after update %d: %v", i, err)
+				}
+				inst := e.Current()
+				if errs := inst.Errors(); len(errs) > 0 {
+					t.Fatalf("update %d: instance errors: %v", i, errs)
+				}
+				for _, p := range inst.Procs() {
+					dirty, resident := len(p.Space().SoftDirtyPages()), int(p.Space().RSSBytes()/mem.PageSize)
+					if resident > 0 && dirty == resident {
+						t.Errorf("update %d: %s (%s): all %d resident pages soft-dirty", i, p.Key(), p.MainClass(), resident)
+					}
+				}
+			}
+		})
+	}
+}

@@ -15,7 +15,9 @@ import (
 // summaries, and bringing it up to date re-scans pages, not the process:
 //
 //   - a page stored into since the last step (mem.StoredSince: page stamps
-//     against the epoch captured by that step), because its words changed;
+//     against the epoch captured by that step, read from the space's store
+//     journal when that step was its last listing, so they too cost what
+//     changed), because its words changed;
 //   - every page an inserted or removed object overlaps, because the
 //     object's layout decides which of its words are traced — the index's
 //     journal names them (mem.ObjectIndex.ChangesSince), and merged into

@@ -240,10 +240,11 @@ type procTransfer struct {
 	// per object.
 	layouts layoutMemo
 
-	// dirty is the dirty-since-startup page set, ascending: the pages
-	// soft-dirty at quiescence. Bits are set by writes and cleared only
-	// when startup completes, so an object overlapping none of them is
-	// exactly as startup left it.
+	// dirty is the dirty-since-startup page set of the reachable objects,
+	// ascending: those of their pages soft-dirty at quiescence. Bits are set
+	// by writes and cleared only when startup completes, so an object
+	// overlapping none of them is exactly as startup left it. Only the
+	// reachable objects are ever asked about.
 	dirty []mem.Addr
 
 	// adopted marks old objects whose pages moved by zero-copy frame
@@ -264,9 +265,12 @@ type ProcDiscovery struct {
 	reachable []*mem.Object
 }
 
-// DiscoverProc runs the old-side half of a transfer: it snapshots the
-// dirty page set (the pages soft-dirty at quiescence) and walks the
-// reachable object graph. The new version does not need to exist yet.
+// DiscoverProc runs the old-side half of a transfer: it walks the
+// reachable object graph, then reads the soft-dirty bits of the pages the
+// reachable objects span (mem.SoftDirtyPagesOf), not of every resident
+// page. The old process is quiesced throughout, so the bits read after the
+// walk are the set at quiescence. The new version does not need to exist
+// yet.
 func DiscoverProc(oldProc *program.Proc, opts Options) (*ProcDiscovery, error) {
 	pt := &procTransfer{
 		oldProc:   oldProc,
@@ -274,12 +278,12 @@ func DiscoverProc(oldProc *program.Proc, opts Options) (*ProcDiscovery, error) {
 		pairs:     make(map[mem.Addr]*pairEntry),
 		typeCache: make(map[typePair]*typeDelta),
 		layouts:   newLayoutMemo(opts.Policy),
-		dirty:     oldProc.Space().SoftDirtyPages(),
 	}
 	reachable, err := pt.discover()
 	if err != nil {
 		return nil, err
 	}
+	pt.dirty = oldProc.Space().SoftDirtyPagesOf(reachable)
 	return &ProcDiscovery{pt: pt, reachable: reachable}, nil
 }
 

@@ -194,6 +194,20 @@ func OpenSessions(k *kernel.Kernel, server string, port, n int) ([]*Session, err
 	return out, nil
 }
 
+// ProbeSession sends a session OpenSessions opened against the named
+// server the request that shows it is still served, and returns the reply.
+func ProbeSession(server string, s *Session) (string, error) {
+	switch server {
+	case "httpd", "nginx":
+		return KeepaliveRequest(s, "GET /after-update")
+	case "vsftpd":
+		return FTPCommand(s, "STAT")
+	case "sshd":
+		return SSHExec(s, "uptime")
+	}
+	return "", fmt.Errorf("workload: unknown server %q", server)
+}
+
 // CloseSessions closes every session.
 func CloseSessions(ss []*Session) {
 	for _, s := range ss {
